@@ -7,12 +7,22 @@ matrix-Beaver products used by the vectorised backend.
 Besides the pytest-benchmark fixtures, :func:`run_crypto_primitives` produces
 plain JSON rows (``benchmarks/results/crypto_primitives.json``, or
 ``REPRO_BENCH_CRYPTO_OUTPUT``) consumed by the CI perf-smoke regression gate.
+
+:func:`run_ring_matmul_sweep` times ``Ring.matmul``'s two exact kernels —
+numpy's int64 loop and the float64 limb-split BLAS path — on n x n products
+of uniformly random ring elements (the dealer's and servers' operands), and
+writes ``benchmarks/results/ring_matmul.json`` with the crossover size that
+``repro.crypto.ring.BLAS_MIN_MULTIPLY_ADDS`` cites::
+
+    PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -22,6 +32,13 @@ from memprof import measure_peak_bytes
 
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
+from repro.crypto.ring import (
+    BLAS_MIN_MULTIPLY_ADDS,
+    DEFAULT_RING,
+    int64_matmul,
+    limb_matmul,
+    limb_width,
+)
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_triple
 from repro.crypto.sharing import share_scalar, share_vector
 from repro.utils.atomic import atomic_write_json
@@ -30,19 +47,29 @@ from repro.utils.atomic import atomic_write_json
 VECTOR_BATCH = 10_000
 MATRIX_N = 128
 PROVISION_COUNT = 50_000
+#: Size of the gated ring-matmul row: the matrix backend's product at n=768.
+RING_MATMUL_N = 768
+#: Sizes of the int64-vs-limb sweep.
+RING_MATMUL_SWEEP = (32, 64, 96, 128, 192, 256, 384, 768, 1024)
+
+
+def _best_of(callable_, reps: int) -> float:
+    best = None
+    for _ in range(max(reps, 1)):
+        start = time.perf_counter()
+        callable_()
+        seconds = time.perf_counter() - start
+        best = seconds if best is None else min(best, seconds)
+    return best
+
+
+def _random_ring_matrices(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return DEFAULT_RING.random_array((n, n), rng), DEFAULT_RING.random_array((n, n), rng)
 
 
 def run_crypto_primitives(reps: int = 5):
     """Time each primitive *reps* times and report the minimum per row."""
-
-    def best_of(callable_):
-        best = None
-        for _ in range(max(reps, 1)):
-            start = time.perf_counter()
-            callable_()
-            seconds = time.perf_counter() - start
-            best = seconds if best is None else min(best, seconds)
-        return best
 
     rows = []
     rng = np.random.default_rng(5)
@@ -65,7 +92,7 @@ def run_crypto_primitives(reps: int = 5):
         {
             "name": "vectorised_triple_multiplication",
             "size": VECTOR_BATCH,
-            "seconds": best_of(vectorised_triple),
+            "seconds": _best_of(vectorised_triple, reps),
             "peak_bytes": measure_peak_bytes(vectorised_triple),
         }
     )
@@ -77,7 +104,7 @@ def run_crypto_primitives(reps: int = 5):
         {
             "name": "mg_dealer_provision",
             "size": PROVISION_COUNT,
-            "seconds": best_of(provision_groups),
+            "seconds": _best_of(provision_groups, reps),
             "peak_bytes": measure_peak_bytes(provision_groups),
         }
     )
@@ -96,11 +123,77 @@ def run_crypto_primitives(reps: int = 5):
         {
             "name": "secure_matrix_product",
             "size": MATRIX_N,
-            "seconds": best_of(matrix_product),
+            "seconds": _best_of(matrix_product, reps),
             "peak_bytes": measure_peak_bytes(matrix_product),
         }
     )
+
+    ring_a, ring_b = _random_ring_matrices(RING_MATMUL_N, seed=13)
+
+    def ring_product():
+        DEFAULT_RING.matmul(ring_a, ring_b)
+
+    rows.append(
+        {
+            "name": f"ring_matmul_{RING_MATMUL_N}",
+            "size": RING_MATMUL_N,
+            "seconds": _best_of(ring_product, reps),
+            "peak_bytes": measure_peak_bytes(ring_product),
+        }
+    )
     return rows
+
+
+def run_ring_matmul_sweep(sizes=RING_MATMUL_SWEEP, reps: int = 3) -> dict:
+    """Best-of-*reps* int64 vs limb timings per n, plus the measured crossover.
+
+    Both kernels' products are checked bit-identical before either is timed.
+    The crossover is the smallest swept n from which the limb path is faster
+    at every larger swept n too.
+    """
+    rows = []
+    for n in sizes:
+        a, b = _random_ring_matrices(n, seed=n)
+        if not np.array_equal(int64_matmul(a, b), limb_matmul(a, b)):
+            raise AssertionError(f"limb_matmul differs from int64_matmul at n={n}")
+        width = limb_width(n)
+        limbs = -(-64 // width)
+        int64_s = _best_of(lambda: int64_matmul(a, b), reps)
+        limb_s = _best_of(lambda: limb_matmul(a, b), reps)
+        rows.append(
+            {
+                "n": n,
+                "multiply_adds": n**3,
+                "limb_width": width,
+                "gemms": sum(1 for i in range(limbs) for j in range(limbs) if (i + j) * width < 64),
+                "int64_s": int64_s,
+                "limb_s": limb_s,
+                "speedup": int64_s / limb_s,
+            }
+        )
+        print(
+            f"  n={n:5d} w={width} int64 {int64_s*1e3:10.3f} ms  limb {limb_s*1e3:9.3f} ms"
+            f"  ({int64_s / limb_s:5.2f}x)",
+            flush=True,
+        )
+    crossover = None
+    for row in reversed(rows):
+        if row["limb_s"] >= row["int64_s"]:
+            break
+        crossover = row["n"]
+    return {
+        "benchmark": "ring_matmul",
+        "host": {
+            "cpus": os.cpu_count() or 1,
+            "machine": platform.platform(),
+            "numpy": np.__version__,
+        },
+        "reps": reps,
+        "rows": rows,
+        "crossover_n": crossover,
+        "crossover_multiply_adds": None if crossover is None else crossover**3,
+        "blas_min_multiply_adds": BLAS_MIN_MULTIPLY_ADDS,
+    }
 
 
 def write_json(rows, path=None) -> Path:
@@ -168,7 +261,17 @@ def test_bench_secure_matrix_product(benchmark):
 
 
 if __name__ == "__main__":
-    output_rows = run_crypto_primitives()
-    destination = write_json(output_rows)
-    print(json.dumps(output_rows, indent=2))
-    print(f"wrote {destination}")
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--ring-matmul", action="store_true", help="run the int64-vs-limb ring matmul sweep"
+    )
+    if parser.parse_args().ring_matmul:
+        sweep = run_ring_matmul_sweep()
+        destination = Path(__file__).resolve().parent / "results" / "ring_matmul.json"
+        atomic_write_json(destination, sweep)
+        print(f"crossover n={sweep['crossover_n']}; wrote {destination}")
+    else:
+        output_rows = run_crypto_primitives()
+        destination = write_json(output_rows)
+        print(json.dumps(output_rows, indent=2))
+        print(f"wrote {destination}")

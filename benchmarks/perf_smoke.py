@@ -1,9 +1,11 @@
 """CI perf-smoke gate: quick benchmarks vs the committed baseline.
 
-Runs the small-n backend-scaling sweep, the crypto-primitive timings, the
-n=256 blocked/matrix rows of the tile-parallel engine (serial plus a
-``--workers N`` parallel variant, default 2), and the n=10^4 sparse-tier
-k-star release, writes the fresh rows to
+Runs the small-n backend-scaling sweep, the crypto-primitive timings (among
+them ``ring_matmul_768``, one n=768 ``Ring.matmul`` of random ring elements,
+which a fall-back to numpy's int64 loop slows ~7x), the n=256
+blocked/matrix rows of the tile-parallel engine (serial plus a ``--workers
+N`` parallel variant, default 2), and the n=10^4 sparse-tier k-star
+release, writes the fresh rows to
 ``benchmarks/results/perf_smoke.json`` (the CI artifact), and compares each
 timed row against ``BENCH_baseline.json`` at the repository root.  Two
 conditions fail the gate, each with the ``TOLERANCE`` factor (3x):

@@ -193,15 +193,9 @@ class Cargo:
                     projection_result = projection.project_degrees(
                         graph.degree_vector(copy=False)
                     )
-                    projected_count = statistic.degree_count(
-                        projection_result.projected_degrees
-                    )
                 else:
                     projection_result = projection.project_graph(
                         graph, noisy_degrees=max_result.noisy_degrees
-                    )
-                    projected_count = statistic.projected_count(
-                        projection_result.projected_rows
                     )
 
             # ---------------------------------------------------------- #
@@ -253,7 +247,13 @@ class Cargo:
                     authenticator=authenticator,
                 )
 
+        # Evaluation-only ground truth, computed outside every protocol span.
         true_count = statistic.plain_count(graph)
+        projected_count = (
+            statistic.degree_count(projection_result.projected_degrees)
+            if use_sparse
+            else statistic.projected_count(projection_result.projected_rows)
+        )
         noisy_count = statistic.finalise(perturb_result.noisy_count)
         timings = run_span.timings()
         communication_phases = (

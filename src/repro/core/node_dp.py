@@ -155,15 +155,9 @@ class NodeDpCargo:
                     projection_result = projection.project_degrees(
                         graph.degree_vector(copy=False)
                     )
-                    projected_count = statistic.degree_count(
-                        projection_result.projected_degrees
-                    )
                 else:
                     projection_result = projection.project_graph(
                         graph, noisy_degrees=max_result.noisy_degrees
-                    )
-                    projected_count = statistic.projected_count(
-                        projection_result.projected_rows
                     )
 
             with tracer.span("count", backend=config.backend_name):
@@ -202,7 +196,13 @@ class NodeDpCargo:
                 )
 
         noisy_count = statistic.finalise(perturb_result.noisy_count)
+        # Evaluation-only ground truth, computed outside every protocol span.
         true_count = statistic.plain_count(graph)
+        projected_count = (
+            statistic.degree_count(projection_result.projected_degrees)
+            if use_sparse
+            else statistic.projected_count(projection_result.projected_rows)
+        )
         timings = run_span.timings()
         result_telemetry = feed_run_telemetry(
             config,

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.crypto.ring import matmul_mod
 from repro.exceptions import ConfigurationError
 from repro.graph.graph import Graph
 
@@ -220,6 +221,10 @@ class SimilarityProjection:
         )
 
 
+#: Column-block width of :func:`projected_triangle_count`'s block products.
+_EVALUATION_TILE = 128
+
+
 def projected_triangle_count(projected_rows: np.ndarray) -> int:
     """Plaintext evaluation of the count Algorithm 4 computes securely.
 
@@ -234,10 +239,19 @@ def projected_triangle_count(projected_rows: np.ndarray) -> int:
     n = rows.shape[0]
     if n < 3:
         return 0
-    # Strictly-upper-triangular view: C[i, j] = a_ij for i < j, read from row i.
-    upper = np.triu(rows, k=1)
-    # For each pair (j, k) with j < k, the number of i < j with
-    # a_ij = a_ik = 1 is (C^T C)[j, k] restricted to i < j, which the strict
-    # upper-triangular structure of C already enforces.
-    wedge_counts = upper.T @ upper
-    return int(np.sum(np.triu(wedge_counts, k=1) * upper))
+    # With C[i, j] = a_ij for i < j (strictly upper-triangular, read from
+    # row i), the count is sum_{j<k} (C^T A)[j, k] * C[j, k]: the i < j
+    # restriction sits in C^T and j < k in the mask, which implies i < k.
+    # It runs one (J, K) column-block pair with J <= K at a time, so every
+    # temporary is a few n x tile arrays; C[i, J] is zero for i past J's last
+    # column, so each block product's inner dimension stops there.
+    tile = _EVALUATION_TILE
+    total = 0
+    for j0 in range(0, n, tile):
+        j1 = min(j0 + tile, n)
+        left = np.triu(rows[:j1, j0:j1], k=1 - j0)
+        for k0 in range(j0, n, tile):
+            k1 = min(k0 + tile, n)
+            wedges = matmul_mod(left.T, rows[:j1, k0:k1]).view(np.int64)
+            total += int(np.sum(wedges * np.triu(rows[j0:j1, k0:k1], k=1 + j0 - k0)))
+    return total

@@ -8,6 +8,11 @@ to (possibly negative) integers such as noise values or centred shares.
 
 Implementation note: vectorised operations use ``numpy.uint64`` with ``l = 64``
 by default, where modular wrap-around is native; other widths mask explicitly.
+Matrix products (:func:`matmul_mod`, behind :meth:`Ring.matmul`) run on
+float64 BLAS once they are large enough to repay its fixed cost: each operand
+is split into ``w``-bit limbs narrow enough that every limb-pair GEMM is exact
+in float64, and the shifted limb products are summed with uint64 wrap-around.
+Smaller products stay on numpy's int64 loop.  Both paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +26,128 @@ from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, derive_rng
 
 IntOrArray = Union[int, np.ndarray]
+
+#: Per-matrix multiply-add count ``m·k·n`` from which :func:`matmul_mod` runs
+#: on float64 BLAS.  Below it numpy's int64 loop wins on its lower fixed cost.
+#: Measured by the ``ring_matmul`` sweep of
+#: ``benchmarks/bench_crypto_primitives.py`` (table in docs/performance.md).
+BLAS_MIN_MULTIPLY_ADDS = 96**3
+#: Inner dimensions from which products stay on the int64 loop.
+BLAS_MAX_INNER = 1 << 21
+
+
+def limb_width(inner: int) -> int:
+    """Widest limb ``w`` (at most 32) with ``inner·(2^w − 1)² < 2^53``.
+
+    Every limb-pair GEMM term is then an integer below ``2^53``, which float64
+    represents exactly whatever order BLAS sums in.
+
+    Examples
+    --------
+    >>> limb_width(512), limb_width(513), limb_width(1 << 21)
+    (22, 21, 16)
+    """
+    return min(32, (53 - (inner - 1).bit_length()) // 2)
+
+
+def _as_uint64(x) -> np.ndarray:
+    """*x* as uint64 ring elements; int64 arrays are reinterpreted, not copied."""
+    x = np.asarray(x)
+    return x.view(np.uint64) if x.dtype == np.int64 else x.astype(np.uint64, copy=False)
+
+
+def _float_limbs(x: np.ndarray, width: int, bits: int):
+    """The float64 ``width``-bit limbs of *x* that a ``bits``-bit product reads.
+
+    Only as many limbs as the largest element needs are produced, so a 0/1
+    operand is one limb: itself.
+    """
+    top = int(x.max()).bit_length() if x.size else 0
+    if top <= width:
+        if top:
+            yield x.astype(np.float64)
+        return
+    mask = (1 << width) - 1
+    for index in range(-(-min(bits, top) // width)):
+        limb = x >> (index * width)
+        limb &= mask
+        yield limb.astype(np.float64)
+
+
+def int64_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b mod 2^64`` on numpy's int64 loop (no BLAS).
+
+    Two's-complement int64 multiplication and addition wrap modulo ``2^64``,
+    so reinterpreting uint64 operands as int64 computes the ring product.
+    """
+    return (_as_uint64(a).view(np.int64) @ _as_uint64(b).view(np.int64)).view(np.uint64)
+
+
+def limb_matmul(a: np.ndarray, b: np.ndarray, bits: int = 64) -> np.ndarray:
+    """``a @ b`` exact modulo ``2^bits``, as float64 limb-pair GEMMs.
+
+    Bits at and above *bits* are left unreduced; :func:`matmul_mod` masks
+    them.  Only limb pairs whose shift is below *bits* run, and each GEMM is
+    accumulated in place into one uint64 output.
+    """
+    a = _as_uint64(a)
+    b = _as_uint64(b)
+    width = limb_width(a.shape[-1])
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.zeros(shape, dtype=np.uint64)
+    gemm = term = None
+    b_limbs = list(_float_limbs(b, width, bits))
+    for i, a_limb in enumerate(_float_limbs(a, width, bits)):
+        for j, b_limb in enumerate(b_limbs):
+            shift = (i + j) * width
+            if shift >= bits:
+                break
+            gemm = np.matmul(a_limb, b_limb, out=gemm)
+            if shift == 0:
+                # The first pair: convert straight into the output.
+                np.copyto(out, gemm, casting="unsafe")
+                continue
+            if term is None:
+                term = np.empty(shape, dtype=np.uint64)
+            np.copyto(term, gemm, casting="unsafe")
+            np.left_shift(term, shift, out=term)
+            np.add(out, term, out=out)
+    return out
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, bits: int = 64) -> np.ndarray:
+    """Exact matrix product ``a @ b`` reduced element-wise mod ``2^bits``.
+
+    The one integer matrix-product kernel: :meth:`Ring.matmul` and the
+    evaluation-only plaintext counts call it.  Integer counts below ``2^63``
+    come back exact, so ``matmul_mod(a, b).view(np.int64)`` is the integer
+    product.  Products of at least :data:`BLAS_MIN_MULTIPLY_ADDS` per matrix
+    with inner dimension below :data:`BLAS_MAX_INNER` run as
+    :func:`limb_matmul`; the rest as :func:`int64_matmul`.  Both are
+    bit-identical.
+
+    Examples
+    --------
+    >>> a = np.array([[2**63, 3]], dtype=np.uint64)
+    >>> b = np.array([[2], [5]], dtype=np.uint64)
+    >>> matmul_mod(a, b).tolist(), matmul_mod(a, b, bits=4).tolist()
+    ([[15]], [[15]])
+    """
+    a = _as_uint64(a)
+    b = _as_uint64(b)
+    if (
+        a.ndim >= 2
+        and b.ndim >= 2
+        and a.shape[-1] == b.shape[-2]
+        and a.shape[-1] < BLAS_MAX_INNER
+        and a.shape[-2] * a.shape[-1] * b.shape[-1] >= BLAS_MIN_MULTIPLY_ADDS
+    ):
+        product = limb_matmul(a, b, bits)
+    else:
+        product = int64_matmul(a, b)
+    if bits < 64:
+        product &= np.uint64((1 << bits) - 1)
+    return product
 
 
 @dataclass(frozen=True)
@@ -141,22 +268,11 @@ class Ring:
         return self.sub(0, a) if not isinstance(a, np.ndarray) else self.sub(np.zeros_like(np.asarray(a, dtype=self.dtype)), a)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product in the ring (element-wise reduction mod ``2^l``).
+        """Matrix product in the ring, reduced element-wise mod ``2^l``.
 
-        Matrix products of uint64 arrays are computed with Python-object
-        precision only when the bit width is below 64; at the default 64-bit
-        width native uint64 wrap-around is exactly reduction modulo ``2^64``.
+        Exact for every width: see :func:`matmul_mod`, which computes it.
         """
-        a = np.asarray(a, dtype=self.dtype)
-        b = np.asarray(b, dtype=self.dtype)
-        # Two's-complement int64 multiplication and addition wrap modulo 2^64,
-        # so reinterpreting the uint64 operands as int64, multiplying, and
-        # reinterpreting back computes the product in Z_{2^64} exactly.  For
-        # narrower rings the result is masked down afterwards.
-        product = (a.view(np.int64) @ b.view(np.int64)).view(np.uint64)
-        if self.bits < 64:
-            product = product & self.dtype.type(self.mask)
-        return product.astype(self.dtype)
+        return matmul_mod(a, b, self.bits)
 
     # ------------------------------------------------------------------ #
     # Sampling

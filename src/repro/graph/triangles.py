@@ -18,6 +18,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.crypto.ring import matmul_mod
 from repro.graph.graph import Graph
 
 
@@ -80,7 +81,9 @@ def count_triangles_matrix(graph: Graph) -> int:
     matrix = graph.adjacency_matrix(copy=False)
     if matrix.shape[0] == 0:
         return 0
-    cube_trace = int(np.trace(matrix @ matrix @ matrix))
+    # trace(A² A) = sum_ij (A²)_ij A_ji, without forming A³.
+    squared = matmul_mod(matrix, matrix).view(np.int64)
+    cube_trace = int(np.sum(squared * matrix.T))
     return cube_trace // 6
 
 

@@ -477,11 +477,9 @@ class DistributedRuntime:
                     )
                     projected_rows = projection_result.projected_rows
                     edges_removed = projection_result.edges_removed
-                    projected_count = statistic.projected_count(projected_rows)
                 else:
                     projected_rows = np.asarray(resumed["projected_rows"])
                     edges_removed = int(resumed["edges_removed"])
-                    projected_count = int(resumed["projected_count"])
 
             if checkpointer is not None and resumed is None:
                 checkpointer.save(
@@ -491,7 +489,6 @@ class DistributedRuntime:
                         "noisy_max": noisy_max,
                         "projected_rows": projected_rows,
                         "edges_removed": edges_removed,
-                        "projected_count": projected_count,
                     }
                 )
 
@@ -677,7 +674,9 @@ class DistributedRuntime:
         # ------------------------------------------------------------ #
         # Result assembly — identical to the in-process orchestrator.
         # ------------------------------------------------------------ #
+        # Evaluation-only ground truth, computed outside every protocol span.
         true_count = statistic.plain_count(graph)
+        projected_count = statistic.projected_count(projected_rows)
         noisy_count = statistic.finalise(perturb_result.noisy_count)
         timings = run_span.timings()
         communication_phases = ledger_phases if config.track_communication else {}

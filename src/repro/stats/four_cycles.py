@@ -49,7 +49,7 @@ from repro.core.backends.base import CountResult
 from repro.core.backends.registry import resolve_backend_name
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.protocol import TwoServerRuntime
-from repro.crypto.ring import Ring
+from repro.crypto.ring import Ring, matmul_mod
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_pair
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
@@ -85,7 +85,7 @@ def count_four_cycles_exact(graph: Graph) -> int:
     if n < 4:
         return 0
     adjacency = graph.adjacency_matrix(copy=False)
-    wedges = adjacency @ adjacency
+    wedges = matmul_mod(adjacency, adjacency).view(np.int64)
     upper_j, upper_k = np.triu_indices(n, k=1)
     w = wedges[upper_j, upper_k]
     return int(np.sum(w * (w - 1))) // 4
@@ -172,7 +172,7 @@ class FourCycleStatistic(SubgraphStatistic):
         if n < 4:
             return 0
         mutual = rows * rows.T
-        wedges = mutual @ mutual
+        wedges = matmul_mod(mutual, mutual).view(np.int64)
         upper_j, upper_k = np.triu_indices(n, k=1)
         w = wedges[upper_j, upper_k]
         return int(np.sum(w * (w - 1))) // 4

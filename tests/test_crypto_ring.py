@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto import ring as ring_module
+from repro.crypto.ring import (
+    BLAS_MAX_INNER,
+    BLAS_MIN_MULTIPLY_ADDS,
+    DEFAULT_RING,
+    Ring,
+    int64_matmul,
+    limb_width,
+    matmul_mod,
+)
 from repro.exceptions import ConfigurationError
+from repro.parallel import WorkerPool
 
 
 class TestConstruction:
@@ -96,6 +106,135 @@ class TestArrayArithmetic:
         b = ring.random_array((3, 3), rng)
         expected = (a.astype(object) @ b.astype(object)) % ring.modulus
         assert np.array_equal(ring.matmul(a, b).astype(object), expected)
+
+
+def reference_product(a, b, bits=64):
+    """The int64-loop product reduced mod 2^bits: the reference the BLAS path must match."""
+    return int64_matmul(a, b) & np.uint64((1 << bits) - 1)
+
+
+@pytest.fixture
+def limb_calls(monkeypatch):
+    """Count the products routed to the float64 limb path."""
+    calls = []
+    original = ring_module.limb_matmul
+
+    def spy(a, b, bits=64):
+        calls.append((a.shape, b.shape))
+        return original(a, b, bits)
+
+    monkeypatch.setattr(ring_module, "limb_matmul", spy)
+    return calls
+
+
+class TestExactBlasMatmul:
+    """``Ring.matmul`` above the crossover must equal the int64 loop bit for bit."""
+
+    @pytest.mark.parametrize("bits", [2, 16, 17, 32, 63, 64])
+    @pytest.mark.parametrize("shape", [(96, 96, 96), (130, 70, 150)])
+    def test_random_operands_every_width(self, bits, shape, limb_calls):
+        m, k, n = shape
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(bits)
+        a = ring.random_array((m, k), rng)
+        b = ring.random_array((k, n), rng)
+        assert np.array_equal(ring.matmul(a, b), reference_product(a, b, bits))
+        assert limb_calls, "shape above the crossover must take the BLAS path"
+
+    def test_matches_python_integers(self, limb_calls):
+        rng = np.random.default_rng(7)
+        a = DEFAULT_RING.random_array((10, 513), rng)
+        b = DEFAULT_RING.random_array((513, 180), rng)
+        expected = (a.astype(object) @ b.astype(object)) % DEFAULT_RING.modulus
+        assert np.array_equal(DEFAULT_RING.matmul(a, b).astype(object), expected)
+        assert limb_calls
+
+    @pytest.mark.parametrize("k", [511, 512, 513, 2047, 2048, 2049])
+    def test_inner_dimension_on_limb_width_boundaries(self, k, limb_calls):
+        # All-ones-bit operands make every limb 2^w - 1, so each GEMM sum is
+        # exactly k·(2^w − 1)², the largest value the float64 bound admits.
+        a = np.full((40, k), np.iinfo(np.uint64).max, dtype=np.uint64)
+        b = np.full((k, 50), np.iinfo(np.uint64).max, dtype=np.uint64)
+        assert k * ((1 << limb_width(k)) - 1) ** 2 < 2**53
+        assert k * ((1 << (limb_width(k) + 1)) - 1) ** 2 >= 2**53
+        assert np.array_equal(DEFAULT_RING.matmul(a, b), reference_product(a, b))
+        assert np.all(DEFAULT_RING.matmul(a, b) == np.uint64(k))
+        mixed = DEFAULT_RING.random_array((40, k), np.random.default_rng(k))
+        assert np.array_equal(DEFAULT_RING.matmul(mixed, b), reference_product(mixed, b))
+        assert len(limb_calls) == 3
+
+    @pytest.mark.parametrize("k", [BLAS_MAX_INNER - 1, BLAS_MAX_INNER])
+    def test_huge_inner_dimension(self, k, limb_calls):
+        ones = np.full((1, k), np.iinfo(np.uint64).max, dtype=np.uint64)
+        product = DEFAULT_RING.matmul(ones, ones.T)
+        # (2^64 − 1)² · k ≡ k (mod 2^64).
+        assert product.tolist() == [[k]]
+        assert bool(limb_calls) == (k < BLAS_MAX_INNER)
+
+    @pytest.mark.parametrize("left_batch", [(4,), ()])
+    def test_stacked_dealer_shapes(self, left_batch, limb_calls):
+        rng = np.random.default_rng(3)
+        a = DEFAULT_RING.random_array(left_batch + (100, 100), rng)
+        b = DEFAULT_RING.random_array((4, 100, 100), rng)
+        product = DEFAULT_RING.matmul(a, b)
+        assert product.shape == (4, 100, 100)
+        assert np.array_equal(product, reference_product(a, b))
+        assert limb_calls
+
+    def test_transposed_and_strided_views(self, limb_calls):
+        rng = np.random.default_rng(4)
+        base = DEFAULT_RING.random_array((300, 300), rng)
+        a = base[::2, ::3]
+        b = base[::3, 1::2]
+        assert not a.flags.c_contiguous and not b.flags.c_contiguous
+        assert np.array_equal(DEFAULT_RING.matmul(a, b), reference_product(a, b))
+        assert np.array_equal(DEFAULT_RING.matmul(base.T, base), reference_product(base.T, base))
+        assert len(limb_calls) == 2
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [((0, 128, 128), (0, 128, 128)), ((128, 0), (0, 128)), ((0, 200), (200, 200))],
+    )
+    def test_zero_size_dimensions(self, left, right):
+        a = np.ones(left, dtype=np.uint64)
+        b = np.ones(right, dtype=np.uint64)
+        product = DEFAULT_RING.matmul(a, b)
+        assert np.array_equal(product, reference_product(a, b))
+        assert product.dtype == np.uint64
+
+    def test_zero_one_operands_use_one_gemm(self, monkeypatch):
+        gemms = []
+        original = np.matmul
+
+        def counting(*args, **kwargs):
+            gemms.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 2, (120, 120), dtype=np.uint64)
+        b = rng.integers(0, 2, (120, 120), dtype=np.uint64)
+        monkeypatch.setattr(ring_module.np, "matmul", counting)
+        product = DEFAULT_RING.matmul(a, b)
+        monkeypatch.undo()
+        assert len(gemms) == 1
+        assert np.array_equal(product, reference_product(a, b))
+        assert 120**3 >= BLAS_MIN_MULTIPLY_ADDS
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_worker_pool_strips_match_serial(self, workers, limb_calls):
+        rng = np.random.default_rng(6)
+        a = DEFAULT_RING.random_array((200, 150), rng)
+        b = DEFAULT_RING.random_array((150, 130), rng)
+        serial = DEFAULT_RING.matmul(a, b)
+        assert np.array_equal(WorkerPool(workers).matmul(DEFAULT_RING, a, b), serial)
+        assert np.array_equal(serial, reference_product(a, b))
+        assert limb_calls
+
+    def test_integer_counts_are_exact(self):
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, 50, (100, 100))
+        b = rng.integers(0, 50, (100, 100))
+        assert np.array_equal(matmul_mod(a, b).view(np.int64), a @ b)
 
 
 class TestSampling:

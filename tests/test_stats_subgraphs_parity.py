@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.subgraphs import (
@@ -20,8 +21,11 @@ from repro.analysis.subgraphs import (
     four_cycle_sensitivity,
     private_four_cycle_count,
 )
+from repro.core.projection import projected_triangle_count
+from repro.crypto.ring import BLAS_MIN_MULTIPLY_ADDS
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
+from repro.graph.triangles import count_triangles_matrix, count_triangles_node_iterator
 from repro.stats import (
     FourCycleStatistic,
     KStarStatistic,
@@ -108,6 +112,71 @@ class TestBruteForceParity:
         rows = graph.adjacency_matrix()
         assert FourCycleStatistic().projected_count(rows) == count_four_cycles(graph)
         assert KStarStatistic(k=2).projected_count(rows) == count_k_stars(graph, 2)
+
+
+def brute_force_projected_triangles(rows: np.ndarray) -> int:
+    """``sum_{i<j<k} a_ij a_ik a_jk`` by enumerating each row's later pairs."""
+    total = 0
+    for i in range(rows.shape[0]):
+        later = [int(j) for j in np.flatnonzero(rows[i]) if j > i]
+        for j, k in itertools.combinations(later, 2):
+            total += int(rows[j, k])
+    return total
+
+
+def brute_force_cycle_walks(adjacency: np.ndarray) -> int:
+    """4-cycles as closed walks on four distinct vertices, each counted 8 times."""
+    neighbours = [set(np.flatnonzero(row).tolist()) for row in adjacency]
+    walks = 0
+    for a, around_a in enumerate(neighbours):
+        for b in around_a:
+            for c in neighbours[b] - {a}:
+                walks += sum(1 for d in neighbours[c] - {a, b} if a in neighbours[d])
+    return walks // 8
+
+
+class TestEvaluationKernelsAboveCrossover:
+    """The plaintext counts run their products on the BLAS ring kernel at this size."""
+
+    NODES = 110
+
+    def _asymmetric_rows(self, seed: int, nodes: int = NODES, density: float = 0.3) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        rows = (rng.random((nodes, nodes)) < density).astype(np.int64)
+        assert not np.array_equal(rows, rows.T)
+        return rows
+
+    def test_size_is_above_the_crossover(self):
+        assert self.NODES**3 >= BLAS_MIN_MULTIPLY_ADDS
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_projected_triangles_on_asymmetric_rows(self, seed):
+        rows = self._asymmetric_rows(seed)
+        expected = brute_force_projected_triangles(rows)
+        assert projected_triangle_count(rows) == expected
+        assert TriangleStatistic().projected_count(rows) == expected
+
+    @pytest.mark.parametrize("nodes", (128, 129, 300))
+    def test_projected_triangles_across_column_blocks(self, nodes):
+        rows = self._asymmetric_rows(nodes, nodes=nodes, density=0.1)
+        expected = brute_force_projected_triangles(rows)
+        assert projected_triangle_count(rows) == expected
+        assert TriangleStatistic().projected_count(rows) == expected
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_projected_four_cycles_on_asymmetric_rows(self, seed):
+        rows = self._asymmetric_rows(seed)
+        np.fill_diagonal(rows, 0)
+        expected = brute_force_cycle_walks(rows * rows.T)
+        assert expected > 0
+        assert FourCycleStatistic().projected_count(rows) == expected
+
+    def test_graph_counts(self):
+        graph = erdos_renyi_graph(self.NODES, 0.1, seed=3)
+        assert count_triangles_matrix(graph) == count_triangles_node_iterator(graph)
+        assert count_four_cycles_exact(graph) == brute_force_cycle_walks(
+            graph.adjacency_matrix()
+        )
 
 
 class TestSensitivityBounds:
