@@ -48,10 +48,10 @@ OUTPUT_PATH = Path(__file__).resolve().parent / "results" / "scale_smoke.json"
 SPARSE_NODES = 50_000
 SPARSE_EDGE_FACTOR = 3
 SPARSE_STAR_K = 3
-#: Measured ~90 MB on the baseline machine (dominated by the per-user RNG
-#: substreams of `Max` and the share masks — all O(n)); the dense rows this
-#: path replaces would be 20 GB.
-SPARSE_PEAK_CEILING_MB = 192.0
+#: Measured ~57 MB on a 2-vCPU host (graph construction, degree vectors and
+#: the O(n) share/noise columns; per-user substreams are derived loop-free and
+#: build no per-user objects); the dense rows this path replaces would be 20 GB.
+SPARSE_PEAK_CEILING_MB = 96.0
 
 #: Windowed-blocked check: n=2048 and n=1024 at the same window geometry.
 WINDOW_USERS = 2048

@@ -9,10 +9,11 @@ in-process while preserving the structure the security argument relies on:
 * every message goes through a :class:`Channel`, which records the number of
   messages and an estimate of their size in bytes in a shared
   :class:`CommunicationLedger`, and
-* :class:`TwoServerRuntime` wires up the standard topology (every user has a
+* :class:`TwoServerRuntime` serves the standard topology (every user has a
   private channel to each server, and the two servers have a channel to each
   other) and exposes the ledger so experiments can report communication
-  costs alongside running time.
+  costs alongside running time.  User parties and channels are built only
+  when looked up, so a runtime for ``n`` users costs ``O(1)`` to create.
 
 The substitution (real network → in-process simulation) is documented in
 ``DESIGN.md``; the bytes-on-the-wire accounting is what lets the repo still
@@ -24,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -206,10 +207,14 @@ class Channel:
 class TwoServerRuntime:
     """The CARGO communication topology: ``n`` users and two servers.
 
-    The runtime creates the parties, the pairwise channels the protocol
-    needs, and a single :class:`CommunicationLedger`.  Protocol code obtains
+    The runtime holds the two server parties, the server-to-server channels
+    and a single :class:`CommunicationLedger`.  Protocol code obtains
     channels by name (e.g. ``runtime.user_to_server(i, 1)``) so that every
-    transmission is accounted for.
+    transmission is accounted for.  Users are addressed by index: a user's
+    :class:`Party` and her two channels each way are built on first lookup
+    and cached, so construction is ``O(1)`` in ``n`` and array-native
+    protocol steps (:meth:`users_to_server`, :meth:`broadcast_to_users`)
+    never pay for ``n`` Python objects.
     """
 
     SERVER1 = "S1"
@@ -218,18 +223,22 @@ class TwoServerRuntime:
     def __init__(self, num_users: int) -> None:
         if num_users < 0:
             raise ProtocolError(f"num_users must be non-negative, got {num_users}")
+        self.num_users = int(num_users)
         self.ledger = CommunicationLedger()
-        self.users: List[Party] = [Party(f"user-{i}") for i in range(num_users)]
         self.server1 = Party(self.SERVER1)
         self.server2 = Party(self.SERVER2)
+        self._parties: Dict[str, Party] = {
+            self.SERVER1: self.server1,
+            self.SERVER2: self.server2,
+        }
         self._channels: Dict[Tuple[str, str], Channel] = {}
-        for user in self.users:
-            self._register(user, self.server1)
-            self._register(user, self.server2)
-            self._register(self.server1, user)
-            self._register(self.server2, user)
-        self._register(self.server1, self.server2)
-        self._register(self.server2, self.server1)
+        self._channel(self.SERVER1, self.SERVER2)
+        self._channel(self.SERVER2, self.SERVER1)
+
+    @property
+    def users(self) -> range:
+        """The user indices ``0 .. n-1`` (see :meth:`user`)."""
+        return range(self.num_users)
 
     # ------------------------------------------------------------------ #
     # Channel lookup
@@ -269,10 +278,10 @@ class TwoServerRuntime:
             raise ProtocolError(
                 "batched upload needs one payload row per user, got a scalar"
             )
-        if payloads.shape[0] != len(self.users):
+        if payloads.shape[0] != self.num_users:
             raise ProtocolError(
                 f"batched upload carries {payloads.shape[0]} rows "
-                f"for {len(self.users)} users"
+                f"for {self.num_users} users"
             )
         self.ledger.record(
             f"users->{server.name}", payloads, phase=tag, messages=payloads.shape[0]
@@ -285,36 +294,48 @@ class TwoServerRuntime:
         """Send the same *payload* from a server to every user.
 
         Accounted as one aggregate ledger record of ``n`` messages (the byte
-        total is ``n`` copies of the payload); each user's mailbox still
-        receives its own copy.
+        total is ``n`` copies of the payload).  No user mailbox is filled:
+        users run no protocol code that reads one.
         """
-        num_users = len(self.users)
-        if num_users == 0:
+        if self.num_users == 0:
             return
         server = self._server(server_index)
         self.ledger.record(
             f"{server.name}->users",
             payload,
             phase=tag,
-            messages=num_users,
-            total_bytes=num_users * estimate_message_bytes(payload),
+            messages=self.num_users,
+            total_bytes=self.num_users * estimate_message_bytes(payload),
         )
-        for user in self.users:
-            user.deliver(
-                Message(sender=server.name, receiver=user.name, tag=tag, payload=payload)
-            )
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _register(self, sender: Party, receiver: Party) -> None:
-        self._channels[(sender.name, receiver.name)] = Channel(sender, receiver, self.ledger)
-
     def _channel(self, sender_name: str, receiver_name: str) -> Channel:
+        """The channel between two known parties, built on first lookup.
+
+        Only user-server and server-server pairs are connected.
+        """
         key = (sender_name, receiver_name)
-        if key not in self._channels:
-            raise ProtocolError(f"no channel registered from {sender_name!r} to {receiver_name!r}")
-        return self._channels[key]
+        channel = self._channels.get(key)
+        if channel is None:
+            sender = self._parties.get(sender_name)
+            receiver = self._parties.get(receiver_name)
+            servers = (self.SERVER1, self.SERVER2)
+            if (
+                sender is None
+                or receiver is None
+                or sender is receiver
+                or (sender_name not in servers and receiver_name not in servers)
+            ):
+                raise ProtocolError(
+                    f"no channel registered from {sender_name!r} to {receiver_name!r}"
+                )
+            # setdefault keeps concurrent first lookups on one channel.
+            channel = self._channels.setdefault(
+                key, Channel(sender, receiver, self.ledger)
+            )
+        return channel
 
     def _server(self, server_index: int) -> Party:
         if server_index == 1:
@@ -324,8 +345,12 @@ class TwoServerRuntime:
         raise ProtocolError(f"server index must be 1 or 2, got {server_index}")
 
     def _user(self, user_index: int) -> Party:
-        if not (0 <= user_index < len(self.users)):
+        if not (0 <= user_index < self.num_users):
             raise ProtocolError(
-                f"user index {user_index} out of range for {len(self.users)} users"
+                f"user index {user_index} out of range for {self.num_users} users"
             )
-        return self.users[user_index]
+        name = f"user-{user_index}"
+        party = self._parties.get(name)
+        if party is None:
+            party = self._parties.setdefault(name, Party(name))
+        return party

@@ -20,7 +20,13 @@ import numpy as np
 
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.exceptions import ShareError
-from repro.utils.rng import RandomState, derive_rng, spawn_rngs
+from repro.utils.rng import (
+    RandomState,
+    bounded_first_draws,
+    derive_rng,
+    pcg64_first_outputs,
+    spawn_state_matrix,
+)
 
 IntOrArray = Union[int, np.ndarray]
 
@@ -96,27 +102,27 @@ def share_per_user(
     """Share one ring element per user, each masked from the user's own stream.
 
     Unlike :func:`share_vector` (one generator masks the whole array), entry
-    ``i`` here is masked by a value drawn from the ``i``-th child of *rng* —
-    the non-coordinating pattern of
+    ``i`` here is masked by ``ring.random_element(default_rng(child_i))`` for
+    the ``i``-th child of *rng* — the non-coordinating pattern of
     :func:`~repro.core.backends.base.share_adjacency_rows`, where every user
-    spawns her own substream and draws exactly one mask from it.  This is the
-    upload step of the sparse degree-local kernels (k-stars, wedges): *encoded*
-    holds each user's already-ring-encoded contribution, and the servers
-    receive one uniformly masked scalar per user — ``O(n)`` memory end to end.
+    draws her mask from her own substream.  This is the upload step of the
+    sparse degree-local kernels (k-stars, wedges): *encoded* holds each
+    user's already-ring-encoded contribution, and the servers receive one
+    uniformly masked scalar per user — ``O(n)`` memory end to end.
 
-    The mask sequence is bit-identical to the historical per-user loop in the
-    k-star kernel, which is what keeps sparse and dense transcripts equal.
+    No per-user object is built: the children's seed states and each one's
+    first PCG64 draw are computed for all users at once
+    (:func:`~repro.utils.rng.spawn_state_matrix`,
+    :func:`~repro.utils.rng.pcg64_first_outputs`), bit-identical to the
+    per-user generators, which keeps sparse and dense transcripts equal.
     """
     values = np.ascontiguousarray(encoded, dtype=ring.dtype)
     if values.ndim != 1:
         raise ShareError(
             f"share_per_user expects a 1-D array of contributions, got shape {values.shape}"
         )
-    num_users = values.shape[0]
-    masks = np.empty((num_users,), dtype=ring.dtype)
-    user_rngs = spawn_rngs(rng if rng is not None else derive_rng(None), num_users)
-    for user, user_rng in enumerate(user_rngs):
-        masks[user] = ring.random_element(user_rng)
+    states = spawn_state_matrix(rng, values.shape[0], words=4)
+    masks = bounded_first_draws(pcg64_first_outputs(states), ring.bits)
     return SharePair(share1=masks, share2=ring.sub(values, masks), ring=ring)
 
 

@@ -51,7 +51,9 @@ __all__ = ["CHECKPOINT_VERSION", "Checkpointer"]
 _MAGIC = "repro-checkpoint"
 
 #: Schema version of the checkpoint envelope; bumped on layout changes.
-CHECKPOINT_VERSION = 1
+#: Version 2: stream checkpoints store substream positions (bit-generator
+#: state plus spawn counter); a version-1 one would resume divergently.
+CHECKPOINT_VERSION = 2
 
 
 class Checkpointer:

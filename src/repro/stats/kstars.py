@@ -22,7 +22,7 @@ executes identically, since there is nothing to schedule.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,23 @@ from repro.utils.rng import RandomState
 __all__ = ["KStarStatistic", "count_k_stars_exact", "k_star_sensitivity_bounded"]
 
 
-def count_k_stars_exact(degrees: List[int], k: int) -> int:
+def _binomials_per_distinct_degree(degrees, k: int):
+    """``C(d, k)`` once per distinct degree ``d``.
+
+    Returns the exact (arbitrary-precision) binomials of the distinct
+    degrees, the index of each input degree's distinct value, and the
+    multiplicity of each distinct value.  Degree sequences repeat heavily, so
+    this evaluates far fewer binomials than one per user.
+    """
+    distinct, inverse, multiplicity = np.unique(
+        np.asarray(degrees, dtype=np.int64).reshape(-1),
+        return_inverse=True,
+        return_counts=True,
+    )
+    return [math.comb(int(d), k) for d in distinct], inverse, multiplicity
+
+
+def count_k_stars_exact(degrees: Sequence[int], k: int) -> int:
     """``sum_v C(d_v, k)`` from a degree sequence.
 
     Examples
@@ -51,7 +67,8 @@ def count_k_stars_exact(degrees: List[int], k: int) -> int:
     """
     if k < 1:
         raise ConfigurationError(f"k must be at least 1, got {k}")
-    return sum(math.comb(int(degree), k) for degree in degrees)
+    binomials, _, multiplicity = _binomials_per_distinct_degree(degrees, k)
+    return sum(value * int(times) for value, times in zip(binomials, multiplicity))
 
 
 def k_star_sensitivity_bounded(degree_bound: float, k: int) -> float:
@@ -112,7 +129,7 @@ class KStarStatistic(SubgraphStatistic):
 
     def degree_count(self, degrees) -> int:
         """``sum_i C(d_i, k)`` straight from a (projected) degree vector."""
-        return count_k_stars_exact([int(d) for d in degrees], self._k)
+        return count_k_stars_exact(degrees, self._k)
 
     def projected_count(self, projected_rows: np.ndarray) -> int:
         """``sum_i C(row-degree_i, k)`` on the users' projected rows."""
@@ -171,8 +188,8 @@ class KStarStatistic(SubgraphStatistic):
         MAC-checks itself.
         """
         ring: Ring = config.ring
-        degree_list = [int(d) for d in degrees]
-        num_users = len(degree_list)
+        binomials, user_binomial, _ = _binomials_per_distinct_degree(degrees, self._k)
+        num_users = user_binomial.shape[0]
         tracer = resolve_telemetry(config).tracer
         with tracer.span(
             "backend",
@@ -182,13 +199,11 @@ class KStarStatistic(SubgraphStatistic):
             opening_rounds=0,
         ):
             # Contributions are arbitrary-precision Python ints reduced into
-            # the ring individually (C(d, k) can exceed 64 bits for large
-            # stars).
-            encoded = np.fromiter(
-                (math.comb(d, self._k) & ring.mask for d in degree_list),
-                dtype=ring.dtype,
-                count=num_users,
-            )
+            # the ring once per distinct degree (C(d, k) can exceed 64 bits
+            # for large stars), then gathered per user.
+            encoded = np.array(
+                [value & ring.mask for value in binomials], dtype=ring.dtype
+            )[user_binomial]
             pair = share_per_user(encoded, ring=ring, rng=share_rng)
             share1, share2 = pair.share1, pair.share2
             if runtime is not None:

@@ -74,7 +74,7 @@ from repro.stream.release import (
     ReleasePolicy,
 )
 from repro.telemetry import Tracer, build_result_telemetry, resolve_telemetry
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng, restore_rng_position, rng_position, spawn_rngs
 
 __all__ = ["StreamingConfig", "StreamRelease", "StreamingResult", "StreamingCargo"]
 
@@ -616,9 +616,9 @@ class StreamingCargo:
             tree = state["tree"]
             accountant = state["accountant"]
             maintainer = state["maintainer"]
-            anchor_rng.bit_generator.state = state["anchor_rng"]
-            share_rng.bit_generator.state = state["share_rng"]
-            dealer_rng.bit_generator.state = state["dealer_rng"]
+            restore_rng_position(anchor_rng, state["anchor_rng"])
+            restore_rng_position(share_rng, state["share_rng"])
+            restore_rng_position(dealer_rng, state["dealer_rng"])
             anchor_offline_seed = state["anchor_offline_seed"]
             anchor_base = state["anchor_base"]
             prefix_at_anchor = state["prefix_at_anchor"]
@@ -634,16 +634,17 @@ class StreamingCargo:
             """One anchor attempt, transactional and retryable.
 
             Each attempt snapshots the anchor/share/dealer substream
-            positions and opens an accountant transaction; a failure rolls
-            both back, so a retried anchor consumes exactly the randomness
-            and ε the first attempt would have — the released estimate and
-            the ledger are bit-identical to a fault-free run.
+            positions (draws and spawn counters: `Max` and the share step
+            spawn one child per user) and opens an accountant transaction; a
+            failure rolls both back, so a retried anchor consumes exactly the
+            randomness and ε the first attempt would have — the released
+            estimate and the ledger are bit-identical to a fault-free run.
             """
 
             def attempt():
-                anchor_state = anchor_rng.bit_generator.state
-                share_state = share_rng.bit_generator.state
-                dealer_state = dealer_rng.bit_generator.state
+                anchor_state = rng_position(anchor_rng)
+                share_state = rng_position(share_rng)
+                dealer_state = rng_position(dealer_rng)
                 reservation = accountant.reserve()
                 try:
                     fault_point("stream.anchor")
@@ -653,9 +654,9 @@ class StreamingCargo:
                     )
                 except BaseException:
                     accountant.rollback(reservation)
-                    anchor_rng.bit_generator.state = anchor_state
-                    share_rng.bit_generator.state = share_state
-                    dealer_rng.bit_generator.state = dealer_state
+                    restore_rng_position(anchor_rng, anchor_state)
+                    restore_rng_position(share_rng, share_state)
+                    restore_rng_position(dealer_rng, dealer_state)
                     raise
 
             if resilience.retry is not None:
@@ -756,9 +757,9 @@ class StreamingCargo:
                             "maintainer": maintainer,
                             "releases": list(result.releases),
                             "anchors_run": result.anchors_run,
-                            "anchor_rng": anchor_rng.bit_generator.state,
-                            "share_rng": share_rng.bit_generator.state,
-                            "dealer_rng": dealer_rng.bit_generator.state,
+                            "anchor_rng": rng_position(anchor_rng),
+                            "share_rng": rng_position(share_rng),
+                            "dealer_rng": rng_position(dealer_rng),
                             "anchor_offline_seed": anchor_offline_seed,
                             "anchor_base": anchor_base,
                             "prefix_at_anchor": prefix_at_anchor,

@@ -137,7 +137,8 @@ class TestTwoServerRuntime:
     def test_broadcast(self):
         runtime = TwoServerRuntime(4)
         runtime.broadcast_to_users(1, "dmax", 17)
-        assert all(runtime.user(i).receive().payload == 17 for i in range(4))
+        assert runtime.ledger.summary() == {"S1->users": {"messages": 4, "bytes": 4 * 8}}
+        assert runtime.ledger.phase_summary() == {"dmax": {"messages": 4, "bytes": 4 * 8}}
 
     def test_ledger_accumulates(self):
         runtime = TwoServerRuntime(2)
@@ -153,3 +154,28 @@ class TestTwoServerRuntime:
             runtime.user_to_server(0, 3)
         with pytest.raises(ProtocolError):
             TwoServerRuntime(-1)
+
+
+class TestRuntimeConstructionCost:
+    def test_million_user_runtime_allocates_constant_memory(self):
+        """Users are addressed by index; nothing per user is built up front."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            runtime = TwoServerRuntime(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert len(runtime.users) == 10**6
+
+    def test_user_parties_and_channels_are_cached_on_lookup(self):
+        runtime = TwoServerRuntime(10**6)
+        assert runtime.user(999_999) is runtime.user(999_999)
+        channel = runtime.user_to_server(999_999, 2)
+        assert runtime.user_to_server(999_999, 2) is channel
+        channel.send("share", 3)
+        assert runtime.server(2).receive(tag="share").payload == 3
+        with pytest.raises(ProtocolError):
+            runtime.server_to_server(1, 1)

@@ -37,8 +37,13 @@ def _config(**overrides):
     return StreamingConfig(**fields)
 
 
-def _reference():
-    return StreamingCargo(_config()).run(_stream())
+def _reference(**overrides):
+    return StreamingCargo(_config(**overrides)).run(_stream())
+
+
+#: At ε=4 the anchors' private max degree is clamped to n-1, which hides a
+#: resumed run re-spawning the per-user `Max` substreams; at ε=200 it does not.
+EPSILONS = [4.0, 200.0]
 
 
 def _assert_bit_identical(result, reference):
@@ -49,9 +54,10 @@ def _assert_bit_identical(result, reference):
     assert result.events_processed == reference.events_processed
 
 
+@pytest.mark.parametrize("epsilon", EPSILONS)
 @pytest.mark.parametrize("crash_at_anchor", [1, 2, 3])
-def test_kill_at_anchor_resumes_bit_identically(tmp_path, crash_at_anchor):
-    reference = _reference()
+def test_kill_at_anchor_resumes_bit_identically(tmp_path, crash_at_anchor, epsilon):
+    reference = _reference(epsilon=epsilon)
     ckpt = tmp_path / "stream.ckpt"
     resilience = ResilienceConfig(checkpoint_path=ckpt, resume=True)
     plan = FaultPlan(
@@ -59,9 +65,9 @@ def test_kill_at_anchor_resumes_bit_identically(tmp_path, crash_at_anchor):
     )
     with install_fault_plan(plan):
         with pytest.raises(InjectedCrash):
-            StreamingCargo(_config(resilience=resilience)).run(_stream())
+            StreamingCargo(_config(epsilon=epsilon, resilience=resilience)).run(_stream())
     assert ckpt.exists() or crash_at_anchor == 1  # bootstrap crash may precede saves
-    resumed = StreamingCargo(_config(resilience=resilience)).run(_stream())
+    resumed = StreamingCargo(_config(epsilon=epsilon, resilience=resilience)).run(_stream())
     _assert_bit_identical(resumed, reference)
 
 
@@ -79,10 +85,11 @@ def test_resume_from_every_checkpoint_cadence(tmp_path):
     _assert_bit_identical(resumed, reference)
 
 
-def test_transient_anchor_fault_retries_without_double_spend(tmp_path):
+@pytest.mark.parametrize("epsilon", EPSILONS)
+def test_transient_anchor_fault_retries_without_double_spend(tmp_path, epsilon):
     # A retried anchor must not spend ε twice nor shift any RNG stream: the
     # full run output matches the fault-free reference exactly.
-    reference = _reference()
+    reference = _reference(epsilon=epsilon)
     resilience = ResilienceConfig(
         retry=RetryPolicy(max_attempts=3, sleep=lambda _delay: None)
     )
@@ -93,9 +100,24 @@ def test_transient_anchor_fault_retries_without_double_spend(tmp_path):
         ]
     )
     with install_fault_plan(plan):
-        result = StreamingCargo(_config(resilience=resilience)).run(_stream())
+        result = StreamingCargo(_config(epsilon=epsilon, resilience=resilience)).run(_stream())
     _assert_bit_identical(result, reference)
     assert len(plan.triggered()) == 2
+
+
+@pytest.mark.parametrize("epsilon", EPSILONS)
+def test_fault_after_max_spawned_retries_bit_identically(epsilon):
+    # The dealer provisions the anchor's secure count after `Max` has spawned
+    # its per-user substreams; the retry must re-spawn the same children.
+    reference = _reference(epsilon=epsilon)
+    resilience = ResilienceConfig(
+        retry=RetryPolicy(max_attempts=3, sleep=lambda _delay: None)
+    )
+    plan = FaultPlan([FaultSpec("dealer.provision", FaultKind.OSERROR, at=2)])
+    with install_fault_plan(plan):
+        result = StreamingCargo(_config(epsilon=epsilon, resilience=resilience)).run(_stream())
+    _assert_bit_identical(result, reference)
+    assert len(plan.triggered()) == 1
 
 
 def test_resume_without_checkpoint_runs_cold(tmp_path):
