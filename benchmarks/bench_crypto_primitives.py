@@ -10,8 +10,10 @@ plain JSON rows (``benchmarks/results/crypto_primitives.json``, or
 
 :func:`run_ring_matmul_sweep` times ``Ring.matmul``'s two exact kernels —
 numpy's int64 loop and the float64 limb-split BLAS path — on n x n products
-of uniformly random ring elements (the dealer's and servers' operands), and
-writes ``benchmarks/results/ring_matmul.json`` with the crossover size that
+of uniformly random ring elements (the dealer's operands), plus the two
+m x 2k x n shapes of the servers' one-product Beaver combine, records the
+float64 GEMMs each product runs, and writes
+``benchmarks/results/ring_matmul.json`` with the crossover size that
 ``repro.crypto.ring.BLAS_MIN_MULTIPLY_ADDS`` cites::
 
     PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul
@@ -35,8 +37,10 @@ from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import (
     BLAS_MIN_MULTIPLY_ADDS,
     DEFAULT_RING,
+    inner_chunks,
     int64_matmul,
     limb_matmul,
+    limb_pairs,
     limb_width,
 )
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_triple
@@ -51,6 +55,9 @@ PROVISION_COUNT = 50_000
 RING_MATMUL_N = 768
 #: Sizes of the int64-vs-limb sweep.
 RING_MATMUL_SWEEP = (32, 64, 96, 128, 192, 256, 384, 768, 1024)
+#: ``(m, k, n)`` of the servers' one-product Beaver combine ``[E | X] @ [Y ; F]``
+#: at the matrix backend's n=768 and the blocked backend's 128-wide tiles.
+RING_MATMUL_SERVER_SHAPES = ((768, 1536, 768), (128, 256, 128))
 
 
 def _best_of(callable_, reps: int) -> float:
@@ -63,9 +70,23 @@ def _best_of(callable_, reps: int) -> float:
     return best
 
 
-def _random_ring_matrices(n: int, seed: int):
+def _random_ring_matrices(n: int, seed: int, inner=None, cols=None):
+    """Random ``n x inner`` and ``inner x cols`` ring matrices (square by default)."""
     rng = np.random.default_rng(seed)
-    return DEFAULT_RING.random_array((n, n), rng), DEFAULT_RING.random_array((n, n), rng)
+    inner = n if inner is None else inner
+    cols = n if cols is None else cols
+    return (
+        DEFAULT_RING.random_array((n, inner), rng),
+        DEFAULT_RING.random_array((inner, cols), rng),
+    )
+
+
+def limb_gemms(inner: int, bits: int = 64) -> int:
+    """Float64 GEMMs one full-width limb product of inner dimension *inner* runs."""
+    return sum(
+        limb_pairs(bits, bits, limb_width(stop - start), bits)
+        for start, stop in inner_chunks(inner, bits, bits, bits)
+    )
 
 
 def run_crypto_primitives(reps: int = 5):
@@ -144,40 +165,46 @@ def run_crypto_primitives(reps: int = 5):
     return rows
 
 
-def run_ring_matmul_sweep(sizes=RING_MATMUL_SWEEP, reps: int = 3) -> dict:
-    """Best-of-*reps* int64 vs limb timings per n, plus the measured crossover.
+def run_ring_matmul_sweep(
+    sizes=RING_MATMUL_SWEEP, server_shapes=RING_MATMUL_SERVER_SHAPES, reps: int = 3
+) -> dict:
+    """Best-of-*reps* int64 vs limb timings per shape, plus the measured crossover.
 
     Both kernels' products are checked bit-identical before either is timed.
     The crossover is the smallest swept n from which the limb path is faster
-    at every larger swept n too.
+    at every larger swept n too; the *server_shapes* rows do not enter it.
     """
+    shapes = [(n, n, n) for n in sizes] + [tuple(shape) for shape in server_shapes]
     rows = []
-    for n in sizes:
-        a, b = _random_ring_matrices(n, seed=n)
+    for m, k, n in shapes:
+        a, b = _random_ring_matrices(m, seed=m * k + n, inner=k, cols=n)
         if not np.array_equal(int64_matmul(a, b), limb_matmul(a, b)):
-            raise AssertionError(f"limb_matmul differs from int64_matmul at n={n}")
-        width = limb_width(n)
-        limbs = -(-64 // width)
+            raise AssertionError(f"limb_matmul differs from int64_matmul at {m}x{k}x{n}")
+        chunks = inner_chunks(k, 64, 64)
         int64_s = _best_of(lambda: int64_matmul(a, b), reps)
         limb_s = _best_of(lambda: limb_matmul(a, b), reps)
         rows.append(
             {
+                "m": m,
+                "k": k,
                 "n": n,
-                "multiply_adds": n**3,
-                "limb_width": width,
-                "gemms": sum(1 for i in range(limbs) for j in range(limbs) if (i + j) * width < 64),
+                "multiply_adds": m * k * n,
+                "chunks": len(chunks),
+                "limb_width": limb_width(chunks[0][1] - chunks[0][0]),
+                "gemms": limb_gemms(k),
                 "int64_s": int64_s,
                 "limb_s": limb_s,
                 "speedup": int64_s / limb_s,
             }
         )
         print(
-            f"  n={n:5d} w={width} int64 {int64_s*1e3:10.3f} ms  limb {limb_s*1e3:9.3f} ms"
+            f"  {m:5d}x{k:5d}x{n:5d} chunks={len(chunks)} gemms={limb_gemms(k):2d}"
+            f"  int64 {int64_s*1e3:10.3f} ms  limb {limb_s*1e3:9.3f} ms"
             f"  ({int64_s / limb_s:5.2f}x)",
             flush=True,
         )
     crossover = None
-    for row in reversed(rows):
+    for row in reversed(rows[: len(sizes)]):
         if row["limb_s"] >= row["int64_s"]:
             break
         crossover = row["n"]

@@ -55,7 +55,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import CountResult, TriangleCounterBackend, num_candidate_triples
+from repro.core.backends.base import (
+    CountResult,
+    TriangleCounterBackend,
+    num_candidate_triples,
+    strict_upper,
+)
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.ring import DEFAULT_RING, Ring
@@ -211,10 +216,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                                 # throughout), so the tile's contribution to M
                                 # is publicly zero.
                                 continue
-                            left1 = np.ascontiguousarray(self._upper_block(share1, i0, i1, j0, j1).T)
-                            left2 = np.ascontiguousarray(self._upper_block(share2, i0, i1, j0, j1).T)
-                            right1 = self._upper_block(share1, i0, i1, k0, k1)
-                            right2 = self._upper_block(share2, i0, i1, k0, k1)
+                            left1 = np.ascontiguousarray(strict_upper(share1[i0:i1, j0:j1], i0, j0).T)
+                            left2 = np.ascontiguousarray(strict_upper(share2[i0:i1, j0:j1], i0, j0).T)
+                            right1 = strict_upper(share1[i0:i1, k0:k1], i0, k0)
+                            right2 = strict_upper(share2[i0:i1, k0:k1], i0, k0)
                             tile_triple = self._dealer.matrix_triple(
                                 (rows_j, i1 - i0), (i1 - i0, cols_k)
                             )
@@ -230,13 +235,12 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                         # Finish the (J, K) tile: C[J, K] ⊙ M_{JK} over the
                         # strict upper triangle, with one small element-wise
                         # triple.
-                        tile_mask = self._strict_upper_mask(j0, j1, k0, k1)
-                        c_tile1 = self._upper_block(share1, j0, j1, k0, k1)
-                        c_tile2 = self._upper_block(share2, j0, j1, k0, k1)
+                        c_tile1 = strict_upper(share1[j0:j1, k0:k1], j0, k0)
+                        c_tile2 = strict_upper(share2[j0:j1, k0:k1], j0, k0)
                         elementwise_triple = self._dealer.vector_triple((rows_j, cols_k))
                         prod1, prod2 = secure_multiply_pair(
                             (c_tile1, c_tile2),
-                            (ring.mul(m1, tile_mask), ring.mul(m2, tile_mask)),
+                            (strict_upper(m1, j0, k0), strict_upper(m2, j0, k0)),
                             elementwise_triple, ring=ring, views=self._views,
                             authenticator=self._authenticator,
                         )
@@ -360,10 +364,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             m1 = np.zeros((rows_j, cols_k), dtype=ring.dtype)
             m2 = np.zeros((rows_j, cols_k), dtype=ring.dtype)
             for (i0, i1), tile_triple in zip(i_tiles, matrix_triples):
-                left1 = np.ascontiguousarray(self._upper_block(share1, i0, i1, j0, j1).T)
-                left2 = np.ascontiguousarray(self._upper_block(share2, i0, i1, j0, j1).T)
-                right1 = self._upper_block(share1, i0, i1, k0, k1)
-                right2 = self._upper_block(share2, i0, i1, k0, k1)
+                left1 = np.ascontiguousarray(strict_upper(share1[i0:i1, j0:j1], i0, j0).T)
+                left2 = np.ascontiguousarray(strict_upper(share2[i0:i1, j0:j1], i0, j0).T)
+                right1 = strict_upper(share1[i0:i1, k0:k1], i0, k0)
+                right2 = strict_upper(share2[i0:i1, k0:k1], i0, k0)
                 partial1, partial2 = secure_matrix_multiply(
                     (left1, left2), (right1, right2), tile_triple,
                     ring=ring, views=shard,
@@ -371,12 +375,11 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                 )
                 m1 = ring.add(m1, partial1)
                 m2 = ring.add(m2, partial2)
-            tile_mask = self._strict_upper_mask(j0, j1, k0, k1)
-            c_tile1 = self._upper_block(share1, j0, j1, k0, k1)
-            c_tile2 = self._upper_block(share2, j0, j1, k0, k1)
+            c_tile1 = strict_upper(share1[j0:j1, k0:k1], j0, k0)
+            c_tile2 = strict_upper(share2[j0:j1, k0:k1], j0, k0)
             prod1, prod2 = secure_multiply_pair(
                 (c_tile1, c_tile2),
-                (ring.mul(m1, tile_mask), ring.mul(m2, tile_mask)),
+                (strict_upper(m1, j0, k0), strict_upper(m2, j0, k0)),
                 material["elementwise"], ring=ring, views=shard,
                 authenticator=self._authenticator,
             )
@@ -627,25 +630,3 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             num_triples_processed=num_candidate_triples(n),
             opening_rounds=opening_rounds,
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _strict_upper_mask(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """The strict-upper-triangle indicator restricted to one tile."""
-        rows = np.arange(r0, r1, dtype=np.int64)[:, None]
-        cols = np.arange(c0, c1, dtype=np.int64)[None, :]
-        return (rows < cols).astype(self._ring.dtype)
-
-    def _upper_block(self, shares: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """One tile of the strictly-upper-masked share matrix ``C``.
-
-        The mask is public, so applying it per tile is the same local linear
-        operation the monolithic backend performs globally — without ever
-        materialising a second ``n x n`` array.
-        """
-        block = shares[r0:r1, c0:c1]
-        if r1 <= c0:
-            # Entirely above the diagonal: the mask is all ones.
-            return block
-        return self._ring.mul(block, self._strict_upper_mask(r0, r1, c0, c1))

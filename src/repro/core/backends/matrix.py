@@ -37,7 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.backends.base import CountResult, TriangleCounterBackend, num_candidate_triples
+from repro.core.backends.base import (
+    CountResult,
+    TriangleCounterBackend,
+    num_candidate_triples,
+    strict_upper,
+)
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.ring import DEFAULT_RING, Ring
@@ -162,9 +167,8 @@ class MatrixTriangleCounter(TriangleCounterBackend):
             # Step 1 — each server locally zeroes everything outside the
             # strict upper triangle.  The mask is public (it only depends on
             # indices), so this is a local linear operation on shares.
-            upper_mask = np.triu(np.ones((n, n), dtype=ring.dtype), k=1)
-            c1 = ring.mul(share1, upper_mask)
-            c2 = ring.mul(share2, upper_mask)
+            c1 = strict_upper(share1)
+            c2 = strict_upper(share2)
 
             # Step 2 — shares of M = C^T @ C via one matrix Beaver triple.
             with tracer.span("offline"):
@@ -180,7 +184,7 @@ class MatrixTriangleCounter(TriangleCounterBackend):
                 # Step 3 — shares of C ⊙ M over the upper triangle via one
                 # element-wise Beaver triple, then a local sum.
                 prod1, prod2 = secure_multiply_pair(
-                    (c1, c2), (ring.mul(m1, upper_mask), ring.mul(m2, upper_mask)),
+                    (c1, c2), (strict_upper(m1), strict_upper(m2)),
                     elementwise_triple, ring=ring, views=self._views,
                     authenticator=self._authenticator,
                 )

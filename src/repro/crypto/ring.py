@@ -12,7 +12,10 @@ Matrix products (:func:`matmul_mod`, behind :meth:`Ring.matmul`) run on
 float64 BLAS once they are large enough to repay its fixed cost: each operand
 is split into ``w``-bit limbs narrow enough that every limb-pair GEMM is exact
 in float64, and the shifted limb products are summed with uint64 wrap-around.
-Smaller products stay on numpy's int64 loop.  Both paths are bit-identical.
+An inner dimension above :data:`LIMB_CHUNK` is split into equal chunks of at
+most that width whenever the chunks' wider limbs need fewer limb-pair GEMMs
+(a 64-bit product: 6 per chunk instead of 10).  Smaller products stay on
+numpy's int64 loop.  Every path is bit-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ IntOrArray = Union[int, np.ndarray]
 BLAS_MIN_MULTIPLY_ADDS = 96**3
 #: Inner dimensions from which products stay on the int64 loop.
 BLAS_MAX_INNER = 1 << 21
+#: Widest inner-dimension chunk :func:`limb_matmul` splits a product into.
+#: ``limb_width(LIMB_CHUNK) == 22`` and ``3 · 22 ≥ 64``, so a chunk reads a
+#: 64-bit operand as three limbs where a wider inner dimension needs four.
+LIMB_CHUNK = 512
 
 
 def limb_width(inner: int) -> int:
@@ -56,22 +63,83 @@ def _as_uint64(x) -> np.ndarray:
     return x.view(np.uint64) if x.dtype == np.int64 else x.astype(np.uint64, copy=False)
 
 
-def _float_limbs(x: np.ndarray, width: int, bits: int):
-    """The float64 ``width``-bit limbs of *x* that a ``bits``-bit product reads.
+def _top_bit(x: np.ndarray) -> int:
+    """Bit length of the largest element of *x* (0 when *x* is empty or zero)."""
+    return int(x.max()).bit_length() if x.size else 0
 
-    Only as many limbs as the largest element needs are produced, so a 0/1
-    operand is one limb: itself.
-    """
-    top = int(x.max()).bit_length() if x.size else 0
+
+def _limb_count(top: int, width: int, bits: int) -> int:
+    """How many ``width``-bit limbs a product reads of an operand with *top* bits."""
     if top <= width:
-        if top:
-            yield x.astype(np.float64)
-        return
-    mask = (1 << width) - 1
-    for index in range(-(-min(bits, top) // width)):
-        limb = x >> (index * width)
-        limb &= mask
-        yield limb.astype(np.float64)
+        return 1 if top else 0
+    return -(-min(bits, top) // width)
+
+
+def limb_pairs(top_a: int, top_b: int, width: int, bits: int = 64) -> int:
+    """Limb-pair GEMMs one ``width``-bit product of operands with *top* bits runs.
+
+    Only pairs whose shift ``(i + j) · width`` is below *bits* contribute.
+
+    Examples
+    --------
+    >>> limb_pairs(64, 64, limb_width(768)), limb_pairs(64, 64, limb_width(384))
+    (10, 6)
+    >>> limb_pairs(1, 1, limb_width(1024))
+    1
+    """
+    count_a = _limb_count(top_a, width, bits)
+    count_b = _limb_count(top_b, width, bits)
+    return sum(
+        1 for i in range(count_a) for j in range(count_b) if (i + j) * width < bits
+    )
+
+
+def inner_chunks(inner: int, top_a: int, top_b: int, bits: int = 64):
+    """The ``[start, stop)`` ranges of the inner dimension :func:`limb_matmul` runs.
+
+    The inner dimension is split into the fewest equal chunks of at most
+    :data:`LIMB_CHUNK` exactly when their wider limbs run fewer limb-pair
+    GEMMs than the whole; otherwise it stays one range.  Chunking never
+    raises the GEMM work, since the chunks' inner dimensions sum to *inner*.
+
+    Examples
+    --------
+    >>> inner_chunks(768, 64, 64)
+    [(0, 384), (384, 768)]
+    >>> inner_chunks(768, 1, 1), inner_chunks(512, 64, 64)
+    ([(0, 768)], [(0, 512)])
+    """
+    count = -(-inner // LIMB_CHUNK)
+    if count > 1 and limb_pairs(
+        top_a, top_b, limb_width(-(-inner // count)), bits
+    ) < limb_pairs(top_a, top_b, limb_width(inner), bits):
+        bounds = [inner * index // count for index in range(count + 1)]
+        return list(zip(bounds[:-1], bounds[1:]))
+    return [(0, inner)]
+
+
+#: Bit pattern of the float64 ``2^52``.  OR-ing an integer ``v < 2^52`` into
+#: its mantissa gives the float64 ``2^52 + v`` exactly.
+_FLOAT_2_52 = np.uint64(0x4330000000000000)
+
+
+def _float_limb(x: np.ndarray, top: int, width: int, index: int) -> np.ndarray:
+    """The *index*-th ``width``-bit limb of *x* as a new float64 array.
+
+    *top* bounds the bit length of every element of *x*; when it fits one
+    limb, *x* itself is that limb.  Otherwise the limb is extracted into a
+    fresh uint64 array and turned into float64 in place: OR-ing it into the
+    mantissa of ``2^52`` and subtracting ``2^52`` is exact for limbs below
+    ``2^52`` and allocates nothing beyond the limb.
+    """
+    if top <= width:
+        return x.view(np.int64).astype(np.float64)
+    limb = x >> (index * width)
+    limb &= (1 << width) - 1
+    limb |= _FLOAT_2_52
+    floats = limb.view(np.float64)
+    floats -= 2.0**52
+    return floats
 
 
 def int64_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,31 +155,45 @@ def limb_matmul(a: np.ndarray, b: np.ndarray, bits: int = 64) -> np.ndarray:
     """``a @ b`` exact modulo ``2^bits``, as float64 limb-pair GEMMs.
 
     Bits at and above *bits* are left unreduced; :func:`matmul_mod` masks
-    them.  Only limb pairs whose shift is below *bits* run, and each GEMM is
-    accumulated in place into one uint64 output.
+    them.  The inner dimension runs in the chunks :func:`inner_chunks`
+    picks, each with its own :func:`limb_width`; only limb pairs whose shift
+    is below *bits* run, and each GEMM is converted, shifted and accumulated
+    in place into one uint64 output.
     """
     a = _as_uint64(a)
     b = _as_uint64(b)
-    width = limb_width(a.shape[-1])
+    top_a = _top_bit(a)
+    top_b = _top_bit(b)
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     out = np.zeros(shape, dtype=np.uint64)
-    gemm = term = None
-    b_limbs = list(_float_limbs(b, width, bits))
-    for i, a_limb in enumerate(_float_limbs(a, width, bits)):
-        for j, b_limb in enumerate(b_limbs):
-            shift = (i + j) * width
-            if shift >= bits:
-                break
-            gemm = np.matmul(a_limb, b_limb, out=gemm)
-            if shift == 0:
-                # The first pair: convert straight into the output.
-                np.copyto(out, gemm, casting="unsafe")
-                continue
-            if term is None:
-                term = np.empty(shape, dtype=np.uint64)
-            np.copyto(term, gemm, casting="unsafe")
-            np.left_shift(term, shift, out=term)
-            np.add(out, term, out=out)
+    gemm = None
+    for start, stop in inner_chunks(a.shape[-1], top_a, top_b, bits):
+        width = limb_width(stop - start)
+        a_part = a[..., start:stop]
+        b_part = b[..., start:stop, :]
+        b_limbs = [
+            _float_limb(b_part, top_b, width, j)
+            for j in range(_limb_count(top_b, width, bits))
+        ]
+        for i in range(_limb_count(top_a, width, bits)):
+            a_limb = _float_limb(a_part, top_a, width, i)
+            for j in range(len(b_limbs)):
+                shift = (i + j) * width
+                if shift >= bits:
+                    break
+                gemm = np.matmul(a_limb, b_limbs[j], out=gemm)
+                # Every GEMM term is an integer below 2^53, so it converts
+                # exactly to int64 (faster than to uint64), in place: numpy
+                # copies a flat array onto itself without a temporary.
+                flat = gemm.reshape(-1)
+                np.copyto(flat.view(np.int64), flat, casting="unsafe")
+                term = gemm.view(np.uint64)
+                if shift:
+                    np.left_shift(term, shift, out=term)
+                np.add(out, term, out=out)
+            # Free each limb before the next one is built.
+            del a_limb
+        del b_limbs
     return out
 
 

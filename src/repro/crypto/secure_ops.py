@@ -15,6 +15,14 @@ simulation-security tests check.
   secret-shared matrices, the building block of the vectorised triangle
   counting backend.
 
+Each interactive operation ends in one server-local step, written once as a
+role-local *combine* — :func:`beaver_pair_combine`,
+:func:`multiplication_group_combine` and :func:`beaver_matrix_combine` —
+that turns the opened values and one server's half of the correlated
+randomness into that server's output share.  The in-process operations call
+it for both roles; the process-separated runtime
+(:mod:`repro.runtime.server`) calls it for its own role.
+
 Every interactive function additionally accepts an optional *authenticator*
 (:class:`~repro.crypto.mac.OpeningAuthenticator`).  When present, the
 opening round — the only point where values cross the wire — is routed
@@ -97,18 +105,7 @@ def secure_multiply_pair(
     if views is not None:
         views.observe(1, "beaver_opening", (e, f))
         views.observe(2, "beaver_opening", (e, f))
-    share1 = ring.add(
-        ring.add(t1.z, ring.mul(e, t1.y)),
-        ring.mul(f, t1.x),
-    )
-    share2 = ring.add(
-        ring.add(
-            ring.add(t2.z, ring.mul(e, t2.y)),
-            ring.mul(f, t2.x),
-        ),
-        ring.mul(e, f),
-    )
-    return share1, share2
+    return beaver_pair_combine(1, e, f, t1, ring), beaver_pair_combine(2, e, f, t2, ring)
 
 
 def secure_multiply_triple(
@@ -152,49 +149,10 @@ def secure_multiply_triple(
         views.observe(1, "mg_opening", (e, f, g))
         views.observe(2, "mg_opening", (e, f, g))
 
-    # The pairwise products of the openings are public values both servers
-    # compute identically; hoist them out of the per-server combination.
-    fg = ring.mul(f, g)
-    eg = ring.mul(e, g)
-    ef = ring.mul(e, f)
-
-    if (
-        ring.bits == 64
-        and isinstance(e, np.ndarray)
-        and isinstance(g1.w, np.ndarray)
-        and g1.w.shape == e.shape
-    ):
-        # Vectorised 64-bit path: uint64 arithmetic wraps modulo 2^64
-        # natively, so the combination runs in-place on two scratch buffers
-        # instead of allocating one temporary per term.  Same arithmetic,
-        # same openings — only the servers' local evaluation order changes.
-        def local_combine(mg, include_efg: bool) -> IntOrArray:
-            result = mg.w.copy()
-            tmp = np.empty_like(result)
-            terms = ((mg.o, g), (mg.p, f), (mg.q, e), (mg.x, fg), (mg.y, eg), (mg.z, ef))
-            for coefficient, opened in terms:
-                np.multiply(coefficient, opened, out=tmp)
-                np.add(result, tmp, out=result)
-            if include_efg:
-                np.multiply(e, fg, out=tmp)
-                np.add(result, tmp, out=result)
-            return result
-
-    else:
-
-        def local_combine(mg, include_efg: bool) -> IntOrArray:
-            result = mg.w
-            result = ring.add(result, ring.mul(mg.o, g))
-            result = ring.add(result, ring.mul(mg.p, f))
-            result = ring.add(result, ring.mul(mg.q, e))
-            result = ring.add(result, ring.mul(mg.x, fg))
-            result = ring.add(result, ring.mul(mg.y, eg))
-            result = ring.add(result, ring.mul(mg.z, ef))
-            if include_efg:
-                result = ring.add(result, ring.mul(e, fg))
-            return result
-
-    return local_combine(g1, include_efg=False), local_combine(g2, include_efg=True)
+    return (
+        multiplication_group_combine(1, e, f, g, g1, ring),
+        multiplication_group_combine(2, e, f, g, g2, ring),
+    )
 
 
 def secure_matrix_multiply(
@@ -209,24 +167,19 @@ def secure_matrix_multiply(
     """Multiply two secret-shared matrices with a matrix Beaver triple.
 
     With a triple ``Z = X @ Y`` the servers open ``E = A - X`` and
-    ``F = B - Y`` and compute shares of ``A @ B`` as
-    ``<Z> + E @ <Y> + <X> @ F + (i - 1) E @ F``.
+    ``F = B - Y``; server ``i`` then computes its share of ``A @ B``,
+    ``<Z> + E @ <Y> + <X> @ F + (i - 1) E @ F``, as one local ring product
+    (:func:`beaver_matrix_combine`).
 
     *matmul* optionally overrides how the servers evaluate their *local*
-    matrix products (the parallel engine passes a row-striped pool matmul);
+    matrix product (the parallel engine passes a row-striped pool matmul);
     it must be bit-identical to ``ring.matmul``, so the openings — the only
     values that cross the wire — are unaffected.
     """
     a1, a2 = (np.asarray(s, dtype=ring.dtype) for s in a_shares)
     b1, b2 = (np.asarray(s, dtype=ring.dtype) for s in b_shares)
     t1, t2 = triple.server1, triple.server2
-    if np.shape(t1.x) != a1.shape or np.shape(t1.y) != b1.shape:
-        raise ProtocolError(
-            "matrix triple shape does not match the operands: "
-            f"triple {np.shape(t1.x)}@{np.shape(t1.y)}, operands {a1.shape}@{b1.shape}"
-        )
-    if matmul is None:
-        matmul = ring.matmul
+    check_matrix_triple(t1, a1, b1)
     if authenticator is not None:
         e, f = authenticator.exchange(
             "matrix_beaver_opening",
@@ -241,15 +194,108 @@ def secure_matrix_multiply(
     if views is not None:
         views.observe(1, "matrix_beaver_opening", (e, f))
         views.observe(2, "matrix_beaver_opening", (e, f))
-    share1 = ring.add(
-        ring.add(t1.z, matmul(e, np.asarray(t1.y, dtype=ring.dtype))),
-        matmul(np.asarray(t1.x, dtype=ring.dtype), f),
+    return (
+        beaver_matrix_combine(1, e, f, t1, ring, matmul),
+        beaver_matrix_combine(2, e, f, t2, ring, matmul),
     )
-    share2 = ring.add(
-        ring.add(
-            ring.add(t2.z, matmul(e, np.asarray(t2.y, dtype=ring.dtype))),
-            matmul(np.asarray(t2.x, dtype=ring.dtype), f),
-        ),
-        matmul(e, f),
-    )
-    return share1, share2
+
+
+# ---------------------------------------------------------------------- #
+# Role-local combines: one server's output share from the opened values
+# ---------------------------------------------------------------------- #
+def beaver_pair_combine(role: int, e, f, triple, ring: Ring = DEFAULT_RING) -> IntOrArray:
+    """Server *role*'s share of ``a · b`` after opening ``e = a - x``, ``f = b - y``.
+
+    ``<z> + e <y> + f <x>``, plus the public ``e f`` on server 2; *triple* is
+    this server's :class:`~repro.crypto.beaver.BeaverTriple` half.
+    """
+    share = ring.add(ring.add(triple.z, ring.mul(e, triple.y)), ring.mul(f, triple.x))
+    if role == 2:
+        share = ring.add(share, ring.mul(e, f))
+    return share
+
+
+def multiplication_group_combine(
+    role: int, e, f, g, group, ring: Ring = DEFAULT_RING
+) -> IntOrArray:
+    """Server *role*'s share of ``a · b · c`` after opening ``e``, ``f``, ``g`` (Theorem 1).
+
+    ``<w> + <o> g + <p> f + <q> e + <x> f g + <y> e g + <z> e f``, plus the
+    public ``e f g`` on server 2; *group* is this server's
+    :class:`~repro.crypto.multiplication_groups.MultiplicationGroup` half.
+    """
+    fg = ring.mul(f, g)
+    eg = ring.mul(e, g)
+    ef = ring.mul(e, f)
+    terms = ((group.o, g), (group.p, f), (group.q, e), (group.x, fg), (group.y, eg), (group.z, ef))
+    if role == 2:
+        terms += ((e, fg),)
+    if (
+        ring.bits == 64
+        and isinstance(e, np.ndarray)
+        and isinstance(group.w, np.ndarray)
+        and group.w.shape == e.shape
+    ):
+        # Vectorised 64-bit path: uint64 arithmetic wraps modulo 2^64
+        # natively, so the combination runs in place on two scratch buffers
+        # instead of allocating one temporary per term.
+        result = np.array(group.w, dtype=np.uint64)
+        tmp = np.empty_like(result)
+        for coefficient, opened in terms:
+            np.multiply(coefficient, opened, out=tmp)
+            np.add(result, tmp, out=result)
+        return result
+    result = group.w
+    for coefficient, opened in terms:
+        result = ring.add(result, ring.mul(coefficient, opened))
+    return result
+
+
+def beaver_matrix_combine(
+    role: int,
+    e: np.ndarray,
+    f: np.ndarray,
+    triple,
+    ring: Ring = DEFAULT_RING,
+    matmul=None,
+) -> np.ndarray:
+    """Server *role*'s share of ``A @ B`` after opening ``E = A - X``, ``F = B - Y``.
+
+    The share ``<Z> + E @ <Y> + <X> @ F`` (plus ``E @ F`` on server 2) runs
+    as **one** ring product of inner dimension ``2k``::
+
+        <Z> + [E | <X>] @ [<Y> + (role == 2) F ; F]
+
+    which equals it exactly in the ring: server 2 folds ``E @ F`` into
+    ``E @ (<Y> + F)``.  *triple* is this server's
+    :class:`~repro.crypto.beaver.BeaverTriple` half; *matmul* optionally
+    replaces ``ring.matmul`` with a bit-identical product (the parallel
+    engine's row strips).
+    """
+    e = np.asarray(e, dtype=ring.dtype)
+    f = np.asarray(f, dtype=ring.dtype)
+    y = np.asarray(triple.y, dtype=ring.dtype)
+    k = e.shape[-1]
+    left = np.concatenate((e, np.asarray(triple.x, dtype=ring.dtype)), axis=-1)
+    # [<Y> (+ F) ; F], column-major: numpy's int64 loop walks its right
+    # operand along the inner dimension, so a contiguous 2k-deep walk costs
+    # per multiply-add what two k-deep products do.  BLAS takes either layout.
+    right = np.empty(y.shape[:-2] + (y.shape[-1], 2 * k), dtype=ring.dtype).swapaxes(-1, -2)
+    if role == 2:
+        # Bits above the ring's width do not reach the product, which is
+        # reduced modulo 2^bits.
+        np.add(y, f, out=right[..., :k, :])
+    else:
+        right[..., :k, :] = y
+    right[..., k:, :] = f
+    return ring.add(triple.z, (matmul or ring.matmul)(left, right))
+
+
+def check_matrix_triple(triple, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise :class:`ProtocolError` unless the triple half fits ``a @ b``."""
+    if np.shape(triple.x) != np.shape(a) or np.shape(triple.y) != np.shape(b):
+        raise ProtocolError(
+            "matrix triple shape does not match the operands: "
+            f"triple {np.shape(triple.x)}@{np.shape(triple.y)}, "
+            f"operands {np.shape(a)}@{np.shape(b)}"
+        )

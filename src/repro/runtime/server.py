@@ -16,7 +16,10 @@ for statement: the same gather schedule, the same tile order, the same ring
 operations in the same order.  Because every ring operation is exact modulo
 ``2^l``, the shares each server derives — and therefore every opened value
 that crosses the wire — are bit-identical to what the in-process engine
-opens for the same seed and configuration.
+opens for the same seed and configuration.  The local combine that ends
+each secure operation is not mirrored but shared: the servers call the
+role-local combines of :mod:`repro.crypto.secure_ops` that the in-process
+operations call for both roles.
 
 Authenticated openings re-derive the in-process MAC scheme
 (:mod:`repro.crypto.mac`) in two-sided form: both servers derive the same
@@ -38,11 +41,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import num_candidate_triples
+from repro.core.backends.base import num_candidate_triples, strict_upper
 from repro.core.backends.faithful import _gather_schedule
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.mac import MacKey, _TAG_DOMAIN
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
+from repro.crypto.secure_ops import (
+    beaver_matrix_combine,
+    beaver_pair_combine,
+    check_matrix_triple,
+    multiplication_group_combine,
+)
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
@@ -230,10 +239,7 @@ def _multiply_pair(channel, role, ring, a, b, triple, views):
     )
     if views is not None:
         views.observe(role, "beaver_opening", (e, f))
-    share = ring.add(ring.add(triple.z, ring.mul(e, triple.y)), ring.mul(f, triple.x))
-    if role == 2:
-        share = ring.add(share, ring.mul(e, f))
-    return share
+    return beaver_pair_combine(role, e, f, triple, ring)
 
 
 def _multiply_triple(channel, role, ring, a, b, c, mg, views):
@@ -243,43 +249,20 @@ def _multiply_triple(channel, role, ring, a, b, c, mg, views):
     )
     if views is not None:
         views.observe(role, "mg_opening", (e, f, g))
-    fg = ring.mul(f, g)
-    eg = ring.mul(e, g)
-    ef = ring.mul(e, f)
-    result = mg.w
-    result = ring.add(result, ring.mul(mg.o, g))
-    result = ring.add(result, ring.mul(mg.p, f))
-    result = ring.add(result, ring.mul(mg.q, e))
-    result = ring.add(result, ring.mul(mg.x, fg))
-    result = ring.add(result, ring.mul(mg.y, eg))
-    result = ring.add(result, ring.mul(mg.z, ef))
-    if role == 2:
-        result = ring.add(result, ring.mul(e, fg))
-    return result
+    return multiplication_group_combine(role, e, f, g, mg, ring)
 
 
 def _matrix_multiply(channel, role, ring, a, b, triple, views):
     """This role's side of ``secure_matrix_multiply`` (matrix Beaver)."""
     a = np.asarray(a, dtype=ring.dtype)
     b = np.asarray(b, dtype=ring.dtype)
-    if np.shape(triple.x) != a.shape or np.shape(triple.y) != b.shape:
-        raise ProtocolError(
-            "matrix triple shape does not match the operands: "
-            f"triple {np.shape(triple.x)}@{np.shape(triple.y)}, "
-            f"operands {a.shape}@{b.shape}"
-        )
+    check_matrix_triple(triple, a, b)
     e, f = channel.exchange(
         "matrix_beaver_opening", [ring.sub(a, triple.x), ring.sub(b, triple.y)]
     )
     if views is not None:
         views.observe(role, "matrix_beaver_opening", (e, f))
-    share = ring.add(
-        ring.add(triple.z, ring.matmul(e, np.asarray(triple.y, dtype=ring.dtype))),
-        ring.matmul(np.asarray(triple.x, dtype=ring.dtype), f),
-    )
-    if role == 2:
-        share = ring.add(share, ring.matmul(e, f))
-    return share
+    return beaver_matrix_combine(role, e, f, triple, ring)
 
 
 # ---------------------------------------------------------------------- #
@@ -310,19 +293,6 @@ def _recv_triple(endpoint: WireEndpoint, label: str) -> BeaverTriple:
 # ---------------------------------------------------------------------- #
 # Count phase — one role's half of each serial backend schedule
 # ---------------------------------------------------------------------- #
-def _strict_upper_mask(ring, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    rows = np.arange(r0, r1, dtype=np.int64)[:, None]
-    cols = np.arange(c0, c1, dtype=np.int64)[None, :]
-    return (rows < cols).astype(ring.dtype)
-
-
-def _upper_block(ring, shares: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    block = shares[r0:r1, c0:c1]
-    if r1 <= c0:
-        return block
-    return ring.mul(block, _strict_upper_mask(ring, r0, r1, c0, c1))
-
-
 def _count_mg(dealer_ep, channel, ring, share, role, batch_size, views, tracer):
     """The faithful/batched schedule for this role's share matrix."""
     num_users = share.shape[0]
@@ -356,15 +326,14 @@ def _count_matrix(dealer_ep, channel, ring, share, role, views, tracer):
         return 0, 0, 0
     num_triples = num_candidate_triples(n)
     with tracer.span("backend", backend="matrix", num_users=n, candidates=num_triples):
-        upper_mask = np.triu(np.ones((n, n), dtype=ring.dtype), k=1)
-        c = ring.mul(share, upper_mask)
+        c = strict_upper(share)
         with tracer.span("offline"):
             matrix_triple = _recv_triple(dealer_ep, "matrix_triple")
             elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
         with tracer.span("online", opening_rounds=2):
             m = _matrix_multiply(channel, role, ring, c.T.copy(), c, matrix_triple, views)
             prod = _multiply_pair(
-                channel, role, ring, c, ring.mul(m, upper_mask), elementwise_triple, views
+                channel, role, ring, c, strict_upper(m), elementwise_triple, views
             )
             total = ring.sum(prod)
     return int(total), num_triples, 2
@@ -394,20 +363,19 @@ def _count_blocked(dealer_ep, channel, ring, share, role, block_size, views, tra
                         if i0 >= j1 - 1:
                             continue
                         left = np.ascontiguousarray(
-                            _upper_block(ring, share, i0, i1, j0, j1).T
+                            strict_upper(share[i0:i1, j0:j1], i0, j0).T
                         )
-                        right = _upper_block(ring, share, i0, i1, k0, k1)
+                        right = strict_upper(share[i0:i1, k0:k1], i0, k0)
                         tile_triple = _recv_triple(dealer_ep, "matrix_triple")
                         partial = _matrix_multiply(
                             channel, role, ring, left, right, tile_triple, views
                         )
                         m = ring.add(m, partial)
                         group_rounds += 1
-                    tile_mask = _strict_upper_mask(ring, j0, j1, k0, k1)
-                    c_tile = _upper_block(ring, share, j0, j1, k0, k1)
+                    c_tile = strict_upper(share[j0:j1, k0:k1], j0, k0)
                     elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
                     prod = _multiply_pair(
-                        channel, role, ring, c_tile, ring.mul(m, tile_mask),
+                        channel, role, ring, c_tile, strict_upper(m, j0, k0),
                         elementwise_triple, views,
                     )
                     total = ring.add(total, ring.sum(prod))

@@ -10,8 +10,12 @@ from repro.crypto.ring import (
     BLAS_MAX_INNER,
     BLAS_MIN_MULTIPLY_ADDS,
     DEFAULT_RING,
+    LIMB_CHUNK,
     Ring,
+    inner_chunks,
     int64_matmul,
+    limb_matmul,
+    limb_pairs,
     limb_width,
     matmul_mod,
 )
@@ -235,6 +239,125 @@ class TestExactBlasMatmul:
         a = rng.integers(0, 50, (100, 100))
         b = rng.integers(0, 50, (100, 100))
         assert np.array_equal(matmul_mod(a, b).view(np.int64), a @ b)
+
+
+@pytest.fixture
+def gemm_inners(monkeypatch):
+    """Record the inner dimension of every float64 GEMM the ring module runs."""
+    inners = []
+    original = np.matmul
+
+    def counting(*args, **kwargs):
+        inners.append(args[0].shape[-1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ring_module.np, "matmul", counting)
+    return inners
+
+
+ALL_ONES = np.iinfo(np.uint64).max
+
+
+class TestChunkedLimbMatmul:
+    """Inner dimensions above ``LIMB_CHUNK`` run in chunks, still bit-identical."""
+
+    @pytest.mark.parametrize("k", [512, 513, 768, 1024, 1025, 1536, 2047])
+    def test_random_operands_match_int64_loop(self, k):
+        rng = np.random.default_rng(k)
+        a = DEFAULT_RING.random_array((20, k), rng)
+        b = DEFAULT_RING.random_array((k, 30), rng)
+        assert np.array_equal(limb_matmul(a, b), int64_matmul(a, b))
+
+    @pytest.mark.parametrize("k", [512, 513, 768, 1024, 1025, 1536, 2047])
+    def test_all_ones_bit_operands(self, k):
+        # Every limb of every chunk is 2^w − 1: each GEMM sum is the largest
+        # value the chunk's float64 bound admits.
+        a = np.full((7, k), ALL_ONES, dtype=np.uint64)
+        b = np.full((k, 9), ALL_ONES, dtype=np.uint64)
+        for start, stop in inner_chunks(k, 64, 64):
+            assert (stop - start) * ((1 << limb_width(stop - start)) - 1) ** 2 < 2**53
+        product = limb_matmul(a, b)
+        assert np.array_equal(product, int64_matmul(a, b))
+        assert np.all(product == np.uint64(k))
+
+    @pytest.mark.parametrize("bits", [2, 17, 32, 63, 64])
+    @pytest.mark.parametrize("k", [768, 1025])
+    def test_every_ring_width(self, bits, k):
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(bits * k)
+        a = ring.random_array((25, k), rng)
+        b = ring.random_array((k, 15), rng)
+        mask = np.uint64((1 << bits) - 1)
+        assert np.array_equal(limb_matmul(a, b, bits) & mask, reference_product(a, b, bits))
+        assert np.array_equal(ring.matmul(a, b), reference_product(a, b, bits))
+
+    @pytest.mark.parametrize("left_batch", [(3,), ()])
+    def test_stacked_operands(self, left_batch):
+        rng = np.random.default_rng(11)
+        a = DEFAULT_RING.random_array(left_batch + (12, 1100), rng)
+        b = DEFAULT_RING.random_array((3, 1100, 14), rng)
+        product = limb_matmul(a, b)
+        assert product.shape == (3, 12, 14)
+        assert np.array_equal(product, int64_matmul(a, b))
+
+    def test_transposed_and_strided_views(self):
+        rng = np.random.default_rng(12)
+        base = DEFAULT_RING.random_array((1600, 40), rng)
+        a = base.T
+        b = base[::2, 1::3]
+        assert not a.flags.c_contiguous and not b.flags.c_contiguous
+        assert len(inner_chunks(a.shape[-1], 64, 64)) == 4
+        assert len(inner_chunks(b.shape[-2], 64, 64)) == 2
+        assert np.array_equal(limb_matmul(a, base), int64_matmul(a, base))
+        assert np.array_equal(limb_matmul(base[::2].T, b), int64_matmul(base[::2].T, b))
+
+    @pytest.mark.parametrize("k", [513, 768, 1024, 1536, 2047, 4100])
+    def test_chunks_cover_the_inner_dimension_equally(self, k):
+        chunks = inner_chunks(k, 64, 64)
+        sizes = [stop - start for start, stop in chunks]
+        assert chunks[0][0] == 0 and chunks[-1][1] == k
+        assert all(left[1] == right[0] for left, right in zip(chunks, chunks[1:]))
+        assert max(sizes) <= LIMB_CHUNK and max(sizes) - min(sizes) <= 1
+        assert len(chunks) == -(-k // LIMB_CHUNK)
+
+    def test_chunk_rule_is_derived_from_the_limb_width(self):
+        assert limb_width(LIMB_CHUNK) == 22 and 3 * 22 >= 64
+        assert inner_chunks(LIMB_CHUNK, 64, 64) == [(0, LIMB_CHUNK)]
+        # Narrow operands whose pair count does not fall stay in one piece.
+        for bits in (2, 17, 32, 63):
+            assert inner_chunks(1024, bits, bits, bits) == [(0, 1024)]
+        assert inner_chunks(1024, 1, 1) == [(0, 1024)]
+
+    @pytest.mark.parametrize("bits", [2, 17, 32, 63, 64])
+    @pytest.mark.parametrize("k", [513, 768, 1024, 2047, 4100])
+    def test_chunking_never_raises_gemm_work(self, bits, k, gemm_inners):
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(k + bits)
+        a = ring.random_array((6, k), rng)
+        b = ring.random_array((k, 5), rng)
+        product = limb_matmul(a, b, bits)
+        top_a = int(a.max()).bit_length()
+        top_b = int(b.max()).bit_length()
+        assert sum(gemm_inners) <= limb_pairs(top_a, top_b, limb_width(k), bits) * k
+        mask = np.uint64((1 << bits) - 1)
+        assert np.array_equal(product & mask, reference_product(a, b, bits))
+
+    def test_zero_one_operands_stay_one_gemm(self, gemm_inners):
+        rng = np.random.default_rng(13)
+        a = rng.integers(0, 2, (64, 1024), dtype=np.uint64)
+        b = rng.integers(0, 2, (1024, 64), dtype=np.uint64)
+        product = DEFAULT_RING.matmul(a, b)
+        assert gemm_inners == [1024]
+        assert np.array_equal(product, reference_product(a, b))
+
+    def test_64_bit_product_runs_two_chunks_of_six_gemms(self, gemm_inners):
+        rng = np.random.default_rng(14)
+        a = DEFAULT_RING.random_array((40, 768), rng)
+        b = DEFAULT_RING.random_array((768, 40), rng)
+        product = DEFAULT_RING.matmul(a, b)
+        assert gemm_inners == [384] * 12
+        assert limb_pairs(64, 64, limb_width(768)) == 10
+        assert np.array_equal(product, reference_product(a, b))
 
 
 class TestSampling:

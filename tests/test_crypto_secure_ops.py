@@ -7,8 +7,11 @@ import pytest
 
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import DEFAULT_RING, Ring, int64_matmul
 from repro.crypto.secure_ops import (
+    beaver_matrix_combine,
+    beaver_pair_combine,
+    multiplication_group_combine,
     secure_add,
     secure_matrix_multiply,
     secure_multiply_pair,
@@ -16,6 +19,7 @@ from repro.crypto.secure_ops import (
 )
 from repro.crypto.sharing import reconstruct, reconstruct_vector, share_scalar, share_vector
 from repro.exceptions import ProtocolError
+from repro.parallel import WorkerPool
 
 
 class TestSecureAdd:
@@ -161,3 +165,99 @@ class TestSecureMatrixMultiply:
         cube = secure_matrix_multiply(square, shares, triple2)
         total = reconstruct_vector(cube[0], cube[1])
         assert int(np.trace(total.astype(np.int64))) == 6 * count_triangles(graph)
+
+
+def separate_matrix_combine(role, e, f, triple, ring):
+    """The five-product form ``Z_r + E@Y_r + X_r@F (+ E@F)``, on the int64 loop."""
+    mask = np.uint64(ring.mask)
+    share = triple.z + int64_matmul(e, triple.y) + int64_matmul(triple.x, f)
+    if role == 2:
+        share = share + int64_matmul(e, f)
+    return share & mask
+
+
+class TestBeaverMatrixCombine:
+    """The one-product combine equals the separate products bit for bit."""
+
+    @pytest.mark.parametrize("bits", [64, 32])
+    @pytest.mark.parametrize("shape", [(1, 5, 1), (30, 40, 20), (96, 130, 100), (200, 300, 64)])
+    @pytest.mark.parametrize("role", [1, 2])
+    def test_matches_separate_products(self, role, shape, bits):
+        m, k, n = shape
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(m * k + n + bits)
+        e = ring.random_array((m, k), rng)
+        f = ring.random_array((k, n), rng)
+        triple = BeaverTripleDealer(ring=ring, seed=role).matrix_triple((m, k), (k, n))
+        half = triple.server1 if role == 1 else triple.server2
+        combined = beaver_matrix_combine(role, e, f, half, ring)
+        assert combined.dtype == np.uint64
+        assert np.array_equal(combined, separate_matrix_combine(role, e, f, half, ring))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("role", [1, 2])
+    def test_worker_pool_hook_matches_serial(self, role, workers):
+        rng = np.random.default_rng(workers)
+        e = DEFAULT_RING.random_array((150, 120), rng)
+        f = DEFAULT_RING.random_array((120, 90), rng)
+        triple = BeaverTripleDealer(seed=3).matrix_triple((150, 120), (120, 90))
+        half = triple.server1 if role == 1 else triple.server2
+        pooled = beaver_matrix_combine(
+            role, e, f, half, DEFAULT_RING, matmul=WorkerPool(workers).ring_matmul(DEFAULT_RING)
+        )
+        assert np.array_equal(pooled, beaver_matrix_combine(role, e, f, half, DEFAULT_RING))
+        assert np.array_equal(pooled, separate_matrix_combine(role, e, f, half, DEFAULT_RING))
+
+    @pytest.mark.parametrize("shape", [(4, 6, 3), (128, 128, 128)])
+    def test_roles_reconstruct_the_product(self, shape):
+        m, k, n = shape
+        rng = np.random.default_rng(9)
+        a = DEFAULT_RING.random_array((m, k), rng)
+        b = DEFAULT_RING.random_array((k, n), rng)
+        triple = BeaverTripleDealer(seed=10).matrix_triple((m, k), (k, n))
+        x = triple.server1.x + triple.server2.x
+        y = triple.server1.y + triple.server2.y
+        e, f = a - x, b - y
+        share1 = beaver_matrix_combine(1, e, f, triple.server1)
+        share2 = beaver_matrix_combine(2, e, f, triple.server2)
+        assert np.array_equal(share1 + share2, int64_matmul(a, b))
+
+
+class TestRoleLocalCombines:
+    """The pair and multiplication-group combines, role by role."""
+
+    @pytest.mark.parametrize("role", [1, 2])
+    def test_pair_combine_matches_beaver_formula(self, role):
+        ring = DEFAULT_RING
+        rng = np.random.default_rng(role)
+        e, f = ring.random_array(50, rng), ring.random_array(50, rng)
+        triple = BeaverTripleDealer(seed=role).vector_triple((50,))
+        half = triple.server1 if role == 1 else triple.server2
+        expected = half.z + e * half.y + f * half.x + (e * f if role == 2 else 0)
+        assert np.array_equal(beaver_pair_combine(role, e, f, half, ring), expected)
+
+    @pytest.mark.parametrize("role", [1, 2])
+    def test_group_combine_in_place_path_matches_elementwise(self, role):
+        rng = np.random.default_rng(role + 4)
+        e, f, g = (DEFAULT_RING.random_array(40, rng) for _ in range(3))
+        pair = MultiplicationGroupDealer(seed=role).vector_group((40,))
+        group = pair.server1 if role == 1 else pair.server2
+        vectorised = multiplication_group_combine(role, e, f, g, group)
+        for index in range(40):
+            scalars = type(group)(**{name: int(getattr(group, name)[index]) for name in
+                                     ("x", "y", "z", "w", "o", "p", "q")})
+            expected = multiplication_group_combine(
+                role, int(e[index]), int(f[index]), int(g[index]), scalars
+            )
+            assert int(vectorised[index]) == expected
+
+    def test_group_roles_reconstruct_the_product(self):
+        ring = Ring(bits=64)
+        rng = np.random.default_rng(21)
+        a, b, c = (rng.integers(0, 2, 64).astype(np.uint64) for _ in range(3))
+        pair = MultiplicationGroupDealer(seed=22).vector_group((64,))
+        g1, g2 = pair.server1, pair.server2
+        e, f, g = a - (g1.x + g2.x), b - (g1.y + g2.y), c - (g1.z + g2.z)
+        share1 = multiplication_group_combine(1, e, f, g, g1, ring)
+        share2 = multiplication_group_combine(2, e, f, g, g2, ring)
+        assert np.array_equal(share1 + share2, a * b * c)
