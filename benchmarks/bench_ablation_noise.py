@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.counting import CountResult
+from repro.core.backends import CountResult
 from repro.core.perturbation import DistributedPerturbation
 from repro.crypto.sharing import share_scalar
 from repro.dp.mechanisms import LaplaceMechanism

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.random_projection import RandomProjection
-from repro.core.counting import CountResult
-from repro.core.fast_counting import MatrixTriangleCounter
+from repro.core.backends import CountResult, MatrixTriangleCounter
 from repro.core.perturbation import DistributedPerturbation
 from repro.core.projection import SimilarityProjection, projected_triangle_count
 from repro.dp.sensitivity import triangle_sensitivity_unbounded

@@ -25,8 +25,7 @@ import json
 import os
 import time
 from pathlib import Path
-
-from memprof import measure_peak_bytes
+from typing import Optional
 
 from repro.core import Cargo, CargoConfig
 from repro.core.backends import (
@@ -39,6 +38,7 @@ from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import sparse_random_graph
+from repro.telemetry.profiling import measure_peak_bytes
 from repro.utils.atomic import atomic_write_json
 
 #: Default n sweep and tile width; the quick mode keeps CI under a minute.
@@ -60,12 +60,12 @@ SPARSE_EDGE_FACTOR = 3
 SPARSE_STAR_K = 3
 
 
-def _backend_builders(num_users: int, block_size: int, workers: int = 0):
+def _backend_builders(num_users: int, block_size: int, workers: int = 1):
     """Name -> (dealer, counter) builders applicable at this n.
 
-    *workers* > 0 builds every counter in tile-parallel engine mode
-    (``REPRO_BENCH_WORKERS`` from the CLI); outputs and opening schedules
-    are bit-identical either way, so the sweep stays comparable.
+    *workers* sets every counter's worker count (``REPRO_BENCH_WORKERS``
+    from the CLI); outputs and opening schedules are bit-identical for any
+    count, so the sweep stays comparable.
     """
     builders = {
         "matrix": lambda: _with_dealer(
@@ -105,14 +105,14 @@ def run_backend_scaling(
     user_counts=None,
     block_size: int = BLOCK_SIZE,
     reps: int = TIMING_REPS,
-    workers: int = 0,
+    workers: Optional[int] = None,
 ):
     """Return one row per (n, backend) with runtime and dealer stats."""
     if user_counts is None:
         quick = os.environ.get("REPRO_BENCH_QUICK", "").strip() not in ("", "0")
         user_counts = QUICK_USER_COUNTS if quick else DEFAULT_USER_COUNTS
-    if not workers:
-        workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or 0)
+    if workers is None:
+        workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1") or 1)
     rows = []
     for num_users in user_counts:
         graph = load_dataset("facebook", num_nodes=num_users)

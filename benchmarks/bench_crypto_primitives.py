@@ -30,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from memprof import measure_peak_bytes
-
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import (
@@ -45,6 +43,7 @@ from repro.crypto.ring import (
 )
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_triple
 from repro.crypto.sharing import share_scalar, share_vector
+from repro.telemetry.profiling import measure_peak_bytes
 from repro.utils.atomic import atomic_write_json
 
 #: Sizes for the JSON runner (kept small: these feed a CI smoke job).

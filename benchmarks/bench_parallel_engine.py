@@ -7,10 +7,11 @@ Measures the two quantities the parallel execution engine exists for:
   worker counts, so any delta is pure scheduling).  On a single-core host
   the speedup is bounded by 1.0 by construction; the row records the host's
   CPU count so the number can be read in context.
-* **offline reuse** — cold vs warm wall-clock of the blocked engine's
-  offline phase (dealing all tile triples vs fetching them from a
-  :class:`~repro.parallel.store.TripleStore`), and the fraction of dealing
-  time a warm rerun skips.
+* **offline reuse** — a cold vs a warm-store blocked ``count_from_shares``
+  (dealing every tile triple into a
+  :class:`~repro.parallel.store.TripleStore` vs fetching it back): the
+  whole count's wall-clock, the traced ``offline`` span of each, and the
+  fraction of offline time a warm rerun skips.
 
 Rows are emitted as JSON (``benchmarks/results/parallel_engine.json`` by
 default, override with ``REPRO_BENCH_PARALLEL_OUTPUT``).  Set
@@ -24,8 +25,6 @@ import os
 import time
 from pathlib import Path
 
-from memprof import measure_peak_bytes
-
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     MatrixTriangleCounter,
@@ -34,6 +33,8 @@ from repro.core.backends import (
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.graph.datasets import load_dataset
 from repro.parallel import TripleStore
+from repro.telemetry import Telemetry
+from repro.telemetry.profiling import measure_peak_bytes
 from repro.utils.atomic import atomic_write_json
 
 DEFAULT_USER_COUNTS = (256,)
@@ -50,6 +51,20 @@ def _build(backend: str, workers: int, block_size: int, store=None):
             dealer=dealer, block_size=block_size, workers=workers, triple_store=store
         )
     return MatrixTriangleCounter(dealer=dealer, workers=workers, triple_store=store)
+
+
+def _stored_count(store, block_size: int, share1, share2):
+    """``(count seconds, offline-span seconds)`` of one blocked count on *store*."""
+    telemetry = Telemetry()
+    counter = BlockedMatrixTriangleCounter(
+        dealer=BeaverTripleDealer(seed=0),
+        block_size=block_size,
+        triple_store=store,
+        telemetry=telemetry,
+    )
+    start = time.perf_counter()
+    counter.count_from_shares(share1, share2)
+    return time.perf_counter() - start, telemetry.tracer.timings()["offline"]
 
 
 def run_parallel_engine(
@@ -95,27 +110,24 @@ def run_parallel_engine(
                 )
         assert len(set(counts.values())) == 1, counts
 
-        # Offline reuse: cold deal vs warm store fetch of the same material.
+        # Offline reuse: a cold count deals into the store, warm ones fetch.
         store = TripleStore()
-        cold_counter = _build("blocked", 1, block_size, store)
-        start = time.perf_counter()
-        cold_counter.offline_materials(num_users)
-        cold_seconds = time.perf_counter() - start
-        warm_best = None
-        for _ in range(max(reps, 1)):
-            warm_counter = _build("blocked", 1, block_size, store)
-            start = time.perf_counter()
-            warm_counter.offline_materials(num_users)
-            warm_best = min(warm_best or float("inf"), time.perf_counter() - start)
+        cold_seconds, cold_offline = _stored_count(store, block_size, share1, share2)
+        warm_seconds, warm_offline = min(
+            _stored_count(store, block_size, share1, share2)
+            for _ in range(max(reps, 1))
+        )
         assert store.hits >= 1, store.stats()
         rows.append(
             {
                 "backend": "blocked",
                 "num_users": num_users,
                 "block_size": block_size,
-                "offline_cold_seconds": cold_seconds,
-                "offline_warm_seconds": warm_best,
-                "offline_skip_fraction": 1.0 - warm_best / max(cold_seconds, 1e-12),
+                "count_cold_seconds": cold_seconds,
+                "count_warm_seconds": warm_seconds,
+                "offline_cold_seconds": cold_offline,
+                "offline_warm_seconds": warm_offline,
+                "offline_skip_fraction": 1.0 - warm_offline / max(cold_offline, 1e-12),
                 "store": store.stats(),
             }
         )

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.counting import FaithfulTriangleCounter, share_adjacency_rows
-from repro.core.fast_counting import MatrixTriangleCounter
+from repro.core.backends import (
+    FaithfulTriangleCounter,
+    MatrixTriangleCounter,
+    share_adjacency_rows,
+)
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.sharing import reconstruct, share_scalar

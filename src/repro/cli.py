@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker threads for each secure count's tile-parallel engine "
-        "(CargoConfig/StreamingConfig workers; transcripts are bit-identical "
+        help="worker threads for each secure count (CargoConfig/"
+        "StreamingConfig workers; default 1; transcripts are bit-identical "
         "for any count, so this is purely a wall-clock knob)",
     )
     parser.add_argument(
@@ -126,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tile-window",
         type=int,
         default=None,
-        help="bounded tile window for the blocked backend (CargoConfig "
-        "tile_window; peak offline-material memory is set by the window, "
-        "not the graph size, with bit-identical transcripts)",
+        help="tile groups per schedule chunk for the blocked backend "
+        "(CargoConfig tile_window; a triple store and a checkpoint work one "
+        "chunk at a time, with bit-identical transcripts)",
     )
     parser.add_argument(
         "--checkpoint",

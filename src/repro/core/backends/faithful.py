@@ -201,15 +201,14 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         buffered dealing and draws one group batch per opening round, exactly
         as the unbuffered dealer would.
     workers:
-        ``0`` keeps the serial path; ``>= 1`` fans the candidate blocks out
-        over a worker pool.  The provisioned mask stream and the per-block
+        Number of worker threads evaluating candidate blocks concurrently
+        (default ``1``).  The provisioned mask stream and the per-block
         slices are fixed serially first (they depend only on the schedule),
-        so the transcript is bit-identical to the serial path for any worker
-        count.
+        so the transcript is bit-identical for any worker count.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        provisioned group stream (engine path only; streams larger than the
-        store's per-entry budget are dealt lazily and not cached).
+        provisioned group stream (streams larger than the store's per-entry
+        budget are dealt lazily and not cached).
     """
 
     def __init__(
@@ -219,7 +218,7 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         batch_size: int = 1,
         views: Optional[ViewRecorder] = None,
         provision_limit: int = DEFAULT_PROVISION_LIMIT,
-        workers: int = 0,
+        workers: int = 1,
         triple_store=None,
         telemetry=None,
         authenticator=None,
@@ -228,8 +227,8 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             raise ProtocolError(f"batch_size must be positive, got {batch_size}")
         if provision_limit < 0:
             raise ProtocolError(f"provision_limit must be non-negative, got {provision_limit}")
-        if workers < 0:
-            raise ProtocolError(f"workers must be non-negative, got {workers}")
+        if workers < 1:
+            raise ProtocolError(f"workers must be at least 1, got {workers}")
         super().__init__(
             ring=ring, views=views, telemetry=telemetry, authenticator=authenticator
         )
@@ -265,34 +264,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         """Run the secure count given each server's share matrix."""
         share1, share2 = self._validate_share_matrices(share1, share2)
         num_users = share1.shape[0]
-        if self._workers or self._store is not None:
-            # A configured triple store engages the engine too (at one
-            # worker); the engine's transcript equals this serial path's, so
-            # the switch is unobservable beyond the warm offline phase.
-            with self._telemetry.tracer.span(
-                "backend",
-                backend="faithful" if self._batch_size == 1 else "batched",
-                num_users=num_users,
-                batch_size=self._batch_size,
-                candidates=num_candidate_triples(num_users),
-            ) as backend_span:
-                result = self._count_parallel(share1, share2)
-                backend_span.annotate(opening_rounds=result.opening_rounds)
-            return result
-        ring = self._ring
-        dealer = self._dealer
-        total1 = 0
-        total2 = 0
-        triples_processed = 0
-        opening_rounds = 0
-
-        # Buffered offline phase: provision the dealer in chunks of exactly
-        # min(still-unprovisioned, provision_limit).  The chunk sequence
-        # depends only on the total candidate count and the limit — never on
-        # the batch size — so the provisioned mask stream (and therefore
-        # every opening) is identical across batch sizes.
-        to_provision = num_candidate_triples(num_users) if self._provision_limit else 0
-
         # One span for the whole backend step: per-triple spans would add
         # C(n, 3) nodes to the trace in faithful mode, so granularity stops
         # at the backend level here (the blocked backend traces per group).
@@ -303,39 +274,12 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             batch_size=self._batch_size,
             candidates=num_candidate_triples(num_users),
         ) as backend_span:
-            for size, rows, cols in _gather_schedule(num_users, self._batch_size):
-                while to_provision and dealer.provisioned_remaining < size:
-                    draw = min(to_provision, self._provision_limit)
-                    dealer.provision(draw)
-                    to_provision -= draw
-                # One fused gather per server: the three wires a_ij, a_ik,
-                # a_jk of every candidate triple in this block share a single
-                # fancy-indexing read of shape (3, size).
-                gathered1 = share1[rows, cols].reshape(3, size)
-                gathered2 = share2[rows, cols].reshape(3, size)
-                a_shares = (gathered1[0], gathered2[0])
-                b_shares = (gathered1[1], gathered2[1])
-                c_shares = (gathered1[2], gathered2[2])
-                group = dealer.vector_group((size,))
-                product1, product2 = secure_multiply_triple(
-                    a_shares, b_shares, c_shares, group, ring=ring, views=self._views,
-                    authenticator=self._authenticator,
-                )
-                total1 = ring.add(total1, ring.sum(product1))
-                total2 = ring.add(total2, ring.sum(product2))
-                triples_processed += size
-                opening_rounds += 1
-            backend_span.annotate(opening_rounds=opening_rounds)
-
-        return CountResult(
-            share1=int(total1),
-            share2=int(total2),
-            num_triples_processed=triples_processed,
-            opening_rounds=opening_rounds,
-        )
+            result = self._count_blocks(share1, share2)
+            backend_span.annotate(opening_rounds=result.opening_rounds)
+        return result
 
     # ------------------------------------------------------------------ #
-    # Block-parallel engine
+    # Candidate blocks
     # ------------------------------------------------------------------ #
     def _run_block(
         self,
@@ -346,7 +290,12 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         share1: np.ndarray,
         share2: np.ndarray,
     ) -> tuple:
-        """Online phase of one candidate block (pure given shares + group)."""
+        """Online phase of one candidate block (pure given shares + group).
+
+        One fused gather per server: the three wires ``a_ij, a_ik, a_jk`` of
+        every candidate triple in the block share a single fancy-indexing
+        read of shape ``(3, size)``.
+        """
         ring = self._ring
         shard = ViewRecorder() if self._views is not None else None
         gathered1 = share1[rows, cols].reshape(3, size)
@@ -362,22 +311,27 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         )
         return ring.sum(product1), ring.sum(product2), shard
 
-    def _count_parallel(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
+    def _count_blocks(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
         """Fan candidate blocks out over a worker pool, in bounded waves.
 
         The offline phase is fixed serially first: the provisioning chunk
         sequence and the per-block group slices depend only on the schedule
         (never on worker interleaving), so each block's correlated
-        randomness — and therefore each opening — is exactly what the serial
-        path produces.  Workers then evaluate blocks concurrently; block
+        randomness — and therefore each opening — is the same for every
+        worker count.  Workers then evaluate blocks concurrently; block
         subtotals reduce and view shards merge in canonical block order.
         """
         ring = self._ring
         dealer = self._dealer
         num_users = share1.shape[0]
         total_candidates = num_candidate_triples(num_users)
-        pool = WorkerPool(max(self._workers, 1))
+        pool = WorkerPool(self._workers)
 
+        # Buffered offline phase: provision the dealer in chunks of exactly
+        # min(still-unprovisioned, provision_limit).  The chunk sequence
+        # depends only on the total candidate count and the limit — never on
+        # the batch size — so the provisioned mask stream (and therefore
+        # every opening) is identical across batch sizes.
         to_provision = total_candidates if self._provision_limit else 0
         # Offline reuse: the provisioned stream is a deterministic function
         # of (dealer seed, total, provision_limit), so it is storable.  A
@@ -419,7 +373,7 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         triples_processed = 0
         opening_rounds = 0
         wave: list = []
-        wave_capacity = max(4 * self._workers, 1)
+        wave_capacity = 4 * self._workers
 
         def flush() -> None:
             nonlocal total1, total2

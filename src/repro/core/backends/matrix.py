@@ -67,14 +67,13 @@ class MatrixTriangleCounter(TriangleCounterBackend):
     views:
         Optional view recorder for the security tests.
     workers:
-        ``0`` keeps the serial path; ``>= 1`` computes the local ``n x n``
-        matrix products (the dealer's ``Z = X @ Y`` and the servers' online
-        combination) in parallel row strips.  Row striping is bit-identical
-        to the serial product, so the transcript never depends on the worker
-        count — for this backend it is identical to the legacy path too.
+        Above ``1`` (the default), the local ``n x n`` matrix products (the
+        dealer's ``Z = X @ Y`` and the servers' online combination) run in
+        parallel row strips.  Row strips equal the plain product bit for
+        bit, so the transcript never depends on the worker count.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        monolithic matrix and element-wise triples (engine path only).
+        monolithic matrix and element-wise triples.
     """
 
     def __init__(
@@ -82,7 +81,7 @@ class MatrixTriangleCounter(TriangleCounterBackend):
         ring: Ring = DEFAULT_RING,
         dealer: Optional[BeaverTripleDealer] = None,
         views: Optional[ViewRecorder] = None,
-        workers: int = 0,
+        workers: int = 1,
         triple_store=None,
         telemetry=None,
         authenticator=None,
@@ -93,7 +92,7 @@ class MatrixTriangleCounter(TriangleCounterBackend):
         self._dealer = dealer if dealer is not None else BeaverTripleDealer(ring=ring)
         self._workers = int(workers)
         self._store = triple_store
-        self._pool = WorkerPool(self._workers) if self._workers else None
+        self._pool = WorkerPool(self._workers) if self._workers > 1 else None
         if self._pool is not None and self._dealer.matmul is None:
             # Parallelise the dealer's Z = X @ Y (bit-identical row strips).
             self._dealer.matmul = self._pool.ring_matmul(ring)

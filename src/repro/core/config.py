@@ -94,23 +94,21 @@ class CargoConfig:
         Tile width of the blocked backend; peak memory per opening round is
         ``O(block_size^2)``.
     tile_window:
-        When set, the blocked backend deals, evaluates, and releases its
-        tile groups through a bounded window of at most this many groups at
-        a time, so peak offline-material memory is set by the window, not by
-        ``n``.  Transcripts are bit-identical to the unwindowed engine.
-        ``None`` (default) keeps the all-groups-at-once behaviour.
+        When set, the blocked backend walks its tile schedule in chunks of
+        at most this many groups: a triple store writes and reads one chunk
+        at a time, and a checkpoint journals each completed chunk.  ``None``
+        (default) makes the whole schedule one chunk.  Transcripts are
+        bit-identical for every window.
     workers:
-        ``None`` (default) runs the exact legacy serial path.  Any integer
-        ``>= 1`` engages the tile-parallel engine
-        (:mod:`repro.parallel`) with that many worker threads; transcripts,
-        ledgers, and released counts are bit-identical for every value
-        ``>= 1``, so the knob is purely a wall-clock lever.
+        Worker threads for the secure count (:mod:`repro.parallel`);
+        ``None`` (default) means one.  Every backend runs the same execution
+        path at every worker count, so transcripts, ledgers, and released
+        counts are bit-identical and the knob is purely a wall-clock lever.
     triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore` the engine uses
+        Optional :class:`~repro.parallel.store.TripleStore` the backends use
         to memoise (and optionally persist) the offline phase's correlated
         randomness, so repeated runs with the same dealer randomness skip
-        re-dealing.  Setting a store engages the engine even when *workers*
-        is unset (it then runs with one worker).
+        re-dealing.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  When set, the
         run records hierarchical spans and feeds the metrics registry
@@ -208,7 +206,7 @@ class CargoConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
-                f"workers must be at least 1 (or None for the serial path), "
+                f"workers must be at least 1 (or None for one worker), "
                 f"got {self.workers}"
             )
         if not (0 < self.max_degree_fraction < 1):

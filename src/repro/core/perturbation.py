@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.counting import CountResult
+from repro.core.backends.base import CountResult
 from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.sharing import share_scalar

@@ -84,6 +84,9 @@ __all__ = [
 _KEY_DOMAIN = "mac/key"
 _TAG_DOMAIN = "mac/tags"
 
+#: Elements per slice of the batched MAC check (1 MiB of ``uint64``).
+_CHECK_SLICE = 1 << 17
+
 
 @dataclass(frozen=True)
 class MacKey:
@@ -262,10 +265,11 @@ class OpeningAuthenticator:
         if not pairs:
             return []
 
-        # Flatten every pair into one batch, remembering how to restore it.
-        parts1: List[np.ndarray] = []
-        parts2: List[np.ndarray] = []
+        # Flatten every pair into one fresh batch per server, remembering how
+        # to restore it.  The batches are the messages themselves: the tamper
+        # hook mutates them in place without touching the callers' shares.
         layout: List[Tuple[bool, Tuple[int, ...], int]] = []  # (scalar?, shape, size)
+        arrays: List[Tuple[np.ndarray, np.ndarray]] = []
         for share1, share2 in pairs:
             scalar = not (isinstance(share1, np.ndarray) or isinstance(share2, np.ndarray))
             a1 = np.atleast_1d(np.asarray(share1, dtype=ring.dtype))
@@ -277,27 +281,35 @@ class OpeningAuthenticator:
                     label=label,
                 )
             layout.append((scalar, a1.shape, a1.size))
-            parts1.append(a1.ravel())
-            parts2.append(a2.ravel())
-        values1 = np.concatenate(parts1) if len(parts1) > 1 else parts1[0].ravel()
-        values2 = np.concatenate(parts2) if len(parts2) > 1 else parts2[0].ravel()
-        total = int(values1.size)
+            arrays.append((a1, a2))
+        total = sum(size for _, _, size in layout)
+        values1 = np.empty(total, dtype=ring.dtype)
+        values2 = np.empty(total, dtype=ring.dtype)
+        offset = 0
+        for (a1, a2), (_, shape, size) in zip(arrays, layout):
+            values1[offset : offset + size].reshape(shape)[...] = a1
+            values2[offset : offset + size].reshape(shape)[...] = a2
+            offset += size
+        del arrays
 
         with self._lock:
             round_index = self._rounds_started
             self._rounds_started += 1
             # Deal the tag shares: honest tag t = alpha * d, split with the
             # dedicated tag stream (trusted-dealer shortcut, see module doc).
-            honest = ring.add(values1, values2)
-            tags = ring.mul(self._key.alpha(ring), honest)
+            # tags2 = alpha * (v1 + v2) - tags1, computed in place.
             tags1 = ring.random_array(total, self._tag_rng)
-            tags2 = ring.sub(tags, tags1)
+            tags2 = np.add(values1, values2)
+            tags2 *= ring.dtype.type(self._key.alpha(ring))
+            tags2 -= tags1
+            if ring.bits < 64:
+                tags2 &= ring.dtype.type(ring.mask)
             opening = OpeningRound(
                 index=round_index,
                 label=label,
                 messages=(
-                    OpeningMessage(1, values1.copy(), tags1),
-                    OpeningMessage(2, values2.copy(), tags2),
+                    OpeningMessage(1, values1, tags1),
+                    OpeningMessage(2, values2, tags2),
                 ),
             )
             if self._tamper is not None:
@@ -305,19 +317,7 @@ class OpeningAuthenticator:
             self._validate_messages(opening, total)
             message1, message2 = opening.messages
             opened = ring.add(message1.values, message2.values)
-            sigma1 = ring.sub(message1.tags, ring.mul(self._key.alpha1, opened))
-            sigma2 = ring.sub(message2.tags, ring.mul(self._key.alpha2, opened))
-            residual = ring.add(sigma1, sigma2)
-            if np.any(residual):
-                position = int(np.flatnonzero(residual)[0])
-                raise CheaterDetectedError(
-                    f"MAC check failed in opening round {round_index} "
-                    f"({label!r}): {int(np.count_nonzero(residual))} of "
-                    f"{total} opened values carry inconsistent tags "
-                    f"(first at position {position}) — a server cheated",
-                    label=label,
-                    round_index=round_index,
-                )
+            self._check_tags(opening, opened)
             self.rounds_checked += 1
             self.values_checked += total
 
@@ -337,6 +337,37 @@ class OpeningAuthenticator:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _check_tags(self, opening: OpeningRound, opened: np.ndarray) -> None:
+        """Each server's ``sigma_i = t_i - alpha_i * d``; abort unless they cancel.
+
+        Checked in fixed-size slices so the check's temporaries stay small
+        however large the round is.
+        """
+        ring = self._ring
+        message1, message2 = opening.messages
+        alpha1 = ring.dtype.type(self._key.alpha1)
+        alpha2 = ring.dtype.type(self._key.alpha2)
+        failures = 0
+        first = None
+        for start in range(0, opened.size, _CHECK_SLICE):
+            window = slice(start, start + _CHECK_SLICE)
+            sigma1 = ring.sub(message1.tags[window], ring.mul(alpha1, opened[window]))
+            sigma2 = ring.sub(message2.tags[window], ring.mul(alpha2, opened[window]))
+            residual = ring.add(sigma1, sigma2)
+            bad = np.flatnonzero(residual)
+            if bad.size and first is None:
+                first = start + int(bad[0])
+            failures += int(bad.size)
+        if failures:
+            raise CheaterDetectedError(
+                f"MAC check failed in opening round {opening.index} "
+                f"({opening.label!r}): {failures} of {opened.size} opened values "
+                f"carry inconsistent tags (first at position {first}) — a "
+                "server cheated",
+                label=opening.label,
+                round_index=opening.index,
+            )
+
     def _validate_messages(self, opening: OpeningRound, expected: int) -> None:
         """Reject truncated / reshaped / retyped messages as cheating.
 

@@ -245,15 +245,15 @@ class ProtocolSweep:
         or registered name); ``None`` keeps the config default.
     workers:
         Per-run worker threads for each CARGO cell's secure count
-        (``CargoConfig(workers=...)``); ``None`` keeps the serial path.
+        (``CargoConfig(workers=...)``); ``None`` keeps one worker.
     sparse:
         Degree-local execution policy for the CARGO cells
         (``CargoConfig(sparse=...)``: ``auto`` / ``never`` / ``force``);
         ``None`` keeps the config default.
     tile_window:
-        Bounded tile window for the blocked backend's offline material
-        (``CargoConfig(tile_window=...)``); ``None`` keeps the
-        all-groups-at-once behaviour.
+        Tile groups per schedule chunk for the blocked backend
+        (``CargoConfig(tile_window=...)``); ``None`` makes the whole
+        schedule one chunk.
     distributed:
         When ``True`` every CARGO cell runs on the process-separated
         runtime (``CargoConfig(distributed=...)``): dealer and servers as

@@ -109,14 +109,14 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             paper_artifact="Figure 11",
             description="running time vs number of users (Facebook)",
             runner=figures.figure11_running_time,
-            modules=("repro.core.cargo", "repro.core.fast_counting", "repro.baselines"),
+            modules=("repro.core.cargo", "repro.core.backends", "repro.baselines"),
         ),
         ExperimentSpec(
             name="fig12",
             paper_artifact="Figure 12",
             description="running time vs number of users (Wiki)",
             runner=figures.figure12_running_time_wiki,
-            modules=("repro.core.cargo", "repro.core.fast_counting", "repro.baselines"),
+            modules=("repro.core.cargo", "repro.core.backends", "repro.baselines"),
         ),
         ExperimentSpec(
             name="stream",

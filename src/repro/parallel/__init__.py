@@ -20,8 +20,8 @@ a single value on the wire:
   repeated runs, sweep cells, and streaming anchors, skipping the re-deal
   entirely (and optionally persisting batches to disk).
 
-Select the engine with ``CargoConfig(workers=...)`` (CLI ``--workers``); the
-default ``workers=None`` keeps the exact legacy serial path.
+Set the worker count with ``CargoConfig(workers=...)`` (CLI ``--workers``);
+the default ``workers=None`` runs the same engine with one worker.
 """
 
 from repro.parallel.pool import WorkerPool, resolve_workers

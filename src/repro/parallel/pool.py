@@ -25,7 +25,7 @@ thread pool remains the parallelism mechanism.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
@@ -36,15 +36,16 @@ from repro.resilience.faults import fault_point
 def resolve_workers(config: Any) -> int:
     """The effective worker count a duck-typed *config* requests.
 
-    ``None`` (or a missing attribute) means the legacy serial path — the
-    engine is not engaged at all; any integer ``>= 1`` selects the parallel
-    engine with that many workers.  ``workers=1`` still runs the engine
-    (single-worker), which is what the worker-count equivalence tests compare
-    against.
+    ``None`` (or a missing attribute) means one worker; any integer ``>= 1``
+    is taken as is.  Every backend runs the same execution path at every
+    worker count, so the knob is purely a wall-clock lever.
+
+    >>> resolve_workers(None), resolve_workers(type("C", (), {"workers": 3})())
+    (1, 3)
     """
     workers = getattr(config, "workers", None)
     if workers is None:
-        return 0
+        return 1
     workers = int(workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
@@ -150,7 +151,3 @@ class WorkerPool:
         """A ``matmul(a, b)`` callable bound to *ring* (dealer/secure-op hook)."""
         return lambda a, b: self.matmul(ring, a, b)
 
-
-def make_pool(workers: int) -> Optional[WorkerPool]:
-    """A :class:`WorkerPool` for *workers* ``>= 1``, ``None`` for the serial path."""
-    return WorkerPool(workers) if workers else None

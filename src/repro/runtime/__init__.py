@@ -8,7 +8,7 @@ length-prefixed binary wire format (:mod:`repro.runtime.wire`).
 
 * :mod:`repro.runtime.wire` — the framing layer: message kinds, zero-copy
   numpy payload packing, per-endpoint byte accounting.
-* :mod:`repro.runtime.dealer` — the dealer process: replays the serial
+* :mod:`repro.runtime.dealer` — the dealer process: replays the in-process
   backends' correlated-randomness draw order and ships each dealt half to
   its server.
 * :mod:`repro.runtime.server` — the two server role drivers: each evaluates

@@ -3,9 +3,9 @@
 The in-process engine keeps the trusted dealer as an object the backends call
 into mid-protocol.  Here the dealer is what the paper actually describes: a
 third process that knows the counting schedule, deals every piece of
-correlated randomness *in the exact order the serial backends consume it*,
-and ships each half to its server as ``PROVISION`` frames.  Because both the
-dealer classes (:class:`~repro.crypto.multiplication_groups.MultiplicationGroupDealer`,
+correlated randomness *in the exact order the in-process backends consume
+it*, and ships each half to its server as ``PROVISION`` frames.  Because
+both the dealer classes (:class:`~repro.crypto.multiplication_groups.MultiplicationGroupDealer`,
 :class:`~repro.crypto.beaver.BeaverTripleDealer`) and the replayed schedule
 are identical to the in-process ones — same RNG stream, same bulk-provision
 chunking, same draw order — the dealt material is bit-identical, which is
@@ -22,6 +22,7 @@ import time
 from typing import Dict
 
 from repro.core.backends.base import num_candidate_triples
+from repro.core.backends.blocked import group_triples, tile_schedule
 from repro.core.backends.faithful import DEFAULT_PROVISION_LIMIT
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
@@ -83,32 +84,17 @@ def _deal_matrix(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> No
 
 
 def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
-    """Replay the blocked backend's serial tile order, draw by draw."""
-    ring = spec["ring"]
+    """Replay the blocked tile schedule, group ``g`` from sub-dealer ``g``."""
     n = int(spec["num_users"])
-    block_size = int(spec["block_size"])
     if n < 3:
         return
-    dealer = BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"])
-    blocks = [(start, min(start + block_size, n)) for start in range(0, n, block_size)]
-    for j0, j1 in blocks:
-        for k0, k1 in blocks:
-            if j0 >= k1 - 1:
-                continue
-            rows_j = j1 - j0
-            cols_k = k1 - k0
-            for i0, i1 in blocks:
-                if i0 >= j1 - 1:
-                    continue
-                _ship_triple(
-                    dealer.matrix_triple((rows_j, i1 - i0), (i1 - i0, cols_k)),
-                    "matrix_triple",
-                    server1,
-                    server2,
-                )
-            _ship_triple(
-                dealer.vector_triple((rows_j, cols_k)), "vector_triple", server1, server2
-            )
+    dealer = BeaverTripleDealer(ring=spec["ring"], seed=spec["dealer_rng"])
+    schedule = tile_schedule(n, int(spec["block_size"]))
+    for group, sub_dealer in zip(schedule, dealer.spawn_subdealers(len(schedule))):
+        tiles = len(group[4])
+        for index, triple in enumerate(group_triples(group, sub_dealer)):
+            label = "matrix_triple" if index < tiles else "vector_triple"
+            _ship_triple(triple, label, server1, server2)
 
 
 _DEALERS = {

@@ -15,7 +15,7 @@ Three guarantees define the runtime:
   counters are bit-identical to an in-process run with the same seed and
   configuration, for every counting backend.  The driver re-derives the
   same RNG substreams, the dealer replays the same provisioning order, and
-  the servers execute the same serial ring arithmetic.
+  the servers execute the same ring arithmetic in the same order.
 * **Ledger/wire reconciliation** — the
   :class:`~repro.crypto.protocol.CommunicationLedger` stops being a mere
   estimate: after every release the driver reconciles each ledgered
@@ -49,7 +49,7 @@ from repro.core.cargo import (
     resolve_sparse_mode,
 )
 from repro.core.config import CargoConfig
-from repro.core.counting import CountResult
+from repro.core.backends.base import CountResult
 from repro.core.backends.base import share_adjacency_rows
 from repro.core.max_degree import MaxDegreeEstimator
 from repro.core.perturbation import DistributedPerturbation, PerturbationResult
@@ -106,10 +106,10 @@ def _validate_distributed_config(config: CargoConfig) -> None:
             "sparse='force' has no distributed execution path (triangles "
             "never run sparse)"
         )
-    if getattr(config, "workers", None):
+    if (getattr(config, "workers", None) or 1) > 1:
         raise ConfigurationError(
             "in-process worker pools cannot cross the process boundary; "
-            "unset workers for distributed runs"
+            "use workers=1 (or unset) for distributed runs"
         )
     if getattr(config, "triple_store", None) is not None:
         raise ConfigurationError(

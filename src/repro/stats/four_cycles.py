@@ -209,14 +209,14 @@ class FourCycleStatistic(SubgraphStatistic):
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
 
         dealer = BeaverTripleDealer(ring=ring, seed=dealer_rng)
-        # Worker-count neutrality: with workers configured, the dealer's
+        # Worker-count neutrality: with more than one worker, the dealer's
         # Z = X @ Y products and the servers' local matrix products run as
         # row-striped pool matmuls.  Row strips are bit-identical to the
-        # serial product and the dealing order is unchanged, so the
-        # transcript is the same for every worker count (including none).
+        # plain product and the dealing order is unchanged, so the
+        # transcript is the same for every worker count.
         workers = resolve_workers(config)
         matmul = None
-        if workers:
+        if workers > 1:
             pool = WorkerPool(workers)
             matmul = pool.ring_matmul(ring)
             dealer.matmul = matmul

@@ -166,9 +166,9 @@ class StreamingConfig:
         Backend construction parameters, mirroring
         :class:`~repro.core.config.CargoConfig`.
     workers:
-        ``None`` keeps the serial anchor path; ``>= 1`` runs each anchor's
-        secure count through the tile-parallel engine with that many worker
-        threads (released estimates are identical either way).
+        Worker threads for each anchor's secure count; ``None`` (default)
+        means one.  Transcripts and released estimates are identical for
+        every count.
     sparse:
         Degree-local anchor policy, mirroring ``CargoConfig.sparse``:
         ``"auto"`` (the default) runs anchors for degree statistics
@@ -255,7 +255,7 @@ class StreamingConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
-                f"workers must be at least 1 (or None for the serial path), "
+                f"workers must be at least 1 (or None for one worker), "
                 f"got {self.workers}"
             )
         if self.release_every <= 0:

@@ -4,7 +4,7 @@
 code noticeably — so peak-memory numbers are always taken in a *separate*
 pass from the wall-clock timings, never mixed into a timed repetition.
 Every benchmark's ``peak_bytes``/``seconds_traced`` fields come from this
-one code path (``benchmarks/memprof.py`` is now a shim over it).
+one code path.
 
 While :func:`traced_call` is tracing, any telemetry spans opened inside the
 callable pick up their ``memory_delta_bytes`` attribute for free — the

@@ -4,8 +4,7 @@ The paper's Figures 11 and 12 break CARGO's running time down by phase (most
 of the cost is the secure ``Count`` step).  :class:`TimerRegistry` lets the
 protocol record named phase timings without importing any experiment code.
 
-This module lives in the telemetry layer; ``repro.utils.timer`` remains as
-a backwards-compatible re-export shim.  New code that wants hierarchy,
+This module lives in the telemetry layer.  New code that wants hierarchy,
 attributes, or memory deltas should use :class:`repro.telemetry.Tracer`
 instead — flat named timers stay around for the baselines, whose phase
 breakdown is one level deep.

@@ -1,8 +1,7 @@
-"""Small shared utilities: seeded randomness, validation, and timing."""
+"""Small shared utilities: seeded randomness, atomic writes, and validation."""
 
 from repro.utils.atomic import atomic_write_bytes, atomic_write_json, atomic_write_text
 from repro.utils.rng import RandomState, derive_rng, spawn_rngs
-from repro.utils.timer import Timer, TimerRegistry
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -18,8 +17,6 @@ __all__ = [
     "atomic_write_text",
     "derive_rng",
     "spawn_rngs",
-    "Timer",
-    "TimerRegistry",
     "check_in_range",
     "check_non_negative",
     "check_positive",

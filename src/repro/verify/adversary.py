@@ -13,11 +13,11 @@ statistic and assert the only possible outcomes are
 
 never a silently wrong released count.
 
-Round indices are deterministic for serial runs (``workers=None``), which is
+Round indices are deterministic at one worker (the default), which is
 what the corruption matrix relies on to target, say, "the second Beaver
-opening of the blocked backend".  Under a thread pool the order in which
+opening of the blocked backend".  Under a larger pool the order in which
 rounds reach the authenticator may vary, so corruption-targeting runs must
-stay serial.
+keep one worker.
 
 Examples
 --------

@@ -9,8 +9,8 @@ that every PR so far has pinned with hand-written tests:
    bit-identical noisy count for the same seed;
 3. **honest-authentication bit-identity** — ``authenticate=True`` changes
    nothing about an honest release except that its openings are MAC-checked;
-4. **worker invariance** — the tile-parallel engine's transcripts and
-   counts match the serial path for any worker count;
+4. **worker invariance** — transcripts and counts are identical for any
+   worker count, the default included;
 5. **manifest validity** — a traced run's manifest validates against the
    schema and its ledger reconciles against the metric counters;
 6. **wire round-trip** — every distributed-runtime frame kind
@@ -317,14 +317,11 @@ def run_case(case: FuzzCase) -> List[str]:
         if authenticator.rounds_checked < 1:
             problems.append("authenticated run checked zero opening rounds")
 
-        # 4. Worker invariance.  The released count is worker-independent
-        # outright (serial included); the *transcript* is pinned within the
-        # tile-parallel engine only (workers=N vs workers=1), because the
-        # engine deals each group from its own sub-dealer substream while
-        # the serial path draws from one sequential dealer stream — same
-        # count, different (equally valid) correlated randomness.
+        # 4. Worker invariance: every backend runs one execution path, and
+        # the default (workers=None) is that path at one worker, so count
+        # and transcript must both match any worker count.
         if case.workers is not None:
-            serial_count, _ = _release(
+            default_count, default_views = _release(
                 graph,
                 CargoConfig(
                     epsilon=epsilon,
@@ -332,25 +329,14 @@ def run_case(case: FuzzCase) -> List[str]:
                     **case.config_kwargs(workers=None),
                 ),
             )
-            if serial_count != count:
+            if default_count != count:
                 problems.append(
-                    f"workers={case.workers} released {count}, serial {serial_count}"
+                    f"workers={case.workers} released {count}, "
+                    f"default {default_count}"
                 )
-            one_count, one_views = _release(
-                graph,
-                CargoConfig(
-                    epsilon=epsilon,
-                    record_views=True,
-                    **case.config_kwargs(workers=1),
-                ),
-            )
-            if one_count != count:
+            elif not transcripts_equal(views, default_views):
                 problems.append(
-                    f"workers={case.workers} released {count}, workers=1 {one_count}"
-                )
-            elif not transcripts_equal(views, one_views):
-                problems.append(
-                    f"workers={case.workers} transcript differs from workers=1"
+                    f"workers={case.workers} transcript differs from the default"
                 )
 
         # 5. Manifest validity + ledger reconciliation on a traced run.

@@ -1,11 +1,11 @@
-"""Tests for repro.core.counting (Algorithm 4, faithful `Count`)."""
+"""Tests for the faithful `Count` backend (Algorithm 4, repro.core.backends.faithful)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.counting import (
+from repro.core.backends import (
     FaithfulTriangleCounter,
     iter_candidate_triples,
     share_adjacency_rows,

@@ -1,12 +1,11 @@
-"""Tests for repro.core.fast_counting (matrix backend of `Count`)."""
+"""Tests for the matrix backend of `Count` (repro.core.backends.matrix)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.counting import FaithfulTriangleCounter
-from repro.core.fast_counting import MatrixTriangleCounter
+from repro.core.backends import FaithfulTriangleCounter, MatrixTriangleCounter
 from repro.core.projection import SimilarityProjection, projected_triangle_count
 from repro.exceptions import ProtocolError
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph

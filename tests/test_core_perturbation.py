@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.counting import CountResult
+from repro.core.backends import CountResult
 from repro.core.perturbation import DistributedPerturbation
 from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.sharing import share_scalar

@@ -180,6 +180,74 @@ class TestOpeningAuthenticator:
         with pytest.raises(CheaterDetectedError, match="shapes disagree"):
             auth.exchange("round", [(np.zeros(2, dtype=np.uint64), np.zeros(3, dtype=np.uint64))])
 
+    def test_tags_are_the_dealt_split_of_alpha_times_value(self):
+        from repro.crypto.mac import _TAG_DOMAIN
+        from repro.utils.rng import derive_rng, stable_seed_from_name
+
+        ring = DEFAULT_RING
+        rng = np.random.default_rng(3)
+        v1 = rng.integers(0, 2**63, (4, 5), dtype=np.uint64)
+        v2 = rng.integers(0, 2**63, (4, 5), dtype=np.uint64)
+        seen = []
+        auth = OpeningAuthenticator(seed=13, tamper=seen.append)
+        auth.exchange("round", [(v1, v2), (7, 8)])
+        tag_rng = derive_rng(stable_seed_from_name(_TAG_DOMAIN, 13))
+        honest = np.concatenate([ring.add(v1, v2).ravel(), np.array([15], dtype=np.uint64)])
+        tags1 = ring.random_array(21, tag_rng)
+        tags2 = ring.sub(ring.mul(auth.key.alpha(ring), honest), tags1)
+        (opening,) = seen
+        np.testing.assert_array_equal(opening.messages[0].tags, tags1)
+        np.testing.assert_array_equal(opening.messages[1].tags, tags2)
+
+    def test_tamper_never_touches_the_callers_shares(self):
+        def lie(opening):
+            opening.messages[0].values[:] = 0
+
+        share1 = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        share2 = np.ones((2, 3), dtype=np.uint64)
+        auth = OpeningAuthenticator(seed=0, tamper=lie)
+        with pytest.raises(CheaterDetectedError):
+            auth.exchange("round", [(share1, share2)])
+        np.testing.assert_array_equal(share1, np.arange(6).reshape(2, 3))
+
+    def test_check_reports_tamper_past_the_first_slice(self):
+        from repro.crypto.mac import _CHECK_SLICE
+
+        target = _CHECK_SLICE + 5
+
+        def lie(opening):
+            opening.messages[1].values[target] += np.uint64(1)
+
+        size = 2 * _CHECK_SLICE + 3
+        share = np.zeros(size, dtype=np.uint64)
+        auth = OpeningAuthenticator(seed=0, tamper=lie)
+        with pytest.raises(CheaterDetectedError, match=f"1 of {size} .*position {target}"):
+            auth.exchange("round", [(share, share)])
+
+    def test_round_peak_memory_is_a_small_multiple_of_its_values(self):
+        """One round holds each server's values and tags plus the opened
+        vector; the tag check runs in bounded slices."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        # Transposed operands, like a Beaver opening of a matrix product.
+        pairs = [
+            (
+                rng.integers(0, 2**63, (384, 384), dtype=np.uint64).T,
+                rng.integers(0, 2**63, (384, 384), dtype=np.uint64).T,
+            )
+            for _ in range(2)
+        ]
+        value_bytes = sum(s1.nbytes + s2.nbytes for s1, s2 in pairs)
+        auth = OpeningAuthenticator(seed=1)
+        tracemalloc.start()
+        try:
+            auth.exchange("round", pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * value_bytes, peak / value_bytes
+
     def test_empty_round_is_a_noop(self):
         auth = OpeningAuthenticator(seed=0)
         assert auth.exchange("round", []) == []

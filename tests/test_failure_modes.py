@@ -16,8 +16,7 @@ from repro.baselines.central_lap import CentralLaplaceTriangleCounting
 from repro.baselines.local_two_rounds import LocalTwoRoundsTriangleCounting
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
-from repro.core.counting import FaithfulTriangleCounter
-from repro.core.fast_counting import MatrixTriangleCounter
+from repro.core.backends import FaithfulTriangleCounter, MatrixTriangleCounter
 from repro.core.projection import SimilarityProjection
 from repro.crypto.protocol import TwoServerRuntime
 from repro.exceptions import (

@@ -1,13 +1,10 @@
 """Tile-parallel engine: bit-identical transcripts for any worker count.
 
-The engine's claim is strong: enabling ``workers`` (and any value of it)
-changes *nothing observable* — released counts, communication ledgers, and
-recorded per-server views are bit-identical for workers ∈ {1, 2, 4} on every
-backend and every registered statistic.  For the matrix and faithful/batched
-backends the engine transcript additionally equals the legacy serial path's
-(same dealer draw order); the blocked engine deals from per-tile substreams,
-so its transcript is pinned across worker counts (and its reconstructed
-count to the legacy value).
+The engine's claim is strong: the value of ``workers`` changes *nothing
+observable* — released counts, communication ledgers, and recorded
+per-server views are bit-identical for workers ∈ {None, 1, 2, 4} on every
+backend and every registered statistic; the default (``workers=None``) is
+the same engine at one worker.
 
 Also covered here: the worker pool's deterministic ordering, the
 thread-safety of :class:`ViewRecorder`/:class:`CommunicationLedger`
@@ -41,7 +38,8 @@ from repro.stream import StreamingCargo, StreamingConfig, replay_stream
 
 BACKENDS = ("faithful", "batched", "matrix", "blocked")
 STATISTICS = ("triangles", "kstars", "wedges", "4cycles")
-WORKER_COUNTS = (1, 2, 4)
+#: ``None`` (the default) is the one-worker engine, so it joins the sweep.
+WORKER_COUNTS = (1, None, 2, 4)
 
 
 def _view_streams(views: ViewRecorder):
@@ -86,7 +84,7 @@ def _run_cargo(graph, statistic, backend, workers, store=None, telemetry=None):
 
 
 class TestWorkerCountEquivalence:
-    """workers ∈ {1, 2, 4} are indistinguishable, per backend × statistic."""
+    """workers ∈ {None, 1, 2, 4} are indistinguishable, per backend × statistic."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -103,28 +101,19 @@ class TestWorkerCountEquivalence:
                 workers,
             )
 
-    @pytest.mark.parametrize("backend", ("matrix", "faithful", "batched"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_transcript_equals_legacy_for_serial_draw_backends(self, graph, backend):
-        """matrix/faithful/batched keep the legacy dealer draw order exactly."""
-        legacy = _run_cargo(graph, "triangles", backend, workers=None)
+        """The default (``workers=None``) run is the one-worker engine: its
+        full transcript — views included — equals a multi-worker run's."""
+        default = _run_cargo(graph, "triangles", backend, workers=None)
         engine = _run_cargo(graph, "triangles", backend, workers=2)
-        assert engine == legacy
-
-    def test_blocked_engine_output_equals_legacy(self, graph):
-        """The blocked engine re-keys the dealer substreams (different masks)
-        but the released values and ledger are unchanged."""
-        legacy = _run_cargo(graph, "triangles", "blocked", workers=None)
-        engine = _run_cargo(graph, "triangles", "blocked", workers=2)
-        # noisy count, true count, projected count, ledger — all identical.
-        assert engine[:5] == legacy[:5]
-        # Same number of openings recorded, even though mask values differ.
-        assert len(engine[5]) == len(legacy[5])
+        assert engine == default
 
 
 class TestTelemetryDeterminism:
     """Tracing follows the same shard-merge discipline as the views: the
     span tree's deterministic part and the metric registry are identical
-    for workers ∈ {1, 2, 4}, and tracing never perturbs the transcript."""
+    for workers ∈ {None, 1, 2, 4}, and tracing never perturbs the transcript."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -212,8 +201,8 @@ class TestTripleStoreThroughPipeline:
         assert result.anchors_run >= 2
         # Every anchor after the first fetches its material warm.
         assert store.hits >= result.anchors_run - 1
-        # Estimates are identical to a plain serial run: the secure count is
-        # exact regardless of which masks the dealer used.
+        # Estimates are identical to a plain store-less run: the secure count
+        # is exact regardless of which masks the dealer used.
         plain = StreamingCargo(
             StreamingConfig(
                 epsilon=4.0,

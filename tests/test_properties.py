@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.counting import FaithfulTriangleCounter
-from repro.core.fast_counting import MatrixTriangleCounter
+from repro.core.backends import FaithfulTriangleCounter, MatrixTriangleCounter
 from repro.core.projection import SimilarityProjection, projected_triangle_count
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer

@@ -70,7 +70,7 @@ class TestBitIdentity:
         result = Cargo(make_config("matrix", distributed=True)).run(graph)
         assert result.noisy_triangle_count == baseline.noisy_triangle_count
 
-    @pytest.mark.parametrize("backend", ("batched", "matrix"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_adversarial_views_identical(self, graph, backend):
         local_cargo = Cargo(make_config(backend, record_views=True))
         local_cargo.run(graph)
@@ -90,14 +90,15 @@ class TestBitIdentity:
             for mine, theirs in zip(local_values, remote_values):
                 assert np.array_equal(np.asarray(mine), np.asarray(theirs))
 
-    def test_span_structure_matches_in_process(self, graph):
+    @pytest.mark.parametrize("backend", ("matrix", "blocked"))
+    def test_span_structure_matches_in_process(self, graph, backend):
         from repro.telemetry import Telemetry
 
         local = Telemetry()
-        Cargo(make_config("matrix", telemetry=local)).run(graph)
+        Cargo(make_config(backend, telemetry=local)).run(graph)
         remote = Telemetry()
         run_distributed(
-            graph, make_config("matrix", distributed=True, telemetry=remote)
+            graph, make_config(backend, distributed=True, telemetry=remote)
         )
         assert remote.tracer.structure() == local.tracer.structure()
 
@@ -165,6 +166,14 @@ class TestScopeGuards:
         config = CargoConfig(epsilon=2.0, seed=0, distributed=True, **overrides)
         with pytest.raises(ConfigurationError, match=match):
             DistributedRuntime(config)
+
+    def test_single_worker_accepted(self, graph):
+        """``workers=1`` is the default engine, so the runtime takes it."""
+        baseline = Cargo(make_config("blocked")).run(graph)
+        result = run_distributed(
+            graph, make_config("blocked", distributed=True, workers=1)
+        )
+        assert result.noisy_triangle_count == baseline.noisy_triangle_count
 
     def test_triple_store_rejected(self):
         from repro.parallel import TripleStore

@@ -260,13 +260,10 @@ class TestMultiChunkTranscriptEquivalence:
 
 
 class TestWorkerCountTranscriptEquivalence:
-    """The tile-parallel engine never moves a value on the wire.
+    """The worker count never moves a value on the wire.
 
-    For the faithful/batched schedule the engine keeps the legacy dealer
-    draw order exactly, so its opening streams must equal the serial path's
-    bit for bit at every worker count; for the blocked engine (per-tile
-    dealer substreams) the streams must be pinned across worker counts and
-    the reconstructed count must match the legacy backend.
+    Every backend runs one execution path; the default (one worker) and any
+    larger pool must open the same streams bit for bit.
     """
 
     @pytest.fixture(scope="class")
@@ -279,7 +276,10 @@ class TestWorkerCountTranscriptEquivalence:
         dealer = MultiplicationGroupDealer(seed=61)
         views = ViewRecorder()
         counter = FaithfulTriangleCounter(
-            dealer=dealer, batch_size=batch_size, views=views, workers=workers
+            dealer=dealer,
+            batch_size=batch_size,
+            views=views,
+            **({} if workers is None else {"workers": workers}),
         )
         result = counter.count_from_shares(share1, share2)
         entries = views.view(1).values("mg_opening")
@@ -292,13 +292,13 @@ class TestWorkerCountTranscriptEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("batch_size", [5, 64])
-    def test_engine_openings_equal_legacy_serial(self, shares, workers, batch_size):
-        legacy_result, legacy_stream = self._faithful_openings(shares, 0, batch_size)
+    def test_engine_openings_equal_default(self, shares, workers, batch_size):
+        default_result, default_stream = self._faithful_openings(shares, None, batch_size)
         engine_result, engine_stream = self._faithful_openings(shares, workers, batch_size)
         for wire in range(3):
-            assert np.array_equal(legacy_stream[wire], engine_stream[wire]), wire
-        assert legacy_result.share1 == engine_result.share1
-        assert legacy_result.share2 == engine_result.share2
+            assert np.array_equal(default_stream[wire], engine_stream[wire]), wire
+        assert default_result.share1 == engine_result.share1
+        assert default_result.share2 == engine_result.share2
 
     def test_blocked_engine_openings_pinned_across_workers(self, shares):
         from repro.core.backends import BlockedMatrixTriangleCounter
@@ -323,11 +323,14 @@ class TestWorkerCountTranscriptEquivalence:
             return result, stream
 
         reference_result, reference_stream = openings(1)
-        legacy = BlockedMatrixTriangleCounter(
+        default = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=62), block_size=4
         ).count_from_shares(share1, share2)
-        assert reference_result.reconstruct() == legacy.reconstruct()
-        assert reference_result.opening_rounds == legacy.opening_rounds
+        assert (default.share1, default.share2) == (
+            reference_result.share1,
+            reference_result.share2,
+        )
+        assert reference_result.opening_rounds == default.opening_rounds
         for workers in (2, 4):
             result, stream = openings(workers)
             assert (result.share1, result.share2) == (

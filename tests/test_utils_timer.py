@@ -1,4 +1,4 @@
-"""Tests for repro.utils.timer."""
+"""Tests for repro.telemetry.timers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.utils.timer import Timer, TimerRegistry
+from repro.telemetry.timers import Timer, TimerRegistry
 
 
 class TestTimer:
