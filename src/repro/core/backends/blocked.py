@@ -36,16 +36,19 @@ in the tens of thousands of users.
 consumes its own correlated randomness and its openings are pure functions
 of the shares and that randomness.  The backend therefore walks the
 canonical :func:`tile_schedule` once, with group ``g`` always dealing from
-the ``g``-th sub-dealer spawned from the dealer's seed.  Groups fan out over
-a :class:`~repro.parallel.pool.WorkerPool` (one worker by default), record
+the ``g``-th sub-dealer spawned from the dealer's seed, and evaluates each
+group with the :func:`count_group` kernel.  Groups fan out over a
+:class:`~repro.parallel.pool.WorkerPool` (one worker by default), record
 their openings into private :class:`~repro.crypto.views.ViewRecorder`
 shards, and reduce in canonical group order — so the transcript, the
 accounting, and the output shares are bit-identical for any worker count.
 ``tile_window`` walks the schedule in chunks of that many groups; a
 configured :class:`~repro.parallel.store.TripleStore` memoises each chunk's
 dealt material, so repeated runs, sweep cells, and streaming anchors skip
-the offline phase entirely.  The process-separated runtime replays the same
-schedule (:mod:`repro.runtime.dealer`, :mod:`repro.runtime.server`).
+the offline phase entirely.  The process-separated runtime walks the same
+schedule: its dealer deals through :func:`group_triples`
+(:mod:`repro.runtime.dealer`) and each server runs :func:`count_group` on
+its own share (:mod:`repro.runtime.server`).
 """
 
 from __future__ import annotations
@@ -112,6 +115,34 @@ def group_triples(group: tuple, dealer):
     for i0, i1 in i_tiles:
         yield dealer.matrix_triple((j1 - j0, i1 - i0), (i1 - i0, k1 - k0))
     yield dealer.vector_triple((j1 - j0, k1 - k0))
+
+
+def count_group(group: tuple, triples, shares, ring, views, opener) -> tuple:
+    """One ``(J, K)`` group: accumulate ``M_JK``, finish, subtotal per held role.
+
+    *triples* yields the group's material in :func:`group_triples` order;
+    *shares* holds one share matrix per role the *opener* holds (see
+    :mod:`repro.crypto.secure_ops`).  The in-process backend and the
+    distributed runtime's servers both run this kernel.
+    """
+    j0, j1, k0, k1, i_tiles = group
+    m = [np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype) for _ in shares]
+    for i0, i1 in i_tiles:
+        left = tuple(
+            np.ascontiguousarray(strict_upper(share[i0:i1, j0:j1], i0, j0).T)
+            for share in shares
+        )
+        right = tuple(strict_upper(share[i0:i1, k0:k1], i0, k0) for share in shares)
+        partial = secure_matrix_multiply(
+            left, right, next(triples), ring=ring, views=views, authenticator=opener
+        )
+        m = [ring.add(acc, part) for acc, part in zip(m, partial)]
+    products = secure_multiply_pair(
+        tuple(strict_upper(share[j0:j1, k0:k1], j0, k0) for share in shares),
+        tuple(strict_upper(acc, j0, k0) for acc in m),
+        next(triples), ring=ring, views=views, authenticator=opener,
+    )
+    return tuple(ring.sum(product) for product in products)
 
 
 class _StoredGroup:
@@ -280,7 +311,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
     def _run_group(self, group: tuple, dealer, share1: np.ndarray, share2: np.ndarray) -> tuple:
-        """One ``(J, K)`` group: accumulate ``M_JK``, finish, subtotal.
+        """One ``(J, K)`` group through :func:`count_group`, both roles held.
 
         *dealer* is the group's sub-dealer (each triple is dealt just before
         its product, so a group holds one tile triple at a time) or its
@@ -289,49 +320,22 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         shards the coordinator merges in canonical schedule order, so the
         transcript and the trace tree are identical for any worker count.
         """
-        ring = self._ring
-        j0, j1, k0, k1, i_tiles = group
+        j0, _, k0, _, i_tiles = group
         shard = ViewRecorder() if self._views is not None else None
         tracer_shard = self._telemetry.tracer.shard()
         snapshot = dealer.state_snapshot()
         try:
-            triples = group_triples(group, dealer)
             with tracer_shard.span(
                 "tile_group", j0=j0, k0=k0, opening_rounds=len(i_tiles) + 1
             ):
-                m1 = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
-                m2 = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
-                for i0, i1 in i_tiles:
-                    left1 = np.ascontiguousarray(strict_upper(share1[i0:i1, j0:j1], i0, j0).T)
-                    left2 = np.ascontiguousarray(strict_upper(share2[i0:i1, j0:j1], i0, j0).T)
-                    right1 = strict_upper(share1[i0:i1, k0:k1], i0, k0)
-                    right2 = strict_upper(share2[i0:i1, k0:k1], i0, k0)
-                    partial1, partial2 = secure_matrix_multiply(
-                        (left1, left2), (right1, right2), next(triples),
-                        ring=ring, views=shard,
-                        authenticator=self._authenticator,
-                    )
-                    m1 = ring.add(m1, partial1)
-                    m2 = ring.add(m2, partial2)
-                c_tile1 = strict_upper(share1[j0:j1, k0:k1], j0, k0)
-                c_tile2 = strict_upper(share2[j0:j1, k0:k1], j0, k0)
-                prod1, prod2 = secure_multiply_pair(
-                    (c_tile1, c_tile2),
-                    (strict_upper(m1, j0, k0), strict_upper(m2, j0, k0)),
-                    next(triples), ring=ring, views=shard,
-                    authenticator=self._authenticator,
+                sum1, sum2 = count_group(
+                    group, group_triples(group, dealer), (share1, share2),
+                    self._ring, shard, self._authenticator,
                 )
         except BaseException:
             dealer.state_restore(snapshot)
             raise
-        return (
-            ring.sum(prod1),
-            ring.sum(prod2),
-            len(i_tiles) + 1,
-            shard,
-            tracer_shard,
-            dealer.accounting(),
-        )
+        return sum1, sum2, len(i_tiles) + 1, shard, tracer_shard, dealer.accounting()
 
     def _chunk_sources(
         self, n, dealer_key, chunk_index, schedule, groups, sub_dealers, pool

@@ -180,6 +180,62 @@ def _gather_schedule(num_users: int, batch_size: int):
     return schedule
 
 
+def group_stream(
+    dealer: MultiplicationGroupDealer,
+    num_users: int,
+    batch_size: int,
+    provision_limit: int = DEFAULT_PROVISION_LIMIT,
+    to_provision: Optional[int] = None,
+) -> Iterator:
+    """Yield each candidate block's multiplication group from *dealer*, in schedule order.
+
+    The buffered offline phase: the dealer is provisioned in chunks of
+    exactly ``min(still-unprovisioned, provision_limit)`` groups, each drawn
+    when the next block needs it.  The chunk sequence depends only on the
+    total candidate count and the limit — never on the batch size — so the
+    provisioned mask stream (and therefore every opening) is identical
+    across batch sizes.  *to_provision* is how many groups are still to be
+    provisioned (default: all of them, or none when ``provision_limit`` is
+    ``0`` and every block draws unbuffered); ``0`` walks a pool that is
+    already filled.  The in-process backend and the runtime dealer both
+    walk this stream, so their material is identical.
+    """
+    remaining = num_candidate_triples(num_users)
+    if to_provision is None:
+        to_provision = remaining if provision_limit else 0
+    while remaining:
+        size = min(batch_size, remaining)
+        remaining -= size
+        to_provision = _provision(dealer, size, to_provision, provision_limit)
+        yield dealer.vector_group((size,))
+
+
+def _provision(dealer, needed: int, to_provision: int, provision_limit: int) -> int:
+    """Provision chunks until *dealer* buffers *needed* groups; return what is left."""
+    while to_provision and dealer.provisioned_remaining < needed:
+        draw = min(to_provision, provision_limit)
+        dealer.provision(draw)
+        to_provision -= draw
+    return to_provision
+
+
+def count_block(size, rows, cols, group, shares, ring, views, opener) -> tuple:
+    """One candidate block's online phase: each held role's product subtotal.
+
+    *shares* holds one share matrix per role the *opener* holds (see
+    :mod:`repro.crypto.secure_ops`); *group* is the block's multiplication
+    group.  One fused gather per share matrix: the three wires ``a_ij, a_ik,
+    a_jk`` of every candidate triple in the block share a single
+    fancy-indexing read of shape ``(3, size)``.  The in-process backend and
+    the distributed runtime's servers both run this kernel.
+    """
+    ij, ik, jk = zip(*(share[rows, cols].reshape(3, size) for share in shares))
+    products = secure_multiply_triple(
+        ij, ik, jk, group, ring=ring, views=views, authenticator=opener
+    )
+    return tuple(ring.sum(product) for product in products)
+
+
 @register_backend("faithful")
 class FaithfulTriangleCounter(TriangleCounterBackend):
     """Per-triple secure counting — the literal Algorithm 4.
@@ -281,36 +337,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
     # ------------------------------------------------------------------ #
     # Candidate blocks
     # ------------------------------------------------------------------ #
-    def _run_block(
-        self,
-        size: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        group,
-        share1: np.ndarray,
-        share2: np.ndarray,
-    ) -> tuple:
-        """Online phase of one candidate block (pure given shares + group).
-
-        One fused gather per server: the three wires ``a_ij, a_ik, a_jk`` of
-        every candidate triple in the block share a single fancy-indexing
-        read of shape ``(3, size)``.
-        """
-        ring = self._ring
-        shard = ViewRecorder() if self._views is not None else None
-        gathered1 = share1[rows, cols].reshape(3, size)
-        gathered2 = share2[rows, cols].reshape(3, size)
-        product1, product2 = secure_multiply_triple(
-            (gathered1[0], gathered2[0]),
-            (gathered1[1], gathered2[1]),
-            (gathered1[2], gathered2[2]),
-            group,
-            ring=ring,
-            views=shard,
-            authenticator=self._authenticator,
-        )
-        return ring.sum(product1), ring.sum(product2), shard
-
     def _count_blocks(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
         """Fan candidate blocks out over a worker pool, in bounded waves.
 
@@ -327,11 +353,8 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         total_candidates = num_candidate_triples(num_users)
         pool = WorkerPool(self._workers)
 
-        # Buffered offline phase: provision the dealer in chunks of exactly
-        # min(still-unprovisioned, provision_limit).  The chunk sequence
-        # depends only on the total candidate count and the limit — never on
-        # the batch size — so the provisioned mask stream (and therefore
-        # every opening) is identical across batch sizes.
+        # Buffered offline phase (see group_stream): every group still to be
+        # provisioned, unless buffering is off.
         to_provision = total_candidates if self._provision_limit else 0
         # Offline reuse: the provisioned stream is a deterministic function
         # of (dealer seed, total, provision_limit), so it is storable.  A
@@ -361,10 +384,9 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
                         )
                     to_provision = 0
                 elif self._store.accepts_bytes(stream_bytes):
-                    while to_provision:
-                        draw = min(to_provision, self._provision_limit)
-                        dealer.provision(draw)
-                        to_provision -= draw
+                    to_provision = _provision(
+                        dealer, total_candidates, to_provision, self._provision_limit
+                    )
                     self._store.put(signature, {"blocks": dealer.export_pool()})
                 offline_span.annotate(groups=total_candidates)
 
@@ -375,33 +397,31 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         wave: list = []
         wave_capacity = 4 * self._workers
 
+        def run_block(size, rows, cols, group) -> tuple:
+            shard = ViewRecorder() if self._views is not None else None
+            sums = count_block(
+                size, rows, cols, group, (share1, share2), ring, shard, self._authenticator
+            )
+            return sums, shard
+
         def flush() -> None:
             nonlocal total1, total2
-            results = pool.map(
-                [
-                    (
-                        lambda s=size, r=rows, c=cols, g=group: self._run_block(
-                            s, r, c, g, share1, share2
-                        )
-                    )
-                    for size, rows, cols, group in wave
-                ]
-            )
-            for sum1, sum2, shard in results:
+            results = pool.map([(lambda block=block: run_block(*block)) for block in wave])
+            for (sum1, sum2), shard in results:
                 total1 = ring.add(total1, sum1)
                 total2 = ring.add(total2, sum2)
                 if shard is not None:
                     self._views.merge_from(shard)
             wave.clear()
 
-        for size, rows, cols in _gather_schedule(num_users, self._batch_size):
-            while to_provision and dealer.provisioned_remaining < size:
-                draw = min(to_provision, self._provision_limit)
-                dealer.provision(draw)
-                to_provision -= draw
-            # The group slice is assigned serially, in schedule order: the
-            # masks a block carries depend only on its stream position.
-            group = dealer.vector_group((size,))
+        groups = group_stream(
+            dealer, num_users, self._batch_size, self._provision_limit, to_provision
+        )
+        # Zipped with the schedule, each group is dealt serially, in schedule
+        # order: the masks a block carries depend only on its stream position.
+        for (size, rows, cols), group in zip(
+            _gather_schedule(num_users, self._batch_size), groups
+        ):
             wave.append((size, rows, cols, group))
             triples_processed += size
             opening_rounds += 1

@@ -53,6 +53,36 @@ from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
 
+def count_online(
+    shares, matrix_triple, elementwise_triple, ring, views, opener, matmul=None
+) -> tuple:
+    """The online phase of the matrix count: each held role's share of ``T``.
+
+    *shares* holds one share matrix per role the *opener* holds (see
+    :mod:`repro.crypto.secure_ops`).  The in-process backend and the
+    distributed runtime's servers both run this kernel; *matmul* optionally
+    replaces the servers' local ``ring.matmul`` with a bit-identical product.
+    """
+    # Step 1 — each server locally zeroes everything outside the strict
+    # upper triangle.  The mask is public (it only depends on indices), so
+    # this is a local linear operation on shares.
+    c = tuple(strict_upper(share) for share in shares)
+
+    # Step 2 — shares of M = C^T @ C via one matrix Beaver triple.
+    m = secure_matrix_multiply(
+        tuple(part.T.copy() for part in c), c, matrix_triple,
+        ring=ring, views=views, matmul=matmul, authenticator=opener,
+    )
+
+    # Step 3 — shares of C ⊙ M over the upper triangle via one element-wise
+    # Beaver triple, then a local sum.
+    products = secure_multiply_pair(
+        c, tuple(strict_upper(part) for part in m), elementwise_triple,
+        ring=ring, views=views, authenticator=opener,
+    )
+    return tuple(ring.sum(product) for product in products)
+
+
 @register_backend("matrix")
 class MatrixTriangleCounter(TriangleCounterBackend):
     """Secure triangle counting with secret-shared matrix algebra.
@@ -163,32 +193,14 @@ class MatrixTriangleCounter(TriangleCounterBackend):
         with tracer.span(
             "backend", backend="matrix", num_users=n, candidates=num_triples
         ):
-            # Step 1 — each server locally zeroes everything outside the
-            # strict upper triangle.  The mask is public (it only depends on
-            # indices), so this is a local linear operation on shares.
-            c1 = strict_upper(share1)
-            c2 = strict_upper(share2)
-
-            # Step 2 — shares of M = C^T @ C via one matrix Beaver triple.
             with tracer.span("offline"):
                 matrix_triple, elementwise_triple = self._dealt_triples(n)
             with tracer.span("online", opening_rounds=2):
                 matmul = self._pool.ring_matmul(ring) if self._pool is not None else None
-                m1, m2 = secure_matrix_multiply(
-                    (c1.T.copy(), c2.T.copy()), (c1, c2), matrix_triple,
-                    ring=ring, views=self._views, matmul=matmul,
-                    authenticator=self._authenticator,
+                total1, total2 = count_online(
+                    (share1, share2), matrix_triple, elementwise_triple,
+                    ring, self._views, self._authenticator, matmul,
                 )
-
-                # Step 3 — shares of C ⊙ M over the upper triangle via one
-                # element-wise Beaver triple, then a local sum.
-                prod1, prod2 = secure_multiply_pair(
-                    (c1, c2), (strict_upper(m1), strict_upper(m2)),
-                    elementwise_triple, ring=ring, views=self._views,
-                    authenticator=self._authenticator,
-                )
-                total1 = ring.sum(prod1)
-                total2 = ring.sum(prod2)
         return CountResult(
             share1=total1,
             share2=total2,

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.backends.base import CountResult
 from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.secure_ops import PlainOpener
 from repro.crypto.sharing import share_scalar
 from repro.dp.gamma_noise import DistributedLaplaceNoise, stacked_noise_supported
 from repro.exceptions import PrivacyError
@@ -102,6 +103,46 @@ class DistributedPerturbation:
         """The distributed-noise configuration (scale, encoding factor)."""
         return self._noise
 
+    def noise_planes(self, rng: RandomState = None) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The users' step of `Perturb`: both servers' noise-share planes.
+
+        Every user draws a partial noise from their own substream of *rng*,
+        fixed-point encodes it and splits it into two additive shares; entry
+        ``i`` of each returned plane is user ``i``'s share for that server.
+        Also returns the encoded noise total (evaluation only — a deployment
+        never learns it).  The in-process :meth:`run` and the distributed
+        runtime's driver both draw the planes here.
+        """
+        ring = self._ring
+        noise = self._noise
+        num_users = noise.num_users
+        if stacked_noise_supported():
+            # Loop-free noise plane: three uint64 words per user, drawn from
+            # the user's own spawned substream — two become the uniforms behind
+            # the inverse-CDF Gamma difference, the third is the sharing mask.
+            states = spawn_state_matrix(rng, num_users, words=3)
+            gammas = noise.sample_noises_from_uniforms(
+                uniforms_from_states(states[:, 0]), uniforms_from_states(states[:, 1])
+            )
+            encoded = noise.encode_array(gammas)
+            share1_plane = states[:, 2] & np.uint64(ring.mask)
+            share2_plane = ring.sub(ring.encode(encoded), share1_plane)
+            return share1_plane, share2_plane, int(np.sum(encoded.astype(object)))
+        noise_total_encoded = 0
+        share1_list = []
+        share2_list = []
+        for user_rng in spawn_rngs(rng if rng is not None else derive_rng(None), num_users):
+            encoded_value = noise.encode(noise.sample_user_noise(user_rng))
+            noise_total_encoded += encoded_value
+            pair = share_scalar(encoded_value, ring=ring, rng=user_rng)
+            share1_list.append(pair.share1)
+            share2_list.append(pair.share2)
+        return (
+            np.asarray(share1_list, dtype=ring.dtype),
+            np.asarray(share2_list, dtype=ring.dtype),
+            noise_total_encoded,
+        )
+
     def run(
         self,
         count_result: CountResult,
@@ -131,49 +172,17 @@ class DistributedPerturbation:
         ring = self._ring
         noise = self._noise
         factor = noise.fixed_point_factor
-        num_users = noise.num_users
 
         # Servers locally lift their count shares to the fixed-point domain.
         scaled_share1 = ring.mul(ring.encode(count_result.share1), factor)
         scaled_share2 = ring.mul(ring.encode(count_result.share2), factor)
 
-        if stacked_noise_supported():
-            # Loop-free noise plane: three uint64 words per user, drawn from
-            # her own spawned substream — two become the uniforms behind the
-            # inverse-CDF Gamma difference, the third is her sharing mask.
-            states = spawn_state_matrix(rng, num_users, words=3)
-            gammas = noise.sample_noises_from_uniforms(
-                uniforms_from_states(states[:, 0]), uniforms_from_states(states[:, 1])
-            )
-            encoded = noise.encode_array(gammas)
-            noise_total_encoded = int(np.sum(encoded.astype(object)))
-            encoded_ring = ring.encode(encoded)
-            share1_plane = states[:, 2] & np.uint64(ring.mask)
-            share2_plane = ring.sub(encoded_ring, share1_plane)
-            agg_share1 = ring.sum(share1_plane)
-            agg_share2 = ring.sum(share2_plane)
-            if runtime is not None:
-                runtime.users_to_server(1, "noise_share", share1_plane)
-                runtime.users_to_server(2, "noise_share", share2_plane)
-        else:
-            user_rngs = spawn_rngs(rng if rng is not None else derive_rng(None), num_users)
-            noise_total_encoded = 0
-            agg_share1 = 0
-            agg_share2 = 0
-            share1_list = []
-            share2_list = []
-            for user_rng in user_rngs:
-                gamma = noise.sample_user_noise(user_rng)
-                encoded_value = noise.encode(gamma)
-                noise_total_encoded += encoded_value
-                pair = share_scalar(encoded_value, ring=ring, rng=user_rng)
-                agg_share1 = ring.add(agg_share1, pair.share1)
-                agg_share2 = ring.add(agg_share2, pair.share2)
-                share1_list.append(pair.share1)
-                share2_list.append(pair.share2)
-            if runtime is not None:
-                runtime.users_to_server(1, "noise_share", np.asarray(share1_list, dtype=ring.dtype))
-                runtime.users_to_server(2, "noise_share", np.asarray(share2_list, dtype=ring.dtype))
+        share1_plane, share2_plane, noise_total_encoded = self.noise_planes(rng)
+        if runtime is not None:
+            runtime.users_to_server(1, "noise_share", share1_plane)
+            runtime.users_to_server(2, "noise_share", share2_plane)
+        agg_share1 = ring.sum(share1_plane)
+        agg_share2 = ring.sum(share2_plane)
 
         noisy_share1 = ring.add(scaled_share1, agg_share1)
         noisy_share2 = ring.add(scaled_share2, agg_share2)
@@ -181,12 +190,8 @@ class DistributedPerturbation:
             runtime.server_to_server(1, 2).send("noisy_count_share", noisy_share1)
             runtime.server_to_server(2, 1).send("noisy_count_share", noisy_share2)
 
-        if authenticator is not None:
-            (opened,) = authenticator.exchange(
-                "release_opening", [(noisy_share1, noisy_share2)]
-            )
-        else:
-            opened = ring.add(noisy_share1, noisy_share2)
+        opener = authenticator if authenticator is not None else PlainOpener(ring)
+        (opened,) = opener.exchange("release_opening", [(noisy_share1, noisy_share2)])
         combined = ring.decode_signed(opened)
         noisy_count = combined / factor
         return PerturbationResult(

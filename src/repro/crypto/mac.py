@@ -56,7 +56,7 @@ CheaterDetectedError demo 0
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -173,6 +173,47 @@ class OpeningRound:
 #: A tamper hook mutates the round in place (or leaves it alone).
 TamperHook = Callable[[OpeningRound], None]
 
+#: How one opening round flattens: ``(scalar?, shape, size)`` per operand.
+RoundLayout = List[Tuple[bool, Tuple[int, ...], int]]
+
+
+def pack_round(
+    label: str, operands: Sequence[Tuple[IntOrArray, ...]], ring: Ring = DEFAULT_RING
+) -> Tuple[RoundLayout, Tuple[np.ndarray, ...]]:
+    """Flatten one opening round into one fresh value vector per held role.
+
+    Each operand holds one share per held role (at least one operand).  The
+    vectors are fresh, so a tamper hook may mutate them in place without
+    touching the callers' shares; :func:`unpack_round` restores the
+    per-operand shapes from the returned layout.
+    """
+    layout: RoundLayout = []
+    arrays: List[List[np.ndarray]] = []
+    for operand in operands:
+        shares = [np.atleast_1d(np.asarray(share, dtype=ring.dtype)) for share in operand]
+        if any(share.shape != shares[0].shape for share in shares):
+            raise CheaterDetectedError(
+                f"opening {label!r}: server share shapes disagree "
+                f"({' vs '.join(str(share.shape) for share in shares)})",
+                label=label,
+            )
+        scalar = not any(isinstance(share, np.ndarray) for share in operand)
+        layout.append((scalar, shares[0].shape, shares[0].size))
+        arrays.append(shares)
+    vectors = tuple(np.concatenate([share.ravel() for share in role]) for role in zip(*arrays))
+    return layout, vectors
+
+
+def unpack_round(layout: RoundLayout, opened: np.ndarray) -> List[IntOrArray]:
+    """The opened values of a :func:`pack_round` round; scalars come back as ints."""
+    results: List[IntOrArray] = []
+    offset = 0
+    for scalar, shape, size in layout:
+        chunk = opened[offset : offset + size]
+        offset += size
+        results.append(int(chunk[0]) if scalar else chunk.reshape(shape))
+    return results
+
 
 class OpeningAuthenticator:
     """Batched MAC-checked reconstruction of opened values.
@@ -195,7 +236,12 @@ class OpeningAuthenticator:
     round counter and tag draws are guarded by a lock.  Round indices are
     deterministic for serial runs; under a thread pool the *order* in which
     rounds are checked (and hence their indices) may vary run to run.
+
+    It is an *opener* (see :mod:`repro.crypto.secure_ops`) holding both
+    server roles: every operand of :meth:`exchange` is a pair of shares.
     """
+
+    roles = (1, 2)
 
     def __init__(
         self,
@@ -265,32 +311,10 @@ class OpeningAuthenticator:
         if not pairs:
             return []
 
-        # Flatten every pair into one fresh batch per server, remembering how
-        # to restore it.  The batches are the messages themselves: the tamper
-        # hook mutates them in place without touching the callers' shares.
-        layout: List[Tuple[bool, Tuple[int, ...], int]] = []  # (scalar?, shape, size)
-        arrays: List[Tuple[np.ndarray, np.ndarray]] = []
-        for share1, share2 in pairs:
-            scalar = not (isinstance(share1, np.ndarray) or isinstance(share2, np.ndarray))
-            a1 = np.atleast_1d(np.asarray(share1, dtype=ring.dtype))
-            a2 = np.atleast_1d(np.asarray(share2, dtype=ring.dtype))
-            if a1.shape != a2.shape:
-                raise CheaterDetectedError(
-                    f"opening {label!r}: server share shapes disagree "
-                    f"({a1.shape} vs {a2.shape})",
-                    label=label,
-                )
-            layout.append((scalar, a1.shape, a1.size))
-            arrays.append((a1, a2))
-        total = sum(size for _, _, size in layout)
-        values1 = np.empty(total, dtype=ring.dtype)
-        values2 = np.empty(total, dtype=ring.dtype)
-        offset = 0
-        for (a1, a2), (_, shape, size) in zip(arrays, layout):
-            values1[offset : offset + size].reshape(shape)[...] = a1
-            values2[offset : offset + size].reshape(shape)[...] = a2
-            offset += size
-        del arrays
+        # One fresh batch per server; the batches are the messages
+        # themselves, which the tamper hook mutates in place.
+        layout, (values1, values2) = pack_round(label, pairs, ring)
+        total = values1.size
 
         with self._lock:
             round_index = self._rounds_started
@@ -320,19 +344,7 @@ class OpeningAuthenticator:
             self._check_tags(opening, opened)
             self.rounds_checked += 1
             self.values_checked += total
-
-        # Restore per-pair shapes; scalars come back as Python ints so the
-        # opened values are indistinguishable from plain reconstruction.
-        results: List[IntOrArray] = []
-        offset = 0
-        for scalar, shape, size in layout:
-            chunk = opened[offset : offset + size]
-            offset += size
-            if scalar:
-                results.append(int(chunk[0]))
-            else:
-                results.append(chunk.reshape(shape))
-        return results
+        return unpack_round(layout, opened)
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -1,9 +1,9 @@
 """Two-server secure operations on additively shared values.
 
 These functions implement the *online* phase of the secure computations CARGO
-needs.  Each function takes the two servers' shares (never the plaintext),
+needs.  Each function takes the servers' shares (never the plaintext),
 consumes correlated randomness from a dealer where required, and returns the
-two output shares.  An optional :class:`~repro.crypto.views.ViewRecorder`
+output shares.  An optional :class:`~repro.crypto.views.ViewRecorder`
 captures exactly what each server observes, which is what the
 simulation-security tests check.
 
@@ -15,26 +15,37 @@ simulation-security tests check.
   secret-shared matrices, the building block of the vectorised triangle
   counting backend.
 
-Each interactive operation ends in one server-local step, written once as a
-role-local *combine* — :func:`beaver_pair_combine`,
-:func:`multiplication_group_combine` and :func:`beaver_matrix_combine` —
-that turns the opened values and one server's half of the correlated
-randomness into that server's output share.  The in-process operations call
-it for both roles; the process-separated runtime
-(:mod:`repro.runtime.server`) calls it for its own role.
+Each interactive operation runs for the server roles its process *holds*:
+every operand is a tuple with one share per held role, and the result holds
+one output share per held role.  In-process, both roles are held — operands
+are ``(share1, share2)`` and the dealt material is the two-server pair
+(:class:`~repro.crypto.beaver.BeaverTriplePair`,
+:class:`~repro.crypto.multiplication_groups.MultiplicationGroupPair`); a
+distributed server process holds one role — operands are ``(share,)`` and
+the material is its own half.
 
-Every interactive function additionally accepts an optional *authenticator*
-(:class:`~repro.crypto.mac.OpeningAuthenticator`).  When present, the
-opening round — the only point where values cross the wire — is routed
-through its batched MAC-checked ``exchange`` instead of plain ``ring.add``
-reconstruction, so a server that lies in an opening triggers a typed
-:class:`~repro.exceptions.CheaterDetectedError` rather than a silently
-wrong result.  Honest openings are bit-identical either way.
+The held roles come from the *opener* passed as ``authenticator``: any object
+with a ``roles`` tuple (both roles when absent) and an
+``exchange(label, operands) -> opened`` method that opens one round, the
+only point where values cross between the servers.  ``None`` means
+:class:`PlainOpener` (``ring.add`` of both shares);
+:class:`~repro.crypto.mac.OpeningAuthenticator` adds a batched MAC check, so
+a server that lies in an opening triggers a typed
+:class:`~repro.exceptions.CheaterDetectedError`; and the distributed
+runtime's :class:`~repro.runtime.server.OpeningChannel` swaps one role's
+values with the peer over the wire.  Honest openings are bit-identical
+whichever opener runs them.  Each operation masks every held share with its
+role's half of the material, opens the differences, records them in each
+held role's view, and ends in the role-local *combine* —
+:func:`beaver_pair_combine`, :func:`multiplication_group_combine`,
+:func:`beaver_matrix_combine` — per held role.  The backends' counting
+kernels are written the same way, so in-process and distributed runs
+execute the same code.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +57,49 @@ from repro.exceptions import ProtocolError
 
 IntOrArray = Union[int, np.ndarray]
 SharePairTuple = Tuple[IntOrArray, IntOrArray]
+#: One share per held role (a pair in-process, a 1-tuple in a server process).
+HeldShares = Tuple[IntOrArray, ...]
+
+
+class PlainOpener:
+    """Plain in-process reconstruction: both roles held, ``ring.add`` per operand."""
+
+    roles = (1, 2)
+
+    def __init__(self, ring: Ring = DEFAULT_RING) -> None:
+        self._ring = ring
+
+    def exchange(self, label: str, operands: Sequence[SharePairTuple]) -> List[IntOrArray]:
+        """Open one round: each operand's two shares summed in the ring."""
+        return [self._ring.add(share1, share2) for share1, share2 in operands]
+
+
+def _held(authenticator, material, ring: Ring) -> tuple:
+    """The opener (plain for ``None``), its held roles, and their halves of *material*.
+
+    A two-server pair yields one half per held role; a single half (all a
+    server process receives) is its own role's.
+    """
+    opener = authenticator if authenticator is not None else PlainOpener(ring)
+    roles = getattr(opener, "roles", PlainOpener.roles)
+    if not hasattr(material, "server1"):
+        return opener, roles, (material,)
+    halves = tuple(material.server1 if role == 1 else material.server2 for role in roles)
+    return opener, roles, halves
+
+
+def _masked(ring: Ring, shares, halves: tuple, mask: str) -> tuple:
+    """Each held share minus the *mask* field of its role's half of the material."""
+    return tuple(ring.sub(share, getattr(half, mask)) for share, half in zip(shares, halves))
+
+
+def _open_round(label: str, operands: list, opener, roles, views) -> tuple:
+    """Open one round through *opener* and record it in each held role's view."""
+    opened = tuple(opener.exchange(label, operands))
+    if views is not None:
+        for role in roles:
+            views.observe(role, label, opened)
+    return opened
 
 
 def secure_add(
@@ -65,18 +119,18 @@ def secure_add(
 
 
 def secure_multiply_pair(
-    a_shares: SharePairTuple,
-    b_shares: SharePairTuple,
+    a_shares: HeldShares,
+    b_shares: HeldShares,
     triple: BeaverTriplePair,
     ring: Ring = DEFAULT_RING,
     views: Optional[ViewRecorder] = None,
     authenticator=None,
-) -> SharePairTuple:
+) -> HeldShares:
     """Multiply two shared secrets with one Beaver triple.
 
     The servers open ``e = a - x`` and ``f = b - y`` (uniformly distributed
     because ``x, y`` are fresh masks) and locally combine them with their
-    triple shares.
+    triple shares.  *authenticator* is the opener (see the module doc).
 
     Examples
     --------
@@ -91,32 +145,21 @@ def secure_multiply_pair(
     >>> int(DEFAULT_RING.decode_signed(DEFAULT_RING.add(*shares)))
     42
     """
-    t1, t2 = triple.server1, triple.server2
-    e1 = ring.sub(a_shares[0], t1.x)
-    f1 = ring.sub(b_shares[0], t1.y)
-    e2 = ring.sub(a_shares[1], t2.x)
-    f2 = ring.sub(b_shares[1], t2.y)
-    # Opening round: both servers learn e and f.
-    if authenticator is not None:
-        e, f = authenticator.exchange("beaver_opening", [(e1, e2), (f1, f2)])
-    else:
-        e = ring.add(e1, e2)
-        f = ring.add(f1, f2)
-    if views is not None:
-        views.observe(1, "beaver_opening", (e, f))
-        views.observe(2, "beaver_opening", (e, f))
-    return beaver_pair_combine(1, e, f, t1, ring), beaver_pair_combine(2, e, f, t2, ring)
+    opener, roles, halves = _held(authenticator, triple, ring)
+    masked = [_masked(ring, a_shares, halves, "x"), _masked(ring, b_shares, halves, "y")]
+    e, f = _open_round("beaver_opening", masked, opener, roles, views)
+    return tuple(beaver_pair_combine(role, e, f, half, ring) for role, half in zip(roles, halves))
 
 
 def secure_multiply_triple(
-    a_shares: SharePairTuple,
-    b_shares: SharePairTuple,
-    c_shares: SharePairTuple,
+    a_shares: HeldShares,
+    b_shares: HeldShares,
+    c_shares: HeldShares,
     group: MultiplicationGroupPair,
     ring: Ring = DEFAULT_RING,
     views: Optional[ViewRecorder] = None,
     authenticator=None,
-) -> SharePairTuple:
+) -> HeldShares:
     """Multiply three shared secrets using one multiplication group.
 
     Implements the three-way product of Section III-D / Theorem 1 of the
@@ -127,76 +170,48 @@ def secure_multiply_triple(
 
     Works element-wise when the shares and the group are arrays of the same
     shape, which is how the batched faithful ``Count`` processes many
-    candidate triples per opening round.
+    candidate triples per opening round.  *authenticator* is the opener.
     """
-    g1, g2 = group.server1, group.server2
-    e1 = ring.sub(a_shares[0], g1.x)
-    f1 = ring.sub(b_shares[0], g1.y)
-    gg1 = ring.sub(c_shares[0], g1.z)
-    e2 = ring.sub(a_shares[1], g2.x)
-    f2 = ring.sub(b_shares[1], g2.y)
-    gg2 = ring.sub(c_shares[1], g2.z)
-    # Opening round: both servers reconstruct the masked differences.
-    if authenticator is not None:
-        e, f, g = authenticator.exchange(
-            "mg_opening", [(e1, e2), (f1, f2), (gg1, gg2)]
-        )
-    else:
-        e = ring.add(e1, e2)
-        f = ring.add(f1, f2)
-        g = ring.add(gg1, gg2)
-    if views is not None:
-        views.observe(1, "mg_opening", (e, f, g))
-        views.observe(2, "mg_opening", (e, f, g))
-
-    return (
-        multiplication_group_combine(1, e, f, g, g1, ring),
-        multiplication_group_combine(2, e, f, g, g2, ring),
+    opener, roles, halves = _held(authenticator, group, ring)
+    operands = (a_shares, b_shares, c_shares)
+    masked = [_masked(ring, shares, halves, mask) for shares, mask in zip(operands, "xyz")]
+    e, f, g = _open_round("mg_opening", masked, opener, roles, views)
+    return tuple(
+        multiplication_group_combine(role, e, f, g, half, ring)
+        for role, half in zip(roles, halves)
     )
 
 
 def secure_matrix_multiply(
-    a_shares: Tuple[np.ndarray, np.ndarray],
-    b_shares: Tuple[np.ndarray, np.ndarray],
+    a_shares: HeldShares,
+    b_shares: HeldShares,
     triple: BeaverTriplePair,
     ring: Ring = DEFAULT_RING,
     views: Optional[ViewRecorder] = None,
     matmul=None,
     authenticator=None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> HeldShares:
     """Multiply two secret-shared matrices with a matrix Beaver triple.
 
     With a triple ``Z = X @ Y`` the servers open ``E = A - X`` and
     ``F = B - Y``; server ``i`` then computes its share of ``A @ B``,
     ``<Z> + E @ <Y> + <X> @ F + (i - 1) E @ F``, as one local ring product
-    (:func:`beaver_matrix_combine`).
+    (:func:`beaver_matrix_combine`).  *authenticator* is the opener.
 
     *matmul* optionally overrides how the servers evaluate their *local*
     matrix product (the parallel engine passes a row-striped pool matmul);
     it must be bit-identical to ``ring.matmul``, so the openings — the only
     values that cross the wire — are unaffected.
     """
-    a1, a2 = (np.asarray(s, dtype=ring.dtype) for s in a_shares)
-    b1, b2 = (np.asarray(s, dtype=ring.dtype) for s in b_shares)
-    t1, t2 = triple.server1, triple.server2
-    check_matrix_triple(t1, a1, b1)
-    if authenticator is not None:
-        e, f = authenticator.exchange(
-            "matrix_beaver_opening",
-            [
-                (ring.sub(a1, t1.x), ring.sub(a2, t2.x)),
-                (ring.sub(b1, t1.y), ring.sub(b2, t2.y)),
-            ],
-        )
-    else:
-        e = ring.add(ring.sub(a1, t1.x), ring.sub(a2, t2.x))
-        f = ring.add(ring.sub(b1, t1.y), ring.sub(b2, t2.y))
-    if views is not None:
-        views.observe(1, "matrix_beaver_opening", (e, f))
-        views.observe(2, "matrix_beaver_opening", (e, f))
-    return (
-        beaver_matrix_combine(1, e, f, t1, ring, matmul),
-        beaver_matrix_combine(2, e, f, t2, ring, matmul),
+    opener, roles, halves = _held(authenticator, triple, ring)
+    a_shares = [np.asarray(a, dtype=ring.dtype) for a in a_shares]
+    b_shares = [np.asarray(b, dtype=ring.dtype) for b in b_shares]
+    check_matrix_triple(halves[0], a_shares[0], b_shares[0])
+    masked = [_masked(ring, a_shares, halves, "x"), _masked(ring, b_shares, halves, "y")]
+    e, f = _open_round("matrix_beaver_opening", masked, opener, roles, views)
+    return tuple(
+        beaver_matrix_combine(role, e, f, half, ring, matmul)
+        for role, half in zip(roles, halves)
     )
 
 

@@ -11,9 +11,10 @@ length-prefixed binary wire format (:mod:`repro.runtime.wire`).
 * :mod:`repro.runtime.dealer` — the dealer process: replays the in-process
   backends' correlated-randomness draw order and ships each dealt half to
   its server.
-* :mod:`repro.runtime.server` — the two server role drivers: each evaluates
-  only its role's side of the secure protocol, exchanging opening rounds
-  (optionally MAC-authenticated) directly with its peer.
+* :mod:`repro.runtime.server` — the two server role drivers: each runs the
+  in-process backends' counting kernels on its role's share alone,
+  exchanging opening rounds (optionally MAC-authenticated) directly with
+  its peer.
 * :mod:`repro.runtime.driver` — the orchestrator: forks the three peer
   processes, runs the user-side phases, reconciles the
   :class:`~repro.crypto.protocol.CommunicationLedger` against bytes actually

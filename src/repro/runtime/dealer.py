@@ -7,9 +7,12 @@ correlated randomness *in the exact order the in-process backends consume
 it*, and ships each half to its server as ``PROVISION`` frames.  Because
 both the dealer classes (:class:`~repro.crypto.multiplication_groups.MultiplicationGroupDealer`,
 :class:`~repro.crypto.beaver.BeaverTripleDealer`) and the replayed schedule
-are identical to the in-process ones — same RNG stream, same bulk-provision
-chunking, same draw order — the dealt material is bit-identical, which is
-what makes the whole distributed transcript bit-identical.
+are identical to the in-process ones — same RNG stream, and the same
+generators fix the bulk-provision chunking and draw order
+(:func:`~repro.core.backends.faithful.group_stream`,
+:func:`~repro.core.backends.blocked.group_triples`) — the dealt material is
+bit-identical, which is what makes the whole distributed transcript
+bit-identical.
 
 The dealer never sees the graph, the shares, or any opened value: its links
 carry correlated randomness out and nothing in, matching the non-collusion
@@ -21,9 +24,8 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from repro.core.backends.base import num_candidate_triples
 from repro.core.backends.blocked import group_triples, tile_schedule
-from repro.core.backends.faithful import DEFAULT_PROVISION_LIMIT
+from repro.core.backends.faithful import group_stream
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
 from repro.exceptions import WireFormatError
@@ -41,23 +43,11 @@ __all__ = ["run_dealer"]
 
 
 def _deal_mg(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
-    """Replay the faithful/batched provisioning order and ship each group."""
-    ring = spec["ring"]
-    n = int(spec["num_users"])
+    """Walk the faithful/batched group stream and ship each group."""
     batch_size = 1 if spec["backend"] == "faithful" else int(spec["batch_size"])
-    dealer = MultiplicationGroupDealer(ring=ring, seed=spec["dealer_rng"])
-    provision_limit = DEFAULT_PROVISION_LIMIT
-    to_provision = num_candidate_triples(n) if provision_limit else 0
-    remaining = num_candidate_triples(n)
-    while remaining:
-        size = min(batch_size, remaining)
-        remaining -= size
-        while to_provision and dealer.provisioned_remaining < size:
-            draw = min(to_provision, provision_limit)
-            dealer.provision(draw)
-            to_provision -= draw
-        group = dealer.vector_group((size,))
-        meta = {"label": "mg_group"}
+    dealer = MultiplicationGroupDealer(ring=spec["ring"], seed=spec["dealer_rng"])
+    meta = {"label": "mg_group"}
+    for group in group_stream(dealer, int(spec["num_users"]), batch_size):
         server1.send(
             KIND_PROVISION, meta, [getattr(group.server1, field) for field in MG_FIELDS]
         )

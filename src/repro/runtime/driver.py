@@ -14,8 +14,10 @@ Three guarantees define the runtime:
   communication ledger, the recorded adversarial views, and the MAC
   counters are bit-identical to an in-process run with the same seed and
   configuration, for every counting backend.  The driver re-derives the
-  same RNG substreams, the dealer replays the same provisioning order, and
-  the servers execute the same ring arithmetic in the same order.
+  same RNG substreams and draws the noise planes through the same
+  :meth:`~repro.core.perturbation.DistributedPerturbation.noise_planes`,
+  the dealer walks the same provisioning generators, and the servers run
+  the backends' own counting kernels.
 * **Ledger/wire reconciliation** — the
   :class:`~repro.crypto.protocol.CommunicationLedger` stops being a mere
   estimate: after every release the driver reconciles each ledgered
@@ -56,8 +58,6 @@ from repro.core.perturbation import DistributedPerturbation, PerturbationResult
 from repro.core.projection import SimilarityProjection
 from repro.core.result import CargoResult
 from repro.crypto.protocol import TwoServerRuntime
-from repro.crypto.sharing import share_scalar
-from repro.dp.gamma_noise import stacked_noise_supported
 from repro.exceptions import (
     CheaterDetectedError,
     ConfigurationError,
@@ -79,12 +79,7 @@ from repro.runtime.wire import (
 from repro.stats import create_statistic
 from repro.telemetry import Tracer, resolve_telemetry
 from repro.telemetry.spans import NULL_TRACER
-from repro.utils.rng import (
-    derive_rng,
-    spawn_rngs,
-    spawn_state_matrix,
-    uniforms_from_states,
-)
+from repro.utils.rng import derive_rng, spawn_rngs
 
 __all__ = ["DistributedRuntime", "run_distributed"]
 
@@ -552,31 +547,9 @@ class DistributedRuntime:
                 )
                 noise = perturbation.noise_config
                 factor = noise.fixed_point_factor
-                num_noise_users = noise.num_users
-                if stacked_noise_supported():
-                    states = spawn_state_matrix(noise_rng, num_noise_users, words=3)
-                    gammas = noise.sample_noises_from_uniforms(
-                        uniforms_from_states(states[:, 0]),
-                        uniforms_from_states(states[:, 1]),
-                    )
-                    encoded = noise.encode_array(gammas)
-                    noise_total_encoded = int(np.sum(encoded.astype(object)))
-                    share1_plane = states[:, 2] & np.uint64(ring.mask)
-                    share2_plane = ring.sub(ring.encode(encoded), share1_plane)
-                else:
-                    user_rngs = spawn_rngs(noise_rng, num_noise_users)
-                    noise_total_encoded = 0
-                    share1_list = []
-                    share2_list = []
-                    for user_rng in user_rngs:
-                        gamma = noise.sample_user_noise(user_rng)
-                        encoded_value = noise.encode(gamma)
-                        noise_total_encoded += encoded_value
-                        pair = share_scalar(encoded_value, ring=ring, rng=user_rng)
-                        share1_list.append(pair.share1)
-                        share2_list.append(pair.share2)
-                    share1_plane = np.asarray(share1_list, dtype=ring.dtype)
-                    share2_plane = np.asarray(share2_list, dtype=ring.dtype)
+                share1_plane, share2_plane, noise_total_encoded = (
+                    perturbation.noise_planes(noise_rng)
+                )
                 runtime.users_to_server(1, "noise_share", share1_plane)
                 runtime.users_to_server(2, "noise_share", share2_plane)
                 noise_meta = {"phase": "noise_share", "factor": int(factor)}

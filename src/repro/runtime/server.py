@@ -3,24 +3,27 @@
 Each computation server runs :func:`run_server` in its own OS process.  A
 server owns three links — driver, dealer, and its peer server — and evaluates
 *only its role's side* of the secure protocol: it receives its half of every
-share payload and every piece of correlated randomness, performs the local
-ring arithmetic the in-process backends perform for that role, and exchanges
+share payload and every piece of correlated randomness, and exchanges
 opening rounds directly with its peer over :class:`~repro.runtime.wire`
 frames (one frame per opening round, never one per element).
 
 Bit-exactness contract
 ----------------------
-The count loops below mirror the in-process backends
-(:mod:`repro.core.backends.faithful` / ``matrix`` / ``blocked``) statement
-for statement: the same gather schedule, the same tile schedule
-(:func:`~repro.core.backends.blocked.tile_schedule`), the same ring
-operations in the same order.  Because every ring operation is exact modulo
-``2^l``, the shares each server derives — and therefore every opened value
-that crosses the wire — are bit-identical to what the in-process engine
-opens for the same seed and configuration.  The local combine that ends
-each secure operation is not mirrored but shared: the servers call the
-role-local combines of :mod:`repro.crypto.secure_ops` that the in-process
-operations call for both roles.
+The servers run the in-process backends' own code, not a copy of it.  Each
+``_count_*`` function below walks its backend's schedule
+(:func:`~repro.core.backends.faithful._gather_schedule`,
+:func:`~repro.core.backends.blocked.tile_schedule`), reads the dealt
+material off its ``PROVISION`` frames, and calls the backend's counting
+kernel — :func:`~repro.core.backends.faithful.count_block`,
+:func:`~repro.core.backends.matrix.count_online`,
+:func:`~repro.core.backends.blocked.count_group` — with its one share
+matrix ``(share,)`` and its :class:`OpeningChannel` as the *opener*.  The
+in-process backends call the same kernels with both servers' shares and a
+local opener (:mod:`repro.crypto.secure_ops`), so both modes perform the
+same ring operations in the same order.  Because every ring operation is
+exact modulo ``2^l``, the shares each server derives — and therefore every
+opened value that crosses the wire — are bit-identical to what the
+in-process engine opens for the same seed and configuration.
 
 Authenticated openings re-derive the in-process MAC scheme
 (:mod:`repro.crypto.mac`) in two-sided form: both servers derive the same
@@ -38,22 +41,17 @@ from __future__ import annotations
 
 import os
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import num_candidate_triples, strict_upper
-from repro.core.backends.blocked import tile_schedule
-from repro.core.backends.faithful import _gather_schedule
+from repro.core.backends.base import num_candidate_triples
+from repro.core.backends.blocked import count_group, tile_schedule
+from repro.core.backends.faithful import _gather_schedule, count_block
+from repro.core.backends.matrix import count_online
 from repro.crypto.beaver import BeaverTriple
-from repro.crypto.mac import MacKey, _TAG_DOMAIN
+from repro.crypto.mac import MacKey, _TAG_DOMAIN, pack_round, unpack_round
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
-from repro.crypto.secure_ops import (
-    beaver_matrix_combine,
-    beaver_pair_combine,
-    check_matrix_triple,
-    multiplication_group_combine,
-)
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
@@ -104,6 +102,8 @@ class OpeningChannel:
     ) -> None:
         self._endpoint = endpoint
         self._role = int(role)
+        #: The opener's held roles (see :mod:`repro.crypto.secure_ops`).
+        self.roles = (self._role,)
         self._ring = ring
         self._authenticate = bool(authenticate)
         self._tamper_round = None if tamper_round is None else int(tamper_round)
@@ -117,26 +117,20 @@ class OpeningChannel:
             self._key = MacKey.generate(int(seed), ring)
             self._tag_rng = derive_rng(stable_seed_from_name(_TAG_DOMAIN, int(seed)))
 
-    def exchange(self, label: str, shares: Sequence, phase: Optional[str] = None) -> List:
-        """Open one round of this server's *shares* against the peer's.
+    def exchange(self, label: str, operands: Sequence, phase: Optional[str] = None) -> List:
+        """Open one round of this server's shares against the peer's.
 
-        Mirrors ``OpeningAuthenticator.exchange`` flattening: scalars and
-        arrays concatenate into one value vector per round, and the opened
-        results come back with their original shapes (scalars as ints).
+        Each operand is a 1-tuple holding this role's share.  The round
+        flattens into one value vector (:func:`~repro.crypto.mac.pack_round`,
+        the codec ``OpeningAuthenticator.exchange`` uses) and the opened
+        values come back with their original shapes (scalars as ints).
         *phase* overrides the frame's accounting phase (the release opening
         is labelled ``release_opening`` but ledgered as
         ``noisy_count_share``); it defaults to the label.
         """
         fault_point("runtime.round")
         ring = self._ring
-        parts: List[np.ndarray] = []
-        layout: List[Tuple[bool, Tuple[int, ...], int]] = []
-        for share in shares:
-            scalar = not isinstance(share, np.ndarray)
-            arr = np.atleast_1d(np.asarray(share, dtype=ring.dtype))
-            layout.append((scalar, arr.shape, arr.size))
-            parts.append(arr.ravel())
-        values = np.concatenate(parts) if len(parts) > 1 else parts[0].ravel()
+        layout, (values,) = pack_round(label, operands, ring)
         total = int(values.size)
         round_index = self._rounds_started
         self._rounds_started += 1
@@ -208,13 +202,7 @@ class OpeningChannel:
             self.rounds_checked += 1
             self.values_checked += total
 
-        results: List = []
-        offset = 0
-        for scalar, shape, size in layout:
-            chunk = opened[offset : offset + size]
-            offset += size
-            results.append(int(chunk[0]) if scalar else chunk.reshape(shape))
-        return results
+        return unpack_round(layout, opened)
 
     def _swap(self, kind: int, meta: dict, array: np.ndarray):
         """Role-asymmetric exchange: role 1 sends first, role 2 receives first."""
@@ -229,42 +217,6 @@ class OpeningChannel:
                 f"opening frame must carry exactly one array, got {len(arrays)}"
             )
         return peer_meta, arrays[0]
-
-
-# ---------------------------------------------------------------------- #
-# Role-side secure operations (one server's half of repro.crypto.secure_ops)
-# ---------------------------------------------------------------------- #
-def _multiply_pair(channel, role, ring, a, b, triple, views):
-    """This role's side of ``secure_multiply_pair`` (one Beaver opening)."""
-    e, f = channel.exchange(
-        "beaver_opening", [ring.sub(a, triple.x), ring.sub(b, triple.y)]
-    )
-    if views is not None:
-        views.observe(role, "beaver_opening", (e, f))
-    return beaver_pair_combine(role, e, f, triple, ring)
-
-
-def _multiply_triple(channel, role, ring, a, b, c, mg, views):
-    """This role's side of ``secure_multiply_triple`` (Theorem 1)."""
-    e, f, g = channel.exchange(
-        "mg_opening", [ring.sub(a, mg.x), ring.sub(b, mg.y), ring.sub(c, mg.z)]
-    )
-    if views is not None:
-        views.observe(role, "mg_opening", (e, f, g))
-    return multiplication_group_combine(role, e, f, g, mg, ring)
-
-
-def _matrix_multiply(channel, role, ring, a, b, triple, views):
-    """This role's side of ``secure_matrix_multiply`` (matrix Beaver)."""
-    a = np.asarray(a, dtype=ring.dtype)
-    b = np.asarray(b, dtype=ring.dtype)
-    check_matrix_triple(triple, a, b)
-    e, f = channel.exchange(
-        "matrix_beaver_opening", [ring.sub(a, triple.x), ring.sub(b, triple.y)]
-    )
-    if views is not None:
-        views.observe(role, "matrix_beaver_opening", (e, f))
-    return beaver_matrix_combine(role, e, f, triple, ring)
 
 
 # ---------------------------------------------------------------------- #
@@ -292,11 +244,18 @@ def _recv_triple(endpoint: WireEndpoint, label: str) -> BeaverTriple:
     return BeaverTriple(x=arrays[0], y=arrays[1], z=arrays[2])
 
 
+def _recv_group_triples(endpoint: WireEndpoint, tiles: int):
+    """One blocked group's triple halves, read in ``group_triples`` order."""
+    for _ in range(tiles):
+        yield _recv_triple(endpoint, "matrix_triple")
+    yield _recv_triple(endpoint, "vector_triple")
+
+
 # ---------------------------------------------------------------------- #
-# Count phase — one role's half of each backend schedule
+# Count phase — the backends' schedules and kernels, for this role's share
 # ---------------------------------------------------------------------- #
-def _count_mg(dealer_ep, channel, ring, share, role, batch_size, views, tracer):
-    """The faithful/batched schedule for this role's share matrix."""
+def _count_mg(dealer_ep, channel, ring, share, batch_size, views, tracer):
+    """The faithful/batched schedule, one ``count_block`` per candidate block."""
     num_users = share.shape[0]
     total = 0
     triples_processed = 0
@@ -309,40 +268,35 @@ def _count_mg(dealer_ep, channel, ring, share, role, batch_size, views, tracer):
         candidates=num_candidate_triples(num_users),
     ) as backend_span:
         for size, rows, cols in _gather_schedule(num_users, batch_size):
-            gathered = share[rows, cols].reshape(3, size)
-            group = _recv_group(dealer_ep)
-            product = _multiply_triple(
-                channel, role, ring, gathered[0], gathered[1], gathered[2], group, views
+            (subtotal,) = count_block(
+                size, rows, cols, _recv_group(dealer_ep), (share,), ring, views, channel
             )
-            total = ring.add(total, ring.sum(product))
+            total = ring.add(total, subtotal)
             triples_processed += size
             opening_rounds += 1
         backend_span.annotate(opening_rounds=opening_rounds)
     return int(total), triples_processed, opening_rounds
 
 
-def _count_matrix(dealer_ep, channel, ring, share, role, views, tracer):
-    """The monolithic matrix schedule for this role's share matrix."""
+def _count_matrix(dealer_ep, channel, ring, share, views, tracer):
+    """The monolithic matrix schedule: two dealt triples, one ``count_online``."""
     n = share.shape[0]
     if n < 3:
         return 0, 0, 0
     num_triples = num_candidate_triples(n)
     with tracer.span("backend", backend="matrix", num_users=n, candidates=num_triples):
-        c = strict_upper(share)
         with tracer.span("offline"):
             matrix_triple = _recv_triple(dealer_ep, "matrix_triple")
             elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
         with tracer.span("online", opening_rounds=2):
-            m = _matrix_multiply(channel, role, ring, c.T.copy(), c, matrix_triple, views)
-            prod = _multiply_pair(
-                channel, role, ring, c, strict_upper(m), elementwise_triple, views
+            (total,) = count_online(
+                (share,), matrix_triple, elementwise_triple, ring, views, channel
             )
-            total = ring.sum(prod)
     return int(total), num_triples, 2
 
 
-def _count_blocked(dealer_ep, channel, ring, share, role, block_size, views, tracer):
-    """The blocked tile schedule for this role's share matrix."""
+def _count_blocked(dealer_ep, channel, ring, share, block_size, views, tracer):
+    """The blocked tile schedule, one ``count_group`` per ``(J, K)`` group."""
     n = share.shape[0]
     if n < 3:
         return 0, 0, 0
@@ -352,28 +306,16 @@ def _count_blocked(dealer_ep, channel, ring, share, role, block_size, views, tra
         "backend", backend="blocked", num_users=n, block_size=block_size,
         tile_window=None,
     ) as backend_span:
-        for j0, j1, k0, k1, i_tiles in tile_schedule(n, block_size):
+        for group in tile_schedule(n, block_size):
+            j0, _, k0, _, i_tiles = group
             with tracer.span(
                 "tile_group", j0=j0, k0=k0, opening_rounds=len(i_tiles) + 1
             ):
-                m = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
-                for i0, i1 in i_tiles:
-                    left = np.ascontiguousarray(
-                        strict_upper(share[i0:i1, j0:j1], i0, j0).T
-                    )
-                    right = strict_upper(share[i0:i1, k0:k1], i0, k0)
-                    tile_triple = _recv_triple(dealer_ep, "matrix_triple")
-                    partial = _matrix_multiply(
-                        channel, role, ring, left, right, tile_triple, views
-                    )
-                    m = ring.add(m, partial)
-                c_tile = strict_upper(share[j0:j1, k0:k1], j0, k0)
-                elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
-                prod = _multiply_pair(
-                    channel, role, ring, c_tile, strict_upper(m, j0, k0),
-                    elementwise_triple, views,
+                (subtotal,) = count_group(
+                    group, _recv_group_triples(dealer_ep, len(i_tiles)), (share,),
+                    ring, views, channel,
                 )
-                total = ring.add(total, ring.sum(prod))
+            total = ring.add(total, subtotal)
             opening_rounds += len(i_tiles) + 1
         backend_span.annotate(opening_rounds=opening_rounds)
     return int(total), num_candidate_triples(n), opening_rounds
@@ -439,16 +381,15 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
         if backend in ("faithful", "batched"):
             batch_size = 1 if backend == "faithful" else int(spec["batch_size"])
             total, triples, rounds = _count_mg(
-                dealer_ep, channel, ring, share, role, batch_size, views, tracer
+                dealer_ep, channel, ring, share, batch_size, views, tracer
             )
         elif backend == "matrix":
             total, triples, rounds = _count_matrix(
-                dealer_ep, channel, ring, share, role, views, tracer
+                dealer_ep, channel, ring, share, views, tracer
             )
         elif backend == "blocked":
             total, triples, rounds = _count_blocked(
-                dealer_ep, channel, ring, share, role, int(spec["block_size"]),
-                views, tracer,
+                dealer_ep, channel, ring, share, int(spec["block_size"]), views, tracer
             )
         else:
             raise ProtocolError(f"unknown counting backend {backend!r}")
@@ -475,7 +416,7 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
         scaled = ring.mul(ring.encode(int(total)), factor)
         noisy_share = ring.add(scaled, ring.sum(plane))
         (opened,) = channel.exchange(
-            "release_opening", [int(noisy_share)], phase="noisy_count_share"
+            "release_opening", [(int(noisy_share),)], phase="noisy_count_share"
         )
 
     driver_ep.send(

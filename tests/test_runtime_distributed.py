@@ -90,7 +90,7 @@ class TestBitIdentity:
             for mine, theirs in zip(local_values, remote_values):
                 assert np.array_equal(np.asarray(mine), np.asarray(theirs))
 
-    @pytest.mark.parametrize("backend", ("matrix", "blocked"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_span_structure_matches_in_process(self, graph, backend):
         from repro.telemetry import Telemetry
 
@@ -102,10 +102,23 @@ class TestBitIdentity:
         )
         assert remote.tracer.structure() == local.tracer.structure()
 
-    def test_mac_counters_match_in_process(self, graph):
-        baseline = Cargo(make_config("blocked")).run(graph)
-        result = run_distributed(graph, make_config("blocked", distributed=True))
-        assert result.telemetry is None and baseline.telemetry is None
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mac_counters_match_in_process(self, graph, backend):
+        from repro.telemetry import Telemetry
+
+        local_telemetry = Telemetry()
+        Cargo(make_config(backend, telemetry=local_telemetry)).run(graph)
+        remote_telemetry = Telemetry()
+        run_distributed(
+            graph, make_config(backend, distributed=True, telemetry=remote_telemetry)
+        )
+        local = local_telemetry.releases[-1]["mac"]
+        remote = remote_telemetry.releases[-1]["mac"]
+        assert local["rounds_checked"] > 0 and local["values_checked"] > 0
+        assert (remote["rounds_checked"], remote["values_checked"]) == (
+            local["rounds_checked"],
+            local["values_checked"],
+        )
 
 
 class TestTransport:
