@@ -5,8 +5,9 @@ runtime plus the dealer-side accounting that explains it:
 
 * ``matrix`` vs ``blocked`` — the monolithic matrix backend pays ``3 n^2``
   ring elements for its one giant Beaver triple; the blocked backend never
-  exceeds ``3 block_size^2`` regardless of ``n``, which is what lets it keep
-  scaling after the monolithic triple stops fitting.
+  exceeds ``2 block_size · max(block_size, FUSED_DEPTH) + block_size^2``
+  regardless of ``n``, which is what lets it keep scaling after the
+  monolithic triple stops fitting.
 * ``batched`` (and, at small ``n``, ``faithful``) — the loop-free online
   phase of the per-triple protocol: vectorised candidate-triple blocks, one
   fused gather per opening round, and a buffered (pre-provisioned) offline
@@ -34,6 +35,7 @@ from repro.core.backends import (
     MatrixTriangleCounter,
     share_adjacency_rows,
 )
+from repro.core.backends.blocked import FUSED_DEPTH
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.graph.datasets import load_dataset
@@ -246,7 +248,9 @@ def test_backend_scaling(benchmark):
     # The whole point of the blocked backend: at the largest n the monolithic
     # matrix triple is at least 4x bigger than any single blocked allocation.
     assert matrix_peak >= 4 * blocked_peak
-    assert blocked_peak <= 3 * BLOCK_SIZE * BLOCK_SIZE
+    assert blocked_peak <= (
+        2 * BLOCK_SIZE * max(BLOCK_SIZE, FUSED_DEPTH) + BLOCK_SIZE * BLOCK_SIZE
+    )
     # The loop-free batched schedule opens C(n,3)/batch_size rounds, never
     # one round per triple.
     for row in rows:

@@ -92,8 +92,8 @@ def run_distributed_runtime(user_counts=USER_COUNTS, reps: int = TIMING_REPS):
                 )
 
         # One extra instrumented run for the transport summary (frames,
-        # payload/overhead bytes, per-process wall time), kept out of the
-        # timed repetitions.
+        # payload/overhead bytes, per-process wall time and BLAS threads),
+        # kept out of the timed repetitions.
         telemetry = Telemetry()
         config = CargoConfig(
             epsilon=2.0,
@@ -149,7 +149,8 @@ def gate(rows) -> int:
             f"in-process {row['in_process_seconds']*1e3:8.2f} ms, "
             f"distributed {row['distributed_seconds']*1e3:8.2f} ms "
             f"({row['speedup']:.2f}x, {row['host_cpus']} cpu(s), "
-            f"load {row['load_average']:.2f})"
+            f"load {row['load_average']:.2f}, "
+            f"blas threads {row['transport'].get('blas_threads')})"
         )
         if not row["gated"]:
             print(f"  info {label} — single-CPU host, speedup gate not applied")

@@ -150,6 +150,7 @@ API_PAGES = {
             "repro.runtime.wire",
             "repro.runtime.dealer",
             "repro.runtime.server",
+            "repro.runtime.blas",
             "repro.runtime.driver",
         ),
     ),

@@ -12,8 +12,9 @@ memory).  Importing this package registers the four built-in strategies:
 * ``matrix`` — the monolithic secret-shared ``C^T C`` formulation: two
   opening rounds, but ``O(n^2)`` peak triple memory,
 * ``blocked`` — the matrix formulation streamed in ``block_size``-wide
-  tiles: ``O(block_size^2)`` peak memory per opening round, suitable for
-  much larger ``n``.
+  tiles, I tiles fused into ranges of up to ``FUSED_DEPTH`` rows:
+  ``O(block_size · max(block_size, FUSED_DEPTH))`` peak memory per opening
+  round, suitable for much larger ``n``.
 
 Third-party strategies plug in with :func:`register_backend` and are then
 selectable by name via ``CargoConfig(counting_backend="<name>")``.

@@ -15,20 +15,25 @@ in fixed-size tiles of ``block_size`` columns/rows.  Writing ``J, K, I`` for
 
 ``M_{JK} = sum_I C[I, J]^T @ C[I, K]``
 
-with one *small* matrix Beaver triple per ``(I, J, K)`` tile, then finish each
-``(J, K)`` tile with one small element-wise triple for ``C[J, K] ⊙ M_{JK}``
-and a local sum.  Every product that enters the count is the same ring
-multiplication the monolithic backend performs — only the grouping of the
-openings differs — so the reconstructed count is bit-identical and each
-opening reveals only Beaver-masked (uniformly random) values, preserving the
-view-security properties.  Tiles that are structurally zero (entirely on or
-below the diagonal, where the public strict-upper mask vanishes) are skipped
-outright; the decision depends only on public indices.
+where ``I`` runs over row ranges that fuse consecutive tiles up to
+:data:`FUSED_DEPTH` rows: the sum over a range's tiles is one product of the
+stacked rows, so each range takes one matrix Beaver triple and one opening
+(the matrix-triple algebra of Mohassel & Zhang, "SecureML", S&P 2017).  Each
+``(J, K)`` tile is then finished with one small element-wise triple for
+``C[J, K] ⊙ M_{JK}`` and a local sum.  Every product that enters the count
+is the same ring multiplication the monolithic backend performs — only the
+grouping of the openings differs — so the reconstructed count is
+bit-identical and each opening reveals only Beaver-masked (uniformly random)
+values, preserving the view-security properties.  Tiles that are
+structurally zero (entirely on or below the diagonal, where the public
+strict-upper mask vanishes) are skipped outright; the decision depends only
+on public indices.
 
 The payoff: peak additional allocation per opening round is
-``O(block_size^2)`` instead of ``O(n^2)``, and each tile's triple is dealt
-just before its product instead of as one giant triple upfront, at the cost
-of more opening rounds (``O((n / block_size)^3)`` instead of two).  Choose
+``O(block_size · max(block_size, FUSED_DEPTH))`` instead of ``O(n^2)``, and
+each range's triple is dealt just before its product instead of as one giant
+triple upfront, at the cost of more opening rounds
+(``O((n / block_size)^2 · ⌈n / FUSED_DEPTH⌉)`` instead of two).  Choose
 ``block_size`` to trade round count against memory; the default suits graphs
 in the tens of thousands of users.
 
@@ -67,7 +72,7 @@ from repro.core.backends.base import (
 )
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_pair
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
@@ -78,28 +83,45 @@ from repro.utils.rng import RandomState
 
 #: Default tile width; 128² ring elements per triple ≈ 128 KiB per array.
 DEFAULT_BLOCK_SIZE = 128
+#: Most I rows one secure product of a tile group spans.  A fused product's
+#: Beaver combine has inner dimension ``2·FUSED_DEPTH``, exactly one
+#: :data:`~repro.crypto.ring.LIMB_CHUNK`: deeper ranges save opening rounds
+#: but no GEMMs, and hold larger triples.
+FUSED_DEPTH = LIMB_CHUNK // 2
 
 
 def tile_schedule(num_users: int, block_size: int) -> List[tuple]:
     """Canonical ``(j0, j1, k0, k1, i_tiles)`` group list of the blocked count.
 
     A pure function of public quantities: groups with no pair ``j < k`` and
-    I tiles with no row ``i < j`` are structurally zero and left out.  The
-    dealing order, the reduction order, and the distributed runtime's frame
-    order are all fixed by this list, which is what makes every execution of
-    the schedule — any worker count, any window, in-process or distributed —
-    produce the same transcript.
+    I tiles with no row ``i < j`` are structurally zero and left out.  Each
+    group's I tiles are then fused into consecutive row ranges of at most
+    :data:`FUSED_DEPTH` rows (never less than one tile), one secure product
+    each.  The dealing order, the reduction order, and the distributed
+    runtime's frame order are all fixed by this list, which is what makes
+    every execution of the schedule — any worker count, any window,
+    in-process or distributed — produce the same transcript.
+
+    Examples
+    --------
+    >>> [group[4] for group in tile_schedule(640, 128)][-1]
+    [(0, 256), (256, 512), (512, 640)]
     """
     blocks = [
         (start, min(start + block_size, num_users))
         for start in range(0, num_users, block_size)
     ]
+    tiles_per_range = max(1, FUSED_DEPTH // block_size)
     schedule = []
     for j0, j1 in blocks:
+        live = [block for block in blocks if block[0] < j1 - 1]
+        i_tiles = [
+            (live[start][0], live[min(start + tiles_per_range, len(live)) - 1][1])
+            for start in range(0, len(live), tiles_per_range)
+        ]
         for k0, k1 in blocks:
             if j0 >= k1 - 1:
                 continue
-            i_tiles = [(i0, i1) for i0, i1 in blocks if i0 < j1 - 1]
             schedule.append((j0, j1, k0, k1, i_tiles))
     return schedule
 
@@ -107,8 +129,8 @@ def tile_schedule(num_users: int, block_size: int) -> List[tuple]:
 def group_triples(group: tuple, dealer):
     """Yield one group's triples from *dealer* in draw order.
 
-    One matrix triple per I tile, then the element-wise triple for the
-    ``C[J, K] ⊙ M_{JK}`` finish.  The in-process backend and the runtime
+    One matrix triple per fused I range, then the element-wise triple for
+    the ``C[J, K] ⊙ M_{JK}`` finish.  The in-process backend and the runtime
     dealer both draw through this, so their material is identical.
     """
     j0, j1, k0, k1, i_tiles = group
@@ -148,11 +170,11 @@ def count_group(group: tuple, triples, shares, ring, views, opener) -> tuple:
 class _StoredGroup:
     """One group's stored material, replayed through the dealer interface."""
 
-    def __init__(self, material: dict, tiles: int) -> None:
-        if len(material["matrix"]) != tiles:
+    def __init__(self, material: dict, ranges: int) -> None:
+        if len(material["matrix"]) != ranges:
             raise ProtocolError(
                 f"stored group material carries {len(material['matrix'])} "
-                f"matrix triples for {tiles} I tiles"
+                f"matrix triples for {ranges} I ranges"
             )
         self._triples = [*material["matrix"], material["elementwise"]]
         self._accounting = material["accounting"]
@@ -186,8 +208,9 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         Beaver-triple dealer whose seed the per-group sub-dealers are spawned
         from; a fresh one is created when not supplied.
     block_size:
-        Tile width.  Peak per-opening allocation is ``O(block_size^2)``;
-        smaller values bound memory tighter but cost more opening rounds.
+        Tile width.  Peak per-opening allocation is
+        ``O(block_size · max(block_size, FUSED_DEPTH))``; smaller values
+        bound memory tighter but cost more opening rounds.
     views:
         Optional view recorder for the security tests.
     workers:
@@ -305,7 +328,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         mismatch makes :class:`~repro.resilience.Checkpointer` raise instead.
         """
         payload = (
-            f"tiles|{n}|{self._block_size}|{self._tile_window}|"
+            f"tiles|{n}|{self._block_size}|{FUSED_DEPTH}|{self._tile_window}|"
             f"{self._ring.bits}|{dealer_key}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
@@ -314,7 +337,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         """One ``(J, K)`` group through :func:`count_group`, both roles held.
 
         *dealer* is the group's sub-dealer (each triple is dealt just before
-        its product, so a group holds one tile triple at a time) or its
+        its product, so a group holds one range's triple at a time) or its
         stored material.  A failed attempt rolls *dealer* back, so a retry
         replays the identical randomness.  Views and spans land in private
         shards the coordinator merges in canonical schedule order, so the
@@ -349,7 +372,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         """
         if self._store is None:
             return [sub_dealers[g] for g in groups]
-        geometry = (("block_size", self._block_size),)
+        geometry = (("block_size", self._block_size), ("fused_depth", FUSED_DEPTH))
         if self._tile_window is not None:
             geometry += (("tile_window", self._tile_window), ("chunk", chunk_index))
         signature = TripleSignature(

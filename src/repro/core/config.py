@@ -29,10 +29,11 @@ class CountingBackend(str, enum.Enum):
       element-wise product), producing the same count with two opening
       rounds total.  This is the default backend for the experiments.
     * ``BLOCKED`` — the matrix formulation streamed in fixed-size tiles
-      (``block_size``), consuming one small Beaver triple per tile.  Peak
-      memory per opening round is ``O(block_size^2)`` instead of ``O(n^2)``
-      at the cost of more opening rounds; use it when ``n`` outgrows the
-      monolithic matrix triple.
+      (``block_size``), consuming one Beaver triple per fused range of up
+      to ``FUSED_DEPTH`` (256) rows.  Peak memory per opening round is
+      ``O(block_size · max(block_size, FUSED_DEPTH))`` instead of
+      ``O(n^2)`` at the cost of more opening rounds; use it when ``n``
+      outgrows the monolithic matrix triple.
 
     Beyond these built-ins, ``counting_backend`` also accepts any string
     registered via :func:`repro.core.backends.register_backend`, so
@@ -92,7 +93,7 @@ class CargoConfig:
         backend.
     block_size:
         Tile width of the blocked backend; peak memory per opening round is
-        ``O(block_size^2)``.
+        ``O(block_size · max(block_size, FUSED_DEPTH))``.
     tile_window:
         When set, the blocked backend walks its tile schedule in chunks of
         at most this many groups: a triple store writes and reads one chunk

@@ -108,8 +108,8 @@ class BeaverTripleDealer:
 
         One triple holds ``size(x) + size(y) + size(z)`` elements per party;
         this is the dealer's peak *single-allocation* cost and the quantity
-        the blocked backend bounds at ``O(block_size^2)`` while the monolithic
-        matrix backend pays ``O(n^2)``.
+        the blocked backend bounds at ``O(block_size · max(block_size,
+        FUSED_DEPTH))`` while the monolithic matrix backend pays ``O(n^2)``.
         """
         return self._largest_triple_elements
 

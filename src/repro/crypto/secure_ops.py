@@ -209,6 +209,9 @@ def secure_matrix_multiply(
     check_matrix_triple(halves[0], a_shares[0], b_shares[0])
     masked = [_masked(ring, a_shares, halves, "x"), _masked(ring, b_shares, halves, "y")]
     e, f = _open_round("matrix_beaver_opening", masked, opener, roles, views)
+    # The masked operands are dead once opened; free them before the combine
+    # allocates its ``2k``-deep operands.
+    del masked
     return tuple(
         beaver_matrix_combine(role, e, f, half, ring, matmul)
         for role, half in zip(roles, halves)

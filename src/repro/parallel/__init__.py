@@ -1,7 +1,7 @@
 """Parallel execution engine for the secure protocol.
 
 The online phase of every counting backend decomposes into independent units
-of work — ``(I, J, K)`` tiles for the blocked matrix formulation, candidate
+of work — ``(J, K)`` tile groups for the blocked matrix formulation, candidate
 blocks for the faithful/batched schedule, row strips of the local matrix
 products for the monolithic matrix backend.  This package provides the two
 pieces that turn that decomposition into a multicore engine without changing

@@ -15,6 +15,8 @@ length-prefixed binary wire format (:mod:`repro.runtime.wire`).
   in-process backends' counting kernels on its role's share alone,
   exchanging opening rounds (optionally MAC-authenticated) directly with
   its peer.
+* :mod:`repro.runtime.blas` — the one-thread BLAS budget each forked
+  process sets at entry.
 * :mod:`repro.runtime.driver` — the orchestrator: forks the three peer
   processes, runs the user-side phases, reconciles the
   :class:`~repro.crypto.protocol.CommunicationLedger` against bytes actually

@@ -29,6 +29,7 @@ from repro.core.backends.faithful import group_stream
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
 from repro.exceptions import WireFormatError
+from repro.runtime.blas import blas_threads
 from repro.runtime.wire import (
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
@@ -81,9 +82,9 @@ def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> N
     dealer = BeaverTripleDealer(ring=spec["ring"], seed=spec["dealer_rng"])
     schedule = tile_schedule(n, int(spec["block_size"]))
     for group, sub_dealer in zip(schedule, dealer.spawn_subdealers(len(schedule))):
-        tiles = len(group[4])
+        ranges = len(group[4])
         for index, triple in enumerate(group_triples(group, sub_dealer)):
-            label = "matrix_triple" if index < tiles else "vector_triple"
+            label = "matrix_triple" if index < ranges else "vector_triple"
             _ship_triple(triple, label, server1, server2)
 
 
@@ -139,6 +140,7 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
                     {
                         "stage": "dealer",
                         "seconds": time.perf_counter() - started,
+                        "blas_threads": blas_threads(),
                         "sent": {
                             "server1": summary_delta(before1, server1.sent_summary()),
                             "server2": summary_delta(before2, server2.sent_summary()),

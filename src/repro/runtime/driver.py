@@ -65,6 +65,7 @@ from repro.exceptions import (
     WireFormatError,
 )
 from repro.resilience import Checkpointer, resolve_resilience
+from repro.runtime.blas import limit_blas_threads
 from repro.runtime.dealer import run_dealer
 from repro.runtime.server import run_server
 from repro.runtime.wire import (
@@ -257,12 +258,15 @@ class DistributedRuntime:
 
         def entry(target, own):
             # Each process closes every link end it does not own, so a dead
-            # process is observed as EOF by every peer (no hung recvs).
+            # process is observed as EOF by every peer (no hung recvs), and
+            # caps its BLAS at one thread so the three processes do not
+            # oversubscribe the host's cores.
             def main() -> None:
                 keep = {id(sock) for sock in own}
                 for sock in every:
                     if id(sock) not in keep:
                         sock.close()
+                limit_blas_threads(1)
                 target(*own)
 
             return main
@@ -641,6 +645,11 @@ class DistributedRuntime:
                 "server1": float(final1.get("seconds", 0.0)),
                 "server2": float(final2.get("seconds", 0.0)),
                 "dealer": float(dealer_meta.get("seconds", 0.0)),
+            },
+            "blas_threads": {
+                "server1": final1.get("blas_threads"),
+                "server2": final2.get("blas_threads"),
+                "dealer": dealer_meta.get("blas_threads"),
             },
         }
 

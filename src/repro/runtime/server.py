@@ -55,6 +55,7 @@ from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
+from repro.runtime.blas import blas_threads
 from repro.runtime.wire import (
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
@@ -244,9 +245,9 @@ def _recv_triple(endpoint: WireEndpoint, label: str) -> BeaverTriple:
     return BeaverTriple(x=arrays[0], y=arrays[1], z=arrays[2])
 
 
-def _recv_group_triples(endpoint: WireEndpoint, tiles: int):
+def _recv_group_triples(endpoint: WireEndpoint, ranges: int):
     """One blocked group's triple halves, read in ``group_triples`` order."""
-    for _ in range(tiles):
+    for _ in range(ranges):
         yield _recv_triple(endpoint, "matrix_triple")
     yield _recv_triple(endpoint, "vector_triple")
 
@@ -429,6 +430,7 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
             "values_checked": int(channel.values_checked),
             "views": views,
             "seconds": time.perf_counter() - started,
+            "blas_threads": blas_threads(),
             "sent": {
                 "driver": summary_delta(driver_before, driver_ep.sent_summary()),
                 "peer": summary_delta(peer_before, peer_ep.sent_summary()),

@@ -28,8 +28,9 @@ Execution strategies, selected by the configured counting-backend name:
   matrix Beaver product for ``W = A @ A``, one element-wise product for
   ``W ⊙ (W - 1)`` over the strict upper triangle: three opening rounds.
 * ``blocked`` — the same algebra streamed in ``block_size``-wide tiles with
-  one small triple per tile, bounding peak triple memory at
-  ``O(block_size²)`` exactly like the blocked triangle backend.
+  one small triple per ``(J, I, K)`` tile, bounding peak triple memory at
+  ``O(block_size²)`` (the blocked triangle backend fuses its I tiles; this
+  path does not).
 * ``faithful`` / ``batched`` — *wedge-pair openings*: candidate pairs
   ``(j, k)``, ``j < k``, are enumerated in blocks
   (:func:`candidate_pair_blocks`, the pair analogue of the triangle

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import Cargo, CargoConfig
 from repro.core.backends import BlockedMatrixTriangleCounter, share_adjacency_rows
+from repro.core.backends import blocked
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -136,6 +137,24 @@ class TestWindowedStore:
         second = _run(shares, tile_window=4, store=second_store)
         assert second_store.hits == 0  # no cross-geometry reuse
         _assert_same_transcript(first, second)
+
+    def test_material_and_journal_keyed_by_fused_depth(self, shares, monkeypatch):
+        """Material or a journal written under another I-range layout (a
+        different fused depth) must miss cleanly, never replay."""
+        signatures = []
+
+        class RecordingStore(TripleStore):
+            def get(self, signature):
+                signatures.append(signature)
+                return super().get(signature)
+
+        depth = blocked.FUSED_DEPTH
+        _, _, counter = _run(shares, tile_window=3, store=RecordingStore())
+        assert signatures
+        assert all(("fused_depth", depth) in sig.geometry for sig in signatures)
+        token = counter._journal_token(NUM_USERS, "dealer")
+        monkeypatch.setattr(blocked, "FUSED_DEPTH", depth // 2)
+        assert counter._journal_token(NUM_USERS, "dealer") != token
 
 
 class TestConfiguration:

@@ -16,6 +16,7 @@ from repro.core.backends import (
     register_backend,
     unregister_backend,
 )
+from repro.core.backends.blocked import FUSED_DEPTH, tile_schedule
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig, CountingBackend
 from repro.crypto.beaver import BeaverTripleDealer
@@ -162,12 +163,40 @@ class TestBlockedMemoryProfile:
 
         # Monolithic: one triple holding three n x n arrays.
         assert monolithic_dealer.largest_triple_elements == 3 * n * n
-        # Blocked: no single triple exceeds three block_size x block_size arrays.
-        assert blocked_dealer.largest_triple_elements <= 3 * block_size * block_size
+        # Blocked: no single triple exceeds one fused range's (b, depth) and
+        # (depth, b) masks plus a b x b product.
+        assert blocked_dealer.largest_triple_elements <= (
+            2 * block_size * max(block_size, FUSED_DEPTH) + block_size * block_size
+        )
         assert (
             monolithic_dealer.largest_triple_elements
             >= 4 * blocked_dealer.largest_triple_elements
         )
+
+    def test_fused_triple_does_not_grow_with_n(self):
+        """The fused schedule's largest triple is capped by FUSED_DEPTH, not n."""
+        block_size = 32
+
+        def largest_triple(n):
+            return max(
+                (j1 - j0) * (i1 - i0) + (i1 - i0) * (k1 - k0) + (j1 - j0) * (k1 - k0)
+                for j0, j1, k0, k1, i_tiles in tile_schedule(n, block_size)
+                for i0, i1 in i_tiles
+            )
+
+        bound = 2 * block_size * max(block_size, FUSED_DEPTH) + block_size**2
+        sizes = [largest_triple(n) for n in (64, 1024, 4096)]
+        assert all(size <= bound for size in sizes)
+        assert sizes[1] == sizes[2] == bound
+
+    def test_fused_schedule_round_totals(self):
+        """One round per fused I range plus the element-wise finish, per group."""
+
+        def rounds(n, block_size):
+            return sum(len(group[4]) + 1 for group in tile_schedule(n, block_size))
+
+        assert rounds(1024, 128) == 106
+        assert rounds(512, 64) == 82
 
     def test_dealer_issues_one_triple_per_tile(self):
         """The blocked backend draws tile triples on demand, never upfront."""

@@ -88,7 +88,9 @@ class TestBitIdentity:
             remote_values = remote.values()
             assert len(local_values) == len(remote_values)
             for mine, theirs in zip(local_values, remote_values):
-                assert np.array_equal(np.asarray(mine), np.asarray(theirs))
+                assert len(mine) == len(theirs)
+                for opened, remote_opened in zip(mine, theirs):
+                    assert np.array_equal(opened, remote_opened)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_span_structure_matches_in_process(self, graph, backend):
@@ -155,6 +157,24 @@ class TestTransport:
             if isinstance(record, dict) and "transport" in record
         ]
         assert releases and releases[0]["transport"] == transport
+
+    def test_forked_processes_run_one_blas_thread(self, graph):
+        """Each forked process caps its OpenBLAS at one thread and reports it;
+        the driver's own pool is left alone."""
+        from repro.runtime.blas import blas_threads
+        from repro.telemetry import Telemetry
+
+        before = blas_threads()
+        result = run_distributed(
+            graph, make_config("blocked", distributed=True, telemetry=Telemetry())
+        )
+        expected = 1 if before is not None else None
+        assert result.telemetry["transport"]["blas_threads"] == {
+            "server1": expected,
+            "server2": expected,
+            "dealer": expected,
+        }
+        assert blas_threads() == before
 
     def test_reconciliation_failure_is_typed(self):
         from repro.runtime.driver import _reconcile_ledger
