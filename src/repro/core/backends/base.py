@@ -16,7 +16,8 @@ implementations.
 
 This module also owns the two data-plane pieces every backend shares:
 :class:`CountResult` (the pair of output shares) and
-:func:`share_adjacency_rows` (the users' upload step).
+:func:`share_adjacency_rows` / :func:`upload_adjacency_shares` (the users'
+upload step).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, NULL_TRACER
 from repro.utils.rng import RandomState, derive_rng, spawn_rngs
 
 
@@ -110,6 +111,28 @@ def share_adjacency_rows(
     for user, user_rng in enumerate(user_rngs):
         masks[user] = ring.random_array((num_users,), user_rng)
     return masks, ring.sub(encoded, masks)
+
+
+def upload_adjacency_shares(
+    projected_rows: np.ndarray,
+    ring: Ring,
+    rng: RandomState,
+    runtime=None,
+    tracer=NULL_TRACER,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The users' upload step of `Count`: share every row, book both uploads.
+
+    Runs :func:`share_adjacency_rows` inside one ``share`` span of *tracer*
+    and, with a *runtime* (:class:`~repro.crypto.protocol.TwoServerRuntime`),
+    books the two ``adjacency_share`` uploads on its ledger.  Returns the two
+    servers' share matrices.
+    """
+    with tracer.span("share", num_users=int(np.asarray(projected_rows).shape[0])):
+        share1, share2 = share_adjacency_rows(projected_rows, ring=ring, rng=rng)
+        if runtime is not None:
+            runtime.users_to_server(1, "adjacency_share", share1)
+            runtime.users_to_server(2, "adjacency_share", share2)
+    return share1, share2
 
 
 class TriangleCounterBackend(abc.ABC):

@@ -320,16 +320,21 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             )
         return pool
 
-    def _journal_token(self, n: int, dealer_key: str) -> str:
-        """Binds a tile journal to this exact run geometry and dealer stream.
+    def _journal_token(self, n: int, dealer_key: str, *shares: np.ndarray) -> str:
+        """Binds a tile journal to this exact input, run geometry and dealer stream.
 
-        A checkpoint written by a run with different ``n``, tiling, ring, or
-        dealer randomness must never be resumed into this one — the token
-        mismatch makes :class:`~repro.resilience.Checkpointer` raise instead.
+        A checkpoint written by a run over other share matrices (*shares* is
+        digested), or with a different ``n``, tiling, ring, or dealer
+        randomness, must never be resumed into this one — the token mismatch
+        makes :class:`~repro.resilience.Checkpointer` raise instead.
         """
+        digest = hashlib.sha256()
+        for share in shares:
+            # Hashed through the buffer protocol: no n²-byte copy.
+            digest.update(np.ascontiguousarray(share))
         payload = (
             f"tiles|{n}|{self._block_size}|{FUSED_DEPTH}|{self._tile_window}|"
-            f"{self._ring.bits}|{dealer_key}"
+            f"{self._ring.bits}|{dealer_key}|{digest.hexdigest()}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
@@ -443,7 +448,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             journal = Checkpointer(
                 resilience.checkpoint_path,
                 kind="tiles",
-                token=self._journal_token(n, dealer_key),
+                token=self._journal_token(n, dealer_key, share1, share2),
                 retry=resilience.retry,
                 metrics=self._telemetry.metrics if self._telemetry.enabled else None,
             )

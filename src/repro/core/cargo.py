@@ -15,6 +15,13 @@
    domain, calibrated to the statistic's post-projection sensitivity, and
    reconstructs the noisy count ``T'``.
 
+:meth:`Cargo._run_protocol` is the one implementation of these steps.  It
+calls a *servers* seam wherever the two servers act; :class:`LocalServers`
+runs both in this process, and the process-separated runtime
+(:mod:`repro.runtime.driver`) runs them in their own OS processes.
+Variants that change only sensitivities (:class:`~repro.core.node_dp.NodeDpCargo`)
+subclass :class:`Cargo`.
+
 The returned :class:`~repro.core.result.CargoResult` bundles the estimate
 with the evaluation-only ground truth, phase timings, and (optionally) the
 communication ledger, which is everything the paper's figures need.
@@ -25,12 +32,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import CargoConfig
-from repro.core.max_degree import MaxDegreeEstimator
-from repro.core.perturbation import DistributedPerturbation
+from repro.core.max_degree import MaxDegreeEstimator, clamp_max_degree
+from repro.core.perturbation import DistributedPerturbation, release_opening
 from repro.core.projection import SimilarityProjection
 from repro.core.result import CargoResult
 from repro.crypto.mac import resolve_authenticator
 from repro.crypto.protocol import TwoServerRuntime
+from repro.crypto.secure_ops import PlainOpener
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.graph.graph import Graph
@@ -60,6 +68,65 @@ def resolve_sparse_mode(config, statistic) -> bool:
             )
         return False
     return True
+
+
+def protocol_rngs(config):
+    """The four independent substreams of one release.
+
+    Users' degree noise, users' share masks, users' distributed noise, and
+    the offline dealer — spawned from ``config.seed``, except that a pinned
+    ``offline_seed`` gives the dealer identical material across runs, which
+    is what lets a TripleStore serve sweep cells and reruns warm
+    (evaluation-only — see docs/performance.md).
+    """
+    max_rng, share_rng, noise_rng, dealer_rng = spawn_rngs(derive_rng(config.seed), 4)
+    if config.offline_seed is not None:
+        dealer_rng = derive_rng(config.offline_seed)
+    return max_rng, share_rng, noise_rng, dealer_rng
+
+
+class LocalServers:
+    """Both servers in this process: the in-process servers seam.
+
+    :meth:`Cargo._run_protocol` calls its servers seam at the four points
+    where the two servers act — ``max_degree`` (``S1``'s clamp in `Max`),
+    ``count`` (`Count` on the uploaded shares), ``release`` (the servers'
+    step of `Perturb`) and ``finish`` (after the release: the MAC counters
+    and the transport section).  ``runtime`` is the communication ledger the
+    users' steps book their uploads on (``None`` when untracked).  The
+    process-separated runtime implements the same calls over its links
+    (:mod:`repro.runtime.driver`).
+    """
+
+    def __init__(self, runtime: Optional[TwoServerRuntime], authenticator, ring) -> None:
+        self.runtime = runtime
+        self._authenticator = authenticator
+        self._opener = authenticator if authenticator is not None else PlainOpener(ring)
+        self._ring = ring
+
+    max_degree = staticmethod(clamp_max_degree)
+
+    def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
+        """The statistic's secure kernel (degree-local when *sparse*)."""
+        kernel = statistic.secure_count_from_degrees if sparse else statistic.secure_count
+        return kernel(
+            projected,
+            config=config,
+            share_rng=share_rng,
+            dealer_rng=dealer_rng,
+            views=views,
+            runtime=self.runtime,
+            authenticator=self._authenticator,
+        )
+
+    def release(self, count_result, planes, factor):
+        """Lift both count shares, add the noise planes, open the release."""
+        shares = (count_result.share1, count_result.share2)
+        return release_opening(shares, planes, factor, self._ring, self._opener)
+
+    def finish(self):
+        """The authenticator (its MAC counters) and no transport section."""
+        return self._authenticator, None
 
 
 class Cargo:
@@ -95,17 +162,29 @@ class Cargo:
         """The configuration this instance runs with."""
         return self._config
 
+    @property
+    def backend_label(self) -> str:
+        """The backend name results, spans and telemetry records carry."""
+        return self._config.backend_name
+
+    def _max_estimator(self, epsilon1: float, num_users: int) -> MaxDegreeEstimator:
+        """The `Max` estimator (Edge DP: degree sensitivity 1)."""
+        return MaxDegreeEstimator(epsilon1)
+
+    def _perturb_sensitivity(self, statistic, degree_bound: float) -> float:
+        """`Perturb`'s sensitivity in units of the raw secure output."""
+        return statistic.secure_output_sensitivity(degree_bound)
+
     def run(self, graph: Graph) -> CargoResult:
         """Execute the full protocol on *graph* and return the result."""
         config = self._config
         if getattr(config, "distributed", False):
-            # The process-separated runtime replicates this orchestration
-            # across four OS processes; results are bit-identical.
-            from repro.runtime.driver import run_distributed
+            # The same protocol with four OS processes as its parties;
+            # results are bit-identical.
+            from repro.runtime.driver import DistributedRuntime
 
-            return run_distributed(graph, config, views=self.views)
-        budget = config.resolved_budget()
-        statistic = create_statistic(config.statistic, config)
+            with DistributedRuntime(config) as runtime:
+                return runtime.release(self, graph, views=self.views)
         telemetry = resolve_telemetry(config)
         resilience = resolve_resilience(config)
         if getattr(config, "triple_store", None) is not None and resilience.enabled:
@@ -114,20 +193,6 @@ class Cargo:
                 strict_integrity=resilience.strict_integrity,
                 metrics=telemetry.metrics if telemetry.enabled else None,
             )
-        # Phase timings always come from a span tree; without a telemetry
-        # bundle the run uses a private tracer whose only spans are the
-        # legacy phases, so ``result.timings`` keeps its historical keys.
-        tracer = telemetry.tracer if telemetry.enabled else Tracer()
-        master_rng = derive_rng(config.seed)
-        # Independent sub-streams: users' degree noise, users' share masks,
-        # users' distributed noise, and the offline dealer.
-        max_rng, share_rng, noise_rng, dealer_rng = spawn_rngs(master_rng, 4)
-        if config.offline_seed is not None:
-            # Pinned offline randomness: identical dealt material across
-            # runs, which is what lets a TripleStore serve sweep cells and
-            # reruns warm.  Evaluation-only — see docs/performance.md.
-            dealer_rng = derive_rng(config.offline_seed)
-
         runtime: Optional[TwoServerRuntime] = (
             TwoServerRuntime(graph.num_nodes) if config.track_communication else None
         )
@@ -136,116 +201,98 @@ class Cargo:
         # final release reconstruction in `Perturb`) goes through its batched
         # MAC check, so a tampering server aborts the run instead of biasing
         # the released count.
-        authenticator = resolve_authenticator(config)
+        servers = LocalServers(runtime, resolve_authenticator(config), config.ring)
+        return self._run_protocol(graph, servers=servers, views=self.views)
 
+    def _run_protocol(self, graph: Graph, *, servers, views) -> CargoResult:
+        """Algorithm 1 with *servers* as the two servers (see :class:`LocalServers`).
+
+        A detected cheat records a ``cheater_detected`` telemetry event
+        before it propagates.
+        """
+        config = self._config
+        budget = config.resolved_budget()
+        statistic = create_statistic(config.statistic, config)
+        telemetry = resolve_telemetry(config)
+        # Phase timings always come from a span tree; without a telemetry
+        # bundle the run uses a private tracer whose only spans are the
+        # legacy phases, so ``result.timings`` keeps its historical keys.
+        tracer = telemetry.tracer if telemetry.enabled else Tracer()
+        max_rng, share_rng, noise_rng, dealer_rng = protocol_rngs(config)
+        backend = self.backend_label
         try:
-            return self._run_protocol(
-                graph,
-                config=config,
-                budget=budget,
-                statistic=statistic,
-                telemetry=telemetry,
-                tracer=tracer,
-                runtime=runtime,
-                authenticator=authenticator,
-                rngs=(max_rng, share_rng, noise_rng, dealer_rng),
-            )
+            with tracer.span(
+                "total", backend=backend, statistic=config.statistic
+            ) as run_span:
+                # ------------------------------------------------------ #
+                # Step 1a — Max: private estimate of the maximum degree.
+                # ------------------------------------------------------ #
+                with tracer.span("max"):
+                    estimator = self._max_estimator(budget.epsilon1, graph.num_nodes)
+                    max_result = estimator.run(
+                        graph.degrees(), rng=max_rng, servers=servers
+                    )
+
+                # ------------------------------------------------------ #
+                # Step 1b — Project: similarity-based degree bounding.
+                # Degree statistics only need the row sums the projection
+                # would leave behind, so the sparse path projects the
+                # degree vector alone — O(n) memory, bit-identical outcome.
+                # ------------------------------------------------------ #
+                use_sparse = resolve_sparse_mode(config, statistic)
+                with tracer.span("project", sparse=use_sparse):
+                    projection = SimilarityProjection(max_result.noisy_max_degree)
+                    if use_sparse:
+                        projection_result = projection.project_degrees(
+                            graph.degree_vector(copy=False)
+                        )
+                    else:
+                        projection_result = projection.project_graph(
+                            graph, noisy_degrees=max_result.noisy_degrees
+                        )
+
+                # ------------------------------------------------------ #
+                # Step 2 — Count: the statistic's secure kernel on shares
+                # (triangles delegate to whichever counting backend the
+                # configuration names).
+                # ------------------------------------------------------ #
+                with tracer.span("count", backend=config.backend_name):
+                    count_result = servers.count(
+                        statistic,
+                        projection_result.projected_degrees
+                        if use_sparse
+                        else projection_result.projected_rows,
+                        sparse=use_sparse,
+                        config=config,
+                        share_rng=share_rng,
+                        dealer_rng=dealer_rng,
+                        views=views,
+                    )
+
+                # ------------------------------------------------------ #
+                # Step 3 — Perturb: distributed noise inside the shared
+                # domain, calibrated to the statistic's post-projection
+                # sensitivity (in units of the raw secure output —
+                # `finalise` divides the release scale back out afterwards,
+                # which is post-processing).
+                # ------------------------------------------------------ #
+                with tracer.span("perturb"):
+                    perturbation = DistributedPerturbation(
+                        epsilon2=budget.epsilon2,
+                        sensitivity=self._perturb_sensitivity(
+                            statistic, max_result.noisy_max_degree
+                        ),
+                        num_users=max(graph.num_nodes, 1),
+                        ring=config.ring,
+                        fixed_point_bits=config.fixed_point_bits,
+                    )
+                    perturb_result = perturbation.run(
+                        count_result, rng=noise_rng, servers=servers
+                    )
+            authenticator, transport = servers.finish()
         except CheaterDetectedError as error:
-            record_cheater_event(
-                config, telemetry, backend=config.backend_name, error=error
-            )
+            record_cheater_event(config, telemetry, backend=backend, error=error)
             raise
-
-    def _run_protocol(
-        self,
-        graph: Graph,
-        *,
-        config,
-        budget,
-        statistic,
-        telemetry,
-        tracer,
-        runtime,
-        authenticator,
-        rngs,
-    ) -> CargoResult:
-        max_rng, share_rng, noise_rng, dealer_rng = rngs
-        with tracer.span(
-            "total", backend=config.backend_name, statistic=config.statistic
-        ) as run_span:
-            # ---------------------------------------------------------- #
-            # Step 1a — Max: private estimate of the maximum degree.
-            # ---------------------------------------------------------- #
-            with tracer.span("max"):
-                estimator = MaxDegreeEstimator(budget.epsilon1)
-                max_result = estimator.run(graph.degrees(), rng=max_rng, runtime=runtime)
-
-            # ---------------------------------------------------------- #
-            # Step 1b — Project: similarity-based degree bounding.  Degree
-            # statistics only need the row sums the projection would leave
-            # behind, so the sparse path projects the degree vector alone —
-            # O(n) memory, bit-identical outcome.
-            # ---------------------------------------------------------- #
-            use_sparse = resolve_sparse_mode(config, statistic)
-            with tracer.span("project", sparse=use_sparse):
-                projection = SimilarityProjection(max_result.noisy_max_degree)
-                if use_sparse:
-                    projection_result = projection.project_degrees(
-                        graph.degree_vector(copy=False)
-                    )
-                else:
-                    projection_result = projection.project_graph(
-                        graph, noisy_degrees=max_result.noisy_degrees
-                    )
-
-            # ---------------------------------------------------------- #
-            # Step 2 — Count: the statistic's secure kernel on shares.
-            # ---------------------------------------------------------- #
-            with tracer.span("count", backend=config.backend_name):
-                # The statistic owns its secure-share formulation (triangles
-                # delegate to whichever counting backend the configuration
-                # names); the orchestrator only knows the registered name.
-                if use_sparse:
-                    count_result = statistic.secure_count_from_degrees(
-                        projection_result.projected_degrees,
-                        config=config,
-                        share_rng=share_rng,
-                        dealer_rng=dealer_rng,
-                        views=self.views,
-                        runtime=runtime,
-                        authenticator=authenticator,
-                    )
-                else:
-                    count_result = statistic.secure_count(
-                        projection_result.projected_rows,
-                        config=config,
-                        share_rng=share_rng,
-                        dealer_rng=dealer_rng,
-                        views=self.views,
-                        runtime=runtime,
-                        authenticator=authenticator,
-                    )
-
-            # ---------------------------------------------------------- #
-            # Step 3 — Perturb: distributed noise inside the shared domain,
-            # calibrated to the statistic's post-projection sensitivity (in
-            # units of the raw secure output — `finalise` divides the
-            # release scale back out afterwards, which is post-processing).
-            # ---------------------------------------------------------- #
-            with tracer.span("perturb"):
-                perturbation = DistributedPerturbation(
-                    epsilon2=budget.epsilon2,
-                    sensitivity=statistic.secure_output_sensitivity(
-                        max_result.noisy_max_degree
-                    ),
-                    num_users=max(graph.num_nodes, 1),
-                    ring=config.ring,
-                    fixed_point_bits=config.fixed_point_bits,
-                )
-                perturb_result = perturbation.run(
-                    count_result, rng=noise_rng, runtime=runtime,
-                    authenticator=authenticator,
-                )
 
         # Evaluation-only ground truth, computed outside every protocol span.
         true_count = statistic.plain_count(graph)
@@ -256,13 +303,14 @@ class Cargo:
         )
         noisy_count = statistic.finalise(perturb_result.noisy_count)
         timings = run_span.timings()
-        communication_phases = (
-            runtime.ledger.phase_summary() if runtime is not None else {}
-        )
+        # The distributed runtime keeps its ledger as its reconciliation
+        # oracle either way; it surfaces only when the caller asked for it.
+        ledger = servers.runtime.ledger if config.track_communication else None
+        communication_phases = ledger.phase_summary() if ledger is not None else {}
         result_telemetry = feed_run_telemetry(
             config,
             telemetry,
-            backend=config.backend_name,
+            backend=backend,
             timings=timings,
             communication_phases=communication_phases,
             count_result=count_result,
@@ -272,6 +320,7 @@ class Cargo:
             projected_count=projected_count,
             noisy_max_degree=max_result.noisy_max_degree,
             authenticator=authenticator,
+            transport=transport,
         )
         return CargoResult(
             noisy_triangle_count=noisy_count,
@@ -282,9 +331,9 @@ class Cargo:
             epsilon2=budget.epsilon2,
             edges_removed=projection_result.edges_removed,
             timings=timings,
-            communication=runtime.ledger.summary() if runtime is not None else {},
+            communication=ledger.summary() if ledger is not None else {},
             communication_phases=communication_phases,
-            backend=config.backend_name,
+            backend=backend,
             statistic=config.statistic,
             telemetry=result_telemetry,
         )
@@ -308,7 +357,7 @@ def feed_run_telemetry(
 ):
     """Post-run metric feeding + the release record for the manifest.
 
-    Shared by the Edge-DP and Node-DP orchestrators.  Runs strictly *after*
+    Called once per release by :meth:`Cargo._run_protocol`.  Runs strictly *after*
     the protocol finished, so instrumentation can never perturb the
     transcript; returns the ``CargoResult.telemetry`` block (``None`` when
     telemetry is disabled).  *transport* is the distributed runtime's
@@ -379,9 +428,8 @@ def record_cheater_event(config, telemetry, *, backend, error) -> None:
 
     A detected cheat aborts the release, so the normal ``cargo`` record never
     happens; this leaves an auditable ``cheater_detected`` record (which
-    round and label failed, never a count) in the manifest instead.  Shared
-    by the Edge-DP and Node-DP orchestrators; a no-op when telemetry is
-    disabled.
+    round and label failed, never a count) in the manifest instead.  A no-op
+    when telemetry is disabled.
     """
     if not telemetry.enabled:
         return

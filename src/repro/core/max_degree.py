@@ -33,8 +33,8 @@ class MaxDegreeResult:
         The noisy degree set ``D' = {d'_1, ..., d'_n}`` (floats).
     noisy_max_degree:
         ``d'_max = max(D')`` — the projection parameter and the sensitivity
-        used by `Perturb`.  Clamped below at 1.0 so downstream scale
-        parameters stay positive even on degenerate graphs.
+        used by `Perturb`, clamped to ``[1, n - 1]`` by
+        :func:`clamp_max_degree`.
     epsilon1:
         The budget spent by this invocation.
     """
@@ -44,6 +44,26 @@ class MaxDegreeResult:
     epsilon1: float
 
 
+def clamp_max_degree(noisy_degrees) -> float:
+    """Server ``S1``'s step of `Max`: ``d'_max`` from the users' noisy degrees.
+
+    The maximum noisy degree, clamped to ``[1, n - 1]``: no degree can
+    exceed ``n - 1`` (the Laplace tail can, at very small ε1), and the floor
+    at 1 keeps downstream scale parameters positive.  With one user the
+    range collapses to 1.  The in-process engine and the runtime's server
+    process both call this.
+
+    Examples
+    --------
+    >>> clamp_max_degree([2.5, 40.0, -3.0])
+    2.0
+    >>> clamp_max_degree([0.2, -1.0])
+    1.0
+    """
+    noisy = np.asarray(noisy_degrees, dtype=np.float64)
+    return min(max(float(np.max(noisy)), 1.0), float(max(noisy.size - 1, 1)))
+
+
 class MaxDegreeEstimator:
     """Runs the `Max` protocol for a collection of users.
 
@@ -51,17 +71,12 @@ class MaxDegreeEstimator:
     ----------
     epsilon1:
         The Edge-LDP budget each user spends on her noisy degree.
-    clamp_to_n:
-        When ``True`` (default) the noisy maximum degree is clamped to the
-        number of users, since no degree can exceed ``n - 1``; this only
-        matters at very small ε1 where the Laplace tail can exceed ``n``.
     """
 
-    def __init__(self, epsilon1: float, clamp_to_n: bool = True) -> None:
+    def __init__(self, epsilon1: float) -> None:
         if epsilon1 <= 0:
             raise PrivacyError(f"epsilon1 must be positive, got {epsilon1}")
         self._epsilon1 = float(epsilon1)
-        self._clamp_to_n = clamp_to_n
         self._mechanism = LaplaceMechanism(epsilon=self._epsilon1, sensitivity=1.0)
 
     @property
@@ -69,11 +84,29 @@ class MaxDegreeEstimator:
         """The Edge-LDP budget spent per user."""
         return self._epsilon1
 
+    @property
+    def sensitivity(self) -> float:
+        """The sensitivity of one user's degree query."""
+        return self._mechanism.sensitivity
+
+    def noisy_degrees(self, degrees: Sequence[int], rng: RandomState = None) -> np.ndarray:
+        """The users' step: every degree plus its user's own Laplace draw.
+
+        One stacked draw for every user: each user's uniform comes from her
+        own spawned substream (the same children spawn_rngs would hand
+        out), so per-user determinism is preserved while the sampling
+        itself is a single inverse-CDF transform.
+        """
+        states = spawn_state_matrix(rng, len(degrees), words=1)
+        noise = self._mechanism.noise_from_uniforms(uniforms_from_states(states[:, 0]))
+        return np.asarray(degrees, dtype=np.float64) + noise
+
     def run(
         self,
         degrees: Sequence[int],
         rng: RandomState = None,
         runtime: Optional[TwoServerRuntime] = None,
+        servers=None,
     ) -> MaxDegreeResult:
         """Execute `Max` over the true degree set ``D``.
 
@@ -87,31 +120,28 @@ class MaxDegreeEstimator:
             Optional communication runtime.  When given, each user's noisy
             degree is sent to server ``S1`` and the resulting ``d'_max`` is
             broadcast back, so the messages appear in the communication
-            ledger exactly as the paper's protocol describes.
+            ledger exactly as the paper's protocol describes.  Ignored when
+            *servers* is given: the seam carries its own ledger.
+        servers:
+            Optional servers seam of :meth:`~repro.core.cargo.Cargo._run_protocol`;
+            its ``max_degree`` runs ``S1``'s step.  ``None`` runs
+            :func:`clamp_max_degree` here.
         """
-        num_users = len(degrees)
-        if num_users == 0:
+        if len(degrees) == 0:
             return MaxDegreeResult(noisy_degrees=[], noisy_max_degree=1.0, epsilon1=self._epsilon1)
-        # One stacked Laplace draw for every user: each user's uniform comes
-        # from her own spawned substream (the same children spawn_rngs would
-        # hand out), so per-user determinism is preserved while the sampling
-        # itself is a single inverse-CDF transform.
-        states = spawn_state_matrix(rng, num_users, words=1)
-        noise = self._mechanism.noise_from_uniforms(uniforms_from_states(states[:, 0]))
-        noisy_array = np.asarray(degrees, dtype=np.float64) + noise
-        noisy_degrees = [float(value) for value in noisy_array]
+        if servers is not None:
+            runtime = servers.runtime
+        noisy_array = self.noisy_degrees(degrees, rng)
         if runtime is not None:
             # The n per-user uploads ride in one array-payload ledger record
             # (n messages, identical byte total).
             runtime.users_to_server(1, "noisy_degree", noisy_array)
-        noisy_max = float(np.max(noisy_array))
-        if self._clamp_to_n:
-            noisy_max = min(noisy_max, float(num_users - 1) if num_users > 1 else 1.0)
-        noisy_max = max(noisy_max, 1.0)
+        server1 = servers.max_degree if servers is not None else clamp_max_degree
+        noisy_max = server1(noisy_array)
         if runtime is not None:
             runtime.broadcast_to_users(1, "noisy_max_degree", noisy_max)
         return MaxDegreeResult(
-            noisy_degrees=noisy_degrees,
+            noisy_degrees=[float(value) for value in noisy_array],
             noisy_max_degree=noisy_max,
             epsilon1=self._epsilon1,
         )

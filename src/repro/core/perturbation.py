@@ -110,8 +110,7 @@ class DistributedPerturbation:
         fixed-point encodes it and splits it into two additive shares; entry
         ``i`` of each returned plane is user ``i``'s share for that server.
         Also returns the encoded noise total (evaluation only — a deployment
-        never learns it).  The in-process :meth:`run` and the distributed
-        runtime's driver both draw the planes here.
+        never learns it).
         """
         ring = self._ring
         noise = self._noise
@@ -148,7 +147,7 @@ class DistributedPerturbation:
         count_result: CountResult,
         rng: RandomState = None,
         runtime: Optional[TwoServerRuntime] = None,
-        authenticator=None,
+        servers=None,
     ) -> PerturbationResult:
         """Execute `Perturb` on the secret-shared triangle count.
 
@@ -161,44 +160,58 @@ class DistributedPerturbation:
         runtime:
             Optional communication runtime; when given, each user's two noise
             shares and the final cross-server exchange are routed through it
-            so they appear in the communication ledger.
-        authenticator:
-            Optional :class:`~repro.crypto.mac.OpeningAuthenticator`.  The
-            final reconstruction is the one opening every statistic performs
-            (degree-local statistics have no other), so routing it through
-            the MAC check means even a zero-round count cannot be tampered
-            with undetected.
+            so they appear in the communication ledger.  Ignored when
+            *servers* is given: the seam carries its own ledger.
+        servers:
+            Optional servers seam of :meth:`~repro.core.cargo.Cargo._run_protocol`;
+            its ``release`` runs the servers' step (an authenticated seam
+            routes the final reconstruction through its MAC check).  ``None``
+            runs :func:`release_opening` here with a plain opener.
         """
         ring = self._ring
         noise = self._noise
         factor = noise.fixed_point_factor
 
-        # Servers locally lift their count shares to the fixed-point domain.
-        scaled_share1 = ring.mul(ring.encode(count_result.share1), factor)
-        scaled_share2 = ring.mul(ring.encode(count_result.share2), factor)
-
+        if servers is not None:
+            runtime = servers.runtime
         share1_plane, share2_plane, noise_total_encoded = self.noise_planes(rng)
         if runtime is not None:
             runtime.users_to_server(1, "noise_share", share1_plane)
             runtime.users_to_server(2, "noise_share", share2_plane)
-        agg_share1 = ring.sum(share1_plane)
-        agg_share2 = ring.sum(share2_plane)
-
-        noisy_share1 = ring.add(scaled_share1, agg_share1)
-        noisy_share2 = ring.add(scaled_share2, agg_share2)
+        planes = (share1_plane, share2_plane)
+        if servers is not None:
+            noisy_shares, opened = servers.release(count_result, planes, factor)
+        else:
+            noisy_shares, opened = release_opening(
+                (count_result.share1, count_result.share2), planes, factor, ring, PlainOpener(ring)
+            )
+        noisy_share1, noisy_share2 = noisy_shares
         if runtime is not None:
-            runtime.server_to_server(1, 2).send("noisy_count_share", noisy_share1)
-            runtime.server_to_server(2, 1).send("noisy_count_share", noisy_share2)
-
-        opener = authenticator if authenticator is not None else PlainOpener(ring)
-        (opened,) = opener.exchange("release_opening", [(noisy_share1, noisy_share2)])
-        combined = ring.decode_signed(opened)
-        noisy_count = combined / factor
+            runtime.server_to_server(1, "noisy_count_share", noisy_share1)
+            runtime.server_to_server(2, "noisy_count_share", noisy_share2)
         return PerturbationResult(
-            noisy_count=float(noisy_count),
+            noisy_count=float(ring.decode_signed(opened) / factor),
             aggregate_noise=noise.decode(noise_total_encoded),
             noisy_share1=int(noisy_share1),
             noisy_share2=int(noisy_share2),
             epsilon2=noise.epsilon,
             sensitivity=noise.sensitivity,
         )
+
+
+def release_opening(count_shares, planes, factor: int, ring: Ring, opener):
+    """The servers' step of `Perturb`, for the roles *opener* holds.
+
+    Each held role lifts its count share to the fixed-point domain, adds the
+    sum of its noise plane, and the noisy shares are opened in one
+    ``release_opening`` round.  Returns the noisy shares (one per held role)
+    and the opened value.  :meth:`DistributedPerturbation.run` calls it with
+    both shares and a local opener; a runtime server process calls it with
+    its own share, its own plane and its peer channel.
+    """
+    noisy = tuple(
+        ring.add(ring.mul(ring.encode(int(share)), factor), ring.sum(plane))
+        for share, plane in zip(count_shares, planes)
+    )
+    (opened,) = opener.exchange("release_opening", [noisy])
+    return noisy, opened

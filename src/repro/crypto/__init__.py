@@ -38,7 +38,7 @@ from repro.crypto.sharing import (
 from repro.crypto.beaver import BeaverTriple, BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroup, MultiplicationGroupDealer
 from repro.crypto.ot import ObliviousTransferChannel
-from repro.crypto.protocol import Channel, CommunicationLedger, Party, TwoServerRuntime
+from repro.crypto.protocol import CommunicationLedger, TwoServerRuntime
 from repro.crypto.secure_ops import (
     secure_add,
     secure_multiply_pair,
@@ -71,8 +71,6 @@ __all__ = [
     "MultiplicationGroup",
     "MultiplicationGroupDealer",
     "ObliviousTransferChannel",
-    "Party",
-    "Channel",
     "CommunicationLedger",
     "TwoServerRuntime",
     "secure_add",

@@ -17,11 +17,13 @@ length-prefixed binary wire format (:mod:`repro.runtime.wire`).
   its peer.
 * :mod:`repro.runtime.blas` — the one-thread BLAS budget each forked
   process sets at entry.
-* :mod:`repro.runtime.driver` — the orchestrator: forks the three peer
-  processes, runs the user-side phases, reconciles the
-  :class:`~repro.crypto.protocol.CommunicationLedger` against bytes actually
-  written to the transport, and assembles a :class:`~repro.core.CargoResult`
-  bit-identical to the in-process engine.
+* :mod:`repro.runtime.driver` — forks the three peer processes and runs
+  the in-process engine's one Algorithm 1 with them as its servers:
+  the user-side phases run in the driver, every server step runs in the
+  server processes, and the
+  :class:`~repro.crypto.protocol.CommunicationLedger` is reconciled against
+  bytes actually written to the transport, for a
+  :class:`~repro.core.CargoResult` bit-identical to the in-process engine.
 
 Entry points: :class:`repro.runtime.driver.DistributedRuntime` (persistent,
 reusable across releases) and :func:`repro.runtime.driver.run_distributed`

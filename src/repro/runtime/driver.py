@@ -1,23 +1,29 @@
 """The user-batch driver of the process-separated runtime.
 
 :class:`DistributedRuntime` forks the dealer and the two computation servers
-as separate OS processes, wires the four parties together with six
-``socketpair`` links, and then drives the same four protocol phases the
-in-process :class:`~repro.core.cargo.Cargo` orchestrator drives — Max,
-Project, Count, Perturb — except that every share payload, every piece of
-correlated randomness, and every opening round now physically crosses a
-process boundary as :mod:`repro.runtime.wire` frames.
+as separate OS processes and wires the four parties together with six
+``socketpair`` links.  It has no protocol code of its own: each release runs
+the in-process engine's one Algorithm 1,
+:meth:`~repro.core.cargo.Cargo._run_protocol` — Max, Project, Count, Perturb
+— with a servers seam (:class:`_LinkedServers`) that sends every share
+payload to the server processes as :mod:`repro.runtime.wire` frames, while
+every piece of correlated randomness and every opening round crosses
+between the processes directly.  The users' steps (noisy degrees,
+projection, sharing, noise planes) run in the driver.
 
 Three guarantees define the runtime:
 
 * **Bit-identity** — the released count, the noisy maximum degree, the
   communication ledger, the recorded adversarial views, and the MAC
   counters are bit-identical to an in-process run with the same seed and
-  configuration, for every counting backend.  The driver re-derives the
-  same RNG substreams and draws the noise planes through the same
-  :meth:`~repro.core.perturbation.DistributedPerturbation.noise_planes`,
-  the dealer walks the same provisioning generators, and the servers run
-  the backends' own counting kernels.
+  configuration, for every counting backend and for
+  :class:`~repro.core.node_dp.NodeDpCargo`.  The users' steps are the
+  in-process code itself, the dealer walks the same provisioning
+  generators, and the servers run the backends' own counting kernels and
+  the same `Max` clamp and release kernels.  The seam cross-checks each
+  answer: server 1's ``d'_max`` against the driver's, the two servers'
+  schedules and MAC counters against each other, and the release opening
+  against its shares.
 * **Ledger/wire reconciliation** — the
   :class:`~repro.crypto.protocol.CommunicationLedger` stops being a mere
   estimate: after every release the driver reconciles each ledgered
@@ -27,11 +33,12 @@ Three guarantees define the runtime:
   separately in the ``transport`` summary, never mixed into protocol
   bytes.  A mismatch raises :class:`~repro.exceptions.RuntimeProcessError`.
 * **Crash safety** — with a ``resilience`` checkpoint configured, the
-  driver checkpoints the user-phase outputs (noisy degrees, projection)
-  after Project; if a server process dies mid-round the run fails with
-  :class:`RuntimeProcessError` and a fresh runtime resumes from the
-  checkpoint, skipping the user-facing Max exchange and re-running the
-  secure phases to the bit-identical release.
+  driver checkpoints that server 1's `Max` exchange happened, bound to the
+  configuration and the graph's edge set; if a server process dies
+  mid-round the run fails with :class:`RuntimeProcessError` and a fresh
+  runtime resumes: the users' steps are recomputed from the seed (they are
+  deterministic), only the `Max` exchange and its reconciliation are
+  skipped, and the secure phases re-run to the bit-identical release.
 """
 
 from __future__ import annotations
@@ -45,17 +52,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cargo import (
-    feed_run_telemetry,
-    record_cheater_event,
-    resolve_sparse_mode,
-)
+from repro.core.backends.base import CountResult, upload_adjacency_shares
+from repro.core.cargo import Cargo, protocol_rngs
 from repro.core.config import CargoConfig
-from repro.core.backends.base import CountResult
-from repro.core.backends.base import share_adjacency_rows
-from repro.core.max_degree import MaxDegreeEstimator
-from repro.core.perturbation import DistributedPerturbation, PerturbationResult
-from repro.core.projection import SimilarityProjection
+from repro.core.max_degree import clamp_max_degree
 from repro.core.result import CargoResult
 from repro.crypto.protocol import TwoServerRuntime
 from repro.exceptions import (
@@ -77,10 +77,8 @@ from repro.runtime.wire import (
     WireEndpoint,
     summary_delta,
 )
-from repro.stats import create_statistic
-from repro.telemetry import Tracer, resolve_telemetry
+from repro.telemetry import resolve_telemetry
 from repro.telemetry.spans import NULL_TRACER
-from repro.utils.rng import derive_rng, spawn_rngs
 
 __all__ = ["DistributedRuntime", "run_distributed"]
 
@@ -88,6 +86,10 @@ _BACKENDS = ("faithful", "batched", "matrix", "blocked")
 
 #: Frame kinds whose phased payloads correspond to ledgered protocol bytes.
 _LEDGERED_KINDS = ("SHARES", "OPEN_VALUES", "RESULT")
+
+#: The phases of S1's `Max` exchange: a checkpoint records that they crossed
+#: the wire, so a resumed release neither repeats nor reconciles them.
+_MAX_PHASES = ("noisy_degree", "noisy_max_degree")
 
 
 def _validate_distributed_config(config: CargoConfig) -> None:
@@ -128,14 +130,20 @@ def _validate_distributed_config(config: CargoConfig) -> None:
         )
 
 
-def _checkpoint_token(config: CargoConfig, num_users: int) -> str:
-    """Fingerprint binding a distributed checkpoint to its configuration."""
+def _checkpoint_token(config: CargoConfig, variant: str, graph) -> str:
+    """Fingerprint binding a distributed checkpoint to its configuration,
+    protocol variant (the Cargo's ``backend_label``) and graph."""
     budget = config.resolved_budget()
+    edges = hashlib.sha256()
+    for array in graph.csr_arrays():
+        edges.update(np.ascontiguousarray(array))
     payload = "|".join(
         str(part)
         for part in (
             "distributed",
-            num_users,
+            variant,
+            graph.num_nodes,
+            edges.hexdigest(),
             config.statistic,
             config.backend_name,
             config.batch_size,
@@ -325,88 +333,105 @@ class DistributedRuntime:
     # ------------------------------------------------------------------ #
     def run(self, graph, views=None) -> CargoResult:
         """Execute one full release of *graph* over the standing processes."""
+        return self.release(Cargo(self._config), graph, views=views)
+
+    def release(self, cargo: Cargo, graph, views=None) -> CargoResult:
+        """Run *cargo*'s Algorithm 1 with the standing processes as its servers.
+
+        *cargo* supplies the protocol variant (its `Max` estimator and
+        `Perturb` sensitivity — :class:`~repro.core.node_dp.NodeDpCargo`
+        runs here too); *views*, when given, receives both servers'
+        recorded views.  *cargo* must run on this runtime's own
+        configuration object: the server specs, dealer stream and checkpoint
+        are built from it.  A detected cheat or a failed process poisons the
+        runtime.
+        """
+        if cargo.config is not self._config:
+            raise ConfigurationError(
+                "release() needs a Cargo built on this DistributedRuntime's own config"
+            )
         if self._closed or self._broken:
             raise RuntimeProcessError(
                 "this DistributedRuntime is closed; create a fresh one"
             )
         try:
-            return self._run_release(graph, views)
-        except CheaterDetectedError as error:
-            record_cheater_event(
-                self._config,
-                resolve_telemetry(self._config),
-                backend=self._config.backend_name,
-                error=error,
-            )
+            servers = _LinkedServers(self, cargo.backend_label, graph, views)
+            return cargo._run_protocol(graph, servers=servers, views=views)
+        except CheaterDetectedError:
             self._broken = True
             self.close()
             raise
         except (WireFormatError, RuntimeProcessError, OSError, EOFError) as error:
             raise self._fail(error) from error
 
-    def _run_release(self, graph, views) -> CargoResult:
-        config = self._config
-        driver_started = time.perf_counter()
-        budget = config.resolved_budget()
-        statistic = create_statistic(config.statistic, config)
-        telemetry = resolve_telemetry(config)
-        resilience = resolve_resilience(config)
-        tracer = telemetry.tracer if telemetry.enabled else Tracer()
-        master_rng = derive_rng(config.seed)
-        max_rng, share_rng, noise_rng, dealer_rng = spawn_rngs(master_rng, 4)
-        if config.offline_seed is not None:
-            dealer_rng = derive_rng(config.offline_seed)
+
+class _LinkedServers:
+    """One release's servers seam over a :class:`DistributedRuntime`'s links.
+
+    Implements the calls :meth:`~repro.core.cargo.Cargo._run_protocol` makes
+    where the two servers act (see :class:`~repro.core.cargo.LocalServers`)
+    by shipping the users' uploads to the server processes and reading their
+    answers back, cross-checking each answer on the way.  Constructing it
+    starts the release: it loads a resume checkpoint, if any, and sends the
+    ``RUN`` specs, so the dealer deals while the driver runs the users'
+    steps.
+    """
+
+    def __init__(self, owner: DistributedRuntime, variant: str, graph, views) -> None:
+        config = owner._config
+        self._started = time.perf_counter()
+        self._config = config
+        self._views = views
+        self._s1, self._s2, self._dealer = owner._s1, owner._s2, owner._dealer
+        self._telemetry = resolve_telemetry(config)
         n = graph.num_nodes
-        ring = config.ring
-
         # The ledger is always kept — it is the reconciliation oracle — but
-        # it only surfaces in the result when the caller asked for it, so
-        # results stay bit-identical to in-process runs either way.
-        runtime = TwoServerRuntime(n)
+        # the result surfaces it only when the caller asked for it.
+        self.runtime = TwoServerRuntime(n)
 
-        checkpointer = None
+        resilience = resolve_resilience(config)
+        self._checkpointer = None
+        self._resumed: Tuple[str, ...] = ()
         if resilience.checkpoint_path is not None:
-            checkpointer = Checkpointer(
+            self._checkpointer = Checkpointer(
                 resilience.checkpoint_path,
                 kind="distributed",
-                token=_checkpoint_token(config, n),
+                token=_checkpoint_token(config, variant, graph),
                 retry=resilience.retry,
-                metrics=telemetry.metrics if telemetry.enabled else None,
+                metrics=self._telemetry.metrics if self._telemetry.enabled else None,
             )
-        resumed = None
-        if checkpointer is not None and resilience.resume and checkpointer.exists():
-            resumed = checkpointer.load()
+            if resilience.resume and self._checkpointer.exists():
+                self._resumed = tuple(self._checkpointer.load()["phases"])
 
         spec = {
             "backend": config.backend_name,
             "batch_size": config.batch_size,
             "block_size": config.block_size,
-            "ring": ring,
+            "ring": config.ring,
             "authenticate": bool(config.authenticate),
             "seed": int(getattr(config, "seed", 0) or 0),
             "record_views": views is not None,
-            "telemetry": telemetry.enabled,
+            "telemetry": self._telemetry.enabled,
             "num_users": n,
-            "run_max": resumed is None,
+            "run_max": not self._resumed,
         }
         specs = {1: dict(spec), 2: dict(spec)}
-        if self._tamper is not None:
-            role, round_index = self._tamper
+        if owner._tamper is not None:
+            role, round_index = owner._tamper
             specs[int(role)]["tamper_round"] = int(round_index)
-        if self._fault_plan is not None and self._fault_target in ("server1", "server2"):
-            target_role = 1 if self._fault_target == "server1" else 2
-            specs[target_role]["fault_plan"] = self._fault_plan
-            specs[target_role]["fault_target"] = self._fault_target
+        if owner._fault_plan is not None and owner._fault_target in ("server1", "server2"):
+            target_role = 1 if owner._fault_target == "server1" else 2
+            specs[target_role]["fault_plan"] = owner._fault_plan
+            specs[target_role]["fault_target"] = owner._fault_target
         dealer_spec = {
             "backend": config.backend_name,
-            "ring": ring,
+            "ring": config.ring,
             "num_users": n,
             "batch_size": config.batch_size,
             "block_size": config.block_size,
-            "dealer_rng": dealer_rng,
+            "dealer_rng": protocol_rngs(config)[3],
         }
-
-        sent_before = {
+        self._sent_before = {
             "server1": self._s1.sent_summary(),
             "server2": self._s2.sent_summary(),
             "dealer": self._dealer.sent_summary(),
@@ -415,179 +440,104 @@ class DistributedRuntime:
         self._s2.send(KIND_CONTROL, {"verb": CONTROL_RUN, "spec": specs[2]})
         self._dealer.send(KIND_CONTROL, {"verb": CONTROL_RUN, "spec": dealer_spec})
 
-        with tracer.span(
-            "total", backend=config.backend_name, statistic=config.statistic
-        ) as run_span:
-            # -------------------------------------------------------- #
-            # Max — S1 genuinely computes d'_max from the uploaded noisy
-            # degrees; the driver cross-checks it against the local clamp.
-            # -------------------------------------------------------- #
-            with tracer.span("max"):
-                if resumed is None:
-                    estimator = MaxDegreeEstimator(budget.epsilon1)
-                    max_result = estimator.run(
-                        graph.degrees(), rng=max_rng, runtime=runtime
-                    )
-                    noisy_degrees = max_result.noisy_degrees
-                    noisy_max = max_result.noisy_max_degree
-                    if n > 0:
-                        noisy_array = np.asarray(noisy_degrees, dtype=np.float64)
-                        self._s1.send(
-                            KIND_SHARES, {"phase": "noisy_degree"}, [noisy_array]
-                        )
-                        meta, arrays = self._s1.recv_expect(KIND_RESULT)
-                        if meta.get("phase") != "noisy_max_degree":
-                            raise RuntimeProcessError(
-                                "server1 answered the Max phase with "
-                                f"{meta.get('phase')!r}"
-                            )
-                        remote_max = float(arrays[0][0])
-                        if remote_max != noisy_max:
-                            raise RuntimeProcessError(
-                                f"server1 computed d'_max={remote_max!r}, the "
-                                f"driver expected {noisy_max!r}"
-                            )
-                else:
-                    noisy_degrees = list(resumed["noisy_degrees"])
-                    noisy_max = float(resumed["noisy_max"])
-                    if n > 0:
-                        # Replay the ledger records the live exchange would
-                        # have produced; reconciliation skips these phases.
-                        runtime.users_to_server(
-                            1,
-                            "noisy_degree",
-                            np.asarray(noisy_degrees, dtype=np.float64),
-                        )
-                        runtime.broadcast_to_users(1, "noisy_max_degree", noisy_max)
+    def max_degree(self, noisy_degrees) -> float:
+        """S1 computes ``d'_max`` from the uploaded noisy degrees.
 
-            # -------------------------------------------------------- #
-            # Project — driver-local degree bounding (the users' step).
-            # -------------------------------------------------------- #
-            use_sparse = resolve_sparse_mode(config, statistic)
-            if use_sparse:
-                raise ConfigurationError(
-                    "sparse execution is not supported by the distributed runtime"
-                )
-            with tracer.span("project", sparse=use_sparse):
-                if resumed is None:
-                    projection = SimilarityProjection(noisy_max)
-                    projection_result = projection.project_graph(
-                        graph, noisy_degrees=noisy_degrees
-                    )
-                    projected_rows = projection_result.projected_rows
-                    edges_removed = projection_result.edges_removed
-                else:
-                    projected_rows = np.asarray(resumed["projected_rows"])
-                    edges_removed = int(resumed["edges_removed"])
-
-            if checkpointer is not None and resumed is None:
-                checkpointer.save(
-                    {
-                        "num_users": n,
-                        "noisy_degrees": noisy_degrees,
-                        "noisy_max": noisy_max,
-                        "projected_rows": projected_rows,
-                        "edges_removed": edges_removed,
-                    }
-                )
-
-            # -------------------------------------------------------- #
-            # Count — share upload, then the servers run the backend.
-            # -------------------------------------------------------- #
-            share_tracer = (
-                telemetry.tracer
-                if telemetry.enabled and config.track_communication
-                else NULL_TRACER
+        The driver cross-checks it against its own clamp.  A resumed release
+        skips the exchange: S1 answered it before the crash, and the users'
+        steps recompute the same value from the seed.
+        """
+        noisy_max = clamp_max_degree(noisy_degrees)
+        if self._resumed:
+            return noisy_max
+        noisy_array = np.asarray(noisy_degrees, dtype=np.float64)
+        self._s1.send(KIND_SHARES, {"phase": "noisy_degree"}, [noisy_array])
+        meta, arrays = self._s1.recv_expect(KIND_RESULT)
+        if meta.get("phase") != "noisy_max_degree":
+            raise RuntimeProcessError(
+                f"server1 answered the Max phase with {meta.get('phase')!r}"
             )
-            with tracer.span("count", backend=config.backend_name) as count_span:
-                with share_tracer.span(
-                    "share", num_users=int(np.asarray(projected_rows).shape[0])
-                ):
-                    share1, share2 = share_adjacency_rows(
-                        projected_rows, ring=ring, rng=share_rng
-                    )
-                    runtime.users_to_server(1, "adjacency_share", share1)
-                    runtime.users_to_server(2, "adjacency_share", share2)
-                self._s1.send(KIND_SHARES, {"phase": "adjacency_share"}, [share1])
-                self._s2.send(KIND_SHARES, {"phase": "adjacency_share"}, [share2])
-                meta1, _ = self._s1.recv_expect(KIND_RESULT)
-                meta2, _ = self._s2.recv_expect(KIND_RESULT)
-                if meta1.get("stage") != "count" or meta2.get("stage") != "count":
-                    raise RuntimeProcessError(
-                        "servers answered the Count phase out of order: "
-                        f"{meta1.get('stage')!r} / {meta2.get('stage')!r}"
-                    )
-                if (
-                    meta1["triples"] != meta2["triples"]
-                    or meta1["opening_rounds"] != meta2["opening_rounds"]
-                ):
-                    raise RuntimeProcessError(
-                        "the two servers disagree on the counting schedule: "
-                        f"{meta1['triples']}/{meta1['opening_rounds']} vs "
-                        f"{meta2['triples']}/{meta2['opening_rounds']}"
-                    )
-                count_result = CountResult(
-                    share1=int(meta1["share"]),
-                    share2=int(meta2["share"]),
-                    num_triples_processed=int(meta1["triples"]),
-                    opening_rounds=int(meta1["opening_rounds"]),
-                )
-                if telemetry.enabled and meta1.get("spans"):
-                    # Server 1's span tree is the canonical backend trace —
-                    # both servers execute the identical schedule.
-                    count_span.children.extend(meta1["spans"])
+        remote_max = float(arrays[0][0])
+        if remote_max != noisy_max:
+            raise RuntimeProcessError(
+                f"server1 computed d'_max={remote_max!r}, the driver expected "
+                f"{noisy_max!r}"
+            )
+        if self._checkpointer is not None:
+            self._checkpointer.save({"phases": _MAX_PHASES})
+        return noisy_max
 
-            # -------------------------------------------------------- #
-            # Perturb — the users' noise planes, then the MAC-checked
-            # release opening between the servers.
-            # -------------------------------------------------------- #
-            with tracer.span("perturb"):
-                perturbation = DistributedPerturbation(
-                    epsilon2=budget.epsilon2,
-                    sensitivity=statistic.secure_output_sensitivity(noisy_max),
-                    num_users=max(n, 1),
-                    ring=ring,
-                    fixed_point_bits=config.fixed_point_bits,
-                )
-                noise = perturbation.noise_config
-                factor = noise.fixed_point_factor
-                share1_plane, share2_plane, noise_total_encoded = (
-                    perturbation.noise_planes(noise_rng)
-                )
-                runtime.users_to_server(1, "noise_share", share1_plane)
-                runtime.users_to_server(2, "noise_share", share2_plane)
-                noise_meta = {"phase": "noise_share", "factor": int(factor)}
-                self._s1.send(KIND_SHARES, noise_meta, [share1_plane])
-                self._s2.send(KIND_SHARES, noise_meta, [share2_plane])
-                final1, _ = self._s1.recv_expect(KIND_RESULT)
-                final2, _ = self._s2.recv_expect(KIND_RESULT)
-                if final1.get("stage") != "release" or final2.get("stage") != "release":
-                    raise RuntimeProcessError(
-                        "servers answered the Perturb phase out of order: "
-                        f"{final1.get('stage')!r} / {final2.get('stage')!r}"
-                    )
-                noisy_share1 = int(final1["noisy_share"])
-                noisy_share2 = int(final2["noisy_share"])
-                runtime.server_to_server(1, 2).send("noisy_count_share", noisy_share1)
-                runtime.server_to_server(2, 1).send("noisy_count_share", noisy_share2)
-                opened = int(final1["opened"])
-                if opened != int(final2["opened"]) or opened != int(
-                    ring.add(noisy_share1, noisy_share2)
-                ):
-                    raise RuntimeProcessError(
-                        "the release opening does not reconstruct: "
-                        f"{final1['opened']} / {final2['opened']} vs shares "
-                        f"{noisy_share1} + {noisy_share2}"
-                    )
-                perturb_result = PerturbationResult(
-                    noisy_count=float(ring.decode_signed(opened) / factor),
-                    aggregate_noise=noise.decode(noise_total_encoded),
-                    noisy_share1=noisy_share1,
-                    noisy_share2=noisy_share2,
-                    epsilon2=noise.epsilon,
-                    sensitivity=noise.sensitivity,
-                )
+    def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
+        """Upload the adjacency shares; both servers run the backend's kernel.
 
+        Only dense triangles reach here (``_validate_distributed_config``);
+        the dealer process deals from its own copy of *dealer_rng*.
+        """
+        telemetry = self._telemetry
+        share_tracer = (
+            telemetry.tracer
+            if telemetry.enabled and config.track_communication
+            else NULL_TRACER
+        )
+        share1, share2 = upload_adjacency_shares(
+            projected, config.ring, share_rng, self.runtime, share_tracer
+        )
+        self._s1.send(KIND_SHARES, {"phase": "adjacency_share"}, [share1])
+        self._s2.send(KIND_SHARES, {"phase": "adjacency_share"}, [share2])
+        meta1, _ = self._s1.recv_expect(KIND_RESULT)
+        meta2, _ = self._s2.recv_expect(KIND_RESULT)
+        if meta1.get("stage") != "count" or meta2.get("stage") != "count":
+            raise RuntimeProcessError(
+                "servers answered the Count phase out of order: "
+                f"{meta1.get('stage')!r} / {meta2.get('stage')!r}"
+            )
+        if (
+            meta1["triples"] != meta2["triples"]
+            or meta1["opening_rounds"] != meta2["opening_rounds"]
+        ):
+            raise RuntimeProcessError(
+                "the two servers disagree on the counting schedule: "
+                f"{meta1['triples']}/{meta1['opening_rounds']} vs "
+                f"{meta2['triples']}/{meta2['opening_rounds']}"
+            )
+        if telemetry.enabled and meta1.get("spans"):
+            # Server 1's span tree is the canonical backend trace — both
+            # servers execute the identical schedule.
+            telemetry.tracer.current().children.extend(meta1["spans"])
+        return CountResult(
+            share1=int(meta1["share"]),
+            share2=int(meta2["share"]),
+            num_triples_processed=int(meta1["triples"]),
+            opening_rounds=int(meta1["opening_rounds"]),
+        )
+
+    def release(self, count_result, planes, factor):
+        """Each server lifts its count share, adds its plane, and they open."""
+        ring = self._config.ring
+        noise_meta = {"phase": "noise_share", "factor": int(factor)}
+        self._s1.send(KIND_SHARES, noise_meta, [planes[0]])
+        self._s2.send(KIND_SHARES, noise_meta, [planes[1]])
+        final1, _ = self._s1.recv_expect(KIND_RESULT)
+        final2, _ = self._s2.recv_expect(KIND_RESULT)
+        if final1.get("stage") != "release" or final2.get("stage") != "release":
+            raise RuntimeProcessError(
+                "servers answered the Perturb phase out of order: "
+                f"{final1.get('stage')!r} / {final2.get('stage')!r}"
+            )
+        noisy_shares = (int(final1["noisy_share"]), int(final2["noisy_share"]))
+        opened = int(final1["opened"])
+        if opened != int(final2["opened"]) or opened != ring.add(*noisy_shares):
+            raise RuntimeProcessError(
+                "the release opening does not reconstruct: "
+                f"{final1['opened']} / {final2['opened']} vs shares "
+                f"{noisy_shares[0]} + {noisy_shares[1]}"
+            )
+        self._finals = (final1, final2)
+        return noisy_shares, opened
+
+    def finish(self):
+        """Views, MAC counters, ledger/wire reconciliation, transport section."""
+        final1, final2 = self._finals
         # Dealer report (sent as soon as its replay finished, read last).
         dealer_meta, _ = self._dealer.recv_expect(KIND_RESULT)
         if dealer_meta.get("stage") != "dealer":
@@ -596,11 +546,11 @@ class DistributedRuntime:
             )
 
         # Adversarial views and MAC counters, merged in server order.
-        if views is not None:
-            views.merge_from(final1["views"])
-            views.merge_from(final2["views"])
+        if self._views is not None:
+            self._views.merge_from(final1["views"])
+            self._views.merge_from(final2["views"])
         authenticator = None
-        if config.authenticate:
+        if self._config.authenticate:
             if (
                 final1["rounds_checked"] != final2["rounds_checked"]
                 or final1["values_checked"] != final2["values_checked"]
@@ -616,13 +566,11 @@ class DistributedRuntime:
                 values_checked=int(final1["values_checked"]),
             )
 
-        # ------------------------------------------------------------ #
-        # Ledger/wire reconciliation and the transport summary.
-        # ------------------------------------------------------------ #
+        before = self._sent_before
         reports: List[Tuple[str, str, Dict]] = [
-            ("driver", "server1", summary_delta(sent_before["server1"], self._s1.sent_summary())),
-            ("driver", "server2", summary_delta(sent_before["server2"], self._s2.sent_summary())),
-            ("driver", "dealer", summary_delta(sent_before["dealer"], self._dealer.sent_summary())),
+            ("driver", "server1", summary_delta(before["server1"], self._s1.sent_summary())),
+            ("driver", "server2", summary_delta(before["server2"], self._s2.sent_summary())),
+            ("driver", "dealer", summary_delta(before["dealer"], self._dealer.sent_summary())),
             ("server1", "driver", final1["sent"]["driver"]),
             ("server1", "server2", final1["sent"]["peer"]),
             ("server2", "driver", final2["sent"]["driver"]),
@@ -631,9 +579,9 @@ class DistributedRuntime:
             ("dealer", "server2", dealer_meta["sent"]["server2"]),
         ]
         totals, by_phase = _aggregate_transport(reports)
-        ledger_phases = runtime.ledger.phase_summary()
-        skip = ("noisy_degree", "noisy_max_degree") if resumed is not None else ()
-        accounted = _reconcile_ledger(ledger_phases, by_phase, skip=skip)
+        accounted = _reconcile_ledger(
+            self.runtime.ledger.phase_summary(), by_phase, skip=self._resumed
+        )
         transport = {
             "frames": totals["frames"],
             "payload_bytes": totals["payload_bytes"],
@@ -641,7 +589,7 @@ class DistributedRuntime:
             "overhead_bytes": totals["wire_bytes"] - totals["payload_bytes"],
             "unledgered_payload_bytes": totals["payload_bytes"] - accounted,
             "processes": {
-                "driver": time.perf_counter() - driver_started,
+                "driver": time.perf_counter() - self._started,
                 "server1": float(final1.get("seconds", 0.0)),
                 "server2": float(final2.get("seconds", 0.0)),
                 "dealer": float(dealer_meta.get("seconds", 0.0)),
@@ -652,46 +600,7 @@ class DistributedRuntime:
                 "dealer": dealer_meta.get("blas_threads"),
             },
         }
-
-        # ------------------------------------------------------------ #
-        # Result assembly — identical to the in-process orchestrator.
-        # ------------------------------------------------------------ #
-        # Evaluation-only ground truth, computed outside every protocol span.
-        true_count = statistic.plain_count(graph)
-        projected_count = statistic.projected_count(projected_rows)
-        noisy_count = statistic.finalise(perturb_result.noisy_count)
-        timings = run_span.timings()
-        communication_phases = ledger_phases if config.track_communication else {}
-        result_telemetry = feed_run_telemetry(
-            config,
-            telemetry,
-            backend=config.backend_name,
-            timings=timings,
-            communication_phases=communication_phases,
-            count_result=count_result,
-            budget=budget,
-            noisy_count=noisy_count,
-            true_count=true_count,
-            projected_count=projected_count,
-            noisy_max_degree=noisy_max,
-            authenticator=authenticator,
-            transport=transport,
-        )
-        return CargoResult(
-            noisy_triangle_count=noisy_count,
-            true_triangle_count=true_count,
-            projected_triangle_count=projected_count,
-            noisy_max_degree=noisy_max,
-            epsilon1=budget.epsilon1,
-            epsilon2=budget.epsilon2,
-            edges_removed=edges_removed,
-            timings=timings,
-            communication=runtime.ledger.summary() if config.track_communication else {},
-            communication_phases=communication_phases,
-            backend=config.backend_name,
-            statistic=config.statistic,
-            telemetry=result_telemetry,
-        )
+        return authenticator, transport
 
 
 def run_distributed(

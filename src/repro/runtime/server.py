@@ -49,6 +49,8 @@ from repro.core.backends.base import num_candidate_triples
 from repro.core.backends.blocked import count_group, tile_schedule
 from repro.core.backends.faithful import _gather_schedule, count_block
 from repro.core.backends.matrix import count_online
+from repro.core.max_degree import clamp_max_degree
+from repro.core.perturbation import release_opening
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.mac import MacKey, _TAG_DOMAIN, pack_round, unpack_round
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
@@ -72,6 +74,11 @@ from repro.telemetry.spans import NULL_TRACER, Tracer
 from repro.utils.rng import derive_rng, stable_seed_from_name
 
 __all__ = ["OpeningChannel", "run_server"]
+
+
+#: Opening labels whose frames the ledger books under another phase: the
+#: release opening is the ``noisy_count_share`` swap.
+_LEDGER_PHASES = {"release_opening": "noisy_count_share"}
 
 
 class OpeningChannel:
@@ -118,16 +125,13 @@ class OpeningChannel:
             self._key = MacKey.generate(int(seed), ring)
             self._tag_rng = derive_rng(stable_seed_from_name(_TAG_DOMAIN, int(seed)))
 
-    def exchange(self, label: str, operands: Sequence, phase: Optional[str] = None) -> List:
+    def exchange(self, label: str, operands: Sequence) -> List:
         """Open one round of this server's shares against the peer's.
 
         Each operand is a 1-tuple holding this role's share.  The round
         flattens into one value vector (:func:`~repro.crypto.mac.pack_round`,
         the codec ``OpeningAuthenticator.exchange`` uses) and the opened
         values come back with their original shapes (scalars as ints).
-        *phase* overrides the frame's accounting phase (the release opening
-        is labelled ``release_opening`` but ledgered as
-        ``noisy_count_share``); it defaults to the label.
         """
         fault_point("runtime.round")
         ring = self._ring
@@ -143,7 +147,11 @@ class OpeningChannel:
             outbound = values.copy()
             outbound[0] = ring.add(int(outbound[0]), 1)
 
-        meta = {"label": label, "round": round_index, "phase": phase or label}
+        meta = {
+            "label": label,
+            "round": round_index,
+            "phase": _LEDGER_PHASES.get(label, label),
+        }
         peer_meta, received = self._swap(KIND_OPEN_VALUES, meta, outbound)
         peer_role = 3 - self._role
         if peer_meta.get("label") != label or peer_meta.get("round") != round_index:
@@ -356,10 +364,7 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
                 raise WireFormatError(
                     f"expected the noisy_degree upload, got phase {meta.get('phase')!r}"
                 )
-            noisy = np.asarray(arrays[0], dtype=np.float64)
-            noisy_max = float(np.max(noisy))
-            noisy_max = min(noisy_max, float(n - 1) if n > 1 else 1.0)
-            noisy_max = max(noisy_max, 1.0)
+            noisy_max = clamp_max_degree(arrays[0])
             driver_ep.send(
                 KIND_RESULT,
                 {"phase": "noisy_max_degree"},
@@ -405,19 +410,15 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
             },
         )
 
-        # Perturb — aggregate the noise plane, lift the count share, and run
-        # the MAC-checked release opening against the peer.
+        # Perturb — lift the count share, add the noise plane, and run the
+        # MAC-checked release opening against the peer.
         meta, arrays = driver_ep.recv_expect(KIND_SHARES)
         if meta.get("phase") != "noise_share":
             raise WireFormatError(
                 f"expected the noise_share upload, got phase {meta.get('phase')!r}"
             )
-        factor = int(meta["factor"])
-        plane = arrays[0]
-        scaled = ring.mul(ring.encode(int(total)), factor)
-        noisy_share = ring.add(scaled, ring.sum(plane))
-        (opened,) = channel.exchange(
-            "release_opening", [(int(noisy_share),)], phase="noisy_count_share"
+        (noisy_share,), opened = release_opening(
+            (total,), (arrays[0],), int(meta["factor"]), ring, channel
         )
 
     driver_ep.send(

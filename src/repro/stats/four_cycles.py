@@ -46,7 +46,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import CountResult
+from repro.core.backends.base import CountResult, upload_adjacency_shares
 from repro.core.backends.registry import resolve_backend_name
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.protocol import TwoServerRuntime
@@ -197,15 +197,10 @@ class FourCycleStatistic(SubgraphStatistic):
         triangle kernel; the strategy the servers then follow is selected by
         the configured counting-backend name (see the module docstring).
         """
-        from repro.core.backends import share_adjacency_rows
-
         ring: Ring = config.ring
         rows = validate_projected_rows(projected_rows)
         n = rows.shape[0]
-        share1, share2 = share_adjacency_rows(rows, ring=ring, rng=share_rng)
-        if runtime is not None:
-            runtime.users_to_server(1, "adjacency_share", share1)
-            runtime.users_to_server(2, "adjacency_share", share2)
+        share1, share2 = upload_adjacency_shares(rows, ring, share_rng, runtime)
         if n < 4:
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
 

@@ -18,8 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.backends import create_backend, share_adjacency_rows
-from repro.core.backends.base import CountResult, num_candidate_triples
+from repro.core.backends import create_backend
+from repro.core.backends.base import (
+    CountResult,
+    num_candidate_triples,
+    upload_adjacency_shares,
+)
 from repro.core.projection import projected_triangle_count
 from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.views import ViewRecorder
@@ -27,7 +31,7 @@ from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
 from repro.stats.base import SubgraphStatistic
 from repro.stats.registry import register_statistic
-from repro.telemetry import resolve_telemetry
+from repro.telemetry import NULL_TRACER, resolve_telemetry
 from repro.utils.rng import RandomState
 
 __all__ = ["TriangleStatistic"]
@@ -77,25 +81,20 @@ class TriangleStatistic(SubgraphStatistic):
         """Algorithm 4 through whichever counting backend *config* names.
 
         Backends self-register with the backend registry; this kernel only
-        knows the configured name.  With a *runtime*, each user uploads one
-        share of her projected bit vector to each server first, making the
-        dominant communication cost visible in the ledger (the openings
-        between servers are internal to the counter backends).
+        knows the configured name.  Each user uploads one share of her
+        projected bit vector to each server first; with a *runtime* the
+        uploads, the dominant communication cost, are visible in the ledger
+        (the openings between servers are internal to the counter backends).
         """
         counter = create_backend(
             config.counting_backend, config=config, dealer_rng=dealer_rng, views=views,
             authenticator=authenticator,
         )
-        tracer = resolve_telemetry(config).tracer
-        if runtime is not None:
-            with tracer.span("share", num_users=int(np.asarray(projected_rows).shape[0])):
-                share1, share2 = share_adjacency_rows(
-                    projected_rows, ring=config.ring, rng=share_rng
-                )
-                runtime.users_to_server(1, "adjacency_share", share1)
-                runtime.users_to_server(2, "adjacency_share", share2)
-            return counter.count_from_shares(share1, share2)
-        return counter.count(projected_rows, rng=share_rng)
+        tracer = resolve_telemetry(config).tracer if runtime is not None else NULL_TRACER
+        share1, share2 = upload_adjacency_shares(
+            projected_rows, config.ring, share_rng, runtime, tracer
+        )
+        return counter.count_from_shares(share1, share2)
 
     def statistic_sensitivity(self, degree_bound: float) -> float:
         """Edge-DP sensitivity θ: one edge closes at most θ triangles (Theorem 2)."""

@@ -140,9 +140,9 @@ def _run_release(graph: Graph, config: CargoConfig, node_dp: bool) -> float:
 def _flatten_view(graph: Graph, config_kwargs: dict, node_dp: bool, server: int):
     """One server's opening view of a single run, as floats in ``[0, 1)``.
 
-    ``NodeDpCargo`` has no recorder plumbing, but its secure kernel (and
-    hence its server views) is the Edge-DP one — only the noise scales
-    differ — so view auditing always records through ``Cargo``.
+    ``NodeDpCargo`` runs the Edge-DP secure kernel (and hence produces the
+    Edge-DP server views) — only the noise scales differ — so view auditing
+    records through ``Cargo`` for both variants.
     """
     del node_dp
     config = CargoConfig(record_views=True, **config_kwargs)

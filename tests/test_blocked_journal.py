@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig, CountingBackend
+from repro.exceptions import CheckpointError
 from repro.graph.generators import erdos_renyi_graph
 from repro.resilience import (
     FaultKind,
@@ -103,6 +104,18 @@ def test_kill_and_resume_is_bit_identical(tmp_path, crash_at_task):
     out_cargo = Cargo(_config(resilience))
     resumed = out_cargo.run(graph)
     _assert_transcripts_match(ref_cargo, reference, out_cargo, resumed)
+
+
+def test_journal_refuses_to_resume_another_graph(tmp_path):
+    """A journal binds its input: resuming it on another graph's shares must
+    raise instead of splicing the first graph's completed chunks in."""
+    resilience = ResilienceConfig(checkpoint_path=tmp_path / "tiles.ckpt", resume=True)
+    plan = FaultPlan([FaultSpec("pool.task", FaultKind.CRASH, at=9)])
+    with install_fault_plan(plan):
+        with pytest.raises(InjectedCrash):
+            Cargo(_config(resilience)).run(_graph(seed=7))
+    with pytest.raises(CheckpointError, match="refusing to resume"):
+        Cargo(_config(resilience)).run(_graph(seed=8))
 
 
 def test_journal_alone_does_not_change_output(tmp_path):

@@ -29,15 +29,20 @@ class TestMaxDegreeEstimator:
         assert any(abs(d - 10) > 1e-9 for d in result.noisy_degrees)
 
     def test_clamped_to_num_users(self):
-        estimator = MaxDegreeEstimator(epsilon1=0.01, clamp_to_n=True)
+        estimator = MaxDegreeEstimator(epsilon1=0.01)
         result = estimator.run([5] * 10, rng=3)
         assert result.noisy_max_degree <= 9
 
-    def test_clamp_disabled(self):
-        estimator = MaxDegreeEstimator(epsilon1=0.001, clamp_to_n=False)
-        result = estimator.run([5] * 10, rng=4)
-        # Without clamping, the max of heavy Laplace noise can exceed n - 1.
-        assert result.noisy_max_degree >= 1.0
+    def test_clamp_orders_agree_for_every_n(self):
+        """Clamping to n - 1 then flooring at 1 equals the reverse order."""
+        from repro.core.max_degree import clamp_max_degree
+
+        for n in range(1, 12):
+            for top in (-5.0, 0.3, 1.0, n - 1.5, n - 1.0, n + 0.5, 1e9):
+                noisy = [top] + [0.0] * (n - 1)
+                min_first = max(min(top, float(n - 1) if n > 1 else 1.0), 1.0)
+                max_first = min(max(top, 1.0), float(max(n - 1, 1)))
+                assert clamp_max_degree(noisy) == min_first == max_first
 
     def test_floor_at_one(self):
         estimator = MaxDegreeEstimator(epsilon1=0.5)

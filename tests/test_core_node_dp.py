@@ -74,3 +74,24 @@ class TestNodeDpCargo:
         graph = powerlaw_cluster_graph(40, 3, 0.6, seed=4)
         result = NodeDpCargo(CargoConfig(epsilon=2.0, seed=6)).run(graph)
         assert {"max", "project", "count", "perturb", "total"} <= set(result.timings)
+
+    def test_communication_equals_edge_dp(self):
+        """Node DP changes sensitivities only: the ledger is Edge DP's."""
+        graph = powerlaw_cluster_graph(40, 3, 0.6, seed=5)
+        config = CargoConfig(epsilon=2.0, seed=7, track_communication=True)
+        node = NodeDpCargo(config).run(graph)
+        edge = Cargo(config).run(graph)
+        assert node.communication and node.communication == edge.communication
+        assert node.communication_phases == edge.communication_phases
+
+    def test_records_views(self):
+        graph = powerlaw_cluster_graph(30, 3, 0.6, seed=6)
+        config = CargoConfig(epsilon=2.0, seed=8, record_views=True)
+        node_cargo = NodeDpCargo(config)
+        node_cargo.run(graph)
+        edge_cargo = Cargo(config)
+        edge_cargo.run(graph)
+        for server in (1, 2):
+            node_values = node_cargo.views.view(server).values()
+            assert node_values
+            assert len(node_values) == len(edge_cargo.views.view(server).values())

@@ -21,7 +21,6 @@ from repro.core.projection import SimilarityProjection
 from repro.crypto.protocol import TwoServerRuntime
 from repro.exceptions import (
     BudgetExhaustedError,
-    ProtocolError,
     ReproError,
 )
 from repro.dp.accountant import PrivacyAccountant
@@ -78,17 +77,6 @@ class TestBudgetExhaustion:
 
 
 class TestProtocolMisuse:
-    def test_message_to_wrong_server_is_rejected(self):
-        runtime = TwoServerRuntime(1)
-        runtime.user_to_server(0, 1).send("share", 5)
-        with pytest.raises(ProtocolError):
-            runtime.server(2).receive()
-
-    def test_unknown_channel_is_rejected(self):
-        runtime = TwoServerRuntime(2)
-        with pytest.raises(ProtocolError):
-            runtime._channel("user-0", "user-1")  # users have no direct channel
-
     def test_all_library_errors_share_a_base(self):
         with pytest.raises(ReproError):
             TwoServerRuntime(-5)

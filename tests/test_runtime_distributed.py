@@ -19,6 +19,7 @@ from repro.crypto.mac import OpeningAuthenticator
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import (
     CheaterDetectedError,
+    CheckpointError,
     ConfigurationError,
     RuntimeProcessError,
 )
@@ -70,6 +71,21 @@ class TestBitIdentity:
         result = Cargo(make_config("matrix", distributed=True)).run(graph)
         assert result.noisy_triangle_count == baseline.noisy_triangle_count
 
+    def test_node_dp_release_identical_to_in_process(self, graph):
+        from repro.core.node_dp import NodeDpCargo
+        from repro.telemetry import Telemetry
+
+        baseline = NodeDpCargo(make_config("blocked")).run(graph)
+        result = NodeDpCargo(
+            make_config("blocked", distributed=True, telemetry=Telemetry())
+        ).run(graph)
+        assert result.backend == baseline.backend == "node-dp/blocked"
+        assert result.noisy_triangle_count == baseline.noisy_triangle_count
+        assert result.noisy_max_degree == baseline.noisy_max_degree
+        assert result.edges_removed == baseline.edges_removed
+        assert result.communication == baseline.communication
+        assert result.telemetry["transport"]["frames"] > 0
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_adversarial_views_identical(self, graph, backend):
         local_cargo = Cargo(make_config(backend, record_views=True))
@@ -92,15 +108,26 @@ class TestBitIdentity:
                 for opened, remote_opened in zip(mine, theirs):
                     assert np.array_equal(opened, remote_opened)
 
+    @pytest.mark.parametrize("track_communication", (True, False))
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_span_structure_matches_in_process(self, graph, backend):
+    def test_span_structure_matches_in_process(self, graph, backend, track_communication):
         from repro.telemetry import Telemetry
 
         local = Telemetry()
-        Cargo(make_config(backend, telemetry=local)).run(graph)
+        Cargo(
+            make_config(
+                backend, telemetry=local, track_communication=track_communication
+            )
+        ).run(graph)
         remote = Telemetry()
         run_distributed(
-            graph, make_config(backend, distributed=True, telemetry=remote)
+            graph,
+            make_config(
+                backend,
+                distributed=True,
+                telemetry=remote,
+                track_communication=track_communication,
+            ),
         )
         assert remote.tracer.structure() == local.tracer.structure()
 
@@ -288,6 +315,40 @@ class TestCrashAndResume:
         assert resumed.noisy_max_degree == baseline.noisy_max_degree
         assert resumed.communication_phases == baseline.communication_phases
 
+    def test_resume_refuses_another_graph(self, graph, tmp_path):
+        """A checkpoint binds its graph: resuming a crashed facebook release
+        on wiki must raise, never release wiki under facebook's projection."""
+        resilience = ResilienceConfig(
+            checkpoint_path=str(tmp_path / "distributed.ckpt"), resume=True
+        )
+        config = make_config("matrix", distributed=True, resilience=resilience)
+        plan = FaultPlan(
+            [FaultSpec("runtime.round", FaultKind.CRASH, at=2)]
+        ).to_json()
+        with pytest.raises(RuntimeProcessError):
+            run_distributed(graph, config, fault_plan=plan, fault_target="server1")
+        with pytest.raises(CheckpointError, match="refusing to resume"):
+            run_distributed(load_dataset("wiki", num_nodes=N_SMALL), config)
+
+    def test_resume_refuses_another_variant(self, graph, tmp_path):
+        """A checkpoint binds its protocol variant: a crashed Node-DP release
+        is never resumed as an Edge-DP one on the same config and graph."""
+        from repro.core.node_dp import NodeDpCargo
+
+        resilience = ResilienceConfig(
+            checkpoint_path=str(tmp_path / "distributed.ckpt"), resume=True
+        )
+        config = make_config("matrix", distributed=True, resilience=resilience)
+        plan = FaultPlan(
+            [FaultSpec("runtime.round", FaultKind.CRASH, at=2)]
+        ).to_json()
+        runtime = DistributedRuntime(config, fault_plan=plan, fault_target="server1")
+        with pytest.raises(RuntimeProcessError):
+            runtime.release(NodeDpCargo(config), graph)
+        assert (tmp_path / "distributed.ckpt").exists()
+        with pytest.raises(CheckpointError, match="refusing to resume"):
+            run_distributed(graph, config)
+
     def test_dead_peer_surfaces_as_typed_error(self, graph):
         plan = FaultPlan(
             [FaultSpec("runtime.round", FaultKind.CRASH, at=1)]
@@ -314,6 +375,16 @@ class TestPersistentRuntime:
         assert first.noisy_triangle_count == second.noisy_triangle_count
         one_shot = run_distributed(other, make_config("batched", distributed=True))
         assert third.noisy_triangle_count == one_shot.noisy_triangle_count
+
+    def test_release_refuses_a_foreign_config(self, graph):
+        """The servers run the runtime's own config; a Cargo built on another
+        one is refused up front and leaves the runtime usable."""
+        config = make_config("matrix", distributed=True)
+        with DistributedRuntime(config) as runtime:
+            with pytest.raises(ConfigurationError, match="own config"):
+                runtime.release(Cargo(make_config("matrix", distributed=True)), graph)
+            result = runtime.release(Cargo(config), graph)
+        assert result.noisy_triangle_count == run_distributed(graph, config).noisy_triangle_count
 
     def test_closed_runtime_refuses_runs(self, graph):
         runtime = DistributedRuntime(make_config("matrix", distributed=True))
