@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.backends import (
-    BlockedMatrixTriangleCounter,
-    FaithfulTriangleCounter,
-    MatrixTriangleCounter,
-)
+from repro.core.backends import BlockedMatrixTriangleCounter, FaithfulTriangleCounter
 from repro.graph.datasets import load_dataset
 
 
@@ -25,7 +21,7 @@ def run_backend_ablation(num_nodes: int = 40):
     backends = {
         "faithful": FaithfulTriangleCounter(batch_size=1),
         "batched": FaithfulTriangleCounter(batch_size=2048),
-        "matrix": MatrixTriangleCounter(),
+        "matrix": BlockedMatrixTriangleCounter(),
         "blocked": BlockedMatrixTriangleCounter(block_size=16),
     }
     for name, counter in backends.items():

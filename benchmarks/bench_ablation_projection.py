@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.random_projection import RandomProjection
-from repro.core.backends import CountResult, MatrixTriangleCounter
+from repro.core.backends import BlockedMatrixTriangleCounter, CountResult
 from repro.core.perturbation import DistributedPerturbation
 from repro.core.projection import SimilarityProjection, projected_triangle_count
 from repro.dp.sensitivity import triangle_sensitivity_unbounded
@@ -28,7 +28,7 @@ from repro.metrics.error import l2_loss
 
 def _pipeline_loss(graph, rows, sensitivity: float, epsilon2: float, seed: int) -> float:
     """Secure count on *rows*, perturb with *sensitivity*, return l2 loss."""
-    count = MatrixTriangleCounter().count(rows, rng=seed)
+    count = BlockedMatrixTriangleCounter().count(rows, rng=seed)
     perturbation = DistributedPerturbation(
         epsilon2=epsilon2, sensitivity=max(sensitivity, 1.0), num_users=graph.num_nodes
     )

@@ -3,11 +3,9 @@
 Sweeps the user count ``n`` and records, per backend, the secure-count
 runtime plus the dealer-side accounting that explains it:
 
-* ``matrix`` vs ``blocked`` — the monolithic matrix backend pays ``3 n^2``
-  ring elements for its one giant Beaver triple; the blocked backend never
-  exceeds ``2 block_size · max(block_size, FUSED_DEPTH) + block_size^2``
-  regardless of ``n``, which is what lets it keep scaling after the
-  monolithic triple stops fitting.
+* ``matrix`` vs ``blocked`` — the mask-once kernel at its default tile width
+  and at ``BLOCK_SIZE``: two opening rounds at any tiling, and a largest
+  dealer issue of one column block's mask, ``O(n · block_size)``.
 * ``batched`` (and, at small ``n``, ``faithful``) — the loop-free online
   phase of the per-triple protocol: vectorised candidate-triple blocks, one
   fused gather per opening round, and a buffered (pre-provisioned) offline
@@ -32,10 +30,9 @@ from repro.core import Cargo, CargoConfig
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     share_adjacency_rows,
 )
-from repro.core.backends.blocked import FUSED_DEPTH
+from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE, packed_length
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.graph.datasets import load_dataset
@@ -72,7 +69,7 @@ def _backend_builders(num_users: int, block_size: int, workers: int = 1):
     builders = {
         "matrix": lambda: _with_dealer(
             BeaverTripleDealer(seed=0),
-            lambda dealer: MatrixTriangleCounter(dealer=dealer, workers=workers),
+            lambda dealer: BlockedMatrixTriangleCounter(dealer=dealer, workers=workers),
         ),
         "blocked": lambda: _with_dealer(
             BeaverTripleDealer(seed=0),
@@ -144,7 +141,7 @@ def run_backend_scaling(
                 "count": counts[name],
             }
             if isinstance(dealer, BeaverTripleDealer):
-                row["block_size"] = block_size if name == "blocked" else num_users
+                row["block_size"] = block_size if name == "blocked" else DEFAULT_BLOCK_SIZE
                 row["largest_triple_elements"] = dealer.largest_triple_elements
                 row["total_triple_elements"] = dealer.total_triple_elements
             else:
@@ -234,23 +231,15 @@ def test_backend_scaling(benchmark):
             "  backend={backend:<8} n={num_users:<5} time={seconds:8.4f}s "
             "rounds={opening_rounds}".format(**row)
         )
-    largest_n = max(row["num_users"] for row in rows)
-    matrix_peak = next(
-        row["largest_triple_elements"]
-        for row in rows
-        if row["backend"] == "matrix" and row["num_users"] == largest_n
-    )
-    blocked_peak = next(
-        row["largest_triple_elements"]
-        for row in rows
-        if row["backend"] == "blocked" and row["num_users"] == largest_n
-    )
-    # The whole point of the blocked backend: at the largest n the monolithic
-    # matrix triple is at least 4x bigger than any single blocked allocation.
-    assert matrix_peak >= 4 * blocked_peak
-    assert blocked_peak <= (
-        2 * BLOCK_SIZE * max(BLOCK_SIZE, FUSED_DEPTH) + BLOCK_SIZE * BLOCK_SIZE
-    )
+    for row in rows:
+        if row["backend"] in ("matrix", "blocked"):
+            # Two rounds at any tiling; the largest issue is the last column
+            # block's mask, O(n · block_size).
+            n, width = row["num_users"], min(row["block_size"], row["num_users"])
+            assert row["opening_rounds"] == 2
+            assert row["largest_triple_elements"] == packed_length(
+                n - (n - 1) % width - 1, n, n
+            )
     # The loop-free batched schedule opens C(n,3)/batch_size rounds, never
     # one round per triple.
     for row in rows:

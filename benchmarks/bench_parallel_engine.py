@@ -8,7 +8,7 @@ Measures the two quantities the parallel execution engine exists for:
   the speedup is bounded by 1.0 by construction; the row records the host's
   CPU count so the number can be read in context.
 * **offline reuse** — a cold vs a warm-store blocked ``count_from_shares``
-  (dealing every tile triple into a
+  (dealing every chunk's mask-once material into a
   :class:`~repro.parallel.store.TripleStore` vs fetching it back): the
   whole count's wall-clock, the traced ``offline`` span of each, and the
   fraction of offline time a warm rerun skips.
@@ -25,11 +25,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.backends import (
-    BlockedMatrixTriangleCounter,
-    MatrixTriangleCounter,
-    share_adjacency_rows,
-)
+from repro.core.backends import BlockedMatrixTriangleCounter, share_adjacency_rows
+from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.graph.datasets import load_dataset
 from repro.parallel import TripleStore
@@ -45,12 +42,13 @@ TIMING_REPS = 3
 
 
 def _build(backend: str, workers: int, block_size: int, store=None):
-    dealer = BeaverTripleDealer(seed=0)
-    if backend == "blocked":
-        return BlockedMatrixTriangleCounter(
-            dealer=dealer, block_size=block_size, workers=workers, triple_store=store
-        )
-    return MatrixTriangleCounter(dealer=dealer, workers=workers, triple_store=store)
+    # ``matrix`` is the blocked kernel at its default tile width.
+    return BlockedMatrixTriangleCounter(
+        dealer=BeaverTripleDealer(seed=0),
+        block_size=block_size if backend == "blocked" else DEFAULT_BLOCK_SIZE,
+        workers=workers,
+        triple_store=store,
+    )
 
 
 def _stored_count(store, block_size: int, share1, share2):

@@ -46,7 +46,6 @@ API_PAGES = {
             "repro.core.backends.base",
             "repro.core.backends.registry",
             "repro.core.backends.faithful",
-            "repro.core.backends.matrix",
             "repro.core.backends.blocked",
         ),
     ),

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backends import (
+    BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     share_adjacency_rows,
 )
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
@@ -59,10 +59,10 @@ def main() -> None:
 
     # --- Step 3: the full secure count, both backends -------------------- #
     faithful = FaithfulTriangleCounter(batch_size=16).count(rows, rng=5)
-    matrix = MatrixTriangleCounter().count(rows, rng=6)
+    matrix = BlockedMatrixTriangleCounter().count(rows, rng=6)
     print("faithful per-triple protocol:",
           f"shares ({faithful.share1}, {faithful.share2}) ->", faithful.reconstruct())
-    print("matrix backend              :",
+    print("mask-once matrix backend    :",
           f"shares ({matrix.share1}, {matrix.share2}) ->", matrix.reconstruct())
     print("\nBoth backends reconstruct the exact count; individually the shares")
     print("are meaningless, which is what lets two untrusted servers cooperate.")

@@ -30,7 +30,6 @@ from repro.core.projection import (
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     TriangleCounterBackend,
     available_backends,
     create_backend,
@@ -52,7 +51,6 @@ __all__ = [
     "degree_similarity",
     "projected_triangle_count",
     "FaithfulTriangleCounter",
-    "MatrixTriangleCounter",
     "BlockedMatrixTriangleCounter",
     "TriangleCounterBackend",
     "available_backends",

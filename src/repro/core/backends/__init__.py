@@ -9,12 +9,10 @@ memory).  Importing this package registers the four built-in strategies:
   (the literal Algorithm 4; the reference implementation),
 * ``batched`` — the faithful protocol with candidate triples grouped into
   vectorised blocks sharing one opening round,
-* ``matrix`` — the monolithic secret-shared ``C^T C`` formulation: two
-  opening rounds, but ``O(n^2)`` peak triple memory,
-* ``blocked`` — the matrix formulation streamed in ``block_size``-wide
-  tiles, I tiles fused into ranges of up to ``FUSED_DEPTH`` rows:
-  ``O(block_size · max(block_size, FUSED_DEPTH))`` peak memory per opening
-  round, suitable for much larger ``n``.
+* ``blocked`` — the secret-shared ``C^T C`` formulation with ``C`` masked
+  once: two opening rounds of ``n (n - 1) / 2`` elements each, computed in
+  ``block_size``-wide tiles (optionally ``tile_window`` groups at a time),
+* ``matrix`` — an alias of ``blocked`` at its default tile width.
 
 Third-party strategies plug in with :func:`register_backend` and are then
 selectable by name via ``CargoConfig(counting_backend="<name>")``.
@@ -35,7 +33,6 @@ from repro.core.backends.registry import (
     unregister_backend,
 )
 from repro.core.backends.faithful import FaithfulTriangleCounter, iter_candidate_triples
-from repro.core.backends.matrix import MatrixTriangleCounter
 from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE, BlockedMatrixTriangleCounter
 
 __all__ = [
@@ -51,7 +48,6 @@ __all__ = [
     "unregister_backend",
     "FaithfulTriangleCounter",
     "iter_candidate_triples",
-    "MatrixTriangleCounter",
     "BlockedMatrixTriangleCounter",
     "DEFAULT_BLOCK_SIZE",
 ]

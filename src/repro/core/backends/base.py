@@ -68,25 +68,6 @@ def num_candidate_triples(num_users: int) -> int:
     return num_users * (num_users - 1) * (num_users - 2) // 6
 
 
-def strict_upper(block: np.ndarray, r0: int = 0, c0: int = 0) -> np.ndarray:
-    """*block*, the tile at offset ``(r0, c0)``, zeroed outside the strict upper triangle.
-
-    Keeps exactly the entries whose global row index is below their global
-    column index: the public mask every triangle backend applies to its
-    shares, as a local zeroing that equals a multiply by the 0/1 mask bit
-    for bit.  A tile wholly above the diagonal comes back as *block* itself.
-
-    Examples
-    --------
-    >>> strict_upper(np.ones((2, 3), dtype=np.uint64), r0=1, c0=1).tolist()
-    [[0, 1, 1], [0, 0, 1]]
-    """
-    offset = r0 - c0 + 1
-    if offset <= 1 - block.shape[-2]:
-        return block
-    return np.triu(block, k=offset)
-
-
 def share_adjacency_rows(
     projected_rows: np.ndarray,
     ring: Ring = DEFAULT_RING,

@@ -1,65 +1,44 @@
-"""Blocked/tiled secure triangle counting — the ``blocked`` backend.
+"""Tiled secure triangle counting with ``C`` masked once: the ``blocked`` backend.
 
-The monolithic matrix backend (:mod:`repro.core.backends.matrix`) is fast but
-memory-hungry: its single matrix Beaver triple materialises several ``n x n``
-ring arrays at once (per server: ``X``, ``Y``, ``Z`` plus the opened ``E`` and
-``F``), so the dealer's peak allocation grows quadratically with the user
-count and becomes the protocol's scaling wall long before compute does.
+The matrix form of Algorithm 4 counts ``T = sum_{j<k} C[j, k] (C^T C)[j, k]``,
+with ``C`` the strict upper part of the shared adjacency (``C[i, j] = a_ij``
+for ``i < j``, from user ``i``'s shared row).  ``C`` sits on both sides of
+every product, so it is masked once (SPDZ square pairs, Damgård et al.,
+CRYPTO 2012; SecureML, Mohassel & Zhang, S&P 2017).  The dealer deals a
+uniform strict-upper mask ``X`` and the servers open ``E = C - X``.  Server
+``i``'s share of ``M = C^T C`` is ``<Z>_i + E^T <X>_i + <X>_i^T E`` (plus
+``E^T E`` on server 2) with the dealer's ``Z = X^T X``; the servers open
+``F = M - Y'`` for a fresh uniform ``Y'``, and server ``i`` keeps
+``<W>_i + sum E ⊙ <Y'>_i + sum <C>_i ⊙ F`` with the dealer's
+``W = sum X ⊙ Y'``, which reuses ``X`` as the finish's left mask.
 
-This backend evaluates the identical matrix formulation
+Both openings are packed to the strict upper triangle: ``n (n - 1)`` ring
+elements per server in two rounds, at any tile width.  **Security:** ``E``
+and ``F`` are uniform and independent of the secrets because ``X`` and
+``Y'`` are fresh uniform masks on exactly the opened entries; reusing ``X``
+in the finish is sound because it masks the same secret ``C``.
 
-``T = sum_{j<k} C[j, k] * (C^T C)[j, k]``
-
-in fixed-size tiles of ``block_size`` columns/rows.  Writing ``J, K, I`` for
-``block_size``-wide index ranges, the servers compute, tile by tile,
-
-``M_{JK} = sum_I C[I, J]^T @ C[I, K]``
-
-where ``I`` runs over row ranges that fuse consecutive tiles up to
-:data:`FUSED_DEPTH` rows: the sum over a range's tiles is one product of the
-stacked rows, so each range takes one matrix Beaver triple and one opening
-(the matrix-triple algebra of Mohassel & Zhang, "SecureML", S&P 2017).  Each
-``(J, K)`` tile is then finished with one small element-wise triple for
-``C[J, K] ⊙ M_{JK}`` and a local sum.  Every product that enters the count
-is the same ring multiplication the monolithic backend performs — only the
-grouping of the openings differs — so the reconstructed count is
-bit-identical and each opening reveals only Beaver-masked (uniformly random)
-values, preserving the view-security properties.  Tiles that are
-structurally zero (entirely on or below the diagonal, where the public
-strict-upper mask vanishes) are skipped outright; the decision depends only
-on public indices.
-
-The payoff: peak additional allocation per opening round is
-``O(block_size · max(block_size, FUSED_DEPTH))`` instead of ``O(n^2)``, and
-each range's triple is dealt just before its product instead of as one giant
-triple upfront, at the cost of more opening rounds
-(``O((n / block_size)^2 · ⌈n / FUSED_DEPTH⌉)`` instead of two).  Choose
-``block_size`` to trade round count against memory; the default suits graphs
-in the tens of thousands of users.
-
-**One pipeline.**  The ``(J, K)`` tile groups are mutually independent: each
-consumes its own correlated randomness and its openings are pure functions
-of the shares and that randomness.  The backend therefore walks the
-canonical :func:`tile_schedule` once, with group ``g`` always dealing from
-the ``g``-th sub-dealer spawned from the dealer's seed, and evaluates each
-group with the :func:`count_group` kernel.  Groups fan out over a
-:class:`~repro.parallel.pool.WorkerPool` (one worker by default), record
-their openings into private :class:`~repro.crypto.views.ViewRecorder`
-shards, and reduce in canonical group order — so the transcript, the
-accounting, and the output shares are bit-identical for any worker count.
-``tile_window`` walks the schedule in chunks of that many groups; a
-configured :class:`~repro.parallel.store.TripleStore` memoises each chunk's
-dealt material, so repeated runs, sweep cells, and streaming anchors skip
-the offline phase entirely.  The process-separated runtime walks the same
-schedule: its dealer deals through :func:`group_triples`
-(:mod:`repro.runtime.dealer`) and each server runs :func:`count_group` on
-its own share (:mod:`repro.runtime.server`).
+**Tiling.**  Column blocks of ``block_size`` are held packed (strict-upper
+entries row by row, so the rows above a later block are a dense prefix).
+:func:`tile_schedule` lists the block pairs ``J ≤ K`` with some ``j < k``;
+each server forms every group of one ``J`` row in one pass of ring products
+over the rows ``i < j``, and the dealer makes one ``Z`` product per row.
+The schedule is walked in chunks of ``tile_window`` groups (all of it when
+unset), the mask-once unit: a chunk opens its own groups' ``E`` entries and
+``F`` tiles.  Column ``c``'s mask always comes from the same rewound
+sub-dealer and group ``g``'s material from the ``g``-th one, so every
+window, worker count and cold/warm store deals and opens the same values
+and releases the same shares.  The distributed runtime's dealer and servers
+run the same functions (:func:`deal_masks`, :func:`deal_row`,
+:func:`count_chunk`).  ``matrix`` is this backend at its default tile width.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -68,163 +47,429 @@ from repro.core.backends.base import (
     CountResult,
     TriangleCounterBackend,
     num_candidate_triples,
-    strict_upper,
 )
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring
-from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_pair
+from repro.crypto.secure_ops import held_material, open_round
 from repro.crypto.views import ViewRecorder
-from repro.exceptions import ProtocolError
-from repro.parallel import MaterialSequence, TripleSignature, WorkerPool, resolve_workers
+from repro.exceptions import DealerError, ProtocolError
+from repro.parallel import TripleSignature, WorkerPool, resolve_workers
 from repro.resilience import NULL_RESILIENCE, Checkpointer
-from repro.telemetry import resolve_telemetry
+from repro.telemetry import NULL_TRACER, resolve_telemetry
 from repro.utils.rng import RandomState
 
-#: Default tile width; 128² ring elements per triple ≈ 128 KiB per array.
+#: Default tile width.
 DEFAULT_BLOCK_SIZE = 128
-#: Most I rows one secure product of a tile group spans.  A fused product's
-#: Beaver combine has inner dimension ``2·FUSED_DEPTH``, exactly one
-#: :data:`~repro.crypto.ring.LIMB_CHUNK`: deeper ranges save opening rounds
-#: but no GEMMs, and hold larger triples.
-FUSED_DEPTH = LIMB_CHUNK // 2
+#: Name of the dealt-material layout; store signatures and tile journals
+#: carry it, so material of another layout never replays into this kernel.
+LAYOUT = "mask_once"
+#: Rows of ``E`` and of ``X`` one server product stacks: its inner dimension
+#: ``2 · STACK_ROWS`` is one :data:`~repro.crypto.ring.LIMB_CHUNK`, which
+#: bounds a product's operands without adding GEMMs.
+STACK_ROWS = LIMB_CHUNK // 2
 
 
-def tile_schedule(num_users: int, block_size: int) -> List[tuple]:
-    """Canonical ``(j0, j1, k0, k1, i_tiles)`` group list of the blocked count.
+def block_size_for(name: str, config) -> int:
+    """The tile width backend *name* counts with: ``matrix`` is ``blocked`` at the default."""
+    if name == "matrix":
+        return DEFAULT_BLOCK_SIZE
+    return getattr(config, "block_size", DEFAULT_BLOCK_SIZE)
 
-    A pure function of public quantities: groups with no pair ``j < k`` and
-    I tiles with no row ``i < j`` are structurally zero and left out.  Each
-    group's I tiles are then fused into consecutive row ranges of at most
-    :data:`FUSED_DEPTH` rows (never less than one tile), one secure product
-    each.  The dealing order, the reduction order, and the distributed
-    runtime's frame order are all fixed by this list, which is what makes
-    every execution of the schedule — any worker count, any window,
-    in-process or distributed — produce the same transcript.
 
-    Examples
-    --------
-    >>> [group[4] for group in tile_schedule(640, 128)][-1]
-    [(0, 256), (256, 512), (512, 640)]
-    """
-    blocks = [
+def _blocks(num_users: int, block_size: int) -> List[tuple]:
+    return [
         (start, min(start + block_size, num_users))
         for start in range(0, num_users, block_size)
     ]
-    tiles_per_range = max(1, FUSED_DEPTH // block_size)
-    schedule = []
-    for j0, j1 in blocks:
-        live = [block for block in blocks if block[0] < j1 - 1]
-        i_tiles = [
-            (live[start][0], live[min(start + tiles_per_range, len(live)) - 1][1])
-            for start in range(0, len(live), tiles_per_range)
+
+
+def tile_schedule(num_users: int, block_size: int) -> List[tuple]:
+    """Canonical ``(j0, j1, k0, k1)`` group list of the blocked count.
+
+    A pure function of public quantities: the block pairs ``J ≤ K`` holding
+    some ``j < k``, ``J``-major.  The dealing order, the reduction order, the
+    chunking and the distributed runtime's frame order are all fixed by this
+    list.
+
+    Examples
+    --------
+    >>> tile_schedule(5, 2)
+    [(0, 2, 0, 2), (0, 2, 2, 4), (0, 2, 4, 5), (2, 4, 2, 4), (2, 4, 4, 5)]
+    """
+    blocks = _blocks(num_users, block_size)
+    return [
+        (j0, j1, k0, k1)
+        for j0, j1 in blocks
+        for k0, k1 in blocks
+        if j0 < k1 - 1
+    ]
+
+
+def chunk_columns(schedule: List[tuple], groups) -> List[tuple]:
+    """The ``(c0, c1, rows)`` column blocks a chunk masks, rows ``[0, rows)`` each.
+
+    Group ``(J, K)`` reads all of column block ``J`` and the rows of column
+    block ``K`` above the end of ``J``.
+    """
+    rows = {}
+    for g in groups:
+        j0, j1, k0, k1 = schedule[g]
+        rows[(j0, j1)] = j1
+        rows[(k0, k1)] = max(rows.get((k0, k1), 0), j1)
+    return [(c0, c1, height) for (c0, c1), height in sorted(rows.items())]
+
+
+def chunk_rows(schedule: List[tuple], groups) -> List[tuple]:
+    """A chunk's groups by ``J`` row: ``(j0, j1, positions)``, positions in the chunk."""
+    rows: List[tuple] = []
+    for position, g in enumerate(groups):
+        j0, j1 = schedule[g][:2]
+        if rows and rows[-1][0] == j0:
+            rows[-1][2].append(position)
+        else:
+            rows.append((j0, j1, [position]))
+    return rows
+
+
+# ---------------------------------------------------------------------- #
+# Packed column blocks: strict-upper entries, row by row
+# ---------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def _upper(width: int) -> tuple:
+    return np.triu_indices(width, 1)
+
+
+def packed_length(c0: int, c1: int, rows: int) -> int:
+    """Strict-upper entries in rows ``[0, rows)`` of column block ``[c0, c1)``.
+
+    *rows* is at most ``c0`` (a dense prefix) or the whole block, ``c1``.
+
+    Examples
+    --------
+    >>> packed_length(4, 6, 6), packed_length(4, 6, 2)
+    (9, 4)
+    """
+    width = c1 - c0
+    return rows * width if rows <= c0 else c0 * width + width * (width - 1) // 2
+
+
+def _pack_column(matrix: np.ndarray, c0: int, c1: int, rows: int) -> np.ndarray:
+    """The strict-upper entries of ``matrix[:rows, c0:c1]``, row by row."""
+    dense = matrix[: min(rows, c0), c0:c1].ravel()
+    if rows <= c0:
+        return dense
+    return np.concatenate((dense, matrix[c0:c1, c0:c1][_upper(c1 - c0)]))
+
+
+def _column_rows(packed: np.ndarray, c0: int, c1: int, r0: int, r1: int) -> np.ndarray:
+    """Dense rows ``[r0, r1)`` of a packed column block, zero on and below the diagonal.
+
+    Rows above the block's diagonal square are a view of the packed prefix.
+    """
+    width = c1 - c0
+    top = packed[r0 * width : min(r1, c0) * width].reshape(-1, width)
+    if r1 <= c0:
+        return top
+    square = np.zeros((width, width), dtype=packed.dtype)
+    square[_upper(width)] = packed[c0 * width : packed_length(c0, c1, c1)]
+    return np.concatenate((top, square[max(r0, c0) - c0 : r1 - c0]))
+
+
+def _tile(packed: np.ndarray, group: tuple) -> np.ndarray:
+    """Group ``(J, K)``'s entries ``j < k`` in packed column block ``K``, row by row."""
+    j0, j1, k0, k1 = group
+    return packed[j0 * (k1 - k0) : packed_length(k0, k1, j1)]
+
+
+def _row_tile(row: np.ndarray, offset: int, group: tuple) -> np.ndarray:
+    """The same entries of a ``J`` row product whose columns start at *offset*."""
+    j0, _, k0, k1 = group
+    tile = row[:, k0 - offset : k1 - offset]
+    return tile[_upper(k1 - k0)] if k0 == j0 else tile.ravel()
+
+
+# ---------------------------------------------------------------------- #
+# Dealer side
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Dealt:
+    """Both servers' shares of one piece of mask-once material."""
+
+    server1: object
+    server2: object
+
+
+@dataclass(frozen=True)
+class RowFinish:
+    """One server's share of one ``J`` row's finish material.
+
+    Per group of the row, ``y`` holds the finish mask ``Y'`` and ``z`` holds
+    ``Z = X^T X``, both on the group's entries ``j < k``; ``w`` is the
+    one-element share of ``W = sum X ⊙ Y'`` over the row's groups.
+    """
+
+    y: tuple
+    z: tuple
+    w: np.ndarray
+
+
+def _inline(tasks) -> list:
+    return [task() for task in tasks]
+
+
+def chunk_dealers(dealer: BeaverTripleDealer, num_users: int, block_size: int, schedule) -> tuple:
+    """``({c0: column dealer}, [group dealer per schedule group])`` spawned from *dealer*.
+
+    The in-process backend and the runtime dealer both spawn through this,
+    so their material is identical.
+    """
+    blocks = _blocks(num_users, block_size)
+    spawned = dealer.spawn_subdealers(len(blocks) + len(schedule))
+    return dict(zip((c0 for c0, _ in blocks), spawned)), spawned[len(blocks) :]
+
+
+def dealer_tallies(schedule, groups, dealers) -> list:
+    """The ``accounting()`` of every dealer a chunk drew from, in canonical order."""
+    column_dealers, group_dealers = dealers
+    tallies = [column_dealers[c0].accounting() for c0, _, _ in chunk_columns(schedule, groups)]
+    return tallies + [group_dealers[g].accounting() for g in groups]
+
+
+def _deal_column(column: tuple, dealer: BeaverTripleDealer) -> tuple:
+    """The shares of column block ``[c0, c1)``'s mask, cut to the chunk's rows."""
+    c0, c1, rows = column
+    dealer.rewind()
+    _, *shares = dealer.mask(packed_length(c0, c1, c1))
+    length = packed_length(c0, c1, rows)
+    # A cut share is copied, so the whole column is not kept alive.
+    return tuple(share if share.size == length else share[:length].copy() for share in shares)
+
+
+def deal_masks(schedule, groups, dealers, run=_inline) -> Dealt:
+    """A chunk's column masks: per server, one packed share per :func:`chunk_columns` block.
+
+    Each column block is masked by its rewound column dealer, so every chunk
+    that reads a column deals the same mask, and a retried task replays it.
+    """
+    dealt = run(
+        [
+            (lambda column=column: _deal_column(column, dealers[0][column[0]]))
+            for column in chunk_columns(schedule, groups)
         ]
-        for k0, k1 in blocks:
-            if j0 >= k1 - 1:
-                continue
-            schedule.append((j0, j1, k0, k1, i_tiles))
-    return schedule
-
-
-def group_triples(group: tuple, dealer):
-    """Yield one group's triples from *dealer* in draw order.
-
-    One matrix triple per fused I range, then the element-wise triple for
-    the ``C[J, K] ⊙ M_{JK}`` finish.  The in-process backend and the runtime
-    dealer both draw through this, so their material is identical.
-    """
-    j0, j1, k0, k1, i_tiles = group
-    for i0, i1 in i_tiles:
-        yield dealer.matrix_triple((j1 - j0, i1 - i0), (i1 - i0, k1 - k0))
-    yield dealer.vector_triple((j1 - j0, k1 - k0))
-
-
-def count_group(group: tuple, triples, shares, ring, views, opener) -> tuple:
-    """One ``(J, K)`` group: accumulate ``M_JK``, finish, subtotal per held role.
-
-    *triples* yields the group's material in :func:`group_triples` order;
-    *shares* holds one share matrix per role the *opener* holds (see
-    :mod:`repro.crypto.secure_ops`).  The in-process backend and the
-    distributed runtime's servers both run this kernel.
-    """
-    j0, j1, k0, k1, i_tiles = group
-    m = [np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype) for _ in shares]
-    for i0, i1 in i_tiles:
-        left = tuple(
-            np.ascontiguousarray(strict_upper(share[i0:i1, j0:j1], i0, j0).T)
-            for share in shares
-        )
-        right = tuple(strict_upper(share[i0:i1, k0:k1], i0, k0) for share in shares)
-        partial = secure_matrix_multiply(
-            left, right, next(triples), ring=ring, views=views, authenticator=opener
-        )
-        m = [ring.add(acc, part) for acc, part in zip(m, partial)]
-    products = secure_multiply_pair(
-        tuple(strict_upper(share[j0:j1, k0:k1], j0, k0) for share in shares),
-        tuple(strict_upper(acc, j0, k0) for acc in m),
-        next(triples), ring=ring, views=views, authenticator=opener,
     )
-    return tuple(ring.sum(product) for product in products)
+    return Dealt(*(tuple(shares) for shares in zip(*dealt)))
 
 
-class _StoredGroup:
-    """One group's stored material, replayed through the dealer interface."""
+def _row_columns(schedule, groups, row) -> tuple:
+    """A ``J`` row's groups and the ``(k0, k1)`` column blocks its products span."""
+    row_groups = [schedule[groups[position]] for position in row[2]]
+    return row_groups, [(k0, k1) for _, _, k0, k1 in row_groups]
 
-    def __init__(self, material: dict, ranges: int) -> None:
-        if len(material["matrix"]) != ranges:
-            raise ProtocolError(
-                f"stored group material carries {len(material['matrix'])} "
-                f"matrix triples for {ranges} I ranges"
+
+def deal_row(schedule, groups, position: int, masks: Dealt, dealers, ring: Ring) -> Dealt:
+    """The finish material of the chunk's *position*-th ``J`` row.
+
+    The dealer recombines the row's masks from the shares it dealt, runs
+    one ``Z = X_J^T X_K`` product, and shares each group's ``Y'``, ``Z`` and
+    ``W`` from the group's own rewound dealer.
+    """
+    index = {c0: column for column, (c0, _, _) in enumerate(chunk_columns(schedule, groups))}
+    row = chunk_rows(schedule, groups)[position]
+    j0, j1, positions = row
+    row_groups, blocks = _row_columns(schedule, groups, row)
+    x = {}
+    for c0, c1 in [(j0, j1)] + blocks:
+        length = packed_length(c0, c1, j1)
+        x[c0] = ring.add(masks.server1[index[c0]][:length], masks.server2[index[c0]][:length])
+    z_row = ring.matmul(
+        _column_rows(x[j0], j0, j1, 0, j1).T,
+        np.concatenate([_column_rows(x[k0], k0, k1, 0, j1) for k0, k1 in blocks], axis=1),
+    )
+    halves = ([], [], [], [], [], [])
+    for p, group in zip(positions, row_groups):
+        dealer = dealers[1][groups[p]]
+        dealer.rewind()
+        z = _row_tile(z_row, blocks[0][0], group)
+        y, *y_shares = dealer.mask(z.size)
+        w = np.array([ring.sum(ring.mul(_tile(x[group[2]], group), y))], dtype=ring.dtype)
+        for half, part in zip(halves, (*y_shares, *dealer.share(z), *dealer.share(w))):
+            half.append(part)
+    y1, y2, z1, z2, w1, w2 = halves
+    return Dealt(
+        RowFinish(tuple(y1), tuple(z1), functools.reduce(ring.add, w1)),
+        RowFinish(tuple(y2), tuple(z2), functools.reduce(ring.add, w2)),
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Server side
+# ---------------------------------------------------------------------- #
+def _row_share(role: int, ring: Ring, row: tuple, blocks: list, e: dict, x: dict) -> np.ndarray:
+    """Server *role*'s ``E_J^T X_K + X_J^T E_K`` (``+ E_J^T E_K`` on server 2), no ``Z``.
+
+    ``K`` runs over the row's column *blocks*; *e* and *x* map a column
+    block's start to its packed ``E`` and ``X`` share.  Each ring product
+    stacks ``STACK_ROWS`` rows of ``E`` and of ``X``,
+    ``[E_J ; X_J]^T @ [X_K (+ E_K) ; E_K]``, server 2 folding
+    ``E_J^T E_K`` into ``E_J^T (X_K + E_K)``.
+    """
+    j0, j1, _ = row
+    cols = sum(k1 - k0 for k0, k1 in blocks)
+    share = None
+    for r0 in range(0, j1, STACK_ROWS):
+        r1 = min(r0 + STACK_ROWS, j1)
+        depth = r1 - r0
+        right = np.empty((2 * depth, cols), dtype=ring.dtype)
+        start = 0
+        for k0, k1 in blocks:
+            stop = start + k1 - k0
+            e_rows = _column_rows(e[k0], k0, k1, r0, r1)
+            x_rows = _column_rows(x[k0], k0, k1, r0, r1)
+            if role == 2:
+                # Bits above the ring's width never reach the reduced product.
+                np.add(x_rows, e_rows, out=right[:depth, start:stop])
+            else:
+                right[:depth, start:stop] = x_rows
+            right[depth:, start:stop] = e_rows
+            start = stop
+        del e_rows, x_rows
+        left = np.empty((j1 - j0, 2 * depth), dtype=ring.dtype)
+        left[:, :depth] = _column_rows(e[j0], j0, j1, r0, r1).T
+        left[:, depth:] = _column_rows(x[j0], j0, j1, r0, r1).T
+        product = ring.matmul(left, right)
+        del left, right
+        share = product if share is None else ring.add(share, product)
+    return share
+
+
+def _row_finish(schedule, groups, row, e, roles, masks, finish: list, ring) -> tuple:
+    """One ``J`` row: each group's ``F = M - Y'`` share and a partial count per held role.
+
+    *finish* lists the row's :class:`RowFinish` per held role.  The partial
+    is ``W + sum E ⊙ Y'`` over the row, so ``Y'`` and ``Z`` are spent here
+    and only the ``F`` shares outlive the row.
+    """
+    row_groups, blocks = _row_columns(schedule, groups, row)
+    f_shares, partials = [], []
+    for role, x in zip(roles, masks):
+        # Popped, so each role's Y' and Z are freed before the next product.
+        half = finish.pop(0)
+        if len(half.y) != len(row_groups) or len(half.z) != len(row_groups):
+            raise DealerError(
+                f"mask-once material mismatch: {len(half.y)}/{len(half.z)} "
+                f"finish tiles for a row of {len(row_groups)} groups"
             )
-        self._triples = [*material["matrix"], material["elementwise"]]
-        self._accounting = material["accounting"]
-        self._next = 0
+        m = _row_share(role, ring, row, blocks, e, x)
+        partial = int(half.w[0])
+        f_role = []
+        for group, y, z in zip(row_groups, half.y, half.z):
+            f_role.append(ring.sub(ring.add(z, _row_tile(m, blocks[0][0], group)), y))
+            partial = ring.add(partial, ring.sum(ring.mul(_tile(e[group[2]], group), y)))
+        del m
+        f_shares.append(f_role)
+        partials.append(partial)
+    return list(zip(*f_shares)), partials
 
-    def _replay(self, *shapes):
-        self._next += 1
-        return self._triples[self._next - 1]
 
-    matrix_triple = vector_triple = _replay
+def count_chunk(
+    schedule, groups, masks, finish, shares, ring: Ring, views, opener, run=_inline,
+    tracer=NULL_TRACER,
+) -> tuple:
+    """One chunk of groups through the mask-once kernel: each held role's subtotal.
 
-    def accounting(self) -> tuple:
-        return self._accounting
+    *shares* holds one share matrix per role the *opener* holds (see
+    :mod:`repro.crypto.secure_ops`); *masks* is the chunk's :func:`deal_masks`
+    material and ``finish(position)`` returns its ``position``-th ``J`` row's
+    :func:`deal_row` material, each either a :class:`Dealt` pair or the held
+    role's share.  Two opening rounds: the chunk's packed ``E`` column
+    blocks (``mask_opening``), then its groups' ``F`` tiles
+    (``finish_opening``); server ``i`` keeps
+    ``W_i + sum E ⊙ Y'_i + sum C_i ⊙ F``.  *run* maps the per-row tasks,
+    whose ``tile_row`` spans land in *tracer* in row order.  The in-process
+    backend and the distributed runtime's servers both run this kernel.
+    """
+    opener, roles, masks = held_material(opener, masks, ring)
+    columns = chunk_columns(schedule, groups)
+    if any(len(x) != len(columns) for x in masks):
+        raise DealerError(
+            f"mask-once material mismatch: {len(masks[0])} column masks for a "
+            f"chunk of {len(columns)} columns"
+        )
+    opened = open_round(
+        "mask_opening",
+        [
+            tuple(
+                ring.sub(_pack_column(share, *column), x[position])
+                for share, x in zip(shares, masks)
+            )
+            for position, column in enumerate(columns)
+        ],
+        opener, roles, views,
+    )
+    starts = [c0 for c0, _, _ in columns]
+    e = dict(zip(starts, opened))
+    masks = [dict(zip(starts, x)) for x in masks]
 
-    def state_snapshot(self) -> int:
-        return self._next
+    def row_task(position, row):
+        shard = tracer.shard()
+        with shard.span("tile_row", j0=row[0], groups=len(row[2])):
+            halves = list(held_material(opener, finish(position), ring)[2])
+            result = _row_finish(schedule, groups, row, e, roles, masks, halves, ring)
+        return result, shard
 
-    def state_restore(self, snapshot: int) -> None:
-        self._next = snapshot
+    f_shares = []
+    totals = [0] * len(roles)
+    for (row_shares, partials), shard in run(
+        [
+            (lambda position=position, row=row: row_task(position, row))
+            for position, row in enumerate(chunk_rows(schedule, groups))
+        ]
+    ):
+        tracer.merge_shard(shard)
+        f_shares.extend(row_shares)
+        totals = [ring.add(total, partial) for total, partial in zip(totals, partials)]
+    f = open_round("finish_opening", f_shares, opener, roles, views)
+    del f_shares
+    for opened, g in zip(f, groups):
+        j0, j1 = schedule[g][:2]
+        totals = [
+            ring.add(total, ring.sum(ring.mul(_row_tile(share[j0:j1], 0, schedule[g]), opened)))
+            for total, share in zip(totals, shares)
+        ]
+    return tuple(totals)
 
 
 @register_backend("blocked")
 class BlockedMatrixTriangleCounter(TriangleCounterBackend):
-    """Tile-streamed secure triangle counting with bounded peak memory.
+    """Tiled secure triangle counting: two opening rounds per chunk.
 
     Parameters
     ----------
     ring:
         Secret-sharing ring.
     dealer:
-        Beaver-triple dealer whose seed the per-group sub-dealers are spawned
-        from; a fresh one is created when not supplied.
+        Dealer whose seed the column and group sub-dealers are spawned from;
+        a fresh one is created when not supplied.
     block_size:
-        Tile width.  Peak per-opening allocation is
-        ``O(block_size · max(block_size, FUSED_DEPTH))``; smaller values
-        bound memory tighter but cost more opening rounds.
+        Tile width.  It sets the size of the dealt pieces and of the local
+        products, not the rounds or the opened bytes.
     views:
         Optional view recorder for the security tests.
     workers:
-        Number of worker threads evaluating tile groups concurrently
-        (default ``1``).  Transcripts are bit-identical for every value.
+        Number of worker threads dealing and multiplying ``J`` rows
+        concurrently (default ``1``).  Transcripts are bit-identical for
+        every value.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        dealt tile material, one entry per chunk of the schedule.
+        dealt material, one entry per chunk of the schedule.
     tile_window:
-        When set, the ``(J, K)`` tile groups are dealt, evaluated, and
-        released in chunks of at most this many groups, so stored material
-        is written and read one chunk at a time (disk spill both ways) and a
-        ``resilience.checkpoint_path`` journals each completed chunk.
-        ``None`` (default) makes the whole schedule one chunk.  Transcripts
+        When set, the ``(J, K)`` tile groups are dealt, opened, and
+        released in chunks of at most this many groups, two opening rounds
+        each, so dealt material is held (and stored) one chunk at a time and
+        a ``resilience.checkpoint_path`` journals each completed chunk.
+        ``None`` (default) makes the whole schedule one chunk.  Released
+        shares, each group's opened ``F`` tile and every opened ``E`` entry
         are bit-identical for every window.
     """
 
@@ -261,7 +506,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
 
     @property
     def block_size(self) -> int:
-        """Tile width used for the streamed matrix products."""
+        """Tile width of the column blocks."""
         return self._block_size
 
     @property
@@ -276,12 +521,14 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         dealer_rng: RandomState = None,
         views: Optional[ViewRecorder] = None,
         authenticator=None,
+        name: str = "blocked",
     ) -> "BlockedMatrixTriangleCounter":
+        """Build from *config* for the registered *name* (see :func:`block_size_for`)."""
         dealer = BeaverTripleDealer(ring=config.ring, seed=dealer_rng)
         return cls(
             ring=config.ring,
             dealer=dealer,
-            block_size=getattr(config, "block_size", DEFAULT_BLOCK_SIZE),
+            block_size=block_size_for(name, config),
             views=views,
             workers=resolve_workers(config),
             triple_store=getattr(config, "triple_store", None),
@@ -290,25 +537,6 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             resilience=getattr(config, "resilience", None),
             authenticator=authenticator,
         )
-
-    def _deal_group(self, group: tuple, dealer: BeaverTripleDealer) -> dict:
-        """Deal one group's material up front (to fill a triple store).
-
-        Transactional: a failure mid-deal (an injected worker fault, a real
-        transient error) rolls the sub-dealer back to its entry state, so a
-        retried attempt replays the identical randomness.
-        """
-        snapshot = dealer.state_snapshot()
-        try:
-            *matrix_triples, elementwise = group_triples(group, dealer)
-        except BaseException:
-            dealer.state_restore(snapshot)
-            raise
-        return {
-            "matrix": matrix_triples,
-            "elementwise": elementwise,
-            "accounting": dealer.accounting(),
-        }
 
     def _make_pool(self) -> WorkerPool:
         """A worker pool carrying this backend's retry policy (if any)."""
@@ -324,97 +552,72 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         """Binds a tile journal to this exact input, run geometry and dealer stream.
 
         A checkpoint written by a run over other share matrices (*shares* is
-        digested), or with a different ``n``, tiling, ring, or dealer
-        randomness, must never be resumed into this one — the token mismatch
-        makes :class:`~repro.resilience.Checkpointer` raise instead.
+        digested), or with a different ``n``, tiling, material layout, ring,
+        or dealer randomness, must never be resumed into this one — the
+        token mismatch makes :class:`~repro.resilience.Checkpointer` raise
+        instead.
         """
         digest = hashlib.sha256()
         for share in shares:
             # Hashed through the buffer protocol: no n²-byte copy.
             digest.update(np.ascontiguousarray(share))
         payload = (
-            f"tiles|{n}|{self._block_size}|{FUSED_DEPTH}|{self._tile_window}|"
+            f"tiles|{n}|{self._block_size}|{LAYOUT}|{self._tile_window}|"
             f"{self._ring.bits}|{dealer_key}|{digest.hexdigest()}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
-    def _run_group(self, group: tuple, dealer, share1: np.ndarray, share2: np.ndarray) -> tuple:
-        """One ``(J, K)`` group through :func:`count_group`, both roles held.
+    def _chunk_material(self, n, dealer_key, chunk_index, schedule, groups, dealers, pool):
+        """The chunk's ``(masks, finish, tallies)``.
 
-        *dealer* is the group's sub-dealer (each triple is dealt just before
-        its product, so a group holds one range's triple at a time) or its
-        stored material.  A failed attempt rolls *dealer* back, so a retry
-        replays the identical randomness.  Views and spans land in private
-        shards the coordinator merges in canonical schedule order, so the
-        transcript and the trace tree are identical for any worker count.
+        Without a store the chunk's masks are dealt here and each row's
+        finish just before its products (``finish`` deals it; *tallies* is
+        ``None`` until then).  With one, the whole chunk is fetched warm — or
+        dealt and stored — under the chunk's signature (unwindowed runs keep
+        one key for the whole schedule).
         """
-        j0, _, k0, _, i_tiles = group
-        shard = ViewRecorder() if self._views is not None else None
-        tracer_shard = self._telemetry.tracer.shard()
-        snapshot = dealer.state_snapshot()
-        try:
-            with tracer_shard.span(
-                "tile_group", j0=j0, k0=k0, opening_rounds=len(i_tiles) + 1
-            ):
-                sum1, sum2 = count_group(
-                    group, group_triples(group, dealer), (share1, share2),
-                    self._ring, shard, self._authenticator,
-                )
-        except BaseException:
-            dealer.state_restore(snapshot)
-            raise
-        return sum1, sum2, len(i_tiles) + 1, shard, tracer_shard, dealer.accounting()
-
-    def _chunk_sources(
-        self, n, dealer_key, chunk_index, schedule, groups, sub_dealers, pool
-    ) -> list:
-        """Each group's triple source: its sub-dealer, or its stored material.
-
-        Without a store every group deals lazily from its sub-dealer.  With
-        one, the chunk's material is fetched warm — or dealt up front and
-        stored — under the chunk's signature (unwindowed runs keep one key
-        for the whole schedule).
-        """
-        if self._store is None:
-            return [sub_dealers[g] for g in groups]
-        geometry = (("block_size", self._block_size), ("fused_depth", FUSED_DEPTH))
-        if self._tile_window is not None:
-            geometry += (("tile_window", self._tile_window), ("chunk", chunk_index))
-        signature = TripleSignature(
-            statistic="triangles",
-            backend="blocked",
-            num_users=n,
-            geometry=geometry,
-            ring_bits=self._ring.bits,
-            dealer_key=dealer_key,
-        )
         with self._telemetry.tracer.span("offline", groups=len(groups)):
-            materials = self._store.get(signature)
-            if materials is None:
-                materials = pool.map(
+            if self._store is None:
+                masks = deal_masks(schedule, groups, dealers, pool.map)
+                return masks, (
+                    lambda position: deal_row(
+                        schedule, groups, position, masks, dealers, self._ring
+                    )
+                ), None
+            geometry = (("block_size", self._block_size), ("layout", LAYOUT))
+            if self._tile_window is not None:
+                geometry += (("tile_window", self._tile_window), ("chunk", chunk_index))
+            signature = TripleSignature(
+                statistic="triangles",
+                backend="blocked",
+                num_users=n,
+                geometry=geometry,
+                ring_bits=self._ring.bits,
+                dealer_key=dealer_key,
+            )
+            stored = self._store.get(signature)
+            if stored is None:
+                masks = deal_masks(schedule, groups, dealers, pool.map)
+                rows = pool.map(
                     [
-                        (lambda g=g: self._deal_group(schedule[g], sub_dealers[g]))
-                        for g in groups
+                        (lambda position=position: deal_row(
+                            schedule, groups, position, masks, dealers, self._ring
+                        ))
+                        for position in range(len(chunk_rows(schedule, groups)))
                     ]
                 )
-                self._store.put(signature, materials)
-        sequence = MaterialSequence(materials, label="blocked tile")
-        sequence.require(len(groups))
-        return [
-            _StoredGroup(sequence.take(index), len(schedule[g][4]))
-            for index, g in enumerate(groups)
-        ]
+                stored = (masks, rows, dealer_tallies(schedule, groups, dealers))
+                self._store.put(signature, stored)
+            masks, rows, tallies = stored
+            return masks, rows.__getitem__, tallies
 
     def count_from_shares(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
         """Run the secure count over the tile schedule, one chunk at a time.
 
         The schedule is walked in chunks of ``tile_window`` groups (the whole
-        schedule when unset).  Determinism hinges on two invariants: group
-        ``g`` always draws from the ``g``-th sub-dealer spawned from the
-        dealer's seed, and subtotal reduction, view-shard merging, and
-        dealer-accounting absorption follow canonical schedule order — so
-        the transcript is bit-identical for every worker count, window, and
-        cold/warm store combination.
+        schedule when unset), each dealt, opened in two rounds and reduced
+        before the next; subtotals, views and dealer tallies follow
+        canonical schedule order.
         """
         ring = self._ring
         share1, share2 = self._validate_share_matrices(share1, share2)
@@ -428,17 +631,17 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         # The dealer key is pinned before any children are spawned so chunk
         # signatures match across runs regardless of which chunks run warm.
         dealer_key = self._dealer.fingerprint()
-        sub_dealers = self._dealer.spawn_subdealers(len(schedule))
+        dealers = chunk_dealers(self._dealer, n, self._block_size, schedule)
         total1 = 0
         total2 = 0
         opening_rounds = 0
         # Crash recovery (windowed runs): a journal of completed chunks.  Each
         # save captures the running subtotals, the opening-round count, every
-        # completed group's view shard (merged in canonical order), and the
-        # dealer tallies absorbed so far; a resumed run restores them and
-        # skips straight to the first incomplete chunk.  Group randomness
-        # comes from per-group sub-dealers, so the skipped chunks' absence
-        # changes nothing downstream.
+        # completed chunk's views, and the dealer tallies absorbed so far; a
+        # resumed run restores them and skips straight to the first
+        # incomplete chunk.  Chunk randomness comes from per-column and
+        # per-group sub-dealers, so the skipped chunks' absence changes
+        # nothing downstream.
         resilience = self._resilience
         journal = None
         completed_chunks = 0
@@ -484,35 +687,31 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                     if self._tile_window is not None
                     else contextlib.nullcontext()
                 )
+                shard = ViewRecorder() if self._views is not None else None
                 with chunk_span:
-                    sources = self._chunk_sources(
-                        n, dealer_key, chunk_index, schedule, groups, sub_dealers, pool
+                    masks, finish, chunk_tallies = self._chunk_material(
+                        n, dealer_key, chunk_index, schedule, groups, dealers, pool
                     )
-                    results = pool.map(
-                        [
-                            (lambda g=g, source=source: self._run_group(
-                                schedule[g], source, share1, share2
-                            ))
-                            for g, source in zip(groups, sources)
-                        ]
+                    sum1, sum2 = count_chunk(
+                        schedule, groups, masks, finish, (share1, share2), ring, shard,
+                        self._authenticator, pool.map, tracer,
                     )
-                    # Fixed reduction order: canonical group order.  View
-                    # shards, tracer shards, and dealer tallies follow it.
-                    for sum1, sum2, rounds, shard, tshard, tallies in results:
-                        total1 = ring.add(total1, sum1)
-                        total2 = ring.add(total2, sum2)
-                        opening_rounds += rounds
-                        self._dealer.absorb_accounting(*tallies)
-                        if journal is not None:
-                            absorbed_accounting.append(tuple(tallies))
-                        if shard is not None:
-                            self._views.merge_from(shard)
-                            if journal_views is not None:
-                                journal_views.merge_from(shard)
-                        tracer.merge_shard(tshard)
                     # Release the chunk's material before the next one is
                     # dealt — the bounded-memory property the scale gates pin.
-                    del sources, results
+                    del masks, finish
+                if chunk_tallies is None:
+                    chunk_tallies = dealer_tallies(schedule, groups, dealers)
+                total1 = ring.add(total1, sum1)
+                total2 = ring.add(total2, sum2)
+                opening_rounds += 2
+                for tallies in chunk_tallies:
+                    self._dealer.absorb_accounting(*tallies)
+                    if journal is not None:
+                        absorbed_accounting.append(tuple(tallies))
+                if shard is not None:
+                    self._views.merge_from(shard)
+                    if journal_views is not None:
+                        journal_views.merge_from(shard)
                 if journal is not None and (
                     (chunk_index + 1) % resilience.checkpoint_every == 0
                 ):
@@ -533,3 +732,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             num_triples_processed=num_candidate_triples(n),
             opening_rounds=opening_rounds,
         )
+
+
+#: With rounds and bytes independent of the tiling, the monolithic
+#: formulation is one tiling of ``blocked``.
+register_backend("matrix")(
+    functools.partial(BlockedMatrixTriangleCounter.from_config, name="matrix")
+)

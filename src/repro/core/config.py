@@ -25,15 +25,11 @@ class CountingBackend(str, enum.Enum):
     * ``BATCHED`` — the same per-triple protocol, but candidate triples are
       processed in vectorised blocks so each block needs a single opening
       round.  Identical messages content-wise, far fewer Python-level rounds.
-    * ``MATRIX`` — secret-shared matrix formulation (``C^T C`` then an
-      element-wise product), producing the same count with two opening
-      rounds total.  This is the default backend for the experiments.
-    * ``BLOCKED`` — the matrix formulation streamed in fixed-size tiles
-      (``block_size``), consuming one Beaver triple per fused range of up
-      to ``FUSED_DEPTH`` (256) rows.  Peak memory per opening round is
-      ``O(block_size · max(block_size, FUSED_DEPTH))`` instead of
-      ``O(n^2)`` at the cost of more opening rounds; use it when ``n``
-      outgrows the monolithic matrix triple.
+    * ``BLOCKED`` — secret-shared matrix formulation (``C^T C`` then an
+      element-wise product) with ``C`` masked once: two opening rounds of
+      ``n (n - 1) / 2`` elements each, computed in ``block_size`` tiles.
+    * ``MATRIX`` — ``BLOCKED`` at its default tile width; the default
+      backend for the experiments.
 
     Beyond these built-ins, ``counting_backend`` also accepts any string
     registered via :func:`repro.core.backends.register_backend`, so
@@ -92,13 +88,14 @@ class CargoConfig:
         Number of candidate triples per opening round for the batched
         backend.
     block_size:
-        Tile width of the blocked backend; peak memory per opening round is
-        ``O(block_size · max(block_size, FUSED_DEPTH))``.
+        Tile width of the blocked backend: the size of its dealt pieces and
+        local products, not of its rounds or opened bytes.
     tile_window:
         When set, the blocked backend walks its tile schedule in chunks of
         at most this many groups: a triple store writes and reads one chunk
         at a time, and a checkpoint journals each completed chunk.  ``None``
-        (default) makes the whole schedule one chunk.  Transcripts are
+        (default) makes the whole schedule one chunk.  Each chunk opens in
+        two rounds of its own; released shares and every opened value are
         bit-identical for every window.
     workers:
         Worker threads for the secure count (:mod:`repro.parallel`);

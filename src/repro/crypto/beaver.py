@@ -9,7 +9,10 @@ because ``x`` and ``y`` are uniform masks) and then locally compute shares of
 
 CARGO's triangle protocol needs the three-way generalisation (multiplication
 groups, see :mod:`repro.crypto.multiplication_groups`); two-way triples are
-still used by the vectorised matrix backend and exercised directly by tests.
+still used by the 4-cycle kernel and exercised directly by tests.  The
+blocked triangle backend deals mask-once material instead: one uniform mask
+per secret (:meth:`BeaverTripleDealer.mask`) and shares of the mask products
+it needs (:meth:`BeaverTripleDealer.share`).
 
 The offline phase (producing the triples) is performed here by a
 :class:`BeaverTripleDealer`.  In a deployment the dealer is replaced by an
@@ -91,6 +94,7 @@ class BeaverTripleDealer:
         #: matmul here; the hook must be bit-identical to ``ring.matmul``
         #: (row strips are), so installing it never changes a dealt value.
         self.matmul = None
+        self._origin = self.state_snapshot()
 
     @property
     def ring(self) -> Ring:
@@ -106,10 +110,10 @@ class BeaverTripleDealer:
     def largest_triple_elements(self) -> int:
         """Per-party ring elements of the largest single triple issued so far.
 
-        One triple holds ``size(x) + size(y) + size(z)`` elements per party;
-        this is the dealer's peak *single-allocation* cost and the quantity
-        the blocked backend bounds at ``O(block_size · max(block_size,
-        FUSED_DEPTH))`` while the monolithic matrix backend pays ``O(n^2)``.
+        One triple holds ``size(x) + size(y) + size(z)`` elements per party
+        (a :meth:`mask` or :meth:`share` issue, the elements it deals); this
+        is the dealer's peak *single-allocation* cost.  The blocked backend's
+        largest issue is one column block's mask, ``O(n · block_size)``.
         """
         return self._largest_triple_elements
 
@@ -118,8 +122,8 @@ class BeaverTripleDealer:
         """Per-party ring elements summed over every triple issued so far."""
         return self._total_triple_elements
 
-    def _record_issue(self, x: IntOrArray, y: IntOrArray, z: IntOrArray) -> None:
-        elements = sum(int(np.size(part)) for part in (x, y, z))
+    def _record_issue(self, *parts: IntOrArray) -> None:
+        elements = sum(int(np.size(part)) for part in parts)
         self._issued += 1
         self._total_triple_elements += elements
         if elements > self._largest_triple_elements:
@@ -191,6 +195,16 @@ class BeaverTripleDealer:
             if key in self._matrix_pools:
                 self._matrix_pools[key]["cursor"] = cursor
 
+    def rewind(self) -> None:
+        """Return to the state this dealer was created in, tallies included.
+
+        The dealer then deals its stream again from the start: the blocked
+        backend rewinds a column's sub-dealer before each chunk that masks
+        that column, so every chunk sees the same mask, and a retried
+        dealing task replays the identical randomness.
+        """
+        self.state_restore(self._origin)
+
     def spawn_subdealers(self, count: int) -> list:
         """*count* dealers with independent substreams of this dealer's seed.
 
@@ -209,6 +223,26 @@ class BeaverTripleDealer:
             BeaverTripleDealer(ring=self._ring, seed=rng)
             for rng in spawn_rngs(self._rng, count)
         ]
+
+    def mask(self, size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A fresh uniform mask of *size* ring elements and its two shares.
+
+        Returns ``(mask, share1, share2)``; the plaintext mask stays with
+        the dealer, which derives the mask products it hands out through
+        :meth:`share`.  One issue of *size* elements.
+        """
+        fault_point("dealer.provision")
+        ring = self._ring
+        x = ring.random_array((int(size),), self._rng)
+        pair = share_vector(x, ring=ring, rng=self._rng)
+        self._record_issue(x)
+        return x, pair.share1, pair.share2
+
+    def share(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Two fresh shares of *values*, a vector the dealer derived from its masks."""
+        pair = share_vector(values, ring=self._ring, rng=self._rng)
+        self._record_issue(values)
+        return pair.share1, pair.share2
 
     def scalar_triple(self) -> BeaverTriplePair:
         """Sample one scalar triple and share it between the two servers."""

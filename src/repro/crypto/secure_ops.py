@@ -74,7 +74,7 @@ class PlainOpener:
         return [self._ring.add(share1, share2) for share1, share2 in operands]
 
 
-def _held(authenticator, material, ring: Ring) -> tuple:
+def held_material(authenticator, material, ring: Ring) -> tuple:
     """The opener (plain for ``None``), its held roles, and their halves of *material*.
 
     A two-server pair yields one half per held role; a single half (all a
@@ -93,7 +93,7 @@ def _masked(ring: Ring, shares, halves: tuple, mask: str) -> tuple:
     return tuple(ring.sub(share, getattr(half, mask)) for share, half in zip(shares, halves))
 
 
-def _open_round(label: str, operands: list, opener, roles, views) -> tuple:
+def open_round(label: str, operands: list, opener, roles, views) -> tuple:
     """Open one round through *opener* and record it in each held role's view."""
     opened = tuple(opener.exchange(label, operands))
     if views is not None:
@@ -145,9 +145,9 @@ def secure_multiply_pair(
     >>> int(DEFAULT_RING.decode_signed(DEFAULT_RING.add(*shares)))
     42
     """
-    opener, roles, halves = _held(authenticator, triple, ring)
+    opener, roles, halves = held_material(authenticator, triple, ring)
     masked = [_masked(ring, a_shares, halves, "x"), _masked(ring, b_shares, halves, "y")]
-    e, f = _open_round("beaver_opening", masked, opener, roles, views)
+    e, f = open_round("beaver_opening", masked, opener, roles, views)
     return tuple(beaver_pair_combine(role, e, f, half, ring) for role, half in zip(roles, halves))
 
 
@@ -172,10 +172,10 @@ def secure_multiply_triple(
     shape, which is how the batched faithful ``Count`` processes many
     candidate triples per opening round.  *authenticator* is the opener.
     """
-    opener, roles, halves = _held(authenticator, group, ring)
+    opener, roles, halves = held_material(authenticator, group, ring)
     operands = (a_shares, b_shares, c_shares)
     masked = [_masked(ring, shares, halves, mask) for shares, mask in zip(operands, "xyz")]
-    e, f, g = _open_round("mg_opening", masked, opener, roles, views)
+    e, f, g = open_round("mg_opening", masked, opener, roles, views)
     return tuple(
         multiplication_group_combine(role, e, f, g, half, ring)
         for role, half in zip(roles, halves)
@@ -203,12 +203,12 @@ def secure_matrix_multiply(
     it must be bit-identical to ``ring.matmul``, so the openings — the only
     values that cross the wire — are unaffected.
     """
-    opener, roles, halves = _held(authenticator, triple, ring)
+    opener, roles, halves = held_material(authenticator, triple, ring)
     a_shares = [np.asarray(a, dtype=ring.dtype) for a in a_shares]
     b_shares = [np.asarray(b, dtype=ring.dtype) for b in b_shares]
     check_matrix_triple(halves[0], a_shares[0], b_shares[0])
     masked = [_masked(ring, a_shares, halves, "x"), _masked(ring, b_shares, halves, "y")]
-    e, f = _open_round("matrix_beaver_opening", masked, opener, roles, views)
+    e, f = open_round("matrix_beaver_opening", masked, opener, roles, views)
     # The masked operands are dead once opened; free them before the combine
     # allocates its ``2k``-deep operands.
     del masked

@@ -10,7 +10,7 @@ both the dealer classes (:class:`~repro.crypto.multiplication_groups.Multiplicat
 are identical to the in-process ones — same RNG stream, and the same
 generators fix the bulk-provision chunking and draw order
 (:func:`~repro.core.backends.faithful.group_stream`,
-:func:`~repro.core.backends.blocked.group_triples`) — the dealt material is
+:func:`~repro.core.backends.blocked.deal_row`) — the dealt material is
 bit-identical, which is what makes the whole distributed transcript
 bit-identical.
 
@@ -24,7 +24,13 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from repro.core.backends.blocked import group_triples, tile_schedule
+from repro.core.backends.blocked import (
+    chunk_dealers,
+    chunk_rows,
+    deal_masks,
+    deal_row,
+    tile_schedule,
+)
 from repro.core.backends.faithful import group_stream
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
@@ -57,41 +63,31 @@ def _deal_mg(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
         )
 
 
-def _ship_triple(pair, label: str, server1: WireEndpoint, server2: WireEndpoint) -> None:
-    meta = {"label": label}
-    server1.send(KIND_PROVISION, meta, [pair.server1.x, pair.server1.y, pair.server1.z])
-    server2.send(KIND_PROVISION, meta, [pair.server2.x, pair.server2.y, pair.server2.z])
-
-
-def _deal_matrix(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
-    """Replay the matrix backend's two offline draws."""
-    ring = spec["ring"]
-    n = int(spec["num_users"])
-    if n < 3:
-        return
-    dealer = BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"])
-    _ship_triple(dealer.matrix_triple((n, n), (n, n)), "matrix_triple", server1, server2)
-    _ship_triple(dealer.vector_triple((n, n)), "vector_triple", server1, server2)
-
-
 def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
-    """Replay the blocked tile schedule, group ``g`` from sub-dealer ``g``."""
+    """Deal the blocked schedule as one mask-once chunk: masks, then row by row."""
     n = int(spec["num_users"])
     if n < 3:
         return
-    dealer = BeaverTripleDealer(ring=spec["ring"], seed=spec["dealer_rng"])
-    schedule = tile_schedule(n, int(spec["block_size"]))
-    for group, sub_dealer in zip(schedule, dealer.spawn_subdealers(len(schedule))):
-        ranges = len(group[4])
-        for index, triple in enumerate(group_triples(group, sub_dealer)):
-            label = "matrix_triple" if index < ranges else "vector_triple"
-            _ship_triple(triple, label, server1, server2)
+    ring = spec["ring"]
+    block_size = int(spec["block_size"])
+    schedule = tile_schedule(n, block_size)
+    groups = range(len(schedule))
+    dealers = chunk_dealers(
+        BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"]), n, block_size, schedule
+    )
+    masks = deal_masks(schedule, groups, dealers)
+    server1.send(KIND_PROVISION, {"label": "column_masks"}, list(masks.server1))
+    server2.send(KIND_PROVISION, {"label": "column_masks"}, list(masks.server2))
+    for position in range(len(chunk_rows(schedule, groups))):
+        row = deal_row(schedule, groups, position, masks, dealers, ring)
+        for endpoint, half in ((server1, row.server1), (server2, row.server2)):
+            endpoint.send(KIND_PROVISION, {"label": "row_finish"}, [*half.y, *half.z, half.w])
 
 
 _DEALERS = {
     "faithful": _deal_mg,
     "batched": _deal_mg,
-    "matrix": _deal_matrix,
+    "matrix": _deal_blocked,
     "blocked": _deal_blocked,
 }
 

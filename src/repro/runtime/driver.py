@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.backends.base import CountResult, upload_adjacency_shares
+from repro.core.backends.blocked import block_size_for
 from repro.core.cargo import Cargo, protocol_rngs
 from repro.core.config import CargoConfig
 from repro.core.max_degree import clamp_max_degree
@@ -403,10 +404,11 @@ class _LinkedServers:
             if resilience.resume and self._checkpointer.exists():
                 self._resumed = tuple(self._checkpointer.load()["phases"])
 
+        block_size = block_size_for(config.backend_name, config)
         spec = {
             "backend": config.backend_name,
             "batch_size": config.batch_size,
-            "block_size": config.block_size,
+            "block_size": block_size,
             "ring": config.ring,
             "authenticate": bool(config.authenticate),
             "seed": int(getattr(config, "seed", 0) or 0),
@@ -428,7 +430,7 @@ class _LinkedServers:
             "ring": config.ring,
             "num_users": n,
             "batch_size": config.batch_size,
-            "block_size": config.block_size,
+            "block_size": block_size,
             "dealer_rng": protocol_rngs(config)[3],
         }
         self._sent_before = {

@@ -15,8 +15,7 @@ The servers run the in-process backends' own code, not a copy of it.  Each
 :func:`~repro.core.backends.blocked.tile_schedule`), reads the dealt
 material off its ``PROVISION`` frames, and calls the backend's counting
 kernel — :func:`~repro.core.backends.faithful.count_block`,
-:func:`~repro.core.backends.matrix.count_online`,
-:func:`~repro.core.backends.blocked.count_group` — with its one share
+:func:`~repro.core.backends.blocked.count_chunk` — with its one share
 matrix ``(share,)`` and its :class:`OpeningChannel` as the *opener*.  The
 in-process backends call the same kernels with both servers' shares and a
 local opener (:mod:`repro.crypto.secure_ops`), so both modes perform the
@@ -46,12 +45,16 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.backends.base import num_candidate_triples
-from repro.core.backends.blocked import count_group, tile_schedule
+from repro.core.backends.blocked import (
+    RowFinish,
+    chunk_columns,
+    chunk_rows,
+    count_chunk,
+    tile_schedule,
+)
 from repro.core.backends.faithful import _gather_schedule, count_block
-from repro.core.backends.matrix import count_online
 from repro.core.max_degree import clamp_max_degree
 from repro.core.perturbation import release_opening
-from repro.crypto.beaver import BeaverTriple
 from repro.crypto.mac import MacKey, _TAG_DOMAIN, pack_round, unpack_round
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
 from repro.crypto.views import ViewRecorder
@@ -242,22 +245,15 @@ def _recv_group(endpoint: WireEndpoint) -> MultiplicationGroup:
     return MultiplicationGroup(**dict(zip(MG_FIELDS, arrays)))
 
 
-def _recv_triple(endpoint: WireEndpoint, label: str) -> BeaverTriple:
-    """One Beaver-triple half (``matrix_triple`` / ``vector_triple``)."""
-    meta, arrays = endpoint.recv_expect(KIND_PROVISION)
-    if meta.get("label") != label or len(arrays) != 3:
+def _recv_blocked(endpoint: WireEndpoint, label: str, arrays: int) -> list:
+    """One blocked provisioning frame (``column_masks`` / ``row_finish``)."""
+    meta, received = endpoint.recv_expect(KIND_PROVISION)
+    if meta.get("label") != label or len(received) != arrays:
         raise WireFormatError(
-            f"expected a {label} provisioning frame, got label "
-            f"{meta.get('label')!r} with {len(arrays)} arrays"
+            f"expected a {label} provisioning frame of {arrays} arrays, got "
+            f"label {meta.get('label')!r} with {len(received)} arrays"
         )
-    return BeaverTriple(x=arrays[0], y=arrays[1], z=arrays[2])
-
-
-def _recv_group_triples(endpoint: WireEndpoint, ranges: int):
-    """One blocked group's triple halves, read in ``group_triples`` order."""
-    for _ in range(ranges):
-        yield _recv_triple(endpoint, "matrix_triple")
-    yield _recv_triple(endpoint, "vector_triple")
+    return received
 
 
 # ---------------------------------------------------------------------- #
@@ -287,47 +283,35 @@ def _count_mg(dealer_ep, channel, ring, share, batch_size, views, tracer):
     return int(total), triples_processed, opening_rounds
 
 
-def _count_matrix(dealer_ep, channel, ring, share, views, tracer):
-    """The monolithic matrix schedule: two dealt triples, one ``count_online``."""
-    n = share.shape[0]
-    if n < 3:
-        return 0, 0, 0
-    num_triples = num_candidate_triples(n)
-    with tracer.span("backend", backend="matrix", num_users=n, candidates=num_triples):
-        with tracer.span("offline"):
-            matrix_triple = _recv_triple(dealer_ep, "matrix_triple")
-            elementwise_triple = _recv_triple(dealer_ep, "vector_triple")
-        with tracer.span("online", opening_rounds=2):
-            (total,) = count_online(
-                (share,), matrix_triple, elementwise_triple, ring, views, channel
-            )
-    return int(total), num_triples, 2
-
-
 def _count_blocked(dealer_ep, channel, ring, share, block_size, views, tracer):
-    """The blocked tile schedule, one ``count_group`` per ``(J, K)`` group."""
+    """The blocked schedule as one mask-once chunk through ``count_chunk``."""
     n = share.shape[0]
     if n < 3:
         return 0, 0, 0
-    total = 0
-    opening_rounds = 0
+    schedule = tile_schedule(n, block_size)
+    groups = range(len(schedule))
+    rows = chunk_rows(schedule, groups)
+
+    def finish(position):
+        size = len(rows[position][2])
+        arrays = _recv_blocked(dealer_ep, "row_finish", 2 * size + 1)
+        return RowFinish(y=tuple(arrays[:size]), z=tuple(arrays[size:-1]), w=arrays[-1])
+
     with tracer.span(
         "backend", backend="blocked", num_users=n, block_size=block_size,
         tile_window=None,
     ) as backend_span:
-        for group in tile_schedule(n, block_size):
-            j0, _, k0, _, i_tiles = group
-            with tracer.span(
-                "tile_group", j0=j0, k0=k0, opening_rounds=len(i_tiles) + 1
-            ):
-                (subtotal,) = count_group(
-                    group, _recv_group_triples(dealer_ep, len(i_tiles)), (share,),
-                    ring, views, channel,
+        with tracer.span("offline", groups=len(schedule)):
+            masks = tuple(
+                _recv_blocked(
+                    dealer_ep, "column_masks", len(chunk_columns(schedule, groups))
                 )
-            total = ring.add(total, subtotal)
-            opening_rounds += len(i_tiles) + 1
-        backend_span.annotate(opening_rounds=opening_rounds)
-    return int(total), num_candidate_triples(n), opening_rounds
+            )
+        (total,) = count_chunk(
+            schedule, groups, masks, finish, (share,), ring, views, channel, tracer=tracer
+        )
+        backend_span.annotate(opening_rounds=2)
+    return int(total), num_candidate_triples(n), 2
 
 
 # ---------------------------------------------------------------------- #
@@ -389,11 +373,7 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
             total, triples, rounds = _count_mg(
                 dealer_ep, channel, ring, share, batch_size, views, tracer
             )
-        elif backend == "matrix":
-            total, triples, rounds = _count_matrix(
-                dealer_ep, channel, ring, share, views, tracer
-            )
-        elif backend == "blocked":
+        elif backend in ("matrix", "blocked"):
             total, triples, rounds = _count_blocked(
                 dealer_ep, channel, ring, share, int(spec["block_size"]), views, tracer
             )

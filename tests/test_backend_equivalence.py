@@ -15,7 +15,6 @@ import pytest
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     share_adjacency_rows,
 )
 from repro.core.projection import SimilarityProjection, projected_triangle_count
@@ -28,7 +27,7 @@ def _all_backends(block_size: int = 5):
     return {
         "faithful": FaithfulTriangleCounter(batch_size=1),
         "batched": FaithfulTriangleCounter(batch_size=64),
-        "matrix": MatrixTriangleCounter(),
+        "matrix": BlockedMatrixTriangleCounter(),
         "blocked": BlockedMatrixTriangleCounter(block_size=block_size),
     }
 
@@ -81,7 +80,7 @@ def test_blocked_equivalence_across_block_sizes():
     graph = erdos_renyi_graph(23, 0.4, seed=9)
     rows = graph.adjacency_matrix()
     share1, share2 = share_adjacency_rows(rows, rng=10)
-    expected = MatrixTriangleCounter().count_from_shares(share1, share2).reconstruct()
+    expected = BlockedMatrixTriangleCounter().count_from_shares(share1, share2).reconstruct()
     assert expected == count_triangles(graph)
     for block_size in (1, 2, 3, 7, 11, 23, 64):
         blocked = BlockedMatrixTriangleCounter(block_size=block_size)

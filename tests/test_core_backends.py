@@ -8,7 +8,6 @@ import pytest
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     TriangleCounterBackend,
     available_backends,
     backend_registered,
@@ -16,10 +15,11 @@ from repro.core.backends import (
     register_backend,
     unregister_backend,
 )
-from repro.core.backends.blocked import FUSED_DEPTH, tile_schedule
+from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE, packed_length, tile_schedule
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig, CountingBackend
 from repro.crypto.beaver import BeaverTripleDealer
+from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.graph.triangles import count_triangles
@@ -33,8 +33,12 @@ class TestRegistry:
         config = CargoConfig()
         by_enum = create_backend(CountingBackend.MATRIX, config=config)
         by_string = create_backend("matrix", config=config)
-        assert isinstance(by_enum, MatrixTriangleCounter)
-        assert isinstance(by_string, MatrixTriangleCounter)
+        assert isinstance(by_enum, BlockedMatrixTriangleCounter)
+        assert isinstance(by_string, BlockedMatrixTriangleCounter)
+
+    def test_matrix_is_blocked_at_the_default_tile(self):
+        backend = create_backend("matrix", config=CargoConfig(block_size=9))
+        assert backend.block_size == DEFAULT_BLOCK_SIZE
 
     def test_batched_mode_uses_config_batch_size(self):
         backend = create_backend("batched", config=CargoConfig(batch_size=17))
@@ -52,7 +56,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError):
-            register_backend("matrix")(MatrixTriangleCounter)
+            register_backend("matrix")(BlockedMatrixTriangleCounter)
 
     def test_third_party_backend_plugs_in(self):
         @register_backend("constant-zero")
@@ -106,22 +110,35 @@ class TestBlockedCounting:
     def test_matches_matrix_backend_exactly(self):
         graph = powerlaw_cluster_graph(70, 5, 0.7, seed=2)
         rows = graph.adjacency_matrix()
-        matrix = MatrixTriangleCounter().count(rows, rng=3)
+        matrix = create_backend("matrix", config=CargoConfig()).count(rows, rng=3)
         blocked = BlockedMatrixTriangleCounter(block_size=16).count(rows, rng=3)
         assert blocked.reconstruct() == matrix.reconstruct()
         assert blocked.num_triples_processed == matrix.num_triples_processed
 
-    def test_more_opening_rounds_than_matrix(self, medium_cluster_graph):
-        rows = medium_cluster_graph.adjacency_matrix()
-        blocked = BlockedMatrixTriangleCounter(block_size=32).count(rows, rng=4)
-        assert blocked.opening_rounds > 2
+    @pytest.mark.parametrize("block_size", [1, 5, 16, 40, 64])
+    def test_two_rounds_of_packed_openings_at_any_tiling(self, block_size):
+        """Unwindowed, every tiling opens E once and F once, each packed to
+        the strict upper triangle: n(n-1) elements per role in two rounds."""
+        n = 40
+        graph = erdos_renyi_graph(n, 0.3, seed=5)
+        views = ViewRecorder()
+        result = BlockedMatrixTriangleCounter(
+            dealer=BeaverTripleDealer(seed=6), block_size=block_size, views=views
+        ).count(graph.adjacency_matrix(), rng=6)
+        assert result.opening_rounds == 2
+        assert result.reconstruct() == count_triangles(graph)
+        for server in (1, 2):
+            entries = views.view(server).entries
+            assert [entry.label for entry in entries] == ["mask_opening", "finish_opening"]
+            assert all(entry.label.endswith("_opening") for entry in entries)
+            opened = sum(int(np.size(part)) for entry in entries for part in entry.value)
+            assert opened == n * (n - 1)
 
     def test_single_block_degenerates_to_two_rounds(self):
         graph = erdos_renyi_graph(25, 0.3, seed=5)
         result = BlockedMatrixTriangleCounter(block_size=100).count(
             graph.adjacency_matrix(), rng=6
         )
-        # One (J, K) tile with one inner product plus one element-wise round.
         assert result.opening_rounds == 2
         assert result.reconstruct() == count_triangles(graph)
 
@@ -149,64 +166,33 @@ class TestBlockedCounting:
 
 
 class TestBlockedMemoryProfile:
-    def test_peak_triple_is_block_sized_not_n_sized(self):
+    def test_largest_issue_is_one_column_block(self):
+        """The dealer's largest single issue is one column block's mask, so
+        a tile bounds it by O(n · block_size), not O(n^2)."""
         n, block_size = 64, 8
         graph = erdos_renyi_graph(n, 0.2, seed=9)
         rows = graph.adjacency_matrix()
-
-        monolithic_dealer = BeaverTripleDealer(seed=0)
-        MatrixTriangleCounter(dealer=monolithic_dealer).count(rows, rng=10)
-        blocked_dealer = BeaverTripleDealer(seed=0)
-        BlockedMatrixTriangleCounter(dealer=blocked_dealer, block_size=block_size).count(
+        dealer = BeaverTripleDealer(seed=0)
+        BlockedMatrixTriangleCounter(dealer=dealer, block_size=block_size).count(
             rows, rng=10
         )
+        assert dealer.largest_triple_elements == packed_length(n - block_size, n, n)
+        assert 8 * dealer.largest_triple_elements <= n * n
 
-        # Monolithic: one triple holding three n x n arrays.
-        assert monolithic_dealer.largest_triple_elements == 3 * n * n
-        # Blocked: no single triple exceeds one fused range's (b, depth) and
-        # (depth, b) masks plus a b x b product.
-        assert blocked_dealer.largest_triple_elements <= (
-            2 * block_size * max(block_size, FUSED_DEPTH) + block_size * block_size
-        )
-        assert (
-            monolithic_dealer.largest_triple_elements
-            >= 4 * blocked_dealer.largest_triple_elements
-        )
-
-    def test_fused_triple_does_not_grow_with_n(self):
-        """The fused schedule's largest triple is capped by FUSED_DEPTH, not n."""
-        block_size = 32
-
-        def largest_triple(n):
-            return max(
-                (j1 - j0) * (i1 - i0) + (i1 - i0) * (k1 - k0) + (j1 - j0) * (k1 - k0)
-                for j0, j1, k0, k1, i_tiles in tile_schedule(n, block_size)
-                for i0, i1 in i_tiles
-            )
-
-        bound = 2 * block_size * max(block_size, FUSED_DEPTH) + block_size**2
-        sizes = [largest_triple(n) for n in (64, 1024, 4096)]
-        assert all(size <= bound for size in sizes)
-        assert sizes[1] == sizes[2] == bound
-
-    def test_fused_schedule_round_totals(self):
-        """One round per fused I range plus the element-wise finish, per group."""
-
-        def rounds(n, block_size):
-            return sum(len(group[4]) + 1 for group in tile_schedule(n, block_size))
-
-        assert rounds(1024, 128) == 106
-        assert rounds(512, 64) == 82
-
-    def test_dealer_issues_one_triple_per_tile(self):
-        """The blocked backend draws tile triples on demand, never upfront."""
+    def test_dealer_deals_each_mask_once_per_run(self):
+        """Unwindowed: one mask per column block, then one Y', one Z and one
+        W issue per group; X and Y' total n(n-1)/2 elements each."""
+        n, block_size = 12, 4
         dealer = BeaverTripleDealer(seed=1)
-        graph = erdos_renyi_graph(12, 0.4, seed=1)
-        result = BlockedMatrixTriangleCounter(dealer=dealer, block_size=4).count(
+        graph = erdos_renyi_graph(n, 0.4, seed=1)
+        BlockedMatrixTriangleCounter(dealer=dealer, block_size=block_size).count(
             graph.adjacency_matrix(), rng=2
         )
-        # One triple per opening round (matrix tiles + element-wise tiles).
-        assert dealer.triples_issued == result.opening_rounds
+        groups = len(tile_schedule(n, block_size))
+        pairs = n * (n - 1) // 2
+        assert dealer.triples_issued == n // block_size + 3 * groups
+        # X, Y' and Z cover every pair j < k once; W is one element per group.
+        assert dealer.total_triple_elements == 3 * pairs + groups
 
 
 class TestCargoWithBlockedBackend:

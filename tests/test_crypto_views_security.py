@@ -16,12 +16,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.backends import BlockedMatrixTriangleCounter
+from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.sharing import share_scalar
 from repro.crypto.views import ProtocolView, ViewEntry, ViewRecorder
 from repro.exceptions import ProtocolError
+from repro.graph.generators import erdos_renyi_graph
 
 
 class TestViewRecorder:
@@ -179,3 +182,58 @@ class TestOpeningsHideSecrets:
         midpoint = float(DEFAULT_RING.half)
         for value in means.values():
             assert 0.5 * midpoint < value < 1.5 * midpoint
+
+
+def _mask_once_views(graph, seed: int) -> ViewRecorder:
+    """Both servers' views of one blocked count (the mask-once openings)."""
+    views = ViewRecorder()
+    BlockedMatrixTriangleCounter(
+        dealer=BeaverTripleDealer(seed=seed), block_size=8, views=views
+    ).count(graph.adjacency_matrix(), rng=seed)
+    return views
+
+
+def _opened(views: ViewRecorder, server: int, label: str) -> np.ndarray:
+    (value,) = views.view(server).values(label)
+    return np.concatenate([np.asarray(part, dtype=np.uint64) for part in value])
+
+
+class TestMaskOnceOpeningsHideSecrets:
+    """The blocked kernel's two openings: E = C - X, then F = M - Y'."""
+
+    LABELS = ("mask_opening", "finish_opening")
+
+    def test_views_identical_for_both_servers(self):
+        views = _mask_once_views(erdos_renyi_graph(20, 0.4, seed=1), seed=2)
+        for label in self.LABELS:
+            assert np.array_equal(_opened(views, 1, label), _opened(views, 2, label))
+
+    def test_openings_span_the_ring(self):
+        """Openings of 0/1 adjacency and small counts are full-range ring elements."""
+        views = _mask_once_views(erdos_renyi_graph(20, 1.0, seed=0), seed=3)
+        for label in self.LABELS:
+            values = _opened(views, 1, label)
+            assert values.size == 20 * 19 // 2
+            assert values.max() > 2**63 and values.min() < 2**60
+
+    def test_opening_distribution_similar_across_secrets(self):
+        """Coarse indistinguishability: an empty and a complete graph of the
+        same n open values of the same mean magnitude, near the midpoint."""
+        midpoint = float(DEFAULT_RING.half)
+        graphs = {
+            "empty": erdos_renyi_graph(24, 0.0, seed=0),
+            "complete": erdos_renyi_graph(24, 1.0, seed=0),
+        }
+        for label in self.LABELS:
+            means = {
+                name: np.mean(
+                    [
+                        np.mean(_opened(_mask_once_views(graph, seed), 1, label).astype(float))
+                        for seed in range(10)
+                    ]
+                )
+                for name, graph in graphs.items()
+            }
+            for value in means.values():
+                assert 0.9 * midpoint < value < 1.1 * midpoint, (label, means)
+            assert abs(means["empty"] - means["complete"]) < 0.1 * midpoint, (label, means)

@@ -19,7 +19,6 @@ import pytest
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     share_adjacency_rows,
 )
 from repro.crypto.beaver import BeaverTripleDealer
@@ -44,7 +43,7 @@ def _backend(name: str, dealer_seed=None, **kwargs):
     if name == "batched":
         return FaithfulTriangleCounter(batch_size=32, **kwargs)
     if name == "matrix":
-        return MatrixTriangleCounter(**kwargs)
+        return BlockedMatrixTriangleCounter(**kwargs)
     if name == "blocked":
         return BlockedMatrixTriangleCounter(block_size=5, **kwargs)
     raise AssertionError(name)

@@ -16,7 +16,7 @@ from repro.baselines.central_lap import CentralLaplaceTriangleCounting
 from repro.baselines.local_two_rounds import LocalTwoRoundsTriangleCounting
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
-from repro.core.backends import FaithfulTriangleCounter, MatrixTriangleCounter
+from repro.core.backends import FaithfulTriangleCounter, BlockedMatrixTriangleCounter
 from repro.core.projection import SimilarityProjection
 from repro.crypto.protocol import TwoServerRuntime
 from repro.exceptions import (
@@ -55,7 +55,7 @@ class TestDegenerateGraphs:
 
     def test_counters_on_empty_share_matrices(self):
         empty = np.zeros((0, 0), dtype=np.uint64)
-        assert MatrixTriangleCounter().count_from_shares(empty, empty).reconstruct() == 0
+        assert BlockedMatrixTriangleCounter().count_from_shares(empty, empty).reconstruct() == 0
         assert FaithfulTriangleCounter().count_from_shares(empty, empty).reconstruct() == 0
 
 

@@ -14,6 +14,7 @@ thread-safety of :class:`ViewRecorder`/:class:`CommunicationLedger`
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -23,9 +24,9 @@ from repro.core import Cargo, CargoConfig
 from repro.core.backends import (
     BlockedMatrixTriangleCounter,
     FaithfulTriangleCounter,
-    MatrixTriangleCounter,
     share_adjacency_rows,
 )
+from repro.core.backends.blocked import Dealt
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.protocol import CommunicationLedger
@@ -154,8 +155,8 @@ class TestTelemetryDeterminism:
         )
         assert traced == untraced, (backend, statistic)
 
-    def test_blocked_tile_group_spans_follow_schedule(self, graph):
-        """Every tile group appears exactly once, in canonical (j0, k0)
+    def test_blocked_tile_row_spans_follow_schedule(self, graph):
+        """Every J row of the schedule appears exactly once, in canonical
         order, regardless of which worker ran it."""
         _, structure, _, _ = self._traced(graph, "blocked", workers=4)
         (root,) = structure
@@ -163,14 +164,14 @@ class TestTelemetryDeterminism:
         backend_span = next(
             s for s in count_span["children"] if s["name"] == "backend"
         )
-        groups = [
-            (s["attributes"]["j0"], s["attributes"]["k0"])
+        rows = [
+            (s["attributes"]["j0"], s["attributes"]["groups"])
             for s in backend_span["children"]
-            if s["name"] == "tile_group"
+            if s["name"] == "tile_row"
         ]
-        assert groups == sorted(groups)
-        # n=30, block=16 → 2x2 grid, upper-triangular (j0 <= k0) schedule.
-        assert groups == [(0, 0), (0, 16), (16, 16)]
+        # n=30, block=16 → 2x2 grid, upper-triangular (j0 <= k0) schedule:
+        # row 0 holds groups (0, 0) and (0, 16), row 16 holds (16, 16).
+        assert rows == [(0, 2), (16, 1)]
 
 
 class TestTripleStoreThroughPipeline:
@@ -246,8 +247,13 @@ class TestExhaustionErrors:
         )
         counter.count_from_shares(share1, share2)
         # Corrupt the stored batch: drop the last group's material.
-        (token, material), = counter._store._entries.items()
-        counter._store._entries[token] = material[:-1]
+        (token, (masks, rows, tallies)), = counter._store._entries.items()
+
+        def drop(half):
+            return dataclasses.replace(half, y=half.y[:-1], z=half.z[:-1])
+
+        last = Dealt(drop(rows[-1].server1), drop(rows[-1].server2))
+        counter._store._entries[token] = (masks, rows[:-1] + [last], tallies)
         warm = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=5),
             block_size=8,

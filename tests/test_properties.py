@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backends import FaithfulTriangleCounter, MatrixTriangleCounter
+from repro.core.backends import FaithfulTriangleCounter, BlockedMatrixTriangleCounter
 from repro.core.projection import SimilarityProjection, projected_triangle_count
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
@@ -144,7 +144,7 @@ class TestTriangleCountingProperties:
     @given(edges=edge_lists, seed=st.integers(0, 100))
     def test_secure_matrix_count_matches_exact(self, edges, seed):
         graph = graph_from_edges(edges)
-        result = MatrixTriangleCounter().count(graph.adjacency_matrix(), rng=seed)
+        result = BlockedMatrixTriangleCounter().count(graph.adjacency_matrix(), rng=seed)
         assert result.reconstruct() == count_triangles_matrix(graph)
 
     @settings(max_examples=8, deadline=None)

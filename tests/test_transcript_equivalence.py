@@ -315,10 +315,12 @@ class TestWorkerCountTranscriptEquivalence:
                 workers=workers,
             )
             result = counter.count_from_shares(share1, share2)
+            entries = views.view(1).entries
+            assert [entry.label for entry in entries] == ["mask_opening", "finish_opening"]
             stream = [
                 np.atleast_1d(np.asarray(part, dtype=np.uint64))
-                for entry in views.view(1).values("matrix_beaver_opening")
-                for part in entry
+                for entry in entries
+                for part in entry.value
             ]
             return result, stream
 
