@@ -119,6 +119,7 @@ API_PAGES = {
         "repro.parallel — worker pool and triple store",
         (
             "repro.parallel.pool",
+            "repro.parallel.blas",
             "repro.parallel.store",
         ),
     ),
@@ -149,7 +150,6 @@ API_PAGES = {
             "repro.runtime.wire",
             "repro.runtime.dealer",
             "repro.runtime.server",
-            "repro.runtime.blas",
             "repro.runtime.driver",
         ),
     ),

@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker threads for each secure count (CargoConfig/"
-        "StreamingConfig workers; default 1; transcripts are bit-identical "
+        "StreamingConfig workers; default: every core for long blocked/matrix "
+        "rows, else 1; transcripts are bit-identical "
         "for any count, so this is purely a wall-clock knob)",
     )
     parser.add_argument(

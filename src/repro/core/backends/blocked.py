@@ -54,7 +54,7 @@ from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring
 from repro.crypto.secure_ops import held_material, open_round
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
-from repro.parallel import TripleSignature, WorkerPool, resolve_workers
+from repro.parallel import TripleSignature, WorkerPool, cpu_budget
 from repro.resilience import NULL_RESILIENCE, Checkpointer
 from repro.telemetry import NULL_TRACER, resolve_telemetry
 from repro.utils.rng import RandomState
@@ -68,6 +68,13 @@ LAYOUT = "mask_once"
 #: ``2 · STACK_ROWS`` is one :data:`~repro.crypto.ring.LIMB_CHUNK`, which
 #: bounds a product's operands without adding GEMMs.
 STACK_ROWS = LIMB_CHUNK // 2
+#: Mean multiply-adds of a ``J`` row's server products from which a count
+#: with ``workers`` unset runs its rows on the whole CPU budget.  Measured
+#: on 2 CPUs: one row per thread loses below it (``n = 256``, block 64:
+#: 2.6M a row) and wins above (``n = 256``, block 128: 8.4M).
+POOL_MIN_ROW_MULTIPLY_ADDS = 160**3
+#: Registry names whose triangle counts default to :func:`default_workers`.
+POOLED_BACKENDS = ("blocked", "matrix")
 
 
 def block_size_for(name: str, config) -> int:
@@ -75,6 +82,31 @@ def block_size_for(name: str, config) -> int:
     if name == "matrix":
         return DEFAULT_BLOCK_SIZE
     return getattr(config, "block_size", DEFAULT_BLOCK_SIZE)
+
+
+def default_workers(num_users: int, block_size: int) -> int:
+    """Worker threads a count runs its ``J`` rows on when ``workers`` is unset.
+
+    The whole :func:`~repro.parallel.pool.cpu_budget`, at most one per row,
+    once a row's server products average :data:`POOL_MIN_ROW_MULTIPLY_ADDS`:
+    a row task runs the whole ring kernel (limb split, GEMMs, recombine)
+    where BLAS threads only the GEMMs, so rows on every core with one BLAS
+    thread each beat one row on multithreaded BLAS.  Below that, rows are
+    too short to repay handing them to threads, and one worker runs them.
+
+    >>> default_workers(128, 32), default_workers(128, 128)
+    (1, 1)
+    >>> default_workers(1024, 128) == min(cpu_budget(), 8)
+    True
+    """
+    rows = [
+        (j1 - j0) * 2 * j1 * (num_users - j0)
+        for j0, j1 in _blocks(num_users, block_size)
+        if j0 < num_users - 1
+    ]
+    if not rows or sum(rows) < POOL_MIN_ROW_MULTIPLY_ADDS * len(rows):
+        return 1
+    return min(cpu_budget(), len(rows))
 
 
 def _blocks(num_users: int, block_size: int) -> List[tuple]:
@@ -458,8 +490,8 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         Optional view recorder for the security tests.
     workers:
         Number of worker threads dealing and multiplying ``J`` rows
-        concurrently (default ``1``).  Transcripts are bit-identical for
-        every value.
+        concurrently; ``None`` (default) picks :func:`default_workers` for
+        each count.  Transcripts are bit-identical for every value.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
         dealt material, one entry per chunk of the schedule.
@@ -479,7 +511,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         dealer: Optional[BeaverTripleDealer] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         views: Optional[ViewRecorder] = None,
-        workers: int = 1,
+        workers: Optional[int] = None,
         triple_store=None,
         tile_window: Optional[int] = None,
         telemetry=None,
@@ -488,7 +520,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
     ) -> None:
         if block_size <= 0:
             raise ProtocolError(f"block_size must be positive, got {block_size}")
-        if workers < 1:
+        if workers is not None and workers < 1:
             raise ProtocolError(f"workers must be at least 1, got {workers}")
         if tile_window is not None and tile_window < 1:
             raise ProtocolError(
@@ -499,7 +531,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         )
         self._dealer = dealer if dealer is not None else BeaverTripleDealer(ring=ring)
         self._block_size = block_size
-        self._workers = int(workers)
+        self._workers = workers
         self._store = triple_store
         self._tile_window = tile_window
         self._resilience = resilience if resilience is not None else NULL_RESILIENCE
@@ -530,7 +562,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             dealer=dealer,
             block_size=block_size_for(name, config),
             views=views,
-            workers=resolve_workers(config),
+            workers=getattr(config, "workers", None),
             triple_store=getattr(config, "triple_store", None),
             tile_window=getattr(config, "tile_window", None),
             telemetry=resolve_telemetry(config),
@@ -538,9 +570,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             authenticator=authenticator,
         )
 
-    def _make_pool(self) -> WorkerPool:
-        """A worker pool carrying this backend's retry policy (if any)."""
-        pool = WorkerPool(self._workers)
+    def _make_pool(self, num_users: int) -> WorkerPool:
+        """A worker pool for a count of *num_users*, with this backend's retry policy (if any)."""
+        workers = self._workers or default_workers(num_users, self._block_size)
+        pool = WorkerPool(workers)
         if self._resilience.retry is not None:
             pool.configure_resilience(
                 retry=self._resilience.retry,
@@ -626,7 +659,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
         schedule = tile_schedule(n, self._block_size)
         window = self._tile_window or len(schedule)
-        pool = self._make_pool()
+        pool = self._make_pool(n)
         tracer = self._telemetry.tracer
         # The dealer key is pinned before any children are spawned so chunk
         # signatures match across runs regardless of which chunks run warm.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.backends.blocked import POOLED_BACKENDS, block_size_for, default_workers
 from repro.core.config import CargoConfig
 from repro.core.max_degree import MaxDegreeEstimator, clamp_max_degree
 from repro.core.perturbation import DistributedPerturbation, release_opening
@@ -42,6 +43,7 @@ from repro.crypto.secure_ops import PlainOpener
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.graph.graph import Graph
+from repro.parallel import blas_budget, blas_scope, blas_threads, resolve_workers
 from repro.stats import create_statistic
 from repro.resilience import resolve_resilience
 from repro.telemetry import Tracer, build_result_telemetry, resolve_telemetry
@@ -68,6 +70,21 @@ def resolve_sparse_mode(config, statistic) -> bool:
             )
         return False
     return True
+
+
+def release_workers(config, num_users: int) -> int:
+    """Worker threads an in-process release over *num_users* runs its Count on.
+
+    With ``workers`` unset, triangles on ``blocked`` or ``matrix`` take
+    :func:`~repro.core.backends.blocked.default_workers`; every other
+    kernel one worker.
+    """
+    name = config.backend_name
+    if config.statistic == "triangles" and name in POOLED_BACKENDS:
+        return resolve_workers(
+            config, default=default_workers(num_users, block_size_for(name, config))
+        )
+    return resolve_workers(config)
 
 
 def protocol_rngs(config):
@@ -202,13 +219,20 @@ class Cargo:
         # MAC check, so a tampering server aborts the run instead of biasing
         # the released count.
         servers = LocalServers(runtime, resolve_authenticator(config), config.ring)
-        return self._run_protocol(graph, servers=servers, views=self.views)
+        # One CPU budget for the whole release: BLAS is capped before Max,
+        # so no BLAS thread woken by a wider earlier product spins on into
+        # Count's row tasks.
+        workers = release_workers(config, graph.num_nodes)
+        with blas_scope(blas_budget(workers)):
+            cpu = {"workers": workers, "blas_threads": blas_threads()}
+            return self._run_protocol(graph, servers=servers, views=self.views, cpu=cpu)
 
-    def _run_protocol(self, graph: Graph, *, servers, views) -> CargoResult:
+    def _run_protocol(self, graph: Graph, *, servers, views, cpu=None) -> CargoResult:
         """Algorithm 1 with *servers* as the two servers (see :class:`LocalServers`).
 
-        A detected cheat records a ``cheater_detected`` telemetry event
-        before it propagates.
+        *cpu* is the in-process release's ``workers`` and ``blas_threads``,
+        recorded in its manifest record.  A detected cheat records a
+        ``cheater_detected`` telemetry event before it propagates.
         """
         config = self._config
         budget = config.resolved_budget()
@@ -321,6 +345,7 @@ class Cargo:
             noisy_max_degree=max_result.noisy_max_degree,
             authenticator=authenticator,
             transport=transport,
+            cpu=cpu,
         )
         return CargoResult(
             noisy_triangle_count=noisy_count,
@@ -354,6 +379,7 @@ def feed_run_telemetry(
     noisy_max_degree,
     authenticator=None,
     transport=None,
+    cpu=None,
 ):
     """Post-run metric feeding + the release record for the manifest.
 
@@ -362,7 +388,8 @@ def feed_run_telemetry(
     transcript; returns the ``CargoResult.telemetry`` block (``None`` when
     telemetry is disabled).  *transport* is the distributed runtime's
     physical byte summary (frames, payload vs framing overhead, per-process
-    wall time); in-process runs have no transport and pass ``None``.
+    wall time); in-process runs have no transport and pass ``None``, and
+    pass *cpu* instead: the release's ``workers`` and ``blas_threads``.
     """
     if not telemetry.enabled:
         return None
@@ -408,6 +435,8 @@ def feed_run_telemetry(
     }
     if mac_block is not None:
         release["mac"] = mac_block
+    if cpu is not None:
+        release.update(cpu)
     if transport is not None:
         release["transport"] = transport
     telemetry.record_release(release)

@@ -98,10 +98,17 @@ class CargoConfig:
         two rounds of its own; released shares and every opened value are
         bit-identical for every window.
     workers:
-        Worker threads for the secure count (:mod:`repro.parallel`);
-        ``None`` (default) means one.  Every backend runs the same execution
-        path at every worker count, so transcripts, ledgers, and released
-        counts are bit-identical and the knob is purely a wall-clock lever.
+        Worker threads for the secure count (:mod:`repro.parallel`).
+        ``None`` (default) gives triangles on ``blocked``/``matrix`` the
+        whole CPU budget (``len(os.sched_getaffinity(0))``, at most one
+        worker per ``J`` row) once their rows are long enough to repay it
+        (:func:`~repro.core.backends.blocked.default_workers`), and every
+        other kernel one worker.  An in-process release caps BLAS at
+        ``max(1, cores // workers)`` threads while it runs and restores the
+        caller's count after, so pool workers × BLAS threads never exceed
+        the cores.  Every backend runs the same execution path at every
+        worker count, so transcripts, ledgers, and released counts are
+        bit-identical and the knob is purely a wall-clock lever.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` the backends use
         to memoise (and optionally persist) the offline phase's correlated
@@ -204,7 +211,7 @@ class CargoConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
-                f"workers must be at least 1 (or None for one worker), "
+                f"workers must be at least 1 (or None for the default), "
                 f"got {self.workers}"
             )
         if not (0 < self.max_degree_fraction < 1):

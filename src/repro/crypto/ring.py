@@ -14,8 +14,9 @@ is split into ``w``-bit limbs narrow enough that every limb-pair GEMM is exact
 in float64, and the shifted limb products are summed with uint64 wrap-around.
 An inner dimension above :data:`LIMB_CHUNK` is split into equal chunks of at
 most that width whenever the chunks' wider limbs need fewer limb-pair GEMMs
-(a 64-bit product: 6 per chunk instead of 10).  Smaller products stay on
-numpy's int64 loop.  Every path is bit-identical.
+(a 64-bit product: 6 per chunk instead of 10), and the right operand is
+walked in column slabs of at most :data:`LIMB_SLAB`.  Smaller products stay
+on numpy's int64 loop.  Every path is bit-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ BLAS_MAX_INNER = 1 << 21
 #: ``limb_width(LIMB_CHUNK) == 22`` and ``3 · 22 ≥ 64``, so a chunk reads a
 #: 64-bit operand as three limbs where a wider inner dimension needs four.
 LIMB_CHUNK = 512
+#: Widest column slab of the right operand :func:`limb_matmul` builds limbs
+#: for at a time: its limbs and GEMM buffer stay ``k × 256`` and ``m × 256``
+#: however wide the product, so concurrent row tasks hold little each.
+LIMB_SLAB = 256
 
 
 def limb_width(inner: int) -> int:
@@ -158,7 +163,10 @@ def limb_matmul(a: np.ndarray, b: np.ndarray, bits: int = 64) -> np.ndarray:
     them.  The inner dimension runs in the chunks :func:`inner_chunks`
     picks, each with its own :func:`limb_width`; only limb pairs whose shift
     is below *bits* run, and each GEMM is converted, shifted and accumulated
-    in place into one uint64 output.
+    in place into one uint64 output.  Per chunk the left operand's limbs are
+    built once and the right operand is walked in slabs of at most
+    :data:`LIMB_SLAB` columns, so its limbs and the GEMM buffer are bounded
+    by the slab, not by the product's width.
     """
     a = _as_uint64(a)
     b = _as_uint64(b)
@@ -166,34 +174,39 @@ def limb_matmul(a: np.ndarray, b: np.ndarray, bits: int = 64) -> np.ndarray:
     top_b = _top_bit(b)
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     out = np.zeros(shape, dtype=np.uint64)
-    gemm = None
     for start, stop in inner_chunks(a.shape[-1], top_a, top_b, bits):
         width = limb_width(stop - start)
         a_part = a[..., start:stop]
-        b_part = b[..., start:stop, :]
-        b_limbs = [
-            _float_limb(b_part, top_b, width, j)
-            for j in range(_limb_count(top_b, width, bits))
+        a_limbs = [
+            _float_limb(a_part, top_a, width, i)
+            for i in range(_limb_count(top_a, width, bits))
         ]
-        for i in range(_limb_count(top_a, width, bits)):
-            a_limb = _float_limb(a_part, top_a, width, i)
-            for j in range(len(b_limbs)):
-                shift = (i + j) * width
-                if shift >= bits:
-                    break
-                gemm = np.matmul(a_limb, b_limbs[j], out=gemm)
-                # Every GEMM term is an integer below 2^53, so it converts
-                # exactly to int64 (faster than to uint64), in place: numpy
-                # copies a flat array onto itself without a temporary.
-                flat = gemm.reshape(-1)
-                np.copyto(flat.view(np.int64), flat, casting="unsafe")
-                term = gemm.view(np.uint64)
-                if shift:
-                    np.left_shift(term, shift, out=term)
-                np.add(out, term, out=out)
-            # Free each limb before the next one is built.
-            del a_limb
-        del b_limbs
+        gemm = None
+        for c0 in range(0, b.shape[-1], LIMB_SLAB):
+            c1 = min(c0 + LIMB_SLAB, b.shape[-1])
+            b_part = b[..., start:stop, c0:c1]
+            out_slab = out[..., c0:c1]
+            if gemm is not None and gemm.shape[-1] != c1 - c0:
+                gemm = None
+            for j in range(_limb_count(top_b, width, bits)):
+                b_limb = _float_limb(b_part, top_b, width, j)
+                for i, a_limb in enumerate(a_limbs):
+                    shift = (i + j) * width
+                    if shift >= bits:
+                        break
+                    gemm = np.matmul(a_limb, b_limb, out=gemm)
+                    # Every GEMM term is an integer below 2^53, so it converts
+                    # exactly to int64 (faster than to uint64), in place: numpy
+                    # copies a flat array onto itself without a temporary.
+                    flat = gemm.reshape(-1)
+                    np.copyto(flat.view(np.int64), flat, casting="unsafe")
+                    term = gemm.view(np.uint64)
+                    if shift:
+                        np.left_shift(term, shift, out=term)
+                    np.add(out_slab, term, out=out_slab)
+                # Free each limb before the next one is built.
+                del b_limb
+        del a_limbs
     return out
 
 

@@ -27,6 +27,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.central_lap import CentralLaplaceTriangleCounting
 from repro.baselines.local_two_rounds import LocalTwoRoundsTriangleCounting
+from repro.core.backends.blocked import POOLED_BACKENDS
+from repro.core.backends.registry import resolve_backend_name
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
 from repro.exceptions import ExperimentError
@@ -36,6 +38,7 @@ from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
 from repro.metrics.aggregate import aggregate_trials
 from repro.metrics.error import l2_loss, relative_error
+from repro.parallel import blas_scope, cpu_budget, limit_blas_threads
 from repro.utils.rng import stable_seed_from_name
 
 
@@ -232,7 +235,9 @@ class ProtocolSweep:
         When greater than 1, sweep cells execute concurrently on a thread
         pool (or a process pool with *use_processes*).  Every cell derives
         its own seed from its labels, so the report is row-for-row identical
-        to a serial run.
+        to a serial run.  The cells split the CPU budget: with *workers*
+        unset, ``blocked``/``matrix`` cells get ``max(1, cores //
+        max_workers)`` workers each, and BLAS runs one thread while they do.
     use_processes:
         Run the concurrent cells on a :class:`ProcessPoolExecutor` instead
         of threads — sidesteps the GIL entirely for the Python-level parts
@@ -245,7 +250,9 @@ class ProtocolSweep:
         or registered name); ``None`` keeps the config default.
     workers:
         Per-run worker threads for each CARGO cell's secure count
-        (``CargoConfig(workers=...)``); ``None`` keeps one worker.
+        (``CargoConfig(workers=...)``); ``None`` keeps each backend's
+        default, or a share of the CPU budget when cells run concurrently
+        (see *max_workers*).
     sparse:
         Degree-local execution policy for the CARGO cells
         (``CargoConfig(sparse=...)``: ``auto`` / ``never`` / ``force``);
@@ -379,6 +386,10 @@ class ProtocolSweep:
         overrides: Dict[str, Any] = {}
         if self.workers is not None:
             overrides["workers"] = self.workers
+        elif self._concurrent_cells() and not self.distributed and self._pooled_backend():
+            # Distributed cells run their Count in forked one-thread parties,
+            # and the element-wise backends keep their one worker.
+            overrides["workers"] = max(1, cpu_budget() // self.max_workers)
         if self.sparse is not None:
             overrides["sparse"] = self.sparse
         if self.tile_window is not None:
@@ -412,15 +423,27 @@ class ProtocolSweep:
         # Keep headroom so base_seed + trial stays well inside 2**63.
         return stable_seed_from_name(label, base_seed=self.seed) % (1 << 31)
 
+    def _concurrent_cells(self) -> bool:
+        return self.max_workers is not None and self.max_workers > 1
+
+    def _pooled_backend(self) -> bool:
+        """Whether the CARGO cells' backend runs its rows on a pool by default."""
+        backend = self.counting_backend or CargoConfig.counting_backend
+        return resolve_backend_name(backend) in POOLED_BACKENDS
+
     def _execute_cells(self, cells: Sequence[_SweepCell]) -> List[Dict[str, float]]:
-        """Run every cell's trial loop: serially, on threads, or on processes."""
+        """Run every cell's trial loop: serially, on threads, or on processes.
+
+        Concurrent cells run with one BLAS thread each, so ``max_workers``
+        cells of ``cores // max_workers`` workers fit the CPU budget.
+        """
 
         def run_cell(cell: _SweepCell) -> Dict[str, float]:
             return _execute_trials(
                 cell.factory, cell.graph, cell.epsilon, self.num_trials, self._cell_seed(cell)
             )
 
-        if self.max_workers is None or self.max_workers <= 1 or len(cells) <= 1:
+        if not self._concurrent_cells() or len(cells) <= 1:
             return [run_cell(cell) for cell in cells]
         if self.use_processes:
             payloads = [
@@ -440,7 +463,9 @@ class ProtocolSweep:
                 }
                 for cell in cells
             ]
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=self.max_workers, initializer=limit_blas_threads, initargs=(1,)
+            ) as pool:
                 return list(pool.map(_execute_cell_payload, payloads))
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+        with blas_scope(1), ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             return list(pool.map(run_cell, cells))

@@ -20,11 +20,15 @@ a single value on the wire:
   repeated runs, sweep cells, and streaming anchors, skipping the re-deal
   entirely (and optionally persisting batches to disk).
 
-Set the worker count with ``CargoConfig(workers=...)`` (CLI ``--workers``);
-the default ``workers=None`` runs the same engine with one worker.
+Set the worker count with ``CargoConfig(workers=...)`` (CLI ``--workers``).
+The default ``workers=None`` gives the ``blocked`` and ``matrix`` backends
+the whole :func:`~repro.parallel.pool.cpu_budget` and every other backend
+one worker.  Pool workers and BLAS threads share that budget
+(:mod:`repro.parallel.blas`).
 """
 
-from repro.parallel.pool import WorkerPool, resolve_workers
+from repro.parallel.blas import blas_scope, blas_threads, limit_blas_threads
+from repro.parallel.pool import WorkerPool, blas_budget, cpu_budget, resolve_workers
 from repro.parallel.store import (
     MaterialSequence,
     TripleSignature,
@@ -34,6 +38,11 @@ from repro.parallel.store import (
 
 __all__ = [
     "WorkerPool",
+    "blas_budget",
+    "blas_scope",
+    "blas_threads",
+    "cpu_budget",
+    "limit_blas_threads",
     "resolve_workers",
     "MaterialSequence",
     "TripleSignature",

@@ -20,32 +20,79 @@ the protocol parties themselves can run as separate OS processes connected
 by sockets (:mod:`repro.runtime`, ``CargoConfig(distributed=True)`` — see
 ``docs/distributed-runtime.md``).  Within one party's online phase, this
 thread pool remains the parallelism mechanism.
+
+The pool and OpenBLAS's own threads share one CPU budget
+(:func:`cpu_budget`): while a pool of ``w`` workers fans out, BLAS runs
+``max(1, cores // w)`` threads (:func:`~repro.parallel.blas.blas_scope`),
+and its worker threads share glibc's main malloc arena, so concurrent row
+tasks do not each grow an arena of their own.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.parallel.blas import blas_scope
 from repro.resilience.faults import fault_point
 
+#: glibc's ``mallopt`` parameter capping the number of malloc arenas.
+_M_ARENA_MAX = -8
 
-def resolve_workers(config: Any) -> int:
+
+def cpu_budget() -> int:
+    """The CPUs this process may run on: pool workers × BLAS threads stay within it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+def blas_budget(workers: int) -> int:
+    """BLAS threads per worker when *workers* threads share the :func:`cpu_budget`."""
+    return max(1, cpu_budget() // int(workers))
+
+
+@functools.lru_cache(maxsize=None)
+def _share_main_arena() -> None:
+    """Make threads share glibc's main malloc arena (a no-op off glibc).
+
+    Called before a pool first starts its threads: a thread that gets an
+    arena of its own keeps it, and per-thread arenas hold on to freed
+    row-task temporaries instead of returning them.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def resolve_workers(config: Any, default: int = 1) -> int:
     """The effective worker count a duck-typed *config* requests.
 
-    ``None`` (or a missing attribute) means one worker; any integer ``>= 1``
-    is taken as is.  Every backend runs the same execution path at every
-    worker count, so the knob is purely a wall-clock lever.
+    ``None`` (or a missing attribute) means *default*: one worker unless
+    the caller passes its own (``blocked`` and ``matrix`` pass
+    :func:`~repro.core.backends.blocked.default_workers`, up to the whole
+    :func:`cpu_budget`).  Any integer ``>= 1`` is taken as is.
+    Every backend runs the same execution path at every worker count, so
+    the knob is purely a wall-clock lever.
 
-    >>> resolve_workers(None), resolve_workers(type("C", (), {"workers": 3})())
-    (1, 3)
+    >>> resolve_workers(None), resolve_workers(None, default=2)
+    (1, 2)
+    >>> resolve_workers(type("C", (), {"workers": 3})(), default=2)
+    3
     """
     workers = getattr(config, "workers", None)
     if workers is None:
-        return 1
+        return int(default)
     workers = int(workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
@@ -114,15 +161,18 @@ class WorkerPool:
         merged) never is.  The underlying thread pool is created lazily and
         reused across calls (the wave-based engines call :meth:`map` many
         times per run); its idle workers exit when the pool is
-        garbage-collected.
+        garbage-collected.  While the tasks run, BLAS is capped at
+        :func:`blas_budget` threads.
         """
         tasks = list(tasks)
         if self._workers == 1 or len(tasks) <= 1:
             return [self._run_task(task) for task in tasks]
         if self._executor is None:
+            _share_main_arena()
             self._executor = ThreadPoolExecutor(max_workers=self._workers)
-        futures = [self._executor.submit(self._run_task, task) for task in tasks]
-        return [future.result() for future in futures]
+        with blas_scope(blas_budget(self._workers)):
+            futures = [self._executor.submit(self._run_task, task) for task in tasks]
+            return [future.result() for future in futures]
 
     def matmul(self, ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Ring matrix product ``a @ b`` computed in parallel row strips.

@@ -15,8 +15,6 @@ length-prefixed binary wire format (:mod:`repro.runtime.wire`).
   in-process backends' counting kernels on its role's share alone,
   exchanging opening rounds (optionally MAC-authenticated) directly with
   its peer.
-* :mod:`repro.runtime.blas` — the one-thread BLAS budget each forked
-  process sets at entry.
 * :mod:`repro.runtime.driver` — forks the three peer processes and runs
   the in-process engine's one Algorithm 1 with them as its servers:
   the user-side phases run in the driver, every server step runs in the

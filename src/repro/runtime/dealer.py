@@ -35,7 +35,7 @@ from repro.core.backends.faithful import group_stream
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
 from repro.exceptions import WireFormatError
-from repro.runtime.blas import blas_threads
+from repro.parallel.blas import blas_threads, os_threads
 from repro.runtime.wire import (
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
@@ -137,6 +137,7 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
                         "stage": "dealer",
                         "seconds": time.perf_counter() - started,
                         "blas_threads": blas_threads(),
+                        "os_threads": os_threads(),
                         "sent": {
                             "server1": summary_delta(before1, server1.sent_summary()),
                             "server2": summary_delta(before2, server2.sent_summary()),

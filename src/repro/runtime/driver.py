@@ -65,8 +65,8 @@ from repro.exceptions import (
     RuntimeProcessError,
     WireFormatError,
 )
+from repro.parallel.blas import limit_blas_threads
 from repro.resilience import Checkpointer, resolve_resilience
-from repro.runtime.blas import limit_blas_threads
 from repro.runtime.dealer import run_dealer
 from repro.runtime.server import run_server
 from repro.runtime.wire import (
@@ -600,6 +600,11 @@ class _LinkedServers:
                 "server1": final1.get("blas_threads"),
                 "server2": final2.get("blas_threads"),
                 "dealer": dealer_meta.get("blas_threads"),
+            },
+            "os_threads": {
+                "server1": final1.get("os_threads"),
+                "server2": final2.get("os_threads"),
+                "dealer": dealer_meta.get("os_threads"),
             },
         }
         return authenticator, transport

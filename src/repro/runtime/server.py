@@ -59,8 +59,8 @@ from repro.crypto.mac import MacKey, _TAG_DOMAIN, pack_round, unpack_round
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
+from repro.parallel.blas import blas_threads, os_threads
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
-from repro.runtime.blas import blas_threads
 from repro.runtime.wire import (
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
@@ -412,6 +412,7 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
             "views": views,
             "seconds": time.perf_counter() - started,
             "blas_threads": blas_threads(),
+            "os_threads": os_threads(),
             "sent": {
                 "driver": summary_delta(driver_before, driver_ep.sent_summary()),
                 "peer": summary_delta(peer_before, peer_ep.sent_summary()),

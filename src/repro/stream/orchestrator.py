@@ -48,7 +48,7 @@ from repro.core.backends.registry import (
     backend_registered,
     resolve_backend_name,
 )
-from repro.core.cargo import resolve_sparse_mode
+from repro.core.cargo import release_workers, resolve_sparse_mode
 from repro.core.max_degree import MaxDegreeEstimator
 from repro.core.projection import SimilarityProjection
 from repro.crypto.ring import DEFAULT_RING, Ring
@@ -57,6 +57,7 @@ from repro.dp.budget import DEFAULT_MAX_DEGREE_FRACTION
 from repro.dp.mechanisms import LaplaceMechanism
 from repro.exceptions import ConfigurationError, StreamError
 from repro.graph.graph import Graph
+from repro.parallel import blas_budget, blas_scope, blas_threads
 from repro.stats import (
     available_statistics,
     create_statistic,
@@ -167,8 +168,8 @@ class StreamingConfig:
         :class:`~repro.core.config.CargoConfig`.
     workers:
         Worker threads for each anchor's secure count; ``None`` (default)
-        means one.  Transcripts and released estimates are identical for
-        every count.
+        means the backend's default, as for ``CargoConfig.workers``.
+        Transcripts and released estimates are identical for every count.
     sparse:
         Degree-local anchor policy, mirroring ``CargoConfig.sparse``:
         ``"auto"`` (the default) runs anchors for degree statistics
@@ -255,7 +256,7 @@ class StreamingConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
-                f"workers must be at least 1 (or None for one worker), "
+                f"workers must be at least 1 (or None for the default), "
                 f"got {self.workers}"
             )
         if self.release_every <= 0:
@@ -667,13 +668,16 @@ class StreamingCargo:
 
         # The root span covers the whole run *including* any bootstrap
         # anchor, so the "total" timing is genuinely end to end (the
-        # TimerRegistry era excluded the bootstrap from "total").
-        with tracer.span(
+        # TimerRegistry era excluded the bootstrap from "total").  Like an
+        # in-process Cargo release, the run holds one CPU budget throughout.
+        workers = release_workers(config, stream.num_nodes)
+        with blas_scope(blas_budget(workers)), tracer.span(
             "total",
             backend=config.backend_name,
             statistic=config.statistic,
             capacity=capacity,
         ) as run_span:
+            cpu = {"workers": workers, "blas_threads": blas_threads()}
             if bootstrap:
                 # Bootstrap anchor: a private starting graph must never be
                 # served exactly, so its count is released through the secure
@@ -798,6 +802,7 @@ class StreamingCargo:
                     "capacity": capacity,
                     "epsilon": {"total": config.epsilon, "spent": accountant.spent},
                     "timings": timings,
+                    **cpu,
                 }
             )
             result.telemetry = build_result_telemetry(

@@ -319,8 +319,8 @@ def run_case(case: FuzzCase) -> List[str]:
             problems.append("authenticated run checked zero opening rounds")
 
         # 4. Worker invariance: every backend runs one execution path, and
-        # the default (workers=None) is that path at one worker, so count
-        # and transcript must both match any worker count.
+        # the default (workers=None) is that path at its default worker
+        # count, so count and transcript must both match any worker count.
         if case.workers is not None:
             default_count, default_views = _release(
                 graph,

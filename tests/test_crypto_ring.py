@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.crypto.ring import (
     BLAS_MIN_MULTIPLY_ADDS,
     DEFAULT_RING,
     LIMB_CHUNK,
+    LIMB_SLAB,
     Ring,
     inner_chunks,
     int64_matmul,
@@ -358,6 +361,47 @@ class TestChunkedLimbMatmul:
         assert gemm_inners == [384] * 12
         assert limb_pairs(64, 64, limb_width(768)) == 10
         assert np.array_equal(product, reference_product(a, b))
+
+
+class TestSlabbedLimbMatmul:
+    """The right operand runs in column slabs of ``LIMB_SLAB``, still bit-identical."""
+
+    @pytest.mark.parametrize("bits", [64, 17, 32])
+    @pytest.mark.parametrize(
+        "n", [LIMB_SLAB - 1, LIMB_SLAB, LIMB_SLAB + 1, 2 * LIMB_SLAB + 3, 700]
+    )
+    def test_slab_edges_match_int64_loop(self, bits, n):
+        ring = Ring(bits=bits)
+        rng = np.random.default_rng(bits * n)
+        a = ring.random_array((40, 600), rng)
+        b = ring.random_array((600, n), rng)
+        assert np.array_equal(matmul_mod(a, b, bits), reference_product(a, b, bits))
+
+    def test_stacked_and_strided_slabs(self):
+        rng = np.random.default_rng(15)
+        a = DEFAULT_RING.random_array((2, 12, 300), rng)
+        base = DEFAULT_RING.random_array((300, 2 * LIMB_SLAB + 40), rng)
+        b = np.stack([base, base[::-1]])[:, :, ::2]
+        assert not b.flags.c_contiguous and b.shape[-1] > LIMB_SLAB
+        assert np.array_equal(limb_matmul(a, b), int64_matmul(a, b))
+
+    def test_limb_working_set_is_bounded_by_the_slab(self):
+        rng = np.random.default_rng(16)
+        a = DEFAULT_RING.random_array((128, 512), rng)
+        b = DEFAULT_RING.random_array((512, 4096), rng)
+        tracemalloc.start()
+        try:
+            product = limb_matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(product, int64_matmul(a, b))
+        # Beyond the output: the left operand's three limbs, one slab limb
+        # being built from its shifted copy, and the slab's GEMM buffer.
+        # One limb of the whole right operand alone would be 16 MB.
+        slab_limb = 512 * LIMB_SLAB * 8
+        assert peak - product.nbytes <= 3 * a.nbytes + 2 * slab_limb + 128 * LIMB_SLAB * 8
+        assert peak - product.nbytes < b.nbytes // 4
 
 
 class TestSampling:

@@ -4,7 +4,8 @@ The engine's claim is strong: the value of ``workers`` changes *nothing
 observable* — released counts, communication ledgers, and recorded
 per-server views are bit-identical for workers ∈ {None, 1, 2, 4} on every
 backend and every registered statistic; the default (``workers=None``) is
-the same engine at one worker.
+the same engine at its default worker count (the CPU budget for
+``blocked``/``matrix``, one worker otherwise).
 
 Also covered here: the worker pool's deterministic ordering, the
 thread-safety of :class:`ViewRecorder`/:class:`CommunicationLedger`
@@ -39,7 +40,7 @@ from repro.stream import StreamingCargo, StreamingConfig, replay_stream
 
 BACKENDS = ("faithful", "batched", "matrix", "blocked")
 STATISTICS = ("triangles", "kstars", "wedges", "4cycles")
-#: ``None`` (the default) is the one-worker engine, so it joins the sweep.
+#: ``None`` (the default) is the same engine, so it joins the sweep.
 WORKER_COUNTS = (1, None, 2, 4)
 
 
@@ -104,8 +105,8 @@ class TestWorkerCountEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_transcript_equals_legacy_for_serial_draw_backends(self, graph, backend):
-        """The default (``workers=None``) run is the one-worker engine: its
-        full transcript — views included — equals a multi-worker run's."""
+        """The default (``workers=None``) run is the same engine: its full
+        transcript — views included — equals a multi-worker run's."""
         default = _run_cargo(graph, "triangles", backend, workers=None)
         engine = _run_cargo(graph, "triangles", backend, workers=2)
         assert engine == default

@@ -187,20 +187,21 @@ class TestTransport:
 
     def test_forked_processes_run_one_blas_thread(self, graph):
         """Each forked process caps its OpenBLAS at one thread and reports it;
-        the driver's own pool is left alone."""
-        from repro.runtime.blas import blas_threads
+        the driver's own pool is left alone.  The cap starts no thread: a
+        forked child runs the one thread it was forked with."""
+        from repro.parallel.blas import blas_threads, os_threads
         from repro.telemetry import Telemetry
 
         before = blas_threads()
         result = run_distributed(
             graph, make_config("blocked", distributed=True, telemetry=Telemetry())
         )
+        transport = result.telemetry["transport"]
         expected = 1 if before is not None else None
-        assert result.telemetry["transport"]["blas_threads"] == {
-            "server1": expected,
-            "server2": expected,
-            "dealer": expected,
-        }
+        parties = ("server1", "server2", "dealer")
+        assert transport["blas_threads"] == dict.fromkeys(parties, expected)
+        threads = 1 if os_threads() is not None else None
+        assert transport["os_threads"] == dict.fromkeys(parties, threads)
         assert blas_threads() == before
 
     def test_reconciliation_failure_is_typed(self):
