@@ -17,7 +17,8 @@ implementations.
 This module also owns the two data-plane pieces every backend shares:
 :class:`CountResult` (the pair of output shares) and
 :func:`share_adjacency_rows` / :func:`upload_adjacency_shares` (the users'
-upload step).
+upload step, in which every user sends server 1 a 32-byte seed instead of
+her share row: :func:`adjacency_seeds`, :func:`expand_seeds`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
 from repro.telemetry import NULL_TELEMETRY, NULL_TRACER
-from repro.utils.rng import RandomState, derive_rng, spawn_rngs
+from repro.utils.rng import RandomState, seeded_rng, spawn_state_matrix
 
 
 @dataclass(frozen=True)
@@ -68,30 +69,54 @@ def num_candidate_triples(num_users: int) -> int:
     return num_users * (num_users - 1) * (num_users - 2) // 6
 
 
+def adjacency_seeds(num_users: int, rng: RandomState = None) -> np.ndarray:
+    """Every user's 32-byte mask seed: a ``(num_users, 4)`` uint64 matrix.
+
+    Row ``i`` holds the four words PCG64 seeds user ``i``'s mask stream from
+    (:func:`~repro.utils.rng.spawn_state_matrix` with ``words=4``, the
+    ``i``-th child *rng* spawns).  Spawning advances *rng*'s spawn counter by
+    exactly *num_users*, as :func:`~repro.utils.rng.spawn_rngs` does.
+    """
+    return spawn_state_matrix(rng, num_users, words=4)
+
+
+def expand_seeds(seeds: np.ndarray, length: int, ring: Ring = DEFAULT_RING) -> np.ndarray:
+    """One uniform ring vector of *length* elements per 32-byte seed, stacked.
+
+    Row ``i`` is ``ring.random_array((length,), seeded_rng(seeds[i]))``.
+    Users draw their masks with it, and server 1 regenerates its share of
+    their rows from the seeds they send it, bit for bit.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    out = np.empty((seeds.shape[0], int(length)), dtype=ring.dtype)
+    for row, seed in enumerate(seeds):
+        out[row] = ring.random_array((int(length),), seeded_rng(seed))
+    return out
+
+
 def share_adjacency_rows(
     projected_rows: np.ndarray,
     ring: Ring = DEFAULT_RING,
     rng: RandomState = None,
+    *,
+    seeds: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Each user secret-shares her projected bit vector with the two servers.
 
-    Returns the two servers' share matrices (same shape as the input).  Each
-    row's mask comes from its own spawned generator so the sharing mirrors the
-    distributed setting where users do not coordinate masks, but each user's
-    whole row is drawn in a single vectorised call and the ``share2 = row -
-    mask`` computation is one matrix-level ring subtraction, so the hot path
-    stays out of per-element Python.
+    Returns the two servers' share matrices (same shape as the input).  User
+    ``i``'s share for server 1 is a uniform mask she expands from her own
+    32-byte seed (:func:`adjacency_seeds` of *rng*, or the given *seeds*), so
+    she can send server 1 the seed instead of the row; server 2's share is
+    ``row - mask``, one matrix-level ring subtraction.
     """
     rows = np.asarray(projected_rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
         raise ProtocolError(f"projected_rows must be a square matrix, got {rows.shape}")
     num_users = rows.shape[0]
-    encoded = ring.encode(rows)
-    masks = np.empty(rows.shape, dtype=ring.dtype)
-    user_rngs = spawn_rngs(rng if rng is not None else derive_rng(None), num_users)
-    for user, user_rng in enumerate(user_rngs):
-        masks[user] = ring.random_array((num_users,), user_rng)
-    return masks, ring.sub(encoded, masks)
+    if seeds is None:
+        seeds = adjacency_seeds(num_users, rng)
+    masks = expand_seeds(seeds, num_users, ring)
+    return masks, ring.sub(ring.encode(rows), masks)
 
 
 def upload_adjacency_shares(
@@ -100,20 +125,24 @@ def upload_adjacency_shares(
     rng: RandomState,
     runtime=None,
     tracer=NULL_TRACER,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The users' upload step of `Count`: share every row, book both uploads.
 
     Runs :func:`share_adjacency_rows` inside one ``share`` span of *tracer*
     and, with a *runtime* (:class:`~repro.crypto.protocol.TwoServerRuntime`),
-    books the two ``adjacency_share`` uploads on its ledger.  Returns the two
-    servers' share matrices.
+    books the two ``adjacency_share`` uploads on its ledger: every user sends
+    server 1 her 32-byte seed and server 2 her ``n``-element share row.
+    Returns ``(seeds, share1, share2)``; ``share1`` is what server 1 expands
+    from the seeds (:func:`expand_seeds`).
     """
-    with tracer.span("share", num_users=int(np.asarray(projected_rows).shape[0])):
-        share1, share2 = share_adjacency_rows(projected_rows, ring=ring, rng=rng)
+    num_users = int(np.asarray(projected_rows).shape[0])
+    with tracer.span("share", num_users=num_users):
+        seeds = adjacency_seeds(num_users, rng)
+        share1, share2 = share_adjacency_rows(projected_rows, ring=ring, seeds=seeds)
         if runtime is not None:
-            runtime.users_to_server(1, "adjacency_share", share1)
+            runtime.users_to_server(1, "adjacency_share", seeds)
             runtime.users_to_server(2, "adjacency_share", share2)
-    return share1, share2
+    return seeds, share1, share2
 
 
 class TriangleCounterBackend(abc.ABC):

@@ -28,9 +28,17 @@ unset), the mask-once unit: a chunk opens its own groups' ``E`` entries and
 ``F`` tiles.  Column ``c``'s mask always comes from the same rewound
 sub-dealer and group ``g``'s material from the ``g``-th one, so every
 window, worker count and cold/warm store deals and opens the same values
-and releases the same shares.  The distributed runtime's dealer and servers
-run the same functions (:func:`deal_masks`, :func:`deal_row`,
-:func:`count_chunk`).  ``matrix`` is this backend at its default tile width.
+and releases the same shares.  The distributed runtime's dealer runs the
+same dealing functions (:func:`deal_masks`, :func:`deal_row`) and its
+servers the same kernel (:func:`count_chunk`).
+
+**Seeds, not matrices.**  Every sub-dealer draws each server's halves of
+``X`` and ``Y'``, and server 1's halves of ``Z`` and ``W``, from that
+server's :class:`~repro.crypto.beaver.MaterialStream`, so a server given its
+stream seeds (:func:`material_seeds`) regenerates its halves with the same
+draws (:func:`held_streams`, :func:`held_masks`, :func:`held_row`); only
+server 2's corrections ``Z - <Z>_1`` and ``W - <W>_1`` must be shipped.
+``matrix`` is this backend at its default tile width.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from repro.core.backends.base import (
     num_candidate_triples,
 )
 from repro.core.backends.registry import register_backend
-from repro.crypto.beaver import BeaverTripleDealer
+from repro.crypto.beaver import BeaverTripleDealer, MaterialStream
 from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring
 from repro.crypto.secure_ops import held_material, open_round
 from repro.crypto.views import ViewRecorder
@@ -63,7 +71,7 @@ from repro.utils.rng import RandomState
 DEFAULT_BLOCK_SIZE = 128
 #: Name of the dealt-material layout; store signatures and tile journals
 #: carry it, so material of another layout never replays into this kernel.
-LAYOUT = "mask_once"
+LAYOUT = "mask_once_seeded"
 #: Rows of ``E`` and of ``X`` one server product stacks: its inner dimension
 #: ``2 · STACK_ROWS`` is one :data:`~repro.crypto.ring.LIMB_CHUNK`, which
 #: bounds a product's operands without adding GEMMs.
@@ -268,14 +276,19 @@ def dealer_tallies(schedule, groups, dealers) -> list:
     return tallies + [group_dealers[g].accounting() for g in groups]
 
 
+def _cut(share: np.ndarray, column: tuple) -> np.ndarray:
+    """A whole column block's mask share, cut to the chunk's rows of that block."""
+    length = packed_length(*column)
+    # A cut share is copied, so the whole column is not kept alive.
+    return share if share.size == length else share[:length].copy()
+
+
 def _deal_column(column: tuple, dealer: BeaverTripleDealer) -> tuple:
     """The shares of column block ``[c0, c1)``'s mask, cut to the chunk's rows."""
-    c0, c1, rows = column
+    c0, c1, _ = column
     dealer.rewind()
     _, *shares = dealer.mask(packed_length(c0, c1, c1))
-    length = packed_length(c0, c1, rows)
-    # A cut share is copied, so the whole column is not kept alive.
-    return tuple(share if share.size == length else share[:length].copy() for share in shares)
+    return tuple(_cut(share, column) for share in shares)
 
 
 def deal_masks(schedule, groups, dealers, run=_inline) -> Dealt:
@@ -334,9 +347,73 @@ def deal_row(schedule, groups, position: int, masks: Dealt, dealers, ring: Ring)
     )
 
 
+def material_seeds(dealers, role: int) -> np.ndarray:
+    """Server *role*'s stream seed of every :func:`chunk_dealers` sub-dealer.
+
+    A ``(blocks + groups, 4)`` uint64 matrix, columns first: everything the
+    server needs to regenerate its halves (:func:`held_streams`).
+    """
+    column_dealers, group_dealers = dealers
+    return np.stack(
+        [dealer.streams()[role - 1].seed for dealer in (*column_dealers.values(), *group_dealers)]
+    )
+
+
 # ---------------------------------------------------------------------- #
 # Server side
 # ---------------------------------------------------------------------- #
+def held_streams(seeds: np.ndarray, ring: Ring, num_users: int, block_size: int, schedule):
+    """One server's ``({c0: column stream}, [group stream])`` from its :func:`material_seeds`.
+
+    The held-role mirror of :func:`chunk_dealers`.
+    """
+    blocks = _blocks(num_users, block_size)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.shape != (len(blocks) + len(schedule), 4):
+        raise DealerError(
+            f"mask-once material mismatch: seed matrix of shape {seeds.shape} for "
+            f"{len(blocks)} column blocks and {len(schedule)} groups"
+        )
+    streams = [MaterialStream(ring, seed) for seed in seeds]
+    return dict(zip((c0 for c0, _ in blocks), streams)), streams[len(blocks) :]
+
+
+def _held_column(column: tuple, stream: MaterialStream) -> np.ndarray:
+    c0, c1, _ = column
+    stream.rewind()
+    return _cut(stream.draw(packed_length(c0, c1, c1)), column)
+
+
+def held_masks(schedule, groups, streams) -> tuple:
+    """One server's :func:`deal_masks` shares, regenerated from its *streams*."""
+    return tuple(
+        _held_column(column, streams[0][column[0]]) for column in chunk_columns(schedule, groups)
+    )
+
+
+def held_row(schedule, groups, position: int, streams, correction=None) -> RowFinish:
+    """One server's :func:`deal_row` half of the chunk's *position*-th ``J`` row.
+
+    Each group's rewound stream yields the server's ``Y'`` share and, for
+    server 1 (*correction* ``None``), its ``Z`` and ``W`` shares, the draws
+    :func:`deal_row` makes.  Server 2 takes ``(z, w)``, its ``Z`` tiles and
+    ``W`` share, from the dealer's *correction*.
+    """
+    y, z, w = [], [], []
+    for p in chunk_rows(schedule, groups)[position][2]:
+        j0, j1, k0, k1 = schedule[groups[p]]
+        size = packed_length(k0, k1, j1) - j0 * (k1 - k0)
+        stream = streams[1][groups[p]]
+        stream.rewind()
+        y.append(stream.draw(size))
+        if correction is None:
+            z.append(stream.draw(size))
+            w.append(stream.draw(1))
+    if correction is not None:
+        return RowFinish(tuple(y), *correction)
+    return RowFinish(tuple(y), tuple(z), functools.reduce(stream.ring.add, w))
+
+
 def _row_share(role: int, ring: Ring, row: tuple, blocks: list, e: dict, x: dict) -> np.ndarray:
     """Server *role*'s ``E_J^T X_K + X_J^T E_K`` (``+ E_J^T E_K`` on server 2), no ``Z``.
 

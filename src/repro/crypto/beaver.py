@@ -12,7 +12,11 @@ groups, see :mod:`repro.crypto.multiplication_groups`); two-way triples are
 still used by the 4-cycle kernel and exercised directly by tests.  The
 blocked triangle backend deals mask-once material instead: one uniform mask
 per secret (:meth:`BeaverTripleDealer.mask`) and shares of the mask products
-it needs (:meth:`BeaverTripleDealer.share`).
+it needs (:meth:`BeaverTripleDealer.share`).  Both draw from one
+:class:`MaterialStream` per server, expanded from a 32-byte seed, so the
+dealer can hand each server its seed and ship server 2 only the corrections
+``z_2 = z - z_1`` of the products (the trusted-third-party provider of
+CrypTen, Knott et al., NeurIPS 2021).
 
 The offline phase (producing the triples) is performed here by a
 :class:`BeaverTripleDealer`.  In a deployment the dealer is replaced by an
@@ -32,7 +36,7 @@ from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.sharing import SharePair, share_scalar, share_vector
 from repro.exceptions import DealerError
 from repro.resilience.faults import fault_point
-from repro.utils.rng import RandomState, derive_rng
+from repro.utils.rng import RandomState, derive_rng, seeded_rng
 
 IntOrArray = Union[int, np.ndarray]
 
@@ -60,6 +64,29 @@ class BeaverTriplePair:
         y = self.ring.add(self.server1.y, self.server2.y)
         z = self.ring.add(self.server1.z, self.server2.z)
         return x, y, z
+
+
+class MaterialStream:
+    """One server's stream of mask-once material, expanded from a 32-byte seed.
+
+    The dealer draws a server's halves of every :meth:`BeaverTripleDealer.mask`
+    (and server 1's halves of every :meth:`BeaverTripleDealer.share`) from
+    it; the server, given *seed*, builds the same stream and regenerates
+    those halves bit for bit with the same draws.
+    """
+
+    def __init__(self, ring: Ring, seed: np.ndarray) -> None:
+        self.ring = ring
+        self.seed = np.asarray(seed, dtype=np.uint64)
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Restart the stream from its seed."""
+        self._rng = seeded_rng(self.seed)
+
+    def draw(self, size: int) -> np.ndarray:
+        """The next *size* uniform ring elements."""
+        return self.ring.random_array((int(size),), self._rng)
 
 
 class BeaverTripleDealer:
@@ -94,6 +121,7 @@ class BeaverTripleDealer:
         #: matmul here; the hook must be bit-identical to ``ring.matmul``
         #: (row strips are), so installing it never changes a dealt value.
         self.matmul = None
+        self._streams: Tuple[MaterialStream, MaterialStream] | None = None
         self._origin = self.state_snapshot()
 
     @property
@@ -171,7 +199,8 @@ class BeaverTripleDealer:
         Covers the randomness position, the issue tallies, and the buffered
         pools' cursors — so an attempt that fails mid-deal can be undone and
         the retry deals byte-identical material from the same stream
-        position (see :meth:`state_restore`).
+        position (see :meth:`state_restore`).  The per-server
+        :meth:`streams` are not in it: :meth:`rewind` restarts them.
         """
         return {
             "rng": self._rng.bit_generator.state,
@@ -198,12 +227,29 @@ class BeaverTripleDealer:
     def rewind(self) -> None:
         """Return to the state this dealer was created in, tallies included.
 
-        The dealer then deals its stream again from the start: the blocked
+        The dealer then deals its streams again from the start: the blocked
         backend rewinds a column's sub-dealer before each chunk that masks
         that column, so every chunk sees the same mask, and a retried
         dealing task replays the identical randomness.
         """
         self.state_restore(self._origin)
+        for stream in self._streams or ():
+            stream.rewind()
+
+    def streams(self) -> Tuple[MaterialStream, MaterialStream]:
+        """Server 1's and server 2's :class:`MaterialStream`, spawned on first use.
+
+        Their seeds are the PCG64 seeding words of the first two children of
+        this dealer's seed sequence; spawning draws nothing from the
+        dealer's own stream.
+        """
+        if self._streams is None:
+            children = self._rng.bit_generator.seed_seq.spawn(2)
+            self._streams = tuple(
+                MaterialStream(self._ring, child.generate_state(4, np.uint64))
+                for child in children
+            )
+        return self._streams
 
     def spawn_subdealers(self, count: int) -> list:
         """*count* dealers with independent substreams of this dealer's seed.
@@ -227,22 +273,27 @@ class BeaverTripleDealer:
     def mask(self, size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A fresh uniform mask of *size* ring elements and its two shares.
 
-        Returns ``(mask, share1, share2)``; the plaintext mask stays with
-        the dealer, which derives the mask products it hands out through
+        Returns ``(mask, share1, share2)``: each server's share is its
+        :meth:`streams` draw, so a server holding its seed regenerates it,
+        and the mask is their sum.  The plaintext mask stays with the
+        dealer, which derives the mask products it hands out through
         :meth:`share`.  One issue of *size* elements.
         """
         fault_point("dealer.provision")
-        ring = self._ring
-        x = ring.random_array((int(size),), self._rng)
-        pair = share_vector(x, ring=ring, rng=self._rng)
+        share1, share2 = (stream.draw(size) for stream in self.streams())
+        x = self._ring.add(share1, share2)
         self._record_issue(x)
-        return x, pair.share1, pair.share2
+        return x, share1, share2
 
     def share(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Two fresh shares of *values*, a vector the dealer derived from its masks."""
-        pair = share_vector(values, ring=self._ring, rng=self._rng)
+        """Two fresh shares of *values*, a vector the dealer derived from its masks.
+
+        Server 1's share is its stream's next draw; server 2's is the
+        correction ``values - share1``, the only half that must be shipped.
+        """
+        share1 = self.streams()[0].draw(np.size(values))
         self._record_issue(values)
-        return pair.share1, pair.share2
+        return share1, self._ring.sub(values, share1)
 
     def scalar_triple(self) -> BeaverTriplePair:
         """Sample one scalar triple and share it between the two servers."""

@@ -3,7 +3,9 @@
 The paper reports running time (Figures 11-12) but discusses communication
 only qualitatively.  This experiment quantifies it: for each protocol phase
 it reports the number of messages and bytes exchanged between users and the
-two servers, per graph size, using the byte-accounting runtime.  It is the
+two servers, per graph size, using the byte-accounting runtime (server 1's
+share of the adjacency upload is booked as the users' 32-byte seeds, which
+is what crosses the wire).  It is the
 basis of the `bench_ext_communication.py` benchmark and of the DESIGN.md
 ablation discussion on where CARGO's overhead lives.
 """
@@ -28,8 +30,9 @@ def communication_overhead(
 
     Per graph size the report contains the total message count, the total
     bytes, and the bytes attributable to the adjacency-share upload (the
-    dominant term, quadratic in n because each user uploads an n-element
-    share vector to each server).
+    dominant term, ``8 n^2 + 32 n``: each user uploads an n-element share
+    vector to server 2 and only the 32-byte seed of her mask to server 1,
+    which expands it).
     """
     report = ExperimentReport(
         name="ext-communication",

@@ -4,7 +4,11 @@ The in-process engine keeps the trusted dealer as an object the backends call
 into mid-protocol.  Here the dealer is what the paper actually describes: a
 third process that knows the counting schedule, deals every piece of
 correlated randomness *in the exact order the in-process backends consume
-it*, and ships each half to its server as ``PROVISION`` frames.  Because
+it*, and provisions each server over ``PROVISION`` frames.  For the
+multiplication groups it ships each half in full; for the blocked
+mask-once material it ships each server one frame of its stream seeds and
+server 2 one frame of ``Z``/``W`` corrections per row of tiles, since each
+server regenerates the rest from its seeds.  Because
 both the dealer classes (:class:`~repro.crypto.multiplication_groups.MultiplicationGroupDealer`,
 :class:`~repro.crypto.beaver.BeaverTripleDealer`) and the replayed schedule
 are identical to the in-process ones — same RNG stream, and the same
@@ -29,6 +33,7 @@ from repro.core.backends.blocked import (
     chunk_rows,
     deal_masks,
     deal_row,
+    material_seeds,
     tile_schedule,
 )
 from repro.core.backends.faithful import group_stream
@@ -64,7 +69,11 @@ def _deal_mg(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
 
 
 def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
-    """Deal the blocked schedule as one mask-once chunk: masks, then row by row."""
+    """Deal the blocked schedule as one mask-once chunk: seeds, then row by row.
+
+    Each server gets its stream seeds; server 2 then gets each row's ``Z``
+    tiles and ``W`` share, the corrections its seeds cannot regenerate.
+    """
     n = int(spec["num_users"])
     if n < 3:
         return
@@ -75,13 +84,14 @@ def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> N
     dealers = chunk_dealers(
         BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"]), n, block_size, schedule
     )
+    for role, endpoint in ((1, server1), (2, server2)):
+        endpoint.send(
+            KIND_PROVISION, {"label": "material_seeds"}, [material_seeds(dealers, role)]
+        )
     masks = deal_masks(schedule, groups, dealers)
-    server1.send(KIND_PROVISION, {"label": "column_masks"}, list(masks.server1))
-    server2.send(KIND_PROVISION, {"label": "column_masks"}, list(masks.server2))
     for position in range(len(chunk_rows(schedule, groups))):
-        row = deal_row(schedule, groups, position, masks, dealers, ring)
-        for endpoint, half in ((server1, row.server1), (server2, row.server2)):
-            endpoint.send(KIND_PROVISION, {"label": "row_finish"}, [*half.y, *half.z, half.w])
+        half = deal_row(schedule, groups, position, masks, dealers, ring).server2
+        server2.send(KIND_PROVISION, {"label": "row_finish"}, [*half.z, half.w])
 
 
 _DEALERS = {

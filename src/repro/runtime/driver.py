@@ -163,19 +163,27 @@ def _checkpoint_token(config: CargoConfig, variant: str, graph) -> str:
 
 def _aggregate_transport(
     reports: List[Tuple[str, str, Dict[str, Dict[str, int]]]],
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Fold per-link sent-summaries into totals and per-phase payload bytes."""
+) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
+    """Fold per-link sent-summaries into totals, per-phase and per-link payload bytes.
+
+    The per-link map is keyed ``"sender->receiver"`` and lists every
+    reported link, idle ones at zero.
+    """
     totals = {"frames": 0, "payload_bytes": 0, "wire_bytes": 0}
     by_phase: Dict[str, int] = {}
-    for _process, _link, delta in reports:
+    links: Dict[str, int] = {}
+    for process, peer, delta in reports:
+        link = f"{process}->{peer}"
+        links[link] = links.get(link, 0)
         for key, counter in delta.items():
+            links[link] += counter["payload_bytes"]
             kind_name, _, phase = key.partition("/")
             totals["frames"] += counter["frames"]
             totals["payload_bytes"] += counter["payload_bytes"]
             totals["wire_bytes"] += counter["wire_bytes"]
             if phase and kind_name in _LEDGERED_KINDS:
                 by_phase[phase] = by_phase.get(phase, 0) + counter["payload_bytes"]
-    return totals, by_phase
+    return totals, by_phase, links
 
 
 def _reconcile_ledger(
@@ -472,6 +480,9 @@ class _LinkedServers:
     def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
         """Upload the adjacency shares; both servers run the backend's kernel.
 
+        Server 1 gets the users' 32-byte seeds and expands its share rows
+        itself; server 2 gets its share rows.
+
         Only dense triangles reach here (``_validate_distributed_config``);
         the dealer process deals from its own copy of *dealer_rng*.
         """
@@ -481,10 +492,10 @@ class _LinkedServers:
             if telemetry.enabled and config.track_communication
             else NULL_TRACER
         )
-        share1, share2 = upload_adjacency_shares(
+        seeds, _, share2 = upload_adjacency_shares(
             projected, config.ring, share_rng, self.runtime, share_tracer
         )
-        self._s1.send(KIND_SHARES, {"phase": "adjacency_share"}, [share1])
+        self._s1.send(KIND_SHARES, {"phase": "adjacency_share"}, [seeds])
         self._s2.send(KIND_SHARES, {"phase": "adjacency_share"}, [share2])
         meta1, _ = self._s1.recv_expect(KIND_RESULT)
         meta2, _ = self._s2.recv_expect(KIND_RESULT)
@@ -580,7 +591,7 @@ class _LinkedServers:
             ("dealer", "server1", dealer_meta["sent"]["server1"]),
             ("dealer", "server2", dealer_meta["sent"]["server2"]),
         ]
-        totals, by_phase = _aggregate_transport(reports)
+        totals, by_phase, links = _aggregate_transport(reports)
         accounted = _reconcile_ledger(
             self.runtime.ledger.phase_summary(), by_phase, skip=self._resumed
         )
@@ -590,6 +601,7 @@ class _LinkedServers:
             "wire_bytes": totals["wire_bytes"],
             "overhead_bytes": totals["wire_bytes"] - totals["payload_bytes"],
             "unledgered_payload_bytes": totals["payload_bytes"] - accounted,
+            "links": links,
             "processes": {
                 "driver": time.perf_counter() - self._started,
                 "server1": float(final1.get("seconds", 0.0)),

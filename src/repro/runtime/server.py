@@ -3,17 +3,19 @@
 Each computation server runs :func:`run_server` in its own OS process.  A
 server owns three links — driver, dealer, and its peer server — and evaluates
 *only its role's side* of the secure protocol: it receives its half of every
-share payload and every piece of correlated randomness, and exchanges
-opening rounds directly with its peer over :class:`~repro.runtime.wire`
-frames (one frame per opening round, never one per element).
+share payload and every piece of correlated randomness, or the seeds to
+expand it from (server 1's adjacency share and the blocked mask-once
+material), and exchanges opening rounds directly with its peer over
+:class:`~repro.runtime.wire` frames (one frame per opening round, never one
+per element).
 
 Bit-exactness contract
 ----------------------
 The servers run the in-process backends' own code, not a copy of it.  Each
 ``_count_*`` function below walks its backend's schedule
 (:func:`~repro.core.backends.faithful._gather_schedule`,
-:func:`~repro.core.backends.blocked.tile_schedule`), reads the dealt
-material off its ``PROVISION`` frames, and calls the backend's counting
+:func:`~repro.core.backends.blocked.tile_schedule`), reads or regenerates
+the dealt material from its ``PROVISION`` frames, and calls the backend's counting
 kernel — :func:`~repro.core.backends.faithful.count_block`,
 :func:`~repro.core.backends.blocked.count_chunk` — with its one share
 matrix ``(share,)`` and its :class:`OpeningChannel` as the *opener*.  The
@@ -44,12 +46,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import num_candidate_triples
+from repro.core.backends.base import expand_seeds, num_candidate_triples
 from repro.core.backends.blocked import (
-    RowFinish,
-    chunk_columns,
     chunk_rows,
     count_chunk,
+    held_masks,
+    held_row,
+    held_streams,
     tile_schedule,
 )
 from repro.core.backends.faithful import _gather_schedule, count_block
@@ -246,7 +249,7 @@ def _recv_group(endpoint: WireEndpoint) -> MultiplicationGroup:
 
 
 def _recv_blocked(endpoint: WireEndpoint, label: str, arrays: int) -> list:
-    """One blocked provisioning frame (``column_masks`` / ``row_finish``)."""
+    """One blocked provisioning frame (``material_seeds`` / ``row_finish``)."""
     meta, received = endpoint.recv_expect(KIND_PROVISION)
     if meta.get("label") != label or len(received) != arrays:
         raise WireFormatError(
@@ -284,29 +287,35 @@ def _count_mg(dealer_ep, channel, ring, share, batch_size, views, tracer):
 
 
 def _count_blocked(dealer_ep, channel, ring, share, block_size, views, tracer):
-    """The blocked schedule as one mask-once chunk through ``count_chunk``."""
+    """The blocked schedule as one mask-once chunk through ``count_chunk``.
+
+    The server regenerates its material from the dealer's seed frame
+    (``held_*`` in :mod:`~repro.core.backends.blocked`); server 2 also reads
+    one ``row_finish`` frame of ``Z`` tiles and ``W`` per row of tiles.
+    """
     n = share.shape[0]
     if n < 3:
         return 0, 0, 0
     schedule = tile_schedule(n, block_size)
     groups = range(len(schedule))
     rows = chunk_rows(schedule, groups)
+    role = channel.roles[0]
 
     def finish(position):
-        size = len(rows[position][2])
-        arrays = _recv_blocked(dealer_ep, "row_finish", 2 * size + 1)
-        return RowFinish(y=tuple(arrays[:size]), z=tuple(arrays[size:-1]), w=arrays[-1])
+        correction = None
+        if role == 2:
+            arrays = _recv_blocked(dealer_ep, "row_finish", len(rows[position][2]) + 1)
+            correction = (tuple(arrays[:-1]), arrays[-1])
+        return held_row(schedule, groups, position, streams, correction)
 
     with tracer.span(
         "backend", backend="blocked", num_users=n, block_size=block_size,
         tile_window=None,
     ) as backend_span:
         with tracer.span("offline", groups=len(schedule)):
-            masks = tuple(
-                _recv_blocked(
-                    dealer_ep, "column_masks", len(chunk_columns(schedule, groups))
-                )
-            )
+            (seeds,) = _recv_blocked(dealer_ep, "material_seeds", 1)
+            streams = held_streams(seeds, ring, n, block_size, schedule)
+            masks = held_masks(schedule, groups, streams)
         (total,) = count_chunk(
             schedule, groups, masks, finish, (share,), ring, views, channel, tracer=tracer
         )
@@ -355,18 +364,21 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
                 [np.array([noisy_max], dtype=np.float64)],
             )
 
-        # Count — this role's share of the projected adjacency matrix.
+        # Count — this role's share of the projected adjacency matrix: S2
+        # receives its rows, S1 regenerates its own from the users' seeds.
         meta, arrays = driver_ep.recv_expect(KIND_SHARES)
         if meta.get("phase") != "adjacency_share":
             raise WireFormatError(
                 f"expected the adjacency_share upload, got phase {meta.get('phase')!r}"
             )
-        share = arrays[0]
-        if share.shape != (n, n) or share.dtype != ring.dtype:
+        upload = arrays[0]
+        expected = ((n, 4), np.dtype(np.uint64)) if role == 1 else ((n, n), ring.dtype)
+        if (upload.shape, upload.dtype) != expected:
             raise WireFormatError(
-                f"adjacency share must be a ({n}, {n}) {ring.dtype} matrix, "
-                f"got {share.shape} {share.dtype}"
+                f"server {role}'s adjacency upload must be a {expected[0]} "
+                f"{expected[1]} array, got {upload.shape} {upload.dtype}"
             )
+        share = expand_seeds(upload, n, ring) if role == 1 else upload
         backend = spec["backend"]
         if backend in ("faithful", "batched"):
             batch_size = 1 if backend == "faithful" else int(spec["batch_size"])

@@ -81,9 +81,10 @@ class TriangleStatistic(SubgraphStatistic):
         """Algorithm 4 through whichever counting backend *config* names.
 
         Backends self-register with the backend registry; this kernel only
-        knows the configured name.  Each user uploads one share of her
-        projected bit vector to each server first; with a *runtime* the
-        uploads, the dominant communication cost, are visible in the ledger
+        knows the configured name.  Each user uploads her shares of her
+        projected bit vector first (the seed of server 1's share, server 2's
+        share row); with a *runtime* the uploads, the dominant communication
+        cost, are visible in the ledger
         (the openings between servers are internal to the counter backends).
         """
         counter = create_backend(
@@ -91,7 +92,7 @@ class TriangleStatistic(SubgraphStatistic):
             authenticator=authenticator,
         )
         tracer = resolve_telemetry(config).tracer if runtime is not None else NULL_TRACER
-        share1, share2 = upload_adjacency_shares(
+        _, share1, share2 = upload_adjacency_shares(
             projected_rows, config.ring, share_rng, runtime, tracer
         )
         return counter.count_from_shares(share1, share2)

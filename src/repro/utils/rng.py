@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.random.bit_generator import _coerce_to_uint32_array
+from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 #: Anything accepted where randomness is needed.
 RandomState = Union[None, int, np.random.Generator, np.random.SeedSequence]
@@ -205,6 +205,32 @@ def spawn_state_matrix(seed: RandomState, count: int, words: int = 2) -> np.ndar
         else:
             matrix[:, index // 2] |= data << np.uint64(32)
     return matrix
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 its four seeding words as they are, instead of hashing entropy."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly its 4 uint64 seeding words.
+        return self._words
+
+
+def seeded_rng(seed: np.ndarray) -> np.random.Generator:
+    """The generator a 32-byte seed names: PCG64 seeded with its four words.
+
+    *seed* is a row of :func:`spawn_state_matrix` with ``words=4`` (a
+    child's ``generate_state(4, np.uint64)``, the words PCG64 seeds itself
+    from), so ``seeded_rng(spawn_state_matrix(parent, n, words=4)[i])``
+    draws exactly what ``spawn_rngs(parent, n)[i]`` draws.  Whoever holds
+    the seed regenerates the stream bit for bit.
+    """
+    words = np.asarray(seed, dtype=np.uint64)
+    if words.shape != (_POOL_SIZE,):
+        raise ValueError(f"a seed is 4 uint64 words, got shape {words.shape}")
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 _PCG_MULT_HI = np.uint64(2549297995355413924)

@@ -204,6 +204,40 @@ class TestTransport:
         assert transport["os_threads"] == dict.fromkeys(parties, threads)
         assert blas_threads() == before
 
+    def test_blocked_links_carry_their_closed_form_payloads(self, graph):
+        """Seeds, not matrices: S1 receives 32-byte seeds from the users and
+        the dealer, and S2 gets only its Z/W corrections on top of them."""
+        from repro.core.backends.blocked import chunk_rows, tile_schedule
+        from repro.telemetry import Telemetry
+
+        n, block = N_SMALL, 8
+        result = run_distributed(
+            graph,
+            make_config("blocked", distributed=True, block_size=block, telemetry=Telemetry()),
+        )
+        transport = result.telemetry["transport"]
+        links = transport["links"]
+        schedule = tile_schedule(n, block)
+        rows = len(chunk_rows(schedule, range(len(schedule))))
+        seeds = 32 * (len(range(0, n, block)) + len(schedule))
+        # Per user: a float64 noisy degree, a 32-byte seed, a noise share.
+        assert links["driver->server1"] == 8 * n + 32 * n + 8 * n
+        # Per user: an n-element share row and a noise share.
+        assert links["driver->server2"] == 8 * n * n + 8 * n
+        assert links["driver->dealer"] == 0
+        assert links["dealer->server1"] == seeds
+        # One Z-correction element per strict-upper entry, one W per J row.
+        assert links["dealer->server2"] == seeds + 8 * n * (n - 1) // 2 + 8 * rows
+        assert sum(links.values()) == transport["payload_bytes"]
+        assert result.communication_phases["adjacency_share"] == {
+            "messages": 2 * n,
+            "bytes": 32 * n + 8 * n * n,
+        }
+        assert (
+            transport["wire_bytes"]
+            == transport["payload_bytes"] + transport["overhead_bytes"]
+        )
+
     def test_reconciliation_failure_is_typed(self):
         from repro.runtime.driver import _reconcile_ledger
 

@@ -268,3 +268,25 @@ class TestSpawnCounter:
         restore_rng_position(generator, position)
         again = (generator.integers(0, 2**40), spawn_rngs(generator, 2)[1].integers(0, 2**40))
         assert first == again
+
+
+class TestSeededRng:
+    def test_a_32_byte_seed_names_its_spawned_generator(self):
+        """The generator a seed row names draws exactly what the spawned child does."""
+        from repro.utils.rng import seeded_rng, spawn_state_matrix
+
+        seeds = spawn_state_matrix(17, 6, words=4)
+        for seed, child in zip(seeds, spawn_rngs(17, 6)):
+            regenerated = seeded_rng(seed)
+            for bits in (64, 17, 64):
+                high = 2**bits - 1
+                assert np.array_equal(
+                    regenerated.integers(0, high, size=9, dtype=np.uint64, endpoint=True),
+                    child.integers(0, high, size=9, dtype=np.uint64, endpoint=True),
+                )
+
+    def test_seed_must_be_four_words(self):
+        from repro.utils.rng import seeded_rng
+
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seeded_rng(np.zeros(3, dtype=np.uint64))
