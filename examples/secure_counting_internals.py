@@ -19,6 +19,7 @@ from repro.core.backends import (
     FaithfulTriangleCounter,
     share_adjacency_rows,
 )
+from repro.core.backends.base import upper_offset
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.sharing import reconstruct, share_scalar
@@ -33,12 +34,16 @@ def main() -> None:
     print(f"graph edges: {graph.edge_list()}")
     print(f"exact triangle count: {count_triangles(graph)}\n")
 
-    # --- Step 1: each user secret-shares her adjacency bit vector -------- #
+    # --- Step 1: each user secret-shares her entries a_ij with j > i ---- #
+    # Algorithm 4 reads only the strict upper triangle, so each server holds
+    # one packed vector of n(n-1)/2 entries; user 3's part is one slice.
     rows = graph.adjacency_matrix()
+    n = graph.num_nodes
     share1, share2 = share_adjacency_rows(rows, rng=0)
-    print("user 3's true bit vector :", rows[3].tolist())
-    print("share sent to server S1  :", [hex(int(x))[:8] + "…" for x in share1[3][:5]])
-    print("share sent to server S2  :", [hex(int(x))[:8] + "…" for x in share2[3][:5]])
+    user3 = slice(upper_offset(n, 3, 4), upper_offset(n, 3, n))
+    print("user 3's bits a_3j, j > 3:", rows[3, 4:].tolist())
+    print("share sent to server S1  :", [hex(int(x))[:8] + "…" for x in share1[user3]])
+    print("share sent to server S2  :", [hex(int(x))[:8] + "…" for x in share2[user3]])
     print("(each share alone is a uniformly random ring element)\n")
 
     # --- Step 2: multiply three shared bits with one multiplication group #

@@ -18,12 +18,16 @@ This module also owns the two data-plane pieces every backend shares:
 :class:`CountResult` (the pair of output shares) and
 :func:`share_adjacency_rows` / :func:`upload_adjacency_shares` (the users'
 upload step, in which every user sends server 1 a 32-byte seed instead of
-her share row: :func:`adjacency_seeds`, :func:`expand_seeds`).
+her share row: :func:`adjacency_seeds`, :func:`expand_seeds`,
+:func:`server1_share`).  User ``i`` shares only her entries ``a_ij`` with
+``j > i``, so each server holds one packed strict upper triangle of
+``n (n - 1) / 2`` entries (:func:`upper_offset`).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -69,6 +73,48 @@ def num_candidate_triples(num_users: int) -> int:
     return num_users * (num_users - 1) * (num_users - 2) // 6
 
 
+def upper_offset(num_users: int, i, j):
+    """Position of entry ``(i, j)``, ``i < j``, in a packed strict upper triangle.
+
+    The packing is row by row: row ``i`` holds its ``n - 1 - i`` entries
+    ``j > i``, so it starts at ``i (2n - i - 1) / 2``.  Works elementwise on
+    integer index arrays.
+
+    Examples
+    --------
+    >>> [upper_offset(4, i, j) for i in range(4) for j in range(i + 1, 4)]
+    [0, 1, 2, 3, 4, 5]
+    >>> upper_offset(1024, 1022, 1023) == 1024 * 1023 // 2 - 1
+    True
+    """
+    return i * (2 * num_users - i - 1) // 2 + j - i - 1
+
+
+def upper_users(size: int) -> int:
+    """The ``n`` whose strict upper triangle has *size* entries.
+
+    Raises :class:`~repro.exceptions.ProtocolError` when *size* is no
+    triangular number.
+
+    >>> upper_users(6), upper_users(1024 * 1023 // 2)
+    (4, 1024)
+    """
+    num_users = (1 + math.isqrt(1 + 8 * int(size))) // 2
+    if num_users * (num_users - 1) // 2 != size:
+        raise ProtocolError(f"{size} entries are no strict upper triangle")
+    return num_users
+
+
+def upper_lengths(num_users: int) -> np.ndarray:
+    """Entries row ``i`` of a packed strict upper triangle holds: ``n - 1 - i``."""
+    return np.arange(num_users - 1, -1, -1)
+
+
+def pack_upper(matrix: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of a square *matrix*, packed row by row."""
+    return matrix[np.triu(np.ones(matrix.shape, dtype=bool), 1)]
+
+
 def adjacency_seeds(num_users: int, rng: RandomState = None) -> np.ndarray:
     """Every user's 32-byte mask seed: a ``(num_users, 4)`` uint64 matrix.
 
@@ -80,18 +126,36 @@ def adjacency_seeds(num_users: int, rng: RandomState = None) -> np.ndarray:
     return spawn_state_matrix(rng, num_users, words=4)
 
 
-def expand_seeds(seeds: np.ndarray, length: int, ring: Ring = DEFAULT_RING) -> np.ndarray:
-    """One uniform ring vector of *length* elements per 32-byte seed, stacked.
+def expand_seeds(seeds: np.ndarray, lengths, ring: Ring = DEFAULT_RING) -> np.ndarray:
+    """Each 32-byte seed's uniform ring row, of ``lengths[i]`` elements, concatenated.
 
-    Row ``i`` is ``ring.random_array((length,), seeded_rng(seeds[i]))``.
+    Row ``i`` is ``ring.random_array((lengths[i],), seeded_rng(seeds[i]))``.
     Users draw their masks with it, and server 1 regenerates its share of
-    their rows from the seeds they send it, bit for bit.
+    their rows from the seeds they send it, bit for bit, straight into one
+    vector.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    out = np.empty((seeds.shape[0], int(length)), dtype=ring.dtype)
-    for row, seed in enumerate(seeds):
-        out[row] = ring.random_array((int(length),), seeded_rng(seed))
+    lengths = [int(length) for length in lengths]
+    if len(lengths) != seeds.shape[0]:
+        raise ProtocolError(f"{seeds.shape[0]} seeds for {len(lengths)} row lengths")
+    out = np.empty(sum(lengths), dtype=ring.dtype)
+    start = 0
+    for seed, length in zip(seeds, lengths):
+        out[start : start + length] = ring.random_array((length,), seeded_rng(seed))
+        start += length
     return out
+
+
+def server1_share(seeds: np.ndarray, ring: Ring = DEFAULT_RING, tracer=NULL_TRACER) -> np.ndarray:
+    """Server 1's packed share of ``C``, regenerated from the users' *seeds*.
+
+    One :func:`expand_seeds` call with row ``i`` of ``n - 1 - i`` elements,
+    inside an ``expand_seeds`` span of *tracer*: the distributed server 1's
+    regeneration of the masks the users drew.
+    """
+    num_users = len(seeds)
+    with tracer.span("expand_seeds", num_users=num_users):
+        return expand_seeds(seeds, upper_lengths(num_users), ring)
 
 
 def share_adjacency_rows(
@@ -100,14 +164,20 @@ def share_adjacency_rows(
     rng: RandomState = None,
     *,
     seeds: Optional[np.ndarray] = None,
+    full_rows: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Each user secret-shares her projected bit vector with the two servers.
 
-    Returns the two servers' share matrices (same shape as the input).  User
-    ``i``'s share for server 1 is a uniform mask she expands from her own
-    32-byte seed (:func:`adjacency_seeds` of *rng*, or the given *seeds*), so
-    she can send server 1 the seed instead of the row; server 2's share is
-    ``row - mask``, one matrix-level ring subtraction.
+    User ``i`` shares ``a_ij`` for ``j > i`` only: the strict upper part
+    ``C`` that Algorithm 4 reads.  Each server's share is one packed vector
+    of ``n (n - 1) / 2`` entries, row ``i`` holding user ``i``'s ``n - 1 - i``
+    (:func:`upper_offset`).  With *full_rows* every user shares her whole
+    row and the shares are ``n × n`` matrices (the 4-cycle count reads
+    ``a_vu`` below the diagonal).  User ``i``'s share for server 1 is a
+    uniform mask she expands from her own 32-byte seed
+    (:func:`adjacency_seeds` of *rng*, or the given *seeds*), so she can send
+    server 1 the seed instead of the row; server 2's share is
+    ``row - mask``, one ring subtraction.
     """
     rows = np.asarray(projected_rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
@@ -115,8 +185,10 @@ def share_adjacency_rows(
     num_users = rows.shape[0]
     if seeds is None:
         seeds = adjacency_seeds(num_users, rng)
-    masks = expand_seeds(seeds, num_users, ring)
-    return masks, ring.sub(ring.encode(rows), masks)
+    secret = rows if full_rows else pack_upper(rows)
+    lengths = [num_users] * num_users if full_rows else upper_lengths(num_users)
+    masks = expand_seeds(seeds, lengths, ring).reshape(secret.shape)
+    return masks, ring.sub(ring.encode(secret), masks)
 
 
 def upload_adjacency_shares(
@@ -125,23 +197,42 @@ def upload_adjacency_shares(
     rng: RandomState,
     runtime=None,
     tracer=NULL_TRACER,
+    *,
+    full_rows: bool = False,
+    server1_tracer=NULL_TRACER,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The users' upload step of `Count`: share every row, book both uploads.
 
-    Runs :func:`share_adjacency_rows` inside one ``share`` span of *tracer*
-    and, with a *runtime* (:class:`~repro.crypto.protocol.TwoServerRuntime`),
-    books the two ``adjacency_share`` uploads on its ledger: every user sends
-    server 1 her 32-byte seed and server 2 her ``n``-element share row.
-    Returns ``(seeds, share1, share2)``; ``share1`` is what server 1 expands
-    from the seeds (:func:`expand_seeds`).
+    Every user draws her 32-byte seed inside one ``share`` span of *tracer*,
+    then :func:`share_adjacency_rows` (with *full_rows*) expands the masks
+    and server 2's share.  With a *runtime*
+    (:class:`~repro.crypto.protocol.TwoServerRuntime`) the two
+    ``adjacency_share`` uploads are booked on its ledger: every user sends
+    server 1 her seed and server 2 her share row, ``n - 1 - i`` elements for
+    user ``i`` (``n`` with *full_rows*).  Returns ``(seeds, share1, share2)``.
+
+    The masks are server 1's share, which the distributed server 1
+    regenerates from the seeds in an ``expand_seeds`` span
+    (:func:`server1_share`).  The in-process engine plays server 1 as well:
+    it passes its tracer as *server1_tracer*, and the one expansion runs in
+    that span, so both transports record the same span tree.
     """
     num_users = int(np.asarray(projected_rows).shape[0])
     with tracer.span("share", num_users=num_users):
         seeds = adjacency_seeds(num_users, rng)
-        share1, share2 = share_adjacency_rows(projected_rows, ring=ring, seeds=seeds)
-        if runtime is not None:
-            runtime.users_to_server(1, "adjacency_share", seeds)
-            runtime.users_to_server(2, "adjacency_share", share2)
+    with server1_tracer.span("expand_seeds", num_users=num_users):
+        share1, share2 = share_adjacency_rows(
+            projected_rows, ring=ring, seeds=seeds, full_rows=full_rows
+        )
+    if runtime is not None:
+        runtime.users_to_server(1, "adjacency_share", seeds)
+        runtime.ledger.record(
+            f"users->{runtime.SERVER2}",
+            None,
+            phase="adjacency_share",
+            messages=num_users,
+            total_bytes=share2.nbytes,
+        )
     return seeds, share1, share2
 
 
@@ -198,26 +289,26 @@ class TriangleCounterBackend(abc.ABC):
 
     @abc.abstractmethod
     def count_from_shares(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
-        """Run the secure count given each server's share matrix."""
+        """Run the secure count given each server's packed share (:func:`share_adjacency_rows`)."""
 
     def count(self, projected_rows: np.ndarray, rng: RandomState = None) -> CountResult:
         """Share the rows on behalf of the users and run the secure count."""
         share1, share2 = share_adjacency_rows(projected_rows, ring=self._ring, rng=rng)
         return self.count_from_shares(share1, share2)
 
-    def _validate_share_matrices(
+    def _validate_shares(
         self, share1: np.ndarray, share2: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Coerce both share matrices to the ring dtype and check their shapes."""
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Coerce both packed shares to the ring dtype; return them and ``n``.
+
+        Each share must be one vector of ``n (n - 1) / 2`` entries, the
+        packed strict upper triangle :func:`share_adjacency_rows` returns.
+        """
         share1 = np.asarray(share1, dtype=self._ring.dtype)
         share2 = np.asarray(share2, dtype=self._ring.dtype)
-        if (
-            share1.shape != share2.shape
-            or share1.ndim != 2
-            or share1.shape[0] != share1.shape[1]
-        ):
+        if share1.shape != share2.shape or share1.ndim != 1:
             raise ProtocolError(
-                "share matrices must have identical square shapes, "
-                f"got {share1.shape} and {share2.shape}"
+                "shares must be packed strict upper triangles of one length, "
+                f"got shapes {share1.shape} and {share2.shape}"
             )
-        return share1, share2
+        return share1, share2, upper_users(share1.size)

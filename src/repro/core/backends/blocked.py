@@ -2,10 +2,13 @@
 
 The matrix form of Algorithm 4 counts ``T = sum_{j<k} C[j, k] (C^T C)[j, k]``,
 with ``C`` the strict upper part of the shared adjacency (``C[i, j] = a_ij``
-for ``i < j``, from user ``i``'s shared row).  ``C`` sits on both sides of
-every product, so it is masked once (SPDZ square pairs, Damgård et al.,
-CRYPTO 2012; SecureML, Mohassel & Zhang, S&P 2017).  The dealer deals a
-uniform strict-upper mask ``X`` and the servers open ``E = C - X``.  Server
+for ``i < j``, from user ``i``'s shared row).  Each server holds its share
+of ``C`` as one packed vector of ``n (n - 1) / 2`` entries, row by row, and
+gathers a tile's entries from it by their closed-form offsets.  ``C`` sits
+on both sides of every product, so it is masked once (SPDZ square pairs,
+Damgård et al., CRYPTO 2012; SecureML, Mohassel & Zhang, S&P 2017).  The
+dealer deals a uniform strict-upper mask ``X`` and the servers open
+``E = C - X``.  Server
 ``i``'s share of ``M = C^T C`` is ``<Z>_i + E^T <X>_i + <X>_i^T E`` (plus
 ``E^T E`` on server 2) with the dealer's ``Z = X^T X``; the servers open
 ``F = M - Y'`` for a fresh uniform ``Y'``, and server ``i`` keeps
@@ -55,6 +58,8 @@ from repro.core.backends.base import (
     CountResult,
     TriangleCounterBackend,
     num_candidate_triples,
+    upper_offset,
+    upper_users,
 )
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer, MaterialStream
@@ -194,12 +199,19 @@ def packed_length(c0: int, c1: int, rows: int) -> int:
     return rows * width if rows <= c0 else c0 * width + width * (width - 1) // 2
 
 
-def _pack_column(matrix: np.ndarray, c0: int, c1: int, rows: int) -> np.ndarray:
-    """The strict-upper entries of ``matrix[:rows, c0:c1]``, row by row."""
-    dense = matrix[: min(rows, c0), c0:c1].ravel()
-    if rows <= c0:
-        return dense
-    return np.concatenate((dense, matrix[c0:c1, c0:c1][_upper(c1 - c0)]))
+def _gather(share: np.ndarray, n: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Entries ``(i, j)``, ``i < j``, of rows ``[r0, r1)`` and columns ``[c0, c1)``, row by row.
+
+    *share* is a server's packed strict upper triangle
+    (:func:`~repro.core.backends.base.upper_offset`), where each row's
+    entries are one contiguous run: one fancy-indexing read of the runs.
+    """
+    rows = np.arange(r0, max(r0, min(r1, c1 - 1)))
+    first = np.maximum(c0, rows + 1)
+    lengths = c1 - first
+    index = np.repeat(upper_offset(n, rows, first) - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(index.size)
+    return share[index]
 
 
 def _column_rows(packed: np.ndarray, c0: int, c1: int, r0: int, r1: int) -> np.ndarray:
@@ -487,11 +499,12 @@ def count_chunk(
 ) -> tuple:
     """One chunk of groups through the mask-once kernel: each held role's subtotal.
 
-    *shares* holds one share matrix per role the *opener* holds (see
-    :mod:`repro.crypto.secure_ops`); *masks* is the chunk's :func:`deal_masks`
-    material and ``finish(position)`` returns its ``position``-th ``J`` row's
-    :func:`deal_row` material, each either a :class:`Dealt` pair or the held
-    role's share.  Two opening rounds: the chunk's packed ``E`` column
+    *shares* holds one packed share of ``C`` per role the *opener* holds
+    (see :mod:`repro.crypto.secure_ops`); *masks* is the chunk's
+    :func:`deal_masks` material and ``finish(position)`` returns its
+    ``position``-th ``J`` row's :func:`deal_row` material, each either a
+    :class:`Dealt` pair or the held role's share.  Two opening rounds: the
+    chunk's packed ``E`` column
     blocks (``mask_opening``), then its groups' ``F`` tiles
     (``finish_opening``); server ``i`` keeps
     ``W_i + sum E ⊙ Y'_i + sum C_i ⊙ F``.  *run* maps the per-row tasks,
@@ -499,6 +512,7 @@ def count_chunk(
     backend and the distributed runtime's servers both run this kernel.
     """
     opener, roles, masks = held_material(opener, masks, ring)
+    n = upper_users(shares[0].size)
     columns = chunk_columns(schedule, groups)
     if any(len(x) != len(columns) for x in masks):
         raise DealerError(
@@ -509,10 +523,10 @@ def count_chunk(
         "mask_opening",
         [
             tuple(
-                ring.sub(_pack_column(share, *column), x[position])
+                ring.sub(_gather(share, n, 0, rows, c0, c1), x[position])
                 for share, x in zip(shares, masks)
             )
-            for position, column in enumerate(columns)
+            for position, (c0, c1, rows) in enumerate(columns)
         ],
         opener, roles, views,
     )
@@ -541,9 +555,9 @@ def count_chunk(
     f = open_round("finish_opening", f_shares, opener, roles, views)
     del f_shares
     for opened, g in zip(f, groups):
-        j0, j1 = schedule[g][:2]
+        j0, j1, k0, k1 = schedule[g]
         totals = [
-            ring.add(total, ring.sum(ring.mul(_row_tile(share[j0:j1], 0, schedule[g]), opened)))
+            ring.add(total, ring.sum(ring.mul(_gather(share, n, j0, j1, k0, k1), opened)))
             for total, share in zip(totals, shares)
         ]
     return tuple(totals)
@@ -661,7 +675,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
     def _journal_token(self, n: int, dealer_key: str, *shares: np.ndarray) -> str:
         """Binds a tile journal to this exact input, run geometry and dealer stream.
 
-        A checkpoint written by a run over other share matrices (*shares* is
+        A checkpoint written by a run over other shares (*shares* is
         digested), or with a different ``n``, tiling, material layout, ring,
         or dealer randomness, must never be resumed into this one — the
         token mismatch makes :class:`~repro.resilience.Checkpointer` raise
@@ -730,8 +744,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         canonical schedule order.
         """
         ring = self._ring
-        share1, share2 = self._validate_share_matrices(share1, share2)
-        n = share1.shape[0]
+        share1, share2, n = self._validate_shares(share1, share2)
         if n < 3:
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
         schedule = tile_schedule(n, self._block_size)

@@ -1,10 +1,11 @@
 """Algorithm 4 executed per candidate triple — the ``faithful``/``batched`` backends.
 
 For each candidate triple ``i < j < k`` the servers multiply the three shared
-bits ``a_ij`` (row ``i``), ``a_ik`` (row ``i``) and ``a_jk`` (row ``j``) with
-the three-way multiplication protocol of Section III-D, consuming one
-multiplication group per triple, and accumulate the product shares into their
-running shares of the triangle count.
+bits ``a_ij`` (row ``i``), ``a_ik`` (row ``i``) and ``a_jk`` (row ``j``), all
+strict-upper entries of the packed shares, with the three-way multiplication
+protocol of Section III-D, consuming one multiplication group per triple, and
+accumulate the product shares into their running shares of the triangle
+count.
 
 Two execution modes are provided:
 
@@ -19,9 +20,10 @@ The online phase is loop-free at the Python level: the candidate set
 ``{(i, j, k) : i < j < k}`` depends only on the (public) number of users,
 never on the graph, so :func:`candidate_triple_blocks` can emit whole blocks
 of index arrays and the batch operands are gathered with one fancy-indexing
-read per wire (``share[ii, jj]``).  Vectorising this enumeration is therefore
-security-neutral by construction — it changes how the servers *schedule*
-their local work, not a single value that crosses the wire.  The offline
+read of their packed offsets (``share[upper_offset(n, ii, jj)]``).
+Vectorising this enumeration is therefore security-neutral by construction
+— it changes how the servers *schedule* their local work, not a single
+value that crosses the wire.  The offline
 phase is pre-provisioned through the dealer's buffered mode in large chunks,
 which also makes the openings independent of the batch size (the
 transcript-equivalence tests rely on this).
@@ -33,7 +35,12 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import CountResult, TriangleCounterBackend, num_candidate_triples
+from repro.core.backends.base import (
+    CountResult,
+    TriangleCounterBackend,
+    num_candidate_triples,
+    upper_offset,
+)
 from repro.core.backends.registry import register_backend
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING, Ring
@@ -130,7 +137,7 @@ def candidate_triple_blocks(
 #: Cache of fused gather schedules, keyed by ``(num_users, batch_size)``.
 #: The schedule is a pure function of public quantities, so sharing it across
 #: runs (and across sweep threads — the arrays are marked read-only) is safe.
-#: The triple cap bounds each entry at ~6 MiB of index arrays (48 bytes per
+#: The triple cap bounds each entry at ~3 MiB of offset arrays (24 bytes per
 #: triple) and the block cap bounds the per-block Python object overhead
 #: (which dominates at tiny batch sizes); schedules above either cap are
 #: cheap to rebuild relative to their runs.
@@ -141,21 +148,20 @@ _GATHER_SCHEDULE_CACHE_MAX_BLOCKS = 1 << 12
 
 
 def _iter_gather_blocks(num_users: int, batch_size: int):
-    """Lazily yield per-block fused gather indices ``(size, rows, cols)``."""
+    """Lazily yield per-block fused gather offsets ``(size, offsets)``."""
     for ii, jj, kk in candidate_triple_blocks(num_users, batch_size):
-        rows = np.concatenate((ii, ii, jj))
-        cols = np.concatenate((jj, kk, kk))
-        rows.flags.writeable = False
-        cols.flags.writeable = False
-        yield ii.shape[0], rows, cols
+        rows, cols = np.concatenate((ii, ii, jj)), np.concatenate((jj, kk, kk))
+        offsets = upper_offset(num_users, rows, cols)
+        offsets.flags.writeable = False
+        yield ii.shape[0], offsets
 
 
 def _gather_schedule(num_users: int, batch_size: int):
-    """Per-block fused gather indices: an iterable of ``(size, rows, cols)``.
+    """Per-block fused gather offsets: an iterable of ``(size, offsets)``.
 
-    ``rows``/``cols`` are the concatenated index arrays for the three wires
-    ``a_ij, a_ik, a_jk`` of one block, so each server's operands come from a
-    single fancy-indexing read.  Schedules for small runs are materialised
+    ``offsets`` are the packed-share positions of the three wires ``a_ij,
+    a_ik, a_jk`` of one block, concatenated, so each server's operands come
+    from a single fancy-indexing read.  Schedules for small runs are materialised
     and cached across invocations; larger runs get a lazy generator so peak
     index memory stays ``O(batch_size)`` regardless of ``n``.
     """
@@ -219,17 +225,17 @@ def _provision(dealer, needed: int, to_provision: int, provision_limit: int) -> 
     return to_provision
 
 
-def count_block(size, rows, cols, group, shares, ring, views, opener) -> tuple:
+def count_block(size, offsets, group, shares, ring, views, opener) -> tuple:
     """One candidate block's online phase: each held role's product subtotal.
 
-    *shares* holds one share matrix per role the *opener* holds (see
+    *shares* holds one packed share per role the *opener* holds (see
     :mod:`repro.crypto.secure_ops`); *group* is the block's multiplication
-    group.  One fused gather per share matrix: the three wires ``a_ij, a_ik,
+    group.  One fused gather per share: the three wires ``a_ij, a_ik,
     a_jk`` of every candidate triple in the block share a single
-    fancy-indexing read of shape ``(3, size)``.  The in-process backend and
+    fancy-indexing read of their *offsets*, reshaped to ``(3, size)``.  The in-process backend and
     the distributed runtime's servers both run this kernel.
     """
-    ij, ik, jk = zip(*(share[rows, cols].reshape(3, size) for share in shares))
+    ij, ik, jk = zip(*(share[offsets].reshape(3, size) for share in shares))
     products = secure_multiply_triple(
         ij, ik, jk, group, ring=ring, views=views, authenticator=opener
     )
@@ -317,9 +323,8 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
     def count_from_shares(
         self, share1: np.ndarray, share2: np.ndarray
     ) -> CountResult:
-        """Run the secure count given each server's share matrix."""
-        share1, share2 = self._validate_share_matrices(share1, share2)
-        num_users = share1.shape[0]
+        """Run the secure count given each server's packed share."""
+        share1, share2, num_users = self._validate_shares(share1, share2)
         # One span for the whole backend step: per-triple spans would add
         # C(n, 3) nodes to the trace in faithful mode, so granularity stops
         # at the backend level here (the blocked backend traces per group).
@@ -330,14 +335,14 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             batch_size=self._batch_size,
             candidates=num_candidate_triples(num_users),
         ) as backend_span:
-            result = self._count_blocks(share1, share2)
+            result = self._count_blocks(share1, share2, num_users)
             backend_span.annotate(opening_rounds=result.opening_rounds)
         return result
 
     # ------------------------------------------------------------------ #
     # Candidate blocks
     # ------------------------------------------------------------------ #
-    def _count_blocks(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
+    def _count_blocks(self, share1, share2, num_users: int) -> CountResult:
         """Fan candidate blocks out over a worker pool, in bounded waves.
 
         The offline phase is fixed serially first: the provisioning chunk
@@ -349,7 +354,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         """
         ring = self._ring
         dealer = self._dealer
-        num_users = share1.shape[0]
         total_candidates = num_candidate_triples(num_users)
         pool = WorkerPool(self._workers)
 
@@ -397,10 +401,10 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         wave: list = []
         wave_capacity = 4 * self._workers
 
-        def run_block(size, rows, cols, group) -> tuple:
+        def run_block(size, offsets, group) -> tuple:
             shard = ViewRecorder() if self._views is not None else None
             sums = count_block(
-                size, rows, cols, group, (share1, share2), ring, shard, self._authenticator
+                size, offsets, group, (share1, share2), ring, shard, self._authenticator
             )
             return sums, shard
 
@@ -419,10 +423,10 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         )
         # Zipped with the schedule, each group is dealt serially, in schedule
         # order: the masks a block carries depend only on its stream position.
-        for (size, rows, cols), group in zip(
+        for (size, offsets), group in zip(
             _gather_schedule(num_users, self._batch_size), groups
         ):
-            wave.append((size, rows, cols, group))
+            wave.append((size, offsets, group))
             triples_processed += size
             opening_rounds += 1
             if len(wave) >= wave_capacity:

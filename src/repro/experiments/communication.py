@@ -5,7 +5,8 @@ only qualitatively.  This experiment quantifies it: for each protocol phase
 it reports the number of messages and bytes exchanged between users and the
 two servers, per graph size, using the byte-accounting runtime (server 1's
 share of the adjacency upload is booked as the users' 32-byte seeds, which
-is what crosses the wire).  It is the
+is what crosses the wire, and server 2's as user ``i``'s ``n - 1 - i``
+entries above the diagonal, the only ones the triangle count reads).  It is the
 basis of the `bench_ext_communication.py` benchmark and of the DESIGN.md
 ablation discussion on where CARGO's overhead lives.
 """
@@ -30,9 +31,9 @@ def communication_overhead(
 
     Per graph size the report contains the total message count, the total
     bytes, and the bytes attributable to the adjacency-share upload (the
-    dominant term, ``8 n^2 + 32 n``: each user uploads an n-element share
-    vector to server 2 and only the 32-byte seed of her mask to server 1,
-    which expands it).
+    dominant term, ``4 n (n - 1) + 32 n``: user ``i`` uploads her
+    ``n - 1 - i`` share elements ``a_ij``, ``j > i``, to server 2 and only
+    the 32-byte seed of her mask to server 1, which expands it).
     """
     report = ExperimentReport(
         name="ext-communication",

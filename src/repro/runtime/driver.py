@@ -480,8 +480,9 @@ class _LinkedServers:
     def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
         """Upload the adjacency shares; both servers run the backend's kernel.
 
-        Server 1 gets the users' 32-byte seeds and expands its share rows
-        itself; server 2 gets its share rows.
+        Server 1 gets the users' 32-byte seeds and expands its share of
+        ``C`` itself; server 2 gets its packed share of ``C``, the users'
+        ``n - 1 - i`` entries each.
 
         Only dense triangles reach here (``_validate_distributed_config``);
         the dealer process deals from its own copy of *dealer_rng*.

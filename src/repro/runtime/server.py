@@ -17,8 +17,8 @@ The servers run the in-process backends' own code, not a copy of it.  Each
 :func:`~repro.core.backends.blocked.tile_schedule`), reads or regenerates
 the dealt material from its ``PROVISION`` frames, and calls the backend's counting
 kernel — :func:`~repro.core.backends.faithful.count_block`,
-:func:`~repro.core.backends.blocked.count_chunk` — with its one share
-matrix ``(share,)`` and its :class:`OpeningChannel` as the *opener*.  The
+:func:`~repro.core.backends.blocked.count_chunk` — with its one packed
+share ``(share,)`` and its :class:`OpeningChannel` as the *opener*.  The
 in-process backends call the same kernels with both servers' shares and a
 local opener (:mod:`repro.crypto.secure_ops`), so both modes perform the
 same ring operations in the same order.  Because every ring operation is
@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import expand_seeds, num_candidate_triples
+from repro.core.backends.base import num_candidate_triples, server1_share
 from repro.core.backends.blocked import (
     chunk_rows,
     count_chunk,
@@ -262,9 +262,8 @@ def _recv_blocked(endpoint: WireEndpoint, label: str, arrays: int) -> list:
 # ---------------------------------------------------------------------- #
 # Count phase — the backends' schedules and kernels, for this role's share
 # ---------------------------------------------------------------------- #
-def _count_mg(dealer_ep, channel, ring, share, batch_size, views, tracer):
+def _count_mg(dealer_ep, channel, ring, share, num_users, batch_size, views, tracer):
     """The faithful/batched schedule, one ``count_block`` per candidate block."""
-    num_users = share.shape[0]
     total = 0
     triples_processed = 0
     opening_rounds = 0
@@ -275,9 +274,9 @@ def _count_mg(dealer_ep, channel, ring, share, batch_size, views, tracer):
         batch_size=batch_size,
         candidates=num_candidate_triples(num_users),
     ) as backend_span:
-        for size, rows, cols in _gather_schedule(num_users, batch_size):
+        for size, offsets in _gather_schedule(num_users, batch_size):
             (subtotal,) = count_block(
-                size, rows, cols, _recv_group(dealer_ep), (share,), ring, views, channel
+                size, offsets, _recv_group(dealer_ep), (share,), ring, views, channel
             )
             total = ring.add(total, subtotal)
             triples_processed += size
@@ -286,14 +285,13 @@ def _count_mg(dealer_ep, channel, ring, share, batch_size, views, tracer):
     return int(total), triples_processed, opening_rounds
 
 
-def _count_blocked(dealer_ep, channel, ring, share, block_size, views, tracer):
+def _count_blocked(dealer_ep, channel, ring, share, n, block_size, views, tracer):
     """The blocked schedule as one mask-once chunk through ``count_chunk``.
 
     The server regenerates its material from the dealer's seed frame
     (``held_*`` in :mod:`~repro.core.backends.blocked`); server 2 also reads
     one ``row_finish`` frame of ``Z`` tiles and ``W`` per row of tiles.
     """
-    n = share.shape[0]
     if n < 3:
         return 0, 0, 0
     schedule = tile_schedule(n, block_size)
@@ -364,30 +362,33 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
                 [np.array([noisy_max], dtype=np.float64)],
             )
 
-        # Count — this role's share of the projected adjacency matrix: S2
-        # receives its rows, S1 regenerates its own from the users' seeds.
+        # Count — this role's packed share of C, the strict upper part of
+        # the projected rows: S2 receives its entries, S1 regenerates its
+        # own from the users' seeds.
         meta, arrays = driver_ep.recv_expect(KIND_SHARES)
         if meta.get("phase") != "adjacency_share":
             raise WireFormatError(
                 f"expected the adjacency_share upload, got phase {meta.get('phase')!r}"
             )
         upload = arrays[0]
-        expected = ((n, 4), np.dtype(np.uint64)) if role == 1 else ((n, n), ring.dtype)
+        expected = (
+            ((n, 4), np.dtype(np.uint64)) if role == 1 else ((n * (n - 1) // 2,), ring.dtype)
+        )
         if (upload.shape, upload.dtype) != expected:
             raise WireFormatError(
                 f"server {role}'s adjacency upload must be a {expected[0]} "
                 f"{expected[1]} array, got {upload.shape} {upload.dtype}"
             )
-        share = expand_seeds(upload, n, ring) if role == 1 else upload
+        share = server1_share(upload, ring, tracer) if role == 1 else upload
         backend = spec["backend"]
         if backend in ("faithful", "batched"):
             batch_size = 1 if backend == "faithful" else int(spec["batch_size"])
             total, triples, rounds = _count_mg(
-                dealer_ep, channel, ring, share, batch_size, views, tracer
+                dealer_ep, channel, ring, share, n, batch_size, views, tracer
             )
         elif backend in ("matrix", "blocked"):
             total, triples, rounds = _count_blocked(
-                dealer_ep, channel, ring, share, int(spec["block_size"]), views, tracer
+                dealer_ep, channel, ring, share, n, int(spec["block_size"]), views, tracer
             )
         else:
             raise ProtocolError(f"unknown counting backend {backend!r}")

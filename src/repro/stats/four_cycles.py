@@ -200,7 +200,10 @@ class FourCycleStatistic(SubgraphStatistic):
         ring: Ring = config.ring
         rows = validate_projected_rows(projected_rows)
         n = rows.shape[0]
-        _, share1, share2 = upload_adjacency_shares(rows, ring, share_rng, runtime)
+        # Whole rows: the mutual-edge term reads a_vu below the diagonal.
+        _, share1, share2 = upload_adjacency_shares(
+            rows, ring, share_rng, runtime, full_rows=True
+        )
         if n < 4:
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
 

@@ -82,18 +82,20 @@ class TriangleStatistic(SubgraphStatistic):
 
         Backends self-register with the backend registry; this kernel only
         knows the configured name.  Each user uploads her shares of her
-        projected bit vector first (the seed of server 1's share, server 2's
-        share row); with a *runtime* the uploads, the dominant communication
-        cost, are visible in the ledger
+        entries ``a_ij``, ``j > i``, first (the seed of server 1's share,
+        server 2's packed share row); with a *runtime* the uploads, the
+        dominant communication cost, are visible in the ledger
         (the openings between servers are internal to the counter backends).
         """
         counter = create_backend(
             config.counting_backend, config=config, dealer_rng=dealer_rng, views=views,
             authenticator=authenticator,
         )
-        tracer = resolve_telemetry(config).tracer if runtime is not None else NULL_TRACER
+        tracer = resolve_telemetry(config).tracer
         _, share1, share2 = upload_adjacency_shares(
-            projected_rows, config.ring, share_rng, runtime, tracer
+            projected_rows, config.ring, share_rng, runtime,
+            tracer if runtime is not None else NULL_TRACER,
+            server1_tracer=tracer,
         )
         return counter.count_from_shares(share1, share2)
 

@@ -46,10 +46,10 @@ class TestCommunicationOverhead:
         result = Cargo(CargoConfig(epsilon=2.0, seed=0, track_communication=True)).run(graph)
         phases = result.communication_phases
         n = graph.num_nodes
-        # Each user uploads a 32-byte seed to S1 and one n-element share
-        # vector to S2.
+        # Each user uploads a 32-byte seed to S1 and her n - 1 - i share
+        # elements a_ij, j > i, to S2.
         assert phases["adjacency_share"]["messages"] == 2 * n
-        assert phases["adjacency_share"]["bytes"] == n * n * 8 + 32 * n
+        assert phases["adjacency_share"]["bytes"] == 4 * n * (n - 1) + 32 * n
         # Each user uploads one scalar noise share to each server.
         assert phases["noise_share"]["messages"] == 2 * n
         assert phases["noise_share"]["bytes"] == 2 * n * 8

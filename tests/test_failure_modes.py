@@ -54,7 +54,7 @@ class TestDegenerateGraphs:
         assert int(result.projected_rows.sum()) == 0
 
     def test_counters_on_empty_share_matrices(self):
-        empty = np.zeros((0, 0), dtype=np.uint64)
+        empty = np.zeros(0, dtype=np.uint64)
         assert BlockedMatrixTriangleCounter().count_from_shares(empty, empty).reconstruct() == 0
         assert FaithfulTriangleCounter().count_from_shares(empty, empty).reconstruct() == 0
 

@@ -131,6 +131,22 @@ class TestBitIdentity:
         )
         assert remote.tracer.structure() == local.tracer.structure()
 
+    def test_server_one_expands_the_seeds_in_one_span(self, graph):
+        """Server 1's seed expansion has its own span in the kept span tree."""
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        run_distributed(graph, make_config("blocked", distributed=True, telemetry=telemetry))
+
+        def walk(spans):
+            for span in spans:
+                yield span
+                yield from walk(span.children)
+
+        spans = walk(telemetry.tracer.roots)
+        expansions = [span.attributes for span in spans if span.name == "expand_seeds"]
+        assert expansions == [{"num_users": N_SMALL}]
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mac_counters_match_in_process(self, graph, backend):
         from repro.telemetry import Telemetry
@@ -222,8 +238,8 @@ class TestTransport:
         seeds = 32 * (len(range(0, n, block)) + len(schedule))
         # Per user: a float64 noisy degree, a 32-byte seed, a noise share.
         assert links["driver->server1"] == 8 * n + 32 * n + 8 * n
-        # Per user: an n-element share row and a noise share.
-        assert links["driver->server2"] == 8 * n * n + 8 * n
+        # Per user i: her n - 1 - i share elements and a noise share.
+        assert links["driver->server2"] == 4 * n * (n - 1) + 8 * n
         assert links["driver->dealer"] == 0
         assert links["dealer->server1"] == seeds
         # One Z-correction element per strict-upper entry, one W per J row.
@@ -231,7 +247,7 @@ class TestTransport:
         assert sum(links.values()) == transport["payload_bytes"]
         assert result.communication_phases["adjacency_share"] == {
             "messages": 2 * n,
-            "bytes": 32 * n + 8 * n * n,
+            "bytes": 32 * n + 4 * n * (n - 1),
         }
         assert (
             transport["wire_bytes"]

@@ -3,8 +3,9 @@
 Users send server 1 a 32-byte seed per row instead of the row, and the
 mask-once dealer hands each server its stream seeds and ships server 2 only
 the ``Z``/``W`` corrections.  These tests pin that what a party expands from
-its seeds equals what the in-process engine holds: the users' share
-matrices (unchanged from per-user spawned generators) and every
+its seeds equals what the in-process engine holds: the users' packed
+shares (user ``i``'s first ``n - 1 - i`` draws of her spawned generator, or
+all ``n`` for whole rows) and every
 :class:`~repro.core.backends.blocked.Dealt` half, for any window.
 """
 
@@ -18,6 +19,7 @@ from repro.core.backends.base import (
     expand_seeds,
     share_adjacency_rows,
     upload_adjacency_shares,
+    upper_lengths,
 )
 from repro.core.backends.blocked import (
     RowFinish,
@@ -35,7 +37,7 @@ from repro.core.backends.blocked import (
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.ring import Ring
-from repro.exceptions import DealerError
+from repro.exceptions import DealerError, ProtocolError
 from repro.utils.rng import spawn_rngs
 
 
@@ -51,13 +53,32 @@ class TestUserSeeds:
         ring = Ring(bits=bits)
         rows = _rows(n)
         share1, share2 = share_adjacency_rows(rows, ring=ring, rng=n + bits)
-        regenerated = expand_seeds(adjacency_seeds(n, n + bits), n, ring)
+        regenerated = expand_seeds(adjacency_seeds(n, n + bits), upper_lengths(n), ring)
         assert regenerated.dtype == share1.dtype
         assert np.array_equal(regenerated, share1)
-        # Each user's mask is still her own spawned generator's first draw.
-        per_user = [ring.random_array((n,), rng) for rng in spawn_rngs(n + bits, n)]
+        # User i's mask is her own spawned generator's first n - 1 - i draws.
+        per_user = [
+            ring.random_array((n - 1 - i,), rng) for i, rng in enumerate(spawn_rngs(n + bits, n))
+        ]
+        assert np.array_equal(np.concatenate(per_user), share1)
+        upper = rows[np.triu_indices(n, 1)]
+        assert np.array_equal(ring.add(share1, share2), ring.encode(upper))
+
+    @pytest.mark.parametrize("bits", [64, 17])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_full_rows_expand_n_elements_per_seed(self, n, bits):
+        ring = Ring(bits=bits)
+        rows = _rows(n)
+        share1, share2 = share_adjacency_rows(rows, ring=ring, rng=n, full_rows=True)
+        regenerated = expand_seeds(adjacency_seeds(n, n), [n] * n, ring).reshape(n, n)
+        assert np.array_equal(regenerated, share1)
+        per_user = [ring.random_array((n,), rng) for rng in spawn_rngs(n, n)]
         assert np.array_equal(np.stack(per_user), share1)
         assert np.array_equal(ring.add(share1, share2), ring.encode(rows))
+
+    def test_lengths_must_match_the_seeds(self):
+        with pytest.raises(ProtocolError, match="3 seeds for 2 row lengths"):
+            expand_seeds(adjacency_seeds(3, 0), [2, 1])
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_spawn_counter_advances_by_exactly_n(self, n):
@@ -66,7 +87,7 @@ class TestUserSeeds:
         seeds, share1, _ = upload_adjacency_shares(_rows(n), ring, generator)
         assert generator.bit_generator.seed_seq.n_children_spawned == n
         assert seeds.shape == (n, 4) and seeds.dtype == np.uint64
-        assert np.array_equal(expand_seeds(seeds, n, ring), share1)
+        assert np.array_equal(expand_seeds(seeds, upper_lengths(n), ring), share1)
         share_adjacency_rows(_rows(n), ring=ring, rng=generator)
         assert generator.bit_generator.seed_seq.n_children_spawned == 2 * n
 
@@ -76,8 +97,14 @@ class TestUserSeeds:
         upload_adjacency_shares(_rows(n), Ring(bits=64), 4, runtime)
         assert runtime.ledger.summary() == {
             "users->S1": {"messages": n, "bytes": 32 * n},
-            "users->S2": {"messages": n, "bytes": 8 * n * n},
+            "users->S2": {"messages": n, "bytes": 4 * n * (n - 1)},
         }
+
+    def test_full_rows_ledger_books_whole_rows_for_server_two(self):
+        n = 12
+        runtime = TwoServerRuntime(n)
+        upload_adjacency_shares(_rows(n), Ring(bits=64), 4, runtime, full_rows=True)
+        assert runtime.ledger.summary()["users->S2"] == {"messages": n, "bytes": 8 * n * n}
 
 
 def _same_finish(got: RowFinish, want: RowFinish) -> None:
