@@ -4,8 +4,9 @@ Sweeps the user count ``n`` and records, per backend, the secure-count
 runtime plus the dealer-side accounting that explains it:
 
 * ``matrix`` vs ``blocked`` — the mask-once kernel at its default tile width
-  and at ``BLOCK_SIZE``: two opening rounds at any tiling, and a largest
-  dealer issue of one column block's mask, ``O(n · block_size)``.
+  and at ``BLOCK_SIZE``: one opening round at any tiling (the users upload
+  ``E`` masked), and a largest dealer issue of one user's row of ``X`` or
+  one group tile, ``O(n + block_size^2)``.
 * ``batched`` (and, at small ``n``, ``faithful``) — the loop-free online
   phase of the per-triple protocol: vectorised candidate-triple blocks, one
   fused gather per opening round, and a buffered (pre-provisioned) offline
@@ -27,12 +28,8 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core import Cargo, CargoConfig
-from repro.core.backends import (
-    BlockedMatrixTriangleCounter,
-    FaithfulTriangleCounter,
-    share_adjacency_rows,
-)
-from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE, packed_length
+from repro.core.backends import BlockedMatrixTriangleCounter, FaithfulTriangleCounter
+from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE, packed_length, tile_schedule
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.graph.datasets import load_dataset
@@ -115,22 +112,26 @@ def run_backend_scaling(
     rows = []
     for num_users in user_counts:
         graph = load_dataset("facebook", num_nodes=num_users)
-        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=num_users)
+        adjacency = graph.adjacency_matrix()
         counts = {}
         for name, build in _backend_builders(num_users, block_size, workers).items():
             best = None
             for _ in range(max(reps, 1)):
                 dealer, counter = build()
+                inputs = counter.upload(adjacency, rng=num_users).inputs
                 start = time.perf_counter()
-                result = counter.count_from_shares(share1, share2)
+                result = counter.count_from_shares(*inputs)
                 seconds = time.perf_counter() - start
                 best = seconds if best is None else min(best, seconds)
             counts[name] = result.reconstruct()
             # Peak working memory of one secure count, measured in its own
             # pass (tracemalloc slows the timed reps) and excluding the
-            # pre-built shares, so the number is the backend's own footprint.
+            # pre-built users' upload, so the number is the backend's own
+            # footprint.
+            _, counter = build()
+            inputs = counter.upload(adjacency, rng=num_users).inputs
             peak_bytes = measure_peak_bytes(
-                lambda build=build: build()[1].count_from_shares(share1, share2)
+                lambda counter=counter, inputs=inputs: counter.count_from_shares(*inputs)
             )
             row = {
                 "backend": name,
@@ -233,13 +234,15 @@ def test_backend_scaling(benchmark):
         )
     for row in rows:
         if row["backend"] in ("matrix", "blocked"):
-            # Two rounds at any tiling; the largest issue is the last column
-            # block's mask, O(n · block_size).
-            n, width = row["num_users"], min(row["block_size"], row["num_users"])
-            assert row["opening_rounds"] == 2
-            assert row["largest_triple_elements"] == packed_length(
-                n - (n - 1) % width - 1, n, n
-            )
+            # One round at any tiling; the largest issue is one user's row
+            # of X or one group tile of Y' or Z, O(n + block_size^2).
+            n = row["num_users"]
+            tiles = [
+                packed_length(k0, k1, j1) - j0 * (k1 - k0)
+                for j0, j1, k0, k1 in tile_schedule(n, row["block_size"])
+            ]
+            assert row["opening_rounds"] == 1
+            assert row["largest_triple_elements"] == max([n - 1, *tiles])
     # The loop-free batched schedule opens C(n,3)/batch_size rounds, never
     # one round per triple.
     for row in rows:

@@ -25,7 +25,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.backends import BlockedMatrixTriangleCounter, share_adjacency_rows
+from repro.core.backends import BlockedMatrixTriangleCounter
 from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.graph.datasets import load_dataset
@@ -51,7 +51,7 @@ def _build(backend: str, workers: int, block_size: int, store=None):
     )
 
 
-def _stored_count(store, block_size: int, share1, share2):
+def _stored_count(store, block_size: int, adjacency, seed: int):
     """``(count seconds, offline-span seconds)`` of one blocked count on *store*."""
     telemetry = Telemetry()
     counter = BlockedMatrixTriangleCounter(
@@ -60,8 +60,9 @@ def _stored_count(store, block_size: int, share1, share2):
         triple_store=store,
         telemetry=telemetry,
     )
+    inputs = counter.upload(adjacency, rng=seed).inputs
     start = time.perf_counter()
-    counter.count_from_shares(share1, share2)
+    counter.count_from_shares(*inputs)
     return time.perf_counter() - start, telemetry.tracer.timings()["offline"]
 
 
@@ -78,21 +79,22 @@ def run_parallel_engine(
     rows = []
     for num_users in user_counts:
         graph = load_dataset("facebook", num_nodes=num_users)
-        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=num_users)
+        adjacency = graph.adjacency_matrix()
         counts = {}
         for backend in ("blocked", "matrix"):
             for workers in worker_counts:
                 best = None
                 for _ in range(max(reps, 1)):
                     counter = _build(backend, workers, block_size)
+                    inputs = counter.upload(adjacency, rng=num_users).inputs
                     start = time.perf_counter()
-                    result = counter.count_from_shares(share1, share2)
+                    result = counter.count_from_shares(*inputs)
                     best = min(best or float("inf"), time.perf_counter() - start)
                 counts[(backend, workers)] = result.reconstruct()
+                counter = _build(backend, workers, block_size)
+                inputs = counter.upload(adjacency, rng=num_users).inputs
                 peak_bytes = measure_peak_bytes(
-                    lambda backend=backend, workers=workers: _build(
-                        backend, workers, block_size
-                    ).count_from_shares(share1, share2)
+                    lambda counter=counter, inputs=inputs: counter.count_from_shares(*inputs)
                 )
                 rows.append(
                     {
@@ -110,9 +112,9 @@ def run_parallel_engine(
 
         # Offline reuse: a cold count deals into the store, warm ones fetch.
         store = TripleStore()
-        cold_seconds, cold_offline = _stored_count(store, block_size, share1, share2)
+        cold_seconds, cold_offline = _stored_count(store, block_size, adjacency, num_users)
         warm_seconds, warm_offline = min(
-            _stored_count(store, block_size, share1, share2)
+            _stored_count(store, block_size, adjacency, num_users)
             for _ in range(max(reps, 1))
         )
         assert store.hits >= 1, store.stats()

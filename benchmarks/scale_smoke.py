@@ -37,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core import Cargo, CargoConfig
-from repro.core.backends import BlockedMatrixTriangleCounter, share_adjacency_rows
+from repro.core.backends import BlockedMatrixTriangleCounter
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.graph.generators import sparse_random_graph
 from repro.graph.triangles import count_triangles
@@ -116,19 +116,20 @@ def check_sparse_release(failures: list) -> dict:
 def _windowed_count(num_users: int, store) -> tuple:
     graph = sparse_random_graph(num_users, 4 * num_users, seed=3)
     expected = count_triangles(graph)
-    share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=num_users)
+    counter = BlockedMatrixTriangleCounter(
+        dealer=BeaverTripleDealer(seed=0),
+        block_size=BLOCK_SIZE,
+        tile_window=TILE_WINDOW,
+        triple_store=store,
+    )
+    inputs = counter.upload(graph.adjacency_matrix(), rng=num_users).inputs
 
     def count():
-        counter = BlockedMatrixTriangleCounter(
-            dealer=BeaverTripleDealer(seed=0),
-            block_size=BLOCK_SIZE,
-            tile_window=TILE_WINDOW,
-            triple_store=store,
-        )
-        return counter.count_from_shares(share1, share2)
+        return counter.count_from_shares(*inputs)
 
-    # Shares (the statistic's inherent O(n^2) input) are built before tracing
-    # starts, so the peak isolates the windowed pipeline's own working set.
+    # The users' upload (the statistic's inherent O(n^2) input) is built
+    # before tracing starts, so the peak isolates the windowed pipeline's own
+    # working set.
     result, seconds, peak = _traced(count)
     assert result.reconstruct() == expected, (result.reconstruct(), expected)
     return seconds, peak

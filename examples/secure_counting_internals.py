@@ -1,9 +1,10 @@
 """A look inside CARGO's secure triangle counting.
 
 This example walks through the cryptographic pipeline step by step on a tiny
-graph so the intermediate objects fit on screen: sharing the adjacency rows,
-multiplying three shared bits with a multiplication group (Theorem 1), and
-verifying that neither server's view reveals anything about the edges.
+graph so the intermediate objects fit on screen: the users' upload of their
+adjacency rows (shared, or masked for the mask-once backends), multiplying
+three shared bits with a multiplication group (Theorem 1), and verifying that
+neither server's view reveals anything about the edges.
 
 Run with::
 
@@ -14,11 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backends import (
-    BlockedMatrixTriangleCounter,
-    FaithfulTriangleCounter,
-    share_adjacency_rows,
-)
+from repro.core.backends import BlockedMatrixTriangleCounter, FaithfulTriangleCounter
 from repro.core.backends.base import upper_offset
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.secure_ops import secure_multiply_triple
@@ -34,17 +31,21 @@ def main() -> None:
     print(f"graph edges: {graph.edge_list()}")
     print(f"exact triangle count: {count_triangles(graph)}\n")
 
-    # --- Step 1: each user secret-shares her entries a_ij with j > i ---- #
+    # --- Step 1: each user uploads her entries a_ij with j > i ---------- #
     # Algorithm 4 reads only the strict upper triangle, so each server holds
     # one packed vector of n(n-1)/2 entries; user 3's part is one slice.
+    # The per-triple backends have her secret-share it; the mask-once ones
+    # have her send C - X to both servers, X dealt to her as two row seeds.
     rows = graph.adjacency_matrix()
     n = graph.num_nodes
-    share1, share2 = share_adjacency_rows(rows, rng=0)
+    share1, share2 = FaithfulTriangleCounter().upload(rows, rng=0).inputs
+    masked, _ = BlockedMatrixTriangleCounter().upload(rows).inputs
     user3 = slice(upper_offset(n, 3, 4), upper_offset(n, 3, n))
     print("user 3's bits a_3j, j > 3:", rows[3, 4:].tolist())
     print("share sent to server S1  :", [hex(int(x))[:8] + "…" for x in share1[user3]])
     print("share sent to server S2  :", [hex(int(x))[:8] + "…" for x in share2[user3]])
-    print("(each share alone is a uniformly random ring element)\n")
+    print("masked input to S1 and S2:", [hex(int(x))[:8] + "…" for x in masked[user3]])
+    print("(each alone is a uniformly random ring element)\n")
 
     # --- Step 2: multiply three shared bits with one multiplication group #
     dealer = MultiplicationGroupDealer(seed=1)

@@ -10,8 +10,9 @@ memory).  Importing this package registers the four built-in strategies:
 * ``batched`` — the faithful protocol with candidate triples grouped into
   vectorised blocks sharing one opening round,
 * ``blocked`` — the secret-shared ``C^T C`` formulation with ``C`` masked
-  once: two opening rounds of ``n (n - 1) / 2`` elements each, computed in
-  ``block_size``-wide tiles (optionally ``tile_window`` groups at a time),
+  once: the users upload ``E = C - X`` to both servers, which open one round
+  of ``n (n - 1) / 2`` elements, computed in ``block_size``-wide tiles
+  (optionally ``tile_window`` groups at a time),
 * ``matrix`` — an alias of ``blocked`` at its default tile width.
 
 Third-party strategies plug in with :func:`register_backend` and are then

@@ -15,13 +15,16 @@ can stay completely backend-agnostic, and the registry in
 implementations.
 
 This module also owns the two data-plane pieces every backend shares:
-:class:`CountResult` (the pair of output shares) and
-:func:`share_adjacency_rows` / :func:`upload_adjacency_shares` (the users'
-upload step, in which every user sends server 1 a 32-byte seed instead of
-her share row: :func:`adjacency_seeds`, :func:`expand_seeds`,
-:func:`server1_share`).  User ``i`` shares only her entries ``a_ij`` with
-``j > i``, so each server holds one packed strict upper triangle of
-``n (n - 1) / 2`` entries (:func:`upper_offset`).
+:class:`CountResult` (the pair of output shares) and the users' step
+(:meth:`TriangleCounterBackend.upload`, which returns an :class:`Upload`).
+By default it is :func:`share_adjacency_rows` / :func:`upload_adjacency_shares`,
+in which every user sends server 1 a 32-byte seed instead of her share row
+(:func:`adjacency_seeds`, :func:`expand_seeds`, :func:`server1_share`); the
+mask-once backends replace it with a masked upload
+(:func:`~repro.core.backends.blocked.upload_masked_input`).  User ``i``
+uploads only her entries ``a_ij`` with ``j > i``, so each server holds one
+packed strict upper triangle of ``n (n - 1) / 2`` entries
+(:func:`upper_offset`).
 """
 
 from __future__ import annotations
@@ -130,8 +133,8 @@ def expand_seeds(seeds: np.ndarray, lengths, ring: Ring = DEFAULT_RING) -> np.nd
     """Each 32-byte seed's uniform ring row, of ``lengths[i]`` elements, concatenated.
 
     Row ``i`` is ``ring.random_array((lengths[i],), seeded_rng(seeds[i]))``.
-    Users draw their masks with it, and server 1 regenerates its share of
-    their rows from the seeds they send it, bit for bit, straight into one
+    Users draw their masks with it, and the servers regenerate their halves
+    of those rows from the same seeds, bit for bit, straight into one
     vector.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -236,17 +239,36 @@ def upload_adjacency_shares(
     return seeds, share1, share2
 
 
+@dataclass(frozen=True)
+class Upload:
+    """The users' step of `Count`: what reaches each server.
+
+    ``sent`` is the pair of payloads the users send server 1 and server 2
+    (on the default path, server 1 gets the users' 32-byte seeds);
+    ``inputs`` is each server's input to
+    :meth:`TriangleCounterBackend.count_from_shares`.
+    """
+
+    sent: Tuple[np.ndarray, np.ndarray]
+    inputs: Tuple[np.ndarray, np.ndarray]
+
+
 class TriangleCounterBackend(abc.ABC):
     """Abstract base class for secure triangle-counting backends.
 
     Concrete backends implement :meth:`count_from_shares` (the server-side
     protocol) and :meth:`from_config` (construction from a
-    :class:`~repro.core.config.CargoConfig`); the shared :meth:`count`
-    convenience performs the users' sharing step first.  Register an
-    implementation with
+    :class:`~repro.core.config.CargoConfig`); :meth:`upload` is the users'
+    step that produces its inputs, and the shared :meth:`count` convenience
+    runs one after the other.  Register an implementation with
     :func:`~repro.core.backends.registry.register_backend` to make it
     selectable by name through ``CargoConfig(counting_backend=...)``.
     """
+
+    #: Whether the users upload ``C`` masked by dealt row masks to both
+    #: servers instead of sharing it (the mask-once backends).  Such a
+    #: backend's :meth:`upload` takes the dealer's ``input_seeds``.
+    masked_input = False
 
     def __init__(
         self,
@@ -289,12 +311,34 @@ class TriangleCounterBackend(abc.ABC):
 
     @abc.abstractmethod
     def count_from_shares(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
-        """Run the secure count given each server's packed share (:func:`share_adjacency_rows`)."""
+        """Run the secure count on each server's input, ``upload(...).inputs``."""
+
+    def upload(
+        self,
+        projected_rows: np.ndarray,
+        rng: RandomState = None,
+        runtime=None,
+        tracer=NULL_TRACER,
+        *,
+        server1_tracer=NULL_TRACER,
+    ) -> Upload:
+        """The users' step: every user secret-shares her row (:func:`upload_adjacency_shares`).
+
+        Server 1 is sent the users' seeds and server 2 their packed share;
+        the inputs are both servers' packed shares of ``C``.  A mask-once
+        backend (:attr:`masked_input`) overrides it: its users draw nothing
+        (*rng* and *server1_tracer* are unused) and it takes the dealer's
+        row seeds as keyword ``input_seeds=`` when another process dealt
+        them.
+        """
+        seeds, share1, share2 = upload_adjacency_shares(
+            projected_rows, self._ring, rng, runtime, tracer, server1_tracer=server1_tracer
+        )
+        return Upload(sent=(seeds, share2), inputs=(share1, share2))
 
     def count(self, projected_rows: np.ndarray, rng: RandomState = None) -> CountResult:
-        """Share the rows on behalf of the users and run the secure count."""
-        share1, share2 = share_adjacency_rows(projected_rows, ring=self._ring, rng=rng)
-        return self.count_from_shares(share1, share2)
+        """Run the users' step (:meth:`upload`) and then the secure count."""
+        return self.count_from_shares(*self.upload(projected_rows, rng).inputs)
 
     def _validate_shares(
         self, share1: np.ndarray, share2: np.ndarray

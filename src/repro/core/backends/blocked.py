@@ -1,47 +1,54 @@
 """Tiled secure triangle counting with ``C`` masked once: the ``blocked`` backend.
 
 The matrix form of Algorithm 4 counts ``T = sum_{j<k} C[j, k] (C^T C)[j, k]``,
-with ``C`` the strict upper part of the shared adjacency (``C[i, j] = a_ij``
-for ``i < j``, from user ``i``'s shared row).  Each server holds its share
-of ``C`` as one packed vector of ``n (n - 1) / 2`` entries, row by row, and
-gathers a tile's entries from it by their closed-form offsets.  ``C`` sits
-on both sides of every product, so it is masked once (SPDZ square pairs,
+with ``C`` the strict upper part of the projected adjacency (``C[i, j] =
+a_ij`` for ``i < j``, user ``i``'s entries).  ``C`` sits on both sides of
+every product, so it is masked once (SPDZ input masking and square pairs,
 Damgård et al., CRYPTO 2012; SecureML, Mohassel & Zhang, S&P 2017).  The
-dealer deals a uniform strict-upper mask ``X`` and the servers open
-``E = C - X``.  Server
-``i``'s share of ``M = C^T C`` is ``<Z>_i + E^T <X>_i + <X>_i^T E`` (plus
-``E^T E`` on server 2) with the dealer's ``Z = X^T X``; the servers open
-``F = M - Y'`` for a fresh uniform ``Y'``, and server ``i`` keeps
-``<W>_i + sum E ⊙ <Y'>_i + sum <C>_i ⊙ F`` with the dealer's
-``W = sum X ⊙ Y'``, which reuses ``X`` as the finish's left mask.
+dealer deals a uniform strict-upper mask ``X = X_1 + X_2`` row by row: user
+``i``'s row of each half expands from a 32-byte row seed spawned from that
+server's material stream (:func:`input_seeds`), and user ``i`` receives
+just her two seeds.  She uploads ``E_i = C_i - X_i`` to both servers
+(:func:`upload_masked_input`), so no server opens ``E``; server 1's share of
+``C`` is ``E + X_1`` and server 2's is ``X_2``.  Server ``i``'s share of
+``M = C^T C`` is ``<Z>_i + E^T <X>_i + <X>_i^T E`` (plus ``E^T E`` on
+server 2) with the dealer's ``Z = X^T X``; the servers open ``F = M - Y'``
+for a fresh uniform ``Y'``, and server ``i`` keeps ``<W>_i + sum E ⊙ <Y'>_i
++ sum <C>_i ⊙ F`` with the dealer's ``W = sum X ⊙ Y'``, which reuses ``X``
+as the finish's left mask.
 
-Both openings are packed to the strict upper triangle: ``n (n - 1)`` ring
-elements per server in two rounds, at any tile width.  **Security:** ``E``
-and ``F`` are uniform and independent of the secrets because ``X`` and
-``Y'`` are fresh uniform masks on exactly the opened entries; reusing ``X``
-in the finish is sound because it masks the same secret ``C``.
+``E`` is ``n (n - 1) / 2`` ring elements to each server and ``F`` is opened
+packed to the strict upper triangle: ``n (n - 1) / 2`` elements per server
+in one opening round, at any tile width.  **Security:** ``E`` and ``F`` are
+uniform and independent of the secrets because ``X`` and ``Y'`` are fresh
+uniform masks on exactly those entries and each server knows only its half
+of ``X``; user ``i`` learns only her own row of ``X``; reusing ``X`` in the
+finish is sound because it masks the same secret ``C``.
 
 **Tiling.**  Column blocks of ``block_size`` are held packed (strict-upper
 entries row by row, so the rows above a later block are a dense prefix).
 :func:`tile_schedule` lists the block pairs ``J ≤ K`` with some ``j < k``;
 each server forms every group of one ``J`` row in one pass of ring products
 over the rows ``i < j``, and the dealer makes one ``Z`` product per row.
-The schedule is walked in chunks of ``tile_window`` groups (all of it when
-unset), the mask-once unit: a chunk opens its own groups' ``E`` entries and
-``F`` tiles.  Column ``c``'s mask always comes from the same rewound
-sub-dealer and group ``g``'s material from the ``g``-th one, so every
-window, worker count and cold/warm store deals and opens the same values
-and releases the same shares.  The distributed runtime's dealer runs the
-same dealing functions (:func:`deal_masks`, :func:`deal_row`) and its
-servers the same kernel (:func:`count_chunk`).
+Each server holds its half of ``X`` for the whole count, in column blocks
+(:func:`mask_blocks`).  The schedule is walked in chunks of ``tile_window``
+groups (all of it when unset): a chunk gathers its column blocks of ``E``
+from the packed upload (:func:`column_blocks`) and opens its groups' ``F``
+tiles.  Group ``g``'s material always comes from the ``g``-th rewound group
+sub-dealer, so every window, worker count and cold/warm store deals and
+opens the same values and releases the same shares.  The distributed
+runtime's dealer runs the same dealing functions (:func:`input_seeds`,
+:func:`mask_blocks`, :func:`deal_row`) and its servers the same kernel
+(:func:`count_chunk`).
 
-**Seeds, not matrices.**  Every sub-dealer draws each server's halves of
-``X`` and ``Y'``, and server 1's halves of ``Z`` and ``W``, from that
-server's :class:`~repro.crypto.beaver.MaterialStream`, so a server given its
-stream seeds (:func:`material_seeds`) regenerates its halves with the same
-draws (:func:`held_streams`, :func:`held_masks`, :func:`held_row`); only
-server 2's corrections ``Z - <Z>_1`` and ``W - <W>_1`` must be shipped.
-``matrix`` is this backend at its default tile width.
+**Seeds, not matrices.**  Every group sub-dealer draws each server's half
+of ``Y'``, and server 1's halves of ``Z`` and ``W``, from that server's
+:class:`~repro.crypto.beaver.MaterialStream`, so a server given its stream
+seeds (:func:`material_seeds`) regenerates its halves of ``X`` and ``Y'``
+with the same draws (:func:`held_streams`, :func:`mask_blocks`,
+:func:`held_row`); only server 2's corrections ``Z - <Z>_1`` and
+``W - <W>_1`` must be shipped.  ``matrix`` is this backend at its default
+tile width.
 """
 
 from __future__ import annotations
@@ -57,14 +64,18 @@ import numpy as np
 from repro.core.backends.base import (
     CountResult,
     TriangleCounterBackend,
+    Upload,
+    expand_seeds,
     num_candidate_triples,
+    pack_upper,
+    upper_lengths,
     upper_offset,
     upper_users,
 )
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer, MaterialStream
 from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring
-from repro.crypto.secure_ops import held_material, open_round
+from repro.crypto.secure_ops import PlainOpener, held_material, open_round
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
 from repro.parallel import TripleSignature, WorkerPool, cpu_budget
@@ -76,7 +87,10 @@ from repro.utils.rng import RandomState
 DEFAULT_BLOCK_SIZE = 128
 #: Name of the dealt-material layout; store signatures and tile journals
 #: carry it, so material of another layout never replays into this kernel.
-LAYOUT = "mask_once_seeded"
+LAYOUT = "masked_input_rows"
+#: View label of the masked input ``E`` each server receives: an upload, not
+#: an opening round.
+INPUT_LABEL = "masked_input"
 #: Rows of ``E`` and of ``X`` one server product stacks: its inner dimension
 #: ``2 · STACK_ROWS`` is one :data:`~repro.crypto.ring.LIMB_CHUNK`, which
 #: bounds a product's operands without adding GEMMs.
@@ -253,6 +267,16 @@ class Dealt:
 
 
 @dataclass(frozen=True)
+class _Inputs:
+    """What an in-process :meth:`BlockedMatrixTriangleCounter.upload` dealt, bound to its ``E``."""
+
+    dealer_key: str
+    dealers: tuple
+    e: np.ndarray
+    masks: Dealt
+
+
+@dataclass(frozen=True)
 class RowFinish:
     """One server's share of one ``J`` row's finish material.
 
@@ -270,52 +294,60 @@ def _inline(tasks) -> list:
     return [task() for task in tasks]
 
 
-def chunk_dealers(dealer: BeaverTripleDealer, num_users: int, block_size: int, schedule) -> tuple:
-    """``({c0: column dealer}, [group dealer per schedule group])`` spawned from *dealer*.
+def chunk_dealers(dealer: BeaverTripleDealer, schedule) -> tuple:
+    """``(mask dealer, [group dealer per schedule group])`` spawned from *dealer*.
 
-    The in-process backend and the runtime dealer both spawn through this,
-    so their material is identical.
+    The mask dealer's per-server streams spawn the users' row seeds
+    (:func:`input_seeds`).  The in-process backend and the runtime dealer
+    both spawn through this, so their material is identical.
     """
-    blocks = _blocks(num_users, block_size)
-    spawned = dealer.spawn_subdealers(len(blocks) + len(schedule))
-    return dict(zip((c0 for c0, _ in blocks), spawned)), spawned[len(blocks) :]
+    mask, *groups = dealer.spawn_subdealers(1 + len(schedule))
+    return mask, groups
 
 
-def dealer_tallies(schedule, groups, dealers) -> list:
-    """The ``accounting()`` of every dealer a chunk drew from, in canonical order."""
-    column_dealers, group_dealers = dealers
-    tallies = [column_dealers[c0].accounting() for c0, _, _ in chunk_columns(schedule, groups)]
-    return tallies + [group_dealers[g].accounting() for g in groups]
+def input_seeds(dealers, num_users: int) -> np.ndarray:
+    """Every user's two row seeds of ``X``: a ``(num_users, 2, 4)`` uint64 array.
 
-
-def _cut(share: np.ndarray, column: tuple) -> np.ndarray:
-    """A whole column block's mask share, cut to the chunk's rows of that block."""
-    length = packed_length(*column)
-    # A cut share is copied, so the whole column is not kept alive.
-    return share if share.size == length else share[:length].copy()
-
-
-def _deal_column(column: tuple, dealer: BeaverTripleDealer) -> tuple:
-    """The shares of column block ``[c0, c1)``'s mask, cut to the chunk's rows."""
-    c0, c1, _ = column
-    dealer.rewind()
-    _, *shares = dealer.mask(packed_length(c0, c1, c1))
-    return tuple(_cut(share, column) for share in shares)
-
-
-def deal_masks(schedule, groups, dealers, run=_inline) -> Dealt:
-    """A chunk's column masks: per server, one packed share per :func:`chunk_columns` block.
-
-    Each column block is masked by its rewound column dealer, so every chunk
-    that reads a column deals the same mask, and a retried task replays it.
+    Row ``i`` is user ``i``'s one ``dealer->users`` message: her seed of
+    ``X_1`` and her seed of ``X_2``, the ``i``-th children of the mask
+    dealer's server-1 and server-2 streams
+    (:meth:`~repro.crypto.beaver.MaterialStream.row_seeds`).  Row ``i`` of
+    ``X_r`` is :func:`~repro.core.backends.base.expand_seeds` of her seed,
+    ``n - 1 - i`` elements.
     """
-    dealt = run(
-        [
-            (lambda column=column: _deal_column(column, dealers[0][column[0]]))
-            for column in chunk_columns(schedule, groups)
-        ]
-    )
-    return Dealt(*(tuple(shares) for shares in zip(*dealt)))
+    return np.stack([stream.row_seeds(num_users) for stream in dealers[0].streams()], axis=1)
+
+
+def column_blocks(packed: np.ndarray, columns) -> dict:
+    """``{c0: rows [0, rows) of column block [c0, c1)}`` of a packed strict upper triangle.
+
+    *columns* lists ``(c0, c1, rows)`` (:func:`chunk_columns`); each block
+    is packed row by row (:func:`packed_length`).
+    """
+    n = upper_users(packed.size)
+    return {c0: _gather(packed, n, 0, rows, c0, c1) for c0, c1, rows in columns}
+
+
+def all_columns(schedule) -> List[tuple]:
+    """The :func:`chunk_columns` of the whole schedule: every column block, whole."""
+    return chunk_columns(schedule, range(len(schedule)))
+
+
+def mask_blocks(seeds: np.ndarray, schedule, ring: Ring) -> dict:
+    """One server's half of ``X`` for a whole count, regenerated from its users' row seeds.
+
+    *seeds* holds one 32-byte seed per user (that server's column of
+    :func:`input_seeds`); the result is :func:`column_blocks` of the packed
+    rows they expand to, the rows the users masked ``C`` with.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    packed = expand_seeds(seeds, upper_lengths(len(seeds)), ring)
+    return column_blocks(packed, all_columns(schedule))
+
+
+def dealer_tallies(groups, dealers) -> list:
+    """The ``accounting()`` tallies of a chunk's group dealers, in canonical order."""
+    return [dealers[1][g].accounting() for g in groups]
 
 
 def _row_columns(schedule, groups, row) -> tuple:
@@ -329,16 +361,16 @@ def deal_row(schedule, groups, position: int, masks: Dealt, dealers, ring: Ring)
 
     The dealer recombines the row's masks from the shares it dealt, runs
     one ``Z = X_J^T X_K`` product, and shares each group's ``Y'``, ``Z`` and
-    ``W`` from the group's own rewound dealer.
+    ``W`` from the group's own rewound dealer.  *masks* holds both halves'
+    :func:`mask_blocks`.
     """
-    index = {c0: column for column, (c0, _, _) in enumerate(chunk_columns(schedule, groups))}
     row = chunk_rows(schedule, groups)[position]
     j0, j1, positions = row
     row_groups, blocks = _row_columns(schedule, groups, row)
     x = {}
     for c0, c1 in [(j0, j1)] + blocks:
         length = packed_length(c0, c1, j1)
-        x[c0] = ring.add(masks.server1[index[c0]][:length], masks.server2[index[c0]][:length])
+        x[c0] = ring.add(masks.server1[c0][:length], masks.server2[c0][:length])
     z_row = ring.matmul(
         _column_rows(x[j0], j0, j1, 0, j1).T,
         np.concatenate([_column_rows(x[k0], k0, k1, 0, j1) for k0, k1 in blocks], axis=1),
@@ -362,45 +394,32 @@ def deal_row(schedule, groups, position: int, masks: Dealt, dealers, ring: Ring)
 def material_seeds(dealers, role: int) -> np.ndarray:
     """Server *role*'s stream seed of every :func:`chunk_dealers` sub-dealer.
 
-    A ``(blocks + groups, 4)`` uint64 matrix, columns first: everything the
-    server needs to regenerate its halves (:func:`held_streams`).
+    A ``(1 + groups, 4)`` uint64 matrix, the mask dealer's first:
+    everything the server needs to regenerate its halves
+    (:func:`held_streams`).
     """
-    column_dealers, group_dealers = dealers
-    return np.stack(
-        [dealer.streams()[role - 1].seed for dealer in (*column_dealers.values(), *group_dealers)]
-    )
+    mask, groups = dealers
+    return np.stack([dealer.streams()[role - 1].seed for dealer in (mask, *groups)])
 
 
 # ---------------------------------------------------------------------- #
 # Server side
 # ---------------------------------------------------------------------- #
-def held_streams(seeds: np.ndarray, ring: Ring, num_users: int, block_size: int, schedule):
-    """One server's ``({c0: column stream}, [group stream])`` from its :func:`material_seeds`.
+def held_streams(seeds: np.ndarray, ring: Ring, schedule):
+    """One server's ``(mask stream, [group stream])`` from its :func:`material_seeds`.
 
-    The held-role mirror of :func:`chunk_dealers`.
+    The held-role mirror of :func:`chunk_dealers`: the mask stream's
+    :meth:`~repro.crypto.beaver.MaterialStream.row_seeds` are this server's
+    column of :func:`input_seeds`.
     """
-    blocks = _blocks(num_users, block_size)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.shape != (len(blocks) + len(schedule), 4):
+    if seeds.shape != (1 + len(schedule), 4):
         raise DealerError(
             f"mask-once material mismatch: seed matrix of shape {seeds.shape} for "
-            f"{len(blocks)} column blocks and {len(schedule)} groups"
+            f"one mask stream and {len(schedule)} groups"
         )
-    streams = [MaterialStream(ring, seed) for seed in seeds]
-    return dict(zip((c0 for c0, _ in blocks), streams)), streams[len(blocks) :]
-
-
-def _held_column(column: tuple, stream: MaterialStream) -> np.ndarray:
-    c0, c1, _ = column
-    stream.rewind()
-    return _cut(stream.draw(packed_length(c0, c1, c1)), column)
-
-
-def held_masks(schedule, groups, streams) -> tuple:
-    """One server's :func:`deal_masks` shares, regenerated from its *streams*."""
-    return tuple(
-        _held_column(column, streams[0][column[0]]) for column in chunk_columns(schedule, groups)
-    )
+    mask, *groups = (MaterialStream(ring, seed) for seed in seeds)
+    return mask, groups
 
 
 def held_row(schedule, groups, position: int, streams, correction=None) -> RowFinish:
@@ -493,46 +512,41 @@ def _row_finish(schedule, groups, row, e, roles, masks, finish: list, ring) -> t
     return list(zip(*f_shares)), partials
 
 
+def _share_tile(role: int, ring: Ring, e: dict, x: dict, group: tuple) -> np.ndarray:
+    """Server *role*'s share of ``C`` on a group's tile: ``E + X_1`` (role 1) or ``X_2``."""
+    tile = _tile(x[group[2]], group)
+    return ring.add(_tile(e[group[2]], group), tile) if role == 1 else tile
+
+
 def count_chunk(
-    schedule, groups, masks, finish, shares, ring: Ring, views, opener, run=_inline,
+    schedule, groups, e, masks, finish, ring: Ring, views, opener, run=_inline,
     tracer=NULL_TRACER,
 ) -> tuple:
     """One chunk of groups through the mask-once kernel: each held role's subtotal.
 
-    *shares* holds one packed share of ``C`` per role the *opener* holds
-    (see :mod:`repro.crypto.secure_ops`); *masks* is the chunk's
-    :func:`deal_masks` material and ``finish(position)`` returns its
-    ``position``-th ``J`` row's :func:`deal_row` material, each either a
-    :class:`Dealt` pair or the held role's share.  Two opening rounds: the
-    chunk's packed ``E`` column
-    blocks (``mask_opening``), then its groups' ``F`` tiles
-    (``finish_opening``); server ``i`` keeps
-    ``W_i + sum E ⊙ Y'_i + sum C_i ⊙ F``.  *run* maps the per-row tasks,
-    whose ``tile_row`` spans land in *tracer* in row order.  The in-process
-    backend and the distributed runtime's servers both run this kernel.
+    *e* is the users' packed masked input ``E = C - X``
+    (:func:`upload_masked_input`); *masks* is both servers'
+    :func:`mask_blocks` as a :class:`Dealt` pair (or, for the one role a
+    server process holds, its own) and ``finish(position)`` returns its
+    ``position``-th ``J`` row's :func:`deal_row` material, either a
+    :class:`Dealt` pair or the held role's half (see
+    :mod:`repro.crypto.secure_ops`).  The chunk gathers its ``E`` column
+    blocks from *e* and opens one round, its groups' ``F`` tiles
+    (``finish_opening``); server ``i`` keeps ``W_i + sum E ⊙ Y'_i +
+    sum C_i ⊙ F`` with ``C_1 = E + X_1`` and ``C_2 = X_2``.  *run* maps the
+    per-row tasks, whose ``tile_row`` spans land in *tracer* in row order.
+    The in-process backend and the distributed runtime's servers both run
+    this kernel.
     """
     opener, roles, masks = held_material(opener, masks, ring)
-    n = upper_users(shares[0].size)
     columns = chunk_columns(schedule, groups)
-    if any(len(x) != len(columns) for x in masks):
+    missing = [c0 for c0, _, _ in columns if any(c0 not in x for x in masks)]
+    if missing:
         raise DealerError(
-            f"mask-once material mismatch: {len(masks[0])} column masks for a "
-            f"chunk of {len(columns)} columns"
+            f"mask-once material mismatch: no mask for column blocks {missing} "
+            "of the chunk"
         )
-    opened = open_round(
-        "mask_opening",
-        [
-            tuple(
-                ring.sub(_gather(share, n, 0, rows, c0, c1), x[position])
-                for share, x in zip(shares, masks)
-            )
-            for position, (c0, c1, rows) in enumerate(columns)
-        ],
-        opener, roles, views,
-    )
-    starts = [c0 for c0, _, _ in columns]
-    e = dict(zip(starts, opened))
-    masks = [dict(zip(starts, x)) for x in masks]
+    e = column_blocks(e, columns)
 
     def row_task(position, row):
         shard = tracer.shard()
@@ -555,24 +569,79 @@ def count_chunk(
     f = open_round("finish_opening", f_shares, opener, roles, views)
     del f_shares
     for opened, g in zip(f, groups):
-        j0, j1, k0, k1 = schedule[g]
         totals = [
-            ring.add(total, ring.sum(ring.mul(_gather(share, n, j0, j1, k0, k1), opened)))
-            for total, share in zip(totals, shares)
+            ring.add(
+                total,
+                ring.sum(ring.mul(_share_tile(role, ring, e, x, schedule[g]), opened)),
+            )
+            for total, role, x in zip(totals, roles, masks)
         ]
     return tuple(totals)
 
 
+def record_input(views, roles, e: np.ndarray) -> None:
+    """Book the masked input ``E`` once in each held role's view (:data:`INPUT_LABEL`)."""
+    if views is not None:
+        for role in roles:
+            views.observe(role, INPUT_LABEL, (e,))
+
+
+def upload_masked_input(
+    projected_rows: np.ndarray, seeds: np.ndarray, ring: Ring, runtime=None, tracer=NULL_TRACER
+) -> np.ndarray:
+    """The mask-once users' step: every user uploads her row of ``C`` masked.
+
+    User ``i`` expands her rows of ``X_1`` and ``X_2`` from her two
+    :func:`input_seeds` (``n - 1 - i`` elements each) and sends
+    ``E_i = C_i - X_1,i - X_2,i`` to both servers, inside one ``share`` span
+    of *tracer*.  With a *runtime*
+    (:class:`~repro.crypto.protocol.TwoServerRuntime`) the ledger books the
+    dealer's 64-byte ``input_masks`` message to each user and both
+    ``adjacency_share`` uploads of ``E``.  Returns the packed ``E`` and the
+    users' packed rows of ``(X_1, X_2)``.
+    """
+    rows = np.asarray(projected_rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+        raise ProtocolError(f"projected_rows must be a square matrix, got {rows.shape}")
+    num_users = rows.shape[0]
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.shape != (num_users, 2, 4):
+        raise ProtocolError(
+            f"input masks of shape {seeds.shape} for {num_users} users; "
+            f"expected {(num_users, 2, 4)}"
+        )
+    with tracer.span("share", num_users=num_users):
+        lengths = upper_lengths(num_users)
+        halves = tuple(expand_seeds(seeds[:, role], lengths, ring) for role in range(2))
+        masked = ring.sub(ring.sub(ring.encode(pack_upper(rows)), halves[0]), halves[1])
+    if runtime is not None:
+        runtime.dealer_to_users("input_masks", seeds)
+        for server in (runtime.SERVER1, runtime.SERVER2):
+            runtime.ledger.record(
+                f"users->{server}",
+                None,
+                phase="adjacency_share",
+                messages=num_users,
+                total_bytes=masked.nbytes,
+            )
+    return masked, halves
+
+
 @register_backend("blocked")
 class BlockedMatrixTriangleCounter(TriangleCounterBackend):
-    """Tiled secure triangle counting: two opening rounds per chunk.
+    """Tiled secure triangle counting on a masked upload: one opening round per chunk.
+
+    The users' step (:meth:`upload`) deals the count's material and uploads
+    ``E = C - X`` to both servers; :meth:`count_from_shares` then consumes
+    that material, so each count is one :meth:`upload` followed by one
+    :meth:`count_from_shares` on its inputs (:meth:`count` runs both).
 
     Parameters
     ----------
     ring:
         Secret-sharing ring.
     dealer:
-        Dealer whose seed the column and group sub-dealers are spawned from;
+        Dealer whose seed the mask and group sub-dealers are spawned from;
         a fresh one is created when not supplied.
     block_size:
         Tile width.  It sets the size of the dealt pieces and of the local
@@ -588,13 +657,15 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         dealt material, one entry per chunk of the schedule.
     tile_window:
         When set, the ``(J, K)`` tile groups are dealt, opened, and
-        released in chunks of at most this many groups, two opening rounds
+        released in chunks of at most this many groups, one opening round
         each, so dealt material is held (and stored) one chunk at a time and
         a ``resilience.checkpoint_path`` journals each completed chunk.
         ``None`` (default) makes the whole schedule one chunk.  Released
-        shares, each group's opened ``F`` tile and every opened ``E`` entry
-        are bit-identical for every window.
+        shares and each group's opened ``F`` tile are bit-identical for
+        every window.
     """
+
+    masked_input = True
 
     def __init__(
         self,
@@ -626,6 +697,8 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         self._store = triple_store
         self._tile_window = tile_window
         self._resilience = resilience if resilience is not None else NULL_RESILIENCE
+        #: The :class:`_Inputs` the last in-process upload dealt, if any.
+        self._dealt: Optional[_Inputs] = None
 
     @property
     def block_size(self) -> int:
@@ -691,21 +764,20 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
-    def _chunk_material(self, n, dealer_key, chunk_index, schedule, groups, dealers, pool):
-        """The chunk's ``(masks, finish, tallies)``.
+    def _chunk_material(self, n, dealt, chunk_index, schedule, groups, pool):
+        """The chunk's ``(finish, tallies)``.
 
-        Without a store the chunk's masks are dealt here and each row's
-        finish just before its products (``finish`` deals it; *tallies* is
-        ``None`` until then).  With one, the whole chunk is fetched warm — or
-        dealt and stored — under the chunk's signature (unwindowed runs keep
-        one key for the whole schedule).
+        Without a store each row's finish is dealt just before its products
+        (``finish`` deals it; *tallies* is ``None`` until then).  With one,
+        the whole chunk is fetched warm — or dealt and stored — under the
+        chunk's signature (unwindowed runs keep one key for the whole
+        schedule).
         """
         with self._telemetry.tracer.span("offline", groups=len(groups)):
             if self._store is None:
-                masks = deal_masks(schedule, groups, dealers, pool.map)
-                return masks, (
+                return (
                     lambda position: deal_row(
-                        schedule, groups, position, masks, dealers, self._ring
+                        schedule, groups, position, dealt.masks, dealt.dealers, self._ring
                     )
                 ), None
             geometry = (("block_size", self._block_size), ("layout", LAYOUT))
@@ -717,44 +789,95 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                 num_users=n,
                 geometry=geometry,
                 ring_bits=self._ring.bits,
-                dealer_key=dealer_key,
+                dealer_key=dealt.dealer_key,
             )
             stored = self._store.get(signature)
             if stored is None:
-                masks = deal_masks(schedule, groups, dealers, pool.map)
                 rows = pool.map(
                     [
                         (lambda position=position: deal_row(
-                            schedule, groups, position, masks, dealers, self._ring
+                            schedule, groups, position, dealt.masks, dealt.dealers, self._ring
                         ))
                         for position in range(len(chunk_rows(schedule, groups)))
                     ]
                 )
-                stored = (masks, rows, dealer_tallies(schedule, groups, dealers))
+                stored = (rows, dealer_tallies(groups, dealt.dealers))
                 self._store.put(signature, stored)
-            masks, rows, tallies = stored
-            return masks, rows.__getitem__, tallies
+            rows, tallies = stored
+            return rows.__getitem__, tallies
+
+    def upload(
+        self,
+        projected_rows: np.ndarray,
+        rng: RandomState = None,
+        runtime=None,
+        tracer=NULL_TRACER,
+        *,
+        server1_tracer=NULL_TRACER,
+        input_seeds: Optional[np.ndarray] = None,
+    ) -> Upload:
+        """The users' step: every user uploads her row of ``E = C - X`` to both servers.
+
+        *input_seeds* are the dealer's :func:`input_seeds`, as the
+        distributed runtime's dealer process sends them: this backend then
+        keeps nothing, since the server processes count.  Unset, this
+        backend's dealer deals them here, with the rest of the material of
+        the :meth:`count_from_shares` that follows, which is bound to this
+        upload's ``E``; the users' rows of ``X`` are, bit for bit, the
+        servers' :func:`mask_blocks`, so they are kept as those.  The users
+        draw no randomness of their own (*rng* is unused) and no server
+        expands anything at upload (*server1_tracer* is unused).
+        """
+        n = int(np.shape(projected_rows)[0])
+        self._dealt = None
+        if input_seeds is not None:
+            e, _ = upload_masked_input(projected_rows, input_seeds, self._ring, runtime, tracer)
+            return Upload(sent=(e, e), inputs=(e, e))
+        dealer_key, dealers, seeds = self._deal_inputs(n)
+        e, halves = upload_masked_input(projected_rows, seeds, self._ring, runtime, tracer)
+        columns = all_columns(tile_schedule(n, self._block_size))
+        masks = Dealt(*(column_blocks(half, columns) for half in halves))
+        self._dealt = _Inputs(dealer_key, dealers, e, masks)
+        return Upload(sent=(e, e), inputs=(e, e))
+
+    def _deal_inputs(self, n: int) -> tuple:
+        """Spawn a count's sub-dealers: ``(dealer key, sub-dealers, the users' input seeds)``."""
+        # The dealer key is pinned before any children are spawned so chunk
+        # signatures match across runs regardless of which chunks run warm.
+        dealer_key = self._dealer.fingerprint()
+        dealers = chunk_dealers(self._dealer, tile_schedule(n, self._block_size))
+        if n >= 3:
+            # X, dealt per user row: user i's row covers her n - 1 - i entries.
+            self._dealer.absorb_accounting(n, n * (n - 1) // 2, n - 1)
+        return dealer_key, dealers, input_seeds(dealers, n)
 
     def count_from_shares(self, share1: np.ndarray, share2: np.ndarray) -> CountResult:
-        """Run the secure count over the tile schedule, one chunk at a time.
+        """Run the secure count on the users' masked input, one chunk at a time.
 
-        The schedule is walked in chunks of ``tile_window`` groups (the whole
-        schedule when unset), each dealt, opened in two rounds and reduced
-        before the next; subtotals, views and dealer tallies follow
-        canonical schedule order.
+        Both servers receive the same packed ``E`` (``upload(...).inputs``),
+        masked with the material the last :meth:`upload` dealt, which this
+        count consumes; any other ``E`` is refused.  The schedule is walked
+        in chunks of ``tile_window`` groups (the whole schedule when unset),
+        each dealt, opened in one round and reduced before the next;
+        subtotals, views and dealer tallies follow canonical schedule order.
         """
         ring = self._ring
-        share1, share2, n = self._validate_shares(share1, share2)
+        e, other, n = self._validate_shares(share1, share2)
+        if other is not e and not np.array_equal(e, other):
+            raise ProtocolError("both servers must receive the same masked input E")
+        dealt, self._dealt = self._dealt, None
         if n < 3:
             return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
+        if dealt is None or (dealt.e is not e and not np.array_equal(dealt.e, e)):
+            raise ProtocolError(
+                "this masked input E was not dealt by the last upload: run this "
+                "backend's users' step (upload) before every count_from_shares"
+            )
+        dealer_key = dealt.dealer_key
         schedule = tile_schedule(n, self._block_size)
         window = self._tile_window or len(schedule)
         pool = self._make_pool(n)
         tracer = self._telemetry.tracer
-        # The dealer key is pinned before any children are spawned so chunk
-        # signatures match across runs regardless of which chunks run warm.
-        dealer_key = self._dealer.fingerprint()
-        dealers = chunk_dealers(self._dealer, n, self._block_size, schedule)
         total1 = 0
         total2 = 0
         opening_rounds = 0
@@ -762,8 +885,8 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         # save captures the running subtotals, the opening-round count, every
         # completed chunk's views, and the dealer tallies absorbed so far; a
         # resumed run restores them and skips straight to the first
-        # incomplete chunk.  Chunk randomness comes from per-column and
-        # per-group sub-dealers, so the skipped chunks' absence changes
+        # incomplete chunk.  Chunk randomness comes from the users' row seeds
+        # and per-group sub-dealers, so the skipped chunks' absence changes
         # nothing downstream.
         resilience = self._resilience
         journal = None
@@ -774,7 +897,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             journal = Checkpointer(
                 resilience.checkpoint_path,
                 kind="tiles",
-                token=self._journal_token(n, dealer_key, share1, share2),
+                token=self._journal_token(n, dealer_key, e),
                 retry=resilience.retry,
                 metrics=self._telemetry.metrics if self._telemetry.enabled else None,
             )
@@ -792,6 +915,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                     self._views.merge_from(journal_views)
             if self._views is not None and journal_views is None:
                 journal_views = ViewRecorder()
+        if not completed_chunks:
+            # A resumed run restored E with the journal's views.
+            for recorder in (self._views, journal_views):
+                record_input(recorder, PlainOpener.roles, e)
         with tracer.span(
             "backend",
             backend="blocked",
@@ -812,21 +939,21 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                 )
                 shard = ViewRecorder() if self._views is not None else None
                 with chunk_span:
-                    masks, finish, chunk_tallies = self._chunk_material(
-                        n, dealer_key, chunk_index, schedule, groups, dealers, pool
+                    finish, chunk_tallies = self._chunk_material(
+                        n, dealt, chunk_index, schedule, groups, pool
                     )
                     sum1, sum2 = count_chunk(
-                        schedule, groups, masks, finish, (share1, share2), ring, shard,
+                        schedule, groups, e, dealt.masks, finish, ring, shard,
                         self._authenticator, pool.map, tracer,
                     )
                     # Release the chunk's material before the next one is
                     # dealt — the bounded-memory property the scale gates pin.
-                    del masks, finish
+                    del finish
                 if chunk_tallies is None:
-                    chunk_tallies = dealer_tallies(schedule, groups, dealers)
+                    chunk_tallies = dealer_tallies(groups, dealt.dealers)
                 total1 = ring.add(total1, sum1)
                 total2 = ring.add(total2, sum2)
-                opening_rounds += 2
+                opening_rounds += 1
                 for tallies in chunk_tallies:
                     self._dealer.absorb_accounting(*tallies)
                     if journal is not None:

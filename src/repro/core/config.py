@@ -26,8 +26,9 @@ class CountingBackend(str, enum.Enum):
       processed in vectorised blocks so each block needs a single opening
       round.  Identical messages content-wise, far fewer Python-level rounds.
     * ``BLOCKED`` — secret-shared matrix formulation (``C^T C`` then an
-      element-wise product) with ``C`` masked once: two opening rounds of
-      ``n (n - 1) / 2`` elements each, computed in ``block_size`` tiles.
+      element-wise product) with ``C`` masked once: the users upload
+      ``E = C - X`` to both servers and the servers open one round of
+      ``n (n - 1) / 2`` elements, computed in ``block_size`` tiles.
     * ``MATRIX`` — ``BLOCKED`` at its default tile width; the default
       backend for the experiments.
 
@@ -94,8 +95,8 @@ class CargoConfig:
         When set, the blocked backend walks its tile schedule in chunks of
         at most this many groups: a triple store writes and reads one chunk
         at a time, and a checkpoint journals each completed chunk.  ``None``
-        (default) makes the whole schedule one chunk.  Each chunk opens in
-        two rounds of its own; released shares and every opened value are
+        (default) makes the whole schedule one chunk.  Each chunk opens one
+        round of its own; released shares and every opened value are
         bit-identical for every window.
     workers:
         Worker threads for the secure count (:mod:`repro.parallel`).

@@ -16,7 +16,8 @@ it needs (:meth:`BeaverTripleDealer.share`).  Both draw from one
 :class:`MaterialStream` per server, expanded from a 32-byte seed, so the
 dealer can hand each server its seed and ship server 2 only the corrections
 ``z_2 = z - z_1`` of the products (the trusted-third-party provider of
-CrypTen, Knott et al., NeurIPS 2021).
+CrypTen, Knott et al., NeurIPS 2021); a stream also spawns the per-row seeds
+of a mask dealt to the users (:meth:`MaterialStream.row_seeds`).
 
 The offline phase (producing the triples) is performed here by a
 :class:`BeaverTripleDealer`.  In a deployment the dealer is replaced by an
@@ -36,7 +37,7 @@ from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.sharing import SharePair, share_scalar, share_vector
 from repro.exceptions import DealerError
 from repro.resilience.faults import fault_point
-from repro.utils.rng import RandomState, derive_rng, seeded_rng
+from repro.utils.rng import RandomState, derive_rng, seeded_rng, spawn_state_matrix
 
 IntOrArray = Union[int, np.ndarray]
 
@@ -87,6 +88,17 @@ class MaterialStream:
     def draw(self, size: int) -> np.ndarray:
         """The next *size* uniform ring elements."""
         return self.ring.random_array((int(size),), self._rng)
+
+    def row_seeds(self, count: int) -> np.ndarray:
+        """*count* 32-byte seeds spawned from this stream's seed: a ``(count, 4)`` uint64 matrix.
+
+        Row ``i`` is the ``generate_state(4, np.uint64)`` of the ``i``-th
+        child of a seed sequence over the stream's seed words
+        (:func:`~repro.utils.rng.spawn_state_matrix`), so whoever holds the
+        seed spawns the same rows.  Spawning draws nothing from the stream.
+        """
+        sequence = np.random.SeedSequence([int(word) for word in self.seed])
+        return spawn_state_matrix(sequence, count, words=4)
 
 
 class BeaverTripleDealer:

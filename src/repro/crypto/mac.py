@@ -416,8 +416,9 @@ def resolve_authenticator(config) -> Optional[OpeningAuthenticator]:
     Mirrors ``resolve_telemetry``/``resolve_resilience``: an injected
     ``config.authenticator`` (tests, the adversary harness, the perf gate's
     inert arm) wins; otherwise ``config.authenticate=True`` builds a fresh
-    authenticator from the run seed — deterministic, so two runs of the same
-    config deal the same key and tags.
+    authenticator from the run seed and ring — deterministic, so two runs of
+    the same config deal the same key and tags, and its openings are reduced
+    in the run's ring like plain ones.
     """
     injected = getattr(config, "authenticator", None)
     if injected is not None:
@@ -429,5 +430,8 @@ def resolve_authenticator(config) -> Optional[OpeningAuthenticator]:
             )
         return injected
     if getattr(config, "authenticate", False):
-        return OpeningAuthenticator(seed=int(getattr(config, "seed", 0) or 0))
+        return OpeningAuthenticator(
+            seed=int(getattr(config, "seed", 0) or 0),
+            ring=getattr(config, "ring", DEFAULT_RING),
+        )
     return None

@@ -143,7 +143,8 @@ class TwoServerRuntime:
 
     Holds the run's single :class:`CommunicationLedger` and books every
     transmission of the protocol on it under its channel label
-    (``users->S1``, ``S1->users``, ``S1->S2``, …) and its phase tag.  Users
+    (``users->S1``, ``S1->users``, ``S1->S2``, ``dealer->users``, …) and its
+    phase tag.  Users
     are addressed only in aggregate: an upload or broadcast of ``n``
     per-user messages is one array-native record, so construction is
     ``O(1)`` in ``n`` and nothing keeps a payload alive once it is booked.
@@ -151,6 +152,7 @@ class TwoServerRuntime:
 
     SERVER1 = "S1"
     SERVER2 = "S2"
+    DEALER = "dealer"
 
     def __init__(self, num_users: int) -> None:
         if num_users < 0:
@@ -179,6 +181,22 @@ class TwoServerRuntime:
             )
         self.ledger.record(
             f"users->{server}", payloads, phase=tag, messages=payloads.shape[0]
+        )
+
+    def dealer_to_users(self, tag: str, payloads: Any) -> None:
+        """Batched provisioning: the dealer sends every user ``payloads[i]``.
+
+        Booked like :meth:`users_to_server`, as ``n`` messages under the
+        aggregate ``dealer->users`` label.
+        """
+        payloads = np.asarray(payloads)
+        if payloads.ndim == 0 or payloads.shape[0] != self.num_users:
+            raise ProtocolError(
+                f"dealer provisioning carries {payloads.shape[:1]} rows "
+                f"for {self.num_users} users"
+            )
+        self.ledger.record(
+            f"{self.DEALER}->users", payloads, phase=tag, messages=payloads.shape[0]
         )
 
     def broadcast_to_users(self, server_index: int, tag: str, payload: Any) -> None:

@@ -2,13 +2,16 @@
 
 The paper reports running time (Figures 11-12) but discusses communication
 only qualitatively.  This experiment quantifies it: for each protocol phase
-it reports the number of messages and bytes exchanged between users and the
-two servers, per graph size, using the byte-accounting runtime (server 1's
-share of the adjacency upload is booked as the users' 32-byte seeds, which
-is what crosses the wire, and server 2's as user ``i``'s ``n - 1 - i``
-entries above the diagonal, the only ones the triangle count reads).  It is the
-basis of the `bench_ext_communication.py` benchmark and of the DESIGN.md
-ablation discussion on where CARGO's overhead lives.
+it reports the number of messages and bytes exchanged between the users,
+the two servers and the dealer, per graph size, using the byte-accounting
+runtime.  On the default ``matrix`` backend the adjacency upload is user
+``i``'s ``n - 1 - i`` entries above the diagonal (the only ones the
+triangle count reads) masked, to both servers, and the dealer sends each
+user her two 32-byte row seeds of the mask (``input_masks``); the
+share-based backends book server 1's share as the users' 32-byte seeds,
+which is what crosses the wire.  It is the basis of the
+`bench_ext_communication.py` benchmark and of the DESIGN.md ablation
+discussion on where CARGO's overhead lives.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ def communication_overhead(
 
     Per graph size the report contains the total message count, the total
     bytes, and the bytes attributable to the adjacency-share upload (the
-    dominant term, ``4 n (n - 1) + 32 n``: user ``i`` uploads her
-    ``n - 1 - i`` share elements ``a_ij``, ``j > i``, to server 2 and only
-    the 32-byte seed of her mask to server 1, which expands it).
+    dominant term, ``8 n (n - 1)`` on the default ``matrix`` backend: user
+    ``i`` uploads her ``n - 1 - i`` masked elements ``a_ij - x_ij``,
+    ``j > i``, to each server).  The totals include the dealer's
+    ``input_masks``, ``64 n`` bytes.
     """
     report = ExperimentReport(
         name="ext-communication",

@@ -6,9 +6,10 @@ third process that knows the counting schedule, deals every piece of
 correlated randomness *in the exact order the in-process backends consume
 it*, and provisions each server over ``PROVISION`` frames.  For the
 multiplication groups it ships each half in full; for the blocked
-mask-once material it ships each server one frame of its stream seeds and
-server 2 one frame of ``Z``/``W`` corrections per row of tiles, since each
-server regenerates the rest from its seeds.  Because
+mask-once material it first sends the driver, which runs the users' steps,
+one frame of the users' input-mask seeds, then ships each server one frame
+of its stream seeds and server 2 one frame of ``Z``/``W`` corrections per
+row of tiles, since each server regenerates the rest from its seeds.  Because
 both the dealer classes (:class:`~repro.crypto.multiplication_groups.MultiplicationGroupDealer`,
 :class:`~repro.crypto.beaver.BeaverTripleDealer`) and the replayed schedule
 are identical to the in-process ones — same RNG stream, and the same
@@ -19,8 +20,9 @@ bit-identical, which is what makes the whole distributed transcript
 bit-identical.
 
 The dealer never sees the graph, the shares, or any opened value: its links
-carry correlated randomness out and nothing in, matching the non-collusion
-assumption the privacy argument rests on.
+carry correlated randomness out and nothing in (its one frame to the driver
+is the users' seeds), matching the non-collusion assumption the privacy
+argument rests on.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ import time
 from typing import Dict
 
 from repro.core.backends.blocked import (
+    Dealt,
     chunk_dealers,
     chunk_rows,
-    deal_masks,
     deal_row,
+    input_seeds,
+    mask_blocks,
     material_seeds,
     tile_schedule,
 )
@@ -54,7 +58,9 @@ from repro.runtime.wire import (
 __all__ = ["run_dealer"]
 
 
-def _deal_mg(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
+def _deal_mg(
+    spec: Dict, driver: WireEndpoint, server1: WireEndpoint, server2: WireEndpoint
+) -> None:
     """Walk the faithful/batched group stream and ship each group."""
     batch_size = 1 if spec["backend"] == "faithful" else int(spec["batch_size"])
     dealer = MultiplicationGroupDealer(ring=spec["ring"], seed=spec["dealer_rng"])
@@ -68,27 +74,30 @@ def _deal_mg(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
         )
 
 
-def _deal_blocked(spec: Dict, server1: WireEndpoint, server2: WireEndpoint) -> None:
+def _deal_blocked(
+    spec: Dict, driver: WireEndpoint, server1: WireEndpoint, server2: WireEndpoint
+) -> None:
     """Deal the blocked schedule as one mask-once chunk: seeds, then row by row.
 
-    Each server gets its stream seeds; server 2 then gets each row's ``Z``
-    tiles and ``W`` share, the corrections its seeds cannot regenerate.
+    The driver gets the users' input-mask seeds first (the servers wait on
+    the upload they mask), each server its stream seeds; server 2 then gets
+    each row's ``Z`` tiles and ``W`` share, the corrections its seeds cannot
+    regenerate.
     """
     n = int(spec["num_users"])
+    ring = spec["ring"]
+    schedule = tile_schedule(n, int(spec["block_size"]))
+    dealers = chunk_dealers(BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"]), schedule)
+    seeds = input_seeds(dealers, n)
+    driver.send(KIND_PROVISION, {"label": "input_masks", "phase": "input_masks"}, [seeds])
     if n < 3:
         return
-    ring = spec["ring"]
-    block_size = int(spec["block_size"])
-    schedule = tile_schedule(n, block_size)
     groups = range(len(schedule))
-    dealers = chunk_dealers(
-        BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"]), n, block_size, schedule
-    )
     for role, endpoint in ((1, server1), (2, server2)):
         endpoint.send(
             KIND_PROVISION, {"label": "material_seeds"}, [material_seeds(dealers, role)]
         )
-    masks = deal_masks(schedule, groups, dealers)
+    masks = Dealt(*(mask_blocks(seeds[:, role], schedule, ring) for role in range(2)))
     for position in range(len(chunk_rows(schedule, groups))):
         half = deal_row(schedule, groups, position, masks, dealers, ring).server2
         server2.send(KIND_PROVISION, {"label": "row_finish"}, [*half.z, half.w])
@@ -138,9 +147,10 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
                         f"dealer has no schedule for backend {spec['backend']!r}"
                     )
                 started = time.perf_counter()
+                before = driver_ep.sent_summary()
                 before1 = server1.sent_summary()
                 before2 = server2.sent_summary()
-                deal(spec, server1, server2)
+                deal(spec, driver_ep, server1, server2)
                 driver_ep.send(
                     KIND_RESULT,
                     {
@@ -149,6 +159,7 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
                         "blas_threads": blas_threads(),
                         "os_threads": os_threads(),
                         "sent": {
+                            "driver": summary_delta(before, driver_ep.sent_summary()),
                             "server1": summary_delta(before1, server1.sent_summary()),
                             "server2": summary_delta(before2, server2.sent_summary()),
                         },

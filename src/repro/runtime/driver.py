@@ -52,7 +52,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import CountResult, upload_adjacency_shares
+from repro.core.backends import create_backend
+from repro.core.backends.base import CountResult
 from repro.core.backends.blocked import block_size_for
 from repro.core.cargo import Cargo, protocol_rngs
 from repro.core.config import CargoConfig
@@ -73,6 +74,7 @@ from repro.runtime.wire import (
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
     KIND_CONTROL,
+    KIND_PROVISION,
     KIND_RESULT,
     KIND_SHARES,
     WireEndpoint,
@@ -85,8 +87,9 @@ __all__ = ["DistributedRuntime", "run_distributed"]
 
 _BACKENDS = ("faithful", "batched", "matrix", "blocked")
 
-#: Frame kinds whose phased payloads correspond to ledgered protocol bytes.
-_LEDGERED_KINDS = ("SHARES", "OPEN_VALUES", "RESULT")
+#: Frame kinds whose phased payloads correspond to ledgered protocol bytes
+#: (the dealer's one phased ``PROVISION`` frame is the users' input masks).
+_LEDGERED_KINDS = ("SHARES", "OPEN_VALUES", "RESULT", "PROVISION")
 
 #: The phases of S1's `Max` exchange: a checkpoint records that they crossed
 #: the wire, so a resumed release neither repeats nor reconciles them.
@@ -413,8 +416,12 @@ class _LinkedServers:
                 self._resumed = tuple(self._checkpointer.load()["phases"])
 
         block_size = block_size_for(config.backend_name, config)
+        # The backend's users' step runs here, in the driver; the dealer
+        # process deals its material, so this instance deals nothing.
+        self._counter = create_backend(config.counting_backend, config=config)
         spec = {
             "backend": config.backend_name,
+            "masked_input": self._counter.masked_input,
             "batch_size": config.batch_size,
             "block_size": block_size,
             "ring": config.ring,
@@ -478,14 +485,16 @@ class _LinkedServers:
         return noisy_max
 
     def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
-        """Upload the adjacency shares; both servers run the backend's kernel.
+        """Run the backend's users' step; both servers run the backend's kernel.
 
-        Server 1 gets the users' 32-byte seeds and expands its share of
-        ``C`` itself; server 2 gets its packed share of ``C``, the users'
-        ``n - 1 - i`` entries each.
+        On the mask-once backends the users mask ``C`` with the row seeds
+        of the dealer's ``input_masks`` frame and both servers get ``E``;
+        otherwise server 1 gets the users' 32-byte seeds and expands its
+        share of ``C`` itself, and server 2 gets its packed share.
 
         Only dense triangles reach here (``_validate_distributed_config``);
-        the dealer process deals from its own copy of *dealer_rng*.
+        the dealer process deals from its own copy of *dealer_rng*, so the
+        driver's backend deals nothing.
         """
         telemetry = self._telemetry
         share_tracer = (
@@ -493,11 +502,16 @@ class _LinkedServers:
             if telemetry.enabled and config.track_communication
             else NULL_TRACER
         )
-        seeds, _, share2 = upload_adjacency_shares(
-            projected, config.ring, share_rng, self.runtime, share_tracer
-        )
-        self._s1.send(KIND_SHARES, {"phase": "adjacency_share"}, [seeds])
-        self._s2.send(KIND_SHARES, {"phase": "adjacency_share"}, [share2])
+        counter = self._counter
+        if counter.masked_input:
+            upload = counter.upload(
+                projected, share_rng, self.runtime, share_tracer,
+                input_seeds=self._input_seeds(),
+            )
+        else:
+            upload = counter.upload(projected, share_rng, self.runtime, share_tracer)
+        self._s1.send(KIND_SHARES, {"phase": "adjacency_share"}, [upload.sent[0]])
+        self._s2.send(KIND_SHARES, {"phase": "adjacency_share"}, [upload.sent[1]])
         meta1, _ = self._s1.recv_expect(KIND_RESULT)
         meta2, _ = self._s2.recv_expect(KIND_RESULT)
         if meta1.get("stage") != "count" or meta2.get("stage") != "count":
@@ -524,6 +538,16 @@ class _LinkedServers:
             num_triples_processed=int(meta1["triples"]),
             opening_rounds=int(meta1["opening_rounds"]),
         )
+
+    def _input_seeds(self) -> np.ndarray:
+        """The users' input-mask seeds: the dealer's one frame to the driver."""
+        meta, arrays = self._dealer.recv_expect(KIND_PROVISION)
+        if meta.get("phase") != "input_masks" or len(arrays) != 1:
+            raise RuntimeProcessError(
+                f"expected the dealer's input_masks frame, got phase "
+                f"{meta.get('phase')!r} with {len(arrays)} arrays"
+            )
+        return arrays[0]
 
     def release(self, count_result, planes, factor):
         """Each server lifts its count share, adds its plane, and they open."""
@@ -589,6 +613,7 @@ class _LinkedServers:
             ("server1", "server2", final1["sent"]["peer"]),
             ("server2", "driver", final2["sent"]["driver"]),
             ("server2", "server1", final2["sent"]["peer"]),
+            ("dealer", "driver", dealer_meta["sent"]["driver"]),
             ("dealer", "server1", dealer_meta["sent"]["server1"]),
             ("dealer", "server2", dealer_meta["sent"]["server2"]),
         ]

@@ -5,7 +5,8 @@ server owns three links — driver, dealer, and its peer server — and evaluate
 *only its role's side* of the secure protocol: it receives its half of every
 share payload and every piece of correlated randomness, or the seeds to
 expand it from (server 1's adjacency share and the blocked mask-once
-material), and exchanges opening rounds directly with its peer over
+material; on the blocked backends both servers receive the users' masked
+input ``E`` instead of shares), and exchanges opening rounds directly with its peer over
 :class:`~repro.runtime.wire` frames (one frame per opening round, never one
 per element).
 
@@ -16,9 +17,10 @@ The servers run the in-process backends' own code, not a copy of it.  Each
 (:func:`~repro.core.backends.faithful._gather_schedule`,
 :func:`~repro.core.backends.blocked.tile_schedule`), reads or regenerates
 the dealt material from its ``PROVISION`` frames, and calls the backend's counting
-kernel — :func:`~repro.core.backends.faithful.count_block`,
-:func:`~repro.core.backends.blocked.count_chunk` — with its one packed
-share ``(share,)`` and its :class:`OpeningChannel` as the *opener*.  The
+kernel — :func:`~repro.core.backends.faithful.count_block` with its one
+packed share ``(share,)``, :func:`~repro.core.backends.blocked.count_chunk`
+with the masked input and its own half of ``X`` — and its
+:class:`OpeningChannel` as the *opener*.  The
 in-process backends call the same kernels with both servers' shares and a
 local opener (:mod:`repro.crypto.secure_ops`), so both modes perform the
 same ring operations in the same order.  Because every ring operation is
@@ -40,6 +42,7 @@ authenticator raises.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from typing import List, Optional, Sequence
@@ -48,11 +51,13 @@ import numpy as np
 
 from repro.core.backends.base import num_candidate_triples, server1_share
 from repro.core.backends.blocked import (
+    INPUT_LABEL,
     chunk_rows,
     count_chunk,
-    held_masks,
     held_row,
     held_streams,
+    mask_blocks,
+    record_input,
     tile_schedule,
 )
 from repro.core.backends.faithful import _gather_schedule, count_block
@@ -67,6 +72,7 @@ from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, insta
 from repro.runtime.wire import (
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
+    KIND_CHECK,
     KIND_CONTROL,
     KIND_OPEN_MAC,
     KIND_OPEN_VALUES,
@@ -219,6 +225,23 @@ class OpeningChannel:
 
         return unpack_round(layout, opened)
 
+    def agree(self, label: str, array: np.ndarray) -> None:
+        """Confirm the peer holds the same *array*: swap 32-byte SHA-256 digests.
+
+        One ``CHECK`` frame each way, off the ledger (it is no protocol
+        message, like the in-process backends' equality check); a mismatch
+        aborts with :class:`~repro.exceptions.ProtocolError`.
+        """
+        digest = np.frombuffer(
+            hashlib.sha256(np.ascontiguousarray(array)).digest(), dtype=np.uint8
+        )
+        _, theirs = self._swap(KIND_CHECK, {"label": label}, digest)
+        if not np.array_equal(theirs, digest):
+            raise ProtocolError(
+                f"the servers received different {label} uploads: server "
+                f"{3 - self._role}'s digest differs from server {self._role}'s"
+            )
+
     def _swap(self, kind: int, meta: dict, array: np.ndarray):
         """Role-asymmetric exchange: role 1 sends first, role 2 receives first."""
         if self._role == 1:
@@ -285,19 +308,25 @@ def _count_mg(dealer_ep, channel, ring, share, num_users, batch_size, views, tra
     return int(total), triples_processed, opening_rounds
 
 
-def _count_blocked(dealer_ep, channel, ring, share, n, block_size, views, tracer):
+def _count_blocked(dealer_ep, channel, ring, e, n, block_size, views, tracer):
     """The blocked schedule as one mask-once chunk through ``count_chunk``.
 
-    The server regenerates its material from the dealer's seed frame
-    (``held_*`` in :mod:`~repro.core.backends.blocked`); server 2 also reads
-    one ``row_finish`` frame of ``Z`` tiles and ``W`` per row of tiles.
+    *e* is the users' masked input: the servers first confirm they both
+    received the same one (:meth:`OpeningChannel.agree`), then it is booked
+    once in this server's view.  The server regenerates its half of ``X``
+    and its finish material from the dealer's seed frame
+    (:func:`~repro.core.backends.blocked.mask_blocks`,
+    :func:`~repro.core.backends.blocked.held_row`); server 2 also reads one
+    ``row_finish`` frame of ``Z`` tiles and ``W`` per row of tiles.
     """
+    channel.agree(INPUT_LABEL, e)
     if n < 3:
         return 0, 0, 0
+    role = channel.roles[0]
+    record_input(views, channel.roles, e)
     schedule = tile_schedule(n, block_size)
     groups = range(len(schedule))
     rows = chunk_rows(schedule, groups)
-    role = channel.roles[0]
 
     def finish(position):
         correction = None
@@ -312,13 +341,13 @@ def _count_blocked(dealer_ep, channel, ring, share, n, block_size, views, tracer
     ) as backend_span:
         with tracer.span("offline", groups=len(schedule)):
             (seeds,) = _recv_blocked(dealer_ep, "material_seeds", 1)
-            streams = held_streams(seeds, ring, n, block_size, schedule)
-            masks = held_masks(schedule, groups, streams)
+            streams = held_streams(seeds, ring, schedule)
+            masks = mask_blocks(streams[0].row_seeds(n), schedule, ring)
         (total,) = count_chunk(
-            schedule, groups, masks, finish, (share,), ring, views, channel, tracer=tracer
+            schedule, groups, e, masks, finish, ring, views, channel, tracer=tracer
         )
-        backend_span.annotate(opening_rounds=2)
-    return int(total), num_candidate_triples(n), 2
+        backend_span.annotate(opening_rounds=1)
+    return int(total), num_candidate_triples(n), 1
 
 
 # ---------------------------------------------------------------------- #
@@ -362,25 +391,27 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
                 [np.array([noisy_max], dtype=np.float64)],
             )
 
-        # Count — this role's packed share of C, the strict upper part of
-        # the projected rows: S2 receives its entries, S1 regenerates its
-        # own from the users' seeds.
+        # Count — the users' upload of C, the strict upper part of the
+        # projected rows: on the blocked backends both servers receive the
+        # masked E; otherwise S2 receives its share entries and S1
+        # regenerates its own from the users' seeds.
         meta, arrays = driver_ep.recv_expect(KIND_SHARES)
         if meta.get("phase") != "adjacency_share":
             raise WireFormatError(
                 f"expected the adjacency_share upload, got phase {meta.get('phase')!r}"
             )
         upload = arrays[0]
+        backend = spec["backend"]
+        seeded = role == 1 and not spec["masked_input"]
         expected = (
-            ((n, 4), np.dtype(np.uint64)) if role == 1 else ((n * (n - 1) // 2,), ring.dtype)
+            ((n, 4), np.dtype(np.uint64)) if seeded else ((n * (n - 1) // 2,), ring.dtype)
         )
         if (upload.shape, upload.dtype) != expected:
             raise WireFormatError(
                 f"server {role}'s adjacency upload must be a {expected[0]} "
                 f"{expected[1]} array, got {upload.shape} {upload.dtype}"
             )
-        share = server1_share(upload, ring, tracer) if role == 1 else upload
-        backend = spec["backend"]
+        share = server1_share(upload, ring, tracer) if seeded else upload
         if backend in ("faithful", "batched"):
             batch_size = 1 if backend == "faithful" else int(spec["batch_size"])
             total, triples, rounds = _count_mg(

@@ -66,6 +66,7 @@ __all__ = [
     "KIND_OPEN_MAC",
     "KIND_RESULT",
     "KIND_ERROR",
+    "KIND_CHECK",
     "KIND_NAMES",
     "CONTROL_RUN",
     "CONTROL_CHECKPOINT",
@@ -99,6 +100,7 @@ KIND_OPEN_VALUES = 5  #: server <-> server opening-round value vectors
 KIND_OPEN_MAC = 6  #: server <-> server MAC tag-share vectors
 KIND_RESULT = 7  #: server -> driver phase or run results
 KIND_ERROR = 8  #: any -> any typed error report
+KIND_CHECK = 9  #: server <-> server digest of an input both must hold alike
 
 KIND_NAMES: Dict[int, str] = {
     KIND_HELLO: "HELLO",
@@ -109,6 +111,7 @@ KIND_NAMES: Dict[int, str] = {
     KIND_OPEN_MAC: "OPEN_MAC",
     KIND_RESULT: "RESULT",
     KIND_ERROR: "ERROR",
+    KIND_CHECK: "CHECK",
 }
 
 #: Control verbs carried in a CONTROL frame's ``meta["verb"]``.

@@ -19,11 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.backends import create_backend
-from repro.core.backends.base import (
-    CountResult,
-    num_candidate_triples,
-    upload_adjacency_shares,
-)
+from repro.core.backends.base import CountResult, num_candidate_triples
 from repro.core.projection import projected_triangle_count
 from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.views import ViewRecorder
@@ -81,10 +77,12 @@ class TriangleStatistic(SubgraphStatistic):
         """Algorithm 4 through whichever counting backend *config* names.
 
         Backends self-register with the backend registry; this kernel only
-        knows the configured name.  Each user uploads her shares of her
-        entries ``a_ij``, ``j > i``, first (the seed of server 1's share,
-        server 2's packed share row); with a *runtime* the uploads, the
-        dominant communication cost, are visible in the ledger
+        knows the configured name.  The backend's users' step
+        (:meth:`~repro.core.backends.base.TriangleCounterBackend.upload`)
+        runs first: each user uploads her entries ``a_ij``, ``j > i``, shared
+        (the seed of server 1's share, server 2's packed share row) or, on
+        the mask-once backends, masked to both servers.  With a *runtime* the
+        uploads, the dominant communication cost, are visible in the ledger
         (the openings between servers are internal to the counter backends).
         """
         counter = create_backend(
@@ -92,12 +90,12 @@ class TriangleStatistic(SubgraphStatistic):
             authenticator=authenticator,
         )
         tracer = resolve_telemetry(config).tracer
-        _, share1, share2 = upload_adjacency_shares(
-            projected_rows, config.ring, share_rng, runtime,
+        upload = counter.upload(
+            projected_rows, share_rng, runtime,
             tracer if runtime is not None else NULL_TRACER,
             server1_tracer=tracer,
         )
-        return counter.count_from_shares(share1, share2)
+        return counter.count_from_shares(*upload.inputs)
 
     def statistic_sensitivity(self, degree_bound: float) -> float:
         """Edge-DP sensitivity θ: one edge closes at most θ triangles (Theorem 2)."""

@@ -1,16 +1,17 @@
 """Windowed blocked backend: bounded memory, bit-identical openings.
 
 The ``tile_window`` pipeline deals, opens, and releases one chunk of
-``(J, K)`` tile groups at a time, two opening rounds per chunk, so peak
+``(J, K)`` tile groups at a time, one opening round per chunk, so peak
 offline-material memory is set by the window and not by ``n``.  Determinism
 rests on two invariants these tests pin: column block ``c``'s mask always
-comes from the same rewound sub-dealer and group ``g``'s finish material
-from the ``g``-th one (regardless of which chunk they land in or whether a
-chunk runs warm from a store), and subtotals plus views reduce in canonical
-schedule order.  Under those invariants every window size — and every
-cold/warm store combination — must reproduce the unwindowed engine's output
-shares, each group's opened ``F`` tile and every opened ``E`` entry bit for
-bit; only the grouping of the openings into rounds changes.
+comes from the users' row seeds and group ``g``'s finish material from the
+``g``-th group sub-dealer (regardless of which chunk they land in or whether
+a chunk runs warm from a store), and subtotals plus views reduce in
+canonical schedule order.  Under those invariants every window size — and
+every cold/warm store combination — must reproduce the unwindowed engine's
+output shares, the masked input ``E`` each server receives and each group's
+opened ``F`` tile bit for bit; only the grouping of the openings into rounds
+changes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import Cargo, CargoConfig
-from repro.core.backends import BlockedMatrixTriangleCounter, share_adjacency_rows
+from repro.core.backends import BlockedMatrixTriangleCounter
 from repro.core.backends import blocked
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.views import ViewRecorder
@@ -38,17 +39,19 @@ from repro.resilience import (
 
 NUM_USERS = 70
 BLOCK_SIZE = 16
+#: The material layout of the seeded column masks this kernel replaced.
+PARENT_LAYOUT = "mask_once_seeded"
 
 
 @pytest.fixture(scope="module")
 def shares():
+    """The graph and its rows; each count masks them with its own dealer's seeds."""
     graph = load_dataset("facebook", num_nodes=NUM_USERS)
-    share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=NUM_USERS)
-    return graph, share1, share2
+    return graph, graph.adjacency_matrix()
 
 
 def _run(shares, tile_window=None, store=None, record_views=True, seed=0):
-    _, share1, share2 = shares
+    _, rows = shares
     views = ViewRecorder() if record_views else None
     counter = BlockedMatrixTriangleCounter(
         dealer=BeaverTripleDealer(seed=seed),
@@ -58,7 +61,7 @@ def _run(shares, tile_window=None, store=None, record_views=True, seed=0):
         triple_store=store,
         tile_window=tile_window,
     )
-    result = counter.count_from_shares(share1, share2)
+    result = counter.count_from_shares(*counter.upload(rows).inputs)
     return result, views, counter
 
 
@@ -72,21 +75,19 @@ def _chunks(tile_window):
 
 
 def _openings(views, counter):
-    """Per server: every opened ``E`` prefix by column block, and the ``F`` tiles in group order."""
+    """Per server: the masked input ``E`` it received, and the ``F`` tiles in group order."""
     schedule, chunks = _chunks(counter.tile_window)
     openings = []
     for server in (1, 2):
         entries = views.view(server).entries
-        assert [e.label for e in entries] == ["mask_opening", "finish_opening"] * len(chunks)
-        masks, finishes = {}, []
-        for chunk, mask, finish in zip(chunks, entries[::2], entries[1::2]):
-            columns = blocked.chunk_columns(schedule, chunk)
-            assert len(mask.value) == len(columns)
-            for (c0, _, _), value in zip(columns, mask.value):
-                masks.setdefault(c0, []).append(value)
-            finishes.extend(finish.value)
+        assert [e.label for e in entries] == [blocked.INPUT_LABEL] + ["finish_opening"] * len(
+            chunks
+        )
+        (masked,) = entries[0].value
+        assert masked.shape == (NUM_USERS * (NUM_USERS - 1) // 2,)
+        finishes = [tile for finish in entries[1:] for tile in finish.value]
         assert len(finishes) == len(schedule)
-        openings.append((masks, finishes))
+        openings.append((masked, finishes))
     return openings
 
 
@@ -99,18 +100,11 @@ def _assert_same_transcript(lhs, rhs):
     assert result_l.num_triples_processed == result_r.num_triples_processed
     for side in (lhs, rhs):
         _, chunks = _chunks(side[2].tile_window)
-        assert side[0].opening_rounds == 2 * len(chunks)
-    for (masks_l, finishes_l), (masks_r, finishes_r) in zip(
+        assert side[0].opening_rounds == len(chunks)
+    for (masked_l, finishes_l), (masked_r, finishes_r) in zip(
         _openings(views_l, counter_l), _openings(views_r, counter_r)
     ):
-        assert sorted(masks_l) == sorted(masks_r)
-        for c0 in masks_l:
-            # Every opened prefix of a column block is a prefix of its
-            # longest opening, on both sides.
-            values = masks_l[c0] + masks_r[c0]
-            longest = max(values, key=len)
-            for value in values:
-                assert np.array_equal(value, longest[: len(value)]), c0
+        assert np.array_equal(masked_l, masked_r)
         assert len(finishes_l) == len(finishes_r)
         for tile_l, tile_r in zip(finishes_l, finishes_r):
             assert np.array_equal(tile_l, tile_r)
@@ -124,7 +118,7 @@ class TestWindowedTranscripts:
         _assert_same_transcript(baseline, windowed)
 
     def test_count_matches_ground_truth(self, shares):
-        graph, _, _ = shares
+        graph, _ = shares
         result, _, _ = _run(shares, tile_window=2, record_views=False)
         assert result.reconstruct() == count_triangles(graph)
 
@@ -134,32 +128,11 @@ class TestWindowedTranscripts:
         _assert_same_transcript(first, second)
 
     def test_dealer_accounting_matches_engine(self, shares):
-        """Windowed runs deal each group's material once, like the engine,
-        and re-deal a column's mask in every chunk that reads it."""
+        """Windowed runs deal X once, as the users' row seeds, and each
+        group's material once, exactly like the engine."""
         _, _, counter_engine = _run(shares, tile_window=None, record_views=False)
         _, _, counter_windowed = _run(shares, tile_window=3, record_views=False)
-        engine_dealer = counter_engine._dealer
-        windowed_dealer = counter_windowed._dealer
-        schedule, chunks = _chunks(3)
-        masks = [
-            (c0, c1)
-            for chunk in chunks
-            for c0, c1, _ in blocked.chunk_columns(schedule, chunk)
-        ]
-        columns = set(masks)
-        assert (
-            windowed_dealer.triples_issued - engine_dealer.triples_issued
-            == len(masks) - len(columns)
-        )
-        assert (
-            windowed_dealer.total_triple_elements - engine_dealer.total_triple_elements
-            == sum(blocked.packed_length(c0, c1, c1) for c0, c1 in masks)
-            - sum(blocked.packed_length(c0, c1, c1) for c0, c1 in columns)
-        )
-        assert (
-            windowed_dealer.largest_triple_elements
-            == engine_dealer.largest_triple_elements
-        )
+        assert counter_windowed._dealer.accounting() == counter_engine._dealer.accounting()
 
 
 class TestWindowedStore:
@@ -220,25 +193,45 @@ class TestWindowedStore:
         _assert_same_transcript(_run(shares, tile_window=3), rerun)
 
     def test_journal_of_another_layout_refuses_to_resume(self, shares, tmp_path, monkeypatch):
-        _, share1, share2 = shares
-        resilience = ResilienceConfig(checkpoint_path=tmp_path / "tiles.ckpt", resume=True)
+        _assert_journal_of_layout_refused(shares, tmp_path, monkeypatch, "per_range")
 
-        def counter():
-            return BlockedMatrixTriangleCounter(
-                dealer=BeaverTripleDealer(seed=0),
-                block_size=BLOCK_SIZE,
-                tile_window=3,
-                resilience=resilience,
-            )
-
+    def test_parent_layout_store_entry_is_a_miss(self, shares, tmp_path, monkeypatch):
+        """Material dealt as seeded column masks never replays into the masked-input kernel."""
+        assert blocked.LAYOUT != PARENT_LAYOUT
         with monkeypatch.context() as patch:
-            patch.setattr(blocked, "LAYOUT", "per_range")
-            plan = FaultPlan([FaultSpec("pool.task", FaultKind.CRASH, at=12)])
-            with install_fault_plan(plan), pytest.raises(InjectedCrash):
-                counter().count_from_shares(share1, share2)
-        assert (tmp_path / "tiles.ckpt").exists()
-        with pytest.raises(CheckpointError, match="refusing to resume"):
-            counter().count_from_shares(share1, share2)
+            patch.setattr(blocked, "LAYOUT", PARENT_LAYOUT)
+            _run(shares, tile_window=3, store=TripleStore(cache_dir=str(tmp_path)))
+        store = TripleStore(cache_dir=str(tmp_path))
+        rerun = _run(shares, tile_window=3, store=store)
+        assert store.hits == 0 and store.stats()["stores"] > 0
+        _assert_same_transcript(_run(shares, tile_window=3), rerun)
+
+    def test_parent_layout_journal_refuses_to_resume(self, shares, tmp_path, monkeypatch):
+        _assert_journal_of_layout_refused(shares, tmp_path, monkeypatch, PARENT_LAYOUT)
+
+
+def _assert_journal_of_layout_refused(shares, tmp_path, monkeypatch, layout):
+    """A tile journal written under *layout*'s token is refused on resume."""
+    _, rows = shares
+    resilience = ResilienceConfig(checkpoint_path=tmp_path / "tiles.ckpt", resume=True)
+
+    def count():
+        counter = BlockedMatrixTriangleCounter(
+            dealer=BeaverTripleDealer(seed=0),
+            block_size=BLOCK_SIZE,
+            tile_window=3,
+            resilience=resilience,
+        )
+        return counter.count_from_shares(*counter.upload(rows).inputs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blocked, "LAYOUT", layout)
+        plan = FaultPlan([FaultSpec("pool.task", FaultKind.CRASH, at=5)])
+        with install_fault_plan(plan), pytest.raises(InjectedCrash):
+            count()
+    assert (tmp_path / "tiles.ckpt").exists()
+    with pytest.raises(CheckpointError, match="refusing to resume"):
+        count()
 
 
 class TestConfiguration:
@@ -257,7 +250,7 @@ class TestConfiguration:
         assert counter.block_size == BLOCK_SIZE
 
     def test_full_pipeline_windowed_release_matches(self, shares):
-        graph, _, _ = shares
+        graph, _ = shares
         base = CargoConfig(
             epsilon=2.0, counting_backend="blocked", block_size=BLOCK_SIZE, seed=11
         )

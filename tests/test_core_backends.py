@@ -15,7 +15,11 @@ from repro.core.backends import (
     register_backend,
     unregister_backend,
 )
-from repro.core.backends.blocked import DEFAULT_BLOCK_SIZE, packed_length, tile_schedule
+from repro.core.backends.blocked import (
+    DEFAULT_BLOCK_SIZE,
+    INPUT_LABEL,
+    tile_schedule,
+)
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig, CountingBackend
 from repro.crypto.beaver import BeaverTripleDealer
@@ -116,30 +120,32 @@ class TestBlockedCounting:
         assert blocked.num_triples_processed == matrix.num_triples_processed
 
     @pytest.mark.parametrize("block_size", [1, 5, 16, 40, 64])
-    def test_two_rounds_of_packed_openings_at_any_tiling(self, block_size):
-        """Unwindowed, every tiling opens E once and F once, each packed to
-        the strict upper triangle: n(n-1) elements per role in two rounds."""
+    def test_one_upload_and_one_packed_opening_at_any_tiling(self, block_size):
+        """Unwindowed, every tiling receives the users' masked E once and
+        opens F once, each packed to the strict upper triangle: n(n-1)
+        elements per role, one of them an opening round."""
         n = 40
         graph = erdos_renyi_graph(n, 0.3, seed=5)
         views = ViewRecorder()
         result = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=6), block_size=block_size, views=views
         ).count(graph.adjacency_matrix(), rng=6)
-        assert result.opening_rounds == 2
+        assert result.opening_rounds == 1
         assert result.reconstruct() == count_triangles(graph)
         for server in (1, 2):
             entries = views.view(server).entries
-            assert [entry.label for entry in entries] == ["mask_opening", "finish_opening"]
-            assert all(entry.label.endswith("_opening") for entry in entries)
+            assert [entry.label for entry in entries] == [INPUT_LABEL, "finish_opening"]
+            # E is an upload, not an opening: only F is booked as one.
+            assert [entry.label.endswith("_opening") for entry in entries] == [False, True]
             opened = sum(int(np.size(part)) for entry in entries for part in entry.value)
             assert opened == n * (n - 1)
 
-    def test_single_block_degenerates_to_two_rounds(self):
+    def test_single_block_degenerates_to_one_round(self):
         graph = erdos_renyi_graph(25, 0.3, seed=5)
         result = BlockedMatrixTriangleCounter(block_size=100).count(
             graph.adjacency_matrix(), rng=6
         )
-        assert result.opening_rounds == 2
+        assert result.opening_rounds == 1
         assert result.reconstruct() == count_triangles(graph)
 
     def test_tiny_graph_short_circuits(self):
@@ -166,9 +172,9 @@ class TestBlockedCounting:
 
 
 class TestBlockedMemoryProfile:
-    def test_largest_issue_is_one_column_block(self):
-        """The dealer's largest single issue is one column block's mask, so
-        a tile bounds it by O(n · block_size), not O(n^2)."""
+    def test_largest_issue_is_one_user_row_or_one_tile(self):
+        """The dealer's largest single issue is one user's row of X or one
+        group tile of Y' or Z, so it is O(n + block_size^2), not O(n^2)."""
         n, block_size = 64, 8
         graph = erdos_renyi_graph(n, 0.2, seed=9)
         rows = graph.adjacency_matrix()
@@ -176,12 +182,12 @@ class TestBlockedMemoryProfile:
         BlockedMatrixTriangleCounter(dealer=dealer, block_size=block_size).count(
             rows, rng=10
         )
-        assert dealer.largest_triple_elements == packed_length(n - block_size, n, n)
+        assert dealer.largest_triple_elements == max(n - 1, block_size**2)
         assert 8 * dealer.largest_triple_elements <= n * n
 
     def test_dealer_deals_each_mask_once_per_run(self):
-        """Unwindowed: one mask per column block, then one Y', one Z and one
-        W issue per group; X and Y' total n(n-1)/2 elements each."""
+        """One X issue per user row (her two row seeds), then one Y', one Z
+        and one W issue per group; X and Y' total n(n-1)/2 elements each."""
         n, block_size = 12, 4
         dealer = BeaverTripleDealer(seed=1)
         graph = erdos_renyi_graph(n, 0.4, seed=1)
@@ -190,7 +196,7 @@ class TestBlockedMemoryProfile:
         )
         groups = len(tile_schedule(n, block_size))
         pairs = n * (n - 1) // 2
-        assert dealer.triples_issued == n // block_size + 3 * groups
+        assert dealer.triples_issued == n + 3 * groups
         # X, Y' and Z cover every pair j < k once; W is one element per group.
         assert dealer.total_triple_elements == 3 * pairs + groups
 

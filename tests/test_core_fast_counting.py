@@ -30,10 +30,11 @@ class TestMatrixCounting:
         result = BlockedMatrixTriangleCounter().count(rows, rng=3)
         assert result.reconstruct() == count_triangles(medium_cluster_graph)
 
-    def test_two_opening_rounds_only(self, medium_cluster_graph):
+    def test_one_opening_round_only(self, medium_cluster_graph):
+        """The users upload E masked, so only F is opened."""
         rows = medium_cluster_graph.adjacency_matrix()
         result = BlockedMatrixTriangleCounter().count(rows, rng=4)
-        assert result.opening_rounds == 2
+        assert result.opening_rounds == 1
 
     def test_tiny_graph_short_circuits(self):
         result = BlockedMatrixTriangleCounter().count(np.zeros((2, 2), dtype=np.int64), rng=5)

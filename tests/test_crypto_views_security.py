@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.backends import BlockedMatrixTriangleCounter
+from repro.core.backends.blocked import INPUT_LABEL
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING
@@ -185,7 +186,7 @@ class TestOpeningsHideSecrets:
 
 
 def _mask_once_views(graph, seed: int) -> ViewRecorder:
-    """Both servers' views of one blocked count (the mask-once openings)."""
+    """Both servers' views of one blocked count (the masked input and the F opening)."""
     views = ViewRecorder()
     BlockedMatrixTriangleCounter(
         dealer=BeaverTripleDealer(seed=seed), block_size=8, views=views
@@ -199,9 +200,9 @@ def _opened(views: ViewRecorder, server: int, label: str) -> np.ndarray:
 
 
 class TestMaskOnceOpeningsHideSecrets:
-    """The blocked kernel's two openings: E = C - X, then F = M - Y'."""
+    """What the blocked kernel's servers see: the users' E = C - X, then the opened F = M - Y'."""
 
-    LABELS = ("mask_opening", "finish_opening")
+    LABELS = (INPUT_LABEL, "finish_opening")
 
     def test_views_identical_for_both_servers(self):
         views = _mask_once_views(erdos_renyi_graph(20, 0.4, seed=1), seed=2)

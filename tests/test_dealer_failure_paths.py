@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.backends import (
-    BlockedMatrixTriangleCounter,
-    FaithfulTriangleCounter,
-    share_adjacency_rows,
-)
+from repro.core.backends import BlockedMatrixTriangleCounter, FaithfulTriangleCounter
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.exceptions import DealerError
@@ -49,20 +45,22 @@ def _backend(name: str, dealer_seed=None, **kwargs):
     raise AssertionError(name)
 
 
-def _shares(num_nodes=12, density=0.5, seed=3):
-    graph = erdos_renyi_graph(num_nodes, density, seed=seed)
-    rows = graph.adjacency_matrix()
-    share1, share2 = share_adjacency_rows(rows, rng=seed)
-    return graph, share1, share2
+def _graph(num_nodes=12, density=0.5, seed=3):
+    return erdos_renyi_graph(num_nodes, density, seed=seed)
+
+
+def _count(counter, graph, seed=3):
+    """The backend's users' step on *graph*'s rows, then its secure count."""
+    return counter.count(graph.adjacency_matrix(), rng=seed)
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_dealer_exhaustion_is_a_typed_failure(name):
-    graph, share1, share2 = _shares()
+    graph = _graph()
     plan = FaultPlan([FaultSpec("dealer.provision", FaultKind.EXHAUST, at=1)])
     with install_fault_plan(plan):
         with pytest.raises(DealerError):
-            _backend(name).count_from_shares(share1, share2)
+            _count(_backend(name), graph)
     assert [entry["site"] for entry in plan.triggered()] == ["dealer.provision"]
 
 
@@ -71,11 +69,11 @@ def test_late_dealer_exhaustion_is_still_typed(name):
     # Exhaustion mid-run (not on the first provision) must not surface as a
     # partial result; the faithful/batched pools provision in blocks, the
     # matrix/blocked dealers per triple/tile.
-    graph, share1, share2 = _shares()
+    graph = _graph()
     plan = FaultPlan([FaultSpec("dealer.provision", FaultKind.EXHAUST, at=2)])
     with install_fault_plan(plan):
         try:
-            result = _backend(name).count_from_shares(share1, share2)
+            result = _count(_backend(name), graph)
         except DealerError:
             return  # the typed failure is the expected outcome...
     # ...unless the backend legitimately provisions only once — then the
@@ -85,16 +83,16 @@ def test_late_dealer_exhaustion_is_still_typed(name):
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_oversized_store_decline_matches_storeless_run(name):
-    graph, share1, share2 = _shares()
+    graph = _graph()
     expected = count_triangles(graph)
     store = TripleStore(max_entry_bytes=1)  # every batch is oversized
-    counted = _backend(name, triple_store=store).count_from_shares(share1, share2)
+    counted = _count(_backend(name, triple_store=store), graph)
     assert counted.reconstruct() == expected
     # Nothing was admitted: a rerun against the same store re-deals cold and
     # still reconstructs the same count.
     assert store.stats()["entries"] == 0
     assert store.stats()["hits"] == 0
-    recount = _backend(name, triple_store=store).count_from_shares(share1, share2)
+    recount = _count(_backend(name, triple_store=store), graph)
     assert recount.reconstruct() == expected
     assert store.stats()["hits"] == 0
 
@@ -103,15 +101,11 @@ def test_oversized_store_decline_matches_storeless_run(name):
 def test_accepting_store_serves_second_run_warm(name):
     # Control for the decline test: with a generous budget the same flow
     # admits the batch and the second run hits.
-    graph, share1, share2 = _shares()
+    graph = _graph()
     expected = count_triangles(graph)
     store = TripleStore()
-    first = _backend(name, dealer_seed=11, triple_store=store).count_from_shares(
-        share1, share2
-    )
-    second = _backend(name, dealer_seed=11, triple_store=store).count_from_shares(
-        share1, share2
-    )
+    first = _count(_backend(name, dealer_seed=11, triple_store=store), graph)
+    second = _count(_backend(name, dealer_seed=11, triple_store=store), graph)
     assert first.reconstruct() == expected
     assert second.reconstruct() == expected
     assert store.stats()["hits"] >= 1

@@ -46,10 +46,12 @@ class TestCommunicationOverhead:
         result = Cargo(CargoConfig(epsilon=2.0, seed=0, track_communication=True)).run(graph)
         phases = result.communication_phases
         n = graph.num_nodes
-        # Each user uploads a 32-byte seed to S1 and her n - 1 - i share
-        # elements a_ij, j > i, to S2.
+        # The default (matrix) backend masks the upload: the dealer sends
+        # each user her two 32-byte row seeds, and each user uploads her
+        # n - 1 - i masked elements of C to both servers.
+        assert phases["input_masks"] == {"messages": n, "bytes": 64 * n}
         assert phases["adjacency_share"]["messages"] == 2 * n
-        assert phases["adjacency_share"]["bytes"] == 4 * n * (n - 1) + 32 * n
+        assert phases["adjacency_share"]["bytes"] == 8 * n * (n - 1)
         # Each user uploads one scalar noise share to each server.
         assert phases["noise_share"]["messages"] == 2 * n
         assert phases["noise_share"]["bytes"] == 2 * n * 8

@@ -238,7 +238,7 @@ class TestTripleStoreThroughPipeline:
 class TestExhaustionErrors:
     def test_truncated_blocked_material_raises(self):
         graph = erdos_renyi_graph(20, 0.5, seed=1)
-        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=2)
+        adjacency = graph.adjacency_matrix()
         store = TripleStore()
         counter = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=5),
@@ -246,15 +246,15 @@ class TestExhaustionErrors:
             workers=1,
             triple_store=store,
         )
-        counter.count_from_shares(share1, share2)
+        counter.count(adjacency, rng=2)
         # Corrupt the stored batch: drop the last group's material.
-        (token, (masks, rows, tallies)), = counter._store._entries.items()
+        (token, (rows, tallies)), = counter._store._entries.items()
 
         def drop(half):
             return dataclasses.replace(half, y=half.y[:-1], z=half.z[:-1])
 
         last = Dealt(drop(rows[-1].server1), drop(rows[-1].server2))
-        counter._store._entries[token] = (masks, rows[:-1] + [last], tallies)
+        counter._store._entries[token] = (rows[:-1] + [last], tallies)
         warm = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=5),
             block_size=8,
@@ -262,7 +262,7 @@ class TestExhaustionErrors:
             triple_store=store,
         )
         with pytest.raises(DealerError, match="material mismatch"):
-            warm.count_from_shares(share1, share2)
+            warm.count(adjacency, rng=2)
 
     def test_truncated_group_stream_raises(self):
         graph = erdos_renyi_graph(12, 0.5, seed=1)

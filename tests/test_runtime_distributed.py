@@ -132,11 +132,15 @@ class TestBitIdentity:
         assert remote.tracer.structure() == local.tracer.structure()
 
     def test_server_one_expands_the_seeds_in_one_span(self, graph):
-        """Server 1's seed expansion has its own span in the kept span tree."""
+        """Server 1's seed expansion has its own span in the kept span tree.
+
+        The share-based backends send server 1 seeds; the mask-once ones
+        send both servers ``E`` and expand nothing at upload.
+        """
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-        run_distributed(graph, make_config("blocked", distributed=True, telemetry=telemetry))
+        run_distributed(graph, make_config("batched", distributed=True, telemetry=telemetry))
 
         def walk(spans):
             for span in spans:
@@ -221,8 +225,9 @@ class TestTransport:
         assert blas_threads() == before
 
     def test_blocked_links_carry_their_closed_form_payloads(self, graph):
-        """Seeds, not matrices: S1 receives 32-byte seeds from the users and
-        the dealer, and S2 gets only its Z/W corrections on top of them."""
+        """Seeds, not matrices: the users mask C with the dealer's 64-byte row
+        seeds and send E to both servers, each server gets its 32-byte
+        stream seeds, and S2 gets only its Z/W corrections on top of them."""
         from repro.core.backends.blocked import chunk_rows, tile_schedule
         from repro.telemetry import Telemetry
 
@@ -235,20 +240,32 @@ class TestTransport:
         links = transport["links"]
         schedule = tile_schedule(n, block)
         rows = len(chunk_rows(schedule, range(len(schedule))))
-        seeds = 32 * (len(range(0, n, block)) + len(schedule))
-        # Per user: a float64 noisy degree, a 32-byte seed, a noise share.
-        assert links["driver->server1"] == 8 * n + 32 * n + 8 * n
-        # Per user i: her n - 1 - i share elements and a noise share.
+        seeds = 32 * (1 + len(schedule))
+        # Per user: a float64 noisy degree, her n - 1 - i elements of E, a
+        # noise share.
+        assert links["driver->server1"] == 8 * n + 4 * n * (n - 1) + 8 * n
+        # Per user i: her n - 1 - i elements of E and a noise share.
         assert links["driver->server2"] == 4 * n * (n - 1) + 8 * n
         assert links["driver->dealer"] == 0
+        # Per user: her two 32-byte row seeds, in one frame to the driver.
+        assert links["dealer->driver"] == 64 * n
         assert links["dealer->server1"] == seeds
         # One Z-correction element per strict-upper entry, one W per J row.
         assert links["dealer->server2"] == seeds + 8 * n * (n - 1) // 2 + 8 * rows
         assert sum(links.values()) == transport["payload_bytes"]
         assert result.communication_phases["adjacency_share"] == {
             "messages": 2 * n,
-            "bytes": 32 * n + 4 * n * (n - 1),
+            "bytes": 8 * n * (n - 1),
         }
+        assert result.communication_phases["input_masks"] == {
+            "messages": n,
+            "bytes": 64 * n,
+        }
+        # E crosses from the users only: each server sends its peer a
+        # 32-byte digest of E, its values of F and of the release, each
+        # with its MAC tag share.
+        opened = 8 * n * (n - 1) // 2 + 8
+        assert links["server1->server2"] == links["server2->server1"] == 32 + 2 * opened
         assert (
             transport["wire_bytes"]
             == transport["payload_bytes"] + transport["overhead_bytes"]
@@ -341,7 +358,7 @@ class TestCheaterDetection:
         tampered = run_distributed(
             graph,
             make_config("matrix", distributed=True, authenticate=False),
-            tamper=(1, 1),
+            tamper=(1, 0),
         )
         # No MAC: the lie silently lands in the release instead of aborting.
         assert tampered.noisy_triangle_count != honest.noisy_triangle_count

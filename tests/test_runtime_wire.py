@@ -24,6 +24,7 @@ from repro.exceptions import (
 )
 from repro.runtime.wire import (
     HEADER,
+    KIND_CHECK,
     KIND_CONTROL,
     KIND_ERROR,
     KIND_HELLO,
@@ -65,6 +66,7 @@ KIND_EXAMPLES = {
     ),
     KIND_RESULT: ({"stage": "count", "share": 12, "phase": "count"}, []),
     KIND_ERROR: ({"error_type": "WireFormatError", "message": "boom"}, []),
+    KIND_CHECK: ({"label": "masked_input"}, [np.arange(32, dtype=np.uint8)]),
 }
 
 

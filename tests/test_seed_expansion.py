@@ -22,17 +22,20 @@ from repro.core.backends.base import (
     upper_lengths,
 )
 from repro.core.backends.blocked import (
+    Dealt,
     RowFinish,
-    chunk_columns,
+    all_columns,
     chunk_dealers,
     chunk_rows,
-    deal_masks,
+    column_blocks,
     deal_row,
-    held_masks,
     held_row,
     held_streams,
+    input_seeds,
+    mask_blocks,
     material_seeds,
     tile_schedule,
+    upload_masked_input,
 )
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.protocol import TwoServerRuntime
@@ -122,21 +125,21 @@ class TestHeldMaterial:
         n, block = self.NUM_USERS, self.BLOCK
         ring = Ring(bits=64)
         schedule = tile_schedule(n, block)
-        dealers = chunk_dealers(BeaverTripleDealer(ring=ring, seed=9), n, block, schedule)
+        dealers = chunk_dealers(BeaverTripleDealer(ring=ring, seed=9), schedule)
         held = {
-            role: held_streams(material_seeds(dealers, role), ring, n, block, schedule)
+            role: held_streams(material_seeds(dealers, role), ring, schedule)
             for role in (1, 2)
         }
+        # In process, the users' rows of X are kept as the servers' halves.
+        _, halves = upload_masked_input(_rows(n), input_seeds(dealers, n), ring)
+        masks = Dealt(*(column_blocks(half, all_columns(schedule)) for half in halves))
+        for role, dealt in ((1, masks.server1), (2, masks.server2)):
+            regenerated = mask_blocks(held[role][0].row_seeds(n), schedule, ring)
+            assert regenerated.keys() == dealt.keys()
+            assert all(np.array_equal(regenerated[c0], dealt[c0]) for c0 in dealt)
         step = window or len(schedule)
-        masked = []
         for start in range(0, len(schedule), step):
             groups = range(start, min(start + step, len(schedule)))
-            masked.extend(c0 for c0, _, _ in chunk_columns(schedule, groups))
-            masks = deal_masks(schedule, groups, dealers)
-            for role, dealt in ((1, masks.server1), (2, masks.server2)):
-                regenerated = held_masks(schedule, groups, held[role])
-                assert len(regenerated) == len(dealt)
-                assert all(np.array_equal(a, b) for a, b in zip(regenerated, dealt))
             for position in range(len(chunk_rows(schedule, groups))):
                 row = deal_row(schedule, groups, position, masks, dealers, ring)
                 _same_finish(held_row(schedule, groups, position, held[1]), row.server1)
@@ -144,23 +147,18 @@ class TestHeldMaterial:
                 _same_finish(
                     held_row(schedule, groups, position, held[2], correction), row.server2
                 )
-        if window is not None:
-            # Some column was re-dealt by a later chunk from its rewound streams.
-            assert len(masked) > len(set(masked))
 
     def test_each_server_gets_its_own_seeds(self):
         n, block = self.NUM_USERS, self.BLOCK
         ring = Ring(bits=64)
         schedule = tile_schedule(n, block)
-        dealers = chunk_dealers(BeaverTripleDealer(ring=ring, seed=2), n, block, schedule)
+        dealers = chunk_dealers(BeaverTripleDealer(ring=ring, seed=2), schedule)
         first, second = material_seeds(dealers, 1), material_seeds(dealers, 2)
-        assert first.shape == second.shape == (len(dealers[0]) + len(schedule), 4)
+        assert first.shape == second.shape == (1 + len(schedule), 4)
         assert not np.any(np.all(first == second, axis=1))
 
     def test_seed_matrix_of_another_geometry_is_refused(self):
         ring = Ring(bits=64)
         schedule = tile_schedule(self.NUM_USERS, self.BLOCK)
         with pytest.raises(DealerError, match="seed matrix"):
-            held_streams(
-                np.zeros((3, 4), dtype=np.uint64), ring, self.NUM_USERS, self.BLOCK, schedule
-            )
+            held_streams(np.zeros((3, 4), dtype=np.uint64), ring, schedule)

@@ -78,7 +78,11 @@ class TestTriangleBitIdentity:
             phase: counts["messages"]
             for phase, counts in result.communication_phases.items()
         }
-        assert got_messages == golden["messages"]
+        expected = dict(golden["messages"])
+        if backend in ("matrix", "blocked"):
+            # The mask-once backends' dealer sends each user her row seeds.
+            expected["input_masks"] = num_nodes
+        assert got_messages == expected
 
     def test_aliases_mirror_triangle_fields(self):
         graph = load_dataset("facebook", num_nodes=40)

@@ -266,10 +266,13 @@ class TestWorkerCountTranscriptEquivalence:
     larger pool must open the same streams bit for bit.
     """
 
+    @staticmethod
+    def _rows():
+        return erdos_renyi_graph(14, 0.5, seed=9).adjacency_matrix()
+
     @pytest.fixture(scope="class")
     def shares(self):
-        graph = erdos_renyi_graph(14, 0.5, seed=9)
-        return share_adjacency_rows(graph.adjacency_matrix(), rng=10)
+        return share_adjacency_rows(self._rows(), rng=10)
 
     def _faithful_openings(self, shares, workers, batch_size):
         share1, share2 = shares
@@ -300,11 +303,13 @@ class TestWorkerCountTranscriptEquivalence:
         assert default_result.share1 == engine_result.share1
         assert default_result.share2 == engine_result.share2
 
-    def test_blocked_engine_openings_pinned_across_workers(self, shares):
+    def test_blocked_engine_openings_pinned_across_workers(self):
         from repro.core.backends import BlockedMatrixTriangleCounter
         from repro.crypto.beaver import BeaverTripleDealer
 
-        share1, share2 = shares
+        from repro.core.backends.blocked import INPUT_LABEL
+
+        rows = self._rows()
 
         def openings(workers):
             views = ViewRecorder()
@@ -314,9 +319,9 @@ class TestWorkerCountTranscriptEquivalence:
                 views=views,
                 workers=workers,
             )
-            result = counter.count_from_shares(share1, share2)
+            result = counter.count(rows, rng=10)
             entries = views.view(1).entries
-            assert [entry.label for entry in entries] == ["mask_opening", "finish_opening"]
+            assert [entry.label for entry in entries] == [INPUT_LABEL, "finish_opening"]
             stream = [
                 np.atleast_1d(np.asarray(part, dtype=np.uint64))
                 for entry in entries
@@ -327,7 +332,7 @@ class TestWorkerCountTranscriptEquivalence:
         reference_result, reference_stream = openings(1)
         default = BlockedMatrixTriangleCounter(
             dealer=BeaverTripleDealer(seed=62), block_size=4
-        ).count_from_shares(share1, share2)
+        ).count(rows, rng=10)
         assert (default.share1, default.share2) == (
             reference_result.share1,
             reference_result.share2,
