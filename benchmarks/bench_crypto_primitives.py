@@ -17,6 +17,14 @@ float64 GEMMs each product runs, and writes
 ``repro.crypto.ring.BLAS_MIN_MULTIPLY_ADDS`` cites::
 
     PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul
+
+``--bits`` sweeps ring widths as well (the crossover is the first width's):
+each width's products draw operands from ``Z_{2^bits}``, and the run prints
+the limb-pair GEMMs a product of inner dimension at most
+:data:`~repro.crypto.ring.LIMB_CHUNK` runs per width — the table of
+docs/performance.md's "Right-sized ring" section::
+
+    PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul --bits 64 44 22
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import (
     BLAS_MIN_MULTIPLY_ADDS,
     DEFAULT_RING,
+    LIMB_CHUNK,
+    Ring,
     inner_chunks,
     int64_matmul,
     limb_matmul,
@@ -69,14 +79,14 @@ def _best_of(callable_, reps: int) -> float:
     return best
 
 
-def _random_ring_matrices(n: int, seed: int, inner=None, cols=None):
-    """Random ``n x inner`` and ``inner x cols`` ring matrices (square by default)."""
+def _random_ring_matrices(n: int, seed: int, inner=None, cols=None, ring=DEFAULT_RING):
+    """Random ``n x inner`` and ``inner x cols`` *ring* matrices (square by default)."""
     rng = np.random.default_rng(seed)
     inner = n if inner is None else inner
     cols = n if cols is None else cols
     return (
-        DEFAULT_RING.random_array((n, inner), rng),
-        DEFAULT_RING.random_array((inner, cols), rng),
+        ring.random_array((n, inner), rng),
+        ring.random_array((inner, cols), rng),
     )
 
 
@@ -164,44 +174,66 @@ def run_crypto_primitives(reps: int = 5):
     return rows
 
 
-def run_ring_matmul_sweep(
-    sizes=RING_MATMUL_SWEEP, server_shapes=RING_MATMUL_SERVER_SHAPES, reps: int = 3
-) -> dict:
-    """Best-of-*reps* int64 vs limb timings per shape, plus the measured crossover.
+def limb_pair_table(widths, inner: int = LIMB_CHUNK):
+    """``(bits, limb width, GEMMs)`` of one product of random *bits*-wide operands.
 
-    Both kernels' products are checked bit-identical before either is timed.
-    The crossover is the smallest swept n from which the limb path is faster
-    at every larger swept n too; the *server_shapes* rows do not enter it.
+    >>> [gemms for _, _, gemms in limb_pair_table((64, 45, 44, 23, 22))]
+    [6, 6, 3, 3, 1]
+    """
+    return [
+        (bits, limb_width(inner), limb_gemms(inner, bits)) for bits in widths
+    ]
+
+
+def run_ring_matmul_sweep(
+    sizes=RING_MATMUL_SWEEP,
+    server_shapes=RING_MATMUL_SERVER_SHAPES,
+    reps: int = 3,
+    widths=(64,),
+) -> dict:
+    """Best-of-*reps* int64 vs limb timings per ring width and shape, plus the crossover.
+
+    Both kernels' products are checked bit-identical (mod ``2^bits``)
+    before either is timed.  The crossover is the smallest swept n of the
+    first width from which the limb path is faster at every larger swept n
+    too; the *server_shapes* rows do not enter it.
     """
     shapes = [(n, n, n) for n in sizes] + [tuple(shape) for shape in server_shapes]
     rows = []
-    for m, k, n in shapes:
-        a, b = _random_ring_matrices(m, seed=m * k + n, inner=k, cols=n)
-        if not np.array_equal(int64_matmul(a, b), limb_matmul(a, b)):
-            raise AssertionError(f"limb_matmul differs from int64_matmul at {m}x{k}x{n}")
-        chunks = inner_chunks(k, 64, 64)
-        int64_s = _best_of(lambda: int64_matmul(a, b), reps)
-        limb_s = _best_of(lambda: limb_matmul(a, b), reps)
-        rows.append(
-            {
-                "m": m,
-                "k": k,
-                "n": n,
-                "multiply_adds": m * k * n,
-                "chunks": len(chunks),
-                "limb_width": limb_width(chunks[0][1] - chunks[0][0]),
-                "gemms": limb_gemms(k),
-                "int64_s": int64_s,
-                "limb_s": limb_s,
-                "speedup": int64_s / limb_s,
-            }
-        )
-        print(
-            f"  {m:5d}x{k:5d}x{n:5d} chunks={len(chunks)} gemms={limb_gemms(k):2d}"
-            f"  int64 {int64_s*1e3:10.3f} ms  limb {limb_s*1e3:9.3f} ms"
-            f"  ({int64_s / limb_s:5.2f}x)",
-            flush=True,
-        )
+    for bits in widths:
+        ring = Ring(bits)
+        mask = np.uint64(ring.mask)
+        for m, k, n in shapes:
+            a, b = _random_ring_matrices(m, seed=m * k + n, inner=k, cols=n, ring=ring)
+            if not np.array_equal(int64_matmul(a, b) & mask, limb_matmul(a, b, bits) & mask):
+                raise AssertionError(
+                    f"limb_matmul differs from int64_matmul at {m}x{k}x{n}, {bits} bits"
+                )
+            chunks = inner_chunks(k, bits, bits, bits)
+            gemms = limb_gemms(k, bits)
+            int64_s = _best_of(lambda: int64_matmul(a, b), reps)
+            limb_s = _best_of(lambda: limb_matmul(a, b, bits), reps)
+            rows.append(
+                {
+                    "bits": bits,
+                    "m": m,
+                    "k": k,
+                    "n": n,
+                    "multiply_adds": m * k * n,
+                    "chunks": len(chunks),
+                    "limb_width": limb_width(chunks[0][1] - chunks[0][0]),
+                    "gemms": gemms,
+                    "int64_s": int64_s,
+                    "limb_s": limb_s,
+                    "speedup": int64_s / limb_s,
+                }
+            )
+            print(
+                f"  {bits:2d} bits {m:5d}x{k:5d}x{n:5d} chunks={len(chunks)} gemms={gemms:2d}"
+                f"  int64 {int64_s*1e3:10.3f} ms  limb {limb_s*1e3:9.3f} ms"
+                f"  ({int64_s / limb_s:5.2f}x)",
+                flush=True,
+            )
     crossover = None
     for row in reversed(rows[: len(sizes)]):
         if row["limb_s"] >= row["int64_s"]:
@@ -216,6 +248,10 @@ def run_ring_matmul_sweep(
         },
         "reps": reps,
         "rows": rows,
+        "limb_pairs": [
+            {"bits": bits, "inner": LIMB_CHUNK, "limb_width": width, "gemms": gemms}
+            for bits, width, gemms in limb_pair_table(widths)
+        ],
         "crossover_n": crossover,
         "crossover_multiply_adds": None if crossover is None else crossover**3,
         "blas_min_multiply_adds": BLAS_MIN_MULTIPLY_ADDS,
@@ -291,10 +327,21 @@ if __name__ == "__main__":
     parser.add_argument(
         "--ring-matmul", action="store_true", help="run the int64-vs-limb ring matmul sweep"
     )
-    if parser.parse_args().ring_matmul:
-        sweep = run_ring_matmul_sweep()
+    parser.add_argument(
+        "--bits",
+        type=int,
+        nargs="+",
+        default=[64],
+        help="ring widths the ring matmul sweep runs (default: 64)",
+    )
+    args = parser.parse_args()
+    if args.ring_matmul:
+        sweep = run_ring_matmul_sweep(widths=tuple(args.bits))
         destination = Path(__file__).resolve().parent / "results" / "ring_matmul.json"
         atomic_write_json(destination, sweep)
+        print(f"limb-pair GEMMs per product at inner <= {LIMB_CHUNK}:")
+        for row in sweep["limb_pairs"]:
+            print(f"  {row['bits']:2d} bits: {row['gemms']} ({row['limb_width']}-bit limbs)")
         print(f"crossover n={sweep['crossover_n']}; wrote {destination}")
     else:
         output_rows = run_crypto_primitives()

@@ -17,6 +17,10 @@ Telemetry` session.  Three properties must hold per cell:
    message totals equal the ``comm_bytes`` / ``comm_messages`` metric
    counters exactly, both directions
    (:func:`~repro.telemetry.verify_ledger_reconciliation`).
+4. **Ring width** — the release record and the result carry ``ring_bits``:
+   the width :func:`~repro.core.cargo.release_ring` derives from the
+   release's public values, and 64 on a MAC-checked release of the same
+   cell.
 
 Artifacts (one manifest per backend plus a combined Prometheus dump and a
 summary JSON) land under ``benchmarks/results/telemetry/`` and are uploaded
@@ -36,7 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import Cargo, CargoConfig
+from repro.core.cargo import release_ring
 from repro.graph.datasets import load_dataset
+from repro.stats import create_statistic
 from repro.telemetry import (
     Telemetry,
     to_prometheus_text,
@@ -72,9 +78,8 @@ def _view_streams(views):
     return streams
 
 
-def _run_release(backend: str, statistic: str, telemetry):
-    graph = load_dataset("facebook", num_nodes=BACKEND_SIZES[backend])
-    config = CargoConfig(
+def _config(backend: str, statistic: str, telemetry, authenticate: bool = False):
+    return CargoConfig(
         epsilon=2.0,
         seed=7,
         statistic=statistic,
@@ -84,7 +89,34 @@ def _run_release(backend: str, statistic: str, telemetry):
         record_views=True,
         track_communication=True,
         telemetry=telemetry,
+        authenticate=authenticate,
     )
+
+
+def _ring_bits_ok(backend: str, statistic: str, telemetry, result) -> bool:
+    """Check 4 on the traced *result*: the derived width; MAC-checked, 64."""
+    record = telemetry.releases[-1]
+    graph = load_dataset("facebook", num_nodes=BACKEND_SIZES[backend])
+    config = _config(backend, statistic, None)
+    stat = create_statistic(statistic, config)
+    derived = release_ring(
+        config,
+        stat,
+        num_users=graph.num_nodes,
+        degree_bound=result.noisy_max_degree,
+        sensitivity=stat.secure_output_sensitivity(result.noisy_max_degree),
+        epsilon2=result.epsilon2,
+    )
+    authed = Cargo(_config(backend, statistic, telemetry, authenticate=True)).run(graph)
+    return (
+        result.ring_bits == record["ring_bits"] == derived.bits < 64
+        and authed.ring_bits == telemetry.releases[-1]["ring_bits"] == 64
+    )
+
+
+def _run_release(backend: str, statistic: str, telemetry):
+    graph = load_dataset("facebook", num_nodes=BACKEND_SIZES[backend])
+    config = _config(backend, statistic, telemetry)
     cargo = Cargo(config)
     result = cargo.run(graph)
     transcript = (
@@ -112,12 +144,17 @@ def main() -> int:
             if not identical:
                 failures.append(f"transcript/{cell}")
             print(f"  {'ok' if identical else 'FAIL':4s} transcript {cell}")
+            ring_ok = _ring_bits_ok(backend, statistic, telemetry, result)
+            if not ring_ok:
+                failures.append(f"ring_bits/{cell}")
+            print(f"  {'ok' if ring_ok else 'FAIL':4s} ring_bits {cell} ({result.ring_bits})")
             summary_rows.append(
                 {
                     "backend": backend,
                     "statistic": statistic,
                     "num_nodes": BACKEND_SIZES[backend],
                     "transcript_identical": identical,
+                    "ring_bits": result.ring_bits,
                     "noisy_count": result.noisy_triangle_count,
                     "phases": sorted(result.communication_phases),
                 }

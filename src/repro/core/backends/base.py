@@ -45,15 +45,23 @@ from repro.utils.rng import RandomState, seeded_rng, spawn_state_matrix
 
 @dataclass(frozen=True)
 class CountResult:
-    """Secret shares of the (unperturbed) triangle count held by S1 and S2."""
+    """Secret shares of the (unperturbed) triangle count held by S1 and S2.
+
+    ``ring`` is the ring the shares live in.
+    """
 
     share1: int
     share2: int
     num_triples_processed: int
     opening_rounds: int
+    ring: Ring = DEFAULT_RING
 
-    def reconstruct(self, ring: Ring = DEFAULT_RING) -> int:
-        """Recombine the two shares (used only by tests / the final analyst step)."""
+    def reconstruct(self, ring: Optional[Ring] = None) -> int:
+        """Recombine the two shares (used only by tests / the final analyst step).
+
+        They recombine in *ring*, or in the shares' own ring when it is ``None``.
+        """
+        ring = self.ring if ring is None else ring
         return int(ring.decode_signed(ring.add(self.share1, self.share2)))
 
 

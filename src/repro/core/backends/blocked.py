@@ -74,7 +74,7 @@ from repro.core.backends.base import (
 )
 from repro.core.backends.registry import register_backend
 from repro.crypto.beaver import BeaverTripleDealer, MaterialStream
-from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring
+from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring, ring_of
 from repro.crypto.secure_ops import PlainOpener, held_material, open_round
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
@@ -720,9 +720,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         name: str = "blocked",
     ) -> "BlockedMatrixTriangleCounter":
         """Build from *config* for the registered *name* (see :func:`block_size_for`)."""
-        dealer = BeaverTripleDealer(ring=config.ring, seed=dealer_rng)
+        ring = ring_of(config)
+        dealer = BeaverTripleDealer(ring=ring, seed=dealer_rng)
         return cls(
-            ring=config.ring,
+            ring=ring,
             dealer=dealer,
             block_size=block_size_for(name, config),
             views=views,
@@ -867,7 +868,9 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             raise ProtocolError("both servers must receive the same masked input E")
         dealt, self._dealt = self._dealt, None
         if n < 3:
-            return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
+            return CountResult(
+                share1=0, share2=0, num_triples_processed=0, opening_rounds=0, ring=ring
+            )
         if dealt is None or (dealt.e is not e and not np.array_equal(dealt.e, e)):
             raise ProtocolError(
                 "this masked input E was not dealt by the last upload: run this "
@@ -981,6 +984,7 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             share2=int(total2),
             num_triples_processed=num_candidate_triples(n),
             opening_rounds=opening_rounds,
+            ring=ring,
         )
 
 

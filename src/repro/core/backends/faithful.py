@@ -43,7 +43,7 @@ from repro.core.backends.base import (
 )
 from repro.core.backends.registry import register_backend
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
@@ -308,9 +308,10 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         views: Optional[ViewRecorder] = None,
         authenticator=None,
     ) -> "FaithfulTriangleCounter":
-        dealer = MultiplicationGroupDealer(ring=config.ring, seed=dealer_rng)
+        ring = ring_of(config)
+        dealer = MultiplicationGroupDealer(ring=ring, seed=dealer_rng)
         return cls(
-            ring=config.ring,
+            ring=ring,
             dealer=dealer,
             batch_size=1,
             views=views,
@@ -437,6 +438,7 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             share2=int(total2),
             num_triples_processed=triples_processed,
             opening_rounds=opening_rounds,
+            ring=ring,
         )
 
 
@@ -448,9 +450,10 @@ def _build_batched_backend(
     authenticator=None,
 ) -> FaithfulTriangleCounter:
     """The batched execution mode: the faithful protocol at ``config.batch_size``."""
-    dealer = MultiplicationGroupDealer(ring=config.ring, seed=dealer_rng)
+    ring = ring_of(config)
+    dealer = MultiplicationGroupDealer(ring=ring, seed=dealer_rng)
     return FaithfulTriangleCounter(
-        ring=config.ring,
+        ring=ring,
         dealer=dealer,
         batch_size=config.batch_size,
         views=views,

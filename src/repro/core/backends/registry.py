@@ -6,12 +6,13 @@ backends self-register at import time (importing :mod:`repro.core.backends`
 is enough); third-party code registers its own with the same decorator::
 
     from repro.core.backends import TriangleCounterBackend, register_backend
+    from repro.crypto.ring import ring_of
 
     @register_backend("sparse")
     class SparseTriangleCounter(TriangleCounterBackend):
         @classmethod
         def from_config(cls, config, dealer_rng=None, views=None):
-            return cls(ring=config.ring, views=views)
+            return cls(ring=ring_of(config), views=views)
         ...
 
     CargoConfig(counting_backend="sparse")  # now resolves

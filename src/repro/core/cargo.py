@@ -3,7 +3,8 @@
 :class:`Cargo` wires the phases together:
 
 1. `Max` (Algorithm 2) privately estimates the maximum degree ``d'_max``
-   spending ε1;
+   spending ε1, which fixes the ring ``Z_{2^l}`` the rest of the release
+   runs in (:func:`release_ring`: the fewest bits its public bound needs);
 2. `Project` (Algorithm 3) bounds each user's degree by ``d'_max`` using the
    similarity-based rule;
 3. `Count` (Algorithm 4, or one of its accelerated equivalents) computes
@@ -29,16 +30,23 @@ communication ledger, which is everything the paper's figures need.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.core.backends.blocked import POOLED_BACKENDS, block_size_for, default_workers
 from repro.core.config import CargoConfig
 from repro.core.max_degree import MaxDegreeEstimator, clamp_max_degree
-from repro.core.perturbation import DistributedPerturbation, release_opening
+from repro.core.perturbation import (
+    OVERFLOW_TAIL_BITS,
+    DistributedPerturbation,
+    release_opening,
+    required_ring_bits,
+)
 from repro.core.projection import SimilarityProjection
 from repro.core.result import CargoResult
 from repro.crypto.mac import resolve_authenticator
 from repro.crypto.protocol import TwoServerRuntime
+from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.secure_ops import PlainOpener
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ConfigurationError
@@ -102,26 +110,80 @@ def protocol_rngs(config):
     return max_rng, share_rng, noise_rng, dealer_rng
 
 
+def release_ring(
+    config, statistic, *, num_users: int, degree_bound: float, sensitivity: float, epsilon2: float
+) -> Ring:
+    """The ring one release counts and perturbs in, derived from public values only.
+
+    Called once per release, right after `Max`, by :meth:`Cargo._run_protocol`
+    (both transports run it).  The statistic's public bound on its raw
+    output (:meth:`~repro.stats.SubgraphStatistic.secure_output_bound`, from
+    ``n`` and ``θ = ⌊degree_bound⌋``), `Perturb`'s noise scale
+    ``sensitivity / epsilon2`` and ``config.fixed_point_bits`` give the bits
+    the opened value needs (:func:`~repro.core.perturbation.required_ring_bits`).
+
+    A ``config.ring`` that is set is returned as pinned, and so is the 64-bit
+    ring of a MAC-checked release (``authenticate=True`` or an injected
+    authenticator), whose tags stay in ``Z_{2^64}``; either raises
+    :class:`~repro.exceptions.ConfigurationError` when it cannot hold the
+    bound, instead of wrapping the released count silently.  Otherwise the
+    release runs in exactly the bits the bound needs, and a need above 64
+    bits raises the same error.  A statistic without a bound keeps the ring
+    pinned, or 64 bits.
+    """
+    pinned = config.ring
+    if pinned is None and config.authenticate:
+        pinned = DEFAULT_RING
+    bound = statistic.secure_output_bound(num_users, degree_bound)
+    if bound is None:
+        return DEFAULT_RING if pinned is None else pinned
+    bits = required_ring_bits(
+        bound,
+        sensitivity=sensitivity,
+        epsilon2=epsilon2,
+        num_users=num_users,
+        fixed_point_bits=config.fixed_point_bits,
+    )
+    capacity = DEFAULT_RING.bits if pinned is None else pinned.bits
+    if bits > capacity:
+        raise ConfigurationError(
+            f"this {statistic.name} release needs a {bits}-bit ring but "
+            f"{'the pinned ring holds' if pinned is not None else 'rings hold at most'} "
+            f"{capacity} bits: its raw output is bounded by {bound} (n={num_users}, "
+            f"d'_max={degree_bound:g}), with fixed_point_bits="
+            f"{config.fixed_point_bits}, a sign bit and a 2^-{OVERFLOW_TAIL_BITS} "
+            "Laplace tail; a narrower ring would wrap the released count"
+        )
+    return Ring(bits) if pinned is None else pinned
+
+
 class LocalServers:
     """Both servers in this process: the in-process servers seam.
 
-    :meth:`Cargo._run_protocol` calls its servers seam at the four points
+    :meth:`Cargo._run_protocol` calls its servers seam at the five points
     where the two servers act — ``max_degree`` (``S1``'s clamp in `Max`),
-    ``count`` (`Count` on the uploaded shares), ``release`` (the servers'
-    step of `Perturb`) and ``finish`` (after the release: the MAC counters
-    and the transport section).  ``runtime`` is the communication ledger the
-    users' steps book their uploads on (``None`` when untracked).  The
+    ``use_ring`` (the release's ring, derived right after `Max`), ``count``
+    (`Count` on the uploaded shares), ``release`` (the servers' step of
+    `Perturb`) and ``finish`` (after the release: the MAC counters and the
+    transport section).  ``runtime`` is the communication ledger the users'
+    steps book their uploads on (``None`` when untracked).  The
     process-separated runtime implements the same calls over its links
     (:mod:`repro.runtime.driver`).
     """
 
-    def __init__(self, runtime: Optional[TwoServerRuntime], authenticator, ring) -> None:
+    def __init__(self, runtime: Optional[TwoServerRuntime], authenticator) -> None:
         self.runtime = runtime
         self._authenticator = authenticator
-        self._opener = authenticator if authenticator is not None else PlainOpener(ring)
-        self._ring = ring
+        self._opener = authenticator
+        self._ring = None
 
     max_degree = staticmethod(clamp_max_degree)
+
+    def use_ring(self, ring: Ring) -> None:
+        """Count and release in *ring*: plain openings reduce in it."""
+        self._ring = ring
+        if self._authenticator is None:
+            self._opener = PlainOpener(ring)
 
     def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
         """The statistic's secure kernel (degree-local when *sparse*)."""
@@ -218,7 +280,7 @@ class Cargo:
         # final release reconstruction in `Perturb`) goes through its batched
         # MAC check, so a tampering server aborts the run instead of biasing
         # the released count.
-        servers = LocalServers(runtime, resolve_authenticator(config), config.ring)
+        servers = LocalServers(runtime, resolve_authenticator(config))
         # One CPU budget for the whole release: BLAS is capped before Max,
         # so no BLAS thread woken by a wider earlier product spins on into
         # Count's row tasks.
@@ -256,6 +318,21 @@ class Cargo:
                     max_result = estimator.run(
                         graph.degrees(), rng=max_rng, servers=servers
                     )
+                # The ring follows from public values once d'_max is out;
+                # Count, Perturb and both servers use it from here on.
+                sensitivity = self._perturb_sensitivity(
+                    statistic, max_result.noisy_max_degree
+                )
+                ring = release_ring(
+                    config,
+                    statistic,
+                    num_users=graph.num_nodes,
+                    degree_bound=max_result.noisy_max_degree,
+                    sensitivity=sensitivity,
+                    epsilon2=budget.epsilon2,
+                )
+                servers.use_ring(ring)
+                count_config = dataclasses.replace(config, ring=ring)
 
                 # ------------------------------------------------------ #
                 # Step 1b — Project: similarity-based degree bounding.
@@ -287,7 +364,7 @@ class Cargo:
                         if use_sparse
                         else projection_result.projected_rows,
                         sparse=use_sparse,
-                        config=config,
+                        config=count_config,
                         share_rng=share_rng,
                         dealer_rng=dealer_rng,
                         views=views,
@@ -303,11 +380,9 @@ class Cargo:
                 with tracer.span("perturb"):
                     perturbation = DistributedPerturbation(
                         epsilon2=budget.epsilon2,
-                        sensitivity=self._perturb_sensitivity(
-                            statistic, max_result.noisy_max_degree
-                        ),
+                        sensitivity=sensitivity,
                         num_users=max(graph.num_nodes, 1),
-                        ring=config.ring,
+                        ring=ring,
                         fixed_point_bits=config.fixed_point_bits,
                     )
                     perturb_result = perturbation.run(
@@ -361,6 +436,7 @@ class Cargo:
             backend=backend,
             statistic=config.statistic,
             telemetry=result_telemetry,
+            ring_bits=ring.bits,
         )
 
 
@@ -430,6 +506,7 @@ def feed_run_telemetry(
         "epsilon": {"max": budget.epsilon1, "perturb": budget.epsilon2},
         "opening_rounds": count_result.opening_rounds,
         "candidates": count_result.num_triples_processed,
+        "ring_bits": count_result.ring.bits,
         "timings": timings,
         "communication_phases": communication_phases,
     }

@@ -11,7 +11,7 @@ from repro.core.backends.registry import (
     backend_registered,
     resolve_backend_name,
 )
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import Ring
 from repro.dp.budget import DEFAULT_MAX_DEGREE_FRACTION, PrivacyBudget
 from repro.exceptions import ConfigurationError
 
@@ -73,7 +73,17 @@ class CargoConfig:
         Star size for the ``kstars`` statistic (``2`` counts wedges);
         ignored by other statistics.
     ring:
-        Secret-sharing ring.
+        Secret-sharing ring ``Z_{2^l}``.  ``None`` (default) derives ``l``
+        per release, right after `Max`, from public values only: the fewest
+        bits that hold the statistic's bound on its raw output on ``n`` users
+        of degree at most ``⌊d'_max⌋``, `Perturb`'s noise up to a
+        ``2^-40`` Laplace tail, ``fixed_point_bits`` and a sign bit
+        (:func:`~repro.core.cargo.release_ring`).  Ring products then run
+        fewer limb-pair GEMMs; released counts are the same as in 64 bits.
+        MAC-checked releases keep 64 bits.  An explicit :class:`Ring` pins
+        the width, and a release it cannot hold raises
+        :class:`~repro.exceptions.ConfigurationError` after `Max`, before
+        any material is dealt.
     fixed_point_bits:
         Fractional bits used to embed the real-valued distributed noise into
         the ring during `Perturb`.
@@ -187,7 +197,7 @@ class CargoConfig:
     counting_backend: Union[CountingBackend, str] = CountingBackend.MATRIX
     statistic: str = "triangles"
     star_k: int = 2
-    ring: Ring = DEFAULT_RING
+    ring: Optional[Ring] = None
     fixed_point_bits: int = 16
     sparse: str = "auto"
     batch_size: int = 4096

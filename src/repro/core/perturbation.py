@@ -12,6 +12,7 @@ observing the raw count or any individual noise contribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -31,6 +32,40 @@ from repro.utils.rng import (
     spawn_state_matrix,
     uniforms_from_states,
 )
+
+
+#: A derived ring overflows on a release with probability at most
+#: ``2^-OVERFLOW_TAIL_BITS``: the Laplace tail its noise headroom leaves out.
+OVERFLOW_TAIL_BITS = 40
+
+
+def required_ring_bits(
+    output_bound: int,
+    *,
+    sensitivity: float,
+    epsilon2: float,
+    num_users: int,
+    fixed_point_bits: int,
+) -> int:
+    """Fewest ring bits that hold `Perturb`'s opened value for an output up to *output_bound*.
+
+    The opened value is ``T · 2^f + N``: the raw secure output ``0 ≤ T ≤
+    output_bound`` in fixed point, plus the users' encoded noises.  Their sum
+    is within ``n / 2`` of ``2^f`` times a Laplace draw of scale ``λ =
+    sensitivity / ε2``, which exceeds ``t = OVERFLOW_TAIL_BITS · ln 2 · λ`` in
+    magnitude with probability ``e^(−t/λ) = 2^-OVERFLOW_TAIL_BITS``.  So
+    ``|T · 2^f + N| ≤ B = output_bound · 2^f + ⌈t · 2^f⌉ + ⌈n / 2⌉`` but for
+    that tail, and the ring needs ``B``'s bit length plus a sign bit.
+
+    >>> required_ring_bits(0, sensitivity=1.0, epsilon2=1.0, num_users=1, fixed_point_bits=0)
+    6
+    >>> required_ring_bits(2**20, sensitivity=1.0, epsilon2=1.0, num_users=1, fixed_point_bits=16)
+    38
+    """
+    factor = 1 << fixed_point_bits
+    tail = math.ceil(OVERFLOW_TAIL_BITS * math.log(2) * sensitivity / epsilon2 * factor)
+    bound = int(output_bound) * factor + tail + -(-num_users // 2)
+    return bound.bit_length() + 1
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,11 @@ class CargoResult:
         Per-phase summary block (rows plus a rendered table, opening-round
         and triple-store stats) when the run carried a
         :class:`~repro.telemetry.Telemetry` bundle; ``None`` otherwise.
+    ring_bits:
+        Width ``l`` of the ring ``Z_{2^l}`` the release counted and perturbed
+        in: the pinned ``ring`` when the configuration set one, 64 on a
+        MAC-checked release, otherwise the fewest bits the release's public
+        bound needs (:func:`~repro.core.cargo.release_ring`).
     """
 
     noisy_triangle_count: float
@@ -65,6 +70,7 @@ class CargoResult:
     backend: str = "matrix"
     statistic: str = "triangles"
     telemetry: Optional[Dict] = None
+    ring_bits: int = 64
 
     @property
     def noisy_count(self) -> float:

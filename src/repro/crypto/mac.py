@@ -13,10 +13,21 @@ after each opening round the servers run a batched MAC check
 Because ``alpha`` is forced odd it is a unit of ``Z_{2^64}``, so a one-sided
 tamper ``d -> d + delta`` with ``delta != 0`` shifts the check by
 ``alpha * delta != 0`` and is detected with probability 1.  An adversary that
-additionally forges its tag share must pick ``delta_t == alpha * delta_v``
-without knowing ``alpha`` — success probability at most ``2^-63`` over the
-secret odd key.  Detection is *anonymous* in the SPDZ sense: the check proves
-that cheating happened, not which server cheated.
+also shifts its tag share must pick ``delta_t == alpha * delta_v`` without
+knowing ``alpha``, and in ``Z_{2^l}`` that is **not** hard for every shift:
+
+* **Known weakness.**  ``alpha * 2^(l-1) == 2^(l-1) (mod 2^l)`` for every odd
+  ``alpha``, so a server that adds ``2^(l-1)`` to both its value share and
+  its tag share passes every check without knowing ``alpha``.  More
+  generally, a shift ``delta_v = 2^(l-j) * u`` (``u`` odd) needs
+  ``alpha mod 2^j``, whose low bit is known, so it passes with probability
+  ``2^-(j-1)``.  A release shifted by half the ring is accepted today (the
+  strict ``xfail`` in ``tests/test_verify_adversary.py`` reproduces it);
+  SPDZ2k-style tags (Cramer et al., CRYPTO 2018), which check in a wider
+  ring than the values live in, close it.
+
+Detection is *anonymous* in the SPDZ sense: the check proves that cheating
+happened, not which server cheated.
 
 Two deliberate simplifications, mirroring the repo's trusted-dealer offline
 phase (the dealer already learns ``z = x * y`` of every Beaver triple):
@@ -61,7 +72,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.crypto.ring import DEFAULT_RING, Ring
+from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
 from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.utils.rng import derive_rng, stable_seed_from_name
 
@@ -432,6 +443,6 @@ def resolve_authenticator(config) -> Optional[OpeningAuthenticator]:
     if getattr(config, "authenticate", False):
         return OpeningAuthenticator(
             seed=int(getattr(config, "seed", 0) or 0),
-            ring=getattr(config, "ring", DEFAULT_RING),
+            ring=ring_of(config),
         )
     return None

@@ -252,10 +252,13 @@ class Ring:
     Parameters
     ----------
     bits:
-        Bit width ``l`` of ring elements.  Must be between 2 and 64.  CARGO's
-        default of 64 bits leaves ample headroom: the largest value that the
-        protocol aggregates is the triangle count plus noise, far below
-        ``2^63``.
+        Bit width ``l`` of ring elements.  Must be between 2 and 64, and
+        defaults to 64.  A release whose configuration pins no ring derives
+        the fewest bits its public bound needs
+        (:func:`~repro.core.cargo.release_ring`: the statistic's bound on its
+        raw output, the Laplace tail, the fixed-point bits and a sign bit),
+        and its ring products run fewer limb-pair GEMMs in fewer bits;
+        MAC-checked releases keep 64 bits.
     """
 
     bits: int = 64
@@ -387,5 +390,20 @@ class Ring:
         return np.asarray(raw, dtype=self.dtype) & self.dtype.type(self.mask)
 
 
-#: The ring used throughout CARGO unless a caller overrides it.
+#: The 64-bit ring: what a component uses when its caller names no ring.
 DEFAULT_RING = Ring(bits=64)
+
+
+def ring_of(config) -> Ring:
+    """The ring *config* pins, or :data:`DEFAULT_RING` when its ``ring`` is unset.
+
+    A release resolves an unset ring once, after `Max`, and hands its kernels
+    a configuration that pins the result; a kernel called directly on a
+    configuration that pins nothing runs in 64 bits.
+
+    >>> from types import SimpleNamespace
+    >>> ring_of(SimpleNamespace(ring=None)).bits, ring_of(SimpleNamespace(ring=Ring(40))).bits
+    (64, 40)
+    """
+    ring = getattr(config, "ring", None)
+    return DEFAULT_RING if ring is None else ring

@@ -43,6 +43,7 @@ from repro.core.backends.blocked import (
 from repro.core.backends.faithful import group_stream
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
+from repro.crypto.ring import Ring
 from repro.exceptions import WireFormatError
 from repro.parallel.blas import blas_threads, os_threads
 from repro.runtime.wire import (
@@ -52,6 +53,7 @@ from repro.runtime.wire import (
     KIND_PROVISION,
     KIND_RESULT,
     WireEndpoint,
+    recv_ring_bits,
     summary_delta,
 )
 
@@ -59,11 +61,11 @@ __all__ = ["run_dealer"]
 
 
 def _deal_mg(
-    spec: Dict, driver: WireEndpoint, server1: WireEndpoint, server2: WireEndpoint
+    spec: Dict, ring: Ring, driver: WireEndpoint, server1: WireEndpoint, server2: WireEndpoint
 ) -> None:
     """Walk the faithful/batched group stream and ship each group."""
     batch_size = 1 if spec["backend"] == "faithful" else int(spec["batch_size"])
-    dealer = MultiplicationGroupDealer(ring=spec["ring"], seed=spec["dealer_rng"])
+    dealer = MultiplicationGroupDealer(ring=ring, seed=spec["dealer_rng"])
     meta = {"label": "mg_group"}
     for group in group_stream(dealer, int(spec["num_users"]), batch_size):
         server1.send(
@@ -75,7 +77,7 @@ def _deal_mg(
 
 
 def _deal_blocked(
-    spec: Dict, driver: WireEndpoint, server1: WireEndpoint, server2: WireEndpoint
+    spec: Dict, ring: Ring, driver: WireEndpoint, server1: WireEndpoint, server2: WireEndpoint
 ) -> None:
     """Deal the blocked schedule as one mask-once chunk: seeds, then row by row.
 
@@ -85,7 +87,6 @@ def _deal_blocked(
     regenerate.
     """
     n = int(spec["num_users"])
-    ring = spec["ring"]
     schedule = tile_schedule(n, int(spec["block_size"]))
     dealers = chunk_dealers(BeaverTripleDealer(ring=ring, seed=spec["dealer_rng"]), schedule)
     seeds = input_seeds(dealers, n)
@@ -115,9 +116,10 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
     """Main loop of the dealer process.
 
     Handshakes driver, server 1, server 2 (in that order), then serves one
-    full provisioning replay per ``RUN`` control frame.  Any failure — a
-    server dying mid-provision surfaces here as a send error — is reported
-    to the driver as an ``ERROR`` frame and ends the process.
+    full provisioning replay per ``RUN`` control frame, in the ring of the
+    ``ring`` frame that follows it once the driver's `Max` is done.  Any
+    failure — a server dying mid-provision surfaces here as a send error —
+    is reported to the driver as an ``ERROR`` frame and ends the process.
     """
     driver_ep = WireEndpoint(driver_sock, name="dealer", peer="driver")
     server1 = WireEndpoint(s1_sock, name="dealer", peer="server1")
@@ -146,11 +148,14 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
                     raise WireFormatError(
                         f"dealer has no schedule for backend {spec['backend']!r}"
                     )
+                bits = recv_ring_bits(driver_ep)
+                if bits is None:
+                    break
                 started = time.perf_counter()
                 before = driver_ep.sent_summary()
                 before1 = server1.sent_summary()
                 before2 = server2.sent_summary()
-                deal(spec, driver_ep, server1, server2)
+                deal(spec, Ring(bits), driver_ep, server1, server2)
                 driver_ep.send(
                     KIND_RESULT,
                     {

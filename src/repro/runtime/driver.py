@@ -71,6 +71,7 @@ from repro.resilience import Checkpointer, resolve_resilience
 from repro.runtime.dealer import run_dealer
 from repro.runtime.server import run_server
 from repro.runtime.wire import (
+    CONTROL_RING,
     CONTROL_RUN,
     CONTROL_SHUTDOWN,
     KIND_CONTROL,
@@ -153,7 +154,7 @@ def _checkpoint_token(config: CargoConfig, variant: str, graph) -> str:
             config.batch_size,
             config.block_size,
             config.fixed_point_bits,
-            config.ring.mask,
+            "derived" if config.ring is None else config.ring.mask,
             budget.epsilon1,
             budget.epsilon2,
             config.seed,
@@ -355,8 +356,8 @@ class DistributedRuntime:
         runs here too); *views*, when given, receives both servers'
         recorded views.  *cargo* must run on this runtime's own
         configuration object: the server specs, dealer stream and checkpoint
-        are built from it.  A detected cheat or a failed process poisons the
-        runtime.
+        are built from it.  A detected cheat, a release no ring can hold, or
+        a failed process poisons the runtime.
         """
         if cargo.config is not self._config:
             raise ConfigurationError(
@@ -369,7 +370,9 @@ class DistributedRuntime:
         try:
             servers = _LinkedServers(self, cargo.backend_label, graph, views)
             return cargo._run_protocol(graph, servers=servers, views=views)
-        except CheaterDetectedError:
+        except (CheaterDetectedError, ConfigurationError):
+            # The parties are mid-release (a refused ring leaves them waiting
+            # for its frame), so they are shut down.
             self._broken = True
             self.close()
             raise
@@ -385,8 +388,9 @@ class _LinkedServers:
     by shipping the users' uploads to the server processes and reading their
     answers back, cross-checking each answer on the way.  Constructing it
     starts the release: it loads a resume checkpoint, if any, and sends the
-    ``RUN`` specs, so the dealer deals while the driver runs the users'
-    steps.
+    ``RUN`` specs.  Once `Max` is done, :meth:`use_ring` sends every party
+    the release's ring, and the dealer deals while the driver runs the
+    users' steps.
     """
 
     def __init__(self, owner: DistributedRuntime, variant: str, graph, views) -> None:
@@ -416,15 +420,12 @@ class _LinkedServers:
                 self._resumed = tuple(self._checkpointer.load()["phases"])
 
         block_size = block_size_for(config.backend_name, config)
-        # The backend's users' step runs here, in the driver; the dealer
-        # process deals its material, so this instance deals nothing.
-        self._counter = create_backend(config.counting_backend, config=config)
+        self._ring = None
         spec = {
             "backend": config.backend_name,
-            "masked_input": self._counter.masked_input,
+            "masked_input": create_backend(config.counting_backend, config=config).masked_input,
             "batch_size": config.batch_size,
             "block_size": block_size,
-            "ring": config.ring,
             "authenticate": bool(config.authenticate),
             "seed": int(getattr(config, "seed", 0) or 0),
             "record_views": views is not None,
@@ -442,7 +443,6 @@ class _LinkedServers:
             specs[target_role]["fault_target"] = owner._fault_target
         dealer_spec = {
             "backend": config.backend_name,
-            "ring": config.ring,
             "num_users": n,
             "batch_size": config.batch_size,
             "block_size": block_size,
@@ -484,6 +484,13 @@ class _LinkedServers:
             self._checkpointer.save({"phases": _MAX_PHASES})
         return noisy_max
 
+    def use_ring(self, ring) -> None:
+        """Send both servers and the dealer the release's ring, fixed after `Max`."""
+        self._ring = ring
+        meta = {"verb": CONTROL_RING, "bits": ring.bits}
+        for endpoint in (self._s1, self._s2, self._dealer):
+            endpoint.send(KIND_CONTROL, meta)
+
     def count(self, statistic, projected, *, sparse, config, share_rng, dealer_rng, views):
         """Run the backend's users' step; both servers run the backend's kernel.
 
@@ -502,7 +509,10 @@ class _LinkedServers:
             if telemetry.enabled and config.track_communication
             else NULL_TRACER
         )
-        counter = self._counter
+        # The backend's users' step runs here, in the driver, in the ring
+        # *config* pins; the dealer process deals the material, so this
+        # instance deals nothing.
+        counter = create_backend(config.counting_backend, config=config)
         if counter.masked_input:
             upload = counter.upload(
                 projected, share_rng, self.runtime, share_tracer,
@@ -537,6 +547,7 @@ class _LinkedServers:
             share2=int(meta2["share"]),
             num_triples_processed=int(meta1["triples"]),
             opening_rounds=int(meta1["opening_rounds"]),
+            ring=self._ring,
         )
 
     def _input_seeds(self) -> np.ndarray:
@@ -551,7 +562,7 @@ class _LinkedServers:
 
     def release(self, count_result, planes, factor):
         """Each server lifts its count share, adds its plane, and they open."""
-        ring = self._config.ring
+        ring = self._ring
         noise_meta = {"phase": "noise_share", "factor": int(factor)}
         self._s1.send(KIND_SHARES, noise_meta, [planes[0]])
         self._s2.send(KIND_SHARES, noise_meta, [planes[1]])

@@ -65,6 +65,7 @@ from repro.core.max_degree import clamp_max_degree
 from repro.core.perturbation import release_opening
 from repro.crypto.mac import MacKey, _TAG_DOMAIN, pack_round, unpack_round
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
+from repro.crypto.ring import Ring
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
 from repro.parallel.blas import blas_threads, os_threads
@@ -80,6 +81,7 @@ from repro.runtime.wire import (
     KIND_RESULT,
     KIND_SHARES,
     WireEndpoint,
+    recv_ring_bits,
     summary_delta,
 )
 from repro.telemetry.spans import NULL_TRACER, Tracer
@@ -353,22 +355,17 @@ def _count_blocked(dealer_ep, channel, ring, e, n, block_size, views, tracer):
 # ---------------------------------------------------------------------- #
 # Release execution and the server main loop
 # ---------------------------------------------------------------------- #
-def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
-    """One release: Max clamp (S1), count, perturb, final report."""
+def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> bool:
+    """One release: Max clamp (S1), the ring, count, perturb, final report.
+
+    Returns ``False`` when the driver shut the server down in place of the
+    ring frame.
+    """
     started = time.perf_counter()
-    ring = spec["ring"]
     n = int(spec["num_users"])
     telemetry_on = bool(spec.get("telemetry"))
     tracer = Tracer() if telemetry_on else NULL_TRACER
     views = ViewRecorder() if spec.get("record_views") else None
-    channel = OpeningChannel(
-        peer_ep,
-        role=role,
-        ring=ring,
-        authenticate=bool(spec.get("authenticate")),
-        seed=int(spec.get("seed") or 0),
-        tamper_round=spec.get("tamper_round"),
-    )
     driver_before = driver_ep.sent_summary()
     peer_before = peer_ep.sent_summary()
 
@@ -390,6 +387,21 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
                 {"phase": "noisy_max_degree"},
                 [np.array([noisy_max], dtype=np.float64)],
             )
+
+        # The ring the driver derived from d'_max: every share, opening and
+        # tag of this release lives in it.
+        bits = recv_ring_bits(driver_ep)
+        if bits is None:
+            return False
+        ring = Ring(bits)
+        channel = OpeningChannel(
+            peer_ep,
+            role=role,
+            ring=ring,
+            authenticate=bool(spec.get("authenticate")),
+            seed=int(spec.get("seed") or 0),
+            tamper_round=spec.get("tamper_round"),
+        )
 
         # Count — the users' upload of C, the strict upper part of the
         # projected rows: on the blocked backends both servers receive the
@@ -463,6 +475,7 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> None:
             },
         },
     )
+    return True
 
 
 def run_server(role: int, driver_sock, dealer_sock, peer_sock) -> None:
@@ -498,7 +511,8 @@ def run_server(role: int, driver_sock, dealer_sock, peer_sock) -> None:
                 )
                 break
             try:
-                _run_release(int(role), meta["spec"], driver_ep, dealer_ep, peer_ep)
+                if not _run_release(int(role), meta["spec"], driver_ep, dealer_ep, peer_ep):
+                    break
             except InjectedCrash:
                 os._exit(2)
             except BaseException as error:  # noqa: BLE001 - reported, then fatal

@@ -69,6 +69,7 @@ __all__ = [
     "KIND_CHECK",
     "KIND_NAMES",
     "CONTROL_RUN",
+    "CONTROL_RING",
     "CONTROL_CHECKPOINT",
     "CONTROL_ABORT",
     "CONTROL_SHUTDOWN",
@@ -77,6 +78,7 @@ __all__ = [
     "encode_error_meta",
     "encode_frame_bytes",
     "raise_remote_error",
+    "recv_ring_bits",
     "summary_delta",
 ]
 
@@ -93,7 +95,7 @@ HEADER = struct.Struct("<4sHHIQ")
 # Message kinds
 # ---------------------------------------------------------------------- #
 KIND_HELLO = 1  #: link handshake (wire version + role names)
-KIND_CONTROL = 2  #: control verbs: run / checkpoint / abort / shutdown
+KIND_CONTROL = 2  #: control verbs: run / ring / checkpoint / abort / shutdown
 KIND_PROVISION = 3  #: dealer -> server correlated-randomness halves
 KIND_SHARES = 4  #: driver -> server user share payloads
 KIND_OPEN_VALUES = 5  #: server <-> server opening-round value vectors
@@ -116,6 +118,8 @@ KIND_NAMES: Dict[int, str] = {
 
 #: Control verbs carried in a CONTROL frame's ``meta["verb"]``.
 CONTROL_RUN = "run"
+#: A release's ring width, sent to every party once `Max` has fixed it.
+CONTROL_RING = "ring"
 CONTROL_CHECKPOINT = "checkpoint"
 CONTROL_ABORT = "abort"
 CONTROL_SHUTDOWN = "shutdown"
@@ -465,3 +469,21 @@ def summary_delta(
         if any(entry.values()):
             delta[key] = entry
     return delta
+
+
+def recv_ring_bits(endpoint: WireEndpoint) -> Optional[int]:
+    """The ring width of the release under way, from the driver's ``ring`` frame.
+
+    ``None`` when the driver shuts the party down instead, as it does when
+    no ring can hold the release; any other frame is a desync.
+    """
+    meta, _ = endpoint.recv_expect(KIND_CONTROL)
+    verb = meta.get("verb")
+    if verb == CONTROL_SHUTDOWN:
+        return None
+    if verb != CONTROL_RING:
+        raise WireFormatError(
+            f"expected the release's ring frame from {endpoint.peer or 'peer'}, "
+            f"got control verb {verb!r}"
+        )
+    return int(meta["bits"])

@@ -57,7 +57,7 @@ from repro.exceptions import ProtocolError
 from repro.graph.graph import Graph
 from repro.utils.rng import RandomState
 
-__all__ = ["SubgraphStatistic", "validate_projected_rows"]
+__all__ = ["SubgraphStatistic", "row_degree_cap", "validate_projected_rows"]
 
 
 def validate_projected_rows(projected_rows: np.ndarray) -> np.ndarray:
@@ -76,6 +76,15 @@ def validate_projected_rows(projected_rows: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
         raise ProtocolError(f"projected_rows must be a square matrix, got {rows.shape}")
     return rows
+
+
+def row_degree_cap(num_users: int, degree_bound: float) -> int:
+    """Most ones a projected row holds: ``θ = ⌊degree_bound⌋``, at most ``n − 1``.
+
+    >>> row_degree_cap(10, 4.7), row_degree_cap(3, 9.0), row_degree_cap(0, 2.0)
+    (4, 2, 0)
+    """
+    return max(min(int(degree_bound), num_users - 1), 0)
 
 
 class SubgraphStatistic(abc.ABC):
@@ -228,6 +237,19 @@ class SubgraphStatistic(abc.ABC):
     @abc.abstractmethod
     def node_sensitivity(self, degree_bound: float) -> float:
         """Node-DP sensitivity on a degree-bounded graph (paper's extension)."""
+
+    def secure_output_bound(self, num_users: int, degree_bound: float) -> Optional[int]:
+        """Public bound on the raw secure output once projection enforced *degree_bound*.
+
+        An integer no smaller than ``release_scale *`` the projected
+        statistic on any ``num_users``-user input whose projected rows each
+        hold at most ``θ = ⌊degree_bound⌋`` ones, read under the kernel's own
+        pair convention.  It depends on public values only, so a release
+        derives its ring width from it (:func:`~repro.core.cargo.release_ring`).
+        ``None`` (this default) declares no bound, and the release keeps the
+        64-bit ring.
+        """
+        return None
 
     # ------------------------------------------------------------------ #
     # Candidate-enumeration geometry

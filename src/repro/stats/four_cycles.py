@@ -42,6 +42,7 @@ Execution strategies, selected by the configured counting-backend name:
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -50,13 +51,13 @@ from repro.core.backends.base import CountResult, upload_adjacency_shares
 from repro.core.backends.registry import resolve_backend_name
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.protocol import TwoServerRuntime
-from repro.crypto.ring import Ring, matmul_mod
+from repro.crypto.ring import Ring, matmul_mod, ring_of
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_pair
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ProtocolError
 from repro.graph.graph import Graph
 from repro.parallel import WorkerPool, resolve_workers
-from repro.stats.base import SubgraphStatistic, validate_projected_rows
+from repro.stats.base import SubgraphStatistic, row_degree_cap, validate_projected_rows
 from repro.stats.registry import register_statistic
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
@@ -178,6 +179,19 @@ class FourCycleStatistic(SubgraphStatistic):
         w = wedges[upper_j, upper_k]
         return int(np.sum(w * (w - 1))) // 4
 
+    def secure_output_bound(self, num_users: int, degree_bound: float) -> int:
+        """``n · C(m, 2) · (m − 1)`` with ``m = min(θ, n − 1)``, bounding ``S = 4 · #C4``.
+
+        Under mutual consent no node has more than ``m`` edges, so the
+        co-degrees sum to the wedge count ``Σ_x C(deg_x, 2) ≤ n · C(m, 2)``
+        and each ``w_uv − 1`` is below ``m``.
+
+        >>> FourCycleStatistic().secure_output_bound(4, 3.0)  # K4 itself holds S = 12
+        24
+        """
+        degree = row_degree_cap(num_users, degree_bound)
+        return num_users * math.comb(degree, 2) * max(degree - 1, 0)
+
     # ------------------------------------------------------------------ #
     # Secure kernel
     # ------------------------------------------------------------------ #
@@ -197,7 +211,7 @@ class FourCycleStatistic(SubgraphStatistic):
         triangle kernel; the strategy the servers then follow is selected by
         the configured counting-backend name (see the module docstring).
         """
-        ring: Ring = config.ring
+        ring: Ring = ring_of(config)
         rows = validate_projected_rows(projected_rows)
         n = rows.shape[0]
         # Whole rows: the mutual-edge term reads a_vu below the diagonal.
@@ -205,7 +219,9 @@ class FourCycleStatistic(SubgraphStatistic):
             rows, ring, share_rng, runtime, full_rows=True
         )
         if n < 4:
-            return CountResult(share1=0, share2=0, num_triples_processed=0, opening_rounds=0)
+            return CountResult(
+                share1=0, share2=0, num_triples_processed=0, opening_rounds=0, ring=ring
+            )
 
         dealer = BeaverTripleDealer(ring=ring, seed=dealer_rng)
         # Worker-count neutrality: with more than one worker, the dealer's
@@ -376,6 +392,7 @@ class FourCycleStatistic(SubgraphStatistic):
             share2=int(total2),
             num_triples_processed=self.num_candidates(n),
             opening_rounds=rounds,
+            ring=ring,
         )
 
     def _count_pair_stream(
@@ -429,6 +446,7 @@ class FourCycleStatistic(SubgraphStatistic):
             share2=int(total2),
             num_triples_processed=pairs,
             opening_rounds=rounds,
+            ring=ring,
         )
 
     # ------------------------------------------------------------------ #

@@ -28,12 +28,12 @@ import numpy as np
 
 from repro.core.backends.base import CountResult
 from repro.crypto.protocol import TwoServerRuntime
-from repro.crypto.ring import Ring
+from repro.crypto.ring import Ring, ring_of
 from repro.crypto.sharing import share_per_user
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError
 from repro.graph.graph import Graph
-from repro.stats.base import SubgraphStatistic, validate_projected_rows
+from repro.stats.base import SubgraphStatistic, row_degree_cap, validate_projected_rows
 from repro.stats.registry import register_statistic
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
@@ -187,7 +187,7 @@ class KStarStatistic(SubgraphStatistic):
         value is the final release reconstruction, which the orchestrator
         MAC-checks itself.
         """
-        ring: Ring = config.ring
+        ring: Ring = ring_of(config)
         binomials, user_binomial, _ = _binomials_per_distinct_degree(degrees, self._k)
         num_users = user_binomial.shape[0]
         tracer = resolve_telemetry(config).tracer
@@ -217,11 +217,16 @@ class KStarStatistic(SubgraphStatistic):
             share2=int(ring.sum(share2)),
             num_triples_processed=num_users,
             opening_rounds=0,
+            ring=ring,
         )
 
     def statistic_sensitivity(self, degree_bound: float) -> float:
         """Edge-DP sensitivity ``2 · C(θ-1, k-1)`` after projection to θ."""
         return k_star_sensitivity_bounded(degree_bound, self._k)
+
+    def secure_output_bound(self, num_users: int, degree_bound: float) -> int:
+        """``n · C(min(θ, n − 1), k)``: every user's own row degree is at most that."""
+        return num_users * math.comb(row_degree_cap(num_users, degree_bound), self._k)
 
     def node_sensitivity(self, degree_bound: float) -> float:
         """Node-DP bound: own stars ``C(θ, k)`` plus θ neighbour shifts."""

@@ -14,6 +14,7 @@ backend, including the communication ledger.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.crypto.protocol import TwoServerRuntime
 from repro.crypto.views import ViewRecorder
 from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
-from repro.stats.base import SubgraphStatistic
+from repro.stats.base import SubgraphStatistic, row_degree_cap
 from repro.stats.registry import register_statistic
 from repro.telemetry import NULL_TRACER, resolve_telemetry
 from repro.utils.rng import RandomState
@@ -100,6 +101,24 @@ class TriangleStatistic(SubgraphStatistic):
     def statistic_sensitivity(self, degree_bound: float) -> float:
         """Edge-DP sensitivity θ: one edge closes at most θ triangles (Theorem 2)."""
         return float(degree_bound)
+
+    def secure_output_bound(self, num_users: int, degree_bound: float) -> int:
+        """``Σ_i C(min(θ, n − 1 − i), 2)``: user ``i``'s row supplies both ``a_ij`` and ``a_ik``.
+
+        Each triangle ``i < j < k`` is one pair ``j < k`` of user ``i``'s at
+        most ``min(θ, n − 1 − i)`` later neighbours, so row ``i`` closes at
+        most that many choose two.  With ``θ`` capped at ``n − 1``, the last
+        ``θ`` rows sum to ``C(θ, 3)`` and the rest give ``C(θ, 2)`` each.  At
+        most ``nθ(θ − 1)/2``, not the ``nθ(θ − 1)/6`` of symmetric degrees,
+        which asymmetric projection does not guarantee.
+
+        >>> TriangleStatistic().secure_output_bound(4, 9.5)  # C(4, 3)
+        4
+        >>> TriangleStatistic().secure_output_bound(6, 2.0)  # 1 + 1 + 1 + 1 + 0 + 0
+        4
+        """
+        theta = row_degree_cap(num_users, degree_bound)
+        return (num_users - theta) * math.comb(theta, 2) + math.comb(theta, 3)
 
     def node_sensitivity(self, degree_bound: float) -> float:
         """Node-DP bound ``C(θ, 2)``: a node's removal opens every neighbour pair."""

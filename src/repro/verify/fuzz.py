@@ -21,9 +21,13 @@ that every PR so far has pinned with hand-written tests:
 Hand-written tests pin these at a few points of the configuration space;
 this harness samples the space: a seeded, dependency-free generator draws
 random graphs × statistics × backends × {workers, sparse, tile_window,
-block/batch size} cases and checks all six invariants on each.  Every
-failure report embeds the case's JSON, so ``FuzzCase.from_json(...)`` +
-:func:`run_case` replays it exactly — same seed, same cases, same verdicts.
+block/batch size, ring} cases and checks all six invariants on each.  The
+ring is drawn three ways: derived per release, pinned at 64 bits, or pinned
+at the derived width plus a few bits, so every invariant also runs on
+narrow rings (and invariant 3 compares a narrow release with its 64-bit
+authenticated twin).  Every failure report embeds the case's JSON, so
+``FuzzCase.from_json(...)`` + :func:`run_case` replays it exactly — same
+seed, same cases, same verdicts.
 
 Examples
 --------
@@ -45,6 +49,7 @@ import numpy as np
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
 from repro.crypto.mac import OpeningAuthenticator
+from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError, ReproError
 from repro.graph.graph import Graph
@@ -55,6 +60,7 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "build_graph",
+    "case_ring",
     "check_wire_invariant",
     "draw_case",
     "run_case",
@@ -64,6 +70,9 @@ __all__ = [
 
 _STATISTICS = ("triangles", "kstars", "wedges", "4cycles")
 _BACKENDS = ("faithful", "batched", "matrix", "blocked")
+#: How a case picks its ring: derived per release, pinned at 64 bits, or
+#: pinned at the derived width plus ``ring_slack`` bits (at most 64).
+_RINGS = ("derived", "pinned64", "slack")
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,8 @@ class FuzzCase:
     block_size: int = 128
     batch_size: int = 4096
     star_k: int = 2
+    ring: str = "derived"
+    ring_slack: int = 0
 
     def config_kwargs(self, **overrides) -> dict:
         """The ``CargoConfig`` keyword arguments this case runs with."""
@@ -144,6 +155,9 @@ def draw_case(rng, index: int) -> FuzzCase:
         kwargs["batch_size"] = int(rng.choice((16, 64, 4096)))
     if statistic == "kstars":
         kwargs["star_k"] = int(rng.choice((2, 3)))
+    kwargs["ring"] = _RINGS[int(rng.integers(len(_RINGS)))]
+    if kwargs["ring"] == "slack":
+        kwargs["ring_slack"] = int(rng.integers(0, 9))
     return FuzzCase(
         seed=int(rng.integers(0, 2**31 - 1)),
         num_nodes=num_nodes,
@@ -261,6 +275,19 @@ def _release(graph: Graph, config: CargoConfig) -> Tuple[float, Optional[ViewRec
     return float(result.noisy_triangle_count), cargo.views
 
 
+def case_ring(case: FuzzCase, graph: Graph, epsilon: float) -> Optional[Ring]:
+    """The ``ring`` the case's configurations pin (``None``: derived per release).
+
+    A ``slack`` case first runs one derived release to learn its width.
+    """
+    if case.ring == "derived":
+        return None
+    if case.ring == "pinned64":
+        return DEFAULT_RING
+    derived = Cargo(CargoConfig(epsilon=epsilon, **case.config_kwargs())).run(graph)
+    return Ring(min(DEFAULT_RING.bits, derived.ring_bits + case.ring_slack))
+
+
 def run_case(case: FuzzCase) -> List[str]:
     """Check every standing invariant on *case*; returns the violations.
 
@@ -272,13 +299,17 @@ def run_case(case: FuzzCase) -> List[str]:
     try:
         graph = build_graph(case)
         epsilon = 2.0
+        ring = case_ring(case, graph, epsilon)
 
-        base = CargoConfig(epsilon=epsilon, record_views=True, **case.config_kwargs())
+        def config_kwargs(**overrides) -> dict:
+            return case.config_kwargs(ring=ring, **overrides)
+
+        base = CargoConfig(epsilon=epsilon, record_views=True, **config_kwargs())
         count, views = _release(graph, base)
 
         # 1. Determinism: an identical rerun matches count and transcript.
         rerun_count, rerun_views = _release(
-            graph, CargoConfig(epsilon=epsilon, record_views=True, **case.config_kwargs())
+            graph, CargoConfig(epsilon=epsilon, record_views=True, **config_kwargs())
         )
         if rerun_count != count:
             problems.append(f"nondeterministic release: {count} vs {rerun_count}")
@@ -292,7 +323,7 @@ def run_case(case: FuzzCase) -> List[str]:
                 graph,
                 CargoConfig(
                     epsilon=epsilon,
-                    **case.config_kwargs(
+                    **config_kwargs(
                         counting_backend="batched", workers=None, tile_window=None
                     ),
                 ),
@@ -304,12 +335,14 @@ def run_case(case: FuzzCase) -> List[str]:
                 )
 
         # 3. Honest authentication is bit-identical and actually checked.
-        authenticator = OpeningAuthenticator(seed=case.seed)
+        # MAC-checked releases keep 64 bits unless the case pins a ring, so a
+        # derived case compares its narrow release with a 64-bit one.
+        authenticator = OpeningAuthenticator(
+            seed=case.seed, ring=DEFAULT_RING if ring is None else ring
+        )
         authed, _ = _release(
             graph,
-            CargoConfig(
-                epsilon=epsilon, authenticator=authenticator, **case.config_kwargs()
-            ),
+            CargoConfig(epsilon=epsilon, authenticator=authenticator, **config_kwargs()),
         )
         if authed != count:
             problems.append(
@@ -327,7 +360,7 @@ def run_case(case: FuzzCase) -> List[str]:
                 CargoConfig(
                     epsilon=epsilon,
                     record_views=True,
-                    **case.config_kwargs(workers=None),
+                    **config_kwargs(workers=None),
                 ),
             )
             if default_count != count:
@@ -355,7 +388,7 @@ def run_case(case: FuzzCase) -> List[str]:
                 epsilon=epsilon,
                 telemetry=telemetry,
                 track_communication=True,
-                **case.config_kwargs(),
+                **config_kwargs(),
             ),
         )
         manifest = build_manifest(telemetry)

@@ -153,6 +153,11 @@ class TestLedger:
         }
 
 
+def _pinned(bits: int) -> dict:
+    """A pinned ``bits``-wide ring; at 17 bits, with the 4 fractional bits its bound fits."""
+    return {"ring": Ring(bits=bits), "fixed_point_bits": 4 if bits == 17 else 16}
+
+
 def _release_views(graph, distributed=False, **overrides):
     config = CargoConfig(
         seed=5,
@@ -183,17 +188,17 @@ class TestViews:
             graph,
             tile_window=tile_window,
             workers=workers,
-            ring=Ring(bits=bits),
             authenticate=authenticate,
+            **_pinned(bits),
         )
         _assert_masked_input_views(views)
 
     @pytest.mark.parametrize("authenticate", [False, True])
     @pytest.mark.parametrize("bits", [64, 32, 17])
     def test_distributed_views_book_e_once_and_equal_in_process(self, graph, bits, authenticate):
-        local_views, local = _release_views(graph, ring=Ring(bits=bits), authenticate=authenticate)
+        local_views, local = _release_views(graph, authenticate=authenticate, **_pinned(bits))
         remote_views, remote = _release_views(
-            graph, distributed=True, ring=Ring(bits=bits), authenticate=authenticate
+            graph, distributed=True, authenticate=authenticate, **_pinned(bits)
         )
         _assert_masked_input_views(remote_views)
         assert remote == local

@@ -165,8 +165,11 @@ class TestDistributed:
 
         monkeypatch.setattr(SimilarityProjection, "project_graph", project)
         monkeypatch.setattr(driver._LinkedServers, "count", count)
+        # The rows bypass projection, so no degree bound holds them: the
+        # ring is pinned at 64 bits instead of derived from d'_max.
         config = CargoConfig(
-            seed=n, counting_backend=backend, batch_size=7, block_size=4, distributed=True
+            seed=n, counting_backend=backend, batch_size=7, block_size=4, distributed=True,
+            ring=Ring(bits=64),
         )
         result = run_distributed(erdos_renyi_graph(n, 0.5, seed=n), config)
         expected = TriangleStatistic().projected_count(rows)

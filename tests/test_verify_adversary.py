@@ -11,12 +11,14 @@ cheat leaves a schema-valid telemetry manifest carrying the cheater event.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
 from repro.crypto.mac import OpeningAuthenticator
 from repro.exceptions import CheaterDetectedError, ConfigurationError
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi_graph
 from repro.telemetry import Telemetry, build_manifest, validate_manifest
 from repro.verify import (
@@ -136,6 +138,35 @@ class TestCheaterMatrix:
         assert not outcome.detected
         assert outcome.safe
         assert outcome.result is not None
+
+
+class TestHalfRingShift:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known weakness of the odd-key MAC in Z_{2^64}: alpha * 2^63 = 2^63 "
+        "for every odd alpha, so a value and tag shift of 2^63 passes the check",
+    )
+    @pytest.mark.parametrize("backend", ("faithful", "batched", "blocked"))
+    def test_release_shift_by_half_the_ring_is_detected(self, backend):
+        half = np.uint64(1 << 63)
+
+        def shift(opening):
+            if opening.label == "release_opening":
+                opening.messages[1].values[:1] += half
+                opening.messages[1].tags[:1] += half
+
+        config = CargoConfig(
+            seed=3,
+            counting_backend=backend,
+            authenticator=OpeningAuthenticator(seed=3, tamper=shift),
+        )
+        graph = load_dataset("facebook", num_nodes=64)
+        try:
+            result = Cargo(config).run(graph)
+        except CheaterDetectedError:
+            return
+        raise AssertionError(f"the shifted release was accepted: {result.noisy_count}")
 
 
 class TestHonestAuthentication:

@@ -23,7 +23,8 @@ from repro.verify import (
     run_fuzz,
     transcripts_equal,
 )
-from repro.verify.fuzz import build_graph
+from repro.crypto.ring import Ring
+from repro.verify.fuzz import build_graph, case_ring
 
 
 class TestFuzzCase:
@@ -67,6 +68,10 @@ class TestDrawCase:
             assert case.num_nodes >= 6
             if case.sparse == "force":
                 assert case.statistic in ("kstars", "wedges")
+            assert 0 <= case.ring_slack <= 8
+            if case.ring != "slack":
+                assert case.ring_slack == 0
+        assert {case.ring for case in cases} == {"derived", "pinned64", "slack"}
 
     def test_same_rng_state_same_case(self):
         assert draw_case(derive_rng(9), 0) == draw_case(derive_rng(9), 0)
@@ -157,6 +162,30 @@ class TestTranscriptsEqual:
                 (np.ones(2, dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)),
             )
         assert not transcripts_equal(a, c)
+
+
+class TestCaseRing:
+    def _case(self, **overrides):
+        return FuzzCase(
+            seed=11, num_nodes=9, edge_probability=0.5, statistic="triangles",
+            backend="blocked", block_size=4, **overrides,
+        )
+
+    def test_three_ways_to_pick_the_ring(self):
+        graph = build_graph(self._case())
+        assert case_ring(self._case(), graph, 2.0) is None
+        assert case_ring(self._case(ring="pinned64"), graph, 2.0) == Ring(64)
+        exact = case_ring(self._case(ring="slack"), graph, 2.0)
+        wider = case_ring(self._case(ring="slack", ring_slack=3), graph, 2.0)
+        assert exact.bits < 40 and wider.bits == exact.bits + 3
+
+    @pytest.mark.parametrize("backend", ("faithful", "batched", "matrix", "blocked"))
+    def test_exact_derived_width_pinned_passes(self, backend):
+        case = FuzzCase(
+            seed=11, num_nodes=9, edge_probability=0.5, statistic="4cycles",
+            backend=backend, ring="slack",
+        )
+        assert run_case(case) == []
 
 
 class TestRunCase:
