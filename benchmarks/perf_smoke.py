@@ -85,9 +85,8 @@ TELEMETRY_REPS = 7
 RESILIENCE_OVERHEAD_LIMIT = 1.02
 RESILIENCE_OVERHEAD_ABS_SECONDS = 0.002
 #: Disabled-authentication overhead gate, same A/B discipline: carrying an
-#: inert ``OpeningAuthenticator.disabled()`` (every opening routed through
-#: ``exchange`` hitting its plain-reconstruction fast path) must cost at
-#: most this factor over the default ``authenticator=None``.
+#: injected key-less ``PlainOpener`` (the inert arm) must cost at most this
+#: factor over the default ``authenticator=None``.
 AUTH_OVERHEAD_LIMIT = 1.02
 AUTH_OVERHEAD_ABS_SECONDS = 0.002
 
@@ -236,13 +235,13 @@ def check_authentication_overhead(failures: list) -> dict:
 
     ``authenticate=False`` must stay free: the only cost an unauthenticated
     run may pay for the MAC layer's existence is the ``authenticator=None``
-    argument plumbing plus — in this deliberately pessimistic arm — a
-    disabled authenticator whose ``exchange`` falls straight through to
-    plain reconstruction.  Same interleaved min-of-reps discipline as the
+    argument plumbing plus — in this deliberately pessimistic arm — an
+    injected key-less opener, which leaves the release unauthenticated and
+    in its derived ring.  Same interleaved min-of-reps discipline as the
     telemetry and resilience gates.
     """
     from repro.core import Cargo, CargoConfig
-    from repro.crypto.mac import OpeningAuthenticator
+    from repro.crypto.secure_ops import PlainOpener
     from repro.graph.datasets import load_dataset
 
     graph = load_dataset("facebook", num_nodes=TELEMETRY_USERS)
@@ -263,7 +262,7 @@ def check_authentication_overhead(failures: list) -> dict:
     with_disabled = []
     for _ in range(TELEMETRY_REPS):
         without_auth.append(one_run(None))
-        with_disabled.append(one_run(OpeningAuthenticator.disabled()))
+        with_disabled.append(one_run(PlainOpener()))
     best_without = min(without_auth)
     best_disabled = min(with_disabled)
     ratio = best_disabled / best_without if best_without > 0 else float("inf")

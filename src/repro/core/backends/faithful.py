@@ -47,7 +47,7 @@ from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
-from repro.parallel import TripleSignature, WorkerPool, resolve_workers
+from repro.parallel import TripleSignature, resolve_workers
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
@@ -225,21 +225,32 @@ def _provision(dealer, needed: int, to_provision: int, provision_limit: int) -> 
     return to_provision
 
 
-def count_block(size, offsets, group, shares, ring, views, opener) -> tuple:
-    """One candidate block's online phase: each held role's product subtotal.
+def count_blocks(schedule, groups, shares, ring, views, opener) -> tuple:
+    """Count's online phase: each held role's count share, the triples and the rounds.
 
     *shares* holds one packed share per role the *opener* holds (see
-    :mod:`repro.crypto.secure_ops`); *group* is the block's multiplication
-    group.  One fused gather per share: the three wires ``a_ij, a_ik,
-    a_jk`` of every candidate triple in the block share a single
-    fancy-indexing read of their *offsets*, reshaped to ``(3, size)``.  The in-process backend and
-    the distributed runtime's servers both run this kernel.
+    :mod:`repro.crypto.secure_ops`).  Walks the gather *schedule*
+    (:func:`_gather_schedule`) zipped with the blocks' multiplication
+    *groups* — the schedule first, so a group iterator is never advanced
+    past the last block.  Per block, one fused gather per share: the three
+    wires ``a_ij, a_ik, a_jk`` of every candidate triple in the block share
+    a single fancy-indexing read of their offsets, reshaped to ``(3,
+    size)``, and one three-way multiplication opens them.  The in-process
+    backend and the distributed runtime's servers both run this loop.
     """
-    ij, ik, jk = zip(*(share[offsets].reshape(3, size) for share in shares))
-    products = secure_multiply_triple(
-        ij, ik, jk, group, ring=ring, views=views, authenticator=opener
-    )
-    return tuple(ring.sum(product) for product in products)
+    totals = (0,) * len(shares)
+    triples = rounds = 0
+    for (size, offsets), group in zip(schedule, groups):
+        ij, ik, jk = zip(*(share[offsets].reshape(3, size) for share in shares))
+        products = secure_multiply_triple(
+            ij, ik, jk, group, ring=ring, views=views, authenticator=opener
+        )
+        totals = tuple(
+            ring.add(total, ring.sum(product)) for total, product in zip(totals, products)
+        )
+        triples += size
+        rounds += 1
+    return totals, triples, rounds
 
 
 @register_backend("faithful")
@@ -263,10 +274,9 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         buffered dealing and draws one group batch per opening round, exactly
         as the unbuffered dealer would.
     workers:
-        Number of worker threads evaluating candidate blocks concurrently
-        (default ``1``).  The provisioned mask stream and the per-block
-        slices are fixed serially first (they depend only on the schedule),
-        so the transcript is bit-identical for any worker count.
+        The run's worker count (at least ``1``).  Blocks run serially
+        whatever it is — fanning them out over a pool measured slower — so
+        the transcript is bit-identical for any worker count.
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
         provisioned group stream (streams larger than the store's per-entry
@@ -297,7 +307,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         self._dealer = dealer if dealer is not None else MultiplicationGroupDealer(ring=ring)
         self._batch_size = batch_size
         self._provision_limit = provision_limit
-        self._workers = int(workers)
         self._store = triple_store
 
     @classmethod
@@ -344,19 +353,14 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
     # Candidate blocks
     # ------------------------------------------------------------------ #
     def _count_blocks(self, share1, share2, num_users: int) -> CountResult:
-        """Fan candidate blocks out over a worker pool, in bounded waves.
+        """Deal the blocks' groups (or load them from the triple store), then :func:`count_blocks`.
 
-        The offline phase is fixed serially first: the provisioning chunk
-        sequence and the per-block group slices depend only on the schedule
-        (never on worker interleaving), so each block's correlated
-        randomness — and therefore each opening — is the same for every
-        worker count.  Workers then evaluate blocks concurrently; block
-        subtotals reduce and view shards merge in canonical block order.
+        Each block's group depends only on its position in the schedule, so
+        every worker count opens the same values.
         """
         ring = self._ring
         dealer = self._dealer
         total_candidates = num_candidate_triples(num_users)
-        pool = WorkerPool(self._workers)
 
         # Buffered offline phase (see group_stream): every group still to be
         # provisioned, unless buffering is off.
@@ -395,49 +399,22 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
                     self._store.put(signature, {"blocks": dealer.export_pool()})
                 offline_span.annotate(groups=total_candidates)
 
-        total1 = 0
-        total2 = 0
-        triples_processed = 0
-        opening_rounds = 0
-        wave: list = []
-        wave_capacity = 4 * self._workers
-
-        def run_block(size, offsets, group) -> tuple:
-            shard = ViewRecorder() if self._views is not None else None
-            sums = count_block(
-                size, offsets, group, (share1, share2), ring, shard, self._authenticator
-            )
-            return sums, shard
-
-        def flush() -> None:
-            nonlocal total1, total2
-            results = pool.map([(lambda block=block: run_block(*block)) for block in wave])
-            for (sum1, sum2), shard in results:
-                total1 = ring.add(total1, sum1)
-                total2 = ring.add(total2, sum2)
-                if shard is not None:
-                    self._views.merge_from(shard)
-            wave.clear()
-
         groups = group_stream(
             dealer, num_users, self._batch_size, self._provision_limit, to_provision
         )
-        # Zipped with the schedule, each group is dealt serially, in schedule
-        # order: the masks a block carries depend only on its stream position.
-        for (size, offsets), group in zip(
-            _gather_schedule(num_users, self._batch_size), groups
-        ):
-            wave.append((size, offsets, group))
-            triples_processed += size
-            opening_rounds += 1
-            if len(wave) >= wave_capacity:
-                flush()
-        flush()
+        (total1, total2), triples, rounds = count_blocks(
+            _gather_schedule(num_users, self._batch_size),
+            groups,
+            (share1, share2),
+            ring,
+            self._views,
+            self._authenticator,
+        )
         return CountResult(
             share1=int(total1),
             share2=int(total2),
-            num_triples_processed=triples_processed,
-            opening_rounds=opening_rounds,
+            num_triples_processed=triples,
+            opening_rounds=rounds,
             ring=ring,
         )
 

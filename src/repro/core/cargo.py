@@ -124,7 +124,7 @@ def release_ring(
 
     A ``config.ring`` that is set is returned as pinned, and so is the 64-bit
     ring of a MAC-checked release (``authenticate=True`` or an injected
-    authenticator), whose tags stay in ``Z_{2^64}``; either raises
+    authenticator that checks MACs), whose tags stay in ``Z_{2^64}``; either raises
     :class:`~repro.exceptions.ConfigurationError` when it cannot hold the
     bound, instead of wrapping the released count silently.  Otherwise the
     release runs in exactly the bits the bound needs, and a need above 64
@@ -473,7 +473,7 @@ def feed_run_telemetry(
     labels = {"backend": backend, "statistic": config.statistic}
     metrics.increment("runs", **labels)
     mac_block = None
-    if authenticator is not None and getattr(authenticator, "enabled", False):
+    if authenticator is not None:
         mac_block = {
             "rounds_checked": int(authenticator.rounds_checked),
             "values_checked": int(authenticator.values_checked),

@@ -12,6 +12,7 @@ from repro.core.backends.registry import (
     resolve_backend_name,
 )
 from repro.crypto.ring import Ring
+from repro.crypto.secure_ops import PlainOpener
 from repro.dp.budget import DEFAULT_MAX_DEGREE_FRACTION, PrivacyBudget
 from repro.exceptions import ConfigurationError
 
@@ -163,8 +164,10 @@ class CargoConfig:
     authenticator:
         Optional pre-built :class:`~repro.crypto.mac.OpeningAuthenticator`
         to use instead of deriving one from the run seed — the injection
-        point for the active-adversary harness (tamper hooks) and the perf
-        gate's inert arm.  Setting it implies ``authenticate=True``.
+        point for the active-adversary harness (tamper hooks).  Setting it
+        implies ``authenticate=True``, except for the key-less
+        :class:`~repro.crypto.secure_ops.PlainOpener` (the perf gate's inert
+        arm), which checks nothing and opens like no authenticator at all.
     track_communication:
         When ``True`` the protocol routes user/server messages through the
         :class:`~repro.crypto.protocol.TwoServerRuntime` so byte counts are
@@ -216,7 +219,8 @@ class CargoConfig:
     distributed: bool = False
 
     def __post_init__(self) -> None:
-        if self.authenticator is not None and not self.authenticate:
+        if self.authenticator is not None and not isinstance(self.authenticator, PlainOpener):
+            # Only an opener that checks MACs makes the release authenticated.
             object.__setattr__(self, "authenticate", True)
         if self.budget is None and self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")

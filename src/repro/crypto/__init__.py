@@ -46,7 +46,7 @@ from repro.crypto.secure_ops import (
     secure_matrix_multiply,
 )
 from repro.crypto.mac import (
-    AuthenticatedShare,
+    MacCheck,
     MacKey,
     OpeningAuthenticator,
     OpeningMessage,
@@ -79,8 +79,8 @@ __all__ = [
     "secure_matrix_multiply",
     "ProtocolView",
     "ViewRecorder",
-    "AuthenticatedShare",
     "CheaterDetectedError",
+    "MacCheck",
     "MacKey",
     "OpeningAuthenticator",
     "OpeningMessage",

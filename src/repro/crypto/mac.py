@@ -29,6 +29,17 @@ knowing ``alpha``, and in ``Z_{2^l}`` that is **not** hard for every shift:
 Detection is *anonymous* in the SPDZ sense: the check proves that cheating
 happened, not which server cheated.
 
+The check is written once, in :class:`MacCheck`, and both openers run it:
+:class:`OpeningAuthenticator` holds both server roles in one process, and
+the distributed runtime's :class:`~repro.runtime.server.OpeningChannel`
+holds one role and swaps its value vector and its ``sigma`` with the peer
+over the wire.  A round is checked in the same steps either way — the
+received vectors' shape and dtype (:func:`check_received`), the lockstep tag
+draw (:meth:`MacCheck.tag_shares`), ``sigma_r`` per held role
+(:meth:`MacCheck.sigma`) and the sliced residual (:meth:`MacCheck.verify`) —
+so a cheat aborts with the same :class:`~repro.exceptions.CheaterDetectedError`
+text in both transports.
+
 Two deliberate simplifications, mirroring the repo's trusted-dealer offline
 phase (the dealer already learns ``z = x * y`` of every Beaver triple):
 
@@ -68,23 +79,26 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
+from repro.crypto.secure_ops import PlainOpener
 from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.utils.rng import derive_rng, stable_seed_from_name
 
 IntOrArray = Union[int, np.ndarray]
 
 __all__ = [
-    "AuthenticatedShare",
     "CheaterDetectedError",
+    "MacCheck",
     "MacKey",
     "OpeningAuthenticator",
     "OpeningMessage",
     "OpeningRound",
+    "check_received",
     "resolve_authenticator",
 ]
 
@@ -123,40 +137,6 @@ class MacKey:
         alpha = ring.random_element(rng) | 1  # force odd: a unit of Z_{2^l}
         alpha1 = ring.random_element(rng)
         return cls(alpha1=alpha1, alpha2=ring.sub(alpha, alpha1))
-
-
-@dataclass(frozen=True)
-class AuthenticatedShare:
-    """A secret with both value shares and MAC-tag shares attached.
-
-    The invariant is ``tag1 + tag2 == alpha * (value1 + value2)``; breaking
-    it on either side is exactly what :meth:`check` (and the batched round
-    check in :class:`OpeningAuthenticator`) detects.
-    """
-
-    value1: IntOrArray
-    value2: IntOrArray
-    tag1: IntOrArray
-    tag2: IntOrArray
-
-    def open(self, key: MacKey, ring: Ring = DEFAULT_RING) -> IntOrArray:
-        """Reconstruct the value, raising on a failed MAC check."""
-        opened = ring.add(self.value1, self.value2)
-        if not self.check(key, ring=ring):
-            raise CheaterDetectedError(
-                "authenticated share failed its MAC check", label="share"
-            )
-        return opened
-
-    def check(self, key: MacKey, ring: Ring = DEFAULT_RING) -> bool:
-        """Whether the tag shares authenticate the value shares."""
-        opened = ring.add(self.value1, self.value2)
-        sigma1 = ring.sub(self.tag1, ring.mul(key.alpha1, opened))
-        sigma2 = ring.sub(self.tag2, ring.mul(key.alpha2, opened))
-        residual = ring.add(sigma1, sigma2)
-        if isinstance(residual, np.ndarray):
-            return not np.any(residual)
-        return residual == 0
 
 
 @dataclass
@@ -226,27 +206,145 @@ def unpack_round(layout: RoundLayout, opened: np.ndarray) -> List[IntOrArray]:
     return results
 
 
-class OpeningAuthenticator:
-    """Batched MAC-checked reconstruction of opened values.
+def check_received(
+    index: int, label: str, server: int, name: str, array, expected: int, ring: Ring
+) -> None:
+    """Reject a received round vector that is truncated, reshaped or retyped.
+
+    *array* is what *server* sent as the round's *name* vector (``values``
+    or ``tags``).  A server that drops values from a round or swaps in a
+    different dtype is lying about the round's layout; that is cheating of
+    the same severity as a bad tag, so it gets the same typed abort instead
+    of a downstream numpy broadcasting error.
+    """
+    array = np.asarray(array)
+    if array.shape != (expected,):
+        raise CheaterDetectedError(
+            f"opening round {index} ({label!r}): server {server} sent a "
+            f"malformed round (expected {expected} values, got {name} "
+            f"{array.shape}) — truncation detected",
+            label=label,
+            round_index=index,
+        )
+    if array.dtype != ring.dtype:
+        raise CheaterDetectedError(
+            f"opening round {index} ({label!r}): server {server} sent dtype "
+            f"{array.dtype}, expected {ring.dtype}",
+            label=label,
+            round_index=index,
+        )
+
+
+class MacCheck:
+    """The MAC check of opening rounds, for the server roles an opener holds.
+
+    Holds the dealt key, the lockstep tag stream and the MAC counters.  Both
+    openers subclass it: :class:`OpeningAuthenticator` (both roles) and the
+    distributed runtime's :class:`~repro.runtime.server.OpeningChannel` (one
+    role).  Two checks built from the same seed draw the same tags round by
+    round, which is what lets two server processes check in lockstep.
 
     Parameters
     ----------
     seed:
         Run seed; the MAC key and tag randomness are derived from
-        domain-separated streams of it, so two authenticators built from the
-        same seed issue identical tags (deterministic replay).
+        domain-separated streams of it (deterministic replay).
     key:
         Explicit :class:`MacKey` override (tests); default derives from *seed*.
     ring:
         Ring the shares live in.
+    """
+
+    def __init__(
+        self, seed: int = 0, key: Optional[MacKey] = None, ring: Ring = DEFAULT_RING
+    ) -> None:
+        self.ring = ring
+        self.key = key if key is not None else MacKey.generate(int(seed), ring)
+        self._tag_rng = derive_rng(stable_seed_from_name(_TAG_DOMAIN, int(seed)))
+        self.rounds_checked = 0
+        self.values_checked = 0
+
+    def tag_shares(self, roles: Sequence[int], opened: np.ndarray) -> tuple:
+        """The held roles' tag shares of a round that opens *opened*.
+
+        ``t_1`` is the round's draw from the tag stream (both servers draw
+        it in lockstep) and ``t_2 = alpha * opened - t_1``: the honest tag
+        split by the trusted-dealer shortcut (see the module doc).
+        """
+        ring = self.ring
+        tags1 = ring.random_array(opened.size, self._tag_rng)
+        if 2 not in roles:
+            return (tags1,)
+        tags2 = np.multiply(opened, ring.dtype.type(self.key.alpha(ring)))
+        tags2 -= tags1
+        if ring.bits < 64:
+            tags2 &= ring.dtype.type(ring.mask)
+        return tuple(tags1 if role == 1 else tags2 for role in roles)
+
+    def sigma(self, role: int, tags: np.ndarray, opened: np.ndarray) -> np.ndarray:
+        """Server *role*'s ``sigma_r = t_r - alpha_r * opened`` (of any slice of a round)."""
+        ring = self.ring
+        alpha = self.key.alpha1 if role == 1 else self.key.alpha2
+        return ring.sub(tags, ring.mul(ring.dtype.type(alpha), opened))
+
+    def verify(
+        self,
+        index: int,
+        label: str,
+        opened: np.ndarray,
+        tags: Sequence[Tuple[int, np.ndarray]] = (),
+        sigmas: Sequence[np.ndarray] = (),
+    ) -> None:
+        """Count the round checked, or abort unless its ``sigma`` cancel.
+
+        The residual is the sum of ``sigma_r`` over the ``(role, tag share)``
+        pairs in *tags* and the already computed vectors in *sigmas* (the
+        wire's own and its peer's).  Checked in fixed-size slices, so the
+        check's temporaries stay small however large the round is.
+
+        Raises
+        ------
+        CheaterDetectedError
+            If any opened value's residual is nonzero.
+        """
+        ring = self.ring
+        failures = 0
+        first = None
+        for start in range(0, opened.size, _CHECK_SLICE):
+            window = slice(start, start + _CHECK_SLICE)
+            residual = reduce(
+                ring.add,
+                [self.sigma(role, share[window], opened[window]) for role, share in tags]
+                + [sigma[window] for sigma in sigmas],
+            )
+            bad = np.flatnonzero(residual)
+            if bad.size and first is None:
+                first = start + int(bad[0])
+            failures += int(bad.size)
+        if failures:
+            raise CheaterDetectedError(
+                f"MAC check failed in opening round {index} "
+                f"({label!r}): {failures} of {opened.size} opened values "
+                f"carry inconsistent tags (first at position {first}) — a "
+                "server cheated",
+                label=label,
+                round_index=index,
+            )
+        self.rounds_checked += 1
+        self.values_checked += int(opened.size)
+
+
+class OpeningAuthenticator(MacCheck):
+    """Batched MAC-checked reconstruction of opened values, both roles in process.
+
+    Parameters are :class:`MacCheck`'s, plus:
+
     tamper:
         Optional hook called with each :class:`OpeningRound` between tag
         issuance and the MAC check — the active-adversary injection point.
 
-    The authenticator is shared by all workers of a parallel count, so the
-    round counter and tag draws are guarded by a lock.  Round indices are
-    deterministic for serial runs; under a thread pool the *order* in which
-    rounds are checked (and hence their indices) may vary run to run.
+    The round counter, tag draws and checks are guarded by a lock, so rounds
+    from concurrent callers sharing one authenticator never interleave.
 
     It is an *opener* (see :mod:`repro.crypto.secure_ops`) holding both
     server roles: every operand of :meth:`exchange` is a pair of shares.
@@ -261,52 +359,20 @@ class OpeningAuthenticator:
         ring: Ring = DEFAULT_RING,
         tamper: Optional[TamperHook] = None,
     ) -> None:
-        self._ring = ring
-        self._seed = int(seed)
-        self._key = key if key is not None else MacKey.generate(self._seed, ring)
-        self._tag_rng = derive_rng(stable_seed_from_name(_TAG_DOMAIN, self._seed))
+        super().__init__(seed, key, ring)
         self._tamper = tamper
-        self._enabled = True
         self._lock = threading.Lock()
         self._rounds_started = 0
-        self.rounds_checked = 0
-        self.values_checked = 0
 
-    @classmethod
-    def disabled(cls, ring: Ring = DEFAULT_RING) -> "OpeningAuthenticator":
-        """An inert authenticator: plain reconstruction, no tags, no checks.
-
-        The perf-gate A/B arm — carrying it through the call chain costs the
-        same argument plumbing as a live authenticator while keeping the
-        arithmetic identical to an unauthenticated run (analogous to
-        ``Telemetry.disabled()``).
-        """
-        instance = cls(seed=0, ring=ring)
-        instance._enabled = False
-        return instance
-
-    @property
-    def enabled(self) -> bool:
-        """Whether openings are actually tagged and checked."""
-        return self._enabled
-
-    @property
-    def key(self) -> MacKey:
-        """The dealt MAC key (dealer/test-side view)."""
-        return self._key
-
-    # ------------------------------------------------------------------ #
-    # The one entry point the secure operations call
-    # ------------------------------------------------------------------ #
     def exchange(
         self, label: str, pairs: Sequence[Tuple[IntOrArray, IntOrArray]]
     ) -> List[IntOrArray]:
         """Open every share pair of one round under a batched MAC check.
 
-        All pairs of the round are flattened into a single value vector, a
-        single tag vector is dealt for it, the (possibly tampered) messages
-        are checked in one shot, and the opened values are returned with
-        their original shapes — scalars in, scalars out; matrices in,
+        All pairs of the round are flattened into a single value vector per
+        server, a single tag vector is dealt for it, the (possibly tampered)
+        messages are checked in one shot, and the opened values are returned
+        with their original shapes — scalars in, scalars out; matrices in,
         matrices out.  For honest messages the result is bit-identical to
         ``ring.add(share1, share2)`` per pair.
 
@@ -316,31 +382,19 @@ class OpeningAuthenticator:
             If a message was truncated / reshaped / retyped, or the batched
             MAC check does not verify.
         """
-        if not self._enabled:
-            return [self._ring.add(s1, s2) for s1, s2 in pairs]
-        ring = self._ring
         if not pairs:
             return []
-
+        ring = self.ring
         # One fresh batch per server; the batches are the messages
         # themselves, which the tamper hook mutates in place.
         layout, (values1, values2) = pack_round(label, pairs, ring)
         total = values1.size
-
         with self._lock:
-            round_index = self._rounds_started
+            index = self._rounds_started
             self._rounds_started += 1
-            # Deal the tag shares: honest tag t = alpha * d, split with the
-            # dedicated tag stream (trusted-dealer shortcut, see module doc).
-            # tags2 = alpha * (v1 + v2) - tags1, computed in place.
-            tags1 = ring.random_array(total, self._tag_rng)
-            tags2 = np.add(values1, values2)
-            tags2 *= ring.dtype.type(self._key.alpha(ring))
-            tags2 -= tags1
-            if ring.bits < 64:
-                tags2 &= ring.dtype.type(ring.mask)
+            tags1, tags2 = self.tag_shares(self.roles, np.add(values1, values2))
             opening = OpeningRound(
-                index=round_index,
+                index=index,
                 label=label,
                 messages=(
                     OpeningMessage(1, values1, tags1),
@@ -349,90 +403,34 @@ class OpeningAuthenticator:
             )
             if self._tamper is not None:
                 self._tamper(opening)
-            self._validate_messages(opening, total)
             message1, message2 = opening.messages
+            for message in opening.messages:
+                check_received(
+                    index, label, message.server_index, "values", message.values, total, ring
+                )
             opened = ring.add(message1.values, message2.values)
-            self._check_tags(opening, opened)
-            self.rounds_checked += 1
-            self.values_checked += total
+            for message in opening.messages:
+                check_received(
+                    index, label, message.server_index, "tags", message.tags, total, ring
+                )
+            self.verify(index, label, opened, tags=((1, message1.tags), (2, message2.tags)))
         return unpack_round(layout, opened)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _check_tags(self, opening: OpeningRound, opened: np.ndarray) -> None:
-        """Each server's ``sigma_i = t_i - alpha_i * d``; abort unless they cancel.
-
-        Checked in fixed-size slices so the check's temporaries stay small
-        however large the round is.
-        """
-        ring = self._ring
-        message1, message2 = opening.messages
-        alpha1 = ring.dtype.type(self._key.alpha1)
-        alpha2 = ring.dtype.type(self._key.alpha2)
-        failures = 0
-        first = None
-        for start in range(0, opened.size, _CHECK_SLICE):
-            window = slice(start, start + _CHECK_SLICE)
-            sigma1 = ring.sub(message1.tags[window], ring.mul(alpha1, opened[window]))
-            sigma2 = ring.sub(message2.tags[window], ring.mul(alpha2, opened[window]))
-            residual = ring.add(sigma1, sigma2)
-            bad = np.flatnonzero(residual)
-            if bad.size and first is None:
-                first = start + int(bad[0])
-            failures += int(bad.size)
-        if failures:
-            raise CheaterDetectedError(
-                f"MAC check failed in opening round {opening.index} "
-                f"({opening.label!r}): {failures} of {opened.size} opened values "
-                f"carry inconsistent tags (first at position {first}) — a "
-                "server cheated",
-                label=opening.label,
-                round_index=opening.index,
-            )
-
-    def _validate_messages(self, opening: OpeningRound, expected: int) -> None:
-        """Reject truncated / reshaped / retyped messages as cheating.
-
-        A server that drops values from a round (truncation) or swaps in a
-        different dtype is lying about the round's layout; that is cheating
-        of the same severity as a bad tag, so it gets the same typed abort
-        instead of a downstream numpy broadcasting error.
-        """
-        for message in opening.messages:
-            values = np.asarray(message.values)
-            tags = np.asarray(message.tags)
-            if values.shape != (expected,) or tags.shape != (expected,):
-                raise CheaterDetectedError(
-                    f"opening round {opening.index} ({opening.label!r}): "
-                    f"server {message.server_index} sent a malformed round "
-                    f"(expected {expected} values, got values {values.shape}, "
-                    f"tags {tags.shape}) — truncation detected",
-                    label=opening.label,
-                    round_index=opening.index,
-                )
-            if values.dtype != self._ring.dtype or tags.dtype != self._ring.dtype:
-                raise CheaterDetectedError(
-                    f"opening round {opening.index} ({opening.label!r}): "
-                    f"server {message.server_index} sent dtype "
-                    f"{values.dtype}/{tags.dtype}, expected {self._ring.dtype}",
-                    label=opening.label,
-                    round_index=opening.index,
-                )
 
 
 def resolve_authenticator(config) -> Optional[OpeningAuthenticator]:
     """The authenticator a run should use, or ``None`` for plain openings.
 
     Mirrors ``resolve_telemetry``/``resolve_resilience``: an injected
-    ``config.authenticator`` (tests, the adversary harness, the perf gate's
-    inert arm) wins; otherwise ``config.authenticate=True`` builds a fresh
+    ``config.authenticator`` (tests, the adversary harness) wins, unless it
+    is the key-less :class:`~repro.crypto.secure_ops.PlainOpener`, which
+    checks nothing and so opens like no authenticator at all (in the
+    release's ring).  Otherwise ``config.authenticate=True`` builds a fresh
     authenticator from the run seed and ring — deterministic, so two runs of
     the same config deal the same key and tags, and its openings are reduced
     in the run's ring like plain ones.
     """
     injected = getattr(config, "authenticator", None)
-    if injected is not None:
+    if injected is not None and not isinstance(injected, PlainOpener):
         if not callable(getattr(injected, "exchange", None)):
             raise ConfigurationError(
                 "config.authenticator must expose an "

@@ -27,16 +27,21 @@ the material is its own half.
 The held roles come from the *opener* passed as ``authenticator``: any object
 with a ``roles`` tuple (both roles when absent) and an
 ``exchange(label, operands) -> opened`` method that opens one round, the
-only point where values cross between the servers.  ``None`` means
-:class:`PlainOpener` (``ring.add`` of both shares);
-:class:`~repro.crypto.mac.OpeningAuthenticator` adds a batched MAC check, so
-a server that lies in an opening triggers a typed
-:class:`~repro.exceptions.CheaterDetectedError`; and the distributed
-runtime's :class:`~repro.runtime.server.OpeningChannel` swaps one role's
-values with the peer over the wire.  Honest openings are bit-identical
-whichever opener runs them.  Each operation masks every held share with its
-role's half of the material, opens the differences, records them in each
-held role's view, and ends in the role-local *combine* —
+only point where values cross between the servers.  There are three:
+
+* :class:`PlainOpener`, the one key-less opener (``None`` means it):
+  ``ring.add`` of both shares, no check;
+* :class:`~repro.crypto.mac.OpeningAuthenticator`, both roles in process
+  under a batched MAC check, so a server that lies in an opening triggers a
+  typed :class:`~repro.exceptions.CheaterDetectedError`;
+* the distributed runtime's :class:`~repro.runtime.server.OpeningChannel`,
+  which swaps one role's values with the peer over the wire and, when
+  authenticated, runs the same check (:class:`~repro.crypto.mac.MacCheck`).
+
+Honest openings are bit-identical whichever opener runs them.  Each
+operation masks every held share with its role's half of the material,
+opens the differences, records them in each held role's view, and ends in
+the role-local *combine* —
 :func:`beaver_pair_combine`, :func:`multiplication_group_combine`,
 :func:`beaver_matrix_combine` — per held role.  The backends' counting
 kernels are written the same way, so in-process and distributed runs
@@ -62,7 +67,12 @@ HeldShares = Tuple[IntOrArray, ...]
 
 
 class PlainOpener:
-    """Plain in-process reconstruction: both roles held, ``ring.add`` per operand."""
+    """Plain in-process reconstruction: both roles held, ``ring.add`` per operand.
+
+    The one opener without a MAC key.  Injected as ``config.authenticator``
+    it leaves the release unauthenticated, so it opens like no
+    authenticator at all, in the release's ring.
+    """
 
     roles = (1, 2)
 

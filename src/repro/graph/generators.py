@@ -19,7 +19,8 @@ They cover the families needed to stand in for the paper's real-world graphs:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import itertools
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -238,11 +239,35 @@ def stochastic_block_model_graph(
     return graph
 
 
-def random_regular_graph(num_nodes: int, degree: int, seed: RandomState = None) -> Graph:
-    """Random *degree*-regular graph via the configuration (pairing) model.
+def _pair_stubs(num_nodes: int, degree: int, rng) -> Optional[Set[Tuple[int, int]]]:
+    """One Steger–Wormald pairing: its edge set, or ``None`` when it gets stuck."""
+    edges: Set[Tuple[int, int]] = set()
+    stubs = np.repeat(np.arange(num_nodes), degree)
+    while stubs.size:
+        rng.shuffle(stubs)
+        leftover = []
+        for u, v in zip(stubs[0::2].tolist(), stubs[1::2].tolist()):
+            edge = (min(u, v), max(u, v))
+            if u != v and edge not in edges:
+                edges.add(edge)
+            else:
+                leftover += edge
+        if leftover and all(
+            edge in edges for edge in itertools.combinations(sorted(set(leftover)), 2)
+        ):
+            return None
+        stubs = np.array(leftover)
+    return edges
 
-    Retries the pairing until a simple graph is produced; for the modest sizes
-    used in tests this terminates quickly.
+
+def random_regular_graph(num_nodes: int, degree: int, seed: RandomState = None) -> Graph:
+    """Random *degree*-regular graph by Steger–Wormald stub pairing.
+
+    Pairs shuffled degree stubs and keeps every pair that makes a new simple
+    edge; only the stubs of rejected pairs (a self-loop or a repeated edge)
+    are reshuffled and paired again, so one collision never discards the
+    whole pairing.  A pairing starts over only when its leftover stubs admit
+    no new edge at all, which is rare (Steger and Wormald, 1999).
     """
     check_in_range("degree", degree, low=0)
     if (num_nodes * degree) % 2 != 0:
@@ -253,17 +278,11 @@ def random_regular_graph(num_nodes: int, degree: int, seed: RandomState = None) 
         )
     rng = derive_rng(seed)
     for _ in range(1000):
-        stubs = np.repeat(np.arange(num_nodes), degree)
-        rng.shuffle(stubs)
-        graph = Graph(num_nodes)
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u == v or graph.has_edge(u, v):
-                ok = False
-                break
-            graph.add_edge(u, v)
-        if ok:
+        edges = _pair_stubs(num_nodes, degree, rng)
+        if edges is not None:
+            graph = Graph(num_nodes)
+            for u, v in sorted(edges):
+                graph.add_edge(u, v)
             return graph
     raise ConfigurationError(
         f"failed to realise a simple {degree}-regular graph on {num_nodes} nodes"

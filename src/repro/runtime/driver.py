@@ -610,7 +610,6 @@ class _LinkedServers:
                     f"{final2['rounds_checked']}/{final2['values_checked']}"
                 )
             authenticator = SimpleNamespace(
-                enabled=True,
                 rounds_checked=int(final1["rounds_checked"]),
                 values_checked=int(final1["values_checked"]),
             )

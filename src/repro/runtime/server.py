@@ -17,7 +17,7 @@ The servers run the in-process backends' own code, not a copy of it.  Each
 (:func:`~repro.core.backends.faithful._gather_schedule`,
 :func:`~repro.core.backends.blocked.tile_schedule`), reads or regenerates
 the dealt material from its ``PROVISION`` frames, and calls the backend's counting
-kernel — :func:`~repro.core.backends.faithful.count_block` with its one
+kernel — :func:`~repro.core.backends.faithful.count_blocks` with its one
 packed share ``(share,)``, :func:`~repro.core.backends.blocked.count_chunk`
 with the masked input and its own half of ``X`` — and its
 :class:`OpeningChannel` as the *opener*.  The
@@ -28,21 +28,22 @@ exact modulo ``2^l``, the shares each server derives — and therefore every
 opened value that crosses the wire — are bit-identical to what the
 in-process engine opens for the same seed and configuration.
 
-Authenticated openings re-derive the in-process MAC scheme
-(:mod:`repro.crypto.mac`) in two-sided form: both servers derive the same
-key and the same lockstep tag stream from the run seed (the trusted-dealer
-shortcut the in-process authenticator already takes), each computes its tag
-share locally, and the swapped tag shares must cancel —
+Authenticated openings run the in-process MAC check itself
+(:class:`~repro.crypto.mac.MacCheck`), for one held role: both servers
+derive the same key and the same lockstep tag stream from the run seed (the
+trusted-dealer shortcut the in-process authenticator already takes), each
+computes its own ``sigma`` locally, and the swapped ``sigma`` must cancel —
 ``sigma_1 + sigma_2 = alpha_1 * (opened_2 - opened_1)``, which is zero
 exactly when both servers opened the same values.  A server that lies on
 the wire is detected by both sides and the run aborts with the same typed
 :class:`~repro.exceptions.CheaterDetectedError` message the in-process
-authenticator raises.
+authenticator raises, because the same functions raise it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import time
 from typing import List, Optional, Sequence
@@ -60,14 +61,14 @@ from repro.core.backends.blocked import (
     record_input,
     tile_schedule,
 )
-from repro.core.backends.faithful import _gather_schedule, count_block
+from repro.core.backends.faithful import _gather_schedule, count_blocks
 from repro.core.max_degree import clamp_max_degree
 from repro.core.perturbation import release_opening
-from repro.crypto.mac import MacKey, _TAG_DOMAIN, pack_round, unpack_round
+from repro.crypto.mac import MacCheck, check_received, pack_round, unpack_round
 from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroup
 from repro.crypto.ring import Ring
 from repro.crypto.views import ViewRecorder
-from repro.exceptions import CheaterDetectedError, ProtocolError, WireFormatError
+from repro.exceptions import ProtocolError, WireFormatError
 from repro.parallel.blas import blas_threads, os_threads
 from repro.resilience.faults import FaultPlan, InjectedCrash, fault_point, install_fault_plan
 from repro.runtime.wire import (
@@ -85,7 +86,6 @@ from repro.runtime.wire import (
     summary_delta,
 )
 from repro.telemetry.spans import NULL_TRACER, Tracer
-from repro.utils.rng import derive_rng, stable_seed_from_name
 
 __all__ = ["OpeningChannel", "run_server"]
 
@@ -95,17 +95,20 @@ __all__ = ["OpeningChannel", "run_server"]
 _LEDGER_PHASES = {"release_opening": "noisy_count_share"}
 
 
-class OpeningChannel:
+class OpeningChannel(MacCheck):
     """One server's side of the peer-to-peer opening rounds.
 
     Every interactive secure operation funnels its opening through
     :meth:`exchange`: the server's local mask-differences go out in one
     ``OPEN_VALUES`` frame, the peer's arrive in one, and the opened values
     are their ring sum.  With ``authenticate=True`` each round is followed
-    by one ``OPEN_MAC`` tag-share swap and the batched SPDZ-style check of
-    :mod:`repro.crypto.mac` — same key derivation, same lockstep tag
-    stream, same error messages, so the MAC counters and any cheater abort
-    are indistinguishable from an in-process authenticated run.
+    by one ``OPEN_MAC`` frame each way carrying the servers' ``sigma``, and
+    the round is checked by the :class:`~repro.crypto.mac.MacCheck` the
+    in-process authenticator runs — same key, same lockstep tag stream,
+    same checks and messages — so the MAC counters and any cheater abort
+    are indistinguishable from an in-process authenticated run.  Both
+    servers derive the key and tag stream from the run seed, the
+    distributed form of the in-process trusted-dealer shortcut.
 
     ``tamper_round`` is the active-adversary hook for tests: on that
     opening round the server lies about its first outbound value *on the
@@ -122,22 +125,14 @@ class OpeningChannel:
         seed: int = 0,
         tamper_round: Optional[int] = None,
     ) -> None:
+        super().__init__(seed, ring=ring)
         self._endpoint = endpoint
         self._role = int(role)
         #: The opener's held roles (see :mod:`repro.crypto.secure_ops`).
         self.roles = (self._role,)
-        self._ring = ring
         self._authenticate = bool(authenticate)
         self._tamper_round = None if tamper_round is None else int(tamper_round)
         self._rounds_started = 0
-        self.rounds_checked = 0
-        self.values_checked = 0
-        if self._authenticate:
-            # Both servers derive the same key and tag stream from the run
-            # seed — the distributed form of the in-process trusted-dealer
-            # shortcut (the dealer already knows every secret it deals).
-            self._key = MacKey.generate(int(seed), ring)
-            self._tag_rng = derive_rng(stable_seed_from_name(_TAG_DOMAIN, int(seed)))
 
     def exchange(self, label: str, operands: Sequence) -> List:
         """Open one round of this server's shares against the peer's.
@@ -146,84 +141,42 @@ class OpeningChannel:
         flattens into one value vector (:func:`~repro.crypto.mac.pack_round`,
         the codec ``OpeningAuthenticator.exchange`` uses) and the opened
         values come back with their original shapes (scalars as ints).
+        With ``authenticate=True`` this server's ``sigma`` and the peer's
+        must cancel: ``sigma_1 + sigma_2 = alpha_1 * (opened_2 - opened_1)``,
+        zero exactly when both servers opened the same values.
         """
         fault_point("runtime.round")
-        ring = self._ring
+        ring = self.ring
         layout, (values,) = pack_round(label, operands, ring)
         total = int(values.size)
-        round_index = self._rounds_started
+        index = self._rounds_started
         self._rounds_started += 1
 
         outbound = values
-        if self._tamper_round is not None and self._tamper_round == round_index:
+        if self._tamper_round == index:
             # Lie on the wire only: the local combination keeps the true
             # values, so the inconsistency lives purely in the transcript.
             outbound = values.copy()
             outbound[0] = ring.add(int(outbound[0]), 1)
 
-        meta = {
-            "label": label,
-            "round": round_index,
-            "phase": _LEDGER_PHASES.get(label, label),
-        }
+        meta = {"label": label, "round": index, "phase": _LEDGER_PHASES.get(label, label)}
         peer_meta, received = self._swap(KIND_OPEN_VALUES, meta, outbound)
-        peer_role = 3 - self._role
-        if peer_meta.get("label") != label or peer_meta.get("round") != round_index:
+        peer = 3 - self._role
+        if peer_meta.get("label") != label or peer_meta.get("round") != index:
             raise WireFormatError(
-                f"opening round desync with server {peer_role}: expected "
-                f"round {round_index} ({label!r}), got round "
+                f"opening round desync with server {peer}: expected "
+                f"round {index} ({label!r}), got round "
                 f"{peer_meta.get('round')!r} ({peer_meta.get('label')!r})"
             )
-        if received.shape != (total,):
-            raise CheaterDetectedError(
-                f"opening round {round_index} ({label!r}): server {peer_role} "
-                f"sent a malformed round (expected {total} values, got values "
-                f"{received.shape}) — truncation detected",
-                label=label,
-                round_index=round_index,
-            )
-        if received.dtype != ring.dtype:
-            raise CheaterDetectedError(
-                f"opening round {round_index} ({label!r}): server {peer_role} "
-                f"sent dtype {received.dtype}, expected {ring.dtype}",
-                label=label,
-                round_index=round_index,
-            )
+        check_received(index, label, peer, "values", received, total, ring)
         opened = ring.add(values, received)
 
         if self._authenticate:
-            # Lockstep tag shares: both servers draw the identical tags1
-            # vector, so the swapped sigmas cancel iff both opened the same
-            # values.  sigma1 + sigma2 = alpha1 * (opened_2 - opened_1).
-            tags1 = ring.random_array(total, self._tag_rng)
-            if self._role == 1:
-                sigma_own = ring.sub(tags1, ring.mul(self._key.alpha1, opened))
-            else:
-                tags2 = ring.sub(ring.mul(self._key.alpha(ring), opened), tags1)
-                sigma_own = ring.sub(tags2, ring.mul(self._key.alpha2, opened))
-            mac_meta = {"label": label, "round": round_index}
-            _, sigma_theirs = self._swap(KIND_OPEN_MAC, mac_meta, sigma_own)
-            if sigma_theirs.shape != (total,) or sigma_theirs.dtype != ring.dtype:
-                raise CheaterDetectedError(
-                    f"opening round {round_index} ({label!r}): server "
-                    f"{peer_role} sent a malformed tag share — truncation "
-                    "detected",
-                    label=label,
-                    round_index=round_index,
-                )
-            residual = ring.add(sigma_own, sigma_theirs)
-            if np.any(residual):
-                position = int(np.flatnonzero(residual)[0])
-                raise CheaterDetectedError(
-                    f"MAC check failed in opening round {round_index} "
-                    f"({label!r}): {int(np.count_nonzero(residual))} of "
-                    f"{total} opened values carry inconsistent tags "
-                    f"(first at position {position}) — a server cheated",
-                    label=label,
-                    round_index=round_index,
-                )
-            self.rounds_checked += 1
-            self.values_checked += total
+            (tags,) = self.tag_shares(self.roles, opened)
+            sigma = self.sigma(self._role, tags, opened)
+            _, theirs = self._swap(KIND_OPEN_MAC, {"label": label, "round": index}, sigma)
+            check_received(index, label, peer, "tags", theirs, total, ring)
+            self.verify(index, label, opened, sigmas=(sigma, theirs))
 
         return unpack_round(layout, opened)
 
@@ -288,10 +241,8 @@ def _recv_blocked(endpoint: WireEndpoint, label: str, arrays: int) -> list:
 # Count phase — the backends' schedules and kernels, for this role's share
 # ---------------------------------------------------------------------- #
 def _count_mg(dealer_ep, channel, ring, share, num_users, batch_size, views, tracer):
-    """The faithful/batched schedule, one ``count_block`` per candidate block."""
-    total = 0
-    triples_processed = 0
-    opening_rounds = 0
+    """The faithful/batched block loop, each block's group read from the dealer link."""
+    groups = map(_recv_group, itertools.repeat(dealer_ep))
     with tracer.span(
         "backend",
         backend="faithful" if batch_size == 1 else "batched",
@@ -299,15 +250,11 @@ def _count_mg(dealer_ep, channel, ring, share, num_users, batch_size, views, tra
         batch_size=batch_size,
         candidates=num_candidate_triples(num_users),
     ) as backend_span:
-        for size, offsets in _gather_schedule(num_users, batch_size):
-            (subtotal,) = count_block(
-                size, offsets, _recv_group(dealer_ep), (share,), ring, views, channel
-            )
-            total = ring.add(total, subtotal)
-            triples_processed += size
-            opening_rounds += 1
-        backend_span.annotate(opening_rounds=opening_rounds)
-    return int(total), triples_processed, opening_rounds
+        (total,), triples, rounds = count_blocks(
+            _gather_schedule(num_users, batch_size), groups, (share,), ring, views, channel
+        )
+        backend_span.annotate(opening_rounds=rounds)
+    return int(total), triples, rounds
 
 
 def _count_blocked(dealer_ep, channel, ring, e, n, block_size, views, tracer):

@@ -13,13 +13,11 @@ statistic and assert the only possible outcomes are
 
 never a silently wrong released count.
 
-Round indices are deterministic at the default worker counts, which is
-what the corruption matrix relies on to target, say, "the second Beaver
-opening of the blocked backend": ``faithful``/``batched`` default to one
-worker, and ``blocked``/``matrix`` open only from the coordinating thread,
-whatever their pool.  Under a larger ``faithful``/``batched`` pool the
-order in which rounds reach the authenticator may vary, so
-corruption-targeting runs of those backends must keep one worker.
+Round indices are deterministic at every worker count, which is what the
+corruption matrix relies on to target, say, "the second Beaver opening of
+the blocked backend": ``faithful``/``batched`` run their blocks serially,
+and ``blocked``/``matrix`` open only from the coordinating thread, whatever
+their pool.
 
 Examples
 --------

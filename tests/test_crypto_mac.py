@@ -11,15 +11,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
 from repro.crypto.mac import (
-    AuthenticatedShare,
     MacKey,
     OpeningAuthenticator,
     resolve_authenticator,
 )
 from repro.crypto.ring import DEFAULT_RING
+from repro.crypto.secure_ops import PlainOpener
 from repro.exceptions import CheaterDetectedError, ConfigurationError
+from repro.graph.datasets import load_dataset
 
 
 class TestMacKey:
@@ -35,51 +37,6 @@ class TestMacKey:
     def test_shares_reconstruct_alpha(self):
         key = MacKey.generate(9)
         assert DEFAULT_RING.add(key.alpha1, key.alpha2) == key.alpha()
-
-
-class TestAuthenticatedShare:
-    def _share(self, key: MacKey, value: int, seed: int = 0) -> AuthenticatedShare:
-        ring = DEFAULT_RING
-        rng = np.random.default_rng(seed)
-        value1 = ring.random_element(rng)
-        tag = ring.mul(key.alpha(), value)
-        tag1 = ring.random_element(rng)
-        return AuthenticatedShare(
-            value1=value1,
-            value2=ring.sub(value, value1),
-            tag1=tag1,
-            tag2=ring.sub(tag, tag1),
-        )
-
-    def test_honest_share_opens(self):
-        key = MacKey.generate(1)
-        share = self._share(key, 42)
-        assert share.check(key)
-        assert share.open(key) == 42
-
-    def test_tampered_value_fails_check(self):
-        key = MacKey.generate(1)
-        share = self._share(key, 42)
-        bad = AuthenticatedShare(
-            value1=DEFAULT_RING.add(share.value1, 1),
-            value2=share.value2,
-            tag1=share.tag1,
-            tag2=share.tag2,
-        )
-        assert not bad.check(key)
-        with pytest.raises(CheaterDetectedError):
-            bad.open(key)
-
-    def test_tampered_tag_fails_check(self):
-        key = MacKey.generate(1)
-        share = self._share(key, 42)
-        bad = AuthenticatedShare(
-            value1=share.value1,
-            value2=share.value2,
-            tag1=DEFAULT_RING.add(share.tag1, 3),
-            tag2=share.tag2,
-        )
-        assert not bad.check(key)
 
 
 class TestOpeningAuthenticator:
@@ -253,15 +210,6 @@ class TestOpeningAuthenticator:
         assert auth.exchange("round", []) == []
         assert auth.rounds_checked == 0
 
-    def test_disabled_arm_opens_plain_and_never_checks(self):
-        fired = []
-        auth = OpeningAuthenticator.disabled()
-        auth._tamper = lambda opening: fired.append(opening)
-        assert not auth.enabled
-        assert auth.exchange("round", [(1, 2)]) == [3]
-        assert fired == []
-        assert auth.rounds_checked == 0
-
 
 class TestResolveAuthenticator:
     def test_default_config_has_no_authenticator(self):
@@ -287,3 +235,24 @@ class TestResolveAuthenticator:
         object.__setattr__(config, "authenticator", Bogus())
         with pytest.raises(ConfigurationError):
             resolve_authenticator(config)
+
+    def test_keyless_opener_is_no_authenticator(self):
+        config = CargoConfig(epsilon=1.0, authenticator=PlainOpener())
+        assert not config.authenticate
+        assert resolve_authenticator(config) is None
+
+
+class TestKeylessOpenerRelease:
+    def test_release_equals_no_authenticator(self):
+        """A key-less opener neither pins 64 bits nor changes the release."""
+        graph = load_dataset("facebook", num_nodes=128)
+        bare, keyless = (
+            Cargo(
+                CargoConfig(
+                    epsilon=2.0, seed=11, counting_backend="matrix", authenticator=opener
+                )
+            ).run(graph)
+            for opener in (None, PlainOpener())
+        )
+        assert keyless.ring_bits == bare.ring_bits < 64
+        assert keyless.noisy_triangle_count == bare.noisy_triangle_count

@@ -116,6 +116,19 @@ class TestRandomRegular:
         graph = random_regular_graph(20, 4, seed=8)
         assert all(degree == 4 for degree in graph.degrees())
 
+    @pytest.mark.parametrize(
+        "num_nodes, degree, seed", [(14, 6, 6), (14, 5, 1), (14, 5, 3), (14, 12, 0), (60, 9, 2)]
+    )
+    def test_moderate_degrees_are_simple_and_regular(self, num_nodes, degree, seed):
+        graph = random_regular_graph(num_nodes, degree, seed=seed)
+        # A merged repeated pair would leave its endpoints short of degree.
+        assert all(u != v for u, v in graph.edges())
+        assert all(d == degree for d in graph.degrees())
+
+    def test_same_seed_same_graph(self):
+        first = random_regular_graph(30, 6, seed=4)
+        assert sorted(first.edges()) == sorted(random_regular_graph(30, 6, seed=4).edges())
+
     def test_odd_product_rejected(self):
         with pytest.raises(ConfigurationError):
             random_regular_graph(5, 3)
