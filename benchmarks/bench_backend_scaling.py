@@ -59,9 +59,10 @@ SPARSE_STAR_K = 3
 def _backend_builders(num_users: int, block_size: int, workers: int = 1):
     """Name -> (dealer, counter) builders applicable at this n.
 
-    *workers* sets every counter's worker count (``REPRO_BENCH_WORKERS``
-    from the CLI); outputs and opening schedules are bit-identical for any
-    count, so the sweep stays comparable.
+    *workers* sets the blocked counters' worker count (``REPRO_BENCH_WORKERS``
+    from the CLI; the per-triple counters run their blocks serially);
+    outputs and opening schedules are bit-identical for any count, so the
+    sweep stays comparable.
     """
     builders = {
         "matrix": lambda: _with_dealer(
@@ -76,17 +77,13 @@ def _backend_builders(num_users: int, block_size: int, workers: int = 1):
         ),
         "batched": lambda: _with_dealer(
             MultiplicationGroupDealer(seed=0),
-            lambda dealer: FaithfulTriangleCounter(
-                dealer=dealer, batch_size=BATCH_SIZE, workers=workers
-            ),
+            lambda dealer: FaithfulTriangleCounter(dealer=dealer, batch_size=BATCH_SIZE),
         ),
     }
     if num_users <= FAITHFUL_MAX_USERS:
         builders["faithful"] = lambda: _with_dealer(
             MultiplicationGroupDealer(seed=0),
-            lambda dealer: FaithfulTriangleCounter(
-                dealer=dealer, batch_size=1, workers=workers
-            ),
+            lambda dealer: FaithfulTriangleCounter(dealer=dealer, batch_size=1),
         )
     return builders
 

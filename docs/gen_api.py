@@ -161,7 +161,6 @@ API_PAGES = {
             "repro.telemetry.metrics",
             "repro.telemetry.manifest",
             "repro.telemetry.exporters",
-            "repro.telemetry.timers",
             "repro.telemetry.profiling",
         ),
     ),

@@ -20,7 +20,7 @@ from repro.exceptions import PrivacyError
 from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
 from repro.utils.rng import RandomState, derive_rng
-from repro.telemetry import TimerRegistry
+from repro.telemetry import Tracer
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ class CentralLaplaceTriangleCounting:
     def run(self, graph: Graph, rng: RandomState = None) -> CentralLapResult:
         """Count triangles on *graph* and release a Laplace-noised estimate."""
         generator = derive_rng(rng)
-        timers = TimerRegistry()
-        with timers.measure("total"):
-            with timers.measure("count"):
+        tracer = Tracer()
+        with tracer.span("total"):
+            with tracer.span("count"):
                 true_count = count_triangles(graph)
             if self._use_exact_max_degree:
                 sensitivity = triangle_sensitivity_edge_dp(graph.max_degree())
@@ -102,7 +102,7 @@ class CentralLaplaceTriangleCounting:
                     float(graph.max_degree()) + degree_mechanism.sample_noise(generator), 1.0
                 )
                 sensitivity = triangle_sensitivity_edge_dp(noisy_max)
-            with timers.measure("perturb"):
+            with tracer.span("perturb"):
                 mechanism = LaplaceMechanism(epsilon=count_epsilon, sensitivity=sensitivity)
                 noisy_count = mechanism.randomize(float(true_count), rng=generator)
         return CentralLapResult(
@@ -110,7 +110,7 @@ class CentralLaplaceTriangleCounting:
             true_triangle_count=true_count,
             sensitivity=float(sensitivity),
             epsilon=self._epsilon,
-            timings=timers.as_dict(),
+            timings=tracer.timings(),
         )
 
     def expected_l2_loss(self, max_degree: int) -> float:

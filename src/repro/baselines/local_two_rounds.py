@@ -37,7 +37,7 @@ from repro.exceptions import PrivacyError
 from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
 from repro.utils.rng import RandomState, derive_rng, spawn_rngs
-from repro.telemetry import TimerRegistry
+from repro.telemetry import Tracer
 
 #: Default budget split: (noisy max degree, randomized response, count noise).
 DEFAULT_SPLIT = (0.1, 0.45, 0.45)
@@ -98,13 +98,13 @@ class LocalTwoRoundsTriangleCounting:
     def run(self, graph: Graph, rng: RandomState = None) -> LocalTwoRoundsResult:
         """Execute the two-round protocol on *graph*."""
         generator = derive_rng(rng)
-        timers = TimerRegistry()
+        tracer = Tracer()
         n = graph.num_nodes
         epsilon_degree = self._epsilon * self._split[0]
         epsilon_rr = self._epsilon * self._split[1]
         epsilon_count = self._epsilon * self._split[2]
 
-        with timers.measure("total"):
+        with tracer.span("total"):
             # Noisy maximum degree (each user perturbs her own degree).
             degree_mechanism = LaplaceMechanism(epsilon=epsilon_degree, sensitivity=1.0)
             degrees = graph.degrees()
@@ -113,13 +113,13 @@ class LocalTwoRoundsTriangleCounting:
             noisy_max = min(noisy_max, float(max(n - 1, 1)))
 
             # Local projection via random edge deletion.
-            with timers.measure("project"):
+            with tracer.span("project"):
                 projection = RandomProjection(noisy_max)
                 projected = projection.project_graph(graph, rng=generator)
                 rows = projected.projected_rows
 
             # Round 1 — randomized response on the lower-triangular bits.
-            with timers.measure("round1"):
+            with tracer.span("round1"):
                 response = RandomizedResponse(epsilon=epsilon_rr)
                 lower_mask = np.tril(np.ones((n, n), dtype=np.int64), k=-1)
                 owned_bits = rows * lower_mask
@@ -127,7 +127,7 @@ class LocalTwoRoundsTriangleCounting:
                 noisy_adjacency = noisy_lower + noisy_lower.T
 
             # Round 2 — each user counts noisy edges among her true neighbours.
-            with timers.measure("round2"):
+            with tracer.span("round2"):
                 p = response.keep_probability
                 q = response.flip_probability
                 count_mechanism = LaplaceMechanism(
@@ -152,5 +152,5 @@ class LocalTwoRoundsTriangleCounting:
             true_triangle_count=count_triangles(graph),
             noisy_max_degree=noisy_max,
             epsilon=self._epsilon,
-            timings=timers.as_dict(),
+            timings=tracer.timings(),
         )

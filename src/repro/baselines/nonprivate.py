@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
 from repro.utils.rng import RandomState
-from repro.telemetry import TimerRegistry
+from repro.telemetry import Tracer
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,11 @@ class NonPrivateTriangleCounting:
     def run(self, graph: Graph, rng: RandomState = None) -> NonPrivateResult:
         """Count triangles exactly."""
         del rng  # the exact count is deterministic
-        timers = TimerRegistry()
-        with timers.measure("total"):
+        tracer = Tracer()
+        with tracer.span("total"):
             count = count_triangles(graph)
         return NonPrivateResult(
             noisy_triangle_count=float(count),
             true_triangle_count=count,
-            timings=timers.as_dict(),
+            timings=tracer.timings(),
         )

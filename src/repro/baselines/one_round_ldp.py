@@ -20,7 +20,7 @@ from repro.exceptions import PrivacyError
 from repro.graph.graph import Graph
 from repro.graph.triangles import count_triangles
 from repro.utils.rng import RandomState, derive_rng
-from repro.telemetry import TimerRegistry
+from repro.telemetry import Tracer
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class OneRoundLdpTriangleCounting:
     def run(self, graph: Graph, rng: RandomState = None) -> OneRoundLdpResult:
         """Randomize every owned bit once and debias the triangle estimate."""
         generator = derive_rng(rng)
-        timers = TimerRegistry()
+        tracer = Tracer()
         n = graph.num_nodes
-        with timers.measure("total"):
+        with tracer.span("total"):
             response = RandomizedResponse(epsilon=self._epsilon)
             adjacency = graph.adjacency_matrix()
             lower_mask = np.tril(np.ones((n, n), dtype=np.int64), k=-1)
@@ -82,5 +82,5 @@ class OneRoundLdpTriangleCounting:
             noisy_triangle_count=estimate,
             true_triangle_count=count_triangles(graph),
             epsilon=self._epsilon,
-            timings=timers.as_dict(),
+            timings=tracer.timings(),
         )

@@ -47,7 +47,7 @@ from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
-from repro.parallel import TripleSignature, resolve_workers
+from repro.parallel import TripleSignature
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
@@ -201,14 +201,13 @@ def group_stream(
     total candidate count and the limit — never on the batch size — so the
     provisioned mask stream (and therefore every opening) is identical
     across batch sizes.  *to_provision* is how many groups are still to be
-    provisioned (default: all of them, or none when ``provision_limit`` is
-    ``0`` and every block draws unbuffered); ``0`` walks a pool that is
-    already filled.  The in-process backend and the runtime dealer both
+    provisioned (default: all of them); ``0`` walks a pool that is already
+    filled.  The in-process backend and the runtime dealer both
     walk this stream, so their material is identical.
     """
     remaining = num_candidate_triples(num_users)
     if to_provision is None:
-        to_provision = remaining if provision_limit else 0
+        to_provision = remaining
     while remaining:
         size = min(batch_size, remaining)
         remaining -= size
@@ -270,13 +269,7 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         faithful one-opening-per-triple schedule.
     provision_limit:
         Maximum number of multiplication groups the backend pre-provisions
-        per buffered offline-phase call (memory bound).  ``0`` disables
-        buffered dealing and draws one group batch per opening round, exactly
-        as the unbuffered dealer would.
-    workers:
-        The run's worker count (at least ``1``).  Blocks run serially
-        whatever it is — fanning them out over a pool measured slower — so
-        the transcript is bit-identical for any worker count.
+        per buffered offline-phase call (memory bound, at least ``1``).
     triple_store:
         Optional :class:`~repro.parallel.store.TripleStore` memoising the
         provisioned group stream (streams larger than the store's per-entry
@@ -290,17 +283,14 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         batch_size: int = 1,
         views: Optional[ViewRecorder] = None,
         provision_limit: int = DEFAULT_PROVISION_LIMIT,
-        workers: int = 1,
         triple_store=None,
         telemetry=None,
         authenticator=None,
     ) -> None:
         if batch_size <= 0:
             raise ProtocolError(f"batch_size must be positive, got {batch_size}")
-        if provision_limit < 0:
-            raise ProtocolError(f"provision_limit must be non-negative, got {provision_limit}")
-        if workers < 1:
-            raise ProtocolError(f"workers must be at least 1, got {workers}")
+        if provision_limit < 1:
+            raise ProtocolError(f"provision_limit must be positive, got {provision_limit}")
         super().__init__(
             ring=ring, views=views, telemetry=telemetry, authenticator=authenticator
         )
@@ -324,7 +314,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             dealer=dealer,
             batch_size=1,
             views=views,
-            workers=resolve_workers(config),
             triple_store=getattr(config, "triple_store", None),
             telemetry=resolve_telemetry(config),
             authenticator=authenticator,
@@ -363,17 +352,14 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         total_candidates = num_candidate_triples(num_users)
 
         # Buffered offline phase (see group_stream): every group still to be
-        # provisioned, unless buffering is off.
-        to_provision = total_candidates if self._provision_limit else 0
+        # provisioned.
+        to_provision = total_candidates
         # Offline reuse: the provisioned stream is a deterministic function
         # of (dealer seed, total, provision_limit), so it is storable.  A
         # stream past the store's per-entry budget is dealt lazily instead
         # (bounded memory) and simply not cached.
         stream_bytes = total_candidates * len(MG_FIELDS) * 2 * 8
-        use_store = (
-            self._store is not None and self._provision_limit and total_candidates
-        )
-        if use_store:
+        if self._store is not None and total_candidates:
             signature = TripleSignature(
                 statistic="triangles",
                 backend="faithful",
@@ -434,7 +420,6 @@ def _build_batched_backend(
         dealer=dealer,
         batch_size=config.batch_size,
         views=views,
-        workers=resolve_workers(config),
         triple_store=getattr(config, "triple_store", None),
         telemetry=resolve_telemetry(config),
         authenticator=authenticator,

@@ -29,7 +29,7 @@ primitive that demonstrates the equivalence.  The substitution is recorded in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -494,10 +494,3 @@ class BeaverTripleDealer:
             server2=BeaverTriple(x=x_pair.share2, y=y_pair.share2, z=z_pair.share2),
             ring=ring,
         )
-
-    def scalar_triples(self, count: int) -> Iterator[BeaverTriplePair]:
-        """Yield *count* scalar triples (used to pre-provision a protocol run)."""
-        if count < 0:
-            raise DealerError(f"count must be non-negative, got {count}")
-        for _ in range(count):
-            yield self.scalar_triple()

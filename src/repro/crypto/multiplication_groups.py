@@ -22,7 +22,7 @@ dealer; see ``DESIGN.md`` for the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -266,13 +266,6 @@ class MultiplicationGroupDealer:
         y = ring.random_array(shape, self._rng)
         z = ring.random_array(shape, self._rng)
         return self._build_pair(x, y, z, scalar=False)
-
-    def scalar_groups(self, count: int) -> Iterator[MultiplicationGroupPair]:
-        """Yield *count* scalar multiplication groups."""
-        if count < 0:
-            raise DealerError(f"count must be non-negative, got {count}")
-        for _ in range(count):
-            yield self.scalar_group()
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -14,7 +14,7 @@ the two servers.  Server-side protocol code never holds a full
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -158,10 +158,3 @@ def reconstruct_vector(
         return np.asarray(decoded, dtype=object)
     return combined
 
-
-def zero_share_pair(shape: Tuple[int, ...] | None, ring: Ring = DEFAULT_RING) -> SharePair:
-    """A trivially-shared zero (both shares zero); useful as an accumulator seed."""
-    if shape is None:
-        return SharePair(share1=0, share2=0, ring=ring)
-    zeros = np.zeros(shape, dtype=ring.dtype)
-    return SharePair(share1=zeros, share2=zeros.copy(), ring=ring)

@@ -94,6 +94,18 @@ class BudgetExhaustedError(PrivacyError):
     """A privacy accountant has no remaining budget for the requested spend."""
 
 
+class AuditFailedError(PrivacyError):
+    """An empirical privacy audit returned a verdict its case did not expect.
+
+    An honest release audited above its claimed ε, or the planted half-noise
+    bug audited within it.  :attr:`report` holds every audited row.
+    """
+
+    def __init__(self, message: str, report) -> None:
+        super().__init__(message)
+        self.report = report
+
+
 class ExperimentError(ReproError):
     """An experiment specification is unknown or produced no results."""
 

@@ -60,6 +60,7 @@ from repro.core.config import CargoConfig
 from repro.core.max_degree import clamp_max_degree
 from repro.core.result import CargoResult
 from repro.crypto.protocol import TwoServerRuntime
+from repro.crypto.secure_ops import PlainOpener
 from repro.exceptions import (
     CheaterDetectedError,
     ConfigurationError,
@@ -123,7 +124,9 @@ def _validate_distributed_config(config: CargoConfig) -> None:
         raise ConfigurationError(
             "tile_window streaming is not supported by the distributed runtime"
         )
-    if getattr(config, "authenticator", None) is not None:
+    authenticator = getattr(config, "authenticator", None)
+    if authenticator is not None and not isinstance(authenticator, PlainOpener):
+        # A key-less opener checks nothing: it runs like no authenticator.
         raise ConfigurationError(
             "injected authenticators cannot be shipped to server processes; "
             "use authenticate=True instead"
@@ -235,7 +238,8 @@ class DistributedRuntime:
     config:
         The run configuration; defaults to ``CargoConfig()``.  Statistics
         other than triangles, worker pools, triple stores, tile windows and
-        injected authenticators are rejected — see
+        authenticators that check MACs are rejected (a key-less
+        :class:`~repro.crypto.secure_ops.PlainOpener` runs like none) — see
         ``docs/distributed-runtime.md`` for the supported envelope.
     fault_plan / fault_target:
         Optional fault-injection schedule (JSON from

@@ -319,46 +319,39 @@ class FourCycleStatistic(SubgraphStatistic):
         a1 = ring.add(m1, m1.T)
         a2 = ring.add(m2, m2.T)
 
+        # Tiled A @ A: one matrix triple per (J, I, K) tile, the blocked
+        # triangle backend's streaming pattern (A is dense, so no
+        # structurally-zero tiles to skip); a tile covering the matrix is
+        # the monolithic product.
         w1 = np.zeros((n, n), dtype=ring.dtype)
         w2 = np.zeros((n, n), dtype=ring.dtype)
-        if tile >= n:
-            triple = dealer.matrix_triple((n, n), (n, n))
-            w1, w2 = secure_matrix_multiply(
-                (a1, a2), (a1, a2), triple, ring=ring, views=views, matmul=matmul,
-                authenticator=authenticator,
-            )
-            rounds += 1
-        else:
-            # Tiled A @ A: one small matrix triple per (J, I, K) tile, the
-            # blocked triangle backend's streaming pattern (A is dense, so no
-            # structurally-zero tiles to skip).
-            edges = list(range(0, n, tile))
-            for j0 in edges:
-                j1 = min(j0 + tile, n)
-                for k0 in edges:
-                    k1 = min(k0 + tile, n)
-                    acc1 = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
-                    acc2 = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
-                    for i0 in edges:
-                        i1 = min(i0 + tile, n)
-                        left = (
-                            np.ascontiguousarray(a1[j0:j1, i0:i1]),
-                            np.ascontiguousarray(a2[j0:j1, i0:i1]),
-                        )
-                        right = (
-                            np.ascontiguousarray(a1[i0:i1, k0:k1]),
-                            np.ascontiguousarray(a2[i0:i1, k0:k1]),
-                        )
-                        triple = dealer.matrix_triple((j1 - j0, i1 - i0), (i1 - i0, k1 - k0))
-                        partial1, partial2 = secure_matrix_multiply(
-                            left, right, triple, ring=ring, views=views, matmul=matmul,
-                            authenticator=authenticator,
-                        )
-                        acc1 = ring.add(acc1, partial1)
-                        acc2 = ring.add(acc2, partial2)
-                        rounds += 1
-                    w1[j0:j1, k0:k1] = acc1
-                    w2[j0:j1, k0:k1] = acc2
+        edges = list(range(0, n, tile))
+        for j0 in edges:
+            j1 = min(j0 + tile, n)
+            for k0 in edges:
+                k1 = min(k0 + tile, n)
+                acc1 = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
+                acc2 = np.zeros((j1 - j0, k1 - k0), dtype=ring.dtype)
+                for i0 in edges:
+                    i1 = min(i0 + tile, n)
+                    left = (
+                        np.ascontiguousarray(a1[j0:j1, i0:i1]),
+                        np.ascontiguousarray(a2[j0:j1, i0:i1]),
+                    )
+                    right = (
+                        np.ascontiguousarray(a1[i0:i1, k0:k1]),
+                        np.ascontiguousarray(a2[i0:i1, k0:k1]),
+                    )
+                    triple = dealer.matrix_triple((j1 - j0, i1 - i0), (i1 - i0, k1 - k0))
+                    partial1, partial2 = secure_matrix_multiply(
+                        left, right, triple, ring=ring, views=views, matmul=matmul,
+                        authenticator=authenticator,
+                    )
+                    acc1 = ring.add(acc1, partial1)
+                    acc2 = ring.add(acc2, partial2)
+                    rounds += 1
+                w1[j0:j1, k0:k1] = acc1
+                w2[j0:j1, k0:k1] = acc2
 
         # Finish: shares of W ⊙ (W - 1) over the strict upper triangle (the
         # public constant 1 is subtracted from one server's share), tile by

@@ -39,7 +39,6 @@ from repro.telemetry.metrics import NULL_METRICS, MetricsRegistry
 from repro.telemetry.profiling import measure_peak_bytes, traced_call
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry, resolve_telemetry
 from repro.telemetry.spans import NULL_TRACER, Span, Tracer
-from repro.telemetry.timers import Timer, TimerRegistry
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -49,8 +48,6 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "Telemetry",
-    "Timer",
-    "TimerRegistry",
     "Tracer",
     "build_manifest",
     "build_result_telemetry",

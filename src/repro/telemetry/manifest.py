@@ -2,8 +2,8 @@
 
 A *run manifest* is the structured JSON export of one traced run: the
 release records, the metric snapshot, and the span tree, under a pinned
-``schema_version``.  The CI ``telemetry-smoke`` job round-trips a manifest
-per backend through :func:`validate_manifest` and
+``schema_version``.  Every fuzz case (:mod:`repro.verify.fuzz`) runs a
+traced release's manifest through :func:`validate_manifest` and
 :func:`verify_ledger_reconciliation`, so the schema here is load-bearing —
 bump :data:`MANIFEST_SCHEMA_VERSION` on any breaking field change.
 

@@ -18,8 +18,9 @@ package adds the three active counterparts:
 * :mod:`repro.verify.fuzz` — a seeded, dependency-free property-based
   harness drawing random graphs × statistics × backends × configuration
   knobs and checking the repo's standing invariants (cross-backend count
-  equality, worker/transcript invariance, honest-authentication
-  bit-identity, manifest validity and ledger reconciliation).
+  equality, worker and transport transcript invariance, honest-authentication
+  bit-identity and cheater detection, manifest validity and ledger
+  reconciliation); ``python -m repro.verify.fuzz`` runs a budget.
 
 Everything here is deterministic given its seed, so every failure a CI run
 reports is replayable from the embedded case JSON.
@@ -40,15 +41,27 @@ from repro.verify.audit import (
     neighbouring_graphs,
     worst_case_graph,
 )
-from repro.verify.fuzz import (
-    FuzzCase,
-    FuzzFailure,
-    FuzzReport,
-    draw_case,
-    run_case,
-    run_fuzz,
-    transcripts_equal,
+
+#: Served from :mod:`repro.verify.fuzz` on first access, so that
+#: ``python -m repro.verify.fuzz`` runs a module the package has not imported.
+_FUZZ_EXPORTS = (
+    "FuzzCase",
+    "FuzzFailure",
+    "FuzzReport",
+    "draw_case",
+    "run_case",
+    "run_fuzz",
+    "transcripts_equal",
 )
+
+
+def __getattr__(name):
+    if name in _FUZZ_EXPORTS:
+        from repro.verify import fuzz
+
+        return getattr(fuzz, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CORRUPTION_KINDS",

@@ -39,7 +39,7 @@ from repro.core.config import CargoConfig
 from repro.core.node_dp import NodeDpCargo
 from repro.dp.auditing import epsilon_lower_bound_from_samples
 from repro.dp.budget import PrivacyBudget
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AuditFailedError, ConfigurationError
 from repro.graph.graph import Graph
 from repro.utils.rng import derive_rng
 
@@ -275,6 +275,10 @@ def audit_experiment(
     node-adjacent inputs (both must pass), and a deliberately broken release
     with half-scale `Perturb` noise (which must fail) — so a single
     invocation demonstrates the audit has teeth, not just green lights.
+    Raises :class:`~repro.exceptions.AuditFailedError` (carrying the report)
+    when any row's verdict differs from its expectation, so ``repro-cargo
+    --audit`` exits 1 on a wrong verdict.  At low *num_trials* (≲ 200) the
+    estimator starves and the planted bug passes, which fails the gate.
     """
     from repro.experiments.runner import ExperimentReport
 
@@ -329,5 +333,17 @@ def audit_experiment(
                 if result.view_divergence is None
                 else round(result.view_divergence, 4)
             ),
+        )
+    wrong = [row for row in report.rows if row["passes"] != row["expected"]]
+    if wrong:
+        raise AuditFailedError(
+            "privacy audit gate failed: "
+            + "; ".join(
+                f"{row['case']} ({row['mode']}) audited {row['audited_epsilon']} vs "
+                f"claimed {row['claimed_epsilon']}: passes={row['passes']}, "
+                f"expected {row['expected']}"
+                for row in wrong
+            ),
+            report=report,
         )
     return report

@@ -3,16 +3,21 @@
 The repo's correctness story rests on a handful of *standing invariants*
 that every PR so far has pinned with hand-written tests:
 
-1. **determinism** — the same configuration releases the same count (and
-   records the same transcript) on every run;
+1. **determinism and telemetry** — a traced, ledger-tracking rerun of the
+   same configuration releases the same count, transcript and ledger; its
+   manifest validates against the schema, its ledger reconciles against
+   the metric counters, and its release record carries the result's
+   ``ring_bits``;
 2. **cross-backend equality** — all four counting backends release the
    bit-identical noisy count for the same seed;
-3. **honest-authentication bit-identity** — ``authenticate=True`` changes
-   nothing about an honest release except that its openings are MAC-checked;
+3. **authentication** — ``authenticate=True`` changes nothing about an
+   honest release except that its openings are MAC-checked, and one
+   corruption drawn per case (round, server, tamper kind) is detected;
 4. **worker invariance** — transcripts and counts are identical for any
    worker count, the default included;
-5. **manifest validity** — a traced run's manifest validates against the
-   schema and its ledger reconciles against the metric counters;
+5. **transport equivalence** — a case drawn ``distributed`` releases the
+   same count, transcript and ledger phases on the process-separated
+   runtime as in process;
 6. **wire round-trip** — every distributed-runtime frame kind
    serialize→deserializes bit-identically, and truncating or corrupting a
    frame raises the typed :class:`~repro.exceptions.WireFormatError`
@@ -21,13 +26,14 @@ that every PR so far has pinned with hand-written tests:
 Hand-written tests pin these at a few points of the configuration space;
 this harness samples the space: a seeded, dependency-free generator draws
 random graphs × statistics × backends × {workers, sparse, tile_window,
-block/batch size, ring} cases and checks all six invariants on each.  The
-ring is drawn three ways: derived per release, pinned at 64 bits, or pinned
-at the derived width plus a few bits, so every invariant also runs on
-narrow rings (and invariant 3 compares a narrow release with its 64-bit
-authenticated twin).  Every failure report embeds the case's JSON, so
-``FuzzCase.from_json(...)`` + :func:`run_case` replays it exactly — same
-seed, same cases, same verdicts.
+block/batch size, ring, distributed} cases and checks all six invariants
+on each.  The ring is drawn three ways: derived per release, pinned at 64
+bits, or pinned at the derived width plus a few bits, so every invariant
+also runs on narrow rings (and invariant 3 compares a narrow release with
+its 64-bit authenticated twin).  Every failure report embeds the case's
+JSON, so ``FuzzCase.from_json(...)`` + :func:`run_case` replays it exactly
+— same seed, same cases, same verdicts.  ``python -m repro.verify.fuzz
+--cases N --seed S`` runs a budget from the command line (see :func:`main`).
 
 Examples
 --------
@@ -40,6 +46,7 @@ True
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -48,12 +55,20 @@ import numpy as np
 
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
+from repro.core.result import CargoResult
 from repro.crypto.mac import OpeningAuthenticator
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError, ReproError
 from repro.graph.graph import Graph
+from repro.telemetry import (
+    Telemetry,
+    build_manifest,
+    validate_manifest,
+    verify_ledger_reconciliation,
+)
 from repro.utils.rng import derive_rng
+from repro.verify.adversary import CORRUPTION_KINDS, Corruption, run_with_corruption
 
 __all__ = [
     "FuzzCase",
@@ -92,6 +107,9 @@ class FuzzCase:
     star_k: int = 2
     ring: str = "derived"
     ring_slack: int = 0
+    #: Also release on the process-separated runtime (invariant 5); not a
+    #: ``config_kwargs`` entry, so every other invariant runs in process.
+    distributed: bool = False
 
     def config_kwargs(self, **overrides) -> dict:
         """The ``CargoConfig`` keyword arguments this case runs with."""
@@ -136,7 +154,8 @@ def draw_case(rng, index: int) -> FuzzCase:
     Bounds keep a ~200-case CI budget under a minute: the faithful backend
     (O(n³) scalar rounds) only sees small graphs, and the blocked backend's
     knobs (block size, tile window, workers) are only drawn when they do
-    something.
+    something.  ``distributed`` is drawn on the cases the runtime accepts:
+    triangles without a worker pool or tile window.
     """
     statistic = _STATISTICS[int(rng.integers(len(_STATISTICS)))]
     backend = _BACKENDS[int(rng.integers(len(_BACKENDS)))]
@@ -158,6 +177,12 @@ def draw_case(rng, index: int) -> FuzzCase:
     kwargs["ring"] = _RINGS[int(rng.integers(len(_RINGS)))]
     if kwargs["ring"] == "slack":
         kwargs["ring_slack"] = int(rng.integers(0, 9))
+    if (
+        statistic == "triangles"
+        and kwargs.get("workers", 1) == 1
+        and "tile_window" not in kwargs
+    ):
+        kwargs["distributed"] = bool(rng.random() < 0.5)
     return FuzzCase(
         seed=int(rng.integers(0, 2**31 - 1)),
         num_nodes=num_nodes,
@@ -269,10 +294,36 @@ def check_wire_invariant(seed: int, num_frames: int = 4) -> List[str]:
     return problems
 
 
-def _release(graph: Graph, config: CargoConfig) -> Tuple[float, Optional[ViewRecorder]]:
+def _release(graph: Graph, config: CargoConfig) -> Tuple[CargoResult, ViewRecorder]:
     cargo = Cargo(config)
-    result = cargo.run(graph)
-    return float(result.noisy_triangle_count), cargo.views
+    return cargo.run(graph), cargo.views
+
+
+def _counts(result: CargoResult) -> Tuple[float, int, int]:
+    return (
+        result.noisy_triangle_count,
+        result.true_triangle_count,
+        result.projected_triangle_count,
+    )
+
+
+def _differences(label: str, base, twin) -> List[str]:
+    """How a twin release departs from the base: counts, transcript, ledger."""
+    (base_result, base_views), (result, views) = base, twin
+    if _counts(result) != _counts(base_result):
+        return [
+            f"{label} released (noisy, true, projected) {_counts(result)}, "
+            f"base {_counts(base_result)}"
+        ]
+    problems = []
+    if not transcripts_equal(base_views, views):
+        problems.append(f"{label} transcript differs from the base")
+    if (result.communication, result.communication_phases) != (
+        base_result.communication,
+        base_result.communication_phases,
+    ):
+        problems.append(f"{label} ledger differs from the base")
+    return problems
 
 
 def case_ring(case: FuzzCase, graph: Graph, epsilon: float) -> Optional[Ring]:
@@ -301,101 +352,84 @@ def run_case(case: FuzzCase) -> List[str]:
         epsilon = 2.0
         ring = case_ring(case, graph, epsilon)
 
-        def config_kwargs(**overrides) -> dict:
-            return case.config_kwargs(ring=ring, **overrides)
+        def config(**overrides) -> CargoConfig:
+            return CargoConfig(epsilon=epsilon, **case.config_kwargs(ring=ring, **overrides))
 
-        base = CargoConfig(epsilon=epsilon, record_views=True, **config_kwargs())
-        count, views = _release(graph, base)
+        def twin(**overrides):
+            """A release recording views and ledger, as the base does."""
+            return _release(
+                graph, config(record_views=True, track_communication=True, **overrides)
+            )
 
-        # 1. Determinism: an identical rerun matches count and transcript.
-        rerun_count, rerun_views = _release(
-            graph, CargoConfig(epsilon=epsilon, record_views=True, **config_kwargs())
+        base = twin()
+        count = base[0].noisy_triangle_count
+
+        # 1. Determinism and telemetry: a traced rerun matches the base, and
+        # its manifest validates, reconciles and records the result's ring.
+        telemetry = Telemetry()
+        traced = twin(telemetry=telemetry)
+        problems.extend(_differences("traced rerun", base, traced))
+        manifest = build_manifest(telemetry)
+        problems.extend(f"manifest: {issue}" for issue in validate_manifest(manifest))
+        problems.extend(
+            f"ledger: {issue}" for issue in verify_ledger_reconciliation(manifest)
         )
-        if rerun_count != count:
-            problems.append(f"nondeterministic release: {count} vs {rerun_count}")
-        elif not transcripts_equal(views, rerun_views):
-            problems.append("nondeterministic transcript on identical rerun")
+        recorded_bits = telemetry.releases[-1]["ring_bits"]
+        if recorded_bits != traced[0].ring_bits:
+            problems.append(
+                f"release record ring_bits {recorded_bits}, "
+                f"result {traced[0].ring_bits}"
+            )
 
         # 2. Cross-backend equality against the batched reference: its
         # multiplication-group kernel shares no code with the mask-once one.
         if case.backend != "batched":
             reference, _ = _release(
                 graph,
-                CargoConfig(
-                    epsilon=epsilon,
-                    **config_kwargs(
-                        counting_backend="batched", workers=None, tile_window=None
-                    ),
-                ),
+                config(counting_backend="batched", workers=None, tile_window=None),
             )
-            if reference != count:
+            if reference.noisy_triangle_count != count:
                 problems.append(
-                    f"backend {case.backend!r} released {count}, "
-                    f"batched reference released {reference}"
+                    f"backend {case.backend!r} released {count}, batched "
+                    f"reference released {reference.noisy_triangle_count}"
                 )
 
-        # 3. Honest authentication is bit-identical and actually checked.
-        # MAC-checked releases keep 64 bits unless the case pins a ring, so a
-        # derived case compares its narrow release with a 64-bit one.
-        authenticator = OpeningAuthenticator(
-            seed=case.seed, ring=DEFAULT_RING if ring is None else ring
-        )
-        authed, _ = _release(
-            graph,
-            CargoConfig(epsilon=epsilon, authenticator=authenticator, **config_kwargs()),
-        )
-        if authed != count:
+        # 3. Honest authentication is bit-identical and actually checked, and
+        # one corruption drawn from the case is caught.  MAC-checked releases
+        # keep 64 bits unless the case pins a ring, so a derived case
+        # compares its narrow release with a 64-bit one.
+        mac_ring = DEFAULT_RING if ring is None else ring
+        authenticator = OpeningAuthenticator(seed=case.seed, ring=mac_ring)
+        authed, _ = _release(graph, config(authenticator=authenticator))
+        if authed.noisy_triangle_count != count:
             problems.append(
-                f"authenticated release {authed} differs from plain {count}"
+                f"authenticated release {authed.noisy_triangle_count} "
+                f"differs from plain {count}"
+            )
+        if authed.ring_bits != mac_ring.bits:
+            problems.append(
+                f"authenticated release ran in {authed.ring_bits} bits, "
+                f"not {mac_ring.bits}"
             )
         if authenticator.rounds_checked < 1:
             problems.append("authenticated run checked zero opening rounds")
+        else:
+            problems.extend(
+                _corruption_problems(case, graph, ring, epsilon, authenticator.rounds_checked)
+            )
 
         # 4. Worker invariance: every backend runs one execution path, and
         # the default (workers=None) is that path at its default worker
-        # count, so count and transcript must both match any worker count.
+        # count, so count, transcript and ledger match any worker count.
         if case.workers is not None:
-            default_count, default_views = _release(
-                graph,
-                CargoConfig(
-                    epsilon=epsilon,
-                    record_views=True,
-                    **config_kwargs(workers=None),
-                ),
+            problems.extend(
+                _differences(f"workers={case.workers}", twin(workers=None), base)
             )
-            if default_count != count:
-                problems.append(
-                    f"workers={case.workers} released {count}, "
-                    f"default {default_count}"
-                )
-            elif not transcripts_equal(views, default_views):
-                problems.append(
-                    f"workers={case.workers} transcript differs from the default"
-                )
 
-        # 5. Manifest validity + ledger reconciliation on a traced run.
-        from repro.telemetry import (
-            Telemetry,
-            build_manifest,
-            validate_manifest,
-            verify_ledger_reconciliation,
-        )
-
-        telemetry = Telemetry()
-        _release(
-            graph,
-            CargoConfig(
-                epsilon=epsilon,
-                telemetry=telemetry,
-                track_communication=True,
-                **config_kwargs(),
-            ),
-        )
-        manifest = build_manifest(telemetry)
-        problems.extend(f"manifest: {issue}" for issue in validate_manifest(manifest))
-        problems.extend(
-            f"ledger: {issue}" for issue in verify_ledger_reconciliation(manifest)
-        )
+        # 5. Transport equivalence: four forked processes over socket links
+        # release what the in-process engine releases.
+        if case.distributed:
+            problems.extend(_differences("distributed", base, twin(distributed=True)))
 
         # 6. Wire round-trip: the distributed runtime's framing layer must
         # reproduce random frames exactly and reject mutations typed.
@@ -405,6 +439,37 @@ def run_case(case: FuzzCase) -> List[str]:
     except Exception as error:  # pragma: no cover - only on harness bugs
         problems.append(f"unexpected {type(error).__name__}: {error}")
     return problems
+
+
+def _corruption_problems(case, graph, ring, epsilon, rounds: int) -> List[str]:
+    """Invariant 3's cheater: one corruption below *rounds*, drawn from the case.
+
+    The corruption must fire and abort the release with a
+    :class:`~repro.exceptions.CheaterDetectedError` naming its round.
+    """
+    rng = derive_rng(case.seed ^ 0x434845)  # "CHE": independent of the run RNG
+    corruption = Corruption(
+        round_index=int(rng.integers(rounds)),
+        server=int(rng.integers(1, 3)),
+        kind=CORRUPTION_KINDS[int(rng.integers(len(CORRUPTION_KINDS)))],
+    )
+    kwargs = case.config_kwargs(ring=ring)
+    kwargs["backend"] = kwargs.pop("counting_backend")
+    outcome = run_with_corruption(graph, corruption, epsilon=epsilon, **kwargs)
+    target = (
+        f"round {corruption.round_index} of {rounds}, server {corruption.server}, "
+        f"{corruption.kind}"
+    )
+    if not outcome.fired:
+        return [f"corruption ({target}) never fired"]
+    if not outcome.detected:
+        return [
+            f"corruption ({target}) went undetected: released "
+            f"{outcome.result.noisy_triangle_count}"
+        ]
+    if outcome.error.round_index != corruption.round_index:
+        return [f"corruption ({target}) detected in round {outcome.error.round_index}"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -467,7 +532,7 @@ def run_fuzz(
     """Draw and check *num_cases* cases; deterministic given *seed*.
 
     The optional *on_case* callback receives ``(index, case, problems)``
-    after each case — the smoke benchmark uses it for progress output.
+    after each case (progress output, for instance).
     """
     if num_cases < 1:
         raise ConfigurationError(f"num_cases must be at least 1, got {num_cases}")
@@ -488,3 +553,35 @@ def run_fuzz(
         cases=tuple(cases),
         failures=tuple(failures),
     )
+
+
+#: Where :func:`main` writes a red budget's :meth:`FuzzReport.to_json`.
+FAILURES_FILE = "fuzz_failures.json"
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.verify.fuzz --cases N --seed S``: one fuzz budget.
+
+    Prints :meth:`FuzzReport.summary`; when any case fails, writes
+    :meth:`FuzzReport.to_json` to :data:`FAILURES_FILE` in the working
+    directory and returns 1.
+    """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.verify.fuzz",
+        description="Check seeded random configurations against the standing invariants.",
+    )
+    parser.add_argument("--cases", type=int, default=200, help="fuzz budget (default 200)")
+    parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    args = parser.parse_args(argv)
+    report = run_fuzz(num_cases=args.cases, seed=args.seed)
+    print(report.summary())
+    if report.passed:
+        return 0
+    with open(FAILURES_FILE, "w", encoding="utf-8") as handle:
+        handle.write(report.to_json())
+    print(f"failing cases written to {FAILURES_FILE}")
+    return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

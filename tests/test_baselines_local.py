@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.central_lap import CentralLaplaceTriangleCounting
 from repro.baselines.local_two_rounds import LocalTwoRoundsTriangleCounting
 from repro.baselines.nonprivate import NonPrivateTriangleCounting
 from repro.baselines.one_round_ldp import OneRoundLdpTriangleCounting
@@ -115,3 +116,19 @@ class TestNonPrivate:
         assert result.noisy_triangle_count == result.true_triangle_count == 20
         assert result.l2_loss == 0.0
         assert result.relative_error == 0.0
+
+
+@pytest.mark.parametrize(
+    "baseline, phases",
+    [
+        (CentralLaplaceTriangleCounting(epsilon=1.0), {"total", "count", "perturb"}),
+        (LocalTwoRoundsTriangleCounting(epsilon=1.0), {"total", "project", "round1", "round2"}),
+        (OneRoundLdpTriangleCounting(epsilon=1.0), {"total"}),
+        (NonPrivateTriangleCounting(), {"total"}),
+    ],
+)
+def test_timings_key_set_is_pinned(baseline, phases):
+    """Each baseline times exactly its phases, one span per phase."""
+    result = baseline.run(load_dataset("facebook", num_nodes=30), rng=0)
+    assert set(result.timings) == phases
+    assert all(seconds >= 0.0 for seconds in result.timings.values())

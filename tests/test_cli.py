@@ -263,9 +263,11 @@ class TestVerificationFlags:
         assert "cheated" in err
 
     def test_audit_shorthand_resolves_experiment(self, capsys):
-        assert main(["--audit", "--num-nodes", "6", "--trials", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "half-noise bug" in out
+        # 40 trials starve the estimator, so the planted bug passes and the
+        # audit gate exits 1 naming it.
+        assert main(["--audit", "--num-nodes", "6", "--trials", "40"]) == 1
+        err = capsys.readouterr().err
+        assert "privacy audit gate failed: half-noise bug" in err
 
     def test_audit_shorthand_conflicts_with_other_experiment(self, capsys):
         with pytest.raises(SystemExit):

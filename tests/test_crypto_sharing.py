@@ -13,7 +13,6 @@ from repro.crypto.sharing import (
     share_matrix,
     share_scalar,
     share_vector,
-    zero_share_pair,
 )
 from repro.exceptions import ShareError
 
@@ -90,12 +89,3 @@ class TestMatrixSharing:
     def test_rejects_non_2d(self, rng):
         with pytest.raises(ShareError):
             share_matrix(np.zeros(5), rng=rng)
-
-
-class TestZeroSharePair:
-    def test_scalar_zero(self):
-        assert zero_share_pair(None).reconstruct() == 0
-
-    def test_array_zero(self):
-        pair = zero_share_pair((3, 3))
-        assert np.array_equal(pair.reconstruct(), np.zeros((3, 3), dtype=np.uint64))

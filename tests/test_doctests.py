@@ -51,7 +51,6 @@ DOCTEST_MODULES = (
     "repro.telemetry.session",
     "repro.telemetry.manifest",
     "repro.telemetry.exporters",
-    "repro.telemetry.timers",
     "repro.telemetry.profiling",
 )
 

@@ -271,7 +271,6 @@ class TestExhaustionErrors:
         counter = FaithfulTriangleCounter(
             dealer=MultiplicationGroupDealer(seed=5),
             batch_size=16,
-            workers=1,
             triple_store=store,
         )
         counter.count_from_shares(share1, share2)
@@ -280,7 +279,6 @@ class TestExhaustionErrors:
         warm = FaithfulTriangleCounter(
             dealer=MultiplicationGroupDealer(seed=5),
             batch_size=16,
-            workers=1,
             triple_store=store,
         )
         with pytest.raises(DealerError):

@@ -322,6 +322,24 @@ class TestScopeGuards:
         with pytest.raises(ConfigurationError, match="authenticator"):
             DistributedRuntime(config)
 
+    def test_key_less_opener_runs_like_no_authenticator(self, graph):
+        """A ``PlainOpener`` checks nothing, so the runtime accepts it and
+        releases exactly what ``authenticator=None`` releases."""
+        from repro.crypto.secure_ops import PlainOpener
+
+        plain = run_distributed(
+            graph, make_config("blocked", distributed=True, authenticate=False)
+        )
+        opener = run_distributed(
+            graph,
+            make_config(
+                "blocked", distributed=True, authenticate=False, authenticator=PlainOpener()
+            ),
+        )
+        assert opener.noisy_triangle_count == plain.noisy_triangle_count
+        assert opener.ring_bits == plain.ring_bits < 64
+        assert opener.communication_phases == plain.communication_phases
+
 
 class TestCheaterDetection:
     @pytest.mark.parametrize("role", (1, 2))

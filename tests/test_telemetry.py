@@ -12,8 +12,8 @@ The layer's central contracts, each covered here:
 * integration — a traced Cargo release feeds every surface and reconciles,
   while the transcript stays bit-identical to an untraced run (the full
   backend × statistic × worker-count sweep lives in
-  ``test_parallel_engine.py``; the CI gate in
-  ``benchmarks/telemetry_smoke.py`` re-checks it at larger sizes).
+  ``test_parallel_engine.py``; every fuzz case re-checks it on a traced
+  rerun, invariant 1 of ``repro.verify.fuzz``).
 """
 
 from __future__ import annotations

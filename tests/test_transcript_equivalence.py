@@ -275,14 +275,16 @@ class TestWorkerCountTranscriptEquivalence:
         return share_adjacency_rows(self._rows(), rng=10)
 
     def _faithful_openings(self, shares, workers, batch_size):
+        from repro.core.backends import create_backend
+        from repro.core.config import CargoConfig
+
         share1, share2 = shares
-        dealer = MultiplicationGroupDealer(seed=61)
         views = ViewRecorder()
-        counter = FaithfulTriangleCounter(
-            dealer=dealer,
-            batch_size=batch_size,
+        counter = create_backend(
+            "batched",
+            CargoConfig(batch_size=batch_size, workers=workers),
+            dealer_rng=61,
             views=views,
-            **({} if workers is None else {"workers": workers}),
         )
         result = counter.count_from_shares(share1, share2)
         entries = views.view(1).values("mg_opening")

@@ -74,17 +74,20 @@ class TestCheaterMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("statistic", STATISTICS)
     @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-    def test_first_round_corruption_detected(self, graph, backend, statistic, kind):
-        outcome = run_with_corruption(
-            graph,
-            Corruption(round_index=0, server=1, kind=kind),
-            statistic=statistic,
-            backend=backend,
-        )
-        assert outcome.fired
-        assert outcome.detected
-        assert isinstance(outcome.error, CheaterDetectedError)
-        assert outcome.error.round_index == 0
+    @pytest.mark.parametrize("at", ("first", "middle", "last"))
+    def test_sampled_round_corruption_detected(self, graph, backend, statistic, kind, at):
+        """The first, middle and last checked round, either server cheating."""
+        kwargs = dict(statistic=statistic, backend=backend, block_size=4)
+        rounds = count_opening_rounds(graph, **kwargs)
+        round_index = {"first": 0, "middle": rounds // 2, "last": rounds - 1}[at]
+        for server in (1, 2):
+            outcome = run_with_corruption(
+                graph, Corruption(round_index=round_index, server=server, kind=kind), **kwargs
+            )
+            assert outcome.fired
+            assert outcome.detected, f"round {round_index} of {rounds}, server {server}"
+            assert isinstance(outcome.error, CheaterDetectedError)
+            assert outcome.error.round_index == round_index
 
     @pytest.mark.parametrize("server", (1, 2))
     @pytest.mark.parametrize("kind", CORRUPTION_KINDS)

@@ -1,17 +1,18 @@
 """Tests for repro.verify.audit — the protocol-level privacy audit.
 
 The expensive, discriminating runs (honest passes / planted half-noise bug
-fails at the tuned defaults) are the CI ``verify-smoke`` gate's job; these
-tests pin the machinery at small scale: neighbouring-graph construction,
-the audit result's pass rules, parameter validation, and that a small
-honest audit runs end to end with views attached.
+fails at the tuned defaults) are the CI ``verify`` job's
+``repro-cargo --audit --seed 0`` and ``--seed 1``; these tests pin the
+machinery at small scale: neighbouring-graph construction, the audit
+result's pass rules, parameter validation, that a small honest audit runs
+end to end with views attached, and that a starved audit fails its gate.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AuditFailedError, ConfigurationError
 from repro.graph.graph import Graph
 from repro.verify import (
     ProtocolAuditResult,
@@ -146,7 +147,11 @@ class TestAuditProtocol:
 
 class TestAuditExperiment:
     def test_report_structure(self):
-        report = audit_experiment(num_nodes=6, num_trials=40)
+        # At toy scale the estimator starves and the planted bug passes, so
+        # the gate fails typed and hands back the report it refused.
+        with pytest.raises(AuditFailedError, match="half-noise bug") as failure:
+            audit_experiment(num_nodes=6, num_trials=40)
+        report = failure.value.report
         assert report.name == "audit"
         cases = [row["case"] for row in report.rows]
         assert cases == ["honest", "honest", "half-noise bug"]
@@ -155,11 +160,11 @@ class TestAuditExperiment:
         for row in report.rows:
             assert row["claimed_epsilon"] == 2.0
             assert isinstance(row["audited_epsilon"], float)
-        # The planted bug is flagged as such in the expectation column even
-        # at toy scale; the verdict itself is only reliable at the tuned
-        # defaults, which the verify-smoke gate runs.
+        # The planted bug is flagged as such in the expectation column; the
+        # verdict itself is only reliable at the tuned defaults.
         (bug_row,) = [row for row in report.rows if row["case"] == "half-noise bug"]
         assert bug_row["expected"] is False
+        assert bug_row["passes"] is True
         assert bug_row["realized_epsilon"] == pytest.approx(
             bug_row["claimed_epsilon"] * 1.5, rel=0.3
         )

@@ -24,6 +24,7 @@ from repro.verify import (
     transcripts_equal,
 )
 from repro.crypto.ring import Ring
+from repro.verify import fuzz
 from repro.verify.fuzz import build_graph, case_ring
 
 
@@ -72,6 +73,12 @@ class TestDrawCase:
             if case.ring != "slack":
                 assert case.ring_slack == 0
         assert {case.ring for case in cases} == {"derived", "pinned64", "slack"}
+        distributed = [case for case in cases if case.distributed]
+        assert distributed
+        for case in distributed:
+            # Only what the runtime's validator accepts is drawn distributed.
+            assert case.statistic == "triangles"
+            assert case.workers in (None, 1) and case.tile_window is None
 
     def test_same_rng_state_same_case(self):
         assert draw_case(derive_rng(9), 0) == draw_case(derive_rng(9), 0)
@@ -189,13 +196,33 @@ class TestCaseRing:
 
 
 class TestRunCase:
+    @pytest.mark.parametrize("distributed", (False, True))
     @pytest.mark.parametrize("backend", ("matrix", "blocked"))
-    def test_known_good_case_passes(self, backend):
+    def test_known_good_case_passes(self, backend, distributed):
         case = FuzzCase(
             seed=11,
             num_nodes=9,
             edge_probability=0.5,
             statistic="triangles",
             backend=backend,
+            distributed=distributed,
         )
         assert run_case(case) == []
+
+
+class TestEntryPoint:
+    def test_green_budget_exits_zero_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert fuzz.main(["--cases", "2", "--seed", "7"]) == 0
+        assert "fuzz: 2 cases from seed 7, 0 failing" in capsys.readouterr().out
+        assert not (tmp_path / fuzz.FAILURES_FILE).exists()
+
+    def test_red_budget_exits_nonzero_and_writes_the_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(fuzz, "run_case", lambda case: ["planted"])
+        assert fuzz.main(["--cases", "2", "--seed", "7"]) == 1
+        assert "2 failing" in capsys.readouterr().out
+        payload = json.loads((tmp_path / fuzz.FAILURES_FILE).read_text())
+        assert [failure["problems"] for failure in payload["failures"]] == [["planted"]] * 2
