@@ -18,13 +18,15 @@ float64 GEMMs each product runs, and writes
 
     PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul
 
-``--bits`` sweeps ring widths as well (the crossover is the first width's):
-each width's products draw operands from ``Z_{2^bits}``, and the run prints
-the limb-pair GEMMs a product of inner dimension at most
-:data:`~repro.crypto.ring.LIMB_CHUNK` runs per width — the table of
-docs/performance.md's "Right-sized ring" section::
+``--bits`` sweeps ring widths as well: each width's products draw operands
+from ``Z_{2^bits}``, the run reports each width's crossover, and it prints
+the limb-pair GEMMs a product of inner dimension
+:data:`~repro.crypto.ring.LIMB_CHUNK` runs per width, its right operand one
+bit above the ring as server 2's ``X + E`` is — the table of
+docs/performance.md's "Right-sized ring" section.  Any inexact product
+exits non-zero::
 
-    PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul --bits 64 44 22
+    PYTHONPATH=src python benchmarks/bench_crypto_primitives.py --ring-matmul --bits 64 42 26
 """
 
 from __future__ import annotations
@@ -41,15 +43,13 @@ import numpy as np
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import (
-    BLAS_MIN_MULTIPLY_ADDS,
     DEFAULT_RING,
     LIMB_CHUNK,
     Ring,
-    inner_chunks,
+    blas_min_multiply_adds,
+    gemm_plan,
     int64_matmul,
     limb_matmul,
-    limb_pairs,
-    limb_width,
 )
 from repro.crypto.secure_ops import secure_matrix_multiply, secure_multiply_triple
 from repro.crypto.sharing import share_scalar, share_vector
@@ -63,7 +63,7 @@ PROVISION_COUNT = 50_000
 #: Size of the gated ring-matmul row: the matrix backend's product at n=768.
 RING_MATMUL_N = 768
 #: Sizes of the int64-vs-limb sweep.
-RING_MATMUL_SWEEP = (32, 64, 96, 128, 192, 256, 384, 768, 1024)
+RING_MATMUL_SWEEP = (32, 40, 48, 56, 64, 96, 128, 192, 256, 384, 768, 1024)
 #: ``(m, k, n)`` of the servers' one-product Beaver combine ``[E | X] @ [Y ; F]``
 #: at the matrix backend's n=768 and the blocked backend's 128-wide tiles.
 RING_MATMUL_SERVER_SHAPES = ((768, 1536, 768), (128, 256, 128))
@@ -87,14 +87,6 @@ def _random_ring_matrices(n: int, seed: int, inner=None, cols=None, ring=DEFAULT
     return (
         ring.random_array((n, inner), rng),
         ring.random_array((inner, cols), rng),
-    )
-
-
-def limb_gemms(inner: int, bits: int = 64) -> int:
-    """Float64 GEMMs one full-width limb product of inner dimension *inner* runs."""
-    return sum(
-        limb_pairs(bits, bits, limb_width(stop - start), bits)
-        for start, stop in inner_chunks(inner, bits, bits, bits)
     )
 
 
@@ -174,15 +166,37 @@ def run_crypto_primitives(reps: int = 5):
     return rows
 
 
-def limb_pair_table(widths, inner: int = LIMB_CHUNK):
-    """``(bits, limb width, GEMMs)`` of one product of random *bits*-wide operands.
+def _extreme_operands(a, b, ring):
+    """Operands whose GEMM terms reach the plan's float64 bound.
 
-    >>> [gemms for _, _, gemms in limb_pair_table((64, 45, 44, 23, 22))]
-    [6, 6, 3, 3, 1]
+    *a* gets an all-ones first row; *b* becomes the unreduced sum of two ring
+    matrices, one bit above the ring as server 2's ``X + E`` is (wrapped at
+    64 bits), with the largest such sum in its first column.
     """
-    return [
-        (bits, limb_width(inner), limb_gemms(inner, bits)) for bits in widths
-    ]
+    a = a.copy()
+    a[0] = ring.mask
+    b = b + np.roll(b, 1, axis=1)
+    b[:, 0] = (2 * ring.mask) % (1 << 64)
+    return a, b
+
+
+def limb_pair_table(widths, inner: int = LIMB_CHUNK):
+    """``(bits, plan)`` of one product of full-width *bits* operands, the right one a bit above.
+
+    >>> [plan.gemms for _, plan in limb_pair_table((64, 45, 44, 42, 26, 23, 22))]
+    [6, 6, 3, 3, 2, 2, 1]
+    """
+    return [(bits, gemm_plan(inner, bits, bits + 1, bits)) for bits in widths]
+
+
+def _crossover(rows):
+    """Smallest swept n from which the limb path wins at every larger swept n too."""
+    crossover = None
+    for row in reversed(rows):
+        if row["limb_s"] >= row["int64_s"]:
+            break
+        crossover = row["n"]
+    return crossover
 
 
 def run_ring_matmul_sweep(
@@ -191,54 +205,69 @@ def run_ring_matmul_sweep(
     reps: int = 3,
     widths=(64,),
 ) -> dict:
-    """Best-of-*reps* int64 vs limb timings per ring width and shape, plus the crossover.
+    """Best-of-*reps* int64 vs limb timings per ring width and shape, plus each width's crossover.
 
     Both kernels' products are checked bit-identical (mod ``2^bits``)
-    before either is timed.  The crossover is the smallest swept n of the
-    first width from which the limb path is faster at every larger swept n
-    too; the *server_shapes* rows do not enter it.
+    before either is timed, on the random operands and on their
+    :func:`_extreme_operands`; an inexact product raises ``AssertionError``.
+    A width's crossover is the smallest swept n from which the limb path is
+    faster at every larger swept n too; the *server_shapes* rows do not
+    enter it.
     """
     shapes = [(n, n, n) for n in sizes] + [tuple(shape) for shape in server_shapes]
     rows = []
+    crossovers = []
     for bits in widths:
         ring = Ring(bits)
         mask = np.uint64(ring.mask)
+        width_rows = []
         for m, k, n in shapes:
             a, b = _random_ring_matrices(m, seed=m * k + n, inner=k, cols=n, ring=ring)
-            if not np.array_equal(int64_matmul(a, b) & mask, limb_matmul(a, b, bits) & mask):
-                raise AssertionError(
-                    f"limb_matmul differs from int64_matmul at {m}x{k}x{n}, {bits} bits"
-                )
-            chunks = inner_chunks(k, bits, bits, bits)
-            gemms = limb_gemms(k, bits)
+            for left, right in ((a, b), _extreme_operands(a, b, ring)):
+                if not np.array_equal(
+                    int64_matmul(left, right) & mask, limb_matmul(left, right, bits) & mask
+                ):
+                    raise AssertionError(
+                        f"limb_matmul differs from int64_matmul at {m}x{k}x{n}, {bits} bits"
+                    )
+            plan = gemm_plan(k, int(a.max()).bit_length(), int(b.max()).bit_length(), bits)
             int64_s = _best_of(lambda: int64_matmul(a, b), reps)
             limb_s = _best_of(lambda: limb_matmul(a, b, bits), reps)
-            rows.append(
+            width_rows.append(
                 {
                     "bits": bits,
                     "m": m,
                     "k": k,
                     "n": n,
                     "multiply_adds": m * k * n,
-                    "chunks": len(chunks),
-                    "limb_width": limb_width(chunks[0][1] - chunks[0][0]),
-                    "gemms": gemms,
+                    "chunks": len(plan.chunks),
+                    "limb_widths": [plan.width_a, plan.width_b],
+                    "stacked": plan.stacked,
+                    "gemms": plan.gemms,
+                    "blas": m * k * n >= blas_min_multiply_adds(k, bits),
                     "int64_s": int64_s,
                     "limb_s": limb_s,
                     "speedup": int64_s / limb_s,
                 }
             )
             print(
-                f"  {bits:2d} bits {m:5d}x{k:5d}x{n:5d} chunks={len(chunks)} gemms={gemms:2d}"
+                f"  {bits:2d} bits {m:5d}x{k:5d}x{n:5d} chunks={len(plan.chunks)} "
+                f"gemms={plan.gemms:2d}{' stacked' if plan.stacked else '        '}"
                 f"  int64 {int64_s*1e3:10.3f} ms  limb {limb_s*1e3:9.3f} ms"
                 f"  ({int64_s / limb_s:5.2f}x)",
                 flush=True,
             )
-    crossover = None
-    for row in reversed(rows[: len(sizes)]):
-        if row["limb_s"] >= row["int64_s"]:
-            break
-        crossover = row["n"]
+        crossover = _crossover(width_rows[: len(sizes)])
+        routed = [row["n"] for row in width_rows[: len(sizes)] if row["blas"]]
+        crossovers.append(
+            {
+                "bits": bits,
+                "crossover_n": crossover,
+                "crossover_multiply_adds": None if crossover is None else crossover**3,
+                "blas_from_n": min(routed) if routed else None,
+            }
+        )
+        rows.extend(width_rows)
     return {
         "benchmark": "ring_matmul",
         "host": {
@@ -249,12 +278,16 @@ def run_ring_matmul_sweep(
         "reps": reps,
         "rows": rows,
         "limb_pairs": [
-            {"bits": bits, "inner": LIMB_CHUNK, "limb_width": width, "gemms": gemms}
-            for bits, width, gemms in limb_pair_table(widths)
+            {
+                "bits": bits,
+                "inner": LIMB_CHUNK,
+                "limb_widths": [plan.width_a, plan.width_b],
+                "stacked": plan.stacked,
+                "gemms": plan.gemms,
+            }
+            for bits, plan in limb_pair_table(widths)
         ],
-        "crossover_n": crossover,
-        "crossover_multiply_adds": None if crossover is None else crossover**3,
-        "blas_min_multiply_adds": BLAS_MIN_MULTIPLY_ADDS,
+        "crossovers": crossovers,
     }
 
 
@@ -339,10 +372,17 @@ if __name__ == "__main__":
         sweep = run_ring_matmul_sweep(widths=tuple(args.bits))
         destination = Path(__file__).resolve().parent / "results" / "ring_matmul.json"
         atomic_write_json(destination, sweep)
-        print(f"limb-pair GEMMs per product at inner <= {LIMB_CHUNK}:")
+        print(f"limb-pair GEMMs per product at inner {LIMB_CHUNK}:")
         for row in sweep["limb_pairs"]:
-            print(f"  {row['bits']:2d} bits: {row['gemms']} ({row['limb_width']}-bit limbs)")
-        print(f"crossover n={sweep['crossover_n']}; wrote {destination}")
+            widths = "x".join(str(width) for width in row["limb_widths"])
+            stacked = ", left limbs stacked" if row["stacked"] else ""
+            print(f"  {row['bits']:2d} bits: {row['gemms']} ({widths}-bit limbs{stacked})")
+        for row in sweep["crossovers"]:
+            print(
+                f"  {row['bits']:2d} bits: crossover n={row['crossover_n']}, "
+                f"matmul_mod runs BLAS from n={row['blas_from_n']}"
+            )
+        print(f"wrote {destination}")
     else:
         output_rows = run_crypto_primitives()
         destination = write_json(output_rows)

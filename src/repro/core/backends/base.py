@@ -59,9 +59,20 @@ class CountResult:
     def reconstruct(self, ring: Optional[Ring] = None) -> int:
         """Recombine the two shares (used only by tests / the final analyst step).
 
-        They recombine in *ring*, or in the shares' own ring when it is ``None``.
+        They recombine in their own ring; *ring*, when given, must be it.
+
+        Raises
+        ------
+        ProtocolError
+            If *ring* is not the shares' own: recombined in another ring,
+            they would decode to a different count.
         """
-        ring = self.ring if ring is None else ring
+        if ring is not None and ring != self.ring:
+            raise ProtocolError(
+                f"count shares live in a {self.ring.bits}-bit ring; they cannot "
+                f"be recombined in a {ring.bits}-bit one"
+            )
+        ring = self.ring
         return int(ring.decode_signed(ring.add(self.share1, self.share2)))
 
 

@@ -3,8 +3,9 @@
 :class:`Cargo` wires the phases together:
 
 1. `Max` (Algorithm 2) privately estimates the maximum degree ``d'_max``
-   spending ε1, which fixes the ring ``Z_{2^l}`` the rest of the release
-   runs in (:func:`release_ring`: the fewest bits its public bound needs);
+   spending ε1, which fixes the ring ``Z_{2^l}`` the release perturbs in
+   (:func:`release_ring`: the fewest bits its public bound needs) and the
+   ring it counts in (:func:`count_ring`: ``l`` less the fixed-point bits);
 2. `Project` (Algorithm 3) bounds each user's degree by ``d'_max`` using the
    similarity-based rule;
 3. `Count` (Algorithm 4, or one of its accelerated equivalents) computes
@@ -157,12 +158,34 @@ def release_ring(
     return Ring(bits) if pinned is None else pinned
 
 
+def count_ring(config, ring: Ring) -> Ring:
+    """The ring one release's `Count` runs in, given the ring it perturbs in.
+
+    `Perturb` lifts each count share into *ring* by multiplying it by
+    ``2^f`` (``f = config.fixed_point_bits``, :func:`~repro.core.perturbation.release_opening`).
+    Counting in ``l − f`` bits makes that lift exact: shares with
+    ``c_1 + c_2 = c + t·2^(l−f)`` lift to ``c_1·2^f + c_2·2^f ≡ c·2^f (mod 2^l)``,
+    so the release opens the value it would open had `Count` run in
+    ``Z_{2^l}``.  The count fits too: :func:`~repro.core.perturbation.required_ring_bits`
+    leaves ``l − f`` at least one bit above the statistic's output bound.
+    (A pinned ring of at most ``f + 1`` bits on a statistic without a bound
+    counts in 2 bits, the narrowest ring; the lift stays exact.)  A
+    MAC-checked release counts in *ring* itself, the ring its tags live in.
+
+    >>> count_ring(CargoConfig(), Ring(42)).bits, count_ring(CargoConfig(authenticate=True), Ring(64)).bits
+    (26, 64)
+    """
+    if config.authenticate:
+        return ring
+    return Ring(max(2, ring.bits - config.fixed_point_bits))
+
+
 class LocalServers:
     """Both servers in this process: the in-process servers seam.
 
     :meth:`Cargo._run_protocol` calls its servers seam at the five points
     where the two servers act — ``max_degree`` (``S1``'s clamp in `Max`),
-    ``use_ring`` (the release's ring, derived right after `Max`), ``count``
+    ``use_ring`` (the release's rings, derived right after `Max`), ``count``
     (`Count` on the uploaded shares), ``release`` (the servers' step of
     `Perturb`) and ``finish`` (after the release: the MAC counters and the
     transport section).  ``runtime`` is the communication ledger the users'
@@ -179,8 +202,12 @@ class LocalServers:
 
     max_degree = staticmethod(clamp_max_degree)
 
-    def use_ring(self, ring: Ring) -> None:
-        """Count and release in *ring*: plain openings reduce in it."""
+    def use_ring(self, ring: Ring, counting: Ring) -> None:
+        """Release in *ring*: plain release openings reduce in it.
+
+        `Count` runs in *counting* (:func:`count_ring`), which the backends
+        read from the configuration :meth:`count` hands them.
+        """
         self._ring = ring
         if self._authenticator is None:
             self._opener = PlainOpener(ring)
@@ -318,8 +345,9 @@ class Cargo:
                     max_result = estimator.run(
                         graph.degrees(), rng=max_rng, servers=servers
                     )
-                # The ring follows from public values once d'_max is out;
-                # Count, Perturb and both servers use it from here on.
+                # The rings follow from public values once d'_max is out:
+                # Count runs in the count ring, Perturb lifts its shares
+                # into the release ring, and both servers use them from here.
                 sensitivity = self._perturb_sensitivity(
                     statistic, max_result.noisy_max_degree
                 )
@@ -331,8 +359,9 @@ class Cargo:
                     sensitivity=sensitivity,
                     epsilon2=budget.epsilon2,
                 )
-                servers.use_ring(ring)
-                count_config = dataclasses.replace(config, ring=ring)
+                counting = count_ring(config, ring)
+                servers.use_ring(ring, counting)
+                count_config = dataclasses.replace(config, ring=counting)
 
                 # ------------------------------------------------------ #
                 # Step 1b — Project: similarity-based degree bounding.
@@ -418,6 +447,7 @@ class Cargo:
             true_count=true_count,
             projected_count=projected_count,
             noisy_max_degree=max_result.noisy_max_degree,
+            ring=ring,
             authenticator=authenticator,
             transport=transport,
             cpu=cpu,
@@ -437,6 +467,7 @@ class Cargo:
             statistic=config.statistic,
             telemetry=result_telemetry,
             ring_bits=ring.bits,
+            count_ring_bits=counting.bits,
         )
 
 
@@ -453,6 +484,7 @@ def feed_run_telemetry(
     true_count,
     projected_count,
     noisy_max_degree,
+    ring,
     authenticator=None,
     transport=None,
     cpu=None,
@@ -466,6 +498,8 @@ def feed_run_telemetry(
     physical byte summary (frames, payload vs framing overhead, per-process
     wall time); in-process runs have no transport and pass ``None``, and
     pass *cpu* instead: the release's ``workers`` and ``blas_threads``.
+    The record's ``ring_bits`` is *ring*, the ring the release perturbed
+    in, and its ``count_ring_bits`` the ring *count_result* was counted in.
     """
     if not telemetry.enabled:
         return None
@@ -506,7 +540,8 @@ def feed_run_telemetry(
         "epsilon": {"max": budget.epsilon1, "perturb": budget.epsilon2},
         "opening_rounds": count_result.opening_rounds,
         "candidates": count_result.num_triples_processed,
-        "ring_bits": count_result.ring.bits,
+        "ring_bits": ring.bits,
+        "count_ring_bits": count_result.ring.bits,
         "timings": timings,
         "communication_phases": communication_phases,
     }

@@ -79,10 +79,12 @@ class CargoConfig:
         bits that hold the statistic's bound on its raw output on ``n`` users
         of degree at most ``⌊d'_max⌋``, `Perturb`'s noise up to a
         ``2^-40`` Laplace tail, ``fixed_point_bits`` and a sign bit
-        (:func:`~repro.core.cargo.release_ring`).  Ring products then run
-        fewer limb-pair GEMMs; released counts are the same as in 64 bits.
-        MAC-checked releases keep 64 bits.  An explicit :class:`Ring` pins
-        the width, and a release it cannot hold raises
+        (:func:`~repro.core.cargo.release_ring`).  `Perturb` runs in that
+        ring and `Count` in ``l − fixed_point_bits`` bits
+        (:func:`~repro.core.cargo.count_ring`), so ring products run fewer
+        limb-pair GEMMs; released counts are the same as in 64 bits.
+        MAC-checked releases count and perturb in 64 bits.  An explicit
+        :class:`Ring` pins ``l``, and a release it cannot hold raises
         :class:`~repro.exceptions.ConfigurationError` after `Max`, before
         any material is dealt.
     fixed_point_bits:

@@ -24,7 +24,11 @@ knowing ``alpha``, and in ``Z_{2^l}`` that is **not** hard for every shift:
   ``2^-(j-1)``.  A release shifted by half the ring is accepted today (the
   strict ``xfail`` in ``tests/test_verify_adversary.py`` reproduces it);
   SPDZ2k-style tags (Cramer et al., CRYPTO 2018), which check in a wider
-  ring than the values live in, close it.
+  ring than the values live in, close it.  The value width ``k`` they need
+  exists now: an unauthenticated release counts in ``k = l - f`` bits
+  (:func:`~repro.core.cargo.count_ring`), so uint64 tags would leave
+  ``s = 64 - k`` bits of soundness; MAC-checked releases still count and
+  perturb in 64 bits.
 
 Detection is *anonymous* in the SPDZ sense: the check proves that cheating
 happened, not which server cheated.

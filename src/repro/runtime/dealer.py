@@ -53,7 +53,7 @@ from repro.runtime.wire import (
     KIND_PROVISION,
     KIND_RESULT,
     WireEndpoint,
-    recv_ring_bits,
+    recv_rings,
     summary_delta,
 )
 
@@ -148,14 +148,16 @@ def run_dealer(driver_sock, s1_sock, s2_sock) -> None:
                     raise WireFormatError(
                         f"dealer has no schedule for backend {spec['backend']!r}"
                     )
-                bits = recv_ring_bits(driver_ep)
-                if bits is None:
+                rings = recv_rings(driver_ep)
+                if rings is None:
                     break
+                # Count's material lives in the count ring.
+                _, counting = rings
                 started = time.perf_counter()
                 before = driver_ep.sent_summary()
                 before1 = server1.sent_summary()
                 before2 = server2.sent_summary()
-                deal(spec, Ring(bits), driver_ep, server1, server2)
+                deal(spec, counting, driver_ep, server1, server2)
                 driver_ep.send(
                     KIND_RESULT,
                     {

@@ -393,7 +393,7 @@ class _LinkedServers:
     answers back, cross-checking each answer on the way.  Constructing it
     starts the release: it loads a resume checkpoint, if any, and sends the
     ``RUN`` specs.  Once `Max` is done, :meth:`use_ring` sends every party
-    the release's ring, and the dealer deals while the driver runs the
+    the release's rings, and the dealer deals while the driver runs the
     users' steps.
     """
 
@@ -424,7 +424,7 @@ class _LinkedServers:
                 self._resumed = tuple(self._checkpointer.load()["phases"])
 
         block_size = block_size_for(config.backend_name, config)
-        self._ring = None
+        self._ring = self._count_ring = None
         spec = {
             "backend": config.backend_name,
             "masked_input": create_backend(config.counting_backend, config=config).masked_input,
@@ -488,10 +488,14 @@ class _LinkedServers:
             self._checkpointer.save({"phases": _MAX_PHASES})
         return noisy_max
 
-    def use_ring(self, ring) -> None:
-        """Send both servers and the dealer the release's ring, fixed after `Max`."""
-        self._ring = ring
-        meta = {"verb": CONTROL_RING, "bits": ring.bits}
+    def use_ring(self, ring, counting) -> None:
+        """Send both servers and the dealer the release's rings, fixed after `Max`.
+
+        The servers count in *counting* and release in *ring*; the dealer
+        deals in *counting*.
+        """
+        self._ring, self._count_ring = ring, counting
+        meta = {"verb": CONTROL_RING, "bits": ring.bits, "count_bits": counting.bits}
         for endpoint in (self._s1, self._s2, self._dealer):
             endpoint.send(KIND_CONTROL, meta)
 
@@ -551,7 +555,7 @@ class _LinkedServers:
             share2=int(meta2["share"]),
             num_triples_processed=int(meta1["triples"]),
             opening_rounds=int(meta1["opening_rounds"]),
-            ring=self._ring,
+            ring=self._count_ring,
         )
 
     def _input_seeds(self) -> np.ndarray:

@@ -47,6 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.crypto.ring import Ring
 from repro.exceptions import (
     CheaterDetectedError,
     ProtocolError,
@@ -78,7 +79,7 @@ __all__ = [
     "encode_error_meta",
     "encode_frame_bytes",
     "raise_remote_error",
-    "recv_ring_bits",
+    "recv_rings",
     "summary_delta",
 ]
 
@@ -118,7 +119,9 @@ KIND_NAMES: Dict[int, str] = {
 
 #: Control verbs carried in a CONTROL frame's ``meta["verb"]``.
 CONTROL_RUN = "run"
-#: A release's ring width, sent to every party once `Max` has fixed it.
+#: A release's two ring widths (``bits``: the ring it perturbs in;
+#: ``count_bits``: the ring it counts in), sent to every party once `Max`
+#: has fixed them.
 CONTROL_RING = "ring"
 CONTROL_CHECKPOINT = "checkpoint"
 CONTROL_ABORT = "abort"
@@ -471,8 +474,8 @@ def summary_delta(
     return delta
 
 
-def recv_ring_bits(endpoint: WireEndpoint) -> Optional[int]:
-    """The ring width of the release under way, from the driver's ``ring`` frame.
+def recv_rings(endpoint: WireEndpoint) -> Optional[Tuple[Ring, Ring]]:
+    """The release's ``(ring, count ring)``, from the driver's ``ring`` frame.
 
     ``None`` when the driver shuts the party down instead, as it does when
     no ring can hold the release; any other frame is a desync.
@@ -486,4 +489,4 @@ def recv_ring_bits(endpoint: WireEndpoint) -> Optional[int]:
             f"expected the release's ring frame from {endpoint.peer or 'peer'}, "
             f"got control verb {verb!r}"
         )
-    return int(meta["bits"])
+    return Ring(int(meta["bits"])), Ring(int(meta["count_bits"]))

@@ -246,8 +246,8 @@ class SubgraphStatistic(abc.ABC):
         hold at most ``θ = ⌊degree_bound⌋`` ones, read under the kernel's own
         pair convention.  It depends on public values only, so a release
         derives its ring width from it (:func:`~repro.core.cargo.release_ring`).
-        ``None`` (this default) declares no bound, and the release keeps the
-        64-bit ring.
+        ``None`` (this default) declares no bound, and the release perturbs
+        in the 64-bit ring.
         """
         return None
 

@@ -42,6 +42,7 @@ from repro.core.config import CargoConfig
 from repro.core.node_dp import NodeDpCargo
 from repro.core.result import CargoResult
 from repro.crypto.mac import OpeningAuthenticator, OpeningRound
+from repro.crypto.ring import DEFAULT_RING
 from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.graph.graph import Graph
 
@@ -156,6 +157,12 @@ class CorruptionOutcome:
         return self.detected or not self.fired
 
 
+def _authenticator(seed: int, config_kwargs: dict, tamper=None) -> OpeningAuthenticator:
+    """A MAC-checking opener in the ring *config_kwargs* pin (64 bits when none)."""
+    ring = config_kwargs.get("ring") or DEFAULT_RING
+    return OpeningAuthenticator(seed=seed, ring=ring, tamper=tamper)
+
+
 def _build_config(
     *,
     statistic: str,
@@ -193,7 +200,7 @@ def run_with_corruption(
     of the same configuration.
     """
     channel = CorruptingChannel(corruption)
-    authenticator = OpeningAuthenticator(seed=seed, tamper=channel)
+    authenticator = _authenticator(seed, config_kwargs, tamper=channel)
     config = _build_config(
         statistic=statistic,
         backend=backend,
@@ -232,7 +239,7 @@ def count_opening_rounds(
     one checked round (the release opening), so even statistics whose secure
     kernel needs no openings at all are covered by the MAC layer.
     """
-    authenticator = OpeningAuthenticator(seed=seed)
+    authenticator = _authenticator(seed, config_kwargs)
     config = _build_config(
         statistic=statistic,
         backend=backend,

@@ -7,12 +7,13 @@ that every PR so far has pinned with hand-written tests:
    same configuration releases the same count, transcript and ledger; its
    manifest validates against the schema, its ledger reconciles against
    the metric counters, and its release record carries the result's
-   ``ring_bits``;
+   ``ring_bits`` and ``count_ring_bits``;
 2. **cross-backend equality** — all four counting backends release the
    bit-identical noisy count for the same seed;
 3. **authentication** — ``authenticate=True`` changes nothing about an
-   honest release except that its openings are MAC-checked, and one
-   corruption drawn per case (round, server, tamper kind) is detected;
+   honest release except that its openings are MAC-checked and it counts
+   in the ring it perturbs in, and one corruption drawn per case (round,
+   server, tamper kind) is detected;
 4. **worker invariance** — transcripts and counts are identical for any
    worker count, the default included;
 5. **transport equivalence** — a case drawn ``distributed`` releases the
@@ -374,12 +375,13 @@ def run_case(case: FuzzCase) -> List[str]:
         problems.extend(
             f"ledger: {issue}" for issue in verify_ledger_reconciliation(manifest)
         )
-        recorded_bits = telemetry.releases[-1]["ring_bits"]
-        if recorded_bits != traced[0].ring_bits:
-            problems.append(
-                f"release record ring_bits {recorded_bits}, "
-                f"result {traced[0].ring_bits}"
-            )
+        record = telemetry.releases[-1]
+        for key in ("ring_bits", "count_ring_bits"):
+            if record[key] != getattr(traced[0], key):
+                problems.append(
+                    f"release record {key} {record[key]}, "
+                    f"result {getattr(traced[0], key)}"
+                )
 
         # 2. Cross-backend equality against the batched reference: its
         # multiplication-group kernel shares no code with the mask-once one.
@@ -396,8 +398,8 @@ def run_case(case: FuzzCase) -> List[str]:
 
         # 3. Honest authentication is bit-identical and actually checked, and
         # one corruption drawn from the case is caught.  MAC-checked releases
-        # keep 64 bits unless the case pins a ring, so a derived case
-        # compares its narrow release with a 64-bit one.
+        # count and perturb in 64 bits unless the case pins a ring, so a
+        # derived case compares its narrow release with a 64-bit one.
         mac_ring = DEFAULT_RING if ring is None else ring
         authenticator = OpeningAuthenticator(seed=case.seed, ring=mac_ring)
         authed, _ = _release(graph, config(authenticator=authenticator))
@@ -406,10 +408,10 @@ def run_case(case: FuzzCase) -> List[str]:
                 f"authenticated release {authed.noisy_triangle_count} "
                 f"differs from plain {count}"
             )
-        if authed.ring_bits != mac_ring.bits:
+        if (authed.ring_bits, authed.count_ring_bits) != (mac_ring.bits, mac_ring.bits):
             problems.append(
-                f"authenticated release ran in {authed.ring_bits} bits, "
-                f"not {mac_ring.bits}"
+                f"authenticated release counted in {authed.count_ring_bits} and "
+                f"perturbed in {authed.ring_bits} bits, not {mac_ring.bits}"
             )
         if authenticator.rounds_checked < 1:
             problems.append("authenticated run checked zero opening rounds")

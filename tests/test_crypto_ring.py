@@ -15,10 +15,11 @@ from repro.crypto.ring import (
     LIMB_CHUNK,
     LIMB_SLAB,
     Ring,
-    inner_chunks,
+    blas_min_multiply_adds,
+    float_budget,
+    gemm_plan,
     int64_matmul,
     limb_matmul,
-    limb_pairs,
     limb_width,
     matmul_mod,
 )
@@ -118,6 +119,18 @@ class TestArrayArithmetic:
 def reference_product(a, b, bits=64):
     """The int64-loop product reduced mod 2^bits: the reference the BLAS path must match."""
     return int64_matmul(a, b) & np.uint64((1 << bits) - 1)
+
+
+def symmetric_pairs(top_a, top_b, inner, bits=64):
+    """GEMMs of the unchunked symmetric plan: both operands in ``limb_width(inner)`` limbs."""
+    width = limb_width(inner)
+
+    def limbs(top):
+        return (1 if top else 0) if top <= width else -(-min(bits, top) // width)
+
+    return sum(
+        1 for i in range(limbs(top_a)) for j in range(limbs(top_b)) if (i + j) * width < bits
+    )
 
 
 @pytest.fixture
@@ -258,6 +271,20 @@ def gemm_inners(monkeypatch):
     return inners
 
 
+@pytest.fixture
+def gemm_work(monkeypatch):
+    """Record the multiply-adds per output column of every float64 GEMM the ring module runs."""
+    work = []
+    original = np.matmul
+
+    def counting(*args, **kwargs):
+        work.append(args[0].shape[-2] * args[0].shape[-1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ring_module.np, "matmul", counting)
+    return work
+
+
 ALL_ONES = np.iinfo(np.uint64).max
 
 
@@ -277,8 +304,10 @@ class TestChunkedLimbMatmul:
         # value the chunk's float64 bound admits.
         a = np.full((7, k), ALL_ONES, dtype=np.uint64)
         b = np.full((k, 9), ALL_ONES, dtype=np.uint64)
-        for start, stop in inner_chunks(k, 64, 64):
-            assert (stop - start) * ((1 << limb_width(stop - start)) - 1) ** 2 < 2**53
+        plan = gemm_plan(k, 64, 64)
+        for start, stop in plan.chunks:
+            limbs = ((1 << plan.width_a) - 1) * ((1 << plan.width_b) - 1)
+            assert (stop - start) * limbs < 2**53
         product = limb_matmul(a, b)
         assert np.array_equal(product, int64_matmul(a, b))
         assert np.all(product == np.uint64(k))
@@ -309,14 +338,14 @@ class TestChunkedLimbMatmul:
         a = base.T
         b = base[::2, 1::3]
         assert not a.flags.c_contiguous and not b.flags.c_contiguous
-        assert len(inner_chunks(a.shape[-1], 64, 64)) == 4
-        assert len(inner_chunks(b.shape[-2], 64, 64)) == 2
+        assert len(gemm_plan(a.shape[-1], 64, 64).chunks) == 4
+        assert len(gemm_plan(b.shape[-2], 64, 64).chunks) == 2
         assert np.array_equal(limb_matmul(a, base), int64_matmul(a, base))
         assert np.array_equal(limb_matmul(base[::2].T, b), int64_matmul(base[::2].T, b))
 
     @pytest.mark.parametrize("k", [513, 768, 1024, 1536, 2047, 4100])
     def test_chunks_cover_the_inner_dimension_equally(self, k):
-        chunks = inner_chunks(k, 64, 64)
+        chunks = gemm_plan(k, 64, 64).chunks
         sizes = [stop - start for start, stop in chunks]
         assert chunks[0][0] == 0 and chunks[-1][1] == k
         assert all(left[1] == right[0] for left, right in zip(chunks, chunks[1:]))
@@ -325,15 +354,15 @@ class TestChunkedLimbMatmul:
 
     def test_chunk_rule_is_derived_from_the_limb_width(self):
         assert limb_width(LIMB_CHUNK) == 22 and 3 * 22 >= 64
-        assert inner_chunks(LIMB_CHUNK, 64, 64) == [(0, LIMB_CHUNK)]
+        assert gemm_plan(LIMB_CHUNK, 64, 64).chunks == ((0, LIMB_CHUNK),)
         # Narrow operands whose pair count does not fall stay in one piece.
         for bits in (2, 17, 32, 63):
-            assert inner_chunks(1024, bits, bits, bits) == [(0, 1024)]
-        assert inner_chunks(1024, 1, 1) == [(0, 1024)]
+            assert gemm_plan(1024, bits, bits, bits).chunks == ((0, 1024),)
+        assert gemm_plan(1024, 1, 1).chunks == ((0, 1024),)
 
     @pytest.mark.parametrize("bits", [2, 17, 32, 63, 64])
     @pytest.mark.parametrize("k", [513, 768, 1024, 2047, 4100])
-    def test_chunking_never_raises_gemm_work(self, bits, k, gemm_inners):
+    def test_chunking_never_raises_gemm_work(self, bits, k, gemm_work):
         ring = Ring(bits=bits)
         rng = np.random.default_rng(k + bits)
         a = ring.random_array((6, k), rng)
@@ -341,7 +370,8 @@ class TestChunkedLimbMatmul:
         product = limb_matmul(a, b, bits)
         top_a = int(a.max()).bit_length()
         top_b = int(b.max()).bit_length()
-        assert sum(gemm_inners) <= limb_pairs(top_a, top_b, limb_width(k), bits) * k
+        assert sum(gemm_work) == gemm_plan(k, top_a, top_b, bits).gemms * 6 * k
+        assert sum(gemm_work) <= symmetric_pairs(top_a, top_b, k, bits) * 6 * k
         mask = np.uint64((1 << bits) - 1)
         assert np.array_equal(product & mask, reference_product(a, b, bits))
 
@@ -359,8 +389,82 @@ class TestChunkedLimbMatmul:
         b = DEFAULT_RING.random_array((768, 40), rng)
         product = DEFAULT_RING.matmul(a, b)
         assert gemm_inners == [384] * 12
-        assert limb_pairs(64, 64, limb_width(768)) == 10
+        assert symmetric_pairs(64, 64, 768) == 10
         assert np.array_equal(product, reference_product(a, b))
+
+
+def masked_sum_operands(bits, rows, inner, cols, seed):
+    """Ring operands as the blocked kernel multiplies them, worst-case rows first.
+
+    The left operand's first row is all ones (every limb ``2^w − 1``); the
+    right operand is server 2's unreduced ``X + E``, one bit above the ring,
+    and its first column is the largest such sum, ``2 · (2^bits − 1)``.
+    """
+    ring = Ring(bits=bits)
+    rng = np.random.default_rng(seed)
+    a = ring.random_array((rows, inner), rng)
+    a[0] = ring.mask
+    x = ring.random_array((inner, cols), rng)
+    e = ring.random_array((inner, cols), rng)
+    x[:, 0] = e[:, 0] = ring.mask
+    return a, x + e
+
+
+class TestGemmPlan:
+    """One planner picks each product's cheapest exact limb plan."""
+
+    @pytest.mark.parametrize("inner", [1, 127, 512, 513, 1024, 2048])
+    @pytest.mark.parametrize("bits", range(2, 65))
+    def test_every_width_matches_int64_loop(self, bits, inner):
+        a, b = masked_sum_operands(bits, 5, inner, 7, seed=bits * inner)
+        plan = gemm_plan(inner, int(a.max()).bit_length(), int(b.max()).bit_length(), bits)
+        largest = max(stop - start for start, stop in plan.chunks)
+        assert plan.width_a + plan.width_b <= float_budget(largest)
+        expected = reference_product(a, b, bits)
+        assert np.array_equal(limb_matmul(a, b, bits) & np.uint64((1 << bits) - 1), expected)
+        assert np.array_equal(matmul_mod(a, b, bits), expected)
+
+    def test_gemms_per_width(self):
+        # Full-width operands at the blocked kernel's inner dimension, the
+        # right one a bit above the ring (docs/performance.md's table).
+        gemms = {bits: gemm_plan(LIMB_CHUNK, bits, bits + 1, bits).gemms for bits in range(2, 65)}
+        assert (gemms[64], gemms[42], gemms[26]) == (6, 3, 2)
+        assert all(gemms[bits] == 1 for bits in range(2, 23))
+        assert not gemm_plan(LIMB_CHUNK, 42, 43, 42).stacked
+        assert not gemm_plan(LIMB_CHUNK, 64, 64).stacked
+
+    def test_right_operand_stays_whole_where_it_saves_gemms(self):
+        plan = gemm_plan(LIMB_CHUNK, 26, 27, 26)
+        assert plan.stacked and plan.gemms == 2
+        assert (plan.width_a, plan.width_b) == (float_budget(LIMB_CHUNK) - 27, 27)
+        assert plan.pairs == ((0, 0), (1, 0))
+
+    def test_stacked_plan_runs_one_gemm_per_slab(self, gemm_work):
+        a, b = masked_sum_operands(26, 40, LIMB_CHUNK, 2 * LIMB_SLAB + 9, seed=1)
+        product = limb_matmul(a, b, 26)
+        assert gemm_work == [2 * 40 * LIMB_CHUNK] * 3
+        assert np.array_equal(product & np.uint64((1 << 26) - 1), reference_product(a, b, 26))
+
+    def test_blas_threshold_is_keyed_by_the_plans_gemms(self, limb_calls):
+        assert blas_min_multiply_adds(50, 64) == BLAS_MIN_MULTIPLY_ADDS
+        assert [blas_min_multiply_adds(50, bits) for bits in (42, 26, 16)] == [
+            56**3, 48**3, 40**3
+        ]
+        rng = np.random.default_rng(3)
+        for bits in (64, 26):
+            ring = Ring(bits=bits)
+            a = ring.random_array((50, 50), rng)
+            b = ring.random_array((50, 50), rng)
+            assert np.array_equal(ring.matmul(a, b), reference_product(a, b, bits))
+        # 50³ is below the 64-bit crossover and above the two-GEMM one.
+        assert len(limb_calls) == 1
+
+    def test_zero_operands_run_no_gemm(self, gemm_work):
+        a = np.zeros((4, 600), dtype=np.uint64)
+        b = Ring(bits=26).random_array((600, 3), np.random.default_rng(2))
+        assert gemm_plan(600, 0, 26, 26).gemms == 0
+        assert not limb_matmul(a, b, 26).any()
+        assert gemm_work == []
 
 
 class TestSlabbedLimbMatmul:

@@ -1,14 +1,17 @@
-"""The ring a release derives from its public bound.
+"""The rings a release derives from its public bound.
 
-A release that pins no ring counts and perturbs in the fewest bits its
-public bound needs (:func:`~repro.core.cargo.release_ring`).  Three things
-must hold for that to be safe:
+A release that pins no ring perturbs in the fewest bits its public bound
+needs (:func:`~repro.core.cargo.release_ring`), and an unauthenticated one
+counts in that width less the fixed-point bits
+(:func:`~repro.core.cargo.count_ring`).  Three things must hold for that to
+be safe:
 
 * each statistic's bound dominates its secure output on every input the
   projection can leave behind (extremal graphs and asymmetric rows here);
 * the released, true and projected counts and ``d'_max`` equal the 64-bit
   ring's on every backend × statistic × transport × MAC setting, and
-  MAC-checked releases keep 64 bits with the same views and ledgers;
+  MAC-checked releases count and perturb in 64 bits with the same views
+  and ledgers;
 * a ring that cannot hold the bound is refused after `Max`, before any
   material is dealt, instead of wrapping the released count.
 """
@@ -19,10 +22,10 @@ import numpy as np
 import pytest
 
 from repro.core import Cargo, CargoConfig
-from repro.core.cargo import LocalServers, release_ring
+from repro.core.cargo import LocalServers, count_ring, release_ring
 from repro.core.perturbation import required_ring_bits
 from repro.crypto.ring import DEFAULT_RING, Ring
-from repro.exceptions import ConfigurationError, RuntimeProcessError
+from repro.exceptions import ConfigurationError, ProtocolError, RuntimeProcessError
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi_graph, random_regular_graph
 from repro.graph.graph import Graph
@@ -142,6 +145,25 @@ class TestReleaseRing:
         assert release_ring(CargoConfig(), Unbounded(), **kwargs) == DEFAULT_RING
         assert release_ring(CargoConfig(ring=Ring(9)), Unbounded(), **kwargs) == Ring(9)
 
+    def test_count_ring_is_the_release_ring_less_the_fraction(self):
+        assert count_ring(CargoConfig(), Ring(42)) == Ring(26)
+        assert count_ring(CargoConfig(fixed_point_bits=4), Ring(42)) == Ring(38)
+        assert count_ring(CargoConfig(ring=Ring(60)), Ring(60)) == Ring(44)
+        # MAC-checked releases count in the ring their tags live in.
+        assert count_ring(CargoConfig(authenticate=True), DEFAULT_RING) == DEFAULT_RING
+        assert count_ring(CargoConfig(authenticate=True), Ring(40)) == Ring(40)
+
+    def test_count_ring_holds_the_output_bound(self):
+        for name in STATISTICS:
+            statistic = _statistic(name)
+            for n, theta in ((14, 5.5), (1024, 263.0), (768, 120.0)):
+                bound = statistic.secure_output_bound(n, theta)
+                ring = release_ring(
+                    CargoConfig(), statistic, num_users=n, degree_bound=theta,
+                    sensitivity=theta, epsilon2=1.8,
+                )
+                assert count_ring(CargoConfig(), ring).bits >= bound.bit_length() + 1
+
     def test_required_bits_grow_with_the_noise_tail(self):
         base = dict(num_users=10, fixed_point_bits=16)
         narrow = required_ring_bits(1000, sensitivity=1.0, epsilon2=1.0, **base)
@@ -183,6 +205,9 @@ class TestBitIdentity:
         assert pinned.ring_bits == 64
         assert (derived.ring_bits == 64) == authenticate
         assert derived.ring_bits == 64 or derived.ring_bits < 40
+        fraction = 0 if authenticate else CargoConfig().fixed_point_bits
+        assert pinned.count_ring_bits == 64 - fraction
+        assert derived.count_ring_bits == derived.ring_bits - fraction
 
     @pytest.mark.parametrize("authenticate", [False, True])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -193,6 +218,8 @@ class TestBitIdentity:
         pinned, _ = _run(graph, distributed=True, ring=Ring(64), **kwargs)
         assert _released(remote) == _released(local) == _released(pinned)
         assert remote.ring_bits == local.ring_bits
+        assert remote.count_ring_bits == local.count_ring_bits
+        assert (local.count_ring_bits == 64) == authenticate
 
     @pytest.mark.parametrize("distributed", [False, True])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -225,9 +252,13 @@ class TestBitIdentity:
         config = CargoConfig(seed=5, counting_backend="blocked", block_size=4)
         result = Cargo(config).run(graph)
         (count_result,) = seen
-        assert count_result.ring == Ring(result.ring_bits)
+        assert count_result.ring == Ring(result.count_ring_bits)
+        assert result.count_ring_bits == result.ring_bits - config.fixed_point_bits
         # What the release benchmark's kernel-parity check reads.
         assert count_result.reconstruct(config.ring) == result.projected_count
+        assert count_result.reconstruct(count_result.ring) == result.projected_count
+        with pytest.raises(ProtocolError, match="cannot be recombined"):
+            count_result.reconstruct(Ring(result.ring_bits))
 
 
 class TestObservability:
@@ -237,7 +268,9 @@ class TestObservability:
         result, _ = _run(graph, telemetry=telemetry, authenticate=authenticate)
         (release,) = build_manifest(telemetry)["releases"]
         assert release["ring_bits"] == result.ring_bits
+        assert release["count_ring_bits"] == result.count_ring_bits
         assert (result.ring_bits == 64) == authenticate
+        assert (result.count_ring_bits == 64) == authenticate
 
 
 class TestRefusedRing:

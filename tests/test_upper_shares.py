@@ -160,13 +160,14 @@ class TestDistributed:
 
         def count(self, *args, **kwargs):
             result = original(self, *args, **kwargs)
-            counts.append(result.reconstruct(Ring(bits=64)))
+            counts.append(result.reconstruct())
             return result
 
         monkeypatch.setattr(SimilarityProjection, "project_graph", project)
         monkeypatch.setattr(driver._LinkedServers, "count", count)
         # The rows bypass projection, so no degree bound holds them: the
-        # ring is pinned at 64 bits instead of derived from d'_max.
+        # ring is pinned at 64 bits instead of derived from d'_max (Count
+        # then runs in 48 bits, ample for these counts).
         config = CargoConfig(
             seed=n, counting_backend=backend, batch_size=7, block_size=4, distributed=True,
             ring=Ring(bits=64),

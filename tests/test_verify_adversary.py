@@ -17,6 +17,7 @@ import pytest
 from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
 from repro.crypto.mac import OpeningAuthenticator
+from repro.crypto.ring import Ring
 from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi_graph
@@ -141,6 +142,37 @@ class TestCheaterMatrix:
         assert not outcome.detected
         assert outcome.safe
         assert outcome.result is not None
+
+
+class TestPinnedRing:
+    def test_harness_authenticates_in_the_pinned_ring(self, graph, monkeypatch):
+        import repro.verify.adversary as adversary
+
+        rings = []
+
+        class Recording(OpeningAuthenticator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rings.append(self.ring)
+
+        monkeypatch.setattr(adversary, "OpeningAuthenticator", Recording)
+        kwargs = dict(backend="blocked", block_size=4, ring=Ring(30))
+        rounds = count_opening_rounds(graph, **kwargs)
+        cheat = run_with_corruption(
+            graph,
+            Corruption(round_index=rounds - 1, server=2, kind="lie_value", magnitude=10),
+            **kwargs,
+        )
+        honest = run_with_corruption(graph, Corruption(round_index=rounds + 5), **kwargs)
+        assert rings == [Ring(30)] * 3
+        assert cheat.detected and cheat.error.label == "release_opening"
+        plain = Cargo(
+            CargoConfig(epsilon=2.0, seed=0, counting_backend="blocked", block_size=4, ring=Ring(30))
+        ).run(graph)
+        assert not honest.fired
+        assert honest.result.noisy_count == plain.noisy_count
+        # MAC-checked: counted in the pinned ring itself, not 14 bits.
+        assert honest.result.count_ring_bits == 30 and plain.count_ring_bits == 14
 
 
 class TestHalfRingShift:
