@@ -1,10 +1,13 @@
 """Ablation — noise placement: CARGO's distributed noise vs Cryptε-style double Laplace.
 
-The paper motivates the distributed Gamma-difference perturbation by noting
-that the prior crypto-assisted design (Cryptε) has each of the two servers
-add an independent Laplace noise, doubling the variance.  This ablation
-measures both designs around the same secure count and checks the ≈2x gap in
-empirical variance.
+The paper motivates its distributed perturbation by noting that the prior
+crypto-assisted design (Cryptε) has each of the two servers add an
+independent Laplace noise, doubling the variance.  CARGO's users instead
+add one noise between them: here each of the 64 users adds a Pólya
+``NB(1/n, 1 − α)`` difference, and the sum is discrete Laplace with
+``α = e^(−ε/Δ)``, whose variance ``2α/(1 − α)^2`` is within 0.01% of the
+continuous ``2(Δ/ε)^2`` at Δ/ε = 100.  This ablation measures both designs
+around the same secure count and checks the ≈2x gap in empirical variance.
 """
 
 from __future__ import annotations

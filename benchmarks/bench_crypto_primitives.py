@@ -205,11 +205,13 @@ def run_ring_matmul_sweep(
     reps: int = 3,
     widths=(64,),
 ) -> dict:
-    """Best-of-*reps* int64 vs limb timings per ring width and shape, plus each width's crossover.
+    """int64 vs best-of-*reps* limb timings per ring width and shape, plus each width's crossover.
 
-    Both kernels' products are checked bit-identical (mod ``2^bits``)
-    before either is timed, on the random operands and on their
-    :func:`_extreme_operands`; an inexact product raises ``AssertionError``.
+    Both kernels' products are checked bit-identical (mod ``2^bits``) on
+    the random operands and on their :func:`_extreme_operands`; an inexact
+    product raises ``AssertionError``.  ``int64_s`` is the check's own int64
+    product on the random operands, timed once: that reference is the slow
+    side of every row, and re-timing it would cost most of the sweep.
     A width's crossover is the smallest swept n from which the limb path is
     faster at every larger swept n too; the *server_shapes* rows do not
     enter it.
@@ -223,15 +225,17 @@ def run_ring_matmul_sweep(
         width_rows = []
         for m, k, n in shapes:
             a, b = _random_ring_matrices(m, seed=m * k + n, inner=k, cols=n, ring=ring)
+            int64_s = None
             for left, right in ((a, b), _extreme_operands(a, b, ring)):
-                if not np.array_equal(
-                    int64_matmul(left, right) & mask, limb_matmul(left, right, bits) & mask
-                ):
+                start = time.perf_counter()
+                reference = int64_matmul(left, right)
+                if int64_s is None:
+                    int64_s = time.perf_counter() - start
+                if not np.array_equal(reference & mask, limb_matmul(left, right, bits) & mask):
                     raise AssertionError(
                         f"limb_matmul differs from int64_matmul at {m}x{k}x{n}, {bits} bits"
                     )
             plan = gemm_plan(k, int(a.max()).bit_length(), int(b.max()).bit_length(), bits)
-            int64_s = _best_of(lambda: int64_matmul(a, b), reps)
             limb_s = _best_of(lambda: limb_matmul(a, b, bits), reps)
             width_rows.append(
                 {

@@ -78,7 +78,7 @@ API_PAGES = {
             "repro.dp.budget",
             "repro.dp.sensitivity",
             "repro.dp.accountant",
-            "repro.dp.gamma_noise",
+            "repro.dp.discrete_laplace",
         ),
     ),
     "stream": (

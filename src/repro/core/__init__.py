@@ -8,7 +8,8 @@
   counting backends (``faithful``, ``batched``, ``matrix``, ``blocked``) and
   the registry that maps configuration names onto them.
 * :mod:`repro.core.perturbation` — Algorithm 5 (`Perturb`): distributed
-  Gamma-difference noise added inside the secret-shared domain.
+  discrete Laplace noise (Pólya differences, the integer form of the
+  paper's Gamma differences) added inside the secret-shared domain.
 * :mod:`repro.core.cargo` — Algorithm 1: the end-to-end protocol
   orchestration, producing a :class:`~repro.core.result.CargoResult`.
 

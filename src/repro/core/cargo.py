@@ -3,9 +3,9 @@
 :class:`Cargo` wires the phases together:
 
 1. `Max` (Algorithm 2) privately estimates the maximum degree ``d'_max``
-   spending ε1, which fixes the ring ``Z_{2^l}`` the release perturbs in
-   (:func:`release_ring`: the fewest bits its public bound needs) and the
-   ring it counts in (:func:`count_ring`: ``l`` less the fixed-point bits);
+   spending ε1, which fixes the ring ``Z_{2^l}`` the release counts and
+   perturbs in (:func:`release_ring`: the fewest bits its public bound
+   needs);
 2. `Project` (Algorithm 3) bounds each user's degree by ``d'_max`` using the
    similarity-based rule;
 3. `Count` (Algorithm 4, or one of its accelerated equivalents) computes
@@ -13,9 +13,9 @@
    :class:`~repro.stats.SubgraphStatistic` — triangles by default, but any
    registered statistic (``kstars``, ``4cycles``, …) runs through the same
    pipeline;
-4. `Perturb` (Algorithm 5) adds distributed Laplace noise inside the shared
-   domain, calibrated to the statistic's post-projection sensitivity, and
-   reconstructs the noisy count ``T'``.
+4. `Perturb` (Algorithm 5) adds distributed discrete Laplace noise inside
+   the shared domain, calibrated to the statistic's post-projection
+   sensitivity, and reconstructs the noisy count ``T'``.
 
 :meth:`Cargo._run_protocol` is the one implementation of these steps.  It
 calls a *servers* seam wherever the two servers act; :class:`LocalServers`
@@ -119,9 +119,9 @@ def release_ring(
     Called once per release, right after `Max`, by :meth:`Cargo._run_protocol`
     (both transports run it).  The statistic's public bound on its raw
     output (:meth:`~repro.stats.SubgraphStatistic.secure_output_bound`, from
-    ``n`` and ``θ = ⌊degree_bound⌋``), `Perturb`'s noise scale
-    ``sensitivity / epsilon2`` and ``config.fixed_point_bits`` give the bits
-    the opened value needs (:func:`~repro.core.perturbation.required_ring_bits`).
+    ``n`` and ``θ = ⌊degree_bound⌋``) and `Perturb`'s noise scale
+    ``sensitivity / epsilon2`` give the bits the opened value needs
+    (:func:`~repro.core.perturbation.required_ring_bits`).
 
     A ``config.ring`` that is set is returned as pinned, and so is the 64-bit
     ring of a MAC-checked release (``authenticate=True`` or an injected
@@ -138,46 +138,17 @@ def release_ring(
     bound = statistic.secure_output_bound(num_users, degree_bound)
     if bound is None:
         return DEFAULT_RING if pinned is None else pinned
-    bits = required_ring_bits(
-        bound,
-        sensitivity=sensitivity,
-        epsilon2=epsilon2,
-        num_users=num_users,
-        fixed_point_bits=config.fixed_point_bits,
-    )
+    bits = required_ring_bits(bound, sensitivity=sensitivity, epsilon2=epsilon2)
     capacity = DEFAULT_RING.bits if pinned is None else pinned.bits
     if bits > capacity:
         raise ConfigurationError(
             f"this {statistic.name} release needs a {bits}-bit ring but "
             f"{'the pinned ring holds' if pinned is not None else 'rings hold at most'} "
             f"{capacity} bits: its raw output is bounded by {bound} (n={num_users}, "
-            f"d'_max={degree_bound:g}), with fixed_point_bits="
-            f"{config.fixed_point_bits}, a sign bit and a 2^-{OVERFLOW_TAIL_BITS} "
-            "Laplace tail; a narrower ring would wrap the released count"
+            f"d'_max={degree_bound:g}), with a sign bit and a 2^-{OVERFLOW_TAIL_BITS} "
+            "noise tail; a narrower ring would wrap the released count"
         )
     return Ring(bits) if pinned is None else pinned
-
-
-def count_ring(config, ring: Ring) -> Ring:
-    """The ring one release's `Count` runs in, given the ring it perturbs in.
-
-    `Perturb` lifts each count share into *ring* by multiplying it by
-    ``2^f`` (``f = config.fixed_point_bits``, :func:`~repro.core.perturbation.release_opening`).
-    Counting in ``l − f`` bits makes that lift exact: shares with
-    ``c_1 + c_2 = c + t·2^(l−f)`` lift to ``c_1·2^f + c_2·2^f ≡ c·2^f (mod 2^l)``,
-    so the release opens the value it would open had `Count` run in
-    ``Z_{2^l}``.  The count fits too: :func:`~repro.core.perturbation.required_ring_bits`
-    leaves ``l − f`` at least one bit above the statistic's output bound.
-    (A pinned ring of at most ``f + 1`` bits on a statistic without a bound
-    counts in 2 bits, the narrowest ring; the lift stays exact.)  A
-    MAC-checked release counts in *ring* itself, the ring its tags live in.
-
-    >>> count_ring(CargoConfig(), Ring(42)).bits, count_ring(CargoConfig(authenticate=True), Ring(64)).bits
-    (26, 64)
-    """
-    if config.authenticate:
-        return ring
-    return Ring(max(2, ring.bits - config.fixed_point_bits))
 
 
 class LocalServers:
@@ -185,7 +156,7 @@ class LocalServers:
 
     :meth:`Cargo._run_protocol` calls its servers seam at the five points
     where the two servers act — ``max_degree`` (``S1``'s clamp in `Max`),
-    ``use_ring`` (the release's rings, derived right after `Max`), ``count``
+    ``use_ring`` (the release's ring, derived right after `Max`), ``count``
     (`Count` on the uploaded shares), ``release`` (the servers' step of
     `Perturb`) and ``finish`` (after the release: the MAC counters and the
     transport section).  ``runtime`` is the communication ledger the users'
@@ -202,11 +173,10 @@ class LocalServers:
 
     max_degree = staticmethod(clamp_max_degree)
 
-    def use_ring(self, ring: Ring, counting: Ring) -> None:
-        """Release in *ring*: plain release openings reduce in it.
+    def use_ring(self, ring: Ring) -> None:
+        """Count and release in *ring*: plain release openings reduce in it.
 
-        `Count` runs in *counting* (:func:`count_ring`), which the backends
-        read from the configuration :meth:`count` hands them.
+        The backends read it from the configuration :meth:`count` hands them.
         """
         self._ring = ring
         if self._authenticator is None:
@@ -225,10 +195,10 @@ class LocalServers:
             authenticator=self._authenticator,
         )
 
-    def release(self, count_result, planes, factor):
-        """Lift both count shares, add the noise planes, open the release."""
+    def release(self, count_result, planes):
+        """Add the noise planes to both count shares and open the release."""
         shares = (count_result.share1, count_result.share2)
-        return release_opening(shares, planes, factor, self._ring, self._opener)
+        return release_opening(shares, planes, self._ring, self._opener)
 
     def finish(self):
         """The authenticator (its MAC counters) and no transport section."""
@@ -345,9 +315,9 @@ class Cargo:
                     max_result = estimator.run(
                         graph.degrees(), rng=max_rng, servers=servers
                     )
-                # The rings follow from public values once d'_max is out:
-                # Count runs in the count ring, Perturb lifts its shares
-                # into the release ring, and both servers use them from here.
+                # The ring follows from public values once d'_max is out:
+                # Count and Perturb run in it, and both servers use it from
+                # here.
                 sensitivity = self._perturb_sensitivity(
                     statistic, max_result.noisy_max_degree
                 )
@@ -359,9 +329,8 @@ class Cargo:
                     sensitivity=sensitivity,
                     epsilon2=budget.epsilon2,
                 )
-                counting = count_ring(config, ring)
-                servers.use_ring(ring, counting)
-                count_config = dataclasses.replace(config, ring=counting)
+                servers.use_ring(ring)
+                count_config = dataclasses.replace(config, ring=ring)
 
                 # ------------------------------------------------------ #
                 # Step 1b — Project: similarity-based degree bounding.
@@ -412,7 +381,6 @@ class Cargo:
                         sensitivity=sensitivity,
                         num_users=max(graph.num_nodes, 1),
                         ring=ring,
-                        fixed_point_bits=config.fixed_point_bits,
                     )
                     perturb_result = perturbation.run(
                         count_result, rng=noise_rng, servers=servers
@@ -467,7 +435,6 @@ class Cargo:
             statistic=config.statistic,
             telemetry=result_telemetry,
             ring_bits=ring.bits,
-            count_ring_bits=counting.bits,
         )
 
 
@@ -498,8 +465,8 @@ def feed_run_telemetry(
     physical byte summary (frames, payload vs framing overhead, per-process
     wall time); in-process runs have no transport and pass ``None``, and
     pass *cpu* instead: the release's ``workers`` and ``blas_threads``.
-    The record's ``ring_bits`` is *ring*, the ring the release perturbed
-    in, and its ``count_ring_bits`` the ring *count_result* was counted in.
+    The record's ``ring_bits`` is *ring*, the ring the release counted and
+    perturbed in.
     """
     if not telemetry.enabled:
         return None
@@ -541,7 +508,6 @@ def feed_run_telemetry(
         "opening_rounds": count_result.opening_rounds,
         "candidates": count_result.num_triples_processed,
         "ring_bits": ring.bits,
-        "count_ring_bits": count_result.ring.bits,
         "timings": timings,
         "communication_phases": communication_phases,
     }

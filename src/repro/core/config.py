@@ -77,19 +77,15 @@ class CargoConfig:
         Secret-sharing ring ``Z_{2^l}``.  ``None`` (default) derives ``l``
         per release, right after `Max`, from public values only: the fewest
         bits that hold the statistic's bound on its raw output on ``n`` users
-        of degree at most ``⌊d'_max⌋``, `Perturb`'s noise up to a
-        ``2^-40`` Laplace tail, ``fixed_point_bits`` and a sign bit
-        (:func:`~repro.core.cargo.release_ring`).  `Perturb` runs in that
-        ring and `Count` in ``l − fixed_point_bits`` bits
-        (:func:`~repro.core.cargo.count_ring`), so ring products run fewer
-        limb-pair GEMMs; released counts are the same as in 64 bits.
-        MAC-checked releases count and perturb in 64 bits.  An explicit
+        of degree at most ``⌊d'_max⌋``, `Perturb`'s integer noise up to a
+        ``2^-40`` tail, and a sign bit
+        (:func:`~repro.core.cargo.release_ring`).  `Count` and `Perturb`
+        both run in that ring, so ring products run fewer limb-pair GEMMs;
+        released counts are the same as in 64 bits.  MAC-checked releases
+        count and perturb in 64 bits.  An explicit
         :class:`Ring` pins ``l``, and a release it cannot hold raises
         :class:`~repro.exceptions.ConfigurationError` after `Max`, before
         any material is dealt.
-    fixed_point_bits:
-        Fractional bits used to embed the real-valued distributed noise into
-        the ring during `Perturb`.
     sparse:
         Degree-local (sparse) execution policy.  ``"auto"`` (default) runs
         the whole release on degree vectors — ``O(n)`` memory, no adjacency
@@ -203,7 +199,6 @@ class CargoConfig:
     statistic: str = "triangles"
     star_k: int = 2
     ring: Optional[Ring] = None
-    fixed_point_bits: int = 16
     sparse: str = "auto"
     batch_size: int = 4096
     block_size: int = 128
@@ -247,10 +242,6 @@ class CargoConfig:
             raise ConfigurationError(
                 f"tile_window must be at least 1 (or None for no windowing), "
                 f"got {self.tile_window}"
-            )
-        if self.fixed_point_bits < 0 or self.fixed_point_bits > 30:
-            raise ConfigurationError(
-                f"fixed_point_bits must be in [0, 30], got {self.fixed_point_bits}"
             )
         if self.star_k < 1:
             raise ConfigurationError(f"star_k must be at least 1, got {self.star_k}")

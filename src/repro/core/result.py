@@ -51,13 +51,10 @@ class CargoResult:
         and triple-store stats) when the run carried a
         :class:`~repro.telemetry.Telemetry` bundle; ``None`` otherwise.
     ring_bits:
-        Width ``l`` of the ring ``Z_{2^l}`` the release perturbed in: the
-        pinned ``ring`` when the configuration set one, 64 on a MAC-checked
-        release, otherwise the fewest bits the release's public bound needs
-        (:func:`~repro.core.cargo.release_ring`).
-    count_ring_bits:
-        Width of the ring `Count` ran in (:func:`~repro.core.cargo.count_ring`):
-        ``l`` less the fixed-point bits, or ``l`` on a MAC-checked release.
+        Width ``l`` of the ring ``Z_{2^l}`` the release counted and perturbed
+        in: the pinned ``ring`` when the configuration set one, 64 on a
+        MAC-checked release, otherwise the fewest bits the release's public
+        bound needs (:func:`~repro.core.cargo.release_ring`).
     """
 
     noisy_triangle_count: float
@@ -74,7 +71,6 @@ class CargoResult:
     statistic: str = "triangles"
     telemetry: Optional[Dict] = None
     ring_bits: int = 64
-    count_ring_bits: int = 64
 
     @property
     def noisy_count(self) -> float:

@@ -12,8 +12,6 @@ This subpackage implements the machinery the protocol is built from:
 * :mod:`repro.crypto.multiplication_groups` — the paper's *multiplication
   groups* (Section III-D): correlated randomness for multiplying **three**
   secret-shared values in a single opening round,
-* :mod:`repro.crypto.ot` — a simulated 1-out-of-2 oblivious transfer used to
-  justify (and test) the dealer abstraction,
 * :mod:`repro.crypto.protocol` — party / channel simulation with byte-level
   communication accounting,
 * :mod:`repro.crypto.secure_ops` — two-server secure addition, two-way and
@@ -37,7 +35,6 @@ from repro.crypto.sharing import (
 )
 from repro.crypto.beaver import BeaverTriple, BeaverTripleDealer
 from repro.crypto.multiplication_groups import MultiplicationGroup, MultiplicationGroupDealer
-from repro.crypto.ot import ObliviousTransferChannel
 from repro.crypto.protocol import CommunicationLedger, TwoServerRuntime
 from repro.crypto.secure_ops import (
     secure_add,
@@ -70,7 +67,6 @@ __all__ = [
     "BeaverTripleDealer",
     "MultiplicationGroup",
     "MultiplicationGroupDealer",
-    "ObliviousTransferChannel",
     "CommunicationLedger",
     "TwoServerRuntime",
     "secure_add",

@@ -21,9 +21,7 @@ of a mask dealt to the users (:meth:`MaterialStream.row_seeds`).
 
 The offline phase (producing the triples) is performed here by a
 :class:`BeaverTripleDealer`.  In a deployment the dealer is replaced by an
-OT-based two-party protocol; :mod:`repro.crypto.ot` contains a simulated OT
-primitive that demonstrates the equivalence.  The substitution is recorded in
-``DESIGN.md``.
+OT-based two-party protocol (the paper's Section III-D).
 """
 
 from __future__ import annotations

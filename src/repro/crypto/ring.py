@@ -8,10 +8,9 @@ to (possibly negative) integers such as noise values or centred shares.
 
 Implementation note: vectorised operations use ``numpy.uint64`` with ``l = 64``
 by default, where modular wrap-around is native; other widths mask explicitly.
-A release perturbs in the ring its public bound needs and, unless it is
-MAC-checked, counts in that width less its fixed-point bits
-(:func:`~repro.core.cargo.count_ring`), so most of its products run in
-rings well below 64 bits.
+A release counts and perturbs in the one ring its public bound needs
+(:func:`~repro.core.cargo.release_ring`), so unless it is MAC-checked its
+products run in rings well below 64 bits.
 
 Matrix products (:func:`matmul_mod`, behind :meth:`Ring.matmul`) run on
 float64 BLAS once they are large enough to repay its fixed cost
@@ -366,11 +365,9 @@ class Ring:
         defaults to 64.  A release whose configuration pins no ring derives
         the fewest bits its public bound needs
         (:func:`~repro.core.cargo.release_ring`: the statistic's bound on its
-        raw output, the Laplace tail, the fixed-point bits and a sign bit)
-        and counts in that width less the fixed-point bits
-        (:func:`~repro.core.cargo.count_ring`); its ring products run fewer
-        limb-pair GEMMs in fewer bits.  MAC-checked releases count and
-        perturb in 64 bits.
+        raw output, the noise tail and a sign bit) and counts and perturbs
+        in it; its ring products run fewer limb-pair GEMMs in fewer bits.
+        MAC-checked releases count and perturb in 64 bits.
     """
 
     bits: int = 64

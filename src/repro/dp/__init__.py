@@ -5,9 +5,9 @@ the CARGO protocol and its baselines rely on:
 
 * :mod:`repro.dp.mechanisms` — Laplace, geometric, and randomized-response
   mechanisms,
-* :mod:`repro.dp.gamma_noise` — the difference-of-Gamma partial noise whose
-  sum over ``n`` users is a Laplace random variable (infinite divisibility,
-  Lemma 1),
+* :mod:`repro.dp.discrete_laplace` — the Pólya-difference partial noise
+  whose sum over ``n`` users is a discrete Laplace random variable (the
+  integer form of Lemma 1's infinite divisibility),
 * :mod:`repro.dp.budget` — privacy budget objects and the ε1/ε2 split,
 * :mod:`repro.dp.accountant` — simple sequential-composition accounting,
 * :mod:`repro.dp.sensitivity` — global/local sensitivity of degree and
@@ -24,11 +24,7 @@ from repro.dp.auditing import (
 )
 from repro.dp.budget import PrivacyBudget, split_budget
 from repro.dp.accountant import PrivacyAccountant
-from repro.dp.gamma_noise import (
-    DistributedLaplaceNoise,
-    sample_partial_noise,
-    sample_partial_noises,
-)
+from repro.dp.discrete_laplace import DistributedDiscreteLaplace
 from repro.dp.mechanisms import (
     GeometricMechanism,
     LaplaceMechanism,
@@ -54,9 +50,7 @@ __all__ = [
     "PrivacyBudget",
     "split_budget",
     "PrivacyAccountant",
-    "DistributedLaplaceNoise",
-    "sample_partial_noise",
-    "sample_partial_noises",
+    "DistributedDiscreteLaplace",
     "LaplaceMechanism",
     "GeometricMechanism",
     "RandomizedResponse",

@@ -156,7 +156,6 @@ def _checkpoint_token(config: CargoConfig, variant: str, graph) -> str:
             config.backend_name,
             config.batch_size,
             config.block_size,
-            config.fixed_point_bits,
             "derived" if config.ring is None else config.ring.mask,
             budget.epsilon1,
             budget.epsilon2,
@@ -393,7 +392,7 @@ class _LinkedServers:
     answers back, cross-checking each answer on the way.  Constructing it
     starts the release: it loads a resume checkpoint, if any, and sends the
     ``RUN`` specs.  Once `Max` is done, :meth:`use_ring` sends every party
-    the release's rings, and the dealer deals while the driver runs the
+    the release's ring, and the dealer deals while the driver runs the
     users' steps.
     """
 
@@ -424,7 +423,7 @@ class _LinkedServers:
                 self._resumed = tuple(self._checkpointer.load()["phases"])
 
         block_size = block_size_for(config.backend_name, config)
-        self._ring = self._count_ring = None
+        self._ring = None
         spec = {
             "backend": config.backend_name,
             "masked_input": create_backend(config.counting_backend, config=config).masked_input,
@@ -488,14 +487,13 @@ class _LinkedServers:
             self._checkpointer.save({"phases": _MAX_PHASES})
         return noisy_max
 
-    def use_ring(self, ring, counting) -> None:
-        """Send both servers and the dealer the release's rings, fixed after `Max`.
+    def use_ring(self, ring) -> None:
+        """Send both servers and the dealer the release's ring, fixed after `Max`.
 
-        The servers count in *counting* and release in *ring*; the dealer
-        deals in *counting*.
+        The servers count and release in it; the dealer deals in it.
         """
-        self._ring, self._count_ring = ring, counting
-        meta = {"verb": CONTROL_RING, "bits": ring.bits, "count_bits": counting.bits}
+        self._ring = ring
+        meta = {"verb": CONTROL_RING, "bits": ring.bits}
         for endpoint in (self._s1, self._s2, self._dealer):
             endpoint.send(KIND_CONTROL, meta)
 
@@ -555,7 +553,7 @@ class _LinkedServers:
             share2=int(meta2["share"]),
             num_triples_processed=int(meta1["triples"]),
             opening_rounds=int(meta1["opening_rounds"]),
-            ring=self._count_ring,
+            ring=self._ring,
         )
 
     def _input_seeds(self) -> np.ndarray:
@@ -568,10 +566,10 @@ class _LinkedServers:
             )
         return arrays[0]
 
-    def release(self, count_result, planes, factor):
-        """Each server lifts its count share, adds its plane, and they open."""
+    def release(self, count_result, planes):
+        """Each server adds its plane to its count share, and they open."""
         ring = self._ring
-        noise_meta = {"phase": "noise_share", "factor": int(factor)}
+        noise_meta = {"phase": "noise_share"}
         self._s1.send(KIND_SHARES, noise_meta, [planes[0]])
         self._s2.send(KIND_SHARES, noise_meta, [planes[1]])
         final1, _ = self._s1.recv_expect(KIND_RESULT)

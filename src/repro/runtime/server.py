@@ -81,7 +81,7 @@ from repro.runtime.wire import (
     KIND_RESULT,
     KIND_SHARES,
     WireEndpoint,
-    recv_rings,
+    recv_ring,
     summary_delta,
 )
 from repro.telemetry.spans import NULL_TRACER, Tracer
@@ -334,17 +334,15 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> bool:
                 [np.array([noisy_max], dtype=np.float64)],
             )
 
-        # The rings the driver derived from d'_max: Count's shares, openings
-        # and tags live in the count ring, the release opening in the release
-        # ring.
-        rings = recv_rings(driver_ep)
-        if rings is None:
+        # The ring the driver derived from d'_max: every share, opening and
+        # tag of the release lives in it.
+        ring = recv_ring(driver_ep)
+        if ring is None:
             return False
-        ring, counting = rings
         channel = OpeningChannel(
             peer_ep,
             role=role,
-            ring=counting,
+            ring=ring,
             authenticate=bool(spec.get("authenticate")),
             seed=int(spec.get("seed") or 0),
             tamper_round=spec.get("tamper_round"),
@@ -363,22 +361,22 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> bool:
         backend = spec["backend"]
         seeded = role == 1 and not spec["masked_input"]
         expected = (
-            ((n, 4), np.dtype(np.uint64)) if seeded else ((n * (n - 1) // 2,), counting.dtype)
+            ((n, 4), np.dtype(np.uint64)) if seeded else ((n * (n - 1) // 2,), ring.dtype)
         )
         if (upload.shape, upload.dtype) != expected:
             raise WireFormatError(
                 f"server {role}'s adjacency upload must be a {expected[0]} "
                 f"{expected[1]} array, got {upload.shape} {upload.dtype}"
             )
-        share = server1_share(upload, counting, tracer) if seeded else upload
+        share = server1_share(upload, ring, tracer) if seeded else upload
         if backend in ("faithful", "batched"):
             batch_size = 1 if backend == "faithful" else int(spec["batch_size"])
             total, triples, rounds = _count_mg(
-                dealer_ep, channel, counting, share, n, batch_size, views, tracer
+                dealer_ep, channel, ring, share, n, batch_size, views, tracer
             )
         elif backend in ("matrix", "blocked"):
             total, triples, rounds = _count_blocked(
-                dealer_ep, channel, counting, share, n, int(spec["block_size"]), views, tracer
+                dealer_ep, channel, ring, share, n, int(spec["block_size"]), views, tracer
             )
         else:
             raise ProtocolError(f"unknown counting backend {backend!r}")
@@ -393,19 +391,14 @@ def _run_release(role, spec, driver_ep, dealer_ep, peer_ep) -> bool:
             },
         )
 
-        # Perturb — lift the count share, add the noise plane, and run the
+        # Perturb — add the noise plane to the count share, and run the
         # MAC-checked release opening against the peer.
         meta, arrays = driver_ep.recv_expect(KIND_SHARES)
         if meta.get("phase") != "noise_share":
             raise WireFormatError(
                 f"expected the noise_share upload, got phase {meta.get('phase')!r}"
             )
-        # The release opening reduces in the release ring; a MAC-checked
-        # release counted in it already, so its key and tags are unchanged.
-        channel.ring = ring
-        (noisy_share,), opened = release_opening(
-            (total,), (arrays[0],), int(meta["factor"]), ring, channel
-        )
+        (noisy_share,), opened = release_opening((total,), (arrays[0],), ring, channel)
 
     driver_ep.send(
         KIND_RESULT,

@@ -79,7 +79,7 @@ __all__ = [
     "encode_error_meta",
     "encode_frame_bytes",
     "raise_remote_error",
-    "recv_rings",
+    "recv_ring",
     "summary_delta",
 ]
 
@@ -119,9 +119,8 @@ KIND_NAMES: Dict[int, str] = {
 
 #: Control verbs carried in a CONTROL frame's ``meta["verb"]``.
 CONTROL_RUN = "run"
-#: A release's two ring widths (``bits``: the ring it perturbs in;
-#: ``count_bits``: the ring it counts in), sent to every party once `Max`
-#: has fixed them.
+#: A release's ring width (``bits``), sent to every party once `Max` has
+#: fixed it.
 CONTROL_RING = "ring"
 CONTROL_CHECKPOINT = "checkpoint"
 CONTROL_ABORT = "abort"
@@ -474,8 +473,8 @@ def summary_delta(
     return delta
 
 
-def recv_rings(endpoint: WireEndpoint) -> Optional[Tuple[Ring, Ring]]:
-    """The release's ``(ring, count ring)``, from the driver's ``ring`` frame.
+def recv_ring(endpoint: WireEndpoint) -> Optional[Ring]:
+    """The release's ring, from the driver's ``ring`` frame.
 
     ``None`` when the driver shuts the party down instead, as it does when
     no ring can hold the release; any other frame is a desync.
@@ -489,4 +488,4 @@ def recv_rings(endpoint: WireEndpoint) -> Optional[Tuple[Ring, Ring]]:
             f"expected the release's ring frame from {endpoint.peer or 'peer'}, "
             f"got control verb {verb!r}"
         )
-    return Ring(int(meta["bits"])), Ring(int(meta["count_bits"]))
+    return Ring(int(meta["bits"]))

@@ -73,7 +73,7 @@ class TestRegistry:
                 from repro.core.backends.base import CountResult
 
                 return CountResult(
-                    share1=0, share2=0, num_triples_processed=0, opening_rounds=0
+                    share1=0, share2=0, num_triples_processed=0, opening_rounds=0, ring=self.ring
                 )
 
         try:

@@ -58,11 +58,6 @@ class TestCargoConfig:
         with pytest.raises(ConfigurationError):
             CargoConfig(batch_size=0)
 
-    @pytest.mark.parametrize("bits", [-1, 31])
-    def test_invalid_fixed_point_bits(self, bits):
-        with pytest.raises(ConfigurationError):
-            CargoConfig(fixed_point_bits=bits)
-
     def test_custom_split_fraction(self):
         config = CargoConfig(epsilon=1.0, max_degree_fraction=0.3)
         assert config.resolved_budget().epsilon1 == pytest.approx(0.3)

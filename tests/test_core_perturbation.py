@@ -2,27 +2,39 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core import Cargo, CargoConfig
 from repro.core.backends import CountResult
 from repro.core.perturbation import DistributedPerturbation
 from repro.crypto.protocol import TwoServerRuntime
+from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.sharing import share_scalar
-from repro.exceptions import PrivacyError
+from repro.exceptions import PrivacyError, ProtocolError
+from repro.graph import load_dataset
 
 
-def make_count_result(count: int, seed: int = 0) -> CountResult:
+def make_count_result(count: int, seed: int = 0, ring: Ring = DEFAULT_RING) -> CountResult:
     """Secret-share a plaintext count so Perturb can be tested in isolation."""
-    pair = share_scalar(count, rng=seed)
-    return CountResult(share1=pair.share1, share2=pair.share2, num_triples_processed=0, opening_rounds=0)
+    pair = share_scalar(count, ring=ring, rng=seed)
+    return CountResult(
+        share1=pair.share1, share2=pair.share2, num_triples_processed=0, opening_rounds=0, ring=ring
+    )
 
 
 class TestDistributedPerturbation:
     def test_output_is_count_plus_noise(self):
         perturbation = DistributedPerturbation(epsilon2=1.0, sensitivity=10.0, num_users=50)
         result = perturbation.run(make_count_result(1000), rng=0)
-        assert result.noisy_count == pytest.approx(1000 + result.aggregate_noise, abs=1e-2)
+        assert result.noisy_count == 1000 + result.aggregate_noise
+        assert result.aggregate_noise == int(result.aggregate_noise)
 
     def test_noise_is_not_zero(self):
         perturbation = DistributedPerturbation(epsilon2=0.5, sensitivity=20.0, num_users=30)
@@ -43,10 +55,10 @@ class TestDistributedPerturbation:
     def test_zero_count(self):
         perturbation = DistributedPerturbation(epsilon2=2.0, sensitivity=1.0, num_users=5)
         result = perturbation.run(make_count_result(0), rng=3)
-        assert result.noisy_count == pytest.approx(result.aggregate_noise, abs=1e-3)
+        assert result.noisy_count == result.aggregate_noise
 
-    def test_empirical_noise_variance_matches_laplace(self):
-        """Aggregated distributed noise has the Laplace variance 2 (Δ/ε2)²."""
+    def test_empirical_noise_variance_matches_discrete_laplace(self):
+        """Aggregated distributed noise has the discrete Laplace variance 2α/(1 − α)²."""
         epsilon2, sensitivity, num_users = 1.0, 10.0, 40
         perturbation = DistributedPerturbation(
             epsilon2=epsilon2, sensitivity=sensitivity, num_users=num_users
@@ -55,7 +67,8 @@ class TestDistributedPerturbation:
             perturbation.run(make_count_result(0, seed=seed), rng=seed).noisy_count
             for seed in range(800)
         ]
-        expected_variance = 2 * (sensitivity / epsilon2) ** 2
+        expected_variance = perturbation.noise_config.aggregate_variance
+        assert expected_variance == pytest.approx(2 * (sensitivity / epsilon2) ** 2, rel=0.01)
         assert np.var(noises) == pytest.approx(expected_variance, rel=0.25)
         assert abs(np.mean(noises)) < 3 * np.sqrt(expected_variance / len(noises)) + 1.0
 
@@ -81,21 +94,47 @@ class TestDistributedPerturbation:
         with pytest.raises(PrivacyError):
             DistributedPerturbation(epsilon2=1.0, sensitivity=1.0, num_users=0)
 
+    def test_noise_does_not_depend_on_the_ring_width(self):
+        results = [
+            DistributedPerturbation(
+                epsilon2=1.0, sensitivity=5.0, num_users=10, ring=Ring(bits)
+            ).run(make_count_result(100, ring=Ring(bits)), rng=7)
+            for bits in (20, 64)
+        ]
+        assert results[0].noisy_count == results[1].noisy_count
+        assert results[0].noisy_share1 != results[1].noisy_share1
 
-class TestPerUserFallbackPath:
-    """REPRO_FORCE_PER_USER_NOISE=1 exercises the SciPy-less sampler."""
+    def test_count_shares_from_another_ring_raise(self):
+        perturbation = DistributedPerturbation(
+            epsilon2=1.0, sensitivity=5.0, num_users=10, ring=Ring(20)
+        )
+        with pytest.raises(ProtocolError, match="20-bit ring"):
+            perturbation.run(make_count_result(100), rng=7)
 
-    def test_fallback_is_deterministic_and_consistent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PER_USER_NOISE", "1")
-        perturbation = DistributedPerturbation(epsilon2=1.0, sensitivity=5.0, num_users=10)
-        first = perturbation.run(make_count_result(100), rng=7)
-        second = perturbation.run(make_count_result(100), rng=7)
-        assert first.noisy_count == second.noisy_count
-        assert first.noisy_count == pytest.approx(100 + first.aggregate_noise, abs=1e-2)
 
-    def test_fallback_communication_recorded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PER_USER_NOISE", "1")
-        runtime = TwoServerRuntime(4)
-        perturbation = DistributedPerturbation(epsilon2=1.0, sensitivity=2.0, num_users=4)
-        perturbation.run(make_count_result(10), rng=4, runtime=runtime)
-        assert runtime.ledger.total_messages == 4 * 2 + 2
+#: One release of facebook n=128 at seed 5, run with SciPy made unimportable.
+_RELEASE_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from repro.core import Cargo, CargoConfig
+from repro.graph import load_dataset
+graph = load_dataset("facebook", num_nodes=128, seed=5)
+print(repr(Cargo(CargoConfig(seed=5)).run(graph).noisy_count))
+"""
+
+
+class TestNoScipy:
+    def test_a_release_does_not_depend_on_scipy(self):
+        """The noise sampler is NumPy alone: blocking SciPy releases the same count."""
+        graph = load_dataset("facebook", num_nodes=128, seed=5)
+        plain = Cargo(CargoConfig(seed=5)).run(graph).noisy_count
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        blocked = subprocess.run(
+            [sys.executable, "-c", _RELEASE_WITHOUT_SCIPY],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert float(blocked.stdout) == plain

@@ -18,7 +18,7 @@ from repro.dp.auditing import (
     audit_randomized_response,
     epsilon_lower_bound_from_samples,
 )
-from repro.dp.gamma_noise import sample_partial_noises
+from repro.dp.discrete_laplace import DistributedDiscreteLaplace
 from repro.dp.mechanisms import LaplaceMechanism, RandomizedResponse
 from repro.exceptions import ConfigurationError
 
@@ -40,13 +40,13 @@ class TestAuditMechanism:
         assert result.epsilon_lower_bound <= 1.6
 
     def test_distributed_noise_passes_for_triangle_release(self):
-        """The aggregated Gamma-difference noise protects a sensitivity-Δ change."""
+        """The aggregated Pólya-difference noise protects a sensitivity-Δ change."""
         epsilon = 1.0
         sensitivity = 5.0
-        num_users = 50
+        noise = DistributedDiscreteLaplace(epsilon=epsilon, sensitivity=sensitivity, num_users=50)
 
         def mechanism(value, generator):
-            return value + float(sample_partial_noises(num_users, sensitivity / epsilon, generator).sum())
+            return value + float(noise.sample_partial_noises(generator).sum())
 
         result = audit_mechanism(
             mechanism,

@@ -154,8 +154,8 @@ class TestLedger:
 
 
 def _pinned(bits: int) -> dict:
-    """A pinned ``bits``-wide ring; at 17 bits, with the 4 fractional bits its bound fits."""
-    return {"ring": Ring(bits=bits), "fixed_point_bits": 4 if bits == 17 else 16}
+    """A pinned ``bits``-wide ring; 17 bits still hold the release's bound."""
+    return {"ring": Ring(bits=bits)}
 
 
 def _release_views(graph, distributed=False, **overrides):

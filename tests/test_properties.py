@@ -19,7 +19,7 @@ from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.secure_ops import secure_multiply_pair, secure_multiply_triple
 from repro.crypto.sharing import reconstruct, share_scalar
-from repro.dp.gamma_noise import sample_partial_noises
+from repro.dp.discrete_laplace import DistributedDiscreteLaplace
 from repro.graph.graph import Graph
 from repro.graph.triangles import (
     count_triangles_edge_iterator,
@@ -185,10 +185,13 @@ class TestNoiseProperties:
     @settings(max_examples=20, deadline=None)
     @given(
         num_users=st.integers(1, 200),
-        scale=st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False),
+        sensitivity=st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_partial_noises_shape_and_finiteness(self, num_users, scale, seed):
-        noises = sample_partial_noises(num_users, scale, rng=seed)
+    def test_partial_noises_are_integers_of_the_user_count(self, num_users, sensitivity, seed):
+        noise = DistributedDiscreteLaplace(
+            epsilon=1.0, sensitivity=sensitivity, num_users=num_users
+        )
+        noises = noise.sample_partial_noises(seed)
         assert noises.shape == (num_users,)
-        assert np.all(np.isfinite(noises))
+        assert noises.dtype == np.int64

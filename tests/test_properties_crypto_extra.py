@@ -6,13 +6,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.beaver import BeaverTripleDealer
-from repro.crypto.ot import ObliviousTransferChannel, gilboa_product_shares
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.secure_ops import secure_matrix_multiply
 from repro.crypto.sharing import reconstruct_vector, share_vector
 from repro.graph.datasets import load_dataset
-
-ring_values = st.integers(min_value=-(2**32), max_value=2**32)
 
 
 class TestRingMatmulProperties:
@@ -61,16 +58,6 @@ class TestSecureMatrixProperties:
             (a_pair.share1, a_pair.share2), (b_pair.share1, b_pair.share2), triple
         )
         assert np.array_equal(reconstruct_vector(s1, s2), (a @ b).astype(np.uint64))
-
-
-class TestObliviousTransferProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(a=ring_values, b=ring_values, seed=st.integers(0, 1000))
-    def test_gilboa_shares_always_sum_to_product(self, a, b, seed):
-        channel = ObliviousTransferChannel()
-        sender, receiver = gilboa_product_shares(a, b, channel, rng=seed)
-        assert DEFAULT_RING.add(sender, receiver) == DEFAULT_RING.mul(a, b)
-        assert channel.transfers == DEFAULT_RING.bits
 
 
 class TestDatasetProperties:

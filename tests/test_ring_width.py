@@ -1,10 +1,8 @@
-"""The rings a release derives from its public bound.
+"""The ring a release derives from its public bound.
 
-A release that pins no ring perturbs in the fewest bits its public bound
-needs (:func:`~repro.core.cargo.release_ring`), and an unauthenticated one
-counts in that width less the fixed-point bits
-(:func:`~repro.core.cargo.count_ring`).  Three things must hold for that to
-be safe:
+A release that pins no ring counts and perturbs in the fewest bits its
+public bound needs (:func:`~repro.core.cargo.release_ring`).  Three things
+must hold for that to be safe:
 
 * each statistic's bound dominates its secure output on every input the
   projection can leave behind (extremal graphs and asymmetric rows here);
@@ -18,11 +16,13 @@ be safe:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import Cargo, CargoConfig
-from repro.core.cargo import LocalServers, count_ring, release_ring
+from repro.core.cargo import LocalServers, release_ring
 from repro.core.perturbation import required_ring_bits
 from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.exceptions import ConfigurationError, ProtocolError, RuntimeProcessError
@@ -120,11 +120,7 @@ class TestReleaseRing:
         kwargs = dict(num_users=100, degree_bound=20.7, sensitivity=20.7, epsilon2=1.8)
         ring = release_ring(CargoConfig(), statistic, **kwargs)
         expected = required_ring_bits(
-            statistic.secure_output_bound(100, 20.7),
-            sensitivity=20.7,
-            epsilon2=1.8,
-            num_users=100,
-            fixed_point_bits=16,
+            statistic.secure_output_bound(100, 20.7), sensitivity=20.7, epsilon2=1.8
         )
         assert ring == Ring(expected) and expected < 64
 
@@ -145,15 +141,7 @@ class TestReleaseRing:
         assert release_ring(CargoConfig(), Unbounded(), **kwargs) == DEFAULT_RING
         assert release_ring(CargoConfig(ring=Ring(9)), Unbounded(), **kwargs) == Ring(9)
 
-    def test_count_ring_is_the_release_ring_less_the_fraction(self):
-        assert count_ring(CargoConfig(), Ring(42)) == Ring(26)
-        assert count_ring(CargoConfig(fixed_point_bits=4), Ring(42)) == Ring(38)
-        assert count_ring(CargoConfig(ring=Ring(60)), Ring(60)) == Ring(44)
-        # MAC-checked releases count in the ring their tags live in.
-        assert count_ring(CargoConfig(authenticate=True), DEFAULT_RING) == DEFAULT_RING
-        assert count_ring(CargoConfig(authenticate=True), Ring(40)) == Ring(40)
-
-    def test_count_ring_holds_the_output_bound(self):
+    def test_release_ring_holds_the_output_bound(self):
         for name in STATISTICS:
             statistic = _statistic(name)
             for n, theta in ((14, 5.5), (1024, 263.0), (768, 120.0)):
@@ -162,13 +150,24 @@ class TestReleaseRing:
                     CargoConfig(), statistic, num_users=n, degree_bound=theta,
                     sensitivity=theta, epsilon2=1.8,
                 )
-                assert count_ring(CargoConfig(), ring).bits >= bound.bit_length() + 1
+                assert ring.bits >= bound.bit_length() + 1
 
     def test_required_bits_grow_with_the_noise_tail(self):
-        base = dict(num_users=10, fixed_point_bits=16)
-        narrow = required_ring_bits(1000, sensitivity=1.0, epsilon2=1.0, **base)
-        wide = required_ring_bits(1000, sensitivity=1e6, epsilon2=0.01, **base)
+        narrow = required_ring_bits(1000, sensitivity=1.0, epsilon2=1.0)
+        wide = required_ring_bits(1000, sensitivity=1e6, epsilon2=0.01)
         assert wide > narrow
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 7.3, 263.0 / 1.8, 1e6])
+    def test_the_noise_overflows_the_ring_with_probability_below_2_to_minus_40(self, scale):
+        """``P(|N| ≥ m) = 2α^m / (1 + α)`` for discrete Laplace noise with ``α = e^(−1/λ)``."""
+        for bound in (0, 1000, 2**30):
+            bits = required_ring_bits(bound, sensitivity=scale, epsilon2=1.0)
+            # The opened value T + N stays in [−2^(l−1), 2^(l−1)) unless
+            # |N| reaches the headroom left above the bound.
+            headroom = (1 << (bits - 1)) - bound
+            alpha = math.exp(-1.0 / scale)
+            log2_tail = 1 - headroom / (scale * math.log(2)) - math.log2(1 + alpha)
+            assert log2_tail <= -40
 
 
 def _run(graph, **overrides):
@@ -204,10 +203,7 @@ class TestBitIdentity:
         assert _released(derived) == _released(pinned)
         assert pinned.ring_bits == 64
         assert (derived.ring_bits == 64) == authenticate
-        assert derived.ring_bits == 64 or derived.ring_bits < 40
-        fraction = 0 if authenticate else CargoConfig().fixed_point_bits
-        assert pinned.count_ring_bits == 64 - fraction
-        assert derived.count_ring_bits == derived.ring_bits - fraction
+        assert derived.ring_bits == 64 or derived.ring_bits < 24
 
     @pytest.mark.parametrize("authenticate", [False, True])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -218,8 +214,7 @@ class TestBitIdentity:
         pinned, _ = _run(graph, distributed=True, ring=Ring(64), **kwargs)
         assert _released(remote) == _released(local) == _released(pinned)
         assert remote.ring_bits == local.ring_bits
-        assert remote.count_ring_bits == local.count_ring_bits
-        assert (local.count_ring_bits == 64) == authenticate
+        assert (local.ring_bits == 64) == authenticate
 
     @pytest.mark.parametrize("distributed", [False, True])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -252,13 +247,12 @@ class TestBitIdentity:
         config = CargoConfig(seed=5, counting_backend="blocked", block_size=4)
         result = Cargo(config).run(graph)
         (count_result,) = seen
-        assert count_result.ring == Ring(result.count_ring_bits)
-        assert result.count_ring_bits == result.ring_bits - config.fixed_point_bits
+        assert count_result.ring == Ring(result.ring_bits)
         # What the release benchmark's kernel-parity check reads.
         assert count_result.reconstruct(config.ring) == result.projected_count
         assert count_result.reconstruct(count_result.ring) == result.projected_count
         with pytest.raises(ProtocolError, match="cannot be recombined"):
-            count_result.reconstruct(Ring(result.ring_bits))
+            count_result.reconstruct(DEFAULT_RING)
 
 
 class TestObservability:
@@ -268,13 +262,12 @@ class TestObservability:
         result, _ = _run(graph, telemetry=telemetry, authenticate=authenticate)
         (release,) = build_manifest(telemetry)["releases"]
         assert release["ring_bits"] == result.ring_bits
-        assert release["count_ring_bits"] == result.count_ring_bits
+        assert "count_ring_bits" not in release
         assert (result.ring_bits == 64) == authenticate
-        assert (result.count_ring_bits == 64) == authenticate
 
 
 class TestRefusedRing:
-    """``Ring(17)`` at 16 fractional bits once released −0.857 for −18.857."""
+    """A pinned ring below the 13 bits this release needs would wrap its count."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -283,21 +276,21 @@ class TestRefusedRing:
     def test_pinned_ring_too_narrow_raises_before_count(self, small, monkeypatch):
         counted = []
         monkeypatch.setattr(LocalServers, "count", lambda *args, **kwargs: counted.append(1))
-        config = CargoConfig(seed=5, counting_backend="blocked", ring=Ring(17))
-        with pytest.raises(ConfigurationError, match="needs a 29-bit ring"):
+        config = CargoConfig(seed=5, counting_backend="blocked", ring=Ring(12))
+        with pytest.raises(ConfigurationError, match="needs a 13-bit ring"):
             Cargo(config).run(small)
         assert counted == []
 
-    def test_the_same_ring_holds_with_fewer_fractional_bits(self, small):
-        narrow, _ = _run(small, counting_backend="blocked", ring=Ring(17), fixed_point_bits=4)
-        wide, _ = _run(small, counting_backend="blocked", ring=Ring(64), fixed_point_bits=4)
+    def test_the_narrowest_ring_that_holds_releases_what_64_bits_release(self, small):
+        narrow, _ = _run(small, counting_backend="blocked", ring=Ring(13))
+        wide, _ = _run(small, counting_backend="blocked", ring=Ring(64))
         assert _released(narrow) == _released(wide)
 
     def test_distributed_refusal_shuts_every_party_down(self, small):
-        config = CargoConfig(seed=5, counting_backend="blocked", ring=Ring(17), distributed=True)
+        config = CargoConfig(seed=5, counting_backend="blocked", ring=Ring(12), distributed=True)
         runtime = DistributedRuntime(config)
         try:
-            with pytest.raises(ConfigurationError, match="needs a 29-bit ring"):
+            with pytest.raises(ConfigurationError, match="needs a 13-bit ring"):
                 runtime.run(small)
             for process in runtime._processes:
                 assert process.exitcode == 0
@@ -307,8 +300,8 @@ class TestRefusedRing:
             runtime.close()
 
     def test_derived_width_above_64_bits_raises(self):
-        # 60 · C(59, 20) ≈ 2^58 stars, times 2^16 in fixed point.
-        complete = Graph(60, edges=[(u, v) for u in range(60) for v in range(u + 1, 60)])
-        config = CargoConfig(seed=1, statistic="kstars", star_k=20)
+        # 66 · C(65, 33) ≈ 2^68 stars.
+        complete = Graph(66, edges=[(u, v) for u in range(66) for v in range(u + 1, 66)])
+        config = CargoConfig(seed=1, statistic="kstars", star_k=33)
         with pytest.raises(ConfigurationError, match="rings hold at most 64 bits"):
             Cargo(config).run(complete)

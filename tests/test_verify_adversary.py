@@ -171,8 +171,8 @@ class TestPinnedRing:
         ).run(graph)
         assert not honest.fired
         assert honest.result.noisy_count == plain.noisy_count
-        # MAC-checked: counted in the pinned ring itself, not 14 bits.
-        assert honest.result.count_ring_bits == 30 and plain.count_ring_bits == 14
+        # Counted and perturbed in the pinned ring, MAC-checked or not.
+        assert honest.result.ring_bits == 30 and plain.ring_bits == 30
 
 
 class TestHalfRingShift:
