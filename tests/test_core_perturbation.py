@@ -104,6 +104,28 @@ class TestDistributedPerturbation:
         assert results[0].noisy_count == results[1].noisy_count
         assert results[0].noisy_share1 != results[1].noisy_share1
 
+    def test_noisy_shares_open_to_the_noisy_count_in_the_ring(self):
+        ring = Ring(20)
+        perturbation = DistributedPerturbation(
+            epsilon2=1.0, sensitivity=5.0, num_users=10, ring=ring
+        )
+        result = perturbation.run(make_count_result(3, ring=ring), rng=11)
+        assert 0 <= result.noisy_share1 < 2**20 and 0 <= result.noisy_share2 < 2**20
+        opened = ring.add(result.noisy_share1, result.noisy_share2)
+        assert ring.decode_signed(opened) == result.noisy_count
+
+    def test_noise_planes_share_each_users_partial_noise(self):
+        ring = Ring(24)
+        perturbation = DistributedPerturbation(
+            epsilon2=1.0, sensitivity=5.0, num_users=30, ring=ring
+        )
+        share1_plane, share2_plane, noise_total = perturbation.noise_planes(rng=4)
+        noises = perturbation.noise_config.sample_partial_noises(4)
+        assert share1_plane.shape == share2_plane.shape == (30,)
+        assert np.all(share1_plane < 2**24) and np.all(share2_plane < 2**24)
+        assert np.array_equal(ring.decode_signed(ring.add(share1_plane, share2_plane)), noises)
+        assert noise_total == int(noises.sum())
+
     def test_count_shares_from_another_ring_raise(self):
         perturbation = DistributedPerturbation(
             epsilon2=1.0, sensitivity=5.0, num_users=10, ring=Ring(20)

@@ -16,13 +16,16 @@ import struct
 import numpy as np
 import pytest
 
-from repro.crypto.ring import DEFAULT_RING
+from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.exceptions import (
     CheaterDetectedError,
     RuntimeProcessError,
     WireFormatError,
 )
 from repro.runtime.wire import (
+    CONTROL_RING,
+    CONTROL_RUN,
+    CONTROL_SHUTDOWN,
     HEADER,
     KIND_CHECK,
     KIND_CONTROL,
@@ -41,6 +44,7 @@ from repro.runtime.wire import (
     encode_error_meta,
     encode_frame_bytes,
     raise_remote_error,
+    recv_ring,
     summary_delta,
 )
 
@@ -301,6 +305,35 @@ class TestEndpoint:
             assert entry["frames"] == 2
             assert entry["payload_bytes"] == 2 * payload.nbytes
             assert entry["wire_bytes"] > entry["payload_bytes"]
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("bits", [13, 64])
+    def test_recv_ring_reads_the_release_ring(self, bits):
+        left, right = self.pair()
+        try:
+            left.send(KIND_CONTROL, {"verb": CONTROL_RING, "bits": bits})
+            assert recv_ring(right) == Ring(bits)
+        finally:
+            left.close()
+            right.close()
+
+    def test_recv_ring_returns_none_on_shutdown(self):
+        left, right = self.pair()
+        try:
+            left.send(KIND_CONTROL, {"verb": CONTROL_SHUTDOWN})
+            assert recv_ring(right) is None
+        finally:
+            left.close()
+            right.close()
+
+    def test_recv_ring_rejects_another_control_verb(self):
+        left, right = self.pair()
+        try:
+            left.send(KIND_CONTROL, {"verb": CONTROL_RUN, "bits": 20})
+            with pytest.raises(WireFormatError, match="expected the release's ring frame"):
+                recv_ring(right)
         finally:
             left.close()
             right.close()
