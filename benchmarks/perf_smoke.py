@@ -319,8 +319,7 @@ def collect_rows(engine_workers: int = DEFAULT_ENGINE_WORKERS) -> dict:
     for row in run_parallel_engine(
         user_counts=(ENGINE_USERS,), worker_counts=worker_counts
     ):
-        if "workers" in row:  # the offline cold/warm row is not a gated timing
-            rows[_key(row)] = row
+        rows[_key(row)] = row
     for row in run_sparse_scaling(node_counts=QUICK_SPARSE_NODE_COUNTS):
         rows[_key(row)] = row
     return rows

@@ -9,15 +9,11 @@ Two checks, both asserting *absolute peak-memory ceilings* (tracemalloc):
    ``SPARSE_PEAK_CEILING_MB``.
 
 2. **Windowed blocked backend** — a blocked triangle count at n=2048 with a
-   small tile window and an mmap-backed triple store.  The gate asserts the
-   cold run peaks under ``WINDOW_PEAK_CEILING_MB``, that the peak is set by
-   the window rather than the graph (the cold n=2048 peak is at most
-   ``WINDOW_GROWTH_LIMIT``x the cold n=1024 peak of the same store-filling
-   pipeline while the dealt material grows ~8x), and that a warm rerun —
-   loading one chunk of offline material at a time from disk — peaks under
-   ``WARM_PEAK_CEILING_MB``.  Both growth arms fill a store because only a
-   store makes the backend deal a chunk up front; without one it deals each
-   tile just before its product.
+   small tile window, each row's material dealt just before its products.
+   The gate asserts the count peaks under ``WINDOW_PEAK_CEILING_MB`` and
+   that the peak is set by the window rather than the graph (the n=2048
+   peak is at most ``WINDOW_GROWTH_LIMIT``x the n=1024 peak while the dealt
+   material grows ~8x).
 
 Peak-memory ceilings are machine-independent (allocation sizes do not vary
 with host speed), so unlike the perf-smoke timing gate there is no
@@ -31,9 +27,7 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import sys
-import tempfile
 from pathlib import Path
 
 from repro.core import Cargo, CargoConfig
@@ -41,7 +35,6 @@ from repro.core.backends import BlockedMatrixTriangleCounter
 from repro.crypto.beaver import BeaverTripleDealer
 from repro.graph.generators import sparse_random_graph
 from repro.graph.triangles import count_triangles
-from repro.parallel import TripleStore
 from repro.telemetry import traced_call
 from repro.utils.atomic import atomic_write_json
 
@@ -61,10 +54,9 @@ WINDOW_USERS = 2048
 WINDOW_REFERENCE_USERS = 1024
 TILE_WINDOW = 4
 BLOCK_SIZE = 128
-#: Measured ~54 MB cold / ~4 MB warm at n=2048 (window=4, block=128); the
-#: unwindowed store path holds every group's material at once (~750 MB).
+#: Measured ~32 MB at n=2048 and ~16 MB at n=1024 (window=4, block=128) on
+#: a 2-vCPU host.
 WINDOW_PEAK_CEILING_MB = 128.0
-WARM_PEAK_CEILING_MB = 32.0
 #: Peak is O(window * block * n): doubling n may at most double the peak
 #: (plus slack), while total dealt material grows ~8x.
 WINDOW_GROWTH_LIMIT = 3.0
@@ -113,14 +105,13 @@ def check_sparse_release(failures: list) -> dict:
     }
 
 
-def _windowed_count(num_users: int, store) -> tuple:
+def _windowed_count(num_users: int) -> tuple:
     graph = sparse_random_graph(num_users, 4 * num_users, seed=3)
     expected = count_triangles(graph)
     counter = BlockedMatrixTriangleCounter(
         dealer=BeaverTripleDealer(seed=0),
         block_size=BLOCK_SIZE,
         tile_window=TILE_WINDOW,
-        triple_store=store,
     )
     inputs = counter.upload(graph.adjacency_matrix(), rng=num_users).inputs
 
@@ -136,31 +127,19 @@ def _windowed_count(num_users: int, store) -> tuple:
 
 
 def check_windowed_blocked(failures: list) -> dict:
-    """Windowed blocked counts at two sizes plus a warm mmap-store rerun."""
-    with tempfile.TemporaryDirectory() as tmp:
-        _, reference_peak = _windowed_count(
-            WINDOW_REFERENCE_USERS,
-            TripleStore(cache_dir=f"{tmp}/reference", mmap=True),
-        )
-        store = TripleStore(cache_dir=f"{tmp}/chunks", mmap=True)
-        cold_seconds, cold_peak = _windowed_count(WINDOW_USERS, store)
-        warm_store = TripleStore(cache_dir=f"{tmp}/chunks", mmap=True)
-        warm_seconds, warm_peak = _windowed_count(WINDOW_USERS, warm_store)
-        assert warm_store.hits > 0, warm_store.stats()
+    """Windowed blocked counts at two sizes."""
+    _, reference_peak = _windowed_count(WINDOW_REFERENCE_USERS)
+    seconds, peak = _windowed_count(WINDOW_USERS)
 
     ceiling = WINDOW_PEAK_CEILING_MB * 1e6
-    warm_ceiling = WARM_PEAK_CEILING_MB * 1e6
-    growth = cold_peak / max(reference_peak, 1)
+    growth = peak / max(reference_peak, 1)
     checks = [
-        ("windowed_cold_peak", cold_peak <= ceiling,
-         f"cold n={WINDOW_USERS} peak {cold_peak/1e6:.1f} MB "
+        ("windowed_peak", peak <= ceiling,
+         f"n={WINDOW_USERS} peak {peak/1e6:.1f} MB "
          f"(ceiling {WINDOW_PEAK_CEILING_MB:.0f} MB)"),
         ("windowed_growth", growth <= WINDOW_GROWTH_LIMIT,
          f"peak growth n={WINDOW_REFERENCE_USERS}->{WINDOW_USERS}: {growth:.2f}x "
          f"(limit {WINDOW_GROWTH_LIMIT}x; dealt material grows ~8x)"),
-        ("windowed_warm_peak", warm_peak <= warm_ceiling,
-         f"warm n={WINDOW_USERS} peak {warm_peak/1e6:.1f} MB "
-         f"(ceiling {WARM_PEAK_CEILING_MB:.0f} MB)"),
     ]
     for name, passed, message in checks:
         print(f"  {'ok' if passed else 'FAIL':4s} {message}")
@@ -173,13 +152,10 @@ def check_windowed_blocked(failures: list) -> dict:
         "block_size": BLOCK_SIZE,
         "reference_num_users": WINDOW_REFERENCE_USERS,
         "reference_peak_bytes": reference_peak,
-        "cold_seconds_traced": cold_seconds,
-        "cold_peak_bytes": cold_peak,
-        "warm_seconds_traced": warm_seconds,
-        "warm_peak_bytes": warm_peak,
+        "seconds_traced": seconds,
+        "peak_bytes": peak,
         "peak_growth": growth,
         "peak_ceiling_bytes": int(ceiling),
-        "warm_peak_ceiling_bytes": int(warm_ceiling),
     }
 
 

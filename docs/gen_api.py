@@ -116,11 +116,10 @@ API_PAGES = {
         ),
     ),
     "parallel": (
-        "repro.parallel — worker pool and triple store",
+        "repro.parallel — worker pool and BLAS threads",
         (
             "repro.parallel.pool",
             "repro.parallel.blas",
-            "repro.parallel.store",
         ),
     ),
     "resilience": (

@@ -55,7 +55,7 @@ from repro.exceptions import (
 )
 from repro.graph import Graph, available_datasets, count_triangles, load_dataset
 from repro.metrics import l2_loss, relative_error
-from repro.parallel import TripleStore, WorkerPool
+from repro.parallel import WorkerPool
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.stats import (
     ClusteringCoefficientRelease,
@@ -95,7 +95,6 @@ __all__ = [
     "count_triangles",
     "l2_loss",
     "relative_error",
-    "TripleStore",
     "WorkerPool",
     "ReproError",
     "IntegrityError",

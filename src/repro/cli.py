@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="tile groups per schedule chunk for the blocked backend "
-        "(CargoConfig tile_window; a triple store and a checkpoint work one "
-        "chunk at a time, with bit-identical transcripts)",
+        "(CargoConfig tile_window; material is dealt and a checkpoint "
+        "journals one chunk at a time, with bit-identical transcripts)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -150,14 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="retry transient I/O failures (triple-store reads, checkpoint "
-        "writes, pool tasks, anchors) up to N attempts per operation",
-    )
-    parser.add_argument(
-        "--strict-integrity",
-        action="store_true",
-        help="raise IntegrityError on corrupted persisted material instead "
-        "of silently re-dealing it",
+        help="retry transient I/O failures (checkpoint reads and writes, "
+        "pool tasks, anchors) up to N attempts per operation",
     )
     parser.add_argument(
         "--fault-plan",
@@ -187,12 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_resilience(args: argparse.Namespace):
     """A ResilienceConfig from the CLI flags, or ``None`` when all are off."""
-    if not (
-        args.checkpoint
-        or args.resume
-        or args.retries is not None
-        or args.strict_integrity
-    ):
+    if not (args.checkpoint or args.resume or args.retries is not None):
         return None
     from repro.resilience import ResilienceConfig, RetryPolicy
 
@@ -205,7 +194,6 @@ def _build_resilience(args: argparse.Namespace):
         retry=retry,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        strict_integrity=args.strict_integrity,
     )
 
 
@@ -223,7 +211,7 @@ def _collect_overrides(
         if "resilience" not in accepted:
             raise ReproError(
                 f"experiment {args.experiment!r} does not support "
-                "--checkpoint/--resume/--retries/--strict-integrity"
+                "--checkpoint/--resume/--retries"
             )
         overrides["resilience"] = resilience
     if args.num_nodes is not None and "num_nodes" in accepted:

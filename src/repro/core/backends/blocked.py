@@ -35,8 +35,8 @@ Each server holds its half of ``X`` for the whole count, in column blocks
 groups (all of it when unset): a chunk gathers its column blocks of ``E``
 from the packed upload (:func:`column_blocks`) and opens its groups' ``F``
 tiles.  Group ``g``'s material always comes from the ``g``-th rewound group
-sub-dealer, so every window, worker count and cold/warm store deals and
-opens the same values and releases the same shares.  The distributed
+sub-dealer, so every window and worker count deals and opens the same
+values and releases the same shares.  The distributed
 runtime's dealer runs the same dealing functions (:func:`input_seeds`,
 :func:`mask_blocks`, :func:`deal_row`) and its servers the same kernel
 (:func:`count_chunk`).
@@ -78,15 +78,15 @@ from repro.crypto.ring import DEFAULT_RING, LIMB_CHUNK, Ring, ring_of
 from repro.crypto.secure_ops import PlainOpener, held_material, open_round
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import DealerError, ProtocolError
-from repro.parallel import TripleSignature, WorkerPool, cpu_budget
+from repro.parallel import WorkerPool, cpu_budget
 from repro.resilience import NULL_RESILIENCE, Checkpointer
 from repro.telemetry import NULL_TRACER, resolve_telemetry
 from repro.utils.rng import RandomState
 
 #: Default tile width.
 DEFAULT_BLOCK_SIZE = 128
-#: Name of the dealt-material layout; store signatures and tile journals
-#: carry it, so material of another layout never replays into this kernel.
+#: Name of the dealt-material layout; tile journals carry it, so a journal
+#: of another layout never resumes into this kernel.
 LAYOUT = "masked_input_rows"
 #: View label of the masked input ``E`` each server receives: an upload, not
 #: an opening round.
@@ -652,13 +652,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         Number of worker threads dealing and multiplying ``J`` rows
         concurrently; ``None`` (default) picks :func:`default_workers` for
         each count.  Transcripts are bit-identical for every value.
-    triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        dealt material, one entry per chunk of the schedule.
     tile_window:
         When set, the ``(J, K)`` tile groups are dealt, opened, and
         released in chunks of at most this many groups, one opening round
-        each, so dealt material is held (and stored) one chunk at a time and
+        each, so dealt material is held one chunk at a time and
         a ``resilience.checkpoint_path`` journals each completed chunk.
         ``None`` (default) makes the whole schedule one chunk.  Released
         shares and each group's opened ``F`` tile are bit-identical for
@@ -674,7 +671,6 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         block_size: int = DEFAULT_BLOCK_SIZE,
         views: Optional[ViewRecorder] = None,
         workers: Optional[int] = None,
-        triple_store=None,
         tile_window: Optional[int] = None,
         telemetry=None,
         resilience=None,
@@ -694,7 +690,6 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         self._dealer = dealer if dealer is not None else BeaverTripleDealer(ring=ring)
         self._block_size = block_size
         self._workers = workers
-        self._store = triple_store
         self._tile_window = tile_window
         self._resilience = resilience if resilience is not None else NULL_RESILIENCE
         #: The :class:`_Inputs` the last in-process upload dealt, if any.
@@ -728,7 +723,6 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             block_size=block_size_for(name, config),
             views=views,
             workers=getattr(config, "workers", None),
-            triple_store=getattr(config, "triple_store", None),
             tile_window=getattr(config, "tile_window", None),
             telemetry=resolve_telemetry(config),
             resilience=getattr(config, "resilience", None),
@@ -764,48 +758,6 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             f"{self._ring.bits}|{dealer_key}|{digest.hexdigest()}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-
-    def _chunk_material(self, n, dealt, chunk_index, schedule, groups, pool):
-        """The chunk's ``(finish, tallies)``.
-
-        Without a store each row's finish is dealt just before its products
-        (``finish`` deals it; *tallies* is ``None`` until then).  With one,
-        the whole chunk is fetched warm — or dealt and stored — under the
-        chunk's signature (unwindowed runs keep one key for the whole
-        schedule).
-        """
-        with self._telemetry.tracer.span("offline", groups=len(groups)):
-            if self._store is None:
-                return (
-                    lambda position: deal_row(
-                        schedule, groups, position, dealt.masks, dealt.dealers, self._ring
-                    )
-                ), None
-            geometry = (("block_size", self._block_size), ("layout", LAYOUT))
-            if self._tile_window is not None:
-                geometry += (("tile_window", self._tile_window), ("chunk", chunk_index))
-            signature = TripleSignature(
-                statistic="triangles",
-                backend="blocked",
-                num_users=n,
-                geometry=geometry,
-                ring_bits=self._ring.bits,
-                dealer_key=dealt.dealer_key,
-            )
-            stored = self._store.get(signature)
-            if stored is None:
-                rows = pool.map(
-                    [
-                        (lambda position=position: deal_row(
-                            schedule, groups, position, dealt.masks, dealt.dealers, self._ring
-                        ))
-                        for position in range(len(chunk_rows(schedule, groups)))
-                    ]
-                )
-                stored = (rows, dealer_tallies(groups, dealt.dealers))
-                self._store.put(signature, stored)
-            rows, tallies = stored
-            return rows.__getitem__, tallies
 
     def upload(
         self,
@@ -843,8 +795,8 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
 
     def _deal_inputs(self, n: int) -> tuple:
         """Spawn a count's sub-dealers: ``(dealer key, sub-dealers, the users' input seeds)``."""
-        # The dealer key is pinned before any children are spawned so chunk
-        # signatures match across runs regardless of which chunks run warm.
+        # The dealer key is pinned before any children are spawned, so a
+        # resumed count's journal token matches the interrupted one's.
         dealer_key = self._dealer.fingerprint()
         dealers = chunk_dealers(self._dealer, tile_schedule(n, self._block_size))
         if n >= 3:
@@ -942,22 +894,20 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                 )
                 shard = ViewRecorder() if self._views is not None else None
                 with chunk_span:
-                    finish, chunk_tallies = self._chunk_material(
-                        n, dealt, chunk_index, schedule, groups, pool
-                    )
+                    # Each row's finish is dealt just before its products.
+                    with tracer.span("offline", groups=len(groups)):
+                        finish = functools.partial(
+                            deal_row, schedule, groups,
+                            masks=dealt.masks, dealers=dealt.dealers, ring=ring,
+                        )
                     sum1, sum2 = count_chunk(
                         schedule, groups, e, dealt.masks, finish, ring, shard,
                         self._authenticator, pool.map, tracer,
                     )
-                    # Release the chunk's material before the next one is
-                    # dealt — the bounded-memory property the scale gates pin.
-                    del finish
-                if chunk_tallies is None:
-                    chunk_tallies = dealer_tallies(groups, dealt.dealers)
                 total1 = ring.add(total1, sum1)
                 total2 = ring.add(total2, sum2)
                 opening_rounds += 1
-                for tallies in chunk_tallies:
+                for tallies in dealer_tallies(groups, dealt.dealers):
                     self._dealer.absorb_accounting(*tallies)
                     if journal is not None:
                         absorbed_accounting.append(tuple(tallies))

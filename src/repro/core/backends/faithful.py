@@ -42,12 +42,11 @@ from repro.core.backends.base import (
     upper_offset,
 )
 from repro.core.backends.registry import register_backend
-from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
+from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.views import ViewRecorder
-from repro.exceptions import DealerError, ProtocolError
-from repro.parallel import TripleSignature
+from repro.exceptions import ProtocolError
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
@@ -191,7 +190,6 @@ def group_stream(
     num_users: int,
     batch_size: int,
     provision_limit: int = DEFAULT_PROVISION_LIMIT,
-    to_provision: Optional[int] = None,
 ) -> Iterator:
     """Yield each candidate block's multiplication group from *dealer*, in schedule order.
 
@@ -200,14 +198,10 @@ def group_stream(
     when the next block needs it.  The chunk sequence depends only on the
     total candidate count and the limit — never on the batch size — so the
     provisioned mask stream (and therefore every opening) is identical
-    across batch sizes.  *to_provision* is how many groups are still to be
-    provisioned (default: all of them); ``0`` walks a pool that is already
-    filled.  The in-process backend and the runtime dealer both
+    across batch sizes.  The in-process backend and the runtime dealer both
     walk this stream, so their material is identical.
     """
-    remaining = num_candidate_triples(num_users)
-    if to_provision is None:
-        to_provision = remaining
+    remaining = to_provision = num_candidate_triples(num_users)
     while remaining:
         size = min(batch_size, remaining)
         remaining -= size
@@ -270,10 +264,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
     provision_limit:
         Maximum number of multiplication groups the backend pre-provisions
         per buffered offline-phase call (memory bound, at least ``1``).
-    triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore` memoising the
-        provisioned group stream (streams larger than the store's per-entry
-        budget are dealt lazily and not cached).
     """
 
     def __init__(
@@ -283,7 +273,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         batch_size: int = 1,
         views: Optional[ViewRecorder] = None,
         provision_limit: int = DEFAULT_PROVISION_LIMIT,
-        triple_store=None,
         telemetry=None,
         authenticator=None,
     ) -> None:
@@ -297,7 +286,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         self._dealer = dealer if dealer is not None else MultiplicationGroupDealer(ring=ring)
         self._batch_size = batch_size
         self._provision_limit = provision_limit
-        self._store = triple_store
 
     @classmethod
     def from_config(
@@ -314,7 +302,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
             dealer=dealer,
             batch_size=1,
             views=views,
-            triple_store=getattr(config, "triple_store", None),
             telemetry=resolve_telemetry(config),
             authenticator=authenticator,
         )
@@ -342,51 +329,14 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
     # Candidate blocks
     # ------------------------------------------------------------------ #
     def _count_blocks(self, share1, share2, num_users: int) -> CountResult:
-        """Deal the blocks' groups (or load them from the triple store), then :func:`count_blocks`.
+        """Deal the blocks' groups as they are needed and run :func:`count_blocks`.
 
         Each block's group depends only on its position in the schedule, so
         every worker count opens the same values.
         """
         ring = self._ring
-        dealer = self._dealer
-        total_candidates = num_candidate_triples(num_users)
-
-        # Buffered offline phase (see group_stream): every group still to be
-        # provisioned.
-        to_provision = total_candidates
-        # Offline reuse: the provisioned stream is a deterministic function
-        # of (dealer seed, total, provision_limit), so it is storable.  A
-        # stream past the store's per-entry budget is dealt lazily instead
-        # (bounded memory) and simply not cached.
-        stream_bytes = total_candidates * len(MG_FIELDS) * 2 * 8
-        if self._store is not None and total_candidates:
-            signature = TripleSignature(
-                statistic="triangles",
-                backend="faithful",
-                num_users=num_users,
-                geometry=(("provision_limit", self._provision_limit),),
-                ring_bits=ring.bits,
-                dealer_key=dealer.fingerprint(),
-            )
-            with self._telemetry.tracer.span("offline") as offline_span:
-                stored = self._store.get(signature)
-                if stored is not None:
-                    dealer.import_pool(stored["blocks"])
-                    if dealer.provisioned_remaining != total_candidates:
-                        raise DealerError(
-                            f"stored group stream holds {dealer.provisioned_remaining} "
-                            f"groups but the run needs {total_candidates}"
-                        )
-                    to_provision = 0
-                elif self._store.accepts_bytes(stream_bytes):
-                    to_provision = _provision(
-                        dealer, total_candidates, to_provision, self._provision_limit
-                    )
-                    self._store.put(signature, {"blocks": dealer.export_pool()})
-                offline_span.annotate(groups=total_candidates)
-
         groups = group_stream(
-            dealer, num_users, self._batch_size, self._provision_limit, to_provision
+            self._dealer, num_users, self._batch_size, self._provision_limit
         )
         (total1, total2), triples, rounds = count_blocks(
             _gather_schedule(num_users, self._batch_size),
@@ -420,7 +370,6 @@ def _build_batched_backend(
         dealer=dealer,
         batch_size=config.batch_size,
         views=views,
-        triple_store=getattr(config, "triple_store", None),
         telemetry=resolve_telemetry(config),
         authenticator=authenticator,
     )

@@ -54,7 +54,6 @@ from repro.exceptions import CheaterDetectedError, ConfigurationError
 from repro.graph.graph import Graph
 from repro.parallel import blas_budget, blas_scope, blas_threads, resolve_workers
 from repro.stats import create_statistic
-from repro.resilience import resolve_resilience
 from repro.telemetry import Tracer, build_result_telemetry, resolve_telemetry
 from repro.utils.rng import derive_rng, spawn_rngs
 
@@ -100,15 +99,10 @@ def protocol_rngs(config):
     """The four independent substreams of one release.
 
     Users' degree noise, users' share masks, users' distributed noise, and
-    the offline dealer — spawned from ``config.seed``, except that a pinned
-    ``offline_seed`` gives the dealer identical material across runs, which
-    is what lets a TripleStore serve sweep cells and reruns warm
-    (evaluation-only — see docs/performance.md).
+    the offline dealer, all spawned from ``config.seed``: every release
+    deals fresh material.
     """
-    max_rng, share_rng, noise_rng, dealer_rng = spawn_rngs(derive_rng(config.seed), 4)
-    if config.offline_seed is not None:
-        dealer_rng = derive_rng(config.offline_seed)
-    return max_rng, share_rng, noise_rng, dealer_rng
+    return tuple(spawn_rngs(derive_rng(config.seed), 4))
 
 
 def release_ring(
@@ -261,14 +255,6 @@ class Cargo:
 
             with DistributedRuntime(config) as runtime:
                 return runtime.release(self, graph, views=self.views)
-        telemetry = resolve_telemetry(config)
-        resilience = resolve_resilience(config)
-        if getattr(config, "triple_store", None) is not None and resilience.enabled:
-            config.triple_store.configure_resilience(
-                retry=resilience.retry,
-                strict_integrity=resilience.strict_integrity,
-                metrics=telemetry.metrics if telemetry.enabled else None,
-            )
         runtime: Optional[TwoServerRuntime] = (
             TwoServerRuntime(graph.num_nodes) if config.track_communication else None
         )
@@ -490,11 +476,6 @@ def feed_run_telemetry(
     )
     metrics.increment("epsilon_spent", budget.epsilon1, mechanism="max")
     metrics.increment("epsilon_spent", budget.epsilon2, mechanism="perturb")
-    store = getattr(config, "triple_store", None)
-    store_stats = store.stats() if store is not None else None
-    if store_stats is not None:
-        for key, value in store_stats.items():
-            metrics.gauge_set(f"triple_store_{key}", value)
     release = {
         "kind": "cargo",
         "statistic": config.statistic,
@@ -523,7 +504,6 @@ def feed_run_telemetry(
         communication_phases,
         opening_rounds=count_result.opening_rounds,
         candidates=count_result.num_triples_processed,
-        triple_store_stats=store_stats,
     )
     if transport is not None and result_block is not None:
         result_block["transport"] = transport

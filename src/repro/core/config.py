@@ -102,7 +102,7 @@ class CargoConfig:
         local products, not of its rounds or opened bytes.
     tile_window:
         When set, the blocked backend walks its tile schedule in chunks of
-        at most this many groups: a triple store writes and reads one chunk
+        at most this many groups, dealing and holding one chunk's material
         at a time, and a checkpoint journals each completed chunk.  ``None``
         (default) makes the whole schedule one chunk.  Each chunk opens one
         round of its own; released shares and every opened value are
@@ -119,33 +119,20 @@ class CargoConfig:
         the cores.  Every backend runs the same execution path at every
         worker count, so transcripts, ledgers, and released counts are
         bit-identical and the knob is purely a wall-clock lever.
-    triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore` the backends use
-        to memoise (and optionally persist) the offline phase's correlated
-        randomness, so repeated runs with the same dealer randomness skip
-        re-dealing.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  When set, the
         run records hierarchical spans and feeds the metrics registry
-        (bytes per phase, opening rounds, ε spent, triple-store hits), and
+        (bytes per phase, opening rounds, ε spent), and
         ``CargoResult.telemetry`` carries the per-phase summary.  ``None``
         (default) disables all instrumentation beyond the legacy phase
         timings; transcripts are bit-identical either way.
     resilience:
         Optional :class:`~repro.resilience.ResilienceConfig`.  When set, the
-        run wraps its fallible boundaries (triple-store reads, dealer
-        provisioning, pool tasks) in the configured retry policy, verifies
-        persisted material strictly if requested, and — for the
-        ``tile_window`` blocked pipeline — journals completed tile windows
-        to ``checkpoint_path`` so a killed run resumes bit-identically.
+        run wraps its fallible boundaries (pool tasks, checkpoint I/O) in
+        the configured retry policy and — for the ``tile_window``
+        blocked pipeline — journals completed tile windows to
+        ``checkpoint_path`` so a killed run resumes bit-identically.
         ``None`` (default) keeps every fault hook a no-op.
-    offline_seed:
-        When set, the offline dealer draws from ``derive_rng(offline_seed)``
-        instead of the run's spawned dealer substream, making the dealt
-        material identical across runs (and therefore triple-store-reusable
-        across different master seeds).  Benchmarking/evaluation aid: it
-        deliberately reuses masks across runs, which a deployment must not
-        do — see ``docs/performance.md``.
     seed:
         Master seed for the run; all users, servers, and the dealer derive
         independent substreams from it.
@@ -179,7 +166,7 @@ class CargoConfig:
         in-process engine; the run additionally reconciles the ledger
         against the bytes physically written and reports a ``transport``
         telemetry section.  Requires the ``triangles`` statistic and
-        rejects worker pools, triple stores, and tile windows — see
+        rejects worker pools and tile windows — see
         ``docs/distributed-runtime.md``.
 
     Examples
@@ -204,10 +191,8 @@ class CargoConfig:
     block_size: int = 128
     tile_window: Optional[int] = None
     workers: Optional[int] = None
-    triple_store: Optional[object] = field(default=None, compare=False, repr=False)
     telemetry: Optional[object] = field(default=None, compare=False, repr=False)
     resilience: Optional[object] = field(default=None, compare=False, repr=False)
-    offline_seed: Optional[int] = None
     seed: Optional[int] = None
     record_views: bool = False
     track_communication: bool = False

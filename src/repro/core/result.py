@@ -48,7 +48,7 @@ class CargoResult:
         / :attr:`projected_count` aliases in statistic-agnostic code).
     telemetry:
         Per-phase summary block (rows plus a rendered table, opening-round
-        and triple-store stats) when the run carried a
+        counts) when the run carried a
         :class:`~repro.telemetry.Telemetry` bundle; ``None`` otherwise.
     ring_bits:
         Width ``l`` of the ring ``Z_{2^l}`` the release counted and perturbed

@@ -26,8 +26,11 @@ OT-based two-party protocol (the paper's Section III-D).
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Any, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +41,36 @@ from repro.resilience.faults import fault_point
 from repro.utils.rng import RandomState, derive_rng, seeded_rng, spawn_state_matrix
 
 IntOrArray = Union[int, np.ndarray]
+
+
+def dealer_fingerprint(rng: Any) -> str:
+    """A stable token for the dealer randomness a run starts from.
+
+    Two dealers with the same fingerprint deal the same material.  ``None``
+    (OS-entropy dealing) gets a unique token per call, so two entropy
+    dealers never share one.
+    """
+    if rng is None:
+        return "entropy:" + os.urandom(8).hex()
+    if isinstance(rng, (int, np.integer)):
+        return f"seed:{int(rng)}"
+    if isinstance(rng, np.random.SeedSequence):
+        payload = {"entropy": rng.entropy, "spawn_key": list(rng.spawn_key)}
+        return "seq:" + _digest(payload)
+    if isinstance(rng, np.random.Generator):
+        state = rng.bit_generator.state
+        seed_seq = getattr(rng.bit_generator, "seed_seq", None)
+        payload = {
+            "state": state,
+            "children_spawned": getattr(seed_seq, "n_children_spawned", 0),
+        }
+        return "gen:" + _digest(payload)
+    return "other:" + _digest(repr(rng))
+
+
+def _digest(payload: Any) -> str:
+    text = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
 @dataclass(frozen=True)
@@ -172,25 +205,19 @@ class BeaverTripleDealer:
 
         Captured lazily but pinned on first use, so the token identifies the
         dealer's whole output stream regardless of how much has been drawn
-        since.  This is the ``dealer_key`` of a
-        :class:`~repro.parallel.store.TripleSignature`: equal fingerprints
-        (plus equal geometry) guarantee byte-identical material.
+        since.  The ``blocked`` backend's tile journal carries it, so a
+        checkpoint never resumes into a count dealt from other randomness.
         """
         if self._fingerprint is None:
-            from repro.parallel.store import dealer_fingerprint
-
-            self._fingerprint = dealer_fingerprint(
-                self._seed if self._seed is not None else None
-            )
+            self._fingerprint = dealer_fingerprint(self._seed)
         return self._fingerprint
 
     def absorb_accounting(self, issued: int, total_elements: int, largest_elements: int) -> None:
-        """Fold a sub-dealer's (or a warm store batch's) tallies into this dealer.
+        """Fold a sub-dealer's tallies into this dealer.
 
-        The parallel engine deals tile material through per-tile sub-dealers
-        (and skips dealing entirely on a warm store hit); either way the
-        run-level accounting must read exactly as if this dealer had issued
-        every triple itself.
+        The parallel engine deals tile material through per-tile sub-dealers;
+        the run-level accounting must read exactly as if this dealer had
+        issued every triple itself.
         """
         if issued < 0 or total_elements < 0 or largest_elements < 0:
             raise DealerError("absorbed accounting tallies must be non-negative")

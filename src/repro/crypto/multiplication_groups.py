@@ -69,11 +69,9 @@ class MultiplicationGroupPair:
         )
 
 
-#: Field names of a multiplication group in dealing order.  Public because
-#: size estimates elsewhere (e.g. the faithful engine's triple-store gate)
-#: are proportional to the field count.
+#: Field names of a multiplication group in dealing order (the runtime's
+#: group frames carry one array per field, in this order).
 MG_FIELDS = ("x", "y", "z", "w", "o", "p", "q")
-_MG_FIELDS = MG_FIELDS
 
 
 class MultiplicationGroupDealer:
@@ -101,8 +99,6 @@ class MultiplicationGroupDealer:
 
     def __init__(self, ring: Ring = DEFAULT_RING, seed: RandomState = None) -> None:
         self._ring = ring
-        self._fingerprint: str | None = None
-        self._seed = seed
         self._rng = derive_rng(seed)
         self._issued = 0
         # FIFO of provisioned blocks: (server1 fields, server2 fields, size),
@@ -126,59 +122,6 @@ class MultiplicationGroupDealer:
     def provisioned_remaining(self) -> int:
         """Element-wise groups still available in the provisioned pool."""
         return self._pool_remaining
-
-    def fingerprint(self) -> str:
-        """Stable token of the randomness this dealer *started* from.
-
-        Pinned on first use (read it before any dealing); equal fingerprints
-        plus equal provisioning schedules guarantee byte-identical group
-        streams, which is what lets a
-        :class:`~repro.parallel.store.TripleStore` memoise them.
-        """
-        if self._fingerprint is None:
-            from repro.parallel.store import dealer_fingerprint
-
-            self._fingerprint = dealer_fingerprint(
-                self._seed if self._seed is not None else None
-            )
-        return self._fingerprint
-
-    def export_pool(self) -> list:
-        """Snapshot the provisioned (not yet served) stream for a triple store.
-
-        Must be taken right after provisioning and before any serving (the
-        cursor must be at the stream head), so the snapshot is exactly the
-        material a warm run needs.  The block arrays are shared by
-        reference — serving only slices them, never mutates.
-        """
-        if self._pool_cursor != 0:
-            raise DealerError("export_pool requires an unserved pool (cursor at 0)")
-        return [(dict(s1), dict(s2), size) for s1, s2, size in self._pool_blocks]
-
-    def import_pool(self, blocks: list) -> None:
-        """Load a previously exported provisioned stream (warm offline phase).
-
-        Replaces the provisioning draws entirely: subsequent
-        :meth:`vector_group` calls serve the imported stream with unchanged
-        accounting.  Importing over a non-empty pool is an error — it would
-        interleave two streams.
-        """
-        if self._pool_remaining:
-            raise DealerError(
-                f"{self._pool_remaining} provisioned groups are still unserved; "
-                "refusing to interleave an imported stream"
-            )
-        total = 0
-        for block in blocks:
-            try:
-                s1, s2, size = block
-            except (TypeError, ValueError):
-                raise DealerError("imported pool block must be (server1, server2, size)") from None
-            if set(s1) != set(_MG_FIELDS) or set(s2) != set(_MG_FIELDS):
-                raise DealerError("imported pool block is missing multiplication-group fields")
-            self._pool_blocks.append((dict(s1), dict(s2), int(size)))
-            total += int(size)
-        self._pool_remaining += total
 
     def provision(self, count: int) -> None:
         """Pre-provision *count* element-wise groups in one bulk draw.
@@ -278,8 +221,8 @@ class MultiplicationGroupDealer:
             # slices.
             start = self._pool_cursor
             end = start + size
-            fields1 = {name: head1[name][start:end].reshape(shape) for name in _MG_FIELDS}
-            fields2 = {name: head2[name][start:end].reshape(shape) for name in _MG_FIELDS}
+            fields1 = {name: head1[name][start:end].reshape(shape) for name in MG_FIELDS}
+            fields2 = {name: head2[name][start:end].reshape(shape) for name in MG_FIELDS}
             self._pool_cursor = end
             if end >= head_size:
                 self._pool_blocks.pop(0)
@@ -288,15 +231,15 @@ class MultiplicationGroupDealer:
             # The request spans a provisioning boundary: concatenate the
             # needed parts from successive blocks.  The stream positions —
             # and therefore the masks — are unchanged.
-            parts1 = {name: [] for name in _MG_FIELDS}
-            parts2 = {name: [] for name in _MG_FIELDS}
+            parts1 = {name: [] for name in MG_FIELDS}
+            parts2 = {name: [] for name in MG_FIELDS}
             needed = size
             while needed:
                 block1, block2, block_size = self._pool_blocks[0]
                 take = min(needed, block_size - self._pool_cursor)
                 start = self._pool_cursor
                 end = start + take
-                for name in _MG_FIELDS:
+                for name in MG_FIELDS:
                     parts1[name].append(block1[name][start:end])
                     parts2[name].append(block2[name][start:end])
                 needed -= take
@@ -304,8 +247,8 @@ class MultiplicationGroupDealer:
                 if end >= block_size:
                     self._pool_blocks.pop(0)
                     self._pool_cursor = 0
-            fields1 = {name: np.concatenate(parts1[name]).reshape(shape) for name in _MG_FIELDS}
-            fields2 = {name: np.concatenate(parts2[name]).reshape(shape) for name in _MG_FIELDS}
+            fields1 = {name: np.concatenate(parts1[name]).reshape(shape) for name in MG_FIELDS}
+            fields2 = {name: np.concatenate(parts2[name]).reshape(shape) for name in MG_FIELDS}
         self._pool_remaining -= size
         self._issued += 1
         return MultiplicationGroupPair(

@@ -111,14 +111,11 @@ class ExperimentError(ReproError):
 
 
 class IntegrityError(ReproError):
-    """Persisted protocol material failed its content-checksum verification.
+    """Persisted protocol state failed its content-checksum verification.
 
-    Raised (or counted, on the gracefully-degrading paths) when a spilled
-    triple batch, a checkpoint file, or any other persisted artefact does not
-    hash to the checksum recorded when it was written — a bit flip, a
-    truncated write, or manual tampering.  Corrupt correlated randomness is
-    never served to the protocol: the loader either raises this error or
-    falls back to re-dealing fresh material.
+    Raised when a checkpoint file does not hash to the checksum recorded
+    when it was written — a bit flip, a truncated write, or manual
+    tampering.  Corrupt state is never resumed into the protocol.
     """
 
 

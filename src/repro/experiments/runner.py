@@ -86,8 +86,8 @@ def default_protocols(
     *counting_backend* (an enum member or registered name) selects CARGO's
     secure counting backend; ``None`` keeps the config default.
     *cargo_overrides* passes additional :class:`CargoConfig` fields through
-    to the CARGO runs only (``workers``, ``offline_seed``, ``triple_store``,
-    …); the baselines have no secure phase to tune.
+    to the CARGO runs only (``workers``, ``sparse``, ``tile_window``, …);
+    the baselines have no secure phase to tune.
     """
     cargo_kwargs = {} if counting_backend is None else {"counting_backend": counting_backend}
     if cargo_overrides:
@@ -108,17 +108,8 @@ def _execute_cell_payload(payload: Dict[str, Any]) -> Dict[str, float]:
     datasets are deterministic synthetic graphs, so every process sees the
     identical cell the thread path would run.
     """
-    from repro.parallel import TripleStore
-
-    overrides = dict(payload["cargo_overrides"] or {})
-    cache_dir = overrides.pop("triple_store_cache_dir", None)
-    if cache_dir is not None:
-        # In-memory stores cannot cross a process boundary; a disk-backed
-        # store is rebuilt on its cache directory so cells still share
-        # dealt material through the filesystem.
-        overrides["triple_store"] = TripleStore(cache_dir=cache_dir)
     factories = default_protocols(
-        payload["epsilon"], payload["counting_backend"], overrides
+        payload["epsilon"], payload["counting_backend"], payload["cargo_overrides"]
     )
     graph = load_dataset(payload["dataset"], num_nodes=payload["num_nodes"])
     return _execute_trials(
@@ -243,8 +234,7 @@ class ProtocolSweep:
         of threads — sidesteps the GIL entirely for the Python-level parts
         of a cell at the cost of reloading each cell's (deterministic)
         dataset in the worker process.  Rows remain identical to a serial
-        run; an in-memory *triple_store* cannot cross process boundaries
-        (use a disk-backed one to share dealt material between processes).
+        run.
     counting_backend:
         Secure counting backend for the CARGO runs in the sweep (enum member
         or registered name); ``None`` keeps the config default.
@@ -267,15 +257,6 @@ class ProtocolSweep:
         forked OS processes with all protocol messages on sockets.  Rows
         are identical to an in-process sweep (releases are bit-identical);
         ``None`` keeps the in-process engine.
-    offline_seed:
-        Pins the offline dealer randomness of every CARGO cell to one
-        stream, which makes the dealt material identical across cells —
-        combined with *triple_store* the sweep deals once and every further
-        cell of the same geometry starts warm.  Evaluation-only mask reuse;
-        see ``docs/performance.md``.
-    triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore` shared by every
-        CARGO cell.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` session shared by every
         CARGO cell (serial and thread-pool sweeps only: the session holds
@@ -295,8 +276,6 @@ class ProtocolSweep:
     sparse: Optional[str] = None
     tile_window: Optional[int] = None
     distributed: Optional[bool] = None
-    offline_seed: Optional[int] = None
-    triple_store: Optional[Any] = None
     telemetry: Optional[Any] = field(default=None, repr=False, compare=False)
     _graph_cache: Dict[Tuple[str, int], Graph] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -396,15 +375,6 @@ class ProtocolSweep:
             overrides["tile_window"] = self.tile_window
         if self.distributed is not None:
             overrides["distributed"] = self.distributed
-        if self.offline_seed is not None:
-            overrides["offline_seed"] = self.offline_seed
-        if self.triple_store is not None:
-            if for_process:
-                cache_dir = getattr(self.triple_store, "cache_dir", None)
-                if cache_dir is not None:
-                    overrides["triple_store_cache_dir"] = cache_dir
-            else:
-                overrides["triple_store"] = self.triple_store
         if self.telemetry is not None and not for_process:
             # The session holds locks (unpicklable); process-pool cells run
             # untraced rather than failing to serialise.

@@ -2,10 +2,9 @@
 
 Every other experiment aggregates error metrics over many trials; this one
 executes a *single* release of the configured statistic through the
-configured backend with communication tracking and an in-memory triple
-store engaged, so one invocation exercises the entire observability
-surface: the run's span tree, the metric registry, the ledger-reconciled
-per-phase communication totals, and the triple-store hit/miss statistics.
+configured backend with communication tracking engaged, so one invocation
+exercises the entire observability surface: the run's span tree, the
+metric registry and the ledger-reconciled per-phase communication totals.
 It is what ``repro-cargo run --trace-out trace.json --metrics-out
 metrics.prom`` drives, and what the telemetry smoke benchmark loops over
 every backend × statistic.
@@ -19,7 +18,6 @@ from repro.core.cargo import Cargo
 from repro.core.config import CargoConfig
 from repro.experiments.runner import ExperimentReport
 from repro.graph.datasets import load_dataset
-from repro.parallel import TripleStore
 
 __all__ = ["single_release"]
 
@@ -44,20 +42,17 @@ def single_release(
 
     The report has exactly one row.  Scalar columns render in the text
     table; the row additionally carries the full per-run ``telemetry``
-    block (phase table, opening rounds, triple-store stats) and the
+    block (phase table, opening rounds) and the
     ``communication_phases`` map for JSON consumers — the CLI's ``--json``
     output and the manifest-reconciliation smoke checks read them from
     here.  With *distributed* the release runs on the process-separated
-    runtime (no triple store: the dealer process deals fresh material) and
-    the row gains a ``transport`` block with wire-frame counts, payload
-    bytes, framing overhead, and per-process wall times.
+    runtime and the row gains a ``transport`` block with wire-frame counts,
+    payload bytes, framing overhead, and per-process wall times.
     """
     graph = load_dataset(dataset, num_nodes=num_nodes)
-    store = None if distributed else TripleStore()
     config = CargoConfig(
         epsilon=epsilon,
         seed=seed,
-        triple_store=store,
         track_communication=True,
         authenticate=authenticate,
         distributed=distributed,
@@ -104,7 +99,6 @@ def single_release(
         comm_bytes=comm_bytes,
         comm_messages=comm_messages,
         communication_phases=result.communication_phases,
-        triple_store=store.stats() if store is not None else {},
         telemetry=result.telemetry,
         **(
             {"transport": result.telemetry["transport"]}

@@ -111,12 +111,17 @@ def dataset_spec(name: str) -> DatasetSpec:
 
 def load_dataset(
     name: str,
+    *,
     scale: float = DEFAULT_SCALE,
     num_nodes: Optional[int] = None,
     seed: Optional[int] = None,
     edge_list_dir: Optional[str] = None,
 ) -> Graph:
     """Load (or synthesise) the dataset registered under *name*.
+
+    Every parameter after *name* is keyword-only: a positional node count
+    (``load_dataset("facebook", 128)``) would otherwise be read as a 128×
+    *scale*.
 
     Parameters
     ----------

@@ -10,7 +10,7 @@ layers:
   deterministically jitters retries around those same sites, feeding
   retry/give-up counters into the metrics registry;
 * :mod:`~repro.resilience.integrity` — sha256 content checksums on every
-  persisted artefact, verified on load
+  checkpoint, verified on load
   (:class:`~repro.exceptions.IntegrityError`, never silent corruption);
 * :mod:`~repro.resilience.checkpoint` — atomic, schema-versioned
   :class:`Checkpointer` state so a killed streaming or tile-window run
@@ -40,12 +40,7 @@ from repro.resilience.faults import (
     fault_point,
     install_fault_plan,
 )
-from repro.resilience.integrity import (
-    checksum_bytes,
-    checksum_file,
-    verify_bytes,
-    verify_file,
-)
+from repro.resilience.integrity import checksum_bytes, verify_bytes
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -61,13 +56,11 @@ __all__ = [
     "RetryPolicy",
     "active_fault_plan",
     "checksum_bytes",
-    "checksum_file",
     "corrupt_bytes",
     "fault_point",
     "install_fault_plan",
     "resolve_resilience",
     "verify_bytes",
-    "verify_file",
 ]
 
 
@@ -78,9 +71,8 @@ class ResilienceConfig:
     Parameters
     ----------
     retry:
-        Retry policy wrapped around fallible boundaries (store reads,
-        dealer provisioning, anchors, checkpoint I/O); ``None`` disables
-        retrying.
+        Retry policy wrapped around fallible boundaries (pool tasks,
+        anchors, checkpoint I/O); ``None`` disables retrying.
     checkpoint_path:
         Where to persist crash-recovery checkpoints; ``None`` disables
         checkpointing entirely.
@@ -89,18 +81,15 @@ class ResilienceConfig:
         (blocked pipeline).
     resume:
         Resume from an existing checkpoint at ``checkpoint_path`` when one
-        is present (a missing file starts fresh).
-    strict_integrity:
-        Escalate triple-store integrity failures to
-        :class:`~repro.exceptions.IntegrityError` instead of the default
-        graceful degradation (count the failure, re-deal fresh material).
+        is present (a missing file starts fresh).  A checkpoint whose
+        checksum does not match always raises
+        :class:`~repro.exceptions.IntegrityError`.
     """
 
     retry: Optional[RetryPolicy] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1
     resume: bool = False
-    strict_integrity: bool = False
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
@@ -111,15 +100,6 @@ class ResilienceConfig:
             raise ConfigurationError(
                 "resume=True requires a checkpoint_path to resume from"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any resilience machinery is switched on."""
-        return (
-            self.retry is not None
-            or self.checkpoint_path is not None
-            or self.strict_integrity
-        )
 
 
 #: Shared all-off config — the default on every protocol configuration.

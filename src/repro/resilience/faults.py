@@ -2,9 +2,9 @@
 
 The resilience layer treats failures as first-class, *reproducible* events: a
 :class:`FaultPlan` is a seeded schedule of faults pinned to named **sites** —
-the fallible boundaries the runtime crosses (triple-store disk reads, dealer
-provisioning, worker-pool tile tasks, stream anchor execution, checkpoint and
-export writes).  Each site calls :func:`fault_point` on every invocation;
+the fallible boundaries the runtime crosses (dealer provisioning, worker-pool
+tile tasks, protocol rounds, stream anchor execution, checkpoint reads and
+writes, export writes).  Each site calls :func:`fault_point` on every invocation;
 with no plan installed that is a single global read and the runtime behaves
 exactly as before.  With a plan installed, the *n*-th invocation of a site
 fires whatever fault the plan pinned there:
@@ -73,7 +73,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "pool.task",
     "runtime.round",
     "stream.anchor",
-    "triple_store.read",
 )
 
 

@@ -1,15 +1,10 @@
-"""Content-checksum helpers for persisted protocol material.
+"""Content-checksum helpers for persisted protocol state.
 
-Everything the runtime persists — spilled triple batches, mmap ``.bin``
-sidecars, crash-recovery checkpoints — is hashed with sha256 at write time
-and re-verified at load time.  A mismatch means the bytes on disk are not
-the bytes that were written (bit rot, a truncated write, tampering) and the
+Crash-recovery checkpoints are hashed with sha256 at write time and
+re-verified at load time.  A mismatch means the bytes on disk are not the
+bytes that were written (bit rot, a truncated write, tampering) and the
 loader must never hand them to the protocol: it raises
-:class:`~repro.exceptions.IntegrityError` or, on the gracefully degrading
-triple-store path, counts the failure and re-deals fresh material.
-
-Large mmap sidecars are hashed in bounded chunks so verification never
-pages a multi-gigabyte file into resident memory at once.
+:class:`~repro.exceptions.IntegrityError`.
 
 Examples
 --------
@@ -25,16 +20,10 @@ corruption detected
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
-from typing import Union
 
 from repro.exceptions import IntegrityError
 
-__all__ = ["checksum_bytes", "checksum_file", "verify_bytes", "verify_file"]
-
-#: Read granularity for file hashing — bounds resident memory regardless of
-#: how large the mmap sidecar grew.
-_CHUNK_BYTES = 1 << 20
+__all__ = ["checksum_bytes", "verify_bytes"]
 
 
 def checksum_bytes(data: bytes) -> str:
@@ -46,18 +35,6 @@ def checksum_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def checksum_file(path: Union[str, Path]) -> str:
-    """Hex sha256 digest of the file at *path*, hashed in 1 MiB chunks."""
-    hasher = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_CHUNK_BYTES)
-            if not chunk:
-                break
-            hasher.update(chunk)
-    return hasher.hexdigest()
-
-
 def verify_bytes(data: bytes, expected: str, context: str = "payload") -> None:
     """Raise :class:`IntegrityError` unless *data* hashes to *expected*."""
     actual = checksum_bytes(data)
@@ -67,12 +44,3 @@ def verify_bytes(data: bytes, expected: str, context: str = "payload") -> None:
             f"got {actual[:16]}…"
         )
 
-
-def verify_file(path: Union[str, Path], expected: str, context: str = "file") -> None:
-    """Raise :class:`IntegrityError` unless the file hashes to *expected*."""
-    actual = checksum_file(path)
-    if actual != expected:
-        raise IntegrityError(
-            f"checksum mismatch for {context} ({path}): expected "
-            f"{expected[:16]}…, got {actual[:16]}…"
-        )

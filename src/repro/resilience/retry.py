@@ -1,7 +1,7 @@
 """Deterministic retry policies for fallible runtime boundaries.
 
-A :class:`RetryPolicy` wraps an operation (a triple-store disk read, a dealer
-provisioning call, a checkpoint write) in a bounded retry loop.  Everything
+A :class:`RetryPolicy` wraps an operation (a checkpoint read or write, a
+worker-pool task, a stream anchor) in a bounded retry loop.  Everything
 about the loop is deterministic: the backoff *schedule* — including jitter —
 is a pure function of the policy seed and the site label, so a retried run
 replays byte-for-byte.  Sleeps are injectable and default to ``None`` (no
@@ -9,9 +9,9 @@ real sleeping) because the deterministic test-and-CI environment has nothing
 to wait *for*; production callers can pass ``time.sleep``.
 
 Only *transient* failures are retried: :class:`OSError` by default.  Typed
-protocol errors (:class:`~repro.exceptions.DealerError`, integrity failures
-handled by their own degradation paths) and :class:`InjectedCrash` propagate
-immediately.  When the per-site attempt budget is exhausted the policy raises
+protocol errors (:class:`~repro.exceptions.DealerError`,
+:class:`~repro.exceptions.IntegrityError`) and :class:`InjectedCrash`
+propagate immediately.  When the per-site attempt budget is exhausted the policy raises
 :class:`~repro.exceptions.RetryExhaustedError` with the last failure chained
 as ``__cause__``.
 
@@ -29,7 +29,7 @@ Examples
 ...     if len(calls) < 3:
 ...         raise OSError("transient")
 ...     return "ok"
->>> policy.run("triple_store.read", flaky)
+>>> policy.run("checkpoint.read", flaky)
 'ok'
 >>> len(calls)
 3

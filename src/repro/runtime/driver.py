@@ -115,11 +115,6 @@ def _validate_distributed_config(config: CargoConfig) -> None:
             "in-process worker pools cannot cross the process boundary; "
             "use workers=1 (or unset) for distributed runs"
         )
-    if getattr(config, "triple_store", None) is not None:
-        raise ConfigurationError(
-            "triple stores are not supported by the distributed runtime; "
-            "the dealer process provisions material directly"
-        )
     if getattr(config, "tile_window", None):
         raise ConfigurationError(
             "tile_window streaming is not supported by the distributed runtime"
@@ -160,7 +155,6 @@ def _checkpoint_token(config: CargoConfig, variant: str, graph) -> str:
             budget.epsilon1,
             budget.epsilon2,
             config.seed,
-            config.offline_seed,
             config.authenticate,
         )
     )
@@ -236,7 +230,7 @@ class DistributedRuntime:
     ----------
     config:
         The run configuration; defaults to ``CargoConfig()``.  Statistics
-        other than triangles, worker pools, triple stores, tile windows and
+        other than triangles, worker pools, tile windows and
         authenticators that check MACs are rejected (a key-less
         :class:`~repro.crypto.secure_ops.PlainOpener` runs like none) — see
         ``docs/distributed-runtime.md`` for the supported envelope.

@@ -189,17 +189,6 @@ class StreamingConfig:
         Per-node neighbour budget for the bounded triangle maintainer
         (``None`` uses :data:`repro.stream.delta.DEFAULT_NEIGHBOR_CAP`);
         ignored outside ``memory_mode="bounded"``.
-    triple_store:
-        Optional :class:`~repro.parallel.store.TripleStore`.  When set, the
-        offline dealer randomness is pinned per run (one fixed substream
-        reused by every anchor) so all anchors after the first fetch their
-        correlated randomness warm instead of re-dealing.  Like
-        ``offline_seed``, this reuses masks across anchor snapshots —
-        evaluation-only; see ``docs/performance.md``.
-    offline_seed:
-        When set, anchors deal from ``derive_rng(offline_seed)`` (shared
-        with any other run pinning the same value), making the dealt
-        material reusable across whole runs, not just within one.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` session.  When set (and
         enabled) the run records a hierarchical span tree (run → anchor /
@@ -212,11 +201,10 @@ class StreamingConfig:
         anchor runs inside an accountant transaction with its randomness
         substreams snapshotted (a failed anchor is retried under the
         configured policy with no double-spent ε and no divergent
-        randomness), triple-store reads are retried/verified as configured,
-        and — with a ``checkpoint_path`` — the run checkpoints its complete
-        recovery state after every ``checkpoint_every``-th release so a
-        killed process resumes (``resume=True``) with bit-identical
-        releases, ledger, and transcripts.  ``None`` (the default) disables
+        randomness), and — with a ``checkpoint_path`` — the run checkpoints
+        its complete recovery state after every ``checkpoint_every``-th
+        release so a killed process resumes (``resume=True``) with
+        bit-identical releases, ledger, and transcripts.  ``None`` (the default) disables
         everything.
     seed:
         Master seed; the tree noise, the anchor noise, the share masks and
@@ -244,8 +232,6 @@ class StreamingConfig:
     sparse: str = "auto"
     memory_mode: str = "full"
     neighbor_cap: Optional[int] = None
-    triple_store: Optional[object] = field(default=None, compare=False, repr=False)
-    offline_seed: Optional[int] = None
     telemetry: Optional[object] = field(default=None, compare=False, repr=False)
     resilience: Optional[object] = field(default=None, compare=False, repr=False)
     seed: Optional[int] = None
@@ -481,34 +467,12 @@ class StreamingCargo:
         telemetry = resolve_telemetry(config)
         resilience = resolve_resilience(config)
         resilience_metrics = telemetry.metrics if telemetry.enabled else None
-        if config.triple_store is not None and resilience.enabled:
-            config.triple_store.configure_resilience(
-                retry=resilience.retry,
-                strict_integrity=resilience.strict_integrity,
-                metrics=resilience_metrics,
-            )
         # An untraced run still times its phases: a private enabled tracer
         # records only the legacy spans, so ``result.timings`` keeps the
         # exact key set the TimerRegistry era produced.
         tracer = telemetry.tracer if telemetry.enabled else Tracer()
         master_rng = derive_rng(config.seed)
         tree_rng, anchor_rng, share_rng, dealer_rng = spawn_rngs(master_rng, 4)
-        # With a triple store (or an explicit offline seed) every anchor
-        # deals from the same pinned substream: the dealt material becomes a
-        # pure function of (seed, anchor geometry), so anchors after the
-        # first fetch it warm instead of re-dealing.  Released estimates are
-        # unaffected — the secure count is exact regardless of the masks.
-        anchor_offline_seed: Optional[int] = None
-        if config.offline_seed is not None:
-            anchor_offline_seed = int(config.offline_seed)
-        elif config.triple_store is not None:
-            anchor_offline_seed = int(dealer_rng.integers(0, 1 << 63))
-
-        def anchor_dealer_rng():
-            if anchor_offline_seed is not None:
-                return derive_rng(anchor_offline_seed)
-            return dealer_rng
-
         # Size the tree from the stream unless the caller pinned a capacity,
         # and divide the anchor budget among the anchors this stream can
         # actually produce (capacity headroom must not starve each anchor).
@@ -620,7 +584,6 @@ class StreamingCargo:
             restore_rng_position(anchor_rng, state["anchor_rng"])
             restore_rng_position(share_rng, state["share_rng"])
             restore_rng_position(dealer_rng, state["dealer_rng"])
-            anchor_offline_seed = state["anchor_offline_seed"]
             anchor_base = state["anchor_base"]
             prefix_at_anchor = state["prefix_at_anchor"]
             base_var = state["base_var"]
@@ -651,7 +614,7 @@ class StreamingCargo:
                     fault_point("stream.anchor")
                     return self._run_anchor(
                         statistic, maintainer, accountant, epsilon_anchor,
-                        anchor_rng, share_rng, anchor_dealer_rng(), use_sparse,
+                        anchor_rng, share_rng, dealer_rng, use_sparse,
                     )
                 except BaseException:
                     accountant.rollback(reservation)
@@ -764,7 +727,6 @@ class StreamingCargo:
                             "anchor_rng": rng_position(anchor_rng),
                             "share_rng": rng_position(share_rng),
                             "dealer_rng": rng_position(dealer_rng),
-                            "anchor_offline_seed": anchor_offline_seed,
                             "anchor_base": anchor_base,
                             "prefix_at_anchor": prefix_at_anchor,
                             "base_var": base_var,
@@ -784,11 +746,6 @@ class StreamingCargo:
             metrics.increment("stream_anchors", result.anchors_run, **labels)
             for label, eps in result.ledger:
                 metrics.increment("epsilon_spent", eps, mechanism=label)
-            store_stats = None
-            if config.triple_store is not None:
-                store_stats = config.triple_store.stats()
-                for key, value in store_stats.items():
-                    metrics.gauge_set(f"triple_store_{key}", value)
             telemetry.record_release(
                 {
                     "kind": "streaming",
@@ -805,9 +762,7 @@ class StreamingCargo:
                     **cpu,
                 }
             )
-            result.telemetry = build_result_telemetry(
-                timings, {}, triple_store_stats=store_stats
-            )
+            result.telemetry = build_result_telemetry(timings, {})
         return result
 
     # ------------------------------------------------------------------ #
@@ -820,8 +775,8 @@ class StreamingCargo:
         could never reproduce the killed run bit-for-bit, so the
         :class:`~repro.resilience.Checkpointer` refuses it outright on a
         token mismatch.  The frozen config's ``repr`` covers every
-        transcript-relevant knob (runtime-only attachments — store,
-        telemetry, resilience — are ``repr=False`` and rightly excluded).
+        transcript-relevant knob (runtime-only attachments — telemetry,
+        resilience — are ``repr=False`` and rightly excluded).
         """
         payload = f"{self._config!r}|{stream.num_nodes}|{len(stream)}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]

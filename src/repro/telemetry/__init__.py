@@ -7,7 +7,7 @@ The package has three accumulation surfaces and three exports:
   under the worker pool via the same shard-merge discipline as
   :class:`~repro.crypto.views.ViewRecorder`;
 * :class:`MetricsRegistry` — labelled counters/gauges/histograms fed by the
-  protocol (bytes and messages per phase, triples dealt, store hit/miss,
+  protocol (bytes and messages per phase, triples dealt,
   opening rounds, ε per ledger entry, stream events and anchor latency);
 * :class:`Telemetry` — the per-run bundle configs carry
   (``CargoConfig(telemetry=Telemetry())``), off by default;

@@ -147,7 +147,6 @@ def build_result_telemetry(
     *,
     opening_rounds: Optional[int] = None,
     candidates: Optional[int] = None,
-    triple_store_stats: Optional[Dict] = None,
 ) -> Dict:
     """The ``CargoResult.telemetry`` block: rows + rendered summary table."""
     rows = phase_rows(timings, communication_phases)
@@ -159,18 +158,13 @@ def build_result_telemetry(
         block["opening_rounds"] = opening_rounds
     if candidates is not None:
         block["candidates"] = candidates
-    if triple_store_stats is not None:
-        block["triple_store"] = dict(triple_store_stats)
     return block
 
 
-def summary_block(telemetry: Telemetry, triple_store=None) -> Dict:
+def summary_block(telemetry: Telemetry) -> Dict:
     """The ``--json`` telemetry block: metric snapshot + release records."""
-    block: Dict[str, object] = {
+    return {
         "enabled": telemetry.enabled,
         "releases": telemetry.releases,
         "metrics": telemetry.metrics.as_dict(),
     }
-    if triple_store is not None:
-        block["triple_store"] = triple_store.stats()
-    return block

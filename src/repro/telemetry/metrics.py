@@ -2,8 +2,8 @@
 
 The registry is the aggregate half of the telemetry layer (spans are the
 tree half).  Subsystems feed it monotonic **counters** (triples dealt,
-bytes per phase, ε spent), point-in-time **gauges** (triple-store entries,
-resident cache bytes), and **histograms** (anchor latency) — each series
+bytes per phase, ε spent), point-in-time **gauges** (a level such as
+resident bytes), and **histograms** (anchor latency) — each series
 keyed by a metric name plus a sorted label set, Prometheus-style.
 
 All mutation is lock-serialised, and counters/gauges are commutative, so
@@ -17,7 +17,7 @@ Examples
 >>> metrics.increment("comm_bytes", 4, phase="count")
 >>> metrics.counters()['comm_bytes{phase="count"}']
 100
->>> metrics.gauge_set("store_entries", 3)
+>>> metrics.gauge_set("resident_bytes", 3)
 >>> metrics.observe("anchor_seconds", 0.25)
 >>> metrics.histograms()["anchor_seconds"]["count"]
 1

@@ -5,10 +5,9 @@ The ``tile_window`` pipeline deals, opens, and releases one chunk of
 offline-material memory is set by the window and not by ``n``.  Determinism
 rests on two invariants these tests pin: column block ``c``'s mask always
 comes from the users' row seeds and group ``g``'s finish material from the
-``g``-th group sub-dealer (regardless of which chunk they land in or whether
-a chunk runs warm from a store), and subtotals plus views reduce in
-canonical schedule order.  Under those invariants every window size — and
-every cold/warm store combination — must reproduce the unwindowed engine's
+``g``-th group sub-dealer (regardless of which chunk they land in), and
+subtotals plus views reduce in canonical schedule order.  Under those
+invariants every window size must reproduce the unwindowed engine's
 output shares, the masked input ``E`` each server receives and each group's
 opened ``F`` tile bit for bit; only the grouping of the openings into rounds
 changes.
@@ -27,7 +26,6 @@ from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheckpointError, ConfigurationError, ProtocolError
 from repro.graph.datasets import load_dataset
 from repro.graph.triangles import count_triangles
-from repro.parallel import TripleStore
 from repro.resilience import (
     FaultKind,
     FaultPlan,
@@ -50,7 +48,7 @@ def shares():
     return graph, graph.adjacency_matrix()
 
 
-def _run(shares, tile_window=None, store=None, record_views=True, seed=0):
+def _run(shares, tile_window=None, record_views=True, seed=0):
     _, rows = shares
     views = ViewRecorder() if record_views else None
     counter = BlockedMatrixTriangleCounter(
@@ -58,7 +56,6 @@ def _run(shares, tile_window=None, store=None, record_views=True, seed=0):
         block_size=BLOCK_SIZE,
         views=views,
         workers=1,
-        triple_store=store,
         tile_window=tile_window,
     )
     result = counter.count_from_shares(*counter.upload(rows).inputs)
@@ -135,78 +132,19 @@ class TestWindowedTranscripts:
         assert counter_windowed._dealer.accounting() == counter_engine._dealer.accounting()
 
 
-class TestWindowedStore:
-    def test_warm_chunked_rerun_is_bit_identical(self, shares, tmp_path):
-        store = TripleStore(cache_dir=str(tmp_path / "chunks"))
-        cold = _run(shares, tile_window=3, store=store)
-        assert store.stats()["stores"] > 0
-        warm_store = TripleStore(cache_dir=str(tmp_path / "chunks"))
-        warm = _run(shares, tile_window=3, store=warm_store)
-        assert warm_store.hits > 0
-        _assert_same_transcript(cold, warm)
-
-    def test_mmap_store_cold_then_warm(self, shares, tmp_path):
-        cache = tmp_path / "mmap-chunks"
-        cold = _run(shares, tile_window=3, store=TripleStore(cache_dir=str(cache), mmap=True))
-        npk_files = sorted(cache.glob("*.npk"))
-        bin_files = sorted(cache.glob("*.bin"))
-        assert npk_files and len(npk_files) == len(bin_files)
-        warm_store = TripleStore(cache_dir=str(cache), mmap=True)
-        warm = _run(shares, tile_window=3, store=warm_store)
-        assert warm_store.hits > 0
-        _assert_same_transcript(cold, warm)
-
-    def test_window_geometry_keys_are_distinct(self, shares, tmp_path):
-        """Different window sizes chunk the schedule differently and must
-        never serve each other's material."""
-        store = TripleStore(cache_dir=str(tmp_path / "chunks"))
-        first = _run(shares, tile_window=2, store=store)
-        second_store = TripleStore(cache_dir=str(tmp_path / "chunks"))
-        second = _run(shares, tile_window=4, store=second_store)
-        assert second_store.hits == 0  # no cross-geometry reuse
-        _assert_same_transcript(first, second)
-
-    def test_material_and_journal_keyed_by_layout(self, shares, monkeypatch):
-        """Store signatures and the journal token carry the material layout."""
-        signatures = []
-
-        class RecordingStore(TripleStore):
-            def get(self, signature):
-                signatures.append(signature)
-                return super().get(signature)
-
-        _, _, counter = _run(shares, tile_window=3, store=RecordingStore())
-        assert signatures
-        assert all(("layout", blocked.LAYOUT) in sig.geometry for sig in signatures)
+class TestJournalLayout:
+    def test_journal_keyed_by_layout(self, shares, monkeypatch):
+        """The tile journal's token carries the material layout."""
+        _, _, counter = _run(shares, tile_window=3)
         token = counter._journal_token(NUM_USERS, "dealer")
         monkeypatch.setattr(blocked, "LAYOUT", "per_range")
         assert counter._journal_token(NUM_USERS, "dealer") != token
 
-    def test_store_entry_of_another_layout_is_a_miss(self, shares, tmp_path, monkeypatch):
-        """Material stored under another layout never replays into this one."""
-        with monkeypatch.context() as patch:
-            patch.setattr(blocked, "LAYOUT", "per_range")
-            _run(shares, tile_window=3, store=TripleStore(cache_dir=str(tmp_path)))
-        store = TripleStore(cache_dir=str(tmp_path))
-        rerun = _run(shares, tile_window=3, store=store)
-        assert store.hits == 0 and store.stats()["stores"] > 0
-        _assert_same_transcript(_run(shares, tile_window=3), rerun)
-
     def test_journal_of_another_layout_refuses_to_resume(self, shares, tmp_path, monkeypatch):
         _assert_journal_of_layout_refused(shares, tmp_path, monkeypatch, "per_range")
 
-    def test_parent_layout_store_entry_is_a_miss(self, shares, tmp_path, monkeypatch):
-        """Material dealt as seeded column masks never replays into the masked-input kernel."""
-        assert blocked.LAYOUT != PARENT_LAYOUT
-        with monkeypatch.context() as patch:
-            patch.setattr(blocked, "LAYOUT", PARENT_LAYOUT)
-            _run(shares, tile_window=3, store=TripleStore(cache_dir=str(tmp_path)))
-        store = TripleStore(cache_dir=str(tmp_path))
-        rerun = _run(shares, tile_window=3, store=store)
-        assert store.hits == 0 and store.stats()["stores"] > 0
-        _assert_same_transcript(_run(shares, tile_window=3), rerun)
-
     def test_parent_layout_journal_refuses_to_resume(self, shares, tmp_path, monkeypatch):
+        assert blocked.LAYOUT != PARENT_LAYOUT
         _assert_journal_of_layout_refused(shares, tmp_path, monkeypatch, PARENT_LAYOUT)
 
 

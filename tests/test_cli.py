@@ -4,8 +4,7 @@
 plumbing; this module covers the observability flags end to end — a real
 ``run`` invocation writing a schema-valid manifest and a Prometheus dump,
 and the ``--json`` payload carrying the telemetry summary block (metric
-snapshot, release records, triple-store hit/miss stats) through a full
-serialise/parse round trip.
+snapshot, release records) through a full serialise/parse round trip.
 """
 
 from __future__ import annotations
@@ -121,22 +120,13 @@ class TestJsonTelemetryBlock:
         assert counters['runs{backend="blocked",statistic="triangles"}'] == 1
         assert any(series.startswith("epsilon_spent{") for series in counters)
 
-    def test_row_carries_triple_store_and_phase_table(self, payload):
+    def test_row_carries_phase_table(self, payload):
         (row,) = payload["rows"]
-        stats = row["triple_store"]
-        assert stats["stores"] == 1 and stats["misses"] == 1
-        assert set(stats) >= {"hits", "misses", "stores", "evictions"}
         assert {p["phase"] for p in row["telemetry"]["phases"]} >= {"max", "count"}
         # The scalar columns agree with the ledger the row embeds.
         assert row["comm_bytes"] == sum(
             entry["bytes"] for entry in row["communication_phases"].values()
         )
-
-    def test_gauges_mirror_triple_store_stats(self, payload):
-        (row,) = payload["rows"]
-        gauges = payload["telemetry"]["metrics"]["gauges"]
-        for key in ("hits", "misses", "stores"):
-            assert gauges[f"triple_store_{key}"] == row["triple_store"][key]
 
     def test_json_without_telemetry_capable_experiment(self, capsys):
         """Experiments that take no ``telemetry`` kwarg still produce the
@@ -163,7 +153,7 @@ class TestResilienceFlags:
         assert "error:" in capsys.readouterr().err
 
     def test_resilience_flags_on_unsupporting_experiment_fail_typed(self, capsys):
-        assert main(["table4", "--num-nodes", "30", "--strict-integrity"]) == 1
+        assert main(["table4", "--num-nodes", "30", "--retries", "2"]) == 1
         err = capsys.readouterr().err
         assert "does not support" in err
 
@@ -210,11 +200,11 @@ class TestResilienceFlags:
         assert main(["run", "--num-nodes", "24", "--fault-plan", str(bad)]) == 1
         assert "unreadable fault plan" in capsys.readouterr().err
 
-    def test_strict_integrity_flag_passes_through(self, capsys):
+    def test_retries_flag_passes_through(self, capsys):
         # Smoke: the flag reaches CargoConfig.resilience without changing a
         # clean run's exit code or rows.
         payload = _run_json(
-            capsys, "run", "--num-nodes", "24", "--seed", "5", "--strict-integrity"
+            capsys, "run", "--num-nodes", "24", "--seed", "5", "--retries", "2"
         )
         reference = _run_json(capsys, "run", "--num-nodes", "24", "--seed", "5")
         pick = lambda rows: [

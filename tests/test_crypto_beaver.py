@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crypto.beaver import BeaverTripleDealer
+from repro.crypto.beaver import BeaverTripleDealer, dealer_fingerprint
 from repro.crypto.ring import Ring
 from repro.exceptions import DealerError
 
@@ -68,3 +68,51 @@ class TestMatrixTriples:
         triple = dealer.matrix_triple((3, 3), (3, 3))
         x, _, _ = triple.plaintext()
         assert not np.array_equal(np.asarray(triple.server1.x), np.asarray(x))
+
+
+class TestDealerFingerprint:
+    def test_deterministic_for_equal_seeds(self):
+        assert dealer_fingerprint(7) == dealer_fingerprint(7)
+        assert dealer_fingerprint(7) != dealer_fingerprint(8)
+        g1 = np.random.default_rng(5)
+        g2 = np.random.default_rng(5)
+        assert dealer_fingerprint(g1) == dealer_fingerprint(g2)
+        g1.integers(0, 10)
+        assert dealer_fingerprint(g1) != dealer_fingerprint(g2)
+
+    def test_entropy_dealers_never_collide(self):
+        assert dealer_fingerprint(None) != dealer_fingerprint(None)
+
+    def test_dealer_fingerprint_is_pinned_before_dealing(self):
+        dealer = BeaverTripleDealer(seed=3)
+        before = dealer.fingerprint()
+        dealer.vector_triple((4,))
+        assert dealer.fingerprint() == before
+        assert before == BeaverTripleDealer(seed=3).fingerprint()
+
+
+class TestAccounting:
+    def test_absorb_accounting_matches_direct_dealing(self):
+        direct = BeaverTripleDealer(seed=21)
+        direct.matrix_triple((4, 4), (4, 4))
+        direct.vector_triple((6,))
+
+        parent = BeaverTripleDealer(seed=22)
+        child = BeaverTripleDealer(seed=21)
+        child.matrix_triple((4, 4), (4, 4))
+        child.vector_triple((6,))
+        parent.absorb_accounting(*child.accounting())
+        assert parent.accounting() == direct.accounting()
+
+    def test_absorb_rejects_negative_tallies(self):
+        dealer = BeaverTripleDealer(seed=23)
+        with pytest.raises(DealerError):
+            dealer.absorb_accounting(-1, 0, 0)
+
+    def test_subdealers_are_deterministic_per_seed(self):
+        a = BeaverTripleDealer(seed=31).spawn_subdealers(3)
+        b = BeaverTripleDealer(seed=31).spawn_subdealers(3)
+        for left, right in zip(a, b):
+            la = left.vector_triple((4,))
+            ra = right.vector_triple((4,))
+            assert np.array_equal(la.server1.x, ra.server1.x)

@@ -1,15 +1,9 @@
-"""Dealer exhaustion and store-decline behaviour across every backend.
+"""Dealer exhaustion behaviour across every backend.
 
-Two failure paths every counting backend must handle identically:
-
-* **Dealer exhaustion** — when the correlated-randomness dealer cannot
-  provision (injected as a :class:`~repro.exceptions.DealerError` at the
-  ``dealer.provision`` fault site), the run fails *typed*, never with a
-  wrong count or an opaque crash.
-* **Store decline** — a :class:`~repro.parallel.TripleStore` whose entry
-  budget is too small for the backend's batches must behave exactly like
-  running without a store: the put is declined (or never attempted), the
-  run re-deals, and the released count is unchanged.
+When the correlated-randomness dealer cannot provision (injected as a
+:class:`~repro.exceptions.DealerError` at the ``dealer.provision`` fault
+site), every counting backend fails *typed*, never with a wrong count or an
+opaque crash.
 """
 
 from __future__ import annotations
@@ -17,23 +11,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backends import BlockedMatrixTriangleCounter, FaithfulTriangleCounter
-from repro.crypto.beaver import BeaverTripleDealer
-from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.exceptions import DealerError
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.triangles import count_triangles
-from repro.parallel import TripleStore
 from repro.resilience import FaultKind, FaultPlan, FaultSpec, install_fault_plan
 
 BACKENDS = ("faithful", "batched", "matrix", "blocked")
 
 
-def _backend(name: str, dealer_seed=None, **kwargs):
-    if dealer_seed is not None:
-        if name in ("faithful", "batched"):
-            kwargs["dealer"] = MultiplicationGroupDealer(seed=dealer_seed)
-        else:
-            kwargs["dealer"] = BeaverTripleDealer(seed=dealer_seed)
+def _backend(name: str, **kwargs):
     if name == "faithful":
         return FaithfulTriangleCounter(batch_size=1, **kwargs)
     if name == "batched":
@@ -82,30 +68,8 @@ def test_late_dealer_exhaustion_is_still_typed(name):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_oversized_store_decline_matches_storeless_run(name):
+def test_unfaulted_count_is_exact(name):
+    # Control for the exhaustion tests: the same flow without a fault plan
+    # reconstructs the true count.
     graph = _graph()
-    expected = count_triangles(graph)
-    store = TripleStore(max_entry_bytes=1)  # every batch is oversized
-    counted = _count(_backend(name, triple_store=store), graph)
-    assert counted.reconstruct() == expected
-    # Nothing was admitted: a rerun against the same store re-deals cold and
-    # still reconstructs the same count.
-    assert store.stats()["entries"] == 0
-    assert store.stats()["hits"] == 0
-    recount = _count(_backend(name, triple_store=store), graph)
-    assert recount.reconstruct() == expected
-    assert store.stats()["hits"] == 0
-
-
-@pytest.mark.parametrize("name", BACKENDS)
-def test_accepting_store_serves_second_run_warm(name):
-    # Control for the decline test: with a generous budget the same flow
-    # admits the batch and the second run hits.
-    graph = _graph()
-    expected = count_triangles(graph)
-    store = TripleStore()
-    first = _count(_backend(name, dealer_seed=11, triple_store=store), graph)
-    second = _count(_backend(name, dealer_seed=11, triple_store=store), graph)
-    assert first.reconstruct() == expected
-    assert second.reconstruct() == expected
-    assert store.stats()["hits"] >= 1
+    assert _count(_backend(name), graph).reconstruct() == count_triangles(graph)

@@ -38,7 +38,6 @@ DOCTEST_MODULES = (
     "repro.stats.four_cycles",
     "repro.stats.derived",
     "repro.parallel.pool",
-    "repro.parallel.store",
     "repro.runtime.wire",
     "repro.resilience.faults",
     "repro.resilience.retry",

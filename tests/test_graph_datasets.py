@@ -56,6 +56,11 @@ class TestLoading:
         reseeded = load_dataset("wiki", num_nodes=120, seed=99)
         assert base != reseeded
 
+    def test_options_are_keyword_only(self):
+        # A positional 128 must not be read as a 128x scale.
+        with pytest.raises(TypeError):
+            load_dataset("facebook", 128)
+
     def test_scale_controls_size(self):
         spec = dataset_spec("grqc")
         graph = load_dataset("grqc", scale=0.05)

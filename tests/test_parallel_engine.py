@@ -9,8 +9,8 @@ the same engine at its default worker count (the CPU budget for
 
 Also covered here: the worker pool's deterministic ordering, the
 thread-safety of :class:`ViewRecorder`/:class:`CommunicationLedger`
-(satellite regression), warm/cold triple-store equivalence through the whole
-`Cargo` pipeline, and the configuration-level validation of the new knobs.
+(satellite regression), streaming anchors at several worker counts, and the
+configuration-level validation of the new knobs.
 """
 
 from __future__ import annotations
@@ -22,20 +22,16 @@ import numpy as np
 import pytest
 
 from repro.core import Cargo, CargoConfig
-from repro.core.backends import (
-    BlockedMatrixTriangleCounter,
-    FaithfulTriangleCounter,
-    share_adjacency_rows,
-)
+from repro.core.backends import BlockedMatrixTriangleCounter
+from repro.core.backends import blocked as blocked_module
 from repro.core.backends.blocked import Dealt
 from repro.crypto.beaver import BeaverTripleDealer
-from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.protocol import CommunicationLedger
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError, DealerError
 from repro.graph import load_dataset
 from repro.graph.generators import erdos_renyi_graph
-from repro.parallel import TripleStore, WorkerPool
+from repro.parallel import WorkerPool
 from repro.stream import StreamingCargo, StreamingConfig, replay_stream
 
 BACKENDS = ("faithful", "batched", "matrix", "blocked")
@@ -59,7 +55,7 @@ def _view_streams(views: ViewRecorder):
     return streams
 
 
-def _run_cargo(graph, statistic, backend, workers, store=None, telemetry=None):
+def _run_cargo(graph, statistic, backend, workers, telemetry=None):
     config = CargoConfig(
         epsilon=2.0,
         seed=7,
@@ -68,7 +64,6 @@ def _run_cargo(graph, statistic, backend, workers, store=None, telemetry=None):
         batch_size=64,
         block_size=16,
         workers=workers,
-        triple_store=store,
         record_views=True,
         track_communication=True,
         telemetry=telemetry,
@@ -175,114 +170,49 @@ class TestTelemetryDeterminism:
         assert rows == [(0, 2), (16, 1)]
 
 
-class TestTripleStoreThroughPipeline:
-    def test_warm_rerun_is_bit_identical_and_skips_dealing(self):
-        graph = load_dataset("facebook", num_nodes=24)
-        store = TripleStore()
-        cold = _run_cargo(graph, "triangles", "blocked", workers=2, store=store)
-        assert store.stats()["stores"] == 1
-        warm = _run_cargo(graph, "triangles", "blocked", workers=4, store=store)
-        assert store.hits >= 1
-        assert warm == cold
-
-    def test_streaming_anchors_reuse_dealt_material(self):
+class TestStreamingWorkers:
+    def test_streaming_anchor_estimates_do_not_depend_on_workers(self):
         graph = load_dataset("facebook", num_nodes=40)
         stream = replay_stream(graph, rng=0)
-        store = TripleStore()
-        config = StreamingConfig(
-            epsilon=4.0,
-            release_every=20,
-            anchor_every=2,
-            seed=3,
-            counting_backend="blocked",
-            block_size=16,
-            workers=2,
-            triple_store=store,
-        )
-        result = StreamingCargo(config).run(stream)
-        assert result.anchors_run >= 2
-        # Every anchor after the first fetches its material warm.
-        assert store.hits >= result.anchors_run - 1
-        # Estimates are identical to a plain store-less run: the secure count
-        # is exact regardless of which masks the dealer used.
-        plain = StreamingCargo(
-            StreamingConfig(
-                epsilon=4.0,
-                release_every=20,
-                anchor_every=2,
-                seed=3,
-                counting_backend="blocked",
-                block_size=16,
-            )
-        ).run(stream)
-        assert [r.estimate for r in result.releases] == [r.estimate for r in plain.releases]
-
-    def test_offline_seed_enables_cross_run_reuse(self):
-        graph = load_dataset("facebook", num_nodes=24)
-        store = TripleStore()
-        config = CargoConfig(
-            epsilon=2.0,
-            seed=9,
-            counting_backend="blocked",
-            block_size=16,
-            workers=1,
-            offline_seed=1234,
-            triple_store=store,
-        )
-        first = Cargo(config).run(graph)
-        second = Cargo(config).run(graph)
-        assert first.noisy_triangle_count == second.noisy_triangle_count
-        assert store.hits >= 1
+        runs = [
+            StreamingCargo(
+                StreamingConfig(
+                    epsilon=4.0,
+                    release_every=20,
+                    anchor_every=2,
+                    seed=3,
+                    counting_backend="blocked",
+                    block_size=16,
+                    **({} if workers is None else {"workers": workers}),
+                )
+            ).run(stream)
+            for workers in (2, None)
+        ]
+        assert runs[0].anchors_run >= 2
+        assert [r.estimate for r in runs[0].releases] == [
+            r.estimate for r in runs[1].releases
+        ]
 
 
 class TestExhaustionErrors:
-    def test_truncated_blocked_material_raises(self):
+    def test_truncated_blocked_material_raises(self, monkeypatch):
         graph = erdos_renyi_graph(20, 0.5, seed=1)
-        adjacency = graph.adjacency_matrix()
-        store = TripleStore()
-        counter = BlockedMatrixTriangleCounter(
-            dealer=BeaverTripleDealer(seed=5),
-            block_size=8,
-            workers=1,
-            triple_store=store,
-        )
-        counter.count(adjacency, rng=2)
-        # Corrupt the stored batch: drop the last group's material.
-        (token, (rows, tallies)), = counter._store._entries.items()
+        deal_row = blocked_module.deal_row
 
         def drop(half):
             return dataclasses.replace(half, y=half.y[:-1], z=half.z[:-1])
 
-        last = Dealt(drop(rows[-1].server1), drop(rows[-1].server2))
-        counter._store._entries[token] = (rows[:-1] + [last], tallies)
-        warm = BlockedMatrixTriangleCounter(
-            dealer=BeaverTripleDealer(seed=5),
-            block_size=8,
-            workers=1,
-            triple_store=store,
+        def truncated(*args, **kwargs):
+            row = deal_row(*args, **kwargs)
+            return Dealt(drop(row.server1), drop(row.server2))
+
+        # Every row's finish comes one group short.
+        monkeypatch.setattr(blocked_module, "deal_row", truncated)
+        counter = BlockedMatrixTriangleCounter(
+            dealer=BeaverTripleDealer(seed=5), block_size=8, workers=1
         )
         with pytest.raises(DealerError, match="material mismatch"):
-            warm.count(adjacency, rng=2)
-
-    def test_truncated_group_stream_raises(self):
-        graph = erdos_renyi_graph(12, 0.5, seed=1)
-        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=2)
-        store = TripleStore()
-        counter = FaithfulTriangleCounter(
-            dealer=MultiplicationGroupDealer(seed=5),
-            batch_size=16,
-            triple_store=store,
-        )
-        counter.count_from_shares(share1, share2)
-        (token, material), = store._entries.items()
-        store._entries[token] = {"blocks": material["blocks"][:-1]}
-        warm = FaithfulTriangleCounter(
-            dealer=MultiplicationGroupDealer(seed=5),
-            batch_size=16,
-            triple_store=store,
-        )
-        with pytest.raises(DealerError):
-            warm.count_from_shares(share1, share2)
+            counter.count(graph.adjacency_matrix(), rng=2)
 
 
 class TestWorkerPool:

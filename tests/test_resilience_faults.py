@@ -102,7 +102,7 @@ def test_install_fault_plan_nests_and_restores():
 
 def test_fault_plan_json_round_trip():
     plan = FaultPlan(
-        [FaultSpec("triple_store.read", FaultKind.BITFLIP, at=3, payload=17)],
+        [FaultSpec("checkpoint.read", FaultKind.BITFLIP, at=3, payload=17)],
         seed=9,
     )
     clone = FaultPlan.from_json(plan.to_json())
@@ -157,11 +157,11 @@ def test_retry_policy_exhaustion_is_typed():
         raise OSError("disk on fire")
 
     with pytest.raises(RetryExhaustedError) as excinfo:
-        policy.run("triple_store.read", always_fails, metrics=metrics)
-    assert excinfo.value.site == "triple_store.read"
+        policy.run("checkpoint.read", always_fails, metrics=metrics)
+    assert excinfo.value.site == "checkpoint.read"
     assert excinfo.value.attempts == 2
     assert isinstance(excinfo.value.__cause__, OSError)
-    assert metrics.counters()['retry_giveups{site="triple_store.read"}'] == 1
+    assert metrics.counters()['retry_giveups{site="checkpoint.read"}'] == 1
 
 
 def test_retry_policy_never_retries_injected_crash():

@@ -303,15 +303,6 @@ class TestScopeGuards:
         )
         assert result.noisy_triangle_count == baseline.noisy_triangle_count
 
-    def test_triple_store_rejected(self):
-        from repro.parallel import TripleStore
-
-        config = CargoConfig(
-            epsilon=2.0, seed=0, distributed=True, triple_store=TripleStore()
-        )
-        with pytest.raises(ConfigurationError, match="triple stores"):
-            DistributedRuntime(config)
-
     def test_injected_authenticator_rejected(self):
         config = CargoConfig(
             epsilon=2.0,

@@ -24,7 +24,6 @@ import pytest
 
 from repro.core import Cargo, CargoConfig
 from repro.graph import load_dataset
-from repro.parallel import TripleStore
 from repro.telemetry import (
     MANIFEST_SCHEMA_VERSION,
     NULL_TELEMETRY,
@@ -156,9 +155,9 @@ class TestMetrics:
 
     def test_gauges_overwrite(self):
         metrics = MetricsRegistry()
-        metrics.gauge_set("triple_store_entries", 3)
-        metrics.gauge_set("triple_store_entries", 5)
-        assert metrics.gauges() == {"triple_store_entries": 5}
+        metrics.gauge_set("resident_bytes", 3)
+        metrics.gauge_set("resident_bytes", 5)
+        assert metrics.gauges() == {"resident_bytes": 5}
 
     def test_histograms_track_count_sum_min_max(self):
         metrics = MetricsRegistry()
@@ -268,12 +267,12 @@ class TestManifest:
 class TestExporters:
     def test_prometheus_text_families(self):
         telemetry = _seeded_session()
-        telemetry.metrics.gauge_set("triple_store_entries", 2)
+        telemetry.metrics.gauge_set("resident_bytes", 2)
         telemetry.metrics.observe("anchor_seconds", 0.5)
         text = to_prometheus_text(telemetry.metrics)
         assert "# TYPE comm_bytes counter" in text
         assert 'comm_bytes{phase="count"} 96' in text
-        assert "# TYPE triple_store_entries gauge" in text
+        assert "# TYPE resident_bytes gauge" in text
         assert "# TYPE anchor_seconds summary" in text
         assert "anchor_seconds_count 1" in text
         assert "anchor_seconds_sum 0.5" in text
@@ -297,20 +296,17 @@ class TestExporters:
             {},
             opening_rounds=3,
             candidates=10,
-            triple_store_stats={"hits": 1},
         )
         assert block["opening_rounds"] == 3
         assert block["candidates"] == 10
-        assert block["triple_store"] == {"hits": 1}
         assert "summary" in block and block["phases"][0]["phase"] == "count"
 
     def test_summary_block_shape(self):
         telemetry = _seeded_session()
-        store = TripleStore()
-        block = summary_block(telemetry, triple_store=store)
+        block = summary_block(telemetry)
+        assert set(block) == {"enabled", "releases", "metrics"}
         assert block["enabled"] is True
         assert block["releases"][0]["statistic"] == "triangles"
-        assert set(block["triple_store"]) >= {"hits", "misses", "stores"}
         assert json.loads(json.dumps(block)) == block
 
 
@@ -329,24 +325,22 @@ class TestTracedRunIntegration:
     def traced(self):
         graph = load_dataset("facebook", num_nodes=24)
         telemetry = Telemetry()
-        store = TripleStore()
 
-        def run(session, triple_store):
+        def run(session):
             config = CargoConfig(
                 epsilon=2.0,
                 seed=7,
                 counting_backend="matrix",
                 block_size=16,
-                triple_store=triple_store,
                 track_communication=True,
                 telemetry=session,
             )
             return Cargo(config).run(graph)
 
-        return run(telemetry, store), run(None, None), telemetry, store
+        return run(telemetry), run(None), telemetry
 
     def test_outputs_identical_traced_vs_untraced(self, traced):
-        result, untraced, _, _ = traced
+        result, untraced, _ = traced
         assert result.noisy_triangle_count == untraced.noisy_triangle_count
         assert result.true_triangle_count == untraced.true_triangle_count
         assert result.communication_phases == untraced.communication_phases
@@ -356,7 +350,7 @@ class TestTracedRunIntegration:
         assert set(untraced.timings) == {"total", "max", "project", "count", "perturb"}
 
     def test_result_telemetry_block_only_when_traced(self, traced):
-        result, untraced, _, _ = traced
+        result, untraced, _ = traced
         assert untraced.telemetry is None
         assert result.telemetry is not None
         assert {row["phase"] for row in result.telemetry["phases"]} >= {
@@ -366,24 +360,22 @@ class TestTracedRunIntegration:
         }
 
     def test_manifest_validates_and_reconciles(self, traced, tmp_path):
-        _, _, telemetry, _ = traced
+        _, _, telemetry = traced
         manifest = write_trace(telemetry, tmp_path / "trace.json", test="integration")
         assert validate_manifest(manifest) == []
         assert verify_ledger_reconciliation(manifest) == []
         (release,) = manifest["releases"]
         assert release["kind"] == "cargo" and release["backend"] == "matrix"
 
-    def test_metrics_and_gauges_fed(self, traced):
-        _, _, telemetry, store = traced
+    def test_metrics_fed(self, traced):
+        _, _, telemetry = traced
         counters = telemetry.metrics.counters()
         assert counters['runs{backend="matrix",statistic="triangles"}'] == 1
         assert any(series.startswith("comm_bytes{") for series in counters)
         assert any(series.startswith("epsilon_spent{") for series in counters)
-        gauges = telemetry.metrics.gauges()
-        assert gauges["triple_store_misses"] == store.stats()["misses"]
 
     def test_trace_tree_has_run_and_phase_spans(self, traced):
-        _, _, telemetry, _ = traced
+        _, _, telemetry = traced
         (root,) = telemetry.tracer.roots
         assert root.name == "total"
         assert root.attributes["backend"] == "matrix"
