@@ -46,7 +46,7 @@ from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.ring import DEFAULT_RING, Ring, ring_of
 from repro.crypto.secure_ops import secure_multiply_triple
 from repro.crypto.views import ViewRecorder
-from repro.exceptions import ProtocolError
+from repro.exceptions import DealerError, ProtocolError
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
@@ -223,17 +223,25 @@ def count_blocks(schedule, groups, shares, ring, views, opener) -> tuple:
 
     *shares* holds one packed share per role the *opener* holds (see
     :mod:`repro.crypto.secure_ops`).  Walks the gather *schedule*
-    (:func:`_gather_schedule`) zipped with the blocks' multiplication
-    *groups* — the schedule first, so a group iterator is never advanced
-    past the last block.  Per block, one fused gather per share: the three
-    wires ``a_ij, a_ik, a_jk`` of every candidate triple in the block share
-    a single fancy-indexing read of their offsets, reshaped to ``(3,
-    size)``, and one three-way multiplication opens them.  The in-process
-    backend and the distributed runtime's servers both run this loop.
+    (:func:`_gather_schedule`), drawing one of the blocks' multiplication
+    *groups* per block, so a group iterator is never advanced past the last
+    block; a stream that ends first raises
+    :class:`~repro.exceptions.DealerError` instead of leaving blocks
+    uncounted.  Per block, one fused gather per share: the three wires
+    ``a_ij, a_ik, a_jk`` of every candidate triple in the block share a
+    single fancy-indexing read of their offsets, reshaped to ``(3, size)``,
+    and one three-way multiplication opens them.  The in-process backend
+    and the distributed runtime's servers both run this loop.
     """
     totals = (0,) * len(shares)
     triples = rounds = 0
-    for (size, offsets), group in zip(schedule, groups):
+    groups = iter(groups)
+    for size, offsets in schedule:
+        group = next(groups, None)
+        if group is None:
+            raise DealerError(
+                f"material mismatch: the group stream ended after {rounds} blocks"
+            )
         ij, ik, jk = zip(*(share[offsets].reshape(3, size) for share in shares))
         products = secure_multiply_triple(
             ij, ik, jk, group, ring=ring, views=views, authenticator=opener

@@ -22,6 +22,7 @@ from repro.core import Cargo, CargoConfig
 from repro.core.backends import BlockedMatrixTriangleCounter
 from repro.core.backends import blocked
 from repro.crypto.beaver import BeaverTripleDealer
+from repro.crypto.ring import Ring
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import CheckpointError, ConfigurationError, ProtocolError
 from repro.graph.datasets import load_dataset
@@ -131,6 +132,14 @@ class TestWindowedTranscripts:
         _, _, counter_windowed = _run(shares, tile_window=3, record_views=False)
         assert counter_windowed._dealer.accounting() == counter_engine._dealer.accounting()
 
+    @pytest.mark.parametrize("tile_window", [1, 2, 7, 64])
+    def test_each_window_deals_every_group_once(self, shares, tile_window):
+        """Each chunk deals its own rows' material; the tallies it folds in
+        add up to the engine's whatever the chunk boundaries."""
+        _, _, counter_engine = _run(shares, tile_window=None, record_views=False)
+        _, _, counter_windowed = _run(shares, tile_window=tile_window, record_views=False)
+        assert counter_windowed._dealer.accounting() == counter_engine._dealer.accounting()
+
 
 class TestJournalLayout:
     def test_journal_keyed_by_layout(self, shares, monkeypatch):
@@ -139,6 +148,41 @@ class TestJournalLayout:
         token = counter._journal_token(NUM_USERS, "dealer")
         monkeypatch.setattr(blocked, "LAYOUT", "per_range")
         assert counter._journal_token(NUM_USERS, "dealer") != token
+
+    @pytest.mark.parametrize(
+        "field", ["num_users", "block_size", "tile_window", "ring", "dealer", "shares"]
+    )
+    def test_journal_token_binds_each_field(self, field):
+        """A journal of another input, tiling, ring or dealer stream never matches."""
+        share = np.arange(10, dtype=np.uint64)
+
+        def token(
+            num_users=NUM_USERS,
+            block_size=BLOCK_SIZE,
+            tile_window=3,
+            ring=Ring(bits=64),
+            dealer="dealer",
+            shares=(share,),
+        ):
+            counter = BlockedMatrixTriangleCounter(
+                ring=ring,
+                dealer=BeaverTripleDealer(ring=ring, seed=0),
+                block_size=block_size,
+                workers=1,
+                tile_window=tile_window,
+            )
+            return counter._journal_token(num_users, dealer, *shares)
+
+        changed = {
+            "num_users": NUM_USERS + 1,
+            "block_size": BLOCK_SIZE // 2,
+            "tile_window": 4,
+            "ring": Ring(bits=32),
+            "dealer": "another dealer",
+            "shares": (share + np.uint64(1),),
+        }
+        assert token() == token()
+        assert token(**{field: changed[field]}) != token()
 
     def test_journal_of_another_layout_refuses_to_resume(self, shares, tmp_path, monkeypatch):
         _assert_journal_of_layout_refused(shares, tmp_path, monkeypatch, "per_range")

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cargo import Cargo
+from repro.core.cargo import Cargo, protocol_rngs
 from repro.core.config import CargoConfig, CountingBackend
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.graph.triangles import count_triangles
+from repro.utils.rng import derive_rng, spawn_rngs
 
 
 class TestCargoEndToEnd:
@@ -116,3 +117,28 @@ class TestUtilityTrends:
         # With a generous epsilon the noisy max degree rarely dips below d_max.
         result = Cargo(CargoConfig(epsilon=20.0, seed=13)).run(graph)
         assert result.projection_loss == 0
+
+
+class TestProtocolRngs:
+    """One release's four substreams: degree noise, share masks, Perturb noise, dealer."""
+
+    @staticmethod
+    def _draws(rngs):
+        return [rng.integers(0, 1 << 62, size=4).tolist() for rng in rngs]
+
+    def test_four_substreams_spawned_from_the_seed(self):
+        rngs = protocol_rngs(CargoConfig(epsilon=1.0, seed=3))
+        assert len(rngs) == 4
+        assert self._draws(rngs) == self._draws(spawn_rngs(derive_rng(3), 4))
+
+    def test_substreams_are_pairwise_distinct(self):
+        draws = self._draws(protocol_rngs(CargoConfig(epsilon=1.0, seed=3)))
+        assert len({tuple(draw) for draw in draws}) == 4
+
+    def test_each_seed_deals_from_its_own_dealer_substream(self):
+        *_, dealer = protocol_rngs(CargoConfig(epsilon=1.0, seed=3))
+        *_, again = protocol_rngs(CargoConfig(epsilon=1.0, seed=3))
+        *_, other = protocol_rngs(CargoConfig(epsilon=1.0, seed=4))
+        drawn = dealer.integers(0, 1 << 62, size=4).tolist()
+        assert drawn == again.integers(0, 1 << 62, size=4).tolist()
+        assert drawn != other.integers(0, 1 << 62, size=4).tolist()

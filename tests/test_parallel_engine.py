@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core import Cargo, CargoConfig
-from repro.core.backends import BlockedMatrixTriangleCounter
+from repro.core.backends import BlockedMatrixTriangleCounter, FaithfulTriangleCounter
 from repro.core.backends import blocked as blocked_module
+from repro.core.backends import faithful as faithful_module
 from repro.core.backends.blocked import Dealt
 from repro.crypto.beaver import BeaverTripleDealer
+from repro.crypto.multiplication_groups import MultiplicationGroupDealer
 from repro.crypto.protocol import CommunicationLedger
 from repro.crypto.views import ViewRecorder
 from repro.exceptions import ConfigurationError, DealerError
@@ -213,6 +215,28 @@ class TestExhaustionErrors:
         )
         with pytest.raises(DealerError, match="material mismatch"):
             counter.count(graph.adjacency_matrix(), rng=2)
+
+    @staticmethod
+    def _count_one_group_short(batch_size, monkeypatch):
+        graph = erdos_renyi_graph(12, 0.5, seed=1)
+        group_stream = faithful_module.group_stream
+
+        def truncated(*args, **kwargs):
+            return iter(list(group_stream(*args, **kwargs))[:-1])
+
+        # The stream ends one block before the schedule does.
+        monkeypatch.setattr(faithful_module, "group_stream", truncated)
+        counter = FaithfulTriangleCounter(
+            dealer=MultiplicationGroupDealer(seed=5), batch_size=batch_size
+        )
+        with pytest.raises(DealerError, match="material mismatch"):
+            counter.count(graph.adjacency_matrix(), rng=2)
+
+    def test_truncated_group_stream_raises(self, monkeypatch):
+        self._count_one_group_short(16, monkeypatch)
+
+    def test_truncated_faithful_group_stream_raises(self, monkeypatch):
+        self._count_one_group_short(1, monkeypatch)
 
 
 class TestWorkerPool:
