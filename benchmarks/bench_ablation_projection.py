@@ -1,7 +1,8 @@
 """Ablation — projection strategy: similarity vs random vs none.
 
-DESIGN.md calls out the projection rule as a key design choice.  This
-ablation runs the full CARGO pipeline three ways on the same graph:
+The projection rule (Algorithm 2; ``docs/architecture.md``, "The
+pipeline") is a key design choice.  This ablation runs the full CARGO
+pipeline three ways on the same graph:
 
 * similarity-based `Project` (the paper's choice),
 * random edge deletion (the LDP baseline's projection), and

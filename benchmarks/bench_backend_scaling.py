@@ -9,9 +9,10 @@ runtime plus the dealer-side accounting that explains it:
   one group tile, ``O(n + block_size^2)``.
 * ``batched`` (and, at small ``n``, ``faithful``) — the loop-free online
   phase of the per-triple protocol: vectorised candidate-triple blocks, one
-  fused gather per opening round, and a buffered (pre-provisioned) offline
-  phase.  These rows are the before/after evidence for the loop-free online
-  phase optimisation and the input to the CI perf-smoke regression gate.
+  fused gather per opening round, and an offline phase that draws the
+  groups of many blocks at once (``groups_issued`` counts those draws).
+  These rows are the before/after evidence for the loop-free online phase
+  optimisation and the input to the CI perf-smoke regression gate.
 
 The rows are emitted as JSON (``benchmarks/results/backend_scaling.json`` by
 default, override with ``REPRO_BENCH_OUTPUT``) so future changes can track

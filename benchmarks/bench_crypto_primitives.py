@@ -120,7 +120,8 @@ def run_crypto_primitives(reps: int = 5):
     )
 
     def provision_groups():
-        MultiplicationGroupDealer(seed=9).provision(PROVISION_COUNT)
+        # The row keeps its name: one dealer draw of PROVISION_COUNT groups.
+        MultiplicationGroupDealer(seed=9).vector_group((PROVISION_COUNT,))
 
     rows.append(
         {

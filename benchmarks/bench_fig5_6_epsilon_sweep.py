@@ -2,7 +2,32 @@
 
 from __future__ import annotations
 
+from repro.baselines.central_lap import CentralLaplaceTriangleCounting
+from repro.core import Cargo, CargoConfig
+from repro.dp.discrete_laplace import DistributedDiscreteLaplace
+from repro.dp.sensitivity import triangle_sensitivity_edge_dp
 from repro.experiments.figures import figure5_l2_vs_epsilon
+from repro.graph.datasets import load_dataset
+
+
+def cargo_expected_l2(graph, epsilon: float, trials: int) -> float:
+    """Cargo's l2 loss in expectation over `Perturb`'s noise, averaged over *trials* runs.
+
+    Given one run's ``d'_max`` and projection, the loss is the projection
+    loss squared plus the discrete Laplace noise's variance; only `Max`'s
+    noise is left to average over.
+    """
+    total = 0.0
+    for seed in range(trials):
+        result = Cargo(CargoConfig(epsilon=epsilon, seed=seed)).run(graph)
+        noise = DistributedDiscreteLaplace(
+            epsilon=result.epsilon2,
+            sensitivity=triangle_sensitivity_edge_dp(result.noisy_max_degree),
+            num_users=graph.num_nodes,
+        )
+        bias = result.projected_triangle_count - result.true_triangle_count
+        total += bias**2 + noise.aggregate_variance
+    return total / trials
 
 
 def test_fig5_fig6_epsilon_sweep(benchmark, bench_num_nodes, bench_trials):
@@ -27,14 +52,24 @@ def test_fig5_fig6_epsilon_sweep(benchmark, bench_num_nodes, bench_trials):
 
     # Shape checks mirroring the paper's Figures 5/6: for every dataset and
     # epsilon, Local2Rounds is worst and CentralLap is best, with CARGO in
-    # between; and everyone's error shrinks as epsilon grows.
+    # between; and everyone's error shrinks as epsilon grows.  The ordering
+    # is checked on expected losses: a mean of a few squared Laplace errors
+    # has a relative spread of ~2.2/sqrt(trials), more than the gap between
+    # CentralLap and Cargo (facebook, eps = 0.5: CentralLap's 2-trial mean
+    # is 8.6x its expectation).  CentralLap's expectation is closed-form;
+    # Local2Rounds' empirical mean is orders of magnitude above both.
     for dataset in ("facebook", "wiki"):
+        graph = load_dataset(dataset, num_nodes=bench_num_nodes)
         for epsilon in (0.5, 1.5, 3.0):
             cell = {
                 row["protocol"]: row["l2_mean"]
                 for row in report.filter_rows(dataset=dataset, epsilon=epsilon)
             }
-            assert cell["CentralLap"] <= cell["Cargo"] <= cell["Local2Rounds"]
+            central = CentralLaplaceTriangleCounting(epsilon).expected_l2_loss(
+                graph.max_degree()
+            )
+            cargo = cargo_expected_l2(graph, epsilon, bench_trials)
+            assert central <= cargo <= cell["Local2Rounds"], (dataset, epsilon)
         cargo_by_epsilon = {
             row["epsilon"]: row["l2_mean"]
             for row in report.filter_rows(dataset=dataset, protocol="Cargo")

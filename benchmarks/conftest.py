@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables or figures (or an
-ablation called out in DESIGN.md) at a scaled-down size, times it with
-pytest-benchmark, and prints the resulting rows so that
+ablation of one design choice, ``bench_ablation_*.py``) at a scaled-down
+size, times it with pytest-benchmark, and prints the resulting rows so that
 ``pytest benchmarks/ --benchmark-only -s`` reproduces the artefacts verbatim.
 """
 

@@ -534,9 +534,10 @@ def count_chunk(
     blocks from *e* and opens one round, its groups' ``F`` tiles
     (``finish_opening``); server ``i`` keeps ``W_i + sum E ⊙ Y'_i +
     sum C_i ⊙ F`` with ``C_1 = E + X_1`` and ``C_2 = X_2``.  *run* maps the
-    per-row tasks, whose ``tile_row`` spans land in *tracer* in row order.
-    The in-process backend and the distributed runtime's servers both run
-    this kernel.
+    per-row tasks, whose ``tile_row`` spans land in *tracer* in row order;
+    each holds a ``deal_row`` span around ``finish(position)``, which deals
+    in process and receives and regenerates on a server.  The in-process
+    backend and the distributed runtime's servers both run this kernel.
     """
     opener, roles, masks = held_material(opener, masks, ring)
     columns = chunk_columns(schedule, groups)
@@ -551,7 +552,9 @@ def count_chunk(
     def row_task(position, row):
         shard = tracer.shard()
         with shard.span("tile_row", j0=row[0], groups=len(row[2])):
-            halves = list(held_material(opener, finish(position), ring)[2])
+            with shard.span("deal_row"):
+                # Only this list may hold the halves: _row_finish pops each to free it.
+                halves = list(held_material(opener, finish(position), ring)[2])
             result = _row_finish(schedule, groups, row, e, roles, masks, halves, ring)
         return result, shard
 
@@ -777,9 +780,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
         backend's dealer deals them here, with the rest of the material of
         the :meth:`count_from_shares` that follows, which is bound to this
         upload's ``E``; the users' rows of ``X`` are, bit for bit, the
-        servers' :func:`mask_blocks`, so they are kept as those.  The users
-        draw no randomness of their own (*rng* is unused) and no server
-        expands anything at upload (*server1_tracer* is unused).
+        servers' :func:`mask_blocks`, so they are kept as those, regrouped
+        in a ``mask_blocks`` span of *server1_tracer* (where a server
+        process receives its seeds and regenerates them).  The users draw
+        no randomness of their own (*rng* is unused).
         """
         n = int(np.shape(projected_rows)[0])
         self._dealt = None
@@ -788,8 +792,11 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
             return Upload(sent=(e, e), inputs=(e, e))
         dealer_key, dealers, seeds = self._deal_inputs(n)
         e, halves = upload_masked_input(projected_rows, seeds, self._ring, runtime, tracer)
-        columns = all_columns(tile_schedule(n, self._block_size))
-        masks = Dealt(*(column_blocks(half, columns) for half in halves))
+        schedule = tile_schedule(n, self._block_size)
+        # A server process counts nothing below three users, so it books no span.
+        mask_tracer = server1_tracer if n >= 3 else NULL_TRACER
+        with mask_tracer.span("mask_blocks", groups=len(schedule)):
+            masks = Dealt(*(column_blocks(half, all_columns(schedule)) for half in halves))
         self._dealt = _Inputs(dealer_key, dealers, e, masks)
         return Upload(sent=(e, e), inputs=(e, e))
 
@@ -895,11 +902,10 @@ class BlockedMatrixTriangleCounter(TriangleCounterBackend):
                 shard = ViewRecorder() if self._views is not None else None
                 with chunk_span:
                     # Each row's finish is dealt just before its products.
-                    with tracer.span("offline", groups=len(groups)):
-                        finish = functools.partial(
-                            deal_row, schedule, groups,
-                            masks=dealt.masks, dealers=dealt.dealers, ring=ring,
-                        )
+                    finish = functools.partial(
+                        deal_row, schedule, groups,
+                        masks=dealt.masks, dealers=dealt.dealers, ring=ring,
+                    )
                     sum1, sum2 = count_chunk(
                         schedule, groups, e, dealt.masks, finish, ring, shard,
                         self._authenticator, pool.map, tracer,

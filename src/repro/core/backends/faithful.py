@@ -24,9 +24,10 @@ read of their packed offsets (``share[upper_offset(n, ii, jj)]``).
 Vectorising this enumeration is therefore security-neutral by construction
 — it changes how the servers *schedule* their local work, not a single
 value that crosses the wire.  The offline
-phase is pre-provisioned through the dealer's buffered mode in large chunks,
-which also makes the openings independent of the batch size (the
-transcript-equivalence tests rely on this).
+phase deals a run of whole blocks per dealer draw (:func:`group_stream`); a
+group's material depends only on its position in the dealer's stream, so
+the openings are independent of the batch size (the transcript-equivalence
+tests rely on this).
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from repro.exceptions import DealerError, ProtocolError
 from repro.telemetry import resolve_telemetry
 from repro.utils.rng import RandomState
 
-#: Upper bound on multiplication groups drawn per buffered offline-phase call.
-#: 2^18 groups hold 7 ring elements per server each, ~29 MiB per provisioning
-#: chunk — large enough to cover every run up to n ≈ 116 in a single call.
-DEFAULT_PROVISION_LIMIT = 1 << 18
+#: Multiplication groups one dealer draw covers at least: :func:`group_stream`
+#: draws the groups of ⌈DRAW_GROUPS / batch_size⌉ whole blocks at a time, so
+#: the per-draw cost is shared by many one-triple blocks, while a draw holds
+#: 17 ring elements per group (~560 KiB at 4096).
+DRAW_GROUPS = 1 << 12
 
 
 def iter_candidate_triples(num_users: int) -> Iterator[Tuple[int, int, int]]:
@@ -186,36 +188,25 @@ def _gather_schedule(num_users: int, batch_size: int):
 
 
 def group_stream(
-    dealer: MultiplicationGroupDealer,
-    num_users: int,
-    batch_size: int,
-    provision_limit: int = DEFAULT_PROVISION_LIMIT,
+    dealer: MultiplicationGroupDealer, num_users: int, batch_size: int
 ) -> Iterator:
     """Yield each candidate block's multiplication group from *dealer*, in schedule order.
 
-    The buffered offline phase: the dealer is provisioned in chunks of
-    exactly ``min(still-unprovisioned, provision_limit)`` groups, each drawn
-    when the next block needs it.  The chunk sequence depends only on the
-    total candidate count and the limit — never on the batch size — so the
-    provisioned mask stream (and therefore every opening) is identical
-    across batch sizes.  The in-process backend and the runtime dealer both
-    walk this stream, so their material is identical.
+    One :meth:`~MultiplicationGroupDealer.vector_group` draw covers the next
+    ⌈:data:`DRAW_GROUPS` / *batch_size*⌉ blocks, which are yielded as
+    slices of it.  A group's material depends only on its position in the
+    dealer's stream, so every batch size opens the same values.  The
+    in-process backend and the runtime dealer both walk this stream, so
+    their material is identical.
     """
-    remaining = to_provision = num_candidate_triples(num_users)
+    remaining = num_candidate_triples(num_users)
+    per_draw = -(-DRAW_GROUPS // batch_size) * batch_size
     while remaining:
-        size = min(batch_size, remaining)
-        remaining -= size
-        to_provision = _provision(dealer, size, to_provision, provision_limit)
-        yield dealer.vector_group((size,))
-
-
-def _provision(dealer, needed: int, to_provision: int, provision_limit: int) -> int:
-    """Provision chunks until *dealer* buffers *needed* groups; return what is left."""
-    while to_provision and dealer.provisioned_remaining < needed:
-        draw = min(to_provision, provision_limit)
-        dealer.provision(draw)
-        to_provision -= draw
-    return to_provision
+        drawn = min(per_draw, remaining)
+        remaining -= drawn
+        groups = dealer.vector_group((drawn,))
+        for start in range(0, drawn, batch_size):
+            yield groups[start:start + batch_size]
 
 
 def count_blocks(schedule, groups, shares, ring, views, opener) -> tuple:
@@ -269,9 +260,6 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         When greater than 1, candidate triples are processed in vectorised
         blocks of this size (the "batched" execution mode); ``1`` gives the
         faithful one-opening-per-triple schedule.
-    provision_limit:
-        Maximum number of multiplication groups the backend pre-provisions
-        per buffered offline-phase call (memory bound, at least ``1``).
     """
 
     def __init__(
@@ -280,20 +268,16 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         dealer: Optional[MultiplicationGroupDealer] = None,
         batch_size: int = 1,
         views: Optional[ViewRecorder] = None,
-        provision_limit: int = DEFAULT_PROVISION_LIMIT,
         telemetry=None,
         authenticator=None,
     ) -> None:
         if batch_size <= 0:
             raise ProtocolError(f"batch_size must be positive, got {batch_size}")
-        if provision_limit < 1:
-            raise ProtocolError(f"provision_limit must be positive, got {provision_limit}")
         super().__init__(
             ring=ring, views=views, telemetry=telemetry, authenticator=authenticator
         )
         self._dealer = dealer if dealer is not None else MultiplicationGroupDealer(ring=ring)
         self._batch_size = batch_size
-        self._provision_limit = provision_limit
 
     @classmethod
     def from_config(
@@ -343,9 +327,7 @@ class FaithfulTriangleCounter(TriangleCounterBackend):
         every worker count opens the same values.
         """
         ring = self._ring
-        groups = group_stream(
-            self._dealer, num_users, self._batch_size, self._provision_limit
-        )
+        groups = group_stream(self._dealer, num_users, self._batch_size)
         (total1, total2), triples, rounds = count_blocks(
             _gather_schedule(num_users, self._batch_size),
             groups,

@@ -35,7 +35,7 @@ from typing import Any, Tuple, Union
 import numpy as np
 
 from repro.crypto.ring import DEFAULT_RING, Ring
-from repro.crypto.sharing import SharePair, share_scalar, share_vector
+from repro.crypto.sharing import share_vector
 from repro.exceptions import DealerError
 from repro.resilience.faults import fault_point
 from repro.utils.rng import RandomState, derive_rng, seeded_rng, spawn_state_matrix
@@ -153,12 +153,6 @@ class BeaverTripleDealer:
         self._issued = 0
         self._largest_triple_elements = 0
         self._total_triple_elements = 0
-        # Buffered dealing mode: a flat pool of element-wise triples served as
-        # consecutive slices, and stacked pools of same-shape matrix triples.
-        self._vector_pool: dict | None = None
-        self._vector_pool_size = 0
-        self._vector_pool_cursor = 0
-        self._matrix_pools: dict = {}
         #: Optional hook computing the ``Z = X @ Y`` product of a fresh
         #: matrix triple.  The parallel engine installs a row-striped pool
         #: matmul here; the hook must be bit-identical to ``ring.matmul``
@@ -233,21 +227,17 @@ class BeaverTripleDealer:
     def state_snapshot(self) -> dict:
         """Everything a retried dealing attempt must be able to roll back.
 
-        Covers the randomness position, the issue tallies, and the buffered
-        pools' cursors — so an attempt that fails mid-deal can be undone and
-        the retry deals byte-identical material from the same stream
-        position (see :meth:`state_restore`).  The per-server
-        :meth:`streams` are not in it: :meth:`rewind` restarts them.
+        Covers the randomness position and the issue tallies, so an attempt
+        that fails mid-deal can be undone and the retry deals byte-identical
+        material from the same stream position (see :meth:`state_restore`).
+        The per-server :meth:`streams` are not in it: :meth:`rewind`
+        restarts them.
         """
         return {
             "rng": self._rng.bit_generator.state,
             "issued": self._issued,
             "largest": self._largest_triple_elements,
             "total": self._total_triple_elements,
-            "vector_cursor": self._vector_pool_cursor,
-            "matrix_cursors": {
-                key: pool["cursor"] for key, pool in self._matrix_pools.items()
-            },
         }
 
     def state_restore(self, snapshot: dict) -> None:
@@ -256,10 +246,6 @@ class BeaverTripleDealer:
         self._issued = snapshot["issued"]
         self._largest_triple_elements = snapshot["largest"]
         self._total_triple_elements = snapshot["total"]
-        self._vector_pool_cursor = snapshot["vector_cursor"]
-        for key, cursor in snapshot["matrix_cursors"].items():
-            if key in self._matrix_pools:
-                self._matrix_pools[key]["cursor"] = cursor
 
     def rewind(self) -> None:
         """Return to the state this dealer was created in, tallies included.
@@ -333,148 +319,41 @@ class BeaverTripleDealer:
         return share1, self._ring.sub(values, share1)
 
     def scalar_triple(self) -> BeaverTriplePair:
-        """Sample one scalar triple and share it between the two servers."""
-        ring = self._ring
-        x = ring.random_element(self._rng)
-        y = ring.random_element(self._rng)
-        z = ring.mul(x, y)
-        x_pair = share_scalar(x, ring=ring, rng=self._rng)
-        y_pair = share_scalar(y, ring=ring, rng=self._rng)
-        z_pair = share_scalar(z, ring=ring, rng=self._rng)
-        self._record_issue(x, y, z)
-        return BeaverTriplePair(
-            server1=BeaverTriple(x=x_pair.share1, y=y_pair.share1, z=z_pair.share1),
-            server2=BeaverTriple(x=x_pair.share2, y=y_pair.share2, z=z_pair.share2),
-            ring=ring,
-        )
-
-    @property
-    def provisioned_vector_remaining(self) -> int:
-        """Element-wise triples still available in the provisioned pool."""
-        return self._vector_pool_size - self._vector_pool_cursor
-
-    def provision_vector(self, count: int) -> None:
-        """Pre-provision *count* element-wise triples in one bulk draw.
-
-        The buffered offline phase for two-way multiplications: subsequent
-        :meth:`vector_triple` requests (of any shape whose element count fits
-        the remaining pool) are served as consecutive slices, so the Beaver
-        masks a triple carries depend only on its position in the provisioned
-        stream, not on how requests are batched.  Issue accounting still
-        happens at serve time, exactly as in the unbuffered mode.
-        """
-        fault_point("dealer.provision")
-        if count <= 0:
-            raise DealerError(f"provision count must be positive, got {count}")
-        if self.provisioned_vector_remaining:
-            raise DealerError(
-                f"{self.provisioned_vector_remaining} provisioned triples are still unserved"
-            )
-        ring = self._ring
-        shape = (int(count),)
-        x = ring.random_array(shape, self._rng)
-        y = ring.random_array(shape, self._rng)
-        z = ring.mul(x, y)
-        x_pair = share_vector(x, ring=ring, rng=self._rng)
-        y_pair = share_vector(y, ring=ring, rng=self._rng)
-        z_pair = share_vector(z, ring=ring, rng=self._rng)
-        self._vector_pool = {
-            "x1": x_pair.share1, "x2": x_pair.share2,
-            "y1": y_pair.share1, "y2": y_pair.share2,
-            "z1": z_pair.share1, "z2": z_pair.share2,
-        }
-        self._vector_pool_size = int(count)
-        self._vector_pool_cursor = 0
-
-    def provision_matrix(
-        self, left_shape: Tuple[int, int], right_shape: Tuple[int, int], count: int
-    ) -> None:
-        """Pre-provision *count* same-shape matrix triples in one stacked draw.
-
-        The stacked draw computes all ``Z_i = X_i @ Y_i`` products with one
-        batched ring matmul; :meth:`matrix_triple` calls with exactly these
-        shapes are then served from the pool (one stacked slice per call,
-        identical accounting).
-        """
-        fault_point("dealer.provision")
-        if count <= 0:
-            raise DealerError(f"provision count must be positive, got {count}")
-        if left_shape[1] != right_shape[0]:
-            raise DealerError(
-                f"inner dimensions must agree, got {left_shape} @ {right_shape}"
-            )
-        key = (tuple(left_shape), tuple(right_shape))
-        pool = self._matrix_pools.get(key)
-        if pool is not None and pool["cursor"] < pool["size"]:
-            raise DealerError(
-                f"{pool['size'] - pool['cursor']} provisioned matrix triples "
-                f"of shape {key} are still unserved"
-            )
-        ring = self._ring
-        x = ring.random_array((count,) + tuple(left_shape), self._rng)
-        y = ring.random_array((count,) + tuple(right_shape), self._rng)
-        z = ring.matmul(x, y)
-        x_pair = share_vector(x, ring=ring, rng=self._rng)
-        y_pair = share_vector(y, ring=ring, rng=self._rng)
-        z_pair = share_vector(z, ring=ring, rng=self._rng)
-        self._matrix_pools[key] = {
-            "size": int(count),
-            "cursor": 0,
-            "x1": x_pair.share1, "x2": x_pair.share2,
-            "y1": y_pair.share1, "y2": y_pair.share2,
-            "z1": z_pair.share1, "z2": z_pair.share2,
-        }
+        """One triple with Python-int shares: the size-one case of :meth:`vector_triple`."""
+        return self._pair(*(half[:, 0].tolist() for half in self._deal(1)))
 
     def vector_triple(self, shape: Tuple[int, ...]) -> BeaverTriplePair:
         """An element-wise triple batch of the given *shape*.
 
-        Served from the provisioned pool (as a reshaped consecutive slice)
-        when one is available and large enough; drawn fresh otherwise.
+        Each triple is one element-major row of five uniforms — ``x``,
+        ``y`` and server 1's share of each of ``x, y, z`` — so a triple's
+        material depends only on its position in the dealer's stream:
+        splitting a run of requests into other shapes deals the same
+        triples.
         """
         if any(dim <= 0 for dim in shape):
             raise DealerError(f"triple batch shape must be positive, got {shape}")
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        if self._vector_pool is not None and self.provisioned_vector_remaining >= size:
-            pool = self._vector_pool
-            start = self._vector_pool_cursor
-            end = start + size
-            parts = {name: pool[name][start:end].reshape(shape) for name in pool}
-            self._vector_pool_cursor = end
-            if self._vector_pool_cursor >= self._vector_pool_size:
-                self._vector_pool = None
-                self._vector_pool_size = 0
-                self._vector_pool_cursor = 0
-            self._record_issue(parts["x1"], parts["y1"], parts["z1"])
-            return BeaverTriplePair(
-                server1=BeaverTriple(x=parts["x1"], y=parts["y1"], z=parts["z1"]),
-                server2=BeaverTriple(x=parts["x2"], y=parts["y2"], z=parts["z2"]),
-                ring=self._ring,
-            )
-        if self.provisioned_vector_remaining:
-            # Bypassing a partially-consumed pool would later serve the
-            # stranded triples out of stream order; fail loudly instead.
-            raise DealerError(
-                f"request for {size} triples exceeds the "
-                f"{self.provisioned_vector_remaining} still provisioned; "
-                "provision more or drain the pool first"
-            )
-        # On-demand minting is a provisioning event too — same fault site as
-        # the buffered path, so exhaustion chaos hits every dealing mode.
+        halves = self._deal(int(np.prod(shape)))
+        return self._pair(*(half.reshape((3, *shape)) for half in halves))
+
+    def _deal(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next *size* triples: each server's ``(3, size)`` half, a view of element-major rows."""
         fault_point("dealer.provision")
         ring = self._ring
-        x = ring.random_array(shape, self._rng)
-        y = ring.random_array(shape, self._rng)
-        z = ring.mul(x, y)
-        x_pair = share_vector(x, ring=ring, rng=self._rng)
-        y_pair = share_vector(y, ring=ring, rng=self._rng)
-        z_pair = share_vector(z, ring=ring, rng=self._rng)
-        self._record_issue(x, y, z)
+        draws = ring.random_array((size, 5), self._rng)
+        share1 = draws[:, 2:]
+        values = np.empty_like(share1)
+        values[:, :2] = draws[:, :2]
+        np.multiply(draws[:, 0], draws[:, 1], out=values[:, 2])
+        share2 = np.subtract(values, share1, out=values)
+        if ring.bits < 64:
+            np.bitwise_and(share2, ring.dtype.type(ring.mask), out=share2)
+        return share1.T, share2.T
+
+    def _pair(self, shares1, shares2) -> BeaverTriplePair:
+        self._record_issue(*shares1)
         return BeaverTriplePair(
-            server1=BeaverTriple(x=x_pair.share1, y=y_pair.share1, z=z_pair.share1),
-            server2=BeaverTriple(x=x_pair.share2, y=y_pair.share2, z=z_pair.share2),
-            ring=ring,
+            server1=BeaverTriple(*shares1), server2=BeaverTriple(*shares2), ring=self._ring
         )
 
     def matrix_triple(self, left_shape: Tuple[int, int], right_shape: Tuple[int, int]) -> BeaverTriplePair:
@@ -487,20 +366,6 @@ class BeaverTripleDealer:
         if left_shape[1] != right_shape[0]:
             raise DealerError(
                 f"inner dimensions must agree, got {left_shape} @ {right_shape}"
-            )
-        key = (tuple(left_shape), tuple(right_shape))
-        pool = self._matrix_pools.get(key)
-        if pool is not None and pool["cursor"] < pool["size"]:
-            index = pool["cursor"]
-            pool["cursor"] = index + 1
-            if pool["cursor"] >= pool["size"]:
-                self._matrix_pools.pop(key)
-            parts = {name: pool[name][index] for name in ("x1", "x2", "y1", "y2", "z1", "z2")}
-            self._record_issue(parts["x1"], parts["y1"], parts["z1"])
-            return BeaverTriplePair(
-                server1=BeaverTriple(x=parts["x1"], y=parts["y1"], z=parts["z1"]),
-                server2=BeaverTriple(x=parts["x2"], y=parts["y2"], z=parts["z2"]),
-                ring=self._ring,
             )
         fault_point("dealer.provision")
         ring = self._ring

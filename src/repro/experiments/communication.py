@@ -10,8 +10,8 @@ triangle count reads) masked, to both servers, and the dealer sends each
 user her two 32-byte row seeds of the mask (``input_masks``); the
 share-based backends book server 1's share as the users' 32-byte seeds,
 which is what crosses the wire.  It is the basis of the
-`bench_ext_communication.py` benchmark and of the DESIGN.md ablation
-discussion on where CARGO's overhead lives.
+`bench_ext_communication.py` benchmark; ``docs/observability.md`` reads a
+release's per-phase traffic table.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Each entry names a table or figure from the paper, the function that
 regenerates it, and the modules implementing the pieces, so the CLI (and a
-reader of ``DESIGN.md``) can go from "Figure 9" to runnable code in one hop.
+reader of ``docs/architecture.md``) can go from "Figure 9" to runnable code
+in one hop.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ row of tiles, since each server regenerates the rest from its seeds.  Because
 both the dealer classes (:class:`~repro.crypto.multiplication_groups.MultiplicationGroupDealer`,
 :class:`~repro.crypto.beaver.BeaverTripleDealer`) and the replayed schedule
 are identical to the in-process ones — same RNG stream, and the same
-generators fix the bulk-provision chunking and draw order
+generators fix the draw order
 (:func:`~repro.core.backends.faithful.group_stream`,
 :func:`~repro.core.backends.blocked.deal_row`) — the dealt material is
 bit-identical, which is what makes the whole distributed transcript

@@ -18,7 +18,7 @@ Three guarantees define the runtime:
   counters are bit-identical to an in-process run with the same seed and
   configuration, for every counting backend and for
   :class:`~repro.core.node_dp.NodeDpCargo`.  The users' steps are the
-  in-process code itself, the dealer walks the same provisioning
+  in-process code itself, the dealer walks the same dealing
   generators, and the servers run the backends' own counting kernels and
   the same `Max` clamp and release kernels.  The seam cross-checks each
   answer: server 1's ``d'_max`` against the driver's, the two servers'

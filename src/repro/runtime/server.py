@@ -283,14 +283,14 @@ def _count_blocked(dealer_ep, channel, ring, e, n, block_size, views, tracer):
             correction = (tuple(arrays[:-1]), arrays[-1])
         return held_row(schedule, groups, position, streams, correction)
 
+    with tracer.span("mask_blocks", groups=len(schedule)):
+        (seeds,) = _recv_blocked(dealer_ep, "material_seeds", 1)
+        streams = held_streams(seeds, ring, schedule)
+        masks = mask_blocks(streams[0].row_seeds(n), schedule, ring)
     with tracer.span(
         "backend", backend="blocked", num_users=n, block_size=block_size,
         tile_window=None,
     ) as backend_span:
-        with tracer.span("offline", groups=len(schedule)):
-            (seeds,) = _recv_blocked(dealer_ep, "material_seeds", 1)
-            streams = held_streams(seeds, ring, schedule)
-            masks = mask_blocks(streams[0].row_seeds(n), schedule, ring)
         (total,) = count_chunk(
             schedule, groups, e, masks, finish, ring, views, channel, tracer=tracer
         )

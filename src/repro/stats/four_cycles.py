@@ -36,8 +36,7 @@ Execution strategies, selected by the configured counting-backend name:
   (:func:`candidate_pair_blocks`, the pair analogue of the triangle
   backends' ``candidate_triple_blocks``), each block's co-degrees are
   computed with one element-wise Beaver product over the gathered columns
-  of ``A`` plus a local column sum, and the dealer's offline phase is
-  pre-provisioned in one buffered draw per block.
+  of ``A`` plus a local column sum.
 """
 
 from __future__ import annotations
@@ -397,9 +396,7 @@ class FourCycleStatistic(SubgraphStatistic):
         columns of ``A``, multiply them element-wise with one Beaver product
         (shares of ``A_ij · A_ik`` for every middle vertex ``i``), sum the
         columns locally into co-degree shares, and finish the block with a
-        second product for ``w (w - 1)``.  The dealer's offline phase for
-        both products is pre-provisioned in a single buffered draw per
-        block.
+        second product for ``w (w - 1)``.
         """
         n = share1.shape[0]
         m1, m2, rounds = self._mutual_upper_shares(
@@ -413,9 +410,6 @@ class FourCycleStatistic(SubgraphStatistic):
         pairs = 0
         for jj, kk in candidate_pair_blocks(n, batch):
             size = jj.shape[0]
-            # Buffered offline phase: both triples of this block in one draw.
-            if dealer.provisioned_vector_remaining == 0:
-                dealer.provision_vector(n * size + size)
             left = (a1[:, jj], a2[:, jj])
             right = (a1[:, kk], a2[:, kk])
             triple = dealer.vector_triple((n, size))

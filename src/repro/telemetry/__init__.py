@@ -6,7 +6,7 @@ The package has three accumulation surfaces and three exports:
   (run → phase → backend step / tile group / stream anchor), thread-safe
   under the worker pool via the same shard-merge discipline as
   :class:`~repro.crypto.views.ViewRecorder`;
-* :class:`MetricsRegistry` — labelled counters/gauges/histograms fed by the
+* :class:`MetricsRegistry` — labelled counters/histograms fed by the
   protocol (bytes and messages per phase, triples dealt,
   opening rounds, ε per ledger entry, stream events and anchor latency);
 * :class:`Telemetry` — the per-run bundle configs carry

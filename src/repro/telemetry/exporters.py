@@ -50,17 +50,13 @@ def to_prometheus_text(metrics: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format."""
     lines: List[str] = []
 
-    def emit(series: Dict[str, float], kind: str) -> None:
-        seen = set()
-        for name, value in series.items():
-            bare = name.split("{", 1)[0]
-            if bare not in seen:
-                seen.add(bare)
-                lines.append(f"# TYPE {bare} {kind}")
-            lines.append(f"{name} {_format_value(value)}")
-
-    emit(metrics.counters(), "counter")
-    emit(metrics.gauges(), "gauge")
+    seen = set()
+    for name, value in metrics.counters().items():
+        bare = name.split("{", 1)[0]
+        if bare not in seen:
+            seen.add(bare)
+            lines.append(f"# TYPE {bare} counter")
+        lines.append(f"{name} {_format_value(value)}")
     seen = set()
     for name, stats in metrics.histograms().items():
         bare, brace, labels = name.partition("{")

@@ -146,7 +146,7 @@ def validate_manifest(manifest) -> List[str]:
     if not isinstance(metrics, dict):
         problems.append("metrics: missing or not an object")
     else:
-        for family in ("counters", "gauges", "histograms"):
+        for family in ("counters", "histograms"):
             if not isinstance(metrics.get(family), dict):
                 problems.append(f"metrics.{family}: missing or not an object")
 

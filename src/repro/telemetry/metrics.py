@@ -1,12 +1,11 @@
-"""Metrics registry: counters, gauges, and histograms with labels.
+"""Metrics registry: counters and histograms with labels.
 
 The registry is the aggregate half of the telemetry layer (spans are the
-tree half).  Subsystems feed it monotonic **counters** (triples dealt,
-bytes per phase, ε spent), point-in-time **gauges** (a level such as
-resident bytes), and **histograms** (anchor latency) — each series
-keyed by a metric name plus a sorted label set, Prometheus-style.
+tree half).  Subsystems feed it monotonic **counters** (bytes per phase,
+ε spent) and **histograms** (anchor latency) — each series keyed by a
+metric name plus a sorted label set, Prometheus-style.
 
-All mutation is lock-serialised, and counters/gauges are commutative, so
+All mutation is lock-serialised, and counters are commutative, so
 feeding the registry from parallel sweep trials is safe and deterministic.
 A disabled registry (:data:`NULL_METRICS`) ignores every call.
 
@@ -17,7 +16,6 @@ Examples
 >>> metrics.increment("comm_bytes", 4, phase="count")
 >>> metrics.counters()['comm_bytes{phase="count"}']
 100
->>> metrics.gauge_set("resident_bytes", 3)
 >>> metrics.observe("anchor_seconds", 0.25)
 >>> metrics.histograms()["anchor_seconds"]["count"]
 1
@@ -48,13 +46,12 @@ def format_series(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe named counters, gauges, and histograms."""
+    """Thread-safe named counters and histograms."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: Dict[SeriesKey, float] = {}
-        self._gauges: Dict[SeriesKey, float] = {}
         self._histograms: Dict[SeriesKey, Dict[str, float]] = {}
 
     @staticmethod
@@ -71,14 +68,6 @@ class MetricsRegistry:
         key = self._key(name, labels)
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + value
-
-    def gauge_set(self, name: str, value: float, **labels: object) -> None:
-        """Set the gauge series ``name{labels}`` to *value*."""
-        if not self.enabled:
-            return
-        key = self._key(name, labels)
-        with self._lock:
-            self._gauges[key] = value
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record one observation into the histogram ``name{labels}``."""
@@ -109,12 +98,6 @@ class MetricsRegistry:
             items = sorted(self._counters.items())
         return {format_series(name, labels): value for (name, labels), value in items}
 
-    def gauges(self) -> Dict[str, float]:
-        """Gauge snapshot keyed by formatted series name."""
-        with self._lock:
-            items = sorted(self._gauges.items())
-        return {format_series(name, labels): value for (name, labels), value in items}
-
     def histograms(self) -> Dict[str, Dict[str, float]]:
         """Histogram snapshot (count/sum/min/max per series)."""
         with self._lock:
@@ -125,10 +108,9 @@ class MetricsRegistry:
         }
 
     def as_dict(self) -> Dict[str, Dict]:
-        """All three families, ready for the JSON manifest."""
+        """Both families, ready for the JSON manifest."""
         return {
             "counters": self.counters(),
-            "gauges": self.gauges(),
             "histograms": self.histograms(),
         }
 

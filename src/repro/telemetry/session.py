@@ -5,7 +5,7 @@ A :class:`Telemetry` object travels through a run on
 three accumulation surfaces:
 
 * ``tracer`` — the hierarchical span tree (:class:`~repro.telemetry.spans.Tracer`),
-* ``metrics`` — the counters/gauges/histograms registry
+* ``metrics`` — the counters/histograms registry
   (:class:`~repro.telemetry.metrics.MetricsRegistry`),
 * ``releases`` — one structured record per protocol release
   (:meth:`record_release`), from which the run manifest is built.

@@ -52,9 +52,9 @@ def test_dealer_exhaustion_is_a_typed_failure(name):
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_late_dealer_exhaustion_is_still_typed(name):
-    # Exhaustion mid-run (not on the first provision) must not surface as a
-    # partial result; the faithful/batched pools provision in blocks, the
-    # matrix/blocked dealers per triple/tile.
+    # Exhaustion mid-run (not on the first draw) must not surface as a
+    # partial result; faithful/batched draw a run of blocks per dealer call,
+    # the matrix/blocked dealers once per mask.
     graph = _graph()
     plan = FaultPlan([FaultSpec("dealer.provision", FaultKind.EXHAUST, at=2)])
     with install_fault_plan(plan):

@@ -130,7 +130,6 @@ class TestTelemetryDeterminism:
             transcript,
             telemetry.tracer.structure(),
             telemetry.metrics.counters(),
-            telemetry.metrics.gauges(),
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -156,12 +155,12 @@ class TestTelemetryDeterminism:
     def test_blocked_tile_row_spans_follow_schedule(self, graph):
         """Every J row of the schedule appears exactly once, in canonical
         order, regardless of which worker ran it."""
-        _, structure, _, _ = self._traced(graph, "blocked", workers=4)
+        _, structure, _ = self._traced(graph, "blocked", workers=4)
         (root,) = structure
         count_span = next(s for s in root["children"] if s["name"] == "count")
-        backend_span = next(
-            s for s in count_span["children"] if s["name"] == "backend"
-        )
+        # The servers' halves of X are regrouped once, before the backend step.
+        assert [s["name"] for s in count_span["children"]][-2:] == ["mask_blocks", "backend"]
+        backend_span = count_span["children"][-1]
         rows = [
             (s["attributes"]["j0"], s["attributes"]["groups"])
             for s in backend_span["children"]
@@ -170,6 +169,12 @@ class TestTelemetryDeterminism:
         # n=30, block=16 → 2x2 grid, upper-triangular (j0 <= k0) schedule:
         # row 0 holds groups (0, 0) and (0, 16), row 16 holds (16, 16).
         assert rows == [(0, 2), (16, 1)]
+        # Each row's finish material is dealt inside the row, in one span.
+        assert all(
+            [child["name"] for child in s["children"]] == ["deal_row"]
+            for s in backend_span["children"]
+            if s["name"] == "tile_row"
+        )
 
 
 class TestStreamingWorkers:

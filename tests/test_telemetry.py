@@ -4,7 +4,7 @@ The layer's central contracts, each covered here:
 
 * spans — hierarchy, counter attributes, shard-merge determinism, and the
   disabled tracer being a true no-op;
-* metrics — label-keyed counters/gauges/histograms with sorted snapshots;
+* metrics — label-keyed counters/histograms with sorted snapshots;
 * session — config-level resolution to the shared no-op bundle;
 * manifest — schema validation catches each documented violation, and
   ledger reconciliation is exact in both directions;
@@ -153,12 +153,6 @@ class TestMetrics:
         assert metrics.counter_value("comm_bytes", phase="count") == 100
         assert metrics.counter_value("comm_bytes", phase="perturb") == 0
 
-    def test_gauges_overwrite(self):
-        metrics = MetricsRegistry()
-        metrics.gauge_set("resident_bytes", 3)
-        metrics.gauge_set("resident_bytes", 5)
-        assert metrics.gauges() == {"resident_bytes": 5}
-
     def test_histograms_track_count_sum_min_max(self):
         metrics = MetricsRegistry()
         for value in (0.25, 0.75, 0.5):
@@ -177,9 +171,8 @@ class TestMetrics:
     def test_disabled_registry_ignores_everything(self):
         metrics = MetricsRegistry(enabled=False)
         metrics.increment("runs")
-        metrics.gauge_set("entries", 1)
         metrics.observe("seconds", 0.5)
-        assert metrics.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert metrics.as_dict() == {"counters": {}, "histograms": {}}
 
 
 class TestSession:
@@ -267,12 +260,11 @@ class TestManifest:
 class TestExporters:
     def test_prometheus_text_families(self):
         telemetry = _seeded_session()
-        telemetry.metrics.gauge_set("resident_bytes", 2)
         telemetry.metrics.observe("anchor_seconds", 0.5)
         text = to_prometheus_text(telemetry.metrics)
         assert "# TYPE comm_bytes counter" in text
         assert 'comm_bytes{phase="count"} 96' in text
-        assert "# TYPE resident_bytes gauge" in text
+        assert " gauge" not in text
         assert "# TYPE anchor_seconds summary" in text
         assert "anchor_seconds_count 1" in text
         assert "anchor_seconds_sum 0.5" in text

@@ -3,8 +3,8 @@
 The vectorised ``batched`` execution mode claims that the messages a server
 observes are *exactly* the concatenation of what it would have seen running
 the scalar faithful schedule — same seeds, same masked differences, bit for
-bit.  With the dealers' buffered (provisioned) mode the correlated
-randomness a triple carries depends only on its position in the provisioned
+bit.  Each dealer draws its material element-major, so the correlated
+randomness a triple carries depends only on its position in the dealer's
 stream, not on how requests are batched, which makes the claim testable:
 record both servers' views through :class:`ViewRecorder` at batch size 1 and
 at larger batch sizes, and compare the opening streams element-wise.
@@ -14,7 +14,10 @@ Covered for both multiplication flavours:
 * three-way products (multiplication groups, the `Count` protocol), via the
   full ``FaithfulTriangleCounter`` at several batch sizes, and
 * two-way products (Beaver triples), via ``secure_multiply_pair`` over a
-  provisioned ``BeaverTripleDealer``.
+  ``BeaverTripleDealer``.
+
+:class:`TestPositionFixedDraws` pins what both rest on: splitting a run of
+draws into any call sizes deals the same material, at every ring width.
 """
 
 from __future__ import annotations
@@ -23,18 +26,20 @@ import numpy as np
 import pytest
 
 from repro.core.backends import FaithfulTriangleCounter, share_adjacency_rows
+from repro.core.backends.base import num_candidate_triples
+from repro.core.backends.faithful import DRAW_GROUPS
 from repro.crypto.beaver import BeaverTripleDealer
-from repro.crypto.multiplication_groups import MultiplicationGroupDealer
-from repro.crypto.ring import DEFAULT_RING
+from repro.crypto.multiplication_groups import MG_FIELDS, MultiplicationGroupDealer
+from repro.crypto.ring import DEFAULT_RING, Ring
 from repro.crypto.secure_ops import secure_multiply_pair
 from repro.crypto.sharing import share_vector
 from repro.crypto.views import ViewRecorder
 from repro.graph.generators import erdos_renyi_graph
 
 
-def _count_openings(share1, share2, batch_size, dealer_seed):
+def _count_openings(share1, share2, batch_size, dealer_seed, dealer=None):
     """Run the secure count and return (result, per-server opening streams)."""
-    dealer = MultiplicationGroupDealer(seed=dealer_seed)
+    dealer = dealer or MultiplicationGroupDealer(seed=dealer_seed)
     views = ViewRecorder()
     counter = FaithfulTriangleCounter(
         dealer=dealer, batch_size=batch_size, views=views
@@ -78,6 +83,41 @@ class TestThreeWayTranscriptEquivalence:
         assert scalar_result.share2 == batched_result.share2
         assert scalar_result.num_triples_processed == batched_result.num_triples_processed
 
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        """A graph with more candidate triples than one draw covers, and its faithful openings."""
+        num_users = 31
+        assert num_candidate_triples(num_users) > DRAW_GROUPS
+        graph = erdos_renyi_graph(num_users, 0.3, seed=5)
+        shares = share_adjacency_rows(graph.adjacency_matrix(), rng=6)
+        dealer = MultiplicationGroupDealer(seed=15)
+        scalar = _count_openings(*shares, 1, dealer_seed=None, dealer=dealer)
+        # A faithful run crosses a draw boundary: two draws, 4096 + 399 groups.
+        assert dealer.groups_issued == 2
+        return shares, scalar
+
+    @pytest.mark.parametrize(
+        "batch_size", [7, DRAW_GROUPS - 1, DRAW_GROUPS, DRAW_GROUPS + 1]
+    )
+    def test_openings_concatenate_across_draw_boundaries(self, long_run, batch_size):
+        """Batch sizes around ``DRAW_GROUPS`` put the draw boundaries elsewhere."""
+        shares, (scalar_result, scalar_streams) = long_run
+        dealer = MultiplicationGroupDealer(seed=15)
+        batched_result, batched_streams = _count_openings(
+            *shares, batch_size, dealer_seed=None, dealer=dealer
+        )
+        per_draw = -(-DRAW_GROUPS // batch_size) * batch_size
+        assert dealer.groups_issued == -(-batched_result.num_triples_processed // per_draw)
+        for server in (0, 1):
+            for wire in range(3):
+                assert np.array_equal(
+                    scalar_streams[server][wire], batched_streams[server][wire]
+                ), (server, wire)
+        assert (scalar_result.share1, scalar_result.share2) == (
+            batched_result.share1,
+            batched_result.share2,
+        )
+
     def test_both_servers_observe_the_same_openings(self, shares):
         share1, share2 = shares
         _, streams = _count_openings(share1, share2, 16, dealer_seed=12)
@@ -97,7 +137,6 @@ class TestTwoWayTranscriptEquivalence:
         """Multiply two shared vectors in blocks; return the opening streams."""
         total = a_pair.share1.shape[0]
         dealer = BeaverTripleDealer(seed=dealer_seed)
-        dealer.provision_vector(total)
         views = ViewRecorder()
         products = []
         start = 0
@@ -153,110 +192,105 @@ class TestTwoWayTranscriptEquivalence:
         assert np.array_equal(ring.add(scalar_flat1, scalar_flat2), ring.mul(plain_a, plain_b))
 
 
-class TestProvisionedDealerAccounting:
-    def test_group_accounting_matches_unbuffered(self):
-        provisioned = MultiplicationGroupDealer(seed=41)
-        provisioned.provision(12)
-        unbuffered = MultiplicationGroupDealer(seed=41)
-        for size in (5, 4, 3):
-            provisioned.vector_group((size,))
-            unbuffered.vector_group((size,))
-        assert provisioned.groups_issued == unbuffered.groups_issued == 3
-        assert provisioned.provisioned_remaining == 0
+RING_WIDTHS = [2, 25, 26, 32, 33, 63, 64]
+SPLITS = [[24], [1] * 24, [1, 23], [23, 1], [5, 7, 12], [8, 8, 8], [2, 3, 19]]
 
-    def test_triple_accounting_matches_unbuffered(self):
-        provisioned = BeaverTripleDealer(seed=42)
-        provisioned.provision_vector(10)
-        unbuffered = BeaverTripleDealer(seed=42)
-        for shape in ((4,), (2, 3)):
-            provisioned.vector_triple(shape)
-            unbuffered.vector_triple(shape)
-        assert provisioned.triples_issued == unbuffered.triples_issued == 2
-        assert provisioned.total_triple_elements == unbuffered.total_triple_elements
-        assert provisioned.largest_triple_elements == unbuffered.largest_triple_elements
 
-    def test_provisioned_groups_are_valid(self):
-        dealer = MultiplicationGroupDealer(seed=43)
-        dealer.provision(9)
-        pair = dealer.vector_group((3, 3))
-        x, y, z, w, o, p, q = pair.plaintext()
-        ring = dealer.ring
+def _group_fields(pair):
+    """Both servers' fields of a group batch, flattened to ``(14, size)``."""
+    return np.stack(
+        [
+            np.atleast_1d(np.asarray(getattr(half, name), dtype=np.uint64)).ravel()
+            for half in (pair.server1, pair.server2)
+            for name in MG_FIELDS
+        ]
+    )
+
+
+def _triple_fields(pair):
+    """Both servers' shares of a triple batch, flattened to ``(6, size)``."""
+    return np.stack(
+        [
+            np.atleast_1d(np.asarray(getattr(half, name), dtype=np.uint64)).ravel()
+            for half in (pair.server1, pair.server2)
+            for name in "xyz"
+        ]
+    )
+
+
+class TestPositionFixedDraws:
+    """A dealt item's material depends only on its position in the dealer's stream."""
+
+    @pytest.mark.parametrize("bits", RING_WIDTHS)
+    @pytest.mark.parametrize("split", SPLITS, ids=str)
+    def test_group_draws_split_into_any_call_sizes(self, bits, split):
+        ring = Ring(bits)
+        whole = _group_fields(MultiplicationGroupDealer(ring, seed=41).vector_group((24,)))
+        dealer = MultiplicationGroupDealer(ring, seed=41)
+        parts = np.concatenate(
+            [_group_fields(dealer.vector_group((size,))) for size in split], axis=1
+        )
+        assert np.array_equal(whole, parts)
+        assert dealer.groups_issued == len(split)
+
+    @pytest.mark.parametrize("bits", RING_WIDTHS)
+    @pytest.mark.parametrize("split", SPLITS, ids=str)
+    def test_triple_draws_split_into_any_call_sizes(self, bits, split):
+        ring = Ring(bits)
+        whole_dealer = BeaverTripleDealer(ring, seed=42)
+        whole = _triple_fields(whole_dealer.vector_triple((24,)))
+        dealer = BeaverTripleDealer(ring, seed=42)
+        parts = np.concatenate(
+            [_triple_fields(dealer.vector_triple((size,))) for size in split], axis=1
+        )
+        assert np.array_equal(whole, parts)
+        assert dealer.triples_issued == len(split)
+        assert dealer.total_triple_elements == whole_dealer.total_triple_elements == 3 * 24
+
+    @pytest.mark.parametrize("bits", RING_WIDTHS)
+    def test_scalars_and_shapes_are_the_same_stream(self, bits):
+        """A scalar is the size-one draw; a shaped batch is the flat draw reshaped."""
+        ring = Ring(bits)
+        whole_groups = _group_fields(MultiplicationGroupDealer(ring, seed=43).vector_group((6,)))
+        dealer = MultiplicationGroupDealer(ring, seed=43)
+        scalar = dealer.scalar_group()
+        assert all(type(getattr(scalar.server1, name)) is int for name in MG_FIELDS)
+        shaped = dealer.vector_group((1, 5))
+        assert shaped.server2.q.shape == (1, 5)
+        assert np.array_equal(
+            whole_groups, np.concatenate([_group_fields(scalar), _group_fields(shaped)], axis=1)
+        )
+        whole_triples = _triple_fields(BeaverTripleDealer(ring, seed=44).vector_triple((6,)))
+        beaver = BeaverTripleDealer(ring, seed=44)
+        scalar = beaver.scalar_triple()
+        assert type(scalar.server2.z) is int
+        assert np.array_equal(
+            whole_triples,
+            np.concatenate(
+                [_triple_fields(scalar), _triple_fields(beaver.vector_triple((5, 1)))], axis=1
+            ),
+        )
+
+    @pytest.mark.parametrize("bits", RING_WIDTHS)
+    def test_draws_are_valid_material(self, bits):
+        ring = Ring(bits)
+        x, y, z, w, o, p, q = MultiplicationGroupDealer(ring, seed=45).vector_group((3, 3)).plaintext()
         assert np.array_equal(o, ring.mul(x, y))
         assert np.array_equal(p, ring.mul(x, z))
         assert np.array_equal(q, ring.mul(y, z))
         assert np.array_equal(w, ring.mul(ring.mul(x, y), z))
-
-    def test_provisioned_matrix_triples_are_valid(self):
-        dealer = BeaverTripleDealer(seed=44)
-        dealer.provision_matrix((3, 4), (4, 2), count=2)
-        issued_before = dealer.triples_issued
-        pair = dealer.matrix_triple((3, 4), (4, 2))
+        pair = BeaverTripleDealer(ring, seed=46).vector_triple((2, 5))
         x, y, z = pair.plaintext()
-        assert np.array_equal(z, dealer.ring.matmul(x, y))
-        assert dealer.triples_issued == issued_before + 1
+        assert np.array_equal(z, ring.mul(x, y))
+        for half in (pair.server1, pair.server2):
+            assert all(int(np.max(getattr(half, name))) <= ring.mask for name in "xyz")
 
-    def test_overshooting_a_partial_pool_raises(self):
-        """A request larger than the remaining pool must not bypass it."""
-        from repro.exceptions import DealerError
-
-        dealer = MultiplicationGroupDealer(seed=46)
-        dealer.provision(5)
-        with pytest.raises(DealerError):
-            dealer.vector_group((8,))
-        beaver = BeaverTripleDealer(seed=46)
-        beaver.provision_vector(5)
-        with pytest.raises(DealerError):
-            beaver.vector_triple((8,))
-        # Draining the pool restores fresh dealing.
-        dealer.vector_group((5,))
-        assert dealer.vector_group((8,)).server1.x.shape == (8,)
-
-    def test_provision_appends_and_requests_span_chunk_boundaries(self):
-        """Chunked provisioning serves one continuous mask stream."""
-        chunked = MultiplicationGroupDealer(seed=45)
-        chunked.provision(5)
-        chunked.provision(5)
-        whole = MultiplicationGroupDealer(seed=45)
-        whole.provision(5)
-        whole.provision(5)
-        # 4 + 4 + 2: the second request spans the 5/5 boundary.
-        a = [chunked.vector_group((s,)) for s in (4, 4, 2)]
-        b = [whole.vector_group((s,)) for s in (2, 2, 2, 2, 2)]
-        flat_a = np.concatenate([np.atleast_1d(pair.server1.x) for pair in a])
-        flat_b = np.concatenate([np.atleast_1d(pair.server1.x) for pair in b])
-        assert np.array_equal(flat_a, flat_b)
-        assert chunked.provisioned_remaining == 0
-
-
-class TestMultiChunkTranscriptEquivalence:
-    """The batch-size independence must survive chunked provisioning."""
-
-    @pytest.mark.parametrize("batch_size", [3, 7, 50])
-    def test_openings_identical_across_batch_sizes_with_small_chunks(self, batch_size):
-        """n=10 -> 120 triples; provision_limit=40 forces three chunks whose
-        boundaries align with no batch size, so requests span chunks."""
-        graph = erdos_renyi_graph(10, 0.5, seed=6)
-        share1, share2 = share_adjacency_rows(graph.adjacency_matrix(), rng=7)
-
-        def openings(size):
-            dealer = MultiplicationGroupDealer(seed=51)
-            views = ViewRecorder()
-            counter = FaithfulTriangleCounter(
-                dealer=dealer, batch_size=size, views=views, provision_limit=40
-            )
-            result = counter.count_from_shares(share1, share2)
-            entries = views.view(1).values("mg_opening")
-            return result, tuple(
-                np.concatenate([np.atleast_1d(np.asarray(entry[w], dtype=np.uint64)) for entry in entries])
-                for w in range(3)
-            )
-
-        scalar_result, scalar_stream = openings(1)
-        batched_result, batched_stream = openings(batch_size)
-        for wire in range(3):
-            assert np.array_equal(scalar_stream[wire], batched_stream[wire]), wire
-        assert scalar_result.share1 == batched_result.share1
-        assert scalar_result.share2 == batched_result.share2
+    def test_draws_differ_across_seeds_and_positions(self):
+        first = MultiplicationGroupDealer(seed=47)
+        a, b = first.vector_group((8,)), first.vector_group((8,))
+        c = MultiplicationGroupDealer(seed=48).vector_group((8,))
+        assert not np.array_equal(_group_fields(a), _group_fields(b))
+        assert not np.array_equal(_group_fields(a), _group_fields(c))
 
 
 class TestWorkerCountTranscriptEquivalence:
